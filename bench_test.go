@@ -1219,16 +1219,11 @@ func BenchmarkSimSpeed(b *testing.B) {
 // count — the determinism contract of the ingestion tier.
 func BenchmarkFleetProf(b *testing.B) {
 	for iter := 0; iter < b.N; iter++ {
-		points, _, err := eval.FleetSweep(eval.FleetSweepConfig{
-			Spec:       workload.Tiny(),
-			TrainInsts: 4_000_000,
-			Hosts:      []int{1, 4, 16, 64},
-			Shards:     []int{1, 2, 4, 8},
-			LossRates:  []float64{0, 0.2},
-		})
+		res, err := eval.FleetSweep()
 		if err != nil {
 			b.Fatal(err)
 		}
+		points := res.Points
 
 		// Makespan monotone non-increasing in shards within each
 		// (hosts, loss) curve; merged profile identical across the whole
@@ -1263,7 +1258,7 @@ func BenchmarkFleetProf(b *testing.B) {
 			return math.NaN()
 		}
 		b.ReportMetric(find(64, 1, 0)/find(64, 8, 0), "fleet64Scale1to8x")
-		for _, hosts := range []int{1, 4, 16, 64} {
+		for _, hosts := range res.Hosts {
 			fmt.Printf("FleetProf sweep hosts=%-3d shards 1->8: %8.3fms -> %8.3fms (%4.2fx); with 20%% loss: %8.3fms -> %8.3fms\n",
 				hosts, 1e3*find(hosts, 1, 0), 1e3*find(hosts, 8, 0), find(hosts, 1, 0)/find(hosts, 8, 0),
 				1e3*find(hosts, 1, 0.2), 1e3*find(hosts, 8, 0.2))
@@ -1273,15 +1268,7 @@ func BenchmarkFleetProf(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		enc := json.NewEncoder(f)
-		enc.SetIndent("", "  ")
-		err = enc.Encode(map[string]any{
-			"benchmark": "FleetProf",
-			"hosts":     []int{1, 4, 16, 64},
-			"shards":    []int{1, 2, 4, 8},
-			"lossRates": []float64{0, 0.2},
-			"records":   points,
-		})
+		err = res.WriteBenchJSON(f)
 		if cerr := f.Close(); err == nil {
 			err = cerr
 		}
@@ -1301,20 +1288,18 @@ func BenchmarkFleetProf(b *testing.B) {
 // bench-smoke artifact, grepped for `"fixed_point": true`).
 func BenchmarkProfSvc(b *testing.B) {
 	for iter := 0; iter < b.N; iter++ {
-		curves, err := eval.GenerationSweep(eval.GenerationSweepConfig{
-			Generations: 5,
-			Hosts:       3,
-		})
+		res, err := eval.GenerationSweep(eval.GenerationSweepConfig{})
 		if err != nil {
 			b.Fatal(err)
 		}
+		curves := res.Curves
 		if len(curves) == 0 {
 			b.Fatal("empty sweep")
 		}
 		for _, c := range curves {
-			if !c.FixedPoint || c.FixedPointGen > 5 {
-				b.Fatalf("%s shards=%d loss=%g: fixed point %v at gen %d, want within 5",
-					c.Workload, c.Shards, c.LossRate, c.FixedPoint, c.FixedPointGen)
+			if !c.FixedPoint || c.FixedPointGen > res.Generations {
+				b.Fatalf("%s shards=%d loss=%g: fixed point %v at gen %d, want within %d",
+					c.Workload, c.Shards, c.LossRate, c.FixedPoint, c.FixedPointGen, res.Generations)
 			}
 			if c.FinalSpeedupPct <= 0 {
 				b.Fatalf("%s shards=%d loss=%g: final speedup %.3f%%, want > 0",
@@ -1340,14 +1325,7 @@ func BenchmarkProfSvc(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		enc := json.NewEncoder(f)
-		enc.SetIndent("", "  ")
-		err = enc.Encode(map[string]any{
-			"benchmark":   "ProfSvc",
-			"generations": 5,
-			"hosts":       3,
-			"records":     curves,
-		})
+		err = res.WriteBenchJSON(f)
 		if cerr := f.Close(); err == nil {
 			err = cerr
 		}

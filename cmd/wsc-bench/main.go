@@ -15,7 +15,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -131,14 +130,14 @@ func main() {
 // over hosts 1-64 x shards 1-8 x transport loss rates.
 func runFleetSweep() {
 	fmt.Fprintln(os.Stderr, "wsc-bench: fleet-collection sweep (hosts x shards x loss)...")
-	points, bin, err := eval.FleetSweep(eval.FleetSweepConfig{Spec: workload.Tiny()})
+	res, err := eval.FleetSweep()
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "wsc-bench: fleet sweep: %v\n", err)
 		os.Exit(1)
 	}
-	fmt.Printf("fleet sweep over build %.16s..\n", bin.BuildID)
+	fmt.Printf("fleet sweep over build %.16s..\n", res.BuildID)
 	fmt.Printf("%6s %6s %6s %12s %10s %8s %8s\n", "hosts", "shards", "loss", "makespan", "batches", "lost", "dups")
-	for _, pt := range points {
+	for _, pt := range res.Points {
 		fmt.Printf("%6d %6d %6.2f %10.3fms %10d %8d %8d\n",
 			pt.Hosts, pt.Shards, pt.LossRate, 1e3*pt.MakespanSeconds,
 			pt.AcceptedBatches, pt.LostDeliveries, pt.DuplicateBatches)
@@ -148,9 +147,7 @@ func runFleetSweep() {
 		fmt.Fprintf(os.Stderr, "wsc-bench: %v\n", err)
 		os.Exit(1)
 	}
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	err = enc.Encode(map[string]any{"benchmark": "FleetProf", "records": points})
+	err = res.WriteBenchJSON(f)
 	if cerr := f.Close(); err == nil {
 		err = cerr
 	}

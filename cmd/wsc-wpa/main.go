@@ -54,7 +54,6 @@ func main() {
 		interProc = flag.Bool("interproc", false, "inter-procedural layout (§4.7)")
 		naive     = flag.Bool("naive-exttsp", false, "quadratic merge retrieval (ablation)")
 		hot       = flag.Uint64("hot-threshold", 1, "minimum block samples to be hot")
-		noChunk   = flag.Bool("no-chunked-read", false, "materialize the whole profile instead of streaming it (§5.1)")
 		workers   = flag.Int("workers", 0, "analysis parallelism: 0 = all cores, 1 = serial (§4.7; output is identical either way)")
 		ignoreBID = flag.Bool("ignore-build-id", false, "accept profiles whose build ID does not match the binary")
 	)
@@ -87,8 +86,7 @@ func main() {
 		IgnoreBuildID: *ignoreBID,
 	}
 	var res *wpa.Result
-	switch {
-	case len(profPaths) > 1:
+	if len(profPaths) > 1 {
 		// Fleet shards: read every profile, merge deterministically in
 		// argument order, and analyze the merged result.
 		profs := make([]*profile.Profile, len(profPaths))
@@ -112,16 +110,8 @@ func main() {
 		if err != nil {
 			fatalf("%v", err)
 		}
-	case *noChunk:
-		prof, err := readOne(profPaths[0])
-		if err != nil {
-			fatalf("%v", err)
-		}
-		res, err = wpa.Analyze(m, prof, cfg)
-		if err != nil {
-			fatalf("%v", err)
-		}
-	default:
+	} else {
+		// One profile streams through the chunked reader (§5.1).
 		pf, err := os.Open(profPaths[0])
 		if err != nil {
 			fatalf("%v", err)
@@ -157,15 +147,6 @@ func main() {
 		st.Workers, st.LayoutWorkers, st.LayoutShards,
 		ms(st.AggregateWall), ms(st.MergeWall), ms(st.LayoutWall), st.AnalysisSeconds*1e3)
 	fmt.Printf("wsc-wpa: wrote %s and %s\n", *ccOut, *ldOut)
-}
-
-func readOne(path string) (*profile.Profile, error) {
-	pf, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer pf.Close()
-	return profile.Read(pf)
 }
 
 func fatalf(format string, args ...any) {

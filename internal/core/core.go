@@ -432,19 +432,29 @@ func CollectProfile(bin *objfile.Binary, spec RunSpec, trackMisses bool) (*profi
 	return res.Profile, res, nil
 }
 
-// Analyze runs the whole-program analysis (Phase 3's WPA half).
-func Analyze(bin *objfile.Binary, prof *profile.Profile, opts Options) (*wpa.Result, error) {
+// wpaInputs decodes bin's BB address map and resolves the analyzer
+// configuration the two Phase-3 entry points share.
+func wpaInputs(bin *objfile.Binary, opts Options) (*bbaddrmap.Map, wpa.Config, error) {
 	if bin.BBAddrMap == nil {
-		return nil, fmt.Errorf("core: binary has no BB address map; build with metadata first")
+		return nil, wpa.Config{}, fmt.Errorf("core: binary has no BB address map; build with metadata first")
 	}
 	m, err := bbaddrmap.Decode(bin.BBAddrMap)
 	if err != nil {
-		return nil, err
+		return nil, wpa.Config{}, err
 	}
 	cfg := opts.WPA
 	cfg.InterProc = cfg.InterProc || opts.InterProc
 	if cfg.BuildID == "" {
 		cfg.BuildID = bin.BuildID
+	}
+	return m, cfg, nil
+}
+
+// Analyze runs the whole-program analysis (Phase 3's WPA half).
+func Analyze(bin *objfile.Binary, prof *profile.Profile, opts Options) (*wpa.Result, error) {
+	m, cfg, err := wpaInputs(bin, opts)
+	if err != nil {
+		return nil, err
 	}
 	return wpa.Analyze(m, prof, cfg)
 }

@@ -3,7 +3,6 @@ package core
 import (
 	"bytes"
 	"fmt"
-	"sync"
 
 	"propeller/internal/bbaddrmap"
 	"propeller/internal/fleetprof"
@@ -31,14 +30,6 @@ type FleetOptions struct {
 	Seed     uint64
 	// BatchSamples is the collector batch size (default 64).
 	BatchSamples int
-	// Materialize switches collection back to the two-phase pipeline:
-	// every host simulation runs to completion and its full profile is
-	// batched afterwards. The default (false) streams samples into the
-	// ingestion service while the simulations are still executing; the
-	// merged profile is byte-identical either way — batch identity, the
-	// transport fault plan and the canonical merge order do not depend
-	// on the mode.
-	Materialize bool
 	// Gate is the admission policy; a zero Gate admits any profile.
 	Gate fleetprof.Gate
 	// OnService, when non-nil, observes the ingestion service right after
@@ -69,42 +60,7 @@ func CollectFleetProfile(bin *objfile.Binary, spec RunSpec, fo FleetOptions, tra
 	if err != nil {
 		return nil, nil, fleetprof.IngestStats{}, err
 	}
-	hostCfg := func(h int) sim.Config {
-		return sim.Config{
-			MaxInsts:        spec.MaxInsts,
-			LBRPeriod:       spec.lbrPeriod(),
-			LBRPhase:        uint64(h),
-			Args:            spec.Args,
-			TrackLoadMisses: trackMisses && h == 0,
-		}
-	}
 	results := make([]*sim.Result, hosts)
-
-	if fo.Materialize {
-		// Two-phase: run every host to completion before collection.
-		errs := make([]error, hosts)
-		var wg sync.WaitGroup
-		for h := 0; h < hosts; h++ {
-			wg.Add(1)
-			go func(h int) {
-				defer wg.Done()
-				res, err := prog.Run(hostCfg(h))
-				if err != nil {
-					errs[h] = err
-					return
-				}
-				res.Profile.Binary = "pm"
-				results[h] = res
-			}(h)
-		}
-		wg.Wait()
-		for h, err := range errs {
-			if err != nil {
-				return nil, nil, fleetprof.IngestStats{}, fmt.Errorf("core: fleet host %d run failed: %w", h, err)
-			}
-		}
-	}
-
 	svc := fleetprof.NewService(fleetprof.ServiceConfig{
 		Shards:          fo.Shards,
 		WorkersPerShard: fo.WorkersPerShard,
@@ -119,20 +75,22 @@ func CollectFleetProfile(bin *objfile.Binary, spec RunSpec, fo FleetOptions, tra
 		collectors[h] = &fleetprof.Collector{
 			Host:         h,
 			BatchSamples: fo.BatchSamples,
-		}
-		if fo.Materialize {
-			collectors[h].Profile = results[h].Profile
-		} else {
-			// Streaming: the collector consumes samples on the simulation
-			// goroutine as they are taken, so batches reach the service's
-			// shards while the host is still executing.
-			collectors[h].Source = &hostSource{
+			// The collector consumes samples on the simulation goroutine
+			// as they are taken, so batches reach the service's shards
+			// while the host is still executing.
+			Source: &hostSource{
 				prog: prog,
-				cfg:  hostCfg(h),
+				cfg: sim.Config{
+					MaxInsts:        spec.MaxInsts,
+					LBRPeriod:       spec.lbrPeriod(),
+					LBRPhase:        uint64(h),
+					Args:            spec.Args,
+					TrackLoadMisses: trackMisses && h == 0,
+				},
 				hdr:  profile.Header{Binary: "pm", BuildID: bin.BuildID, Period: spec.lbrPeriod()},
 				host: h,
 				res:  &results[h],
-			}
+			},
 		}
 	}
 	st, err := fleetprof.RunFleet(collectors, fleetprof.Transport{
@@ -192,17 +150,9 @@ func (s *hostSource) Samples(emit func(profile.Sample) error) error {
 // fetched from fleet profile storage takes — with the binary's build ID
 // enforced at the header.
 func AnalyzeStreamed(bin *objfile.Binary, prof *profile.Profile, opts Options) (*wpa.Result, error) {
-	if bin.BBAddrMap == nil {
-		return nil, fmt.Errorf("core: binary has no BB address map; build with metadata first")
-	}
-	m, err := bbaddrmap.Decode(bin.BBAddrMap)
+	m, cfg, err := wpaInputs(bin, opts)
 	if err != nil {
 		return nil, err
-	}
-	cfg := opts.WPA
-	cfg.InterProc = cfg.InterProc || opts.InterProc
-	if cfg.BuildID == "" {
-		cfg.BuildID = bin.BuildID
 	}
 	// AppendWire + bytes.Reader keep the whole round trip on the
 	// zero-copy decode path (no bufio wrapper on either side).

@@ -8,15 +8,14 @@ import (
 	"propeller/internal/layoutfile"
 )
 
-// TestFleetStreamingMatchesMaterialized is the mode-identity matrix:
-// at every tested (hosts, shards, workers, loss, dup) cell, streaming
-// collection (samples shipped while the simulations run) and
-// materialized collection (full per-host profiles batched afterwards)
-// must produce byte-identical merged profiles — batch identity, the
+// TestFleetStreamingMatchesMaterialized is the collection determinism
+// matrix: for a given host count, streaming collection (samples shipped
+// while the simulations run) must produce a byte-identical merged profile
+// at every (shards, workers, loss, dup) cell — batch identity, the
 // transport fault plan and the canonical merge order are functions of
-// the sample stream, not of when batches leave the host — and the
-// downstream whole-program analysis must therefore emit byte-identical
-// layout artifacts.
+// the sample stream, not of when batches leave the host or which shard
+// takes them — and the downstream whole-program analysis must therefore
+// emit byte-identical layout artifacts.
 func TestFleetStreamingMatchesMaterialized(t *testing.T) {
 	meta, err := BuildWithMetadata(multiModuleProgram(), Options{})
 	if err != nil {
@@ -33,56 +32,58 @@ func TestFleetStreamingMatchesMaterialized(t *testing.T) {
 		{hosts: 4, shards: 1, workers: 1},
 		{hosts: 4, shards: 4, workers: 2},
 		{hosts: 4, shards: 2, workers: 2, loss: 0.3, dup: 0.15},
+		{hosts: 8, shards: 1, workers: 1},
 		{hosts: 8, shards: 4, workers: 2, loss: 0.2, dup: 0.1},
 	}
+	type output struct{ wire, artifacts []byte }
+	ref := map[int]output{} // by host count: the first cell's output
 	for _, c := range cells {
 		name := fmt.Sprintf("hosts=%d/shards=%d/workers=%d/loss=%g/dup=%g",
 			c.hosts, c.shards, c.workers, c.loss, c.dup)
-		var wire, artifacts [2][]byte
-		for i, materialize := range []bool{false, true} {
-			fo := FleetOptions{
-				Hosts:           c.hosts,
-				Shards:          c.shards,
-				WorkersPerShard: c.workers,
-				LossRate:        c.loss,
-				DupRate:         c.dup,
-				Seed:            11,
-				BatchSamples:    32,
-				Materialize:     materialize,
-				// QueueDepth generous so the bounded-retry drop path (which
-				// depends on real scheduling) stays out of the identity test.
-				QueueDepth: 1024,
-			}
-			merged, train, st, err := CollectFleetProfile(meta.Binary, spec, fo, false)
-			if err != nil {
-				t.Fatalf("%s materialize=%v: %v", name, materialize, err)
-			}
-			if train == nil {
-				t.Fatalf("%s materialize=%v: no training-run result", name, materialize)
-			}
-			if st.AcceptedSamples == 0 {
-				t.Fatalf("%s materialize=%v: empty fleet profile", name, materialize)
-			}
-			wire[i] = merged.AppendWire(nil)
-
-			wres, err := AnalyzeStreamed(meta.Binary, merged, Options{})
-			if err != nil {
-				t.Fatalf("%s materialize=%v: analyze: %v", name, materialize, err)
-			}
-			var buf bytes.Buffer
-			if err := layoutfile.WriteDirectives(&buf, wres.Directives); err != nil {
-				t.Fatal(err)
-			}
-			if err := layoutfile.WriteOrder(&buf, wres.Order); err != nil {
-				t.Fatal(err)
-			}
-			artifacts[i] = buf.Bytes()
+		fo := FleetOptions{
+			Hosts:           c.hosts,
+			Shards:          c.shards,
+			WorkersPerShard: c.workers,
+			LossRate:        c.loss,
+			DupRate:         c.dup,
+			Seed:            11,
+			BatchSamples:    32,
+			// QueueDepth generous so the bounded-retry drop path (which
+			// depends on real scheduling) stays out of the identity test.
+			QueueDepth: 1024,
 		}
-		if !bytes.Equal(wire[0], wire[1]) {
-			t.Errorf("%s: merged profile differs between streaming and materialized", name)
+		merged, train, st, err := CollectFleetProfile(meta.Binary, spec, fo, false)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
 		}
-		if !bytes.Equal(artifacts[0], artifacts[1]) {
-			t.Errorf("%s: layout artifacts differ between streaming and materialized", name)
+		if train == nil {
+			t.Fatalf("%s: no training-run result", name)
+		}
+		if st.AcceptedSamples == 0 {
+			t.Fatalf("%s: empty fleet profile", name)
+		}
+		wres, err := AnalyzeStreamed(meta.Binary, merged, Options{})
+		if err != nil {
+			t.Fatalf("%s: analyze: %v", name, err)
+		}
+		var buf bytes.Buffer
+		if err := layoutfile.WriteDirectives(&buf, wres.Directives); err != nil {
+			t.Fatal(err)
+		}
+		if err := layoutfile.WriteOrder(&buf, wres.Order); err != nil {
+			t.Fatal(err)
+		}
+		got := output{merged.AppendWire(nil), buf.Bytes()}
+		want, ok := ref[c.hosts]
+		if !ok {
+			ref[c.hosts] = got
+			continue
+		}
+		if !bytes.Equal(got.wire, want.wire) {
+			t.Errorf("%s: merged profile differs from the first %d-host cell", name, c.hosts)
+		}
+		if !bytes.Equal(got.artifacts, want.artifacts) {
+			t.Errorf("%s: layout artifacts differ from the first %d-host cell", name, c.hosts)
 		}
 	}
 

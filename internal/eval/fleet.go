@@ -4,56 +4,34 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
+	"encoding/json"
 	"fmt"
+	"io"
+	"slices"
 	"sync"
 
 	"propeller/internal/core"
 	"propeller/internal/fleetprof"
-	"propeller/internal/objfile"
 	"propeller/internal/profile"
 	"propeller/internal/sim"
 	"propeller/internal/workload"
 )
 
-// FleetSweepConfig sizes the fleet-collection scaling sweep: how many
-// simulated collector hosts feed the ingestion service, at which shard
-// counts, under which transport loss rates.
-type FleetSweepConfig struct {
-	Spec       workload.Spec
-	TrainInsts uint64
-	LBRPeriod  uint64
+// The fleet-collection scaling sweep: how many simulated collector hosts
+// feed the ingestion service, at which shard counts, under which
+// transport loss rates, each host profiling the tiny workload. Fixed
+// here, so every producer of BENCH_fleetprof.json runs the sweep its
+// committed baseline records.
+var (
+	fleetSweepHosts     = []int{1, 4, 16, 64}
+	fleetSweepShards    = []int{1, 2, 4, 8}
+	fleetSweepLossRates = []float64{0, 0.2}
+)
 
-	Hosts     []int     // default {1, 4, 16, 64}
-	Shards    []int     // default {1, 2, 4, 8}
-	LossRates []float64 // default {0, 0.2}
-
-	// WorkersPerShard is the ingest parallelism behind each queue
-	// (default 2).
-	WorkersPerShard int
-	// BatchSamples is the collector batch size (default 32).
-	BatchSamples int
-}
-
-func (c FleetSweepConfig) hosts() []int {
-	if len(c.Hosts) == 0 {
-		return []int{1, 4, 16, 64}
-	}
-	return c.Hosts
-}
-
-func (c FleetSweepConfig) shards() []int {
-	if len(c.Shards) == 0 {
-		return []int{1, 2, 4, 8}
-	}
-	return c.Shards
-}
-
-func (c FleetSweepConfig) lossRates() []float64 {
-	if len(c.LossRates) == 0 {
-		return []float64{0, 0.2}
-	}
-	return c.LossRates
-}
+const (
+	fleetSweepTrainInsts = 4_000_000
+	fleetSweepLBRPeriod  = 211
+)
 
 // FleetPoint is one point of the BENCH_fleetprof.json curve.
 type FleetPoint struct {
@@ -81,43 +59,54 @@ type FleetPoint struct {
 	MergedSHA256 string `json:"mergedSHA256"`
 }
 
+// FleetSweepResult is the sweep's outcome: the grid it ran, one point per
+// (hosts, loss, shards) cell, and the profiled binary's build ID.
+type FleetSweepResult struct {
+	Hosts     []int
+	Shards    []int
+	LossRates []float64
+	Points    []FleetPoint
+	BuildID   string
+}
+
+// WriteBenchJSON writes the BENCH_fleetprof.json artifact (one shape,
+// shared by BenchmarkFleetProf and `wsc-bench -fleet`, so the
+// bench-regression baseline applies to either producer).
+func (r *FleetSweepResult) WriteBenchJSON(w io.Writer) error {
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	return enc.Encode(map[string]any{
+		"benchmark": "FleetProf",
+		"hosts":     r.Hosts,
+		"shards":    r.Shards,
+		"lossRates": r.LossRates,
+		"records":   r.Points,
+	})
+}
+
 // FleetSweep runs the fleet ingestion scaling study: a small workload is
 // built with metadata once, each of maxHosts simulated machines profiles
 // it once (distinct LBR phases), and then every (hosts, shards, loss)
 // cell replays collection through a fresh ingestion service. Per-host
 // profiles are generated once and prefix-sliced per host count, so the
 // sweep isolates ingestion behavior from simulation cost.
-func FleetSweep(cfg FleetSweepConfig) ([]FleetPoint, *objfile.Binary, error) {
-	prog, err := workload.Generate(cfg.Spec)
+func FleetSweep() (*FleetSweepResult, error) {
+	prog, err := workload.Generate(workload.Tiny())
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	meta, err := core.BuildWithMetadata(prog.Core, core.Options{})
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	bin := meta.Binary
-
-	trainInsts := cfg.TrainInsts
-	if trainInsts == 0 {
-		trainInsts = 2_000_000
-	}
-	period := cfg.LBRPeriod
-	if period == 0 {
-		period = 211
-	}
-	maxHosts := 0
-	for _, h := range cfg.hosts() {
-		if h > maxHosts {
-			maxHosts = h
-		}
-	}
+	maxHosts := slices.Max(fleetSweepHosts)
 
 	// One shared Program: the pre-decoded text is immutable, so all hosts
 	// simulate concurrently off a single Load.
 	sprog, err := sim.Load(bin)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	profiles := make([]*profile.Profile, maxHosts)
 	errs := make([]error, maxHosts)
@@ -127,8 +116,8 @@ func FleetSweep(cfg FleetSweepConfig) ([]FleetPoint, *objfile.Binary, error) {
 		go func(h int) {
 			defer wg.Done()
 			res, err := sprog.Run(sim.Config{
-				MaxInsts:  trainInsts,
-				LBRPeriod: period,
+				MaxInsts:  fleetSweepTrainInsts,
+				LBRPeriod: fleetSweepLBRPeriod,
 				LBRPhase:  uint64(h),
 			})
 			if err != nil {
@@ -142,26 +131,24 @@ func FleetSweep(cfg FleetSweepConfig) ([]FleetPoint, *objfile.Binary, error) {
 	wg.Wait()
 	for h, err := range errs {
 		if err != nil {
-			return nil, nil, fmt.Errorf("eval: fleet host %d run failed: %w", h, err)
+			return nil, fmt.Errorf("eval: fleet host %d run failed: %w", h, err)
 		}
 	}
 
-	var points []FleetPoint
-	for _, hosts := range cfg.hosts() {
-		for _, loss := range cfg.lossRates() {
-			for _, shards := range cfg.shards() {
+	res := &FleetSweepResult{Hosts: fleetSweepHosts, Shards: fleetSweepShards, LossRates: fleetSweepLossRates, BuildID: bin.BuildID}
+	for _, hosts := range res.Hosts {
+		for _, loss := range res.LossRates {
+			for _, shards := range res.Shards {
 				svc := fleetprof.NewService(fleetprof.ServiceConfig{
-					Shards:          shards,
-					WorkersPerShard: cfg.WorkersPerShard,
-					BuildID:         bin.BuildID,
-					QueueDepth:      256, // generous: the sweep measures modeled time, not real stalls
+					Shards:     shards,
+					BuildID:    bin.BuildID,
+					QueueDepth: 256, // generous: the sweep measures modeled time, not real stalls
 				})
 				collectors := make([]*fleetprof.Collector, hosts)
 				for h := 0; h < hosts; h++ {
 					collectors[h] = &fleetprof.Collector{
-						Host:         h,
-						Profile:      profiles[h],
-						BatchSamples: cfg.BatchSamples,
+						Host:   h,
+						Source: fleetprof.ProfileSource{P: profiles[h]},
 						// The sweep's contract is a bit-identical merged
 						// profile at every shard count; the bounded-retry
 						// drop/adapt path depends on real scheduling (64
@@ -178,18 +165,18 @@ func FleetSweep(cfg FleetSweepConfig) ([]FleetPoint, *objfile.Binary, error) {
 					Seed:     7,
 				}, svc)
 				if err != nil {
-					return nil, nil, fmt.Errorf("eval: fleet hosts=%d shards=%d loss=%g: %w", hosts, shards, loss, err)
+					return nil, fmt.Errorf("eval: fleet hosts=%d shards=%d loss=%g: %w", hosts, shards, loss, err)
 				}
 				merged, err := svc.MergedProfile()
 				if err != nil {
-					return nil, nil, err
+					return nil, err
 				}
 				var buf bytes.Buffer
 				if err := merged.Write(&buf); err != nil {
-					return nil, nil, err
+					return nil, err
 				}
 				sum := sha256.Sum256(buf.Bytes())
-				points = append(points, FleetPoint{
+				res.Points = append(res.Points, FleetPoint{
 					Hosts:            hosts,
 					Shards:           shards,
 					LossRate:         loss,
@@ -204,5 +191,5 @@ func FleetSweep(cfg FleetSweepConfig) ([]FleetPoint, *objfile.Binary, error) {
 			}
 		}
 	}
-	return points, bin, nil
+	return res, nil
 }

@@ -3,7 +3,9 @@ package eval
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"encoding/json"
 	"fmt"
+	"io"
 	"strings"
 
 	"propeller/internal/profsvc"
@@ -20,7 +22,8 @@ type GenerationCell struct {
 	Dup     float64
 }
 
-// GenerationSweepConfig sizes the iterative-stability study.
+// GenerationSweepConfig sizes the iterative-stability study. The zero
+// value is the sweep the committed BENCH_profsvc.json baseline records.
 type GenerationSweepConfig struct {
 	Specs       []workload.Spec // default {Tiny()}
 	Generations int             // default 5
@@ -37,6 +40,20 @@ func (c GenerationSweepConfig) specs() []workload.Spec {
 		return []workload.Spec{workload.Tiny()}
 	}
 	return c.Specs
+}
+
+func (c GenerationSweepConfig) generations() int {
+	if c.Generations <= 0 {
+		return 5
+	}
+	return c.Generations
+}
+
+func (c GenerationSweepConfig) hosts() int {
+	if c.Hosts <= 0 {
+		return 3
+	}
+	return c.Hosts
 }
 
 func (c GenerationSweepConfig) cells() []GenerationCell {
@@ -86,14 +103,34 @@ type GenerationCurve struct {
 	SequenceSHA string `json:"sequenceSHA"`
 }
 
+// GenerationSweepResult is the sweep's outcome: the loop shape it ran and
+// one curve per (workload, ingestion-config) cell.
+type GenerationSweepResult struct {
+	Generations int
+	Hosts       int
+	Curves      []GenerationCurve
+}
+
+// WriteBenchJSON writes the BENCH_profsvc.json artifact.
+func (r *GenerationSweepResult) WriteBenchJSON(w io.Writer) error {
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	return enc.Encode(map[string]any{
+		"benchmark":   "ProfSvc",
+		"generations": r.Generations,
+		"hosts":       r.Hosts,
+		"records":     r.Curves,
+	})
+}
+
 // GenerationSweep runs the continuous profile-build loop to convergence on
 // each workload, replayed under every ingestion-configuration cell, and
 // verifies the stability contract on each curve: monotone non-decreasing
 // speedup, a byte-identical fixed point within the generation budget, and
 // one decision sequence per workload regardless of sharding, ingest
 // parallelism or injected transport faults.
-func GenerationSweep(cfg GenerationSweepConfig) ([]GenerationCurve, error) {
-	var curves []GenerationCurve
+func GenerationSweep(cfg GenerationSweepConfig) (*GenerationSweepResult, error) {
+	out := &GenerationSweepResult{Generations: cfg.generations(), Hosts: cfg.hosts()}
 	for _, spec := range cfg.specs() {
 		prog, err := workload.Generate(spec)
 		if err != nil {
@@ -102,8 +139,8 @@ func GenerationSweep(cfg GenerationSweepConfig) ([]GenerationCurve, error) {
 		refSHA := ""
 		for _, cell := range cfg.cells() {
 			res, err := profsvc.RunGenerations(prog.Core, profsvc.DriverConfig{
-				Generations:     cfg.Generations,
-				Hosts:           cfg.Hosts,
+				Generations:     out.Generations,
+				Hosts:           out.Hosts,
 				Shards:          cell.Shards,
 				WorkersPerShard: cell.Workers,
 				QueueDepth:      256, // generous: stability runs must see no drops
@@ -149,10 +186,10 @@ func GenerationSweep(cfg GenerationSweepConfig) ([]GenerationCurve, error) {
 				return nil, fmt.Errorf("eval: %s shards=%d workers=%d loss=%g: decision sequence diverges across ingestion configs",
 					spec.Name, cell.Shards, cell.Workers, cell.Loss)
 			}
-			curves = append(curves, curve)
+			out.Curves = append(out.Curves, curve)
 		}
 	}
-	return curves, nil
+	return out, nil
 }
 
 // sequenceSHA hashes the loop's per-generation decision fingerprint.

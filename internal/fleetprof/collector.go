@@ -86,11 +86,10 @@ func hashFrac(h uint64) float64 {
 }
 
 // SampleSource supplies one host's sample stream to its collector. The
-// two implementations are a materialized profile (ProfileSource) and a
-// live simulation pushing samples from its run callback — the streaming
-// mode that overlaps host CPU with the ingestion pipeline. Record slices
-// passed to emit are only read during the call; the collector copies what
-// it batches.
+// two implementations are stored samples (ProfileSource) and a live
+// simulation pushing samples from its run callback, which overlaps host
+// CPU with the ingestion pipeline. Record slices passed to emit are only
+// read during the call; the collector copies what it batches.
 type SampleSource interface {
 	// Header returns the stream's profile metadata, known before any
 	// sample; its Samples count is ignored.
@@ -100,7 +99,7 @@ type SampleSource interface {
 	Samples(emit func(profile.Sample) error) error
 }
 
-// ProfileSource adapts a materialized profile to SampleSource.
+// ProfileSource adapts an in-memory profile to SampleSource.
 type ProfileSource struct {
 	P *profile.Profile
 }
@@ -126,15 +125,12 @@ type Collector struct {
 	// Host is this collector's fleet-unique identity; with Seq it forms
 	// the idempotency key on every batch.
 	Host int
-	// Profile holds the host's local samples (from a sim run with this
-	// host's LBRPhase). Ignored when Source is set.
-	Profile *profile.Profile
-	// Source, when non-nil, supplies the sample stream instead of
-	// Profile — the streaming path that ships batches while the host's
-	// simulation is still executing. Batch identity ((host, seq) over
-	// consecutive BatchSamples-sized windows of the stream), the
-	// transport fault plan, and every modeled stat are the same in both
-	// modes, so the service's merged profile is byte-identical.
+	// Source supplies the host's sample stream: a live simulation that
+	// ships batches while it is still executing, or ProfileSource over
+	// stored samples. Batch identity ((host, seq) over consecutive
+	// BatchSamples-sized windows of the stream), the transport fault
+	// plan, and every modeled stat depend only on the stream, so the
+	// service's merged profile is byte-identical for either.
 	Source SampleSource
 	// BatchSamples is the number of samples per batch (default 64).
 	BatchSamples int
@@ -207,11 +203,9 @@ func (c *Collector) adaptAfterDrops() int {
 }
 
 // Run ships the host's sample stream through the transport to the
-// service in sequenced batches, honoring backpressure. With a Source it
-// consumes samples as they are produced (batches leave while the host's
-// simulation is still running); with a materialized Profile it streams
-// over the stored samples — the two paths share every byte of batching,
-// encoding and delivery logic. Each batch gets a bounded delivery-attempt
+// service in sequenced batches, honoring backpressure: samples are
+// consumed as Source produces them, so batches leave while a live host's
+// simulation is still running. Each batch gets a bounded delivery-attempt
 // budget: a batch the queue keeps rejecting is dropped (counted, never
 // silently) instead of hanging the host, and sustained drops double the
 // collector's downsampling so the stream thins to what the service can
@@ -220,10 +214,7 @@ func (c *Collector) Run(t Transport, svc *Service) (CollectorStats, error) {
 	st := CollectorStats{Downsample: 1}
 	src := c.Source
 	if src == nil {
-		if c.Profile == nil {
-			return st, fmt.Errorf("fleetprof: collector host %d has no profile", c.Host)
-		}
-		src = ProfileSource{c.Profile}
+		return st, fmt.Errorf("fleetprof: collector host %d has no sample source", c.Host)
 	}
 	bs := c.batchSamples()
 	r := &collectorRun{
@@ -281,8 +272,7 @@ func (r *collectorRun) add(s profile.Sample) error {
 }
 
 // ship encodes and delivers the current window as batch (host, seq),
-// then resets the window. Identical accounting to the materialized path:
-// seq advances even for dropped batches.
+// then resets the window; seq advances even for dropped batches.
 func (r *collectorRun) ship() error {
 	c, st := r.c, r.st
 	shipped := r.window

@@ -32,7 +32,7 @@ func hostProfile(host, nSamples int, buildID string) *profile.Profile {
 func fleet(hosts, nSamples int, buildID string, batch int) []*Collector {
 	var cs []*Collector
 	for h := 0; h < hosts; h++ {
-		cs = append(cs, &Collector{Host: h, Profile: hostProfile(h, nSamples, buildID), BatchSamples: batch})
+		cs = append(cs, &Collector{Host: h, Source: ProfileSource{hostProfile(h, nSamples, buildID)}, BatchSamples: batch})
 	}
 	return cs
 }
@@ -122,7 +122,7 @@ func TestFaultInjectionNoDoubleCounting(t *testing.T) {
 func TestBuildIDRejection(t *testing.T) {
 	svc := NewService(ServiceConfig{BuildID: "current"})
 	cs := fleet(3, 10, "current", 4)
-	cs[1].Profile = hostProfile(1, 10, "stale") // host 1 runs an old build
+	cs[1].Source = ProfileSource{hostProfile(1, 10, "stale")} // host 1 runs an old build
 	st, err := RunFleet(cs, Transport{}, svc)
 	if err != nil {
 		t.Fatalf("RunFleet: %v", err)
@@ -184,7 +184,7 @@ func TestCorruptBatchCounted(t *testing.T) {
 // so coverage accounting sees it.
 func TestEmptyHostStillCovered(t *testing.T) {
 	svc := NewService(ServiceConfig{})
-	cs := []*Collector{{Host: 5, Profile: &profile.Profile{Binary: "b", BuildID: "bid", Period: 10}}}
+	cs := []*Collector{{Host: 5, Source: ProfileSource{&profile.Profile{Binary: "b", BuildID: "bid", Period: 10}}}}
 	st, err := RunFleet(cs, Transport{}, svc)
 	if err != nil {
 		t.Fatalf("RunFleet: %v", err)
@@ -288,7 +288,7 @@ func TestRetryBudgetCap(t *testing.T) {
 	const maxAttempts = 5
 	c := &Collector{
 		Host:            0,
-		Profile:         hostProfile(0, 8, "bid"),
+		Source:          ProfileSource{hostProfile(0, 8, "bid")},
 		BatchSamples:    4, // 2 batches
 		Backoff:         100 * time.Microsecond,
 		MaxAttempts:     maxAttempts,
@@ -419,7 +419,7 @@ func TestCollectorEncodeAllocAmortized(t *testing.T) {
 		p := hostProfile(0, batches*64, "")
 		return testing.AllocsPerRun(3, func() {
 			svc := NewService(ServiceConfig{QueueDepth: batches + 8})
-			c := &Collector{Host: 0, Profile: p, BatchSamples: 64}
+			c := &Collector{Host: 0, Source: ProfileSource{p}, BatchSamples: 64}
 			if _, err := c.Run(Transport{}, svc); err != nil {
 				t.Fatal(err)
 			}

@@ -1,228 +1,21 @@
-// The search journal: a binary candidate codec (the unit the memo and
-// the fuzz harness exercise), per-workload statistics with the
-// best-so-far trajectory, the learned policy table, and the
-// BENCH_search.json artifact. Everything serialized here is a
-// deterministic function of (seed, workloads) — there are no measured
-// wall-clock fields — so the artifact is byte-identical at every worker
-// count and wsc-benchdiff compares it exactly.
+// The search journal: per-workload statistics with the best-so-far
+// trajectory, the learned policy table, and the BENCH_search.json
+// artifact. Everything serialized here is a deterministic function of
+// (seed, workloads) — there are no measured wall-clock fields — so the
+// artifact is byte-identical at every worker count and wsc-benchdiff
+// compares it exactly.
 package policysearch
 
 import (
 	"crypto/sha256"
-	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"io"
-	"math"
 	"sort"
 
 	"propeller/internal/eval"
-	"propeller/internal/exttsp"
-	"propeller/internal/wpa"
 )
-
-// Candidate codec. The canonical binary form keys the evaluation memo
-// (structurally equal policies share one entry regardless of how a
-// strategy spelled them) and feeds Fingerprint. Canonical means: fields
-// in fixed order, overrides sorted by function name, floats as IEEE
-// bits, and no trailing bytes — encode(decode(b)) is a fixed point.
-const candidateMagic = "WPC1"
-
-const (
-	flagInterProc = 1 << iota
-	flagKeepOrder
-	flagPathClone
-)
-
-func appendString(buf []byte, s string) []byte {
-	buf = binary.AppendUvarint(buf, uint64(len(s)))
-	return append(buf, s...)
-}
-
-func appendParams(buf []byte, p exttsp.Params) []byte {
-	for _, f := range []float64{p.FallthroughWeight, p.ForwardWeight, p.BackwardWeight} {
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(f))
-	}
-	buf = binary.AppendVarint(buf, p.ForwardWindow)
-	return binary.AppendVarint(buf, p.BackwardWindow)
-}
-
-func encodePolicy(p eval.LayoutPolicy) []byte {
-	buf := appendString(nil, p.Name)
-	var flags byte
-	if p.InterProc {
-		flags |= flagInterProc
-	}
-	if p.KeepBlockOrder {
-		flags |= flagKeepOrder
-	}
-	if p.PathClone {
-		flags |= flagPathClone
-	}
-	buf = append(buf, flags)
-	buf = appendParams(buf, p.Params)
-	buf = binary.AppendUvarint(buf, uint64(len(p.FuncPolicies)))
-	for _, fn := range sortedOverrideKeys(p.FuncPolicies) {
-		fp := p.FuncPolicies[fn]
-		buf = appendString(buf, fn)
-		var ff byte
-		if fp.KeepBlockOrder {
-			ff |= flagKeepOrder
-		}
-		if fp.PathClone {
-			ff |= flagPathClone
-		}
-		buf = append(buf, ff)
-		buf = appendParams(buf, fp.ExtTSP)
-	}
-	return buf
-}
-
-// EncodeCandidate serializes c in the canonical journal form.
-func EncodeCandidate(c Candidate) []byte {
-	buf := append([]byte(nil), candidateMagic...)
-	buf = appendString(buf, c.Origin)
-	return append(buf, encodePolicy(c.Policy)...)
-}
-
-type candDec struct {
-	data []byte
-	off  int
-}
-
-func (d *candDec) uvarint() (uint64, error) {
-	v, n := binary.Uvarint(d.data[d.off:])
-	if n <= 0 {
-		return 0, fmt.Errorf("policysearch: candidate codec: bad uvarint at %d", d.off)
-	}
-	d.off += n
-	return v, nil
-}
-
-func (d *candDec) varint() (int64, error) {
-	v, n := binary.Varint(d.data[d.off:])
-	if n <= 0 {
-		return 0, fmt.Errorf("policysearch: candidate codec: bad varint at %d", d.off)
-	}
-	d.off += n
-	return v, nil
-}
-
-func (d *candDec) str() (string, error) {
-	n, err := d.uvarint()
-	if err != nil {
-		return "", err
-	}
-	if n > uint64(len(d.data)-d.off) {
-		return "", fmt.Errorf("policysearch: candidate codec: string of %d bytes overruns buffer", n)
-	}
-	s := string(d.data[d.off : d.off+int(n)])
-	d.off += int(n)
-	return s, nil
-}
-
-func (d *candDec) byte() (byte, error) {
-	if d.off >= len(d.data) {
-		return 0, fmt.Errorf("policysearch: candidate codec: truncated")
-	}
-	b := d.data[d.off]
-	d.off++
-	return b, nil
-}
-
-func (d *candDec) params() (exttsp.Params, error) {
-	var p exttsp.Params
-	for _, dst := range []*float64{&p.FallthroughWeight, &p.ForwardWeight, &p.BackwardWeight} {
-		if len(d.data)-d.off < 8 {
-			return p, fmt.Errorf("policysearch: candidate codec: truncated float")
-		}
-		f := math.Float64frombits(binary.LittleEndian.Uint64(d.data[d.off:]))
-		if math.IsNaN(f) || math.IsInf(f, 0) {
-			return p, fmt.Errorf("policysearch: candidate codec: non-finite weight")
-		}
-		*dst = f
-		d.off += 8
-	}
-	var err error
-	if p.ForwardWindow, err = d.varint(); err != nil {
-		return p, err
-	}
-	if p.BackwardWindow, err = d.varint(); err != nil {
-		return p, err
-	}
-	return p, nil
-}
-
-// DecodeCandidate parses the canonical journal form; it rejects bad
-// magic, unsorted or duplicate overrides, non-finite weights, and
-// trailing bytes.
-func DecodeCandidate(data []byte) (Candidate, error) {
-	var c Candidate
-	if len(data) < len(candidateMagic) || string(data[:len(candidateMagic)]) != candidateMagic {
-		return c, fmt.Errorf("policysearch: candidate codec: bad magic")
-	}
-	d := &candDec{data: data, off: len(candidateMagic)}
-	var err error
-	if c.Origin, err = d.str(); err != nil {
-		return c, err
-	}
-	if c.Policy.Name, err = d.str(); err != nil {
-		return c, err
-	}
-	flags, err := d.byte()
-	if err != nil {
-		return c, err
-	}
-	if flags&^(flagInterProc|flagKeepOrder|flagPathClone) != 0 {
-		return c, fmt.Errorf("policysearch: candidate codec: unknown flag bits %#x", flags)
-	}
-	c.Policy.InterProc = flags&flagInterProc != 0
-	c.Policy.KeepBlockOrder = flags&flagKeepOrder != 0
-	c.Policy.PathClone = flags&flagPathClone != 0
-	if c.Policy.Params, err = d.params(); err != nil {
-		return c, err
-	}
-	n, err := d.uvarint()
-	if err != nil {
-		return c, err
-	}
-	if n > uint64(len(data)) { // cheap bound: each override needs >1 byte
-		return c, fmt.Errorf("policysearch: candidate codec: override count %d overruns buffer", n)
-	}
-	prev := ""
-	for i := uint64(0); i < n; i++ {
-		fn, err := d.str()
-		if err != nil {
-			return c, err
-		}
-		if i > 0 && fn <= prev {
-			return c, fmt.Errorf("policysearch: candidate codec: overrides not sorted-unique (%q after %q)", fn, prev)
-		}
-		prev = fn
-		ff, err := d.byte()
-		if err != nil {
-			return c, err
-		}
-		if ff&^(flagKeepOrder|flagPathClone) != 0 {
-			return c, fmt.Errorf("policysearch: candidate codec: unknown override flag bits %#x", ff)
-		}
-		var fp wpa.FuncPolicy
-		fp.KeepBlockOrder = ff&flagKeepOrder != 0
-		fp.PathClone = ff&flagPathClone != 0
-		if fp.ExtTSP, err = d.params(); err != nil {
-			return c, err
-		}
-		if c.Policy.FuncPolicies == nil {
-			c.Policy.FuncPolicies = map[string]wpa.FuncPolicy{}
-		}
-		c.Policy.FuncPolicies[fn] = fp
-	}
-	if d.off != len(data) {
-		return c, fmt.Errorf("policysearch: candidate codec: %d trailing bytes", len(data)-d.off)
-	}
-	return c, nil
-}
 
 // TrajectoryPoint is one best-so-far improvement: after Eval committed
 // evaluations (full + cheap), Policy became the champion.

@@ -23,6 +23,7 @@
 package policysearch
 
 import (
+	"encoding/json"
 	"fmt"
 	"hash/fnv"
 	"math/rand"
@@ -145,7 +146,7 @@ type pool struct {
 	full    uint64
 	stats   *SearchStats
 
-	// memo caches outcomes by (canonical candidate encoding, fidelity):
+	// memo caches outcomes by (canonical policy JSON, fidelity):
 	// a strategy re-proposing an evaluated point costs nothing and
 	// counts as a (deterministic) cache hit.
 	memo map[string]Outcome
@@ -157,10 +158,20 @@ type pool struct {
 	evalSeq int
 }
 
+// memoKey is the policy's journal JSON with the name cleared: fixed field
+// order, sorted override names and shortest round-trip floats make it
+// canonical and injective, so structurally equal policies share one entry
+// however a strategy named them.
 func (p *pool) memoKey(c Candidate, insts uint64) string {
 	pol := c.Policy
-	pol.Name = "" // two differently-named encodings of one policy are one point
-	return string(encodePolicy(pol)) + fmt.Sprintf("@%d", insts)
+	pol.Name = ""
+	b, err := json.Marshal(pol)
+	if err != nil {
+		// Only a non-finite weight fails to encode; the samplers and
+		// the JSON policy table cannot produce one.
+		panic(err)
+	}
+	return fmt.Sprintf("%s@%d", b, insts)
 }
 
 // evalBatch evaluates cands at the given fidelity and commits the

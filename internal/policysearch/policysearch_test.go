@@ -177,6 +177,65 @@ func TestMemoDedupes(t *testing.T) {
 	if st.FullEvals != 1 {
 		t.Errorf("full evals = %d, want 1", st.FullEvals)
 	}
+
+	// The memo key must ignore Name and nothing else: walk LayoutPolicy by
+	// reflection (into Params and one FuncPolicies override), perturb one
+	// field at a time, and require every perturbation to yield a key of
+	// its own. A policy field added without reaching the key would make
+	// the memo serve one policy's measurement to another.
+	var pol eval.LayoutPolicy
+	seen := map[string]string{p.memoKey(Candidate{}, 1): "zero policy"}
+	check := func(path string) {
+		key := p.memoKey(Candidate{Policy: pol}, 1)
+		prev, dup := seen[key]
+		if path == ".Name" {
+			if !dup {
+				t.Errorf("memo key depends on %s", path)
+			}
+			return
+		}
+		if dup {
+			t.Errorf("memo key does not separate %s from %s (key %s)", path, prev, key)
+		}
+		seen[key] = path
+	}
+	var walk func(v reflect.Value, path string, check func(string))
+	walk = func(v reflect.Value, path string, check func(string)) {
+		switch v.Kind() {
+		case reflect.Bool:
+			v.SetBool(true)
+			check(path)
+		case reflect.Float64:
+			v.SetFloat(0.777)
+			check(path)
+		case reflect.Int, reflect.Int64:
+			v.SetInt(31337)
+			check(path)
+		case reflect.String:
+			v.SetString("x")
+			check(path)
+		case reflect.Struct:
+			for i := 0; i < v.NumField(); i++ {
+				walk(v.Field(i), path+"."+v.Type().Field(i).Name, check)
+			}
+			return
+		case reflect.Map:
+			// One override: first empty, then each of its fields in turn.
+			elem := reflect.New(v.Type().Elem()).Elem()
+			withElem := func(path string) {
+				m := reflect.MakeMap(v.Type())
+				m.SetMapIndex(reflect.ValueOf("f"), elem)
+				v.Set(m)
+				check(path)
+			}
+			withElem(path + "[f]")
+			walk(elem, path+"[f]", withElem)
+		default:
+			t.Fatalf("%s has kind %v: teach this walk to perturb it", path, v.Kind())
+		}
+		v.Set(reflect.Zero(v.Type()))
+	}
+	walk(reflect.ValueOf(&pol).Elem(), "", check)
 }
 
 // TestPolicyTableRoundTrip: the learned table survives its file format.

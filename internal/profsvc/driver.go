@@ -31,10 +31,6 @@ type DriverConfig struct {
 	DupRate         float64
 	Seed            uint64
 	BatchSamples    int
-	// Materialize switches fleet collection to the two-phase mode (full
-	// host profiles batched after the runs) instead of the default
-	// streaming mode; the loop's every byte is identical either way.
-	Materialize bool
 
 	// TrainInsts bounds each host's profiling run (default 20M);
 	// EvalInsts the candidate measurement runs (default 40M).
@@ -243,7 +239,6 @@ func RunGenerations(p *core.Program, cfg DriverConfig) (*LoopResult, error) {
 		DupRate:         cfg.DupRate,
 		Seed:            cfg.Seed,
 		BatchSamples:    cfg.BatchSamples,
-		Materialize:     cfg.Materialize,
 	}
 	var prevHot []string
 

@@ -114,9 +114,8 @@ func TestGenerationLoopConverges(t *testing.T) {
 }
 
 // TestGenerationLoopReproducible: the whole K-generation sequence is
-// bit-identical at every ingestion shard/worker count, under injected
-// transport faults, and in both collection modes (streaming vs
-// materialized) — the fleetprof, sim and wpa determinism contracts
+// bit-identical at every ingestion shard/worker count and under injected
+// transport faults — the fleetprof, sim and wpa determinism contracts
 // composed through the full loop.
 func TestGenerationLoopReproducible(t *testing.T) {
 	prog := tinyProgram(t)
@@ -124,13 +123,10 @@ func TestGenerationLoopReproducible(t *testing.T) {
 	for _, tc := range []struct {
 		shards, workers int
 		loss, dup       float64
-		materialize     bool
 	}{
-		{1, 1, 0, 0, false},
-		{1, 1, 0, 0, true},
-		{4, 2, 0, 0, false},
-		{2, 2, 0.25, 0.25, false},
-		{2, 2, 0.25, 0.25, true},
+		{1, 1, 0, 0},
+		{4, 2, 0, 0},
+		{2, 2, 0.25, 0.25},
 	} {
 		cfg := tinyDriverConfig()
 		cfg.Generations = 3
@@ -139,11 +135,9 @@ func TestGenerationLoopReproducible(t *testing.T) {
 		cfg.LossRate = tc.loss
 		cfg.DupRate = tc.dup
 		cfg.Seed = 11
-		cfg.Materialize = tc.materialize
 		res, err := RunGenerations(prog, cfg)
 		if err != nil {
-			t.Fatalf("shards=%d workers=%d loss=%g materialize=%v: %v",
-				tc.shards, tc.workers, tc.loss, tc.materialize, err)
+			t.Fatalf("shards=%d workers=%d loss=%g: %v", tc.shards, tc.workers, tc.loss, err)
 		}
 		fp := genFingerprint(res)
 		if ref == nil {
@@ -152,8 +146,8 @@ func TestGenerationLoopReproducible(t *testing.T) {
 		}
 		for i := range ref {
 			if fp[i] != ref[i] {
-				t.Fatalf("shards=%d workers=%d loss=%g materialize=%v: gen %d diverges:\nwant %s\ngot  %s",
-					tc.shards, tc.workers, tc.loss, tc.materialize, i+1, ref[i], fp[i])
+				t.Fatalf("shards=%d workers=%d loss=%g: gen %d diverges:\nwant %s\ngot  %s",
+					tc.shards, tc.workers, tc.loss, i+1, ref[i], fp[i])
 			}
 		}
 	}

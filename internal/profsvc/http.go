@@ -65,6 +65,13 @@ type PublishReply struct {
 	Epoch    int   `json:"epoch"`
 }
 
+// maxPublishBytes caps one POST /publish body. The declared sample count
+// is attacker-chosen and every sample is held in memory until the store
+// accepts the payload, so the body bound is the memory bound. 128MB is
+// about 500k full-depth samples: the merged profile of a five-host fleet
+// at the generation driver's default profiling budget.
+const maxPublishBytes = 128 << 20
+
 // errReject marks a validation failure with the HTTP status it maps to.
 type errReject struct {
 	status int
@@ -88,7 +95,8 @@ func (s *Service) Handler() http.Handler {
 
 func (s *Service) handlePublish(w http.ResponseWriter, r *http.Request) {
 	p := &profile.Profile{}
-	_, _, err := profile.Stream(r.Body, func(h profile.Header) error {
+	body := http.MaxBytesReader(w, r.Body, maxPublishBytes)
+	_, _, err := profile.Stream(body, func(h profile.Header) error {
 		if h.BuildID == "" {
 			return &errReject{http.StatusBadRequest, "profile has no build ID"}
 		}
@@ -137,6 +145,11 @@ func (s *Service) reject(w http.ResponseWriter, err error) {
 	var rej *errReject
 	if errors.As(err, &rej) {
 		http.Error(w, rej.msg, rej.status)
+		return
+	}
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		http.Error(w, err.Error(), http.StatusRequestEntityTooLarge)
 		return
 	}
 	// Anything else from the streaming reader is a malformed payload.

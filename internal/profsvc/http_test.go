@@ -2,13 +2,16 @@ package profsvc
 
 import (
 	"bytes"
+	"encoding/binary"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
 
 	"propeller/internal/fleetprof"
+	"propeller/internal/profile"
 )
 
 func newTestServer(t *testing.T) (*Store, *Service, *httptest.Server) {
@@ -83,27 +86,62 @@ func TestPublishRejectsNoBuildID(t *testing.T) {
 }
 
 // TestPublishRejectsCorruptPayload: garbage and truncated bodies are 400s
-// from the hardened reader, never a stored profile or a panic.
+// from the hardened reader and a body past maxPublishBytes is a 413,
+// never a stored profile or a panic.
 func TestPublishRejectsCorruptPayload(t *testing.T) {
 	store, _, ts := newTestServer(t)
 	valid := profBytes(t, mkProf("bid", 1, 6))
-	for name, body := range map[string][]byte{
-		"garbage":   []byte("not a profile at all"),
-		"badmagic":  append([]byte("XXXX"), valid[4:]...),
-		"truncated": valid[:len(valid)-3],
+
+	// A well-formed stream that never ends soon enough: the header of an
+	// empty profile with its sample count (the last header byte) raised,
+	// then full-depth samples of 10-byte varints for as long as the server
+	// keeps reading.
+	sample := binary.AppendUvarint(nil, profile.LBRDepth)
+	for i := 0; i < 2*profile.LBRDepth; i++ {
+		sample = binary.AppendUvarint(sample, math.MaxUint64)
+	}
+	empty := profBytes(t, mkProf("bid", 1, 0))
+	endless := io.MultiReader(
+		bytes.NewReader(binary.AppendUvarint(empty[:len(empty)-1], 1<<27)),
+		&repeatReader{chunk: sample})
+
+	for name, tc := range map[string]struct {
+		body   io.Reader
+		status int
+	}{
+		"garbage":   {strings.NewReader("not a profile at all"), http.StatusBadRequest},
+		"badmagic":  {bytes.NewReader(append([]byte("XXXX"), valid[4:]...)), http.StatusBadRequest},
+		"truncated": {bytes.NewReader(valid[:len(valid)-3]), http.StatusBadRequest},
+		"oversized": {endless, http.StatusRequestEntityTooLarge},
 	} {
-		resp, err := http.Post(ts.URL+"/publish", "application/octet-stream", bytes.NewReader(body))
+		resp, err := http.Post(ts.URL+"/publish", "application/octet-stream", tc.body)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 		resp.Body.Close()
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Fatalf("%s: status %d, want 400", name, resp.StatusCode)
+		if resp.StatusCode != tc.status {
+			t.Fatalf("%s: status %d, want %d", name, resp.StatusCode, tc.status)
 		}
 	}
 	if st := store.Stats(); st.Published != 0 {
 		t.Fatal("corrupt payload reached the store")
 	}
+}
+
+// repeatReader yields chunk over and over, forever.
+type repeatReader struct {
+	chunk []byte
+	off   int
+}
+
+func (r *repeatReader) Read(p []byte) (int, error) {
+	n := 0
+	for n < len(p) {
+		c := copy(p[n:], r.chunk[r.off:])
+		n += c
+		r.off = (r.off + c) % len(r.chunk)
+	}
+	return n, nil
 }
 
 // TestFetchUnknownBuild404 and method enforcement on the mux patterns.

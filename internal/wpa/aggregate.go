@@ -15,6 +15,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
 	"sort"
 	"sync"
 	"time"
@@ -92,33 +93,17 @@ func (a *Aggregate) HotFuncs(n int) []string {
 	return names
 }
 
-// toAggregate extracts the analyzer's aggregation state. The maps move
-// (not copy): the analyzer is done once this is called.
-func (a *analyzer) toAggregate(profileBytes int64) *Aggregate {
-	agg := &Aggregate{
-		funcs:         make(map[string]*funcProfile, len(a.graphs)),
-		calls:         a.callEdges,
-		samples:       a.st.Samples,
-		records:       a.st.Records,
-		branchEdges:   a.st.BranchEdges,
-		callEdgeN:     a.st.CallEdges,
-		profileBytes:  profileBytes,
-		aggregateWall: a.st.AggregateWall,
-		mergeWall:     a.st.MergeWall,
-		workers:       a.st.Workers,
-	}
-	for fn, g := range a.graphs {
-		agg.funcs[fn] = &funcProfile{counts: g.counts, edges: g.edges}
-	}
-	return agg
+func newAggregate() *Aggregate {
+	return &Aggregate{funcs: map[string]*funcProfile{}, calls: map[callKey]uint64{}}
 }
 
-// projectAggregate loads an aggregate's counts into the analyzer,
+// project maps the aggregate's counts onto the functions in infos,
 // keeping only functions that exist in this binary's map and dropping
 // counts for block IDs the (possibly newer) map no longer has.
-func (a *analyzer) projectAggregate(agg *Aggregate) {
-	for fn, fp := range agg.funcs {
-		fi := a.infos[fn]
+func (a *Aggregate) project(infos map[string]*funcInfo) map[string]*dcfg {
+	graphs := make(map[string]*dcfg, len(a.funcs))
+	for fn, fp := range a.funcs {
+		fi := infos[fn]
 		if fi == nil {
 			continue
 		}
@@ -134,18 +119,9 @@ func (a *analyzer) projectAggregate(agg *Aggregate) {
 				break
 			}
 		}
-		a.graphs[fn] = &dcfg{info: fi, counts: counts, edges: fp.edges}
+		graphs[fn] = &dcfg{info: fi, counts: counts, edges: fp.edges}
 	}
-	// The graphs map was rewritten behind getDCFG's back; drop its memo.
-	a.lastFn, a.lastG = "", nil
-	a.callEdges = agg.calls
-	a.st.Samples = agg.samples
-	a.st.Records = agg.records
-	a.st.BranchEdges = agg.branchEdges
-	a.st.CallEdges = agg.callEdgeN
-	a.st.AggregateWall = agg.aggregateWall
-	a.st.MergeWall = agg.mergeWall
-	a.st.Workers = agg.workers
+	return graphs
 }
 
 // Clone deep-copies the aggregate, so a cached epoch can be delta-merged
@@ -208,137 +184,107 @@ func BuildAggregate(m *bbaddrmap.Map, prof *profile.Profile, cfg Config) (*Aggre
 	if err := cfg.checkBuildID(prof.BuildID); err != nil {
 		return nil, err
 	}
-	a, err := newAnalyzer(m)
-	if err != nil {
-		return nil, err
-	}
-	w := cfg.workers()
-	if w > len(prof.Samples) {
-		w = len(prof.Samples)
-	}
-	if w < 1 {
-		w = 1
-	}
-	aggStart := time.Now()
-	if w == 1 {
-		for _, s := range prof.Samples {
-			a.addSample(s)
+	samples := prof.Samples
+	w := max(1, min(cfg.workers(), len(samples)))
+	chunk := (len(samples) + w - 1) / w
+	return aggregate(m, w, prof.SizeBytes(), func(emit func([]profile.Sample)) error {
+		for lo := 0; lo < len(samples); lo += chunk {
+			emit(samples[lo:min(lo+chunk, len(samples))])
 		}
-		a.st.AggregateWall = time.Since(aggStart)
-	} else {
-		shards := make([]*analyzer, w)
-		chunk := (len(prof.Samples) + w - 1) / w
-		var wg sync.WaitGroup
-		for i := 0; i < w; i++ {
-			lo := i * chunk
-			hi := lo + chunk
-			if hi > len(prof.Samples) {
-				hi = len(prof.Samples)
-			}
-			if lo > hi {
-				lo = hi
-			}
-			sh := a.newShard()
-			shards[i] = sh
-			wg.Add(1)
-			go func(sh *analyzer, samples []profile.Sample) {
-				defer wg.Done()
-				for _, s := range samples {
-					sh.addSample(s)
-				}
-			}(sh, prof.Samples[lo:hi])
-		}
-		wg.Wait()
-		a.st.AggregateWall = time.Since(aggStart)
-		mergeStart := time.Now()
-		for _, sh := range shards {
-			a.absorb(sh)
-		}
-		a.st.MergeWall = time.Since(mergeStart)
-	}
-	a.st.Workers = w
-	return a.toAggregate(prof.SizeBytes()), nil
+		return nil
+	})
 }
 
-// BuildAggregateStream aggregates a serialized profile without
-// materializing it (§5.1's chunked reading). With cfg.Workers != 1 the
-// decoded samples are batched and fanned out to private shards that are
-// merged deterministically, so the result stays bit-identical to serial.
-func BuildAggregateStream(m *bbaddrmap.Map, r io.Reader, cfg Config) (*Aggregate, error) {
-	a, err := newAnalyzer(m)
-	if err != nil {
-		return nil, err
-	}
+// buildAggregateStream aggregates a serialized profile without
+// materializing it (§5.1's chunked reading): the decoded samples reach
+// the shards in copied batches, so the result stays bit-identical to
+// BuildAggregate over the same samples.
+func buildAggregateStream(m *bbaddrmap.Map, r io.Reader, cfg Config) (*Aggregate, error) {
 	w := cfg.workers()
-	if w < 1 {
-		w = 1
-	}
-	// The header check runs before any sample is aggregated, so a
-	// build-ID-mismatched profile is rejected without paying for its body.
-	onHeader := func(h profile.Header) error { return cfg.checkBuildID(h.BuildID) }
-	aggStart := time.Now()
-	if w == 1 {
-		if _, _, err := profile.Stream(r, onHeader, func(s profile.Sample) error {
-			a.addSample(s)
-			return nil
-		}); err != nil {
-			return nil, fmt.Errorf("wpa: streaming profile: %w", err)
-		}
-		a.st.AggregateWall = time.Since(aggStart)
-	} else {
-		// streamBatch samples per channel send amortizes the hand-off; the
-		// decoder's record buffer is reused across callbacks, so records
-		// must be copied before crossing the channel — into one flat block
-		// per batch (each sample a capacity-clamped subslice), not one
-		// allocation per sample.
-		const streamBatch = 512
-		ch := make(chan []profile.Sample, w)
-		shards := make([]*analyzer, w)
-		var wg sync.WaitGroup
-		for i := 0; i < w; i++ {
-			sh := a.newShard()
-			shards[i] = sh
-			wg.Add(1)
-			go func(sh *analyzer) {
-				defer wg.Done()
-				for batch := range ch {
-					for _, s := range batch {
-						sh.addSample(s)
-					}
-				}
-			}(sh)
-		}
+	// streamBatch samples per emit amortizes the hand-off; the decoder's
+	// record buffer is reused across callbacks, so records must be copied
+	// before crossing to a worker — into one flat block per batch (each
+	// sample a capacity-clamped subslice), not one allocation per sample.
+	const streamBatch = 512
+	const sampleBuf = 2 + profile.LBRDepth*16
+	return aggregate(m, w, sampleBuf, func(emit func([]profile.Sample)) error {
 		batch := make([]profile.Sample, 0, streamBatch)
 		block := make([]profile.Branch, 0, streamBatch*profile.LBRDepth)
-		_, _, serr := profile.Stream(r, onHeader, func(s profile.Sample) error {
+		// The header check runs before any sample is aggregated, so a
+		// build-ID-mismatched profile is rejected without paying for its body.
+		onHeader := func(h profile.Header) error { return cfg.checkBuildID(h.BuildID) }
+		_, _, err := profile.Stream(r, onHeader, func(s profile.Sample) error {
 			l := len(block)
 			block = append(block, s.Records...)
 			batch = append(batch, profile.Sample{Records: block[l:len(block):len(block)]})
-			if len(batch) == streamBatch {
-				ch <- batch
+			if len(batch) < streamBatch {
+				return nil
+			}
+			emit(batch)
+			if w == 1 {
+				batch, block = batch[:0], block[:0]
+			} else {
 				batch = make([]profile.Sample, 0, streamBatch)
 				block = make([]profile.Branch, 0, streamBatch*profile.LBRDepth)
 			}
 			return nil
 		})
-		if len(batch) > 0 {
-			ch <- batch
+		if err != nil {
+			return fmt.Errorf("wpa: streaming profile: %w", err)
 		}
+		emit(batch)
+		return nil
+	})
+}
+
+// aggregate folds the sample batches feed emits into one Aggregate over
+// w private shards. With w == 1 emit folds the batch before it returns, so
+// the feed may reuse the batch's memory; otherwise the batch crosses to a
+// worker goroutine and the feed must not touch it again. Every
+// contribution is a commutative uint64 sum, so the merged result does not
+// depend on which shard took which batch.
+func aggregate(m *bbaddrmap.Map, w int, profileBytes int64, feed func(emit func([]profile.Sample)) error) (*Aggregate, error) {
+	infos, err := funcInfos(m)
+	if err != nil {
+		return nil, err
+	}
+	lookup := bbaddrmap.NewLookup(m)
+	shards := make([]*shard, w)
+	for i := range shards {
+		shards[i] = &shard{infos: infos, agg: newAggregate(), resolver: bbaddrmap.NewResolver(lookup)}
+	}
+	aggStart := time.Now()
+	if w == 1 {
+		err = feed(shards[0].add)
+	} else {
+		ch := make(chan []profile.Sample, w) // one batch in hand per worker
+		var wg sync.WaitGroup
+		for _, sh := range shards {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for batch := range ch {
+					sh.add(batch)
+				}
+			}()
+		}
+		err = feed(func(batch []profile.Sample) { ch <- batch })
 		close(ch)
 		wg.Wait()
-		if serr != nil {
-			return nil, fmt.Errorf("wpa: streaming profile: %w", serr)
-		}
-		a.st.AggregateWall = time.Since(aggStart)
-		mergeStart := time.Now()
-		for _, sh := range shards {
-			a.absorb(sh)
-		}
-		a.st.MergeWall = time.Since(mergeStart)
 	}
-	a.st.Workers = w
-	const sampleBuf = 2 + profile.LBRDepth*16
-	return a.toAggregate(sampleBuf), nil
+	if err != nil {
+		return nil, err
+	}
+	agg := shards[0].agg
+	agg.aggregateWall = time.Since(aggStart)
+	mergeStart := time.Now()
+	for _, sh := range shards[1:] {
+		agg.Merge(sh.agg)
+	}
+	agg.mergeWall = time.Since(mergeStart)
+	agg.workers = w
+	agg.profileBytes = profileBytes
+	return agg, nil
 }
 
 // Wire format for cached aggregates. Every map is emitted in sorted key
@@ -435,6 +381,20 @@ func (d *aggDec) uvarint() (uint64, error) {
 	return v, nil
 }
 
+// int reads a value that must be a non-negative int — a block id or a
+// counter. Casting unchecked, an entry holding 2^63 or more would decode
+// to a negative int that re-encodes to the very same bytes.
+func (d *aggDec) int() (int, error) {
+	v, err := d.uvarint()
+	if err != nil {
+		return 0, err
+	}
+	if v > math.MaxInt {
+		return 0, fmt.Errorf("wpa: aggregate codec: value %d before offset %d overflows int", v, d.off)
+	}
+	return int(v), nil
+}
+
 func (d *aggDec) count() (int, error) {
 	v, err := d.uvarint()
 	if err != nil {
@@ -466,7 +426,7 @@ func DecodeAggregate(data []byte) (*Aggregate, error) {
 		return nil, fmt.Errorf("wpa: aggregate codec: bad magic")
 	}
 	d := &aggDec{data: data, off: len(aggMagic)}
-	a := &Aggregate{funcs: map[string]*funcProfile{}, calls: map[callKey]uint64{}}
+	a := newAggregate()
 	var err error
 	getu := func() uint64 {
 		if err != nil {
@@ -476,7 +436,14 @@ func DecodeAggregate(data []byte) (*Aggregate, error) {
 		v, err = d.uvarint()
 		return v
 	}
-	geti := func() int { return int(getu()) }
+	geti := func() int {
+		if err != nil {
+			return 0
+		}
+		var v int
+		v, err = d.int()
+		return v
+	}
 	getn := func() int {
 		if err != nil {
 			return 0
@@ -493,7 +460,7 @@ func DecodeAggregate(data []byte) (*Aggregate, error) {
 		s, err = d.str()
 		return s
 	}
-	a.profileBytes = int64(getu())
+	a.profileBytes = int64(geti())
 	a.samples = geti()
 	a.records = geti()
 	a.branchEdges = geti()

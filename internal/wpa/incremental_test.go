@@ -2,6 +2,7 @@ package wpa
 
 import (
 	"bytes"
+	"encoding/binary"
 	"testing"
 
 	"propeller/internal/bbaddrmap"
@@ -123,18 +124,18 @@ func TestIncrementalEditReusesUnchangedLayouts(t *testing.T) {
 // offsets implied by an upstream edit) must not change its hash; editing
 // its shape must.
 func TestContentHashPositionIndependence(t *testing.T) {
-	a, err := newAnalyzer(synthMap())
+	a, err := funcInfos(synthMap())
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := newAnalyzer(editedSynthMap())
+	b, err := funcInfos(editedSynthMap())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.infos["foo"].contentHash() != b.infos["foo"].contentHash() {
+	if a["foo"].contentHash() != b["foo"].contentHash() {
 		t.Error("foo moved but did not change; hash must be stable")
 	}
-	if a.infos["bar"].contentHash() == b.infos["bar"].contentHash() {
+	if a["bar"].contentHash() == b["bar"].contentHash() {
 		t.Error("bar's shape changed; hash must change")
 	}
 }
@@ -163,7 +164,14 @@ func TestAggregateCodecRoundtrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	requireSameArtifacts(t, want, got, "decoded aggregate")
-	for _, corrupt := range [][]byte{nil, []byte("XXXX"), enc[:len(enc)-1], append(append([]byte(nil), enc...), 0)} {
+	// Values past MaxInt would wrap to negative counters and block ids:
+	// an otherwise empty aggregate with 2^63 samples, then one function "f"
+	// whose only block id is 2^63.
+	wrapCounter := binary.AppendUvarint([]byte(aggMagic+"\x00"), 1<<63)
+	wrapCounter = append(wrapCounter, 0, 0, 0, 0, 0) // records, edges, calls; no funcs, no calls
+	wrapID := binary.AppendUvarint([]byte(aggMagic+"\x00\x00\x00\x00\x00\x01\x01f\x01"), 1<<63)
+	wrapID = append(wrapID, 1, 0, 0) // its count, no edges, no calls
+	for _, corrupt := range [][]byte{nil, []byte("XXXX"), enc[:len(enc)-1], append(append([]byte(nil), enc...), 0), wrapCounter, wrapID} {
 		if _, err := DecodeAggregate(corrupt); err == nil {
 			t.Errorf("corrupt input %q... decoded without error", corrupt[:min(8, len(corrupt))])
 		}
@@ -227,7 +235,8 @@ func TestLayoutEntryCodec(t *testing.T) {
 		}
 	}
 	good := encodeLayoutEntry(intraOut{cluster: []int{0, 1}, samples: 9})
-	for _, corrupt := range [][]byte{nil, []byte("WFL"), good[:len(good)-1], append(append([]byte(nil), good...), 1)} {
+	wrapID := binary.AppendUvarint([]byte(layoutEntryMagic+"\x00\x09\x01"), 1<<63) // 9 samples, one block id
+	for _, corrupt := range [][]byte{nil, []byte("WFL"), good[:len(good)-1], append(append([]byte(nil), good...), 1), wrapID} {
 		if _, err := decodeLayoutEntry(corrupt); err == nil {
 			t.Errorf("corrupt layout entry decoded without error")
 		}

@@ -166,11 +166,9 @@ func decodeLayoutEntry(data []byte) (intraOut, error) {
 	o.samples = samples
 	o.cluster = make([]int, n)
 	for i := 0; i < n; i++ {
-		id, err := d.uvarint()
-		if err != nil {
+		if o.cluster[i], err = d.int(); err != nil {
 			return o, err
 		}
-		o.cluster[i] = int(id)
 	}
 	if d.off != len(data) {
 		return o, fmt.Errorf("wpa: layout-entry codec: %d trailing bytes", len(data)-d.off)

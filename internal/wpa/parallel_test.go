@@ -135,10 +135,12 @@ func TestParallelAnalyzeBitIdentical(t *testing.T) {
 	}
 }
 
-// TestParallelAnalyzeStreamBitIdentical covers the chunked-reading path
-// in both layout modes: the batched fan-out over shard workers must match
-// both the serial stream and the in-memory parallel analysis byte for
-// byte.
+// TestParallelAnalyzeStreamBitIdentical covers the two sample feeds — the
+// in-memory profile handed out in contiguous sub-slices and the chunked
+// reader fanned out in copied batches — at every worker count: both must
+// fold to the same aggregate byte for byte (modulo the profile-size
+// accounting, which records how the bytes arrived), and in both layout
+// modes the analysis over either must emit the serial stream's artifacts.
 func TestParallelAnalyzeStreamBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(977))
 	m := randMap(rng, 12)
@@ -148,32 +150,57 @@ func TestParallelAnalyzeStreamBitIdentical(t *testing.T) {
 	if err := prof.Write(&raw); err != nil {
 		t.Fatal(err)
 	}
+	workers := []int{1, 2, 4, 8}
+
+	var wantAgg []byte
+	for _, w := range workers {
+		mem, err := BuildAggregate(m, prof, Config{Workers: w})
+		if err != nil {
+			t.Fatal(err)
+		}
+		streamed, err := buildAggregateStream(m, bytes.NewReader(raw.Bytes()), Config{Workers: w})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for feed, agg := range map[string]*Aggregate{"in-memory": mem, "reader": streamed} {
+			agg.profileBytes = 0
+			enc := EncodeAggregate(agg)
+			if wantAgg == nil {
+				wantAgg = enc
+			}
+			if !bytes.Equal(enc, wantAgg) {
+				t.Fatalf("workers=%d: %s feed's aggregate differs from the first", w, feed)
+			}
+		}
+	}
+
 	for _, interProc := range []bool{false, true} {
 		serial, err := AnalyzeStream(m, bytes.NewReader(raw.Bytes()), Config{Workers: 1, InterProc: interProc})
 		if err != nil {
 			t.Fatal(err)
 		}
 		wantCC, wantLD := renderResult(t, serial)
-		for _, w := range []int{2, 4, 8} {
-			par, err := AnalyzeStream(m, bytes.NewReader(raw.Bytes()), Config{Workers: w, InterProc: interProc})
+		for _, w := range workers {
+			cfg := Config{Workers: w, InterProc: interProc}
+			streamed, err := AnalyzeStream(m, bytes.NewReader(raw.Bytes()), cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			gotCC, gotLD := renderResult(t, par)
+			gotCC, gotLD := renderResult(t, streamed)
 			if !bytes.Equal(gotCC, wantCC) || !bytes.Equal(gotLD, wantLD) {
 				t.Fatalf("interproc=%v workers=%d: streamed artifacts differ from serial stream", interProc, w)
 			}
-			if got, want := statsComparable(par.Stats), statsComparable(serial.Stats); !reflect.DeepEqual(got, want) {
+			if got, want := statsComparable(streamed.Stats), statsComparable(serial.Stats); !reflect.DeepEqual(got, want) {
 				t.Fatalf("interproc=%v workers=%d: stream stats diverged\nserial   %+v\nparallel %+v", interProc, w, want, got)
 			}
-		}
-		inMem, err := Analyze(m, prof, Config{Workers: 4, InterProc: interProc})
-		if err != nil {
-			t.Fatal(err)
-		}
-		memCC, memLD := renderResult(t, inMem)
-		if !bytes.Equal(memCC, wantCC) || !bytes.Equal(memLD, wantLD) {
-			t.Fatalf("interproc=%v: parallel in-memory analysis differs from streamed analysis", interProc)
+			inMem, err := Analyze(m, prof, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			memCC, memLD := renderResult(t, inMem)
+			if !bytes.Equal(memCC, wantCC) || !bytes.Equal(memLD, wantLD) {
+				t.Fatalf("interproc=%v workers=%d: in-memory analysis differs from streamed analysis", interProc, w)
+			}
 		}
 	}
 }

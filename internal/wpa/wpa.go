@@ -235,9 +235,9 @@ type Stats struct {
 
 	// Per-phase wall-time breakdown (the Table-4 analysis-time axis):
 	// AggregateWall covers sample aggregation (sharded when Workers > 1),
-	// MergeWall the deterministic shard merge (zero on the serial path),
-	// and LayoutWall the Ext-TSP layout step alone — the quantity the
-	// §4.7 intra-vs-inter 3-10x comparison is about.
+	// MergeWall the deterministic shard merge (nothing to merge on the
+	// serial path), and LayoutWall the Ext-TSP layout step alone — the
+	// quantity the §4.7 intra-vs-inter 3-10x comparison is about.
 	AggregateWall time.Duration
 	MergeWall     time.Duration
 	LayoutWall    time.Duration
@@ -292,45 +292,37 @@ type dcfg struct {
 	edges  map[edgeKey]uint64
 }
 
-// analyzer holds the incremental DCFG-construction state, so samples can
-// be consumed from memory (Analyze) or streamed from disk in chunks
-// (AnalyzeStream, §5.1's chunked reading).
-type analyzer struct {
-	lookup    *bbaddrmap.Lookup
-	infos     map[string]*funcInfo
-	graphs    map[string]*dcfg
-	callEdges map[callKey]uint64
-	st        Stats
+// shard folds samples into a private Aggregate, so one aggregation worker
+// can consume its batches without synchronization; infos and the lookup
+// behind the resolver are shared read-only views of the BB address map.
+type shard struct {
+	infos map[string]*funcInfo
+	agg   *Aggregate
 
 	// resolver memoizes the per-record address resolution (two lookups
 	// and one fall-through range per LBR record) behind direct-mapped
 	// caches; profiled, the raw binary searches were half the whole
 	// analysis. Each shard owns its own resolver over the shared lookup.
 	resolver *bbaddrmap.Resolver
-	// lastFn/lastG memoize the most recent getDCFG hit: consecutive LBR
+	// lastFn/lastFP memoize the most recent profileOf hit: consecutive LBR
 	// records overwhelmingly stay within one function, so a string
 	// compare replaces most map lookups.
 	lastFn string
-	lastG  *dcfg
+	lastFP *funcProfile
 }
 
-func newAnalyzer(m *bbaddrmap.Map) (*analyzer, error) {
+// funcInfos derives every function's static shape from the BB address map.
+func funcInfos(m *bbaddrmap.Map) (map[string]*funcInfo, error) {
 	if m == nil || len(m.Funcs) == 0 {
 		return nil, fmt.Errorf("wpa: empty BB address map (was the binary built with metadata?)")
 	}
-	a := &analyzer{
-		lookup:    bbaddrmap.NewLookup(m),
-		infos:     map[string]*funcInfo{},
-		graphs:    map[string]*dcfg{},
-		callEdges: map[callKey]uint64{},
-	}
-	a.resolver = bbaddrmap.NewResolver(a.lookup)
+	infos := map[string]*funcInfo{}
 	for i := range m.Funcs {
 		fe := &m.Funcs[i]
-		fi := a.infos[fe.Name]
+		fi := infos[fe.Name]
 		if fi == nil {
 			fi = &funcInfo{name: fe.Name, entryID: -1, sizes: map[int]int64{}}
-			a.infos[fe.Name] = fi
+			infos[fe.Name] = fi
 			if len(fe.Blocks) > 0 {
 				// The first fragment listed for a function is the primary
 				// one; its first block is the entry.
@@ -345,77 +337,49 @@ func newAnalyzer(m *bbaddrmap.Map) (*analyzer, error) {
 			fi.size += int64(b.Size)
 		}
 	}
-	return a, nil
+	return infos, nil
 }
 
-// newShard clones the analyzer's read-only views (lookup, infos) with
-// private aggregation maps, so one worker can fold its sample partition
-// without synchronization.
-func (a *analyzer) newShard() *analyzer {
-	return &analyzer{
-		lookup:    a.lookup,
-		infos:     a.infos,
-		graphs:    map[string]*dcfg{},
-		callEdges: map[callKey]uint64{},
-		resolver:  bbaddrmap.NewResolver(a.lookup),
+func (sh *shard) profileOf(fn string) *funcProfile {
+	if sh.lastFP != nil && sh.lastFn == fn {
+		return sh.lastFP
 	}
+	fp := sh.agg.funcs[fn]
+	if fp == nil {
+		fp = &funcProfile{counts: map[int]uint64{}, edges: map[edgeKey]uint64{}}
+		sh.agg.funcs[fn] = fp
+	}
+	sh.lastFn, sh.lastFP = fn, fp
+	return fp
 }
 
-// absorb folds a shard's private aggregation into the analyzer. All
-// contributions are commutative uint64 sums, so the merged result is
-// identical no matter how samples were partitioned across shards.
-func (a *analyzer) absorb(sh *analyzer) {
-	a.st.Samples += sh.st.Samples
-	a.st.Records += sh.st.Records
-	a.st.BranchEdges += sh.st.BranchEdges
-	a.st.CallEdges += sh.st.CallEdges
-	for fn, g := range sh.graphs {
-		dst := a.getDCFG(fn)
-		for id, c := range g.counts {
-			dst.counts[id] += c
-		}
-		for k, w := range g.edges {
-			dst.edges[k] += w
-		}
-	}
-	for k, w := range sh.callEdges {
-		a.callEdges[k] += w
+// add folds one batch of LBR samples into the shard's aggregate.
+func (sh *shard) add(batch []profile.Sample) {
+	for _, s := range batch {
+		sh.addSample(s)
 	}
 }
 
-func (a *analyzer) getDCFG(fn string) *dcfg {
-	if a.lastG != nil && a.lastFn == fn {
-		return a.lastG
-	}
-	g := a.graphs[fn]
-	if g == nil {
-		g = &dcfg{info: a.infos[fn], counts: map[int]uint64{}, edges: map[edgeKey]uint64{}}
-		a.graphs[fn] = g
-	}
-	a.lastFn, a.lastG = fn, g
-	return g
-}
-
-// addSample folds one LBR sample into the DCFGs.
-func (a *analyzer) addSample(s profile.Sample) {
-	a.st.Samples++
+// addSample folds one LBR sample into the per-function profiles.
+func (sh *shard) addSample(s profile.Sample) {
+	agg := sh.agg
+	agg.samples++
 	for i, r := range s.Records {
-		a.st.Records++
+		agg.records++
 		// Classify the taken branch.
-		fromRef, _, fromEnd, fromOK := a.resolver.ResolveFull(r.From)
-		toRef, toStart := a.resolver.IsBlockStart(r.To)
+		fromRef, _, fromEnd, fromOK := sh.resolver.ResolveFull(r.From)
+		toRef, toStart := sh.resolver.IsBlockStart(r.To)
 		if fromOK && toStart && fromRef.Fn == toRef.Fn && fromEnd-r.From <= 10 {
 			// Intra-function branch: the source sits in the block's
 			// terminator region and the target is a block start.
-			g := a.getDCFG(fromRef.Fn)
-			g.edges[edgeKey{fromRef.ID, toRef.ID}]++
-			a.st.BranchEdges++
-		} else if fromOK && toStart && toRef.ID == entryOf(a.infos, toRef.Fn) {
+			sh.profileOf(fromRef.Fn).edges[edgeKey{fromRef.ID, toRef.ID}]++
+			agg.branchEdges++
+		} else if fromOK && toStart && toRef.ID == entryOf(sh.infos, toRef.Fn) {
 			// Call (or tail transfer) into another function's entry,
 			// attributed to its call-site block so inter-procedural
 			// layout can split callers between call sites (§4.7).
-			a.callEdges[callKey{fromRef.Fn, fromRef.ID, toRef.Fn}]++
-			a.st.CallEdges++
+			agg.calls[callKey{fromRef.Fn, fromRef.ID, toRef.Fn}]++
+			agg.callEdgeN++
 		}
 		// Sequential execution between this record's target and the
 		// next record's source credits every block in the range, and
@@ -426,48 +390,20 @@ func (a *analyzer) addSample(s profile.Sample) {
 		if i+1 < len(s.Records) {
 			next := s.Records[i+1]
 			if next.From >= r.To {
-				refs := a.resolver.BlocksInRange(r.To, next.From)
+				refs := sh.resolver.BlocksInRange(r.To, next.From)
 				for j, ref := range refs {
-					g := a.getDCFG(ref.Fn)
-					g.counts[ref.ID]++
+					fp := sh.profileOf(ref.Fn)
+					fp.counts[ref.ID]++
 					if j > 0 && refs[j-1].Fn == ref.Fn {
-						g.edges[edgeKey{refs[j-1].ID, ref.ID}]++
-						a.st.BranchEdges++
+						fp.edges[edgeKey{refs[j-1].ID, ref.ID}]++
+						agg.branchEdges++
 					}
 				}
 			}
 		} else if toStart {
-			a.getDCFG(toRef.Fn).counts[toRef.ID]++
+			sh.profileOf(toRef.Fn).counts[toRef.ID]++
 		}
 	}
-}
-
-// finish sizes the memory model and runs the layout algorithms.
-func (a *analyzer) finish(cfg Config, profileBytes int64) (*Result, error) {
-	st := a.st
-	st.ProfileBytes = profileBytes
-	st.DCFGFuncs = len(a.graphs)
-	for _, g := range a.graphs {
-		st.DCFGNodes += len(g.counts)
-		st.DCFGEdges += len(g.edges)
-	}
-	// Memory model: peak is max(profile residency, DCFG residency); see
-	// §5.1. With chunked reading the profile component is one sample.
-	dcfgBytes := int64(st.DCFGNodes)*48 + int64(st.DCFGEdges)*40 + int64(st.DCFGFuncs)*96
-	st.ModeledBytes = st.ProfileBytes
-	if dcfgBytes > st.ModeledBytes {
-		st.ModeledBytes = dcfgBytes
-	}
-
-	res := &Result{Directives: layoutfile.Directives{}, Stats: st}
-	layoutStart := time.Now()
-	if err := a.layout(res, cfg); err != nil {
-		return nil, err
-	}
-	res.Stats.LayoutWall = time.Since(layoutStart)
-	res.Stats.AnalysisSeconds = (res.Stats.AggregateWall + res.Stats.MergeWall + res.Stats.LayoutWall).Seconds()
-	res.Stats.HotFuncs = len(res.Directives)
-	return res, nil
 }
 
 // layout runs the "global layout" action. With the incremental cache
@@ -475,13 +411,13 @@ func (a *analyzer) finish(cfg Config, profileBytes int64) (*Result, error) {
 // participating function's content hash): a hit replays them without
 // touching Ext-TSP at all; a miss runs the layout algorithms — with the
 // per-function cache inside layoutIntra — and publishes the result.
-func (a *analyzer) layout(res *Result, cfg Config) error {
+func layout(res *Result, graphs map[string]*dcfg, infos map[string]*funcInfo, callEdges map[callKey]uint64, cfg Config) error {
 	var gkey string
 	if cfg.cacheEnabled() {
-		names := sortedFuncNames(a.graphs)
+		names := sortedFuncNames(graphs)
 		hashes := make([]string, 0, len(names))
 		for _, fn := range names {
-			if fi := a.infos[fn]; fi != nil {
+			if fi := infos[fn]; fi != nil {
 				hashes = append(hashes, fi.contentHash())
 			}
 		}
@@ -497,9 +433,9 @@ func (a *analyzer) layout(res *Result, cfg Config) error {
 	}
 	var err error
 	if cfg.InterProc {
-		err = layoutInterProc(res, a.graphs, a.infos, a.callEdges, cfg)
+		err = layoutInterProc(res, graphs, infos, callEdges, cfg)
 	} else {
-		err = layoutIntra(res, a.graphs, a.infos, a.callEdges, cfg)
+		err = layoutIntra(res, graphs, infos, callEdges, cfg)
 	}
 	if err != nil {
 		return err
@@ -541,12 +477,55 @@ func (c Config) loadAggregate(build func() (*Aggregate, error)) (*Aggregate, boo
 // the previous epoch's profile: functions that no longer exist are
 // dropped and counts for vanished block IDs are ignored.
 func AnalyzeAggregate(m *bbaddrmap.Map, agg *Aggregate, cfg Config) (*Result, error) {
-	a, err := newAnalyzer(m)
+	infos, err := funcInfos(m)
 	if err != nil {
 		return nil, err
 	}
-	a.projectAggregate(agg)
-	return a.finish(cfg, agg.profileBytes)
+	graphs := agg.project(infos)
+	st := Stats{
+		Samples:       agg.samples,
+		Records:       agg.records,
+		BranchEdges:   agg.branchEdges,
+		CallEdges:     agg.callEdgeN,
+		DCFGFuncs:     len(graphs),
+		ProfileBytes:  agg.profileBytes,
+		Workers:       agg.workers,
+		AggregateWall: agg.aggregateWall,
+		MergeWall:     agg.mergeWall,
+	}
+	for _, g := range graphs {
+		st.DCFGNodes += len(g.counts)
+		st.DCFGEdges += len(g.edges)
+	}
+	// Memory model: peak is max(profile residency, DCFG residency); see
+	// §5.1. With chunked reading the profile component is one sample.
+	dcfgBytes := int64(st.DCFGNodes)*48 + int64(st.DCFGEdges)*40 + int64(st.DCFGFuncs)*96
+	st.ModeledBytes = max(st.ProfileBytes, dcfgBytes)
+
+	res := &Result{Directives: layoutfile.Directives{}, Stats: st}
+	layoutStart := time.Now()
+	if err := layout(res, graphs, infos, agg.calls, cfg); err != nil {
+		return nil, err
+	}
+	res.Stats.LayoutWall = time.Since(layoutStart)
+	res.Stats.AnalysisSeconds = (res.Stats.AggregateWall + res.Stats.MergeWall + res.Stats.LayoutWall).Seconds()
+	res.Stats.HotFuncs = len(res.Directives)
+	return res, nil
+}
+
+// analyze is the one path from samples to a layout: load or build the
+// aggregate, then AnalyzeAggregate.
+func (c Config) analyze(m *bbaddrmap.Map, build func() (*Aggregate, error)) (*Result, error) {
+	agg, hit, err := c.loadAggregate(build)
+	if err != nil {
+		return nil, err
+	}
+	res, err := AnalyzeAggregate(m, agg, c)
+	if err != nil {
+		return nil, err
+	}
+	res.Stats.AggregateCacheHit = hit
+	return res, nil
 }
 
 // Analyze runs the whole-program analysis over an in-memory profile:
@@ -570,18 +549,7 @@ func Analyze(m *bbaddrmap.Map, prof *profile.Profile, cfg Config) (*Result, erro
 		}
 		cfg.HotPaths = paths
 	}
-	agg, hit, err := cfg.loadAggregate(func() (*Aggregate, error) {
-		return BuildAggregate(m, prof, cfg)
-	})
-	if err != nil {
-		return nil, err
-	}
-	res, err := AnalyzeAggregate(m, agg, cfg)
-	if err != nil {
-		return nil, err
-	}
-	res.Stats.AggregateCacheHit = hit
-	return res, nil
+	return cfg.analyze(m, func() (*Aggregate, error) { return BuildAggregate(m, prof, cfg) })
 }
 
 // AnalyzeStream runs the whole-program analysis over a serialized profile
@@ -589,18 +557,7 @@ func Analyze(m *bbaddrmap.Map, prof *profile.Profile, cfg Config) (*Result, erro
 // the DCFG alone plus small sample batches. With the incremental cache
 // active and a warm epoch aggregate, the stream is not read at all.
 func AnalyzeStream(m *bbaddrmap.Map, r io.Reader, cfg Config) (*Result, error) {
-	agg, hit, err := cfg.loadAggregate(func() (*Aggregate, error) {
-		return BuildAggregateStream(m, r, cfg)
-	})
-	if err != nil {
-		return nil, err
-	}
-	res, err := AnalyzeAggregate(m, agg, cfg)
-	if err != nil {
-		return nil, err
-	}
-	res.Stats.AggregateCacheHit = hit
-	return res, nil
+	return cfg.analyze(m, func() (*Aggregate, error) { return buildAggregateStream(m, r, cfg) })
 }
 
 func entryOf(infos map[string]*funcInfo, fn string) int {
