@@ -17,7 +17,6 @@ package core
 import (
 	"fmt"
 	"sort"
-	"sync"
 	"time"
 
 	"propeller/internal/bbaddrmap"
@@ -131,6 +130,11 @@ type BuildResult struct {
 	Exec    *buildsys.ExecStats
 	Link    *linker.Stats
 
+	// IRKeys are the per-module IR cache keys Phase 1 computed for this
+	// build (Phase1CacheIR's result), which Relink takes; callers that
+	// built the binary need not encode the program again to learn them.
+	IRKeys []string
+
 	// Backends/Linking split the modeled cost as Fig. 9 reports it.
 	Backends float64
 	Linking  float64
@@ -139,6 +143,10 @@ type BuildResult struct {
 	// content-keyed relink cache instead of re-running codegen (always
 	// zero for Phase-2 builds).
 	HotReused int
+
+	// batch names the backend actions in the order the executor was
+	// handed them (the list scheduler's input).
+	batch []string
 }
 
 // Result is the complete Propeller pipeline outcome.
@@ -201,6 +209,18 @@ func Phase1CacheIR(p *Program, cache *buildsys.Cache) []string {
 	return keys
 }
 
+// codegenAction is the one place the backend cost model is written: the
+// modeled time and admission RSS of lowering a module whose encoded IR is
+// irBytes long, plus whatever the remote cache tier charged to fetch it.
+func codegenAction(name string, irBytes int64, irFetch float64, run func() error) *buildsys.Action {
+	return &buildsys.Action{
+		Name:     name,
+		Cost:     costCodegenBase + float64(irBytes)*costCodegenPerByte + irFetch,
+		MemBytes: memCodegenBase + irBytes*memCodegenPerIRByte,
+		Run:      run,
+	}
+}
+
 // CodegenActions returns the modeled Phase-2 codegen batch for p — the
 // same per-module costs and admission RSS a cold build schedules, but
 // with no Run work attached — so schedulability studies (slot sweeps,
@@ -209,99 +229,123 @@ func Phase1CacheIR(p *Program, cache *buildsys.Cache) []string {
 func CodegenActions(p *Program) []*buildsys.Action {
 	out := make([]*buildsys.Action, len(p.Modules))
 	for i, m := range p.Modules {
-		irBytes := int64(len(ir.EncodeModule(m)))
-		out[i] = &buildsys.Action{
-			Name:     "codegen:" + m.Name,
-			Cost:     costCodegenBase + float64(irBytes)*costCodegenPerByte,
-			MemBytes: memCodegenBase + irBytes*memCodegenPerIRByte,
-		}
+		out[i] = codegenAction("codegen:"+m.Name, int64(len(ir.EncodeModule(m))), 0, nil)
 	}
 	return out
 }
 
-type compiledObj struct {
-	idx  int
-	obj  *objfile.Object
-	data []byte
+// objectPlan says where one module's object comes from.
+type objectPlan struct {
+	key     string          // object-cache key; "" = never cached (the Base build)
+	mustHit bool            // a cache miss is an error, not a compile (Phase-4 cold modules)
+	cg      codegen.Options // backend options when the module is compiled
 }
 
-// buildObjects runs one codegen action per module under the executor.
-// Entries of cached that are non-nil are reused without an action; the
-// fetches batch (modeled remote-cache transfers that produced those
-// entries) is scheduled alongside. IR that only survives in the remote
-// cache tier charges its fetch latency to the codegen action reading it.
-func buildObjects(p *Program, irKeys []string, irCache *buildsys.Cache, exec *buildsys.Executor, cached []*objfile.Object, fetches []*buildsys.Action, optsFor func(m *ir.Module) codegen.Options) ([]*objfile.Object, *buildsys.ExecStats, error) {
-	results := make([]compiledObj, len(p.Modules))
-	var mu sync.Mutex
-	actions := make([]*buildsys.Action, 0, len(p.Modules)+len(fetches))
-	actions = append(actions, fetches...)
-	for i := range p.Modules {
-		i := i
-		m := p.Modules[i]
-		if cached != nil && cached[i] != nil {
-			results[i] = compiledObj{idx: i, obj: cached[i]}
-			continue
+// build is the one object path of the pipeline: Phase 2 and Phase 4 are
+// two plans over it. Every module's object comes out of opts.ObjCache
+// under its plan's key — scheduling the modeled transfer as a cost-only
+// fetch action when the remote tier served it, so warm-but-remote builds
+// are cheap, not free (§2.1) — or, on a miss, from one codegen action
+// that decodes the cached IR (its remote fetch latency is charged to the
+// action), compiles it and encodes the object once. The batch handed to
+// run is the fetches, then the codegen actions, each in module order;
+// run is the executor's Execute or ExecuteCriticalPath. Newly encoded
+// objects are Put under their keys after the batch, in module order, so a
+// budgeted cache's LRU order never depends on goroutine scheduling. The
+// objects are then linked under cfg.
+//
+// A cached object that does not decode fails the build and names the
+// module, whatever the key: content-addressed bytes that rot are a cache
+// fault to surface, not to paper over with a recompile.
+//
+// hit reports, per module, whether the object came from the cache.
+// Backends is the batch's cost summed in module order.
+func build(p *Program, irKeys []string, opts Options, run func([]*buildsys.Action) (*buildsys.ExecStats, error), cfg linker.Config, plan func(i int, m *ir.Module) objectPlan) (res *BuildResult, hit []bool, err error) {
+	n := len(p.Modules)
+	res = &BuildResult{Objects: make([]*objfile.Object, n), IRKeys: irKeys}
+	hit = make([]bool, n)
+	keys := make([]string, n)
+	encoded := make([][]byte, n)
+	var fetches, codegens []*buildsys.Action
+	for i, m := range p.Modules {
+		pl := plan(i, m)
+		keys[i] = pl.key
+		if pl.key != "" {
+			if data, fetchCost, ok := opts.ObjCache.GetCost(pl.key); ok {
+				obj, err := objfile.DecodeObject(data)
+				if err != nil {
+					return nil, nil, fmt.Errorf("core: corrupt cached object for %s: %w", m.Name, err)
+				}
+				res.Objects[i], hit[i] = obj, true
+				if fetchCost > 0 {
+					res.Backends += fetchCost
+					fetches = append(fetches, &buildsys.Action{Name: "fetch:" + m.Name, Cost: fetchCost})
+				}
+				continue
+			}
+			if pl.mustHit {
+				return nil, nil, fmt.Errorf("core: object cache miss for cold module %s", m.Name)
+			}
 		}
-		irData, irFetch, ok := irCache.GetCost(irKeys[i])
+		irData, irFetch, ok := opts.IRCache.GetCost(irKeys[i])
 		if !ok {
 			return nil, nil, fmt.Errorf("core: IR cache miss for module %s", m.Name)
 		}
-		irBytes := int64(len(irData))
-		actions = append(actions, &buildsys.Action{
-			Name:     "codegen:" + m.Name,
-			Cost:     costCodegenBase + float64(irBytes)*costCodegenPerByte + irFetch,
-			MemBytes: memCodegenBase + irBytes*memCodegenPerIRByte,
-			Run: func() error {
-				mod, err := ir.DecodeModule(irData)
-				if err != nil {
-					return fmt.Errorf("core: decode cached IR for %s: %w", m.Name, err)
-				}
-				obj, err := codegen.Compile(mod, optsFor(mod))
-				if err != nil {
-					return err
-				}
-				mu.Lock()
-				results[i] = compiledObj{idx: i, obj: obj, data: objfile.EncodeObject(obj)}
-				mu.Unlock()
-				return nil
-			},
+		name := "codegen:" + m.Name
+		if pl.cg.Mode == codegen.ModeList {
+			name = "codegen-list:" + m.Name
+		}
+		a := codegenAction(name, int64(len(irData)), irFetch, func() error {
+			mod, err := ir.DecodeModule(irData)
+			if err != nil {
+				return fmt.Errorf("core: decode cached IR for %s: %w", m.Name, err)
+			}
+			obj, err := codegen.Compile(mod, pl.cg)
+			if err != nil {
+				return err
+			}
+			res.Objects[i] = obj
+			if pl.key != "" {
+				encoded[i] = objfile.EncodeObject(obj)
+			}
+			return nil
 		})
+		res.Backends += a.Cost
+		codegens = append(codegens, a)
 	}
-	stats, err := exec.Execute(actions)
-	if err != nil {
+	batch := append(fetches, codegens...)
+	res.batch = make([]string, len(batch))
+	for i, a := range batch {
+		res.batch[i] = a.Name
+	}
+	if res.Exec, err = run(batch); err != nil {
 		return nil, nil, err
 	}
-	objs := make([]*objfile.Object, len(results))
-	for i, r := range results {
-		objs[i] = r.obj
+	for i, data := range encoded {
+		if data != nil {
+			opts.ObjCache.Put(keys[i], data)
+		}
 	}
-	return objs, stats, nil
-}
 
-func linkAction(objs []*objfile.Object, cfg linker.Config, exec *buildsys.Executor) (*objfile.Binary, *linker.Stats, float64, error) {
-	var bin *objfile.Binary
-	var lst *linker.Stats
 	var inputBytes int64
-	for _, o := range objs {
+	for _, o := range res.Objects {
 		inputBytes += o.Stats().Total()
 	}
-	cost := costLinkBase + float64(inputBytes)*costLinkPerByte
-	a := &buildsys.Action{
+	res.Linking = costLinkBase + float64(inputBytes)*costLinkPerByte
+	if _, err := run([]*buildsys.Action{{
 		Name: "link",
-		Cost: cost,
+		Cost: res.Linking,
 		// The linker's modeled memory is filled in after the fact; use the
 		// standard ~2x-inputs bound for admission control.
 		MemBytes: memLinkBase + 2*inputBytes,
-		Run: func() error {
-			var err error
-			bin, lst, err = linker.Link(objs, cfg)
+		Run: func() (err error) {
+			res.Binary, res.Link, err = linker.Link(res.Objects, cfg)
 			return err
 		},
+	}}); err != nil {
+		return nil, nil, err
 	}
-	if _, err := exec.Execute([]*buildsys.Action{a}); err != nil {
-		return nil, nil, 0, err
-	}
-	return bin, lst, cost, nil
+	return res, hit, nil
 }
 
 // BuildBaseline produces the plain optimized binary (PGO+ThinLTO, no
@@ -317,73 +361,35 @@ func BuildWithMetadata(p *Program, opts Options) (*BuildResult, error) {
 }
 
 func buildVariant(p *Program, opts Options, mode codegen.Mode, emitMap bool) (*BuildResult, error) {
-	exec := opts.executor()
-	irCache := opts.IRCache
-	if irCache == nil {
-		irCache = buildsys.NewCache()
+	if opts.IRCache == nil {
+		opts.IRCache = buildsys.NewCache()
 	}
-	keys := Phase1CacheIR(p, irCache)
-
-	// Warm-cache fast path (§2.1: >90% action cache hit rates): a module
-	// whose object for this configuration is already cached skips its
-	// codegen action entirely. Objects served by the remote cache tier
-	// are cheap but not free: each fetch is scheduled as a cost-only
-	// action so the transfer time lands in the phase's makespan.
-	cached := make([]*objfile.Object, len(p.Modules))
-	var fetches []*buildsys.Action
-	if opts.ObjCache != nil && emitMap {
-		for i := range p.Modules {
-			data, fetchCost, ok := opts.ObjCache.GetCost(objCacheKey(keys[i]))
-			if !ok {
-				continue
-			}
-			obj, err := objfile.DecodeObject(data)
-			if err != nil {
-				return nil, fmt.Errorf("core: corrupt cached object for %s: %w", p.Modules[i].Name, err)
-			}
-			cached[i] = obj
-			if fetchCost > 0 {
-				fetches = append(fetches, &buildsys.Action{
-					Name: "fetch:" + p.Modules[i].Name,
-					Cost: fetchCost,
-				})
-			}
-		}
-	}
-
-	objs, execStats, err := buildObjects(p, keys, irCache, exec, cached, fetches, func(m *ir.Module) codegen.Options {
-		return codegen.Options{
+	keys := Phase1CacheIR(p, opts.IRCache)
+	// Warm-cache fast path (§2.1: >90% action cache hit rates): only the
+	// PM build's objects are cached, under their IR content keys.
+	cached := opts.ObjCache != nil && emitMap
+	res, _, err := build(p, keys, opts, opts.executor().Execute, linker.Config{
+		Entry:       p.entry(),
+		EmitAddrMap: emitMap,
+		HugePages:   opts.HugePages,
+	}, func(i int, _ *ir.Module) objectPlan {
+		pl := objectPlan{cg: codegen.Options{
 			Mode:           mode,
 			DataInCode:     !opts.NoDataInCode,
 			HeuristicSplit: opts.HeuristicSplit,
+		}}
+		if cached {
+			pl.key = objCacheKey(keys[i])
 		}
+		return pl
 	})
 	if err != nil {
 		return nil, err
 	}
-	if opts.ObjCache != nil && emitMap {
-		for i, o := range objs {
-			if cached[i] == nil {
-				opts.ObjCache.Put(objCacheKey(keys[i]), objfile.EncodeObject(o))
-			}
-		}
-	}
-	bin, lst, linkCost, err := linkAction(objs, linker.Config{
-		Entry:       p.entry(),
-		EmitAddrMap: emitMap,
-		HugePages:   opts.HugePages,
-	}, exec)
-	if err != nil {
-		return nil, err
-	}
-	return &BuildResult{
-		Binary:   bin,
-		Objects:  objs,
-		Exec:     execStats,
-		Link:     lst,
-		Backends: execStats.TotalCost,
-		Linking:  linkCost,
-	}, nil
+	// Phase 2's Backends is the executor's own sum (fetches first), not
+	// build's module-order one: the same terms, rounded differently.
+	res.Backends = res.Exec.TotalCost
+	return res, nil
 }
 
 func objCacheKey(irKey string) string {
@@ -471,122 +477,49 @@ func Analyze(bin *objfile.Binary, prof *profile.Profile, opts Options) (*wpa.Res
 // of the crowd of near-free fetches, so the warm makespan approaches the
 // cost of the changed modules alone.
 func Relink(p *Program, irKeys []string, res *wpa.Result, opts Options) (*BuildResult, int, int, error) {
-	exec := opts.executor()
 	if opts.IRCache == nil || opts.ObjCache == nil {
 		return nil, 0, 0, fmt.Errorf("core: Relink requires the Phase-1 IR cache and Phase-2 object cache")
 	}
-	hotModule := make([]bool, len(p.Modules))
+	hot := make([]bool, len(p.Modules))
+	hotNames := map[string]bool{}
+	nHot := 0
 	for i, m := range p.Modules {
 		for _, f := range m.Funcs {
 			if _, ok := res.Directives[f.Name]; ok {
-				hotModule[i] = true
+				hot[i], hotNames[m.Name] = true, true
+				nHot++
 				break
 			}
 		}
 	}
-	hotNames := map[string]bool{}
-	objs := make([]*objfile.Object, len(p.Modules))
-	var actions []*buildsys.Action
-	var backendCost float64
-	nHot, nCold, nHotReused := 0, 0, 0
-	for i := range p.Modules {
-		i := i
-		m := p.Modules[i]
-		if !hotModule[i] {
-			nCold++
-			data, fetchCost, ok := opts.ObjCache.GetCost(objCacheKey(irKeys[i]))
-			if !ok {
-				return nil, 0, 0, fmt.Errorf("core: object cache miss for cold module %s", m.Name)
-			}
-			obj, err := objfile.DecodeObject(data)
-			if err != nil {
-				return nil, 0, 0, err
-			}
-			objs[i] = obj
-			if fetchCost > 0 {
-				// Cold object served by the remote cache tier: schedule
-				// the modeled transfer so relinks stay cheap-but-not-free.
-				backendCost += fetchCost
-				actions = append(actions, &buildsys.Action{
-					Name: "fetch:" + m.Name,
-					Cost: fetchCost,
-				})
-			}
-			continue
-		}
-		nHot++
-		hotNames[m.Name] = true
-		listKey := listObjCacheKey(irKeys[i], m, res.Directives, opts)
-		if data, fetchCost, ok := opts.ObjCache.GetCost(listKey); ok {
-			if obj, err := objfile.DecodeObject(data); err == nil {
-				// Warm relink: this hot module's layout inputs are
-				// unchanged since the last relink — reuse its object.
-				objs[i] = obj
-				nHotReused++
-				if fetchCost > 0 {
-					backendCost += fetchCost
-					actions = append(actions, &buildsys.Action{
-						Name: "fetch:" + m.Name,
-						Cost: fetchCost,
-					})
-				}
-				continue
-			}
-		}
-		irData, irFetch, ok := opts.IRCache.GetCost(irKeys[i])
-		if !ok {
-			return nil, 0, 0, fmt.Errorf("core: IR cache miss for hot module %s", m.Name)
-		}
-		irBytes := int64(len(irData))
-		cost := costCodegenBase + float64(irBytes)*costCodegenPerByte + irFetch
-		backendCost += cost
-		actions = append(actions, &buildsys.Action{
-			Name:     "codegen-list:" + m.Name,
-			Cost:     cost,
-			MemBytes: memCodegenBase + irBytes*memCodegenPerIRByte,
-			Run: func() error {
-				mod, err := ir.DecodeModule(irData)
-				if err != nil {
-					return err
-				}
-				obj, err := codegen.Compile(mod, codegen.Options{
-					Mode:       codegen.ModeList,
-					Directives: res.Directives,
-					DataInCode: !opts.NoDataInCode,
-					Prefetch:   opts.prefetchDirectives,
-				})
-				if err != nil {
-					return err
-				}
-				objs[i] = obj
-				opts.ObjCache.Put(listKey, objfile.EncodeObject(obj))
-				return nil
-			},
-		})
-	}
-	execStats, err := exec.ExecuteCriticalPath(actions)
-	if err != nil {
-		return nil, 0, 0, err
-	}
-	bin, lst, linkCost, err := linkAction(objs, linker.Config{
+	out, hit, err := build(p, irKeys, opts, opts.executor().ExecuteCriticalPath, linker.Config{
 		Entry:       p.entry(),
 		Order:       &res.Order,
 		EmitAddrMap: true,
 		KeepMapFor:  func(obj string) bool { return hotNames[obj] },
 		HugePages:   opts.HugePages,
-	}, exec)
+	}, func(i int, m *ir.Module) objectPlan {
+		if !hot[i] {
+			return objectPlan{key: objCacheKey(irKeys[i]), mustHit: true}
+		}
+		// A hit is a warm relink: this hot module's layout inputs are
+		// unchanged since the last relink, so its object is reused.
+		return objectPlan{key: listObjCacheKey(irKeys[i], m, res.Directives, opts), cg: codegen.Options{
+			Mode:       codegen.ModeList,
+			Directives: res.Directives,
+			DataInCode: !opts.NoDataInCode,
+			Prefetch:   opts.prefetchDirectives,
+		}}
+	})
 	if err != nil {
 		return nil, 0, 0, err
 	}
-	return &BuildResult{
-		Binary:    bin,
-		Objects:   objs,
-		Exec:      execStats,
-		Link:      lst,
-		Backends:  backendCost,
-		Linking:   linkCost,
-		HotReused: nHotReused,
-	}, nHot, nCold, nil
+	for i := range hit {
+		if hot[i] && hit[i] {
+			out.HotReused++
+		}
+	}
+	return out, nHot, len(p.Modules) - nHot, nil
 }
 
 // Optimize runs the full Propeller pipeline end to end.
@@ -606,7 +539,6 @@ func Optimize(p *Program, train RunSpec, opts Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	irKeys := Phase1CacheIR(p, opts.IRCache) // idempotent: same keys
 
 	// Phase 3. Fleet mode gathers the profile from many simulated hosts
 	// through the ingestion service and analyzes it through the streaming
@@ -614,28 +546,18 @@ func Optimize(p *Program, train RunSpec, opts Options) (*Result, error) {
 	var prof *profile.Profile
 	var trainRun *sim.Result
 	var ingest *fleetprof.IngestStats
+	analyze := Analyze
 	if opts.Fleet != nil {
 		var st fleetprof.IngestStats
-		var err error
-		prof, trainRun, st, err = CollectFleetProfile(meta.Binary, train, *opts.Fleet, opts.SoftwarePrefetch)
-		if err != nil {
+		if prof, trainRun, st, err = CollectFleetProfile(meta.Binary, train, *opts.Fleet, opts.SoftwarePrefetch); err != nil {
 			return nil, err
 		}
-		ingest = &st
-	} else {
-		var err error
-		prof, trainRun, err = CollectProfile(meta.Binary, train, opts.SoftwarePrefetch)
-		if err != nil {
-			return nil, fmt.Errorf("core: profiling run failed: %w", err)
-		}
+		ingest, analyze = &st, AnalyzeStreamed
+	} else if prof, trainRun, err = CollectProfile(meta.Binary, train, opts.SoftwarePrefetch); err != nil {
+		return nil, fmt.Errorf("core: profiling run failed: %w", err)
 	}
 	analyzeStart := time.Now()
-	var wres *wpa.Result
-	if opts.Fleet != nil {
-		wres, err = AnalyzeStreamed(meta.Binary, prof, opts)
-	} else {
-		wres, err = Analyze(meta.Binary, prof, opts)
-	}
+	wres, err := analyze(meta.Binary, prof, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -654,7 +576,7 @@ func Optimize(p *Program, train RunSpec, opts Options) (*Result, error) {
 	}
 
 	// Phase 4.
-	optimized, nHot, nCold, err := Relink(p, irKeys, wres, opts)
+	optimized, nHot, nCold, err := Relink(p, meta.IRKeys, wres, opts)
 	if err != nil {
 		return nil, err
 	}

@@ -103,11 +103,15 @@ func CollectFleetProfile(bin *objfile.Binary, spec RunSpec, fo FleetOptions, tra
 	}
 
 	// Admission gate: refuse to relink on a profile that is too thin.
+	// A binary without a map skips the hot-function criteria; one whose
+	// map does not decode must not open the gate unchecked.
 	var lk *bbaddrmap.Lookup
 	if bin.BBAddrMap != nil {
-		if m, err := bbaddrmap.Decode(bin.BBAddrMap); err == nil {
-			lk = bbaddrmap.NewLookup(m)
+		m, err := bbaddrmap.Decode(bin.BBAddrMap)
+		if err != nil {
+			return nil, nil, st, fmt.Errorf("core: fleet admission gate: %w", err)
 		}
+		lk = bbaddrmap.NewLookup(m)
 	}
 	if rep := svc.Ready(fo.Gate, lk, hosts); !rep.Ready {
 		return nil, nil, st, fmt.Errorf("core: fleet profile below admission gate: %s", rep.Reason)

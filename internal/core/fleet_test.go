@@ -3,8 +3,10 @@ package core
 import (
 	"bytes"
 	"fmt"
+	"strings"
 	"testing"
 
+	"propeller/internal/fleetprof"
 	"propeller/internal/layoutfile"
 )
 
@@ -96,5 +98,35 @@ func TestFleetStreamingMatchesMaterialized(t *testing.T) {
 	}
 	if st.LostDeliveries == 0 {
 		t.Error("loss=0.3 produced no lost deliveries; fault plan not exercised")
+	}
+}
+
+// TestFleetGateRejectsCorruptAddrMap: a binary with no address map skips
+// the gate's hot-function criterion by design; one whose map is present
+// but does not decode must fail collection, not open the gate unchecked.
+func TestFleetGateRejectsCorruptAddrMap(t *testing.T) {
+	meta, err := BuildWithMetadata(multiModuleProgram(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := RunSpec{MaxInsts: 5_000_000, LBRPeriod: 211}
+	// More hot functions than the program has: only a skipped criterion
+	// lets this gate open.
+	fo := FleetOptions{Hosts: 2, Gate: fleetprof.Gate{MinHotFuncs: 1 << 20}}
+
+	if _, _, _, err := CollectFleetProfile(meta.Binary, spec, fo, false); err == nil || !strings.Contains(err.Error(), "hot functions") {
+		t.Errorf("intact map: err = %v, want the hot-function criterion to close the gate", err)
+	}
+
+	corrupt := meta.Binary.Clone()
+	corrupt.BBAddrMap = corrupt.BBAddrMap[:len(corrupt.BBAddrMap)/2]
+	if _, _, _, err := CollectFleetProfile(corrupt, spec, fo, false); err == nil || !strings.Contains(err.Error(), "admission gate") {
+		t.Errorf("truncated map: err = %v, want the decode failure reported", err)
+	}
+
+	noMap := meta.Binary.Clone()
+	noMap.BBAddrMap = nil
+	if _, _, _, err := CollectFleetProfile(noMap, spec, fo, false); err != nil {
+		t.Errorf("no map: err = %v, want the criterion skipped", err)
 	}
 }

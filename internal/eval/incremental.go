@@ -331,7 +331,6 @@ func IncrementalSweep(cfg IncrementalSweepConfig) (*IncrementalResult, error) {
 			if err != nil {
 				return nil, err
 			}
-			irKeys1 := core.Phase1CacheIR(p1.Core, coldOpts.IRCache)
 			map1, err := bbaddrmap.Decode(meta1.Binary.BBAddrMap)
 			if err != nil {
 				return nil, err
@@ -342,7 +341,7 @@ func IncrementalSweep(cfg IncrementalSweepConfig) (*IncrementalResult, error) {
 				return nil, err
 			}
 			cell.ColdAnalysisSeconds = time.Since(coldStart).Seconds()
-			coldBuild, nHot, _, err := core.Relink(p1.Core, irKeys1, coldRes, coldOpts)
+			coldBuild, nHot, _, err := core.Relink(p1.Core, meta1.IRKeys, coldRes, coldOpts)
 			if err != nil {
 				return nil, err
 			}
@@ -358,29 +357,29 @@ func IncrementalSweep(cfg IncrementalSweepConfig) (*IncrementalResult, error) {
 				ObjCache: buildsys.NewCache(),
 				WPA:      wpa.Config{Workers: w, Cache: wpaCache, ProfileEpoch: "epoch-1"},
 			}
-			if _, err := core.BuildWithMetadata(p0.Core, warmOpts); err != nil {
+			meta0w, err := core.BuildWithMetadata(p0.Core, warmOpts)
+			if err != nil {
 				return nil, err
 			}
-			irKeys0 := core.Phase1CacheIR(p0.Core, warmOpts.IRCache)
 			warmRes0, err := wpa.AnalyzeAggregate(map0, agg, warmOpts.WPA)
 			if err != nil {
 				return nil, err
 			}
-			if _, _, _, err := core.Relink(p0.Core, irKeys0, warmRes0, warmOpts); err != nil {
+			if _, _, _, err := core.Relink(p0.Core, meta0w.IRKeys, warmRes0, warmOpts); err != nil {
 				return nil, err
 			}
 
-			if _, err := core.BuildWithMetadata(p1.Core, warmOpts); err != nil {
+			meta1w, err := core.BuildWithMetadata(p1.Core, warmOpts)
+			if err != nil {
 				return nil, err
 			}
-			irKeys1w := core.Phase1CacheIR(p1.Core, warmOpts.IRCache)
 			warmStart := time.Now()
 			warmRes, err := wpa.AnalyzeAggregate(map1, agg, warmOpts.WPA)
 			if err != nil {
 				return nil, err
 			}
 			cell.WarmAnalysisSeconds = time.Since(warmStart).Seconds()
-			warmBuild, _, _, err := core.Relink(p1.Core, irKeys1w, warmRes, warmOpts)
+			warmBuild, _, _, err := core.Relink(p1.Core, meta1w.IRKeys, warmRes, warmOpts)
 			if err != nil {
 				return nil, err
 			}

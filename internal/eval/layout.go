@@ -374,8 +374,6 @@ func newLayoutEval(spec workload.Spec, cfg LayoutTournamentConfig, exec *buildsy
 	if err != nil {
 		return nil, err
 	}
-	irKeys := core.Phase1CacheIR(prog.Core, opts.IRCache)
-
 	base, err := core.BuildBaseline(prog.Core, opts)
 	if err != nil {
 		return nil, err
@@ -386,7 +384,7 @@ func newLayoutEval(spec workload.Spec, cfg LayoutTournamentConfig, exec *buildsy
 	}
 	return &LayoutEval{
 		spec: spec, cfg: cfg, prog: prog, opts: opts,
-		m: m, agg: agg, paths: paths, irKeys: irKeys, baseRun: baseRun,
+		m: m, agg: agg, paths: paths, irKeys: meta.IRKeys, baseRun: baseRun,
 	}, nil
 }
 

@@ -10,6 +10,7 @@ import (
 	"propeller/internal/buildsys"
 	"propeller/internal/core"
 	"propeller/internal/workload"
+	"propeller/internal/wpa"
 )
 
 func TestRemoteTierWarmBuildCheapButNotFree(t *testing.T) {
@@ -115,5 +116,24 @@ func TestRemoteTierRelinkFetchesColdObjects(t *testing.T) {
 	}
 	if len(res.Optimized.Binary.Text) == 0 {
 		t.Error("relinked binary has no text")
+	}
+
+	// Exactly: a warm relink of the same layout runs no codegen, so its
+	// batch is one fetch per object the remote tier served and nothing
+	// else. (The batch's action names and order are not visible from
+	// here; core's TestWarmRelinkReusesHotObjects/tiered pins them.)
+	before := opts.ObjCache.Stats().RemoteFetches
+	warm, _, _, err := core.Relink(prog.Core, res.Metadata.IRKeys,
+		&wpa.Result{Directives: res.Directives, Order: res.Order}, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fetched := opts.ObjCache.Stats().RemoteFetches - before
+	if warm.HotReused != res.HotModules || fetched == 0 || int64(warm.Exec.Actions) != fetched {
+		t.Errorf("warm relink: %d actions for %d remote fetches, %d of %d hot modules reused",
+			warm.Exec.Actions, fetched, warm.HotReused, res.HotModules)
+	}
+	if warm.Binary.BuildID != res.Optimized.Binary.BuildID {
+		t.Error("warm relink changed the binary")
 	}
 }

@@ -6,6 +6,7 @@ import (
 
 	"propeller/internal/bbaddrmap"
 	"propeller/internal/fleetprof"
+	"propeller/internal/objfile"
 	"propeller/internal/profile"
 )
 
@@ -100,5 +101,36 @@ func TestHotOverlapCriterion(t *testing.T) {
 	rep = sc.Score(epoch, epoch, nil, fleetprof.IngestStats{}, 0, []string{"f", "g"})
 	if !rep.Ready {
 		t.Fatalf("nil lookup should skip the overlap criterion: %+v", rep)
+	}
+}
+
+// TestCorruptAddrMapDoesNotOpenGate: the scorer skips its hot-function
+// criteria when handed no lookup, so the driver must tell "no map" (nil
+// lookup, criteria skipped by design) from "map present but corrupt"
+// (an error): the latter used to become a nil lookup too, and a profile
+// that fails MinHotFuncs was admitted unchecked.
+func TestCorruptAddrMapDoesNotOpenGate(t *testing.T) {
+	sc := Scorer{Gate: fleetprof.Gate{MinHotFuncs: 2}}
+	thin := addrProf(4, 0x1000) // one hot function
+	enc := bbaddrmap.Encode(&bbaddrmap.Map{Funcs: []bbaddrmap.FuncEntry{
+		{Name: "f", Addr: 0x1000, Blocks: []bbaddrmap.BlockEntry{{ID: 0, Offset: 0, Size: 0x100}}},
+		{Name: "g", Addr: 0x2000, Blocks: []bbaddrmap.BlockEntry{{ID: 0, Offset: 0, Size: 0x100}}},
+	}})
+
+	lk, err := gateLookup(&objfile.Binary{BBAddrMap: enc})
+	if err != nil || lk == nil {
+		t.Fatalf("intact map: lookup %v, err %v", lk, err)
+	}
+	if rep := sc.Score(thin, thin, lk, fleetprof.IngestStats{}, 0, nil); rep.Ready {
+		t.Fatalf("intact map: thin profile admitted: %+v", rep)
+	}
+
+	if lk, err := gateLookup(&objfile.Binary{BBAddrMap: enc[:len(enc)-1]}); err == nil {
+		rep := sc.Score(thin, thin, lk, fleetprof.IngestStats{}, 0, nil)
+		t.Fatalf("truncated map decoded to lookup %v (gate ready=%v); want an error", lk, rep.Ready)
+	}
+
+	if lk, err := gateLookup(&objfile.Binary{}); lk != nil || err != nil {
+		t.Fatalf("no map: lookup %v, err %v; want nil, nil", lk, err)
 	}
 }

@@ -180,6 +180,21 @@ func measureBin(bin *objfile.Binary, cfg DriverConfig) (uint64, int64, error) {
 	return res.Cycles, res.Exit, nil
 }
 
+// gateLookup is the address-map view the scorer's hot-function criteria
+// resolve against: nil for a binary without a map (those criteria are
+// skipped), an error for a map that does not decode — a corrupt map must
+// not silently switch off criteria the operator configured.
+func gateLookup(bin *objfile.Binary) (*bbaddrmap.Lookup, error) {
+	if bin.BBAddrMap == nil {
+		return nil, nil
+	}
+	m, err := bbaddrmap.Decode(bin.BBAddrMap)
+	if err != nil {
+		return nil, err
+	}
+	return bbaddrmap.NewLookup(m), nil
+}
+
 // RunGenerations closes the loop K times over one program: profile the
 // deployed binary across the fleet, publish the merged profile to the
 // store (over HTTP when a Client is configured), gate on the admission
@@ -214,7 +229,6 @@ func RunGenerations(p *core.Program, cfg DriverConfig) (*LoopResult, error) {
 	if err != nil {
 		return nil, fmt.Errorf("profsvc: metadata build: %w", err)
 	}
-	irKeys := core.Phase1CacheIR(p, opts.IRCache)
 
 	baseCycles, baseExit, err := measureBin(meta.Binary, cfg)
 	if err != nil {
@@ -279,11 +293,9 @@ func RunGenerations(p *core.Program, cfg DriverConfig) (*LoopResult, error) {
 			}
 		}
 
-		var lk *bbaddrmap.Lookup
-		if deployed.BBAddrMap != nil {
-			if m, err := bbaddrmap.Decode(deployed.BBAddrMap); err == nil {
-				lk = bbaddrmap.NewLookup(m)
-			}
+		lk, err := gateLookup(deployed)
+		if err != nil {
+			return nil, fmt.Errorf("profsvc: gen %d admission: %w", g, err)
 		}
 		gen.Admit = cfg.Scorer.Score(merged, agg, lk, ingest, cfg.hosts(), prevHot)
 		gen.GateOpen = gen.Admit.Ready
@@ -317,7 +329,7 @@ func RunGenerations(p *core.Program, cfg DriverConfig) (*LoopResult, error) {
 		gen.LayoutSHA = layoutSHA(wres.Directives, wres.Order)
 
 		// Phase-4 relink: a new binary with a new content-hash build ID.
-		cand, nHot, nCold, err := core.Relink(p, irKeys, wres, opts)
+		cand, nHot, nCold, err := core.Relink(p, meta.IRKeys, wres, opts)
 		if err != nil {
 			return nil, fmt.Errorf("profsvc: gen %d relink: %w", g, err)
 		}
