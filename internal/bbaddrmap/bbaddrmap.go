@@ -9,10 +9,7 @@
 // blocks without disassembling anything.
 package bbaddrmap
 
-import (
-	"encoding/binary"
-	"fmt"
-)
+import "propeller/internal/wire"
 
 // BlockFlags describe block characteristics stored alongside the offsets.
 type BlockFlags byte
@@ -52,88 +49,37 @@ type Map struct {
 
 // Encode serializes the map to the section byte format.
 func Encode(m *Map) []byte {
-	var out []byte
-	out = binary.AppendUvarint(out, uint64(len(m.Funcs)))
+	var w wire.Writer
+	w.Int(len(m.Funcs))
 	for _, f := range m.Funcs {
-		out = binary.AppendUvarint(out, uint64(len(f.Name)))
-		out = append(out, f.Name...)
-		out = binary.AppendUvarint(out, f.Addr)
-		out = binary.AppendUvarint(out, uint64(len(f.Blocks)))
+		w.Str(f.Name)
+		w.U64(f.Addr)
+		w.Int(len(f.Blocks))
 		for _, b := range f.Blocks {
-			out = binary.AppendUvarint(out, uint64(b.ID))
-			out = binary.AppendUvarint(out, b.Offset)
-			out = binary.AppendUvarint(out, b.Size)
-			out = append(out, byte(b.Flags))
+			w.Int(b.ID)
+			w.U64(b.Offset)
+			w.U64(b.Size)
+			w.Byte(byte(b.Flags))
 		}
 	}
-	return out
+	return w.Buf
 }
 
-// Decode parses a section previously produced by Encode.
+// Decode parses a section previously produced by Encode. The section has
+// no magic: it is embedded in objects and executables that carry their own.
 func Decode(data []byte) (*Map, error) {
+	r := wire.NewReader("bbaddrmap", "", data)
 	m := &Map{}
-	pos := 0
-	readUvarint := func() (uint64, error) {
-		v, n := binary.Uvarint(data[pos:])
-		if n <= 0 {
-			return 0, fmt.Errorf("bbaddrmap: truncated at offset %d", pos)
-		}
-		pos += n
-		return v, nil
-	}
-	nFuncs, err := readUvarint()
-	if err != nil {
-		return nil, err
-	}
-	if nFuncs > 1<<26 {
-		return nil, fmt.Errorf("bbaddrmap: implausible function count %d", nFuncs)
-	}
-	for i := uint64(0); i < nFuncs; i++ {
-		var f FuncEntry
-		nameLen, err := readUvarint()
-		if err != nil {
-			return nil, err
-		}
-		if pos+int(nameLen) > len(data) {
-			return nil, fmt.Errorf("bbaddrmap: truncated name at offset %d", pos)
-		}
-		f.Name = string(data[pos : pos+int(nameLen)])
-		pos += int(nameLen)
-		if f.Addr, err = readUvarint(); err != nil {
-			return nil, err
-		}
-		nBlocks, err := readUvarint()
-		if err != nil {
-			return nil, err
-		}
-		if nBlocks > 1<<26 {
-			return nil, fmt.Errorf("bbaddrmap: implausible block count %d", nBlocks)
-		}
-		f.Blocks = make([]BlockEntry, 0, nBlocks)
-		for j := uint64(0); j < nBlocks; j++ {
-			var b BlockEntry
-			id, err := readUvarint()
-			if err != nil {
-				return nil, err
-			}
-			b.ID = int(id)
-			if b.Offset, err = readUvarint(); err != nil {
-				return nil, err
-			}
-			if b.Size, err = readUvarint(); err != nil {
-				return nil, err
-			}
-			if pos >= len(data) {
-				return nil, fmt.Errorf("bbaddrmap: truncated flags at offset %d", pos)
-			}
-			b.Flags = BlockFlags(data[pos])
-			pos++
-			f.Blocks = append(f.Blocks, b)
+	for i, nFuncs := 0, r.Count(); i < nFuncs && r.Err() == nil; i++ {
+		f := FuncEntry{Name: r.Str(), Addr: r.U64()}
+		f.Blocks = make([]BlockEntry, r.Count())
+		for j := range f.Blocks {
+			f.Blocks[j] = BlockEntry{ID: r.Int(), Offset: r.U64(), Size: r.U64(), Flags: BlockFlags(r.Byte())}
 		}
 		m.Funcs = append(m.Funcs, f)
 	}
-	if pos != len(data) {
-		return nil, fmt.Errorf("bbaddrmap: %d trailing bytes", len(data)-pos)
+	if err := r.Done(); err != nil {
+		return nil, err
 	}
 	return m, nil
 }

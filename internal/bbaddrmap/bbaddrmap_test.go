@@ -1,8 +1,11 @@
 package bbaddrmap
 
 import (
+	"bytes"
+	"encoding/binary"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -50,8 +53,36 @@ func TestDecodeRejectsTruncation(t *testing.T) {
 			t.Fatalf("decoded %d-byte truncation", cut)
 		}
 	}
-	if _, err := Decode(append(data, 0xFF)); err == nil {
-		t.Error("decoded input with trailing bytes")
+	// Hostile headers: a few bytes that used to panic the decoder (a name
+	// length that wraps int negative slips past the bounds check) or make
+	// it reserve gigabytes (32-byte entries for a declared block count).
+	hugeName := binary.AppendUvarint([]byte{1}, 1<<63)
+	manyBlocks := binary.AppendUvarint([]byte{1, 0, 0}, 1<<26)
+	blockID := binary.AppendUvarint([]byte{1, 0, 0, 1}, 1<<63)
+	blockID = append(blockID, 0, 0, 0)
+	for _, tc := range []struct {
+		name string
+		data []byte
+	}{
+		{"trailing 0xFF", append(append([]byte(nil), data...), 0xFF)},
+		{"trailing 0x00", append(append([]byte(nil), data...), 0x00)},
+		{"11 bytes: one function whose name length is 2^63", hugeName},
+		{"one function declaring 1<<26 blocks", manyBlocks},
+		{"block id 2^63", blockID},
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := Decode(tc.data)
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Errorf("%s: decoded without error", tc.name)
+		}
+		if n := after.TotalAlloc - before.TotalAlloc; n >= 1<<20 {
+			t.Errorf("%s: allocated %d bytes, want < 1 MB", tc.name, n)
+		}
+	}
+	if len(hugeName) != 11 {
+		t.Errorf("hostile name-length input is %d bytes, want 11", len(hugeName))
 	}
 }
 
@@ -247,4 +278,29 @@ func TestResolveProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
 	}
+}
+
+// FuzzDecode: the section arrives inside any object or executable handed
+// to the linker, wsc-wpa, wsc-objdump or the profile service. Decode must
+// never panic or allocate beyond its input's scale, and whatever it
+// accepts must re-encode to a fixed point.
+func FuzzDecode(f *testing.F) {
+	f.Add(Encode(sample()))
+	f.Add(Encode(&Map{}))
+	f.Add(binary.AppendUvarint([]byte{1}, 1<<63))
+	f.Add(binary.AppendUvarint([]byte{1, 0, 0}, 1<<26))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		m, err := Decode(data)
+		if err != nil {
+			return
+		}
+		enc := Encode(m)
+		again, err := Decode(enc)
+		if err != nil {
+			t.Fatalf("re-decode of accepted input failed: %v", err)
+		}
+		if !bytes.Equal(enc, Encode(again)) {
+			t.Fatal("encoding is not a fixed point over accepted inputs")
+		}
+	})
 }

@@ -14,18 +14,7 @@ import (
 )
 
 func multiModuleProgram() *Program {
-	lib, app := testprog.CrossModule()
-	hot := testprog.HotCold(20000)
-	hot.Name = "hotmod"
-	// Rename main in the cross-module app to avoid the entry clash and
-	// make hotmod the entry module.
-	appMain := app.Func("main")
-	appMain.Name = "app_entry"
-	return &Program{
-		Name:    "testapp",
-		Modules: []*ir.Module{hot, lib, app},
-		Entry:   "main",
-	}
+	return &Program{Name: "testapp", Modules: testprog.MultiModule(), Entry: "main"}
 }
 
 func runBinary(t *testing.T, b *BuildResult) *sim.Result {

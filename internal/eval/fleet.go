@@ -1,7 +1,6 @@
 package eval
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -171,11 +170,7 @@ func FleetSweep() (*FleetSweepResult, error) {
 				if err != nil {
 					return nil, err
 				}
-				var buf bytes.Buffer
-				if err := merged.Write(&buf); err != nil {
-					return nil, err
-				}
-				sum := sha256.Sum256(buf.Bytes())
+				sum := sha256.Sum256(merged.AppendWire(nil))
 				res.Points = append(res.Points, FleetPoint{
 					Hosts:            hosts,
 					Shards:           shards,

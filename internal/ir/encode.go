@@ -1,13 +1,8 @@
 package ir
 
 import (
-	"bufio"
-	"bytes"
-	"encoding/binary"
-	"fmt"
-	"io"
-
 	"propeller/internal/isa"
+	"propeller/internal/wire"
 )
 
 // Binary serialization of IR modules. This is the "optimized IR object"
@@ -17,77 +12,34 @@ import (
 
 const irMagic = "WIR1"
 
-type countingWriter struct {
-	w   *bufio.Writer
-	n   int64
-	err error
-}
-
-func (cw *countingWriter) bytes(p []byte) {
-	if cw.err != nil {
-		return
-	}
-	n, err := cw.w.Write(p)
-	cw.n += int64(n)
-	cw.err = err
-}
-
-func (cw *countingWriter) u64(v uint64) {
-	var b [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(b[:], v)
-	cw.bytes(b[:n])
-}
-
-func (cw *countingWriter) i64(v int64) {
-	var b [binary.MaxVarintLen64]byte
-	n := binary.PutVarint(b[:], v)
-	cw.bytes(b[:n])
-}
-
-func (cw *countingWriter) str(s string) {
-	cw.u64(uint64(len(s)))
-	cw.bytes([]byte(s))
-}
-
-func (cw *countingWriter) byte1(b byte) { cw.bytes([]byte{b}) }
-
-// WriteModule serializes m to w and returns the number of bytes written.
-func WriteModule(w io.Writer, m *Module) (int64, error) {
-	cw := &countingWriter{w: bufio.NewWriter(w)}
-	cw.bytes([]byte(irMagic))
-	cw.str(m.Name)
-	cw.u64(uint64(len(m.Globals)))
+// EncodeModule serializes m to a byte slice.
+func EncodeModule(m *Module) []byte {
+	w := &wire.Writer{Buf: []byte(irMagic)}
+	w.Str(m.Name)
+	w.Int(len(m.Globals))
 	for _, g := range m.Globals {
-		cw.str(g.Name)
-		cw.i64(g.Size)
-		cw.u64(uint64(len(g.Init)))
-		cw.bytes(g.Init)
-		if g.ReadOnly {
-			cw.byte1(1)
-		} else {
-			cw.byte1(0)
-		}
-		cw.str(g.CodeSnapshotOf)
-		cw.u64(uint64(len(g.FuncPtrs)))
+		w.Str(g.Name)
+		w.I64(g.Size)
+		w.Bytes(g.Init)
+		w.Bool(g.ReadOnly)
+		w.Str(g.CodeSnapshotOf)
+		w.Int(len(g.FuncPtrs))
 		for _, fp := range g.FuncPtrs {
-			cw.str(fp)
+			w.Str(fp)
 		}
 	}
-	cw.u64(uint64(len(m.Funcs)))
+	w.Int(len(m.Funcs))
 	for _, f := range m.Funcs {
-		writeFunc(cw, f)
+		writeFunc(w, f)
 	}
-	if cw.err == nil {
-		cw.err = cw.w.Flush()
-	}
-	return cw.n, cw.err
+	return w.Buf
 }
 
-func writeFunc(cw *countingWriter, f *Func) {
-	cw.str(f.Name)
-	cw.str(f.Module)
-	cw.byte1(byte(f.Linkage))
-	cw.u64(uint64(f.NumParams))
+func writeFunc(w *wire.Writer, f *Func) {
+	w.Str(f.Name)
+	w.Str(f.Module)
+	w.Byte(byte(f.Linkage))
+	w.Int(f.NumParams)
 	flags := byte(0)
 	if f.HasEH {
 		flags |= 1
@@ -95,42 +47,38 @@ func writeFunc(cw *countingWriter, f *Func) {
 	if f.Imported {
 		flags |= 2
 	}
-	cw.byte1(flags)
-	cw.u64(f.EntryCount)
-	cw.u64(uint64(f.nextBlockID))
-	cw.u64(uint64(len(f.Blocks)))
+	w.Byte(flags)
+	w.U64(f.EntryCount)
+	w.Int(f.nextBlockID)
+	w.Int(len(f.Blocks))
 	index := blockIndex(f)
 	for _, b := range f.Blocks {
-		cw.u64(uint64(b.ID))
-		if b.LandingPad {
-			cw.byte1(1)
-		} else {
-			cw.byte1(0)
-		}
-		cw.u64(b.Count)
-		cw.u64(uint64(len(b.Ins)))
+		w.Int(b.ID)
+		w.Bool(b.LandingPad)
+		w.U64(b.Count)
+		w.Int(len(b.Ins))
 		for _, in := range b.Ins {
-			cw.byte1(byte(in.Op))
-			cw.byte1(in.A)
-			cw.byte1(in.B)
-			cw.i64(in.Imm)
-			cw.str(in.Sym)
+			w.Byte(byte(in.Op))
+			w.Byte(in.A)
+			w.Byte(in.B)
+			w.I64(in.Imm)
+			w.Str(in.Sym)
 			if in.Pad != nil {
-				cw.u64(uint64(index[in.Pad]) + 1)
+				w.Int(index[in.Pad] + 1)
 			} else {
-				cw.u64(0)
+				w.Int(0)
 			}
 		}
-		cw.byte1(byte(b.Term.Kind))
-		cw.byte1(byte(b.Term.Cond))
-		cw.byte1(b.Term.Index)
-		cw.u64(uint64(len(b.Term.Succs)))
+		w.Byte(byte(b.Term.Kind))
+		w.Byte(byte(b.Term.Cond))
+		w.Byte(b.Term.Index)
+		w.Int(len(b.Term.Succs))
 		for _, s := range b.Term.Succs {
-			cw.u64(uint64(index[s]))
+			w.Int(index[s])
 		}
-		cw.u64(uint64(len(b.Term.Weights)))
-		for _, w := range b.Term.Weights {
-			cw.u64(w)
+		w.Int(len(b.Term.Weights))
+		for _, wt := range b.Term.Weights {
+			w.U64(wt)
 		}
 	}
 }
@@ -143,211 +91,86 @@ func blockIndex(f *Func) map[*Block]int {
 	return idx
 }
 
-type reader struct {
-	r   *bufio.Reader
-	err error
-}
-
-func (rd *reader) u64() uint64 {
-	if rd.err != nil {
-		return 0
-	}
-	v, err := binary.ReadUvarint(rd.r)
-	rd.err = err
-	return v
-}
-
-func (rd *reader) i64() int64 {
-	if rd.err != nil {
-		return 0
-	}
-	v, err := binary.ReadVarint(rd.r)
-	rd.err = err
-	return v
-}
-
-func (rd *reader) str() string {
-	n := rd.u64()
-	if rd.err != nil {
-		return ""
-	}
-	if n > 1<<24 {
-		rd.err = fmt.Errorf("ir: string length %d too large", n)
-		return ""
-	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(rd.r, buf); err != nil {
-		rd.err = err
-		return ""
-	}
-	return string(buf)
-}
-
-func (rd *reader) bytesN(n uint64) []byte {
-	if rd.err != nil {
-		return nil
-	}
-	if n > 1<<30 {
-		rd.err = fmt.Errorf("ir: byte blob length %d too large", n)
-		return nil
-	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(rd.r, buf); err != nil {
-		rd.err = err
-		return nil
-	}
-	return buf
-}
-
-func (rd *reader) byte1() byte {
-	if rd.err != nil {
-		return 0
-	}
-	b, err := rd.r.ReadByte()
-	rd.err = err
-	return b
-}
-
-// ReadModule deserializes a module previously written by WriteModule.
-func ReadModule(r io.Reader) (*Module, error) {
-	rd := &reader{r: bufio.NewReader(r)}
-	magic := rd.bytesN(4)
-	if rd.err != nil {
-		return nil, rd.err
-	}
-	if string(magic) != irMagic {
-		return nil, fmt.Errorf("ir: bad magic %q", magic)
-	}
-	m := &Module{Name: rd.str()}
-	nGlobals := rd.u64()
-	for i := uint64(0); i < nGlobals && rd.err == nil; i++ {
-		g := &Global{Name: rd.str(), Size: rd.i64()}
-		g.Init = rd.bytesN(rd.u64())
-		g.ReadOnly = rd.byte1() == 1
-		g.CodeSnapshotOf = rd.str()
-		nPtrs := rd.u64()
-		if rd.err == nil && nPtrs > 1<<20 {
-			return nil, fmt.Errorf("ir: implausible function pointer count %d", nPtrs)
-		}
-		for j := uint64(0); j < nPtrs && rd.err == nil; j++ {
-			g.FuncPtrs = append(g.FuncPtrs, rd.str())
+// DecodeModule deserializes a module written by EncodeModule. Corrupt
+// input is an error, never a panic, and every allocation is bounded by
+// the input's own length (wire.Reader.Count).
+func DecodeModule(data []byte) (*Module, error) {
+	r := wire.NewReader("ir", irMagic, data)
+	m := &Module{Name: r.Str()}
+	for i, n := 0, r.Count(); i < n && r.Err() == nil; i++ {
+		g := &Global{Name: r.Str(), Size: r.I64(), Init: r.Bytes(), ReadOnly: r.Bool(), CodeSnapshotOf: r.Str()}
+		for j, nPtrs := 0, r.Count(); j < nPtrs && r.Err() == nil; j++ {
+			g.FuncPtrs = append(g.FuncPtrs, r.Str())
 		}
 		m.Globals = append(m.Globals, g)
 	}
-	nFuncs := rd.u64()
-	for i := uint64(0); i < nFuncs && rd.err == nil; i++ {
-		f, err := readFunc(rd)
-		if err != nil {
-			return nil, err
-		}
-		m.Funcs = append(m.Funcs, f)
+	for i, n := 0, r.Count(); i < n && r.Err() == nil; i++ {
+		m.Funcs = append(m.Funcs, readFunc(r))
 	}
-	if rd.err != nil {
-		return nil, fmt.Errorf("ir: decode: %w", rd.err)
+	if err := r.Done(); err != nil {
+		return nil, err
 	}
 	return m, nil
 }
 
-func readFunc(rd *reader) (*Func, error) {
+func readFunc(r *wire.Reader) *Func {
 	f := &Func{
-		Name:      rd.str(),
-		Module:    rd.str(),
-		Linkage:   Linkage(rd.byte1()),
-		NumParams: int(rd.u64()),
+		Name:      r.Str(),
+		Module:    r.Str(),
+		Linkage:   Linkage(r.Byte()),
+		NumParams: r.Int(),
 	}
-	flags := rd.byte1()
+	flags := r.Byte()
 	f.HasEH = flags&1 != 0
 	f.Imported = flags&2 != 0
-	f.EntryCount = rd.u64()
-	f.nextBlockID = int(rd.u64())
-	nBlocks := rd.u64()
-	if rd.err != nil {
-		return nil, rd.err
+	f.EntryCount = r.U64()
+	f.nextBlockID = r.Int()
+	// Every block exists before any is read: successors and landing pads
+	// may point forward.
+	f.Blocks = make([]*Block, r.Count())
+	for i := range f.Blocks {
+		f.Blocks[i] = &Block{Fn: f}
 	}
-	if nBlocks > 1<<24 {
-		return nil, fmt.Errorf("ir: function %s: block count %d too large", f.Name, nBlocks)
-	}
-	blocks := make([]*Block, nBlocks)
-	for i := range blocks {
-		blocks[i] = &Block{Fn: f}
-	}
-	f.Blocks = blocks
-	type padFix struct {
-		b    *Block
-		inst int
-		idx  uint64
-	}
-	var padFixes []padFix
-	for _, b := range blocks {
-		b.ID = int(rd.u64())
-		b.LandingPad = rd.byte1() == 1
-		b.Count = rd.u64()
-		nIns := rd.u64()
-		if rd.err != nil {
-			return nil, rd.err
+	block := func(what string, idx uint64) *Block {
+		if idx >= uint64(len(f.Blocks)) {
+			r.Fail("function %s: %s index %d out of range", f.Name, what, idx)
+			return nil
 		}
-		if nIns > 1<<24 {
-			return nil, fmt.Errorf("ir: block with %d instructions", nIns)
+		return f.Blocks[idx]
+	}
+	for _, b := range f.Blocks {
+		if r.Err() != nil {
+			break
 		}
-		b.Ins = make([]Inst, nIns)
+		b.ID = r.Int()
+		b.LandingPad = r.Bool()
+		b.Count = r.U64()
+		b.Ins = make([]Inst, r.Count())
 		for j := range b.Ins {
 			in := &b.Ins[j]
-			in.Op = isa.Op(rd.byte1())
-			in.A = rd.byte1()
-			in.B = rd.byte1()
-			in.Imm = rd.i64()
-			in.Sym = rd.str()
-			if padIdx := rd.u64(); padIdx != 0 {
-				padFixes = append(padFixes, padFix{b, j, padIdx - 1})
+			in.Op = isa.Op(r.Byte())
+			in.A = r.Byte()
+			in.B = r.Byte()
+			in.Imm = r.I64()
+			in.Sym = r.Str()
+			if pad := r.U64(); pad != 0 {
+				in.Pad = block("landing pad", pad-1)
 			}
 		}
-		b.Term.Kind = TermKind(rd.byte1())
-		b.Term.Cond = isa.Cond(rd.byte1())
-		b.Term.Index = rd.byte1()
-		nSuccs := rd.u64()
-		if rd.err != nil {
-			return nil, rd.err
+		b.Term.Kind = TermKind(r.Byte())
+		b.Term.Cond = isa.Cond(r.Byte())
+		b.Term.Index = r.Byte()
+		nSuccs := r.Count()
+		for k := 0; k < nSuccs && r.Err() == nil; k++ {
+			b.Term.Succs = append(b.Term.Succs, block("successor", r.U64()))
 		}
-		if nSuccs > 1<<20 {
-			return nil, fmt.Errorf("ir: terminator with %d successors", nSuccs)
+		nW := r.Count()
+		if nW > nSuccs {
+			r.Fail("function %s: %d weights for %d successors", f.Name, nW, nSuccs)
 		}
-		for k := uint64(0); k < nSuccs; k++ {
-			idx := rd.u64()
-			if rd.err == nil && idx >= nBlocks {
-				return nil, fmt.Errorf("ir: successor index %d out of range", idx)
-			}
-			if rd.err == nil {
-				b.Term.Succs = append(b.Term.Succs, blocks[idx])
-			}
-		}
-		nW := rd.u64()
-		if rd.err == nil && nW > nSuccs {
-			return nil, fmt.Errorf("ir: %d weights for %d successors", nW, nSuccs)
-		}
-		for k := uint64(0); k < nW; k++ {
-			b.Term.Weights = append(b.Term.Weights, rd.u64())
+		for k := 0; k < nW && r.Err() == nil; k++ {
+			b.Term.Weights = append(b.Term.Weights, r.U64())
 		}
 	}
-	for _, fix := range padFixes {
-		if fix.idx >= nBlocks {
-			return nil, fmt.Errorf("ir: landing pad index %d out of range", fix.idx)
-		}
-		fix.b.Ins[fix.inst].Pad = blocks[fix.idx]
-	}
-	return f, rd.err
-}
-
-// EncodeModule serializes m to a byte slice.
-func EncodeModule(m *Module) []byte {
-	var buf bytes.Buffer
-	if _, err := WriteModule(&buf, m); err != nil {
-		// Writing to a bytes.Buffer cannot fail.
-		panic(err)
-	}
-	return buf.Bytes()
-}
-
-// DecodeModule deserializes a module from a byte slice.
-func DecodeModule(data []byte) (*Module, error) {
-	return ReadModule(bytes.NewReader(data))
+	return f
 }

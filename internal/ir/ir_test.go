@@ -2,11 +2,15 @@ package ir
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"propeller/internal/isa"
+	"propeller/internal/wire"
 )
 
 // buildDiamond constructs:
@@ -352,6 +356,154 @@ func TestDecodeRejectsGarbage(t *testing.T) {
 		if _, err := DecodeModule(data[:cut]); err == nil {
 			t.Errorf("decoded truncated input of %d bytes", cut)
 		}
+	}
+}
+
+// hostileHeader is a module "m" with no globals and one function "f" that
+// declares 1<<24 blocks and then ends: 20 bytes that used to cost 16.7 M
+// allocated blocks before the first read past the end failed.
+func hostileHeader() []byte {
+	w := &wire.Writer{Buf: []byte(irMagic)}
+	w.Str("m")
+	w.Int(0)
+	w.Int(1)
+	w.Str("f")
+	w.Str("")
+	w.Byte(0) // linkage
+	w.Int(0)  // params
+	w.Byte(0) // flags
+	w.U64(0)  // entry count
+	w.Int(0)  // next block id
+	w.Int(1 << 24)
+	return w.Buf
+}
+
+// oneBlockModule encodes a module whose only function has one returning
+// block, with the given parameter count and block id and the block's
+// successor and weight lists as given.
+func oneBlockModule(params, blockID uint64, succs, weights []uint64) []byte {
+	w := &wire.Writer{Buf: []byte(irMagic)}
+	w.Str("m")
+	w.Int(0)
+	w.Int(1)
+	w.Str("f")
+	w.Str("m")
+	w.Byte(0)
+	w.U64(params)
+	w.Byte(0)
+	w.U64(0)
+	w.Int(1) // next block id
+	w.Int(1) // blocks
+	w.U64(blockID)
+	w.Bool(false)
+	w.U64(0)
+	w.Int(0) // instructions
+	w.Byte(byte(TermReturn))
+	w.Byte(0)
+	w.Byte(0)
+	w.Int(len(succs))
+	for _, s := range succs {
+		w.U64(s)
+	}
+	w.Int(len(weights))
+	for _, wt := range weights {
+		w.U64(wt)
+	}
+	return w.Buf
+}
+
+// TestDecodeRejectsHostile: inputs a cache or a CLI can be handed must
+// fail cleanly — no panic, no allocation beyond the input's own scale, no
+// int that wrapped negative and would re-encode to the same bytes.
+func TestDecodeRejectsHostile(t *testing.T) {
+	valid := oneBlockModule(0, 0, nil, nil)
+	if _, err := DecodeModule(valid); err != nil {
+		t.Fatalf("the well-formed variant of the hostile rows does not decode: %v", err)
+	}
+	if len(hostileHeader()) != 20 {
+		t.Fatalf("hostile header is %d bytes, want 20", len(hostileHeader()))
+	}
+	for _, tc := range []struct {
+		name string
+		data []byte
+	}{
+		{"1<<24 blocks declared in a 20-byte header", hostileHeader()},
+		{"block id 2^63", oneBlockModule(0, 1<<63, nil, nil)},
+		{"parameter count 2^63", oneBlockModule(1<<63, 0, nil, nil)},
+		{"successor index out of range", oneBlockModule(0, 0, []uint64{1}, nil)},
+		{"more weights than successors", oneBlockModule(0, 0, []uint64{0}, []uint64{1, 2})},
+		{"trailing byte", append(append([]byte(nil), valid...), 0x00)},
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		start := time.Now()
+		_, err := DecodeModule(tc.data)
+		elapsed := time.Since(start)
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Errorf("%s: decoded without error", tc.name)
+		}
+		if n := after.TotalAlloc - before.TotalAlloc; n >= 1<<20 {
+			t.Errorf("%s: allocated %d bytes, want < 1 MB", tc.name, n)
+		}
+		if elapsed >= 50*time.Millisecond {
+			t.Errorf("%s: took %v, want < 50ms", tc.name, elapsed)
+		}
+	}
+}
+
+// FuzzDecodeModule: IR modules reach DecodeModule from the IR cache and
+// from files handed to wsc-cc and wsc-propeller -ir-dir. It must never
+// panic or allocate beyond its input's scale, and whatever it accepts
+// must re-encode to a fixed point.
+func FuzzDecodeModule(f *testing.F) {
+	f.Add(EncodeModule(randModule(rand.New(rand.NewSource(7)))))
+	f.Add([]byte(irMagic))
+	f.Add(hostileHeader())
+	f.Add(oneBlockModule(0, 1<<63, nil, nil))
+	f.Add(oneBlockModule(0, 0, []uint64{0}, []uint64{5}))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		m, err := DecodeModule(data)
+		if err != nil {
+			return
+		}
+		enc := EncodeModule(m)
+		again, err := DecodeModule(enc)
+		if err != nil {
+			t.Fatalf("re-decode of accepted input failed: %v", err)
+		}
+		if !bytes.Equal(enc, EncodeModule(again)) {
+			t.Fatal("encoding is not a fixed point over accepted inputs")
+		}
+	})
+}
+
+// TestEncodeModuleAllocs pins the encoder's allocation shape: the
+// blockIndex map per function plus the growth of the one output buffer,
+// and nothing per instruction, operand or string. (Through an io.Writer
+// every field escaped: 5.6 M allocations to encode Superroot's 6 MB.)
+func TestEncodeModuleAllocs(t *testing.T) {
+	const funcs, blocks, ins = 20, 8, 30
+	m := NewModule("wide")
+	for fi := 0; fi < funcs; fi++ {
+		f := m.NewFunc(fmt.Sprintf("fn_%d", fi), 2)
+		for len(f.Blocks) < blocks {
+			f.NewBlock()
+		}
+		for bi, b := range f.Blocks {
+			for i := 0; i < ins; i++ {
+				b.Emit(Inst{Op: isa.OpCall, Imm: int64(i) - 7, Sym: fmt.Sprintf("callee_%d_%d", fi, i)})
+			}
+			if bi+1 < blocks {
+				b.Jump(f.Blocks[bi+1])
+			} else {
+				b.Return()
+			}
+		}
+	}
+	got := testing.AllocsPerRun(10, func() { EncodeModule(m) })
+	if limit := float64(16 + 8*funcs); got > limit {
+		t.Errorf("EncodeModule of %d funcs / %d instructions: %.0f allocations, want <= %.0f", funcs, funcs*blocks*ins, got, limit)
 	}
 }
 

@@ -1,9 +1,6 @@
 package objfile
 
-import (
-	"encoding/binary"
-	"fmt"
-)
+import "propeller/internal/wire"
 
 // Binary serialization for objects and executables, so CLI tools can pass
 // artifacts through files and the build-system cache can store them.
@@ -13,170 +10,58 @@ const (
 	binMagic = "WBIN"
 )
 
-type enc struct{ buf []byte }
-
-func (e *enc) u64(v uint64) { e.buf = binary.AppendUvarint(e.buf, v) }
-func (e *enc) i64(v int64)  { e.buf = binary.AppendVarint(e.buf, v) }
-func (e *enc) b(v byte)     { e.buf = append(e.buf, v) }
-func (e *enc) bytes(p []byte) {
-	e.u64(uint64(len(p)))
-	e.buf = append(e.buf, p...)
-}
-func (e *enc) str(s string) {
-	e.u64(uint64(len(s)))
-	e.buf = append(e.buf, s...)
-}
-
-type dec struct {
-	buf []byte
-	pos int
-	err error
-}
-
-func (d *dec) fail(format string, args ...any) {
-	if d.err == nil {
-		d.err = fmt.Errorf("objfile: "+format, args...)
-	}
-}
-
-func (d *dec) u64() uint64 {
-	if d.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(d.buf[d.pos:])
-	if n <= 0 {
-		d.fail("truncated uvarint at %d", d.pos)
-		return 0
-	}
-	d.pos += n
-	return v
-}
-
-func (d *dec) i64() int64 {
-	if d.err != nil {
-		return 0
-	}
-	v, n := binary.Varint(d.buf[d.pos:])
-	if n <= 0 {
-		d.fail("truncated varint at %d", d.pos)
-		return 0
-	}
-	d.pos += n
-	return v
-}
-
-func (d *dec) b() byte {
-	if d.err != nil {
-		return 0
-	}
-	if d.pos >= len(d.buf) {
-		d.fail("truncated byte at %d", d.pos)
-		return 0
-	}
-	v := d.buf[d.pos]
-	d.pos++
-	return v
-}
-
-func (d *dec) bytes() []byte {
-	n := d.u64()
-	if d.err != nil || n == 0 {
-		return nil
-	}
-	if n > uint64(len(d.buf)-d.pos) {
-		d.fail("blob of %d bytes exceeds remaining %d", n, len(d.buf)-d.pos)
-		return nil
-	}
-	out := make([]byte, n)
-	copy(out, d.buf[d.pos:])
-	d.pos += int(n)
-	return out
-}
-
-func (d *dec) str() string { return string(d.bytes()) }
-
 // EncodeObject serializes an object file.
 func EncodeObject(o *Object) []byte {
-	e := &enc{}
-	e.buf = append(e.buf, objMagic...)
-	e.str(o.Name)
-	e.u64(uint64(len(o.Sections)))
+	w := &wire.Writer{Buf: []byte(objMagic)}
+	w.Str(o.Name)
+	w.Int(len(o.Sections))
 	for _, s := range o.Sections {
-		e.str(s.Name)
-		e.b(byte(s.Kind))
-		e.i64(s.Size)
-		e.i64(s.Align)
-		e.bytes(s.Data)
-		e.u64(uint64(len(s.Relocs)))
+		w.Str(s.Name)
+		w.Byte(byte(s.Kind))
+		w.I64(s.Size)
+		w.I64(s.Align)
+		w.Bytes(s.Data)
+		w.Int(len(s.Relocs))
 		for _, r := range s.Relocs {
-			e.i64(r.Off)
-			e.b(byte(r.Type))
-			e.str(r.Sym)
-			e.i64(r.Addend)
-			if r.Relax {
-				e.b(1)
-			} else {
-				e.b(0)
-			}
+			w.I64(r.Off)
+			w.Byte(byte(r.Type))
+			w.Str(r.Sym)
+			w.I64(r.Addend)
+			w.Bool(r.Relax)
 		}
 	}
-	e.u64(uint64(len(o.Symbols)))
+	w.Int(len(o.Symbols))
 	for _, s := range o.Symbols {
-		e.str(s.Name)
-		e.b(byte(s.Kind))
-		e.u64(uint64(s.Section))
-		e.i64(s.Off)
-		e.i64(s.Size)
-		if s.Global {
-			e.b(1)
-		} else {
-			e.b(0)
-		}
+		w.Str(s.Name)
+		w.Byte(byte(s.Kind))
+		w.Int(s.Section)
+		w.I64(s.Off)
+		w.I64(s.Size)
+		w.Bool(s.Global)
 	}
-	return e.buf
+	return w.Buf
 }
 
 // DecodeObject parses an object file produced by EncodeObject.
 func DecodeObject(data []byte) (*Object, error) {
-	if len(data) < 4 || string(data[:4]) != objMagic {
-		return nil, fmt.Errorf("objfile: bad object magic")
-	}
-	d := &dec{buf: data, pos: 4}
-	o := &Object{Name: d.str()}
-	nSec := d.u64()
-	if d.err == nil && nSec > 1<<24 {
-		return nil, fmt.Errorf("objfile: implausible section count %d", nSec)
-	}
-	for i := uint64(0); i < nSec && d.err == nil; i++ {
-		s := &Section{Name: d.str(), Kind: SectionKind(d.b())}
-		s.Size = d.i64()
-		s.Align = d.i64()
-		s.Data = d.bytes()
-		nRel := d.u64()
-		if d.err == nil && nRel > 1<<26 {
-			return nil, fmt.Errorf("objfile: implausible reloc count %d", nRel)
-		}
-		for j := uint64(0); j < nRel && d.err == nil; j++ {
-			r := Reloc{Off: d.i64(), Type: RelocType(d.b()), Sym: d.str(), Addend: d.i64()}
-			r.Relax = d.b() == 1
-			s.Relocs = append(s.Relocs, r)
+	r := wire.NewReader("objfile", objMagic, data)
+	o := &Object{Name: r.Str()}
+	for i, n := 0, r.Count(); i < n && r.Err() == nil; i++ {
+		s := &Section{Name: r.Str(), Kind: SectionKind(r.Byte()), Size: r.I64(), Align: r.I64(), Data: r.Bytes()}
+		for j, nRel := 0, r.Count(); j < nRel && r.Err() == nil; j++ {
+			s.Relocs = append(s.Relocs, Reloc{
+				Off: r.I64(), Type: RelocType(r.Byte()), Sym: r.Str(), Addend: r.I64(), Relax: r.Bool(),
+			})
 		}
 		o.Sections = append(o.Sections, s)
 	}
-	nSym := d.u64()
-	if d.err == nil && nSym > 1<<26 {
-		return nil, fmt.Errorf("objfile: implausible symbol count %d", nSym)
+	for i, n := 0, r.Count(); i < n && r.Err() == nil; i++ {
+		o.Symbols = append(o.Symbols, &Symbol{
+			Name: r.Str(), Kind: SymKind(r.Byte()), Section: r.Int(), Off: r.I64(), Size: r.I64(), Global: r.Bool(),
+		})
 	}
-	for i := uint64(0); i < nSym && d.err == nil; i++ {
-		s := &Symbol{Name: d.str(), Kind: SymKind(d.b())}
-		s.Section = int(d.u64())
-		s.Off = d.i64()
-		s.Size = d.i64()
-		s.Global = d.b() == 1
-		o.Symbols = append(o.Symbols, s)
-	}
-	if d.err != nil {
-		return nil, d.err
+	if err := r.Done(); err != nil {
+		return nil, err
 	}
 	if err := o.Validate(); err != nil {
 		return nil, err
@@ -186,113 +71,82 @@ func DecodeObject(data []byte) (*Object, error) {
 
 // EncodeBinary serializes an executable.
 func EncodeBinary(b *Binary) []byte {
-	e := &enc{}
-	e.buf = append(e.buf, binMagic...)
-	e.u64(b.Entry)
-	e.u64(b.TextBase)
-	e.bytes(b.Text)
-	e.u64(b.RodataBase)
-	e.bytes(b.Rodata)
-	e.u64(b.DataBase)
-	e.bytes(b.Data)
-	e.i64(b.BSSSize)
-	e.u64(uint64(len(b.Sections)))
+	w := &wire.Writer{Buf: []byte(binMagic)}
+	w.U64(b.Entry)
+	w.U64(b.TextBase)
+	w.Bytes(b.Text)
+	w.U64(b.RodataBase)
+	w.Bytes(b.Rodata)
+	w.U64(b.DataBase)
+	w.Bytes(b.Data)
+	w.I64(b.BSSSize)
+	w.Int(len(b.Sections))
 	for _, s := range b.Sections {
-		e.str(s.Name)
-		e.b(byte(s.Kind))
-		e.u64(s.Addr)
-		e.i64(s.Size)
+		w.Str(s.Name)
+		w.Byte(byte(s.Kind))
+		w.U64(s.Addr)
+		w.I64(s.Size)
 	}
-	e.u64(uint64(len(b.Symbols)))
+	w.Int(len(b.Symbols))
 	for _, s := range b.Symbols {
-		e.str(s.Name)
-		e.b(byte(s.Kind))
-		e.u64(s.Addr)
-		e.i64(s.Size)
+		w.Str(s.Name)
+		w.Byte(byte(s.Kind))
+		w.U64(s.Addr)
+		w.I64(s.Size)
 	}
-	e.bytes(b.BBAddrMap)
-	e.bytes(b.EHFrame)
-	e.bytes(b.LSDA)
-	e.bytes(b.Debug)
-	e.u64(uint64(len(b.Relas)))
+	w.Bytes(b.BBAddrMap)
+	w.Bytes(b.EHFrame)
+	w.Bytes(b.LSDA)
+	w.Bytes(b.Debug)
+	w.Int(len(b.Relas))
 	for _, r := range b.Relas {
-		e.u64(r.Addr)
-		e.b(byte(r.Type))
-		e.str(r.Sym)
-		e.i64(r.Addend)
+		w.U64(r.Addr)
+		w.Byte(byte(r.Type))
+		w.Str(r.Sym)
+		w.I64(r.Addend)
 	}
-	e.i64(b.RelaBytes)
-	if b.HugePages {
-		e.b(1)
-	} else {
-		e.b(0)
-	}
-	e.i64(b.TextFileBytes)
-	if b.HasRelocInfo {
-		e.b(1)
-	} else {
-		e.b(0)
-	}
-	e.str(b.BuildID)
-	return e.buf
+	w.I64(b.RelaBytes)
+	w.Bool(b.HugePages)
+	w.I64(b.TextFileBytes)
+	w.Bool(b.HasRelocInfo)
+	w.Str(b.BuildID)
+	return w.Buf
 }
 
 // DecodeBinary parses an executable produced by EncodeBinary.
 func DecodeBinary(data []byte) (*Binary, error) {
-	if len(data) < 4 || string(data[:4]) != binMagic {
-		return nil, fmt.Errorf("objfile: bad binary magic")
+	r := wire.NewReader("objfile", binMagic, data)
+	b := &Binary{
+		Entry: r.U64(), TextBase: r.U64(), Text: r.Bytes(),
+		RodataBase: r.U64(), Rodata: r.Bytes(),
+		DataBase: r.U64(), Data: r.Bytes(), BSSSize: r.I64(),
 	}
-	d := &dec{buf: data, pos: 4}
-	b := &Binary{}
-	b.Entry = d.u64()
-	b.TextBase = d.u64()
-	b.Text = d.bytes()
-	b.RodataBase = d.u64()
-	b.Rodata = d.bytes()
-	b.DataBase = d.u64()
-	b.Data = d.bytes()
-	b.BSSSize = d.i64()
-	nSec := d.u64()
-	if d.err == nil && nSec > 1<<26 {
-		return nil, fmt.Errorf("objfile: implausible section count %d", nSec)
-	}
-	for i := uint64(0); i < nSec && d.err == nil; i++ {
+	for i, n := 0, r.Count(); i < n && r.Err() == nil; i++ {
 		b.Sections = append(b.Sections, PlacedSection{
-			Name: d.str(), Kind: SectionKind(d.b()), Addr: d.u64(), Size: d.i64(),
+			Name: r.Str(), Kind: SectionKind(r.Byte()), Addr: r.U64(), Size: r.I64(),
 		})
 	}
-	nSym := d.u64()
-	if d.err == nil && nSym > 1<<26 {
-		return nil, fmt.Errorf("objfile: implausible symbol count %d", nSym)
-	}
-	for i := uint64(0); i < nSym && d.err == nil; i++ {
+	for i, n := 0, r.Count(); i < n && r.Err() == nil; i++ {
 		b.Symbols = append(b.Symbols, FinalSym{
-			Name: d.str(), Kind: SymKind(d.b()), Addr: d.u64(), Size: d.i64(),
+			Name: r.Str(), Kind: SymKind(r.Byte()), Addr: r.U64(), Size: r.I64(),
 		})
 	}
-	b.BBAddrMap = d.bytes()
-	b.EHFrame = d.bytes()
-	b.LSDA = d.bytes()
-	b.Debug = d.bytes()
-	nRela := d.u64()
-	if d.err == nil && nRela > 1<<28 {
-		return nil, fmt.Errorf("objfile: implausible relocation count %d", nRela)
-	}
-	for i := uint64(0); i < nRela && d.err == nil; i++ {
+	b.BBAddrMap = r.Bytes()
+	b.EHFrame = r.Bytes()
+	b.LSDA = r.Bytes()
+	b.Debug = r.Bytes()
+	for i, n := 0, r.Count(); i < n && r.Err() == nil; i++ {
 		b.Relas = append(b.Relas, FinalReloc{
-			Addr: d.u64(), Type: RelocType(d.b()), Sym: d.str(), Addend: d.i64(),
+			Addr: r.U64(), Type: RelocType(r.Byte()), Sym: r.Str(), Addend: r.I64(),
 		})
 	}
-	b.RelaBytes = d.i64()
-	b.HugePages = d.b() == 1
-	b.TextFileBytes = d.i64()
-	b.HasRelocInfo = d.b() == 1
-	b.BuildID = d.str()
-	if d.err != nil {
-		return nil, d.err
-	}
-	if d.pos != len(data) {
-		return nil, fmt.Errorf("objfile: %d trailing bytes", len(data)-d.pos)
+	b.RelaBytes = r.I64()
+	b.HugePages = r.Bool()
+	b.TextFileBytes = r.I64()
+	b.HasRelocInfo = r.Bool()
+	b.BuildID = r.Str()
+	if err := r.Done(); err != nil {
+		return nil, err
 	}
 	return b, nil
 }

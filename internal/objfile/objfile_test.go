@@ -1,6 +1,8 @@
 package objfile
 
 import (
+	"bytes"
+	"encoding/binary"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -108,6 +110,13 @@ func TestObjectDecodeTruncation(t *testing.T) {
 	}
 }
 
+func TestObjectDecodeRejectsTrailing(t *testing.T) {
+	data := append(EncodeObject(sampleObject()), 0x00)
+	if _, err := DecodeObject(data); err == nil {
+		t.Error("decoded object with a trailing byte: a cached object with garbage appended would pass")
+	}
+}
+
 func sampleBinary() *Binary {
 	return &Binary{
 		Entry:      0x200010,
@@ -146,9 +155,10 @@ func TestBinaryEncodeDecodeRoundTrip(t *testing.T) {
 }
 
 func TestBinaryDecodeRejectsTrailing(t *testing.T) {
-	data := append(EncodeBinary(sampleBinary()), 0xAB)
-	if _, err := DecodeBinary(data); err == nil {
-		t.Error("decoded binary with trailing bytes")
+	for _, b := range []byte{0xAB, 0x00} {
+		if _, err := DecodeBinary(append(EncodeBinary(sampleBinary()), b)); err == nil {
+			t.Errorf("decoded binary with trailing byte %#x", b)
+		}
 	}
 }
 
@@ -270,4 +280,52 @@ func TestObjectRoundTripRandom(t *testing.T) {
 			t.Fatalf("trial %d: mismatch", trial)
 		}
 	}
+}
+
+// FuzzDecodeObject: objects reach DecodeObject from the object cache and
+// from files handed to wsc-ld and wsc-objdump. It must never panic or
+// allocate beyond its input's scale, and whatever it accepts (Validate
+// included) must re-encode to a fixed point.
+func FuzzDecodeObject(f *testing.F) {
+	f.Add(EncodeObject(sampleObject()))
+	f.Add([]byte(objMagic))
+	f.Add(binary.AppendUvarint([]byte(objMagic+"\x00"), 1<<63)) // section count 2^63
+	f.Add(append(EncodeObject(sampleObject()), 0x00))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		o, err := DecodeObject(data)
+		if err != nil {
+			return
+		}
+		enc := EncodeObject(o)
+		again, err := DecodeObject(enc)
+		if err != nil {
+			t.Fatalf("re-decode of accepted input failed: %v", err)
+		}
+		if !bytes.Equal(enc, EncodeObject(again)) {
+			t.Fatal("encoding is not a fixed point over accepted inputs")
+		}
+	})
+}
+
+// FuzzDecodeBinary does the same for executables (wsc-sim, wsc-wpa,
+// wsc-objdump, wsc-bolt all read one from a file).
+func FuzzDecodeBinary(f *testing.F) {
+	f.Add(EncodeBinary(sampleBinary()))
+	f.Add([]byte(binMagic))
+	f.Add(binary.AppendUvarint([]byte(binMagic+"\x00\x00"), 1<<63)) // text length 2^63
+	f.Add(append(EncodeBinary(sampleBinary()), 0x00))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		b, err := DecodeBinary(data)
+		if err != nil {
+			return
+		}
+		enc := EncodeBinary(b)
+		again, err := DecodeBinary(enc)
+		if err != nil {
+			t.Fatalf("re-decode of accepted input failed: %v", err)
+		}
+		if !bytes.Equal(enc, EncodeBinary(again)) {
+			t.Fatal("encoding is not a fixed point over accepted inputs")
+		}
+	})
 }

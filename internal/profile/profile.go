@@ -196,56 +196,16 @@ const (
 	maxSamples    = 1 << 28
 )
 
-// errWriter latches the first error of a write sequence. bufio.Writer
-// already keeps a sticky error internally, but latching it here makes the
-// check explicit: no write result is discarded, and the encode loop stays
-// branch-light.
-type errWriter struct {
-	bw      *bufio.Writer
-	err     error
-	scratch [binary.MaxVarintLen64]byte
-}
-
-func (e *errWriter) str(s string) {
-	if e.err == nil {
-		_, e.err = e.bw.WriteString(s)
-	}
-}
-
-func (e *errWriter) u(v uint64) {
-	if e.err == nil {
-		n := binary.PutUvarint(e.scratch[:], v)
-		_, e.err = e.bw.Write(e.scratch[:n])
-	}
-}
-
 // Write serializes the profile (the perf.data stand-in).
 func (p *Profile) Write(w io.Writer) error {
-	ew := &errWriter{bw: bufio.NewWriter(w)}
-	ew.str(profMagicV2)
-	ew.u(uint64(len(p.Binary)))
-	ew.str(p.Binary)
-	ew.u(uint64(len(p.BuildID)))
-	ew.str(p.BuildID)
-	ew.u(p.Period)
-	ew.u(uint64(len(p.Samples)))
-	for _, s := range p.Samples {
-		ew.u(uint64(len(s.Records)))
-		for _, r := range s.Records {
-			ew.u(r.From)
-			ew.u(r.To)
-		}
-	}
-	if ew.err != nil {
-		return ew.err
-	}
-	return ew.bw.Flush()
+	_, err := w.Write(p.AppendWire(nil))
+	return err
 }
 
 // AppendWire appends the profile's wire encoding to dst and returns the
-// extended slice — byte-identical to what Write produces. This is the
-// collector batch path: encoding a small chunk into a reused buffer costs
-// zero allocations once the buffer has warmed up.
+// extended slice. This is the collector batch path: encoding a small chunk
+// into a reused buffer costs zero allocations once the buffer has warmed
+// up.
 func (p *Profile) AppendWire(dst []byte) []byte {
 	dst = append(dst, profMagicV2...)
 	dst = binary.AppendUvarint(dst, uint64(len(p.Binary)))

@@ -163,16 +163,11 @@ func (s *Service) handleProfile(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "no profile for build ID "+id, http.StatusNotFound)
 		return
 	}
-	var buf bytes.Buffer
-	if err := p.Write(&buf); err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
 	s.mu.Lock()
 	s.servedGet++
 	s.mu.Unlock()
 	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Write(buf.Bytes())
+	w.Write(p.AppendWire(nil))
 }
 
 func (s *Service) handleStatusz(w http.ResponseWriter, r *http.Request) {
@@ -223,11 +218,7 @@ func (c *Client) http() *http.Client {
 // Publish serializes the profile and POSTs it to /publish.
 func (c *Client) Publish(p *profile.Profile) (PublishReply, error) {
 	var rep PublishReply
-	var buf bytes.Buffer
-	if err := p.Write(&buf); err != nil {
-		return rep, err
-	}
-	resp, err := c.http().Post(c.BaseURL+"/publish", "application/octet-stream", &buf)
+	resp, err := c.http().Post(c.BaseURL+"/publish", "application/octet-stream", bytes.NewReader(p.AppendWire(nil)))
 	if err != nil {
 		return rep, err
 	}

@@ -358,3 +358,15 @@ func CrossModule() (lib, app *ir.Module) {
 	e.Halt()
 	return lib, app
 }
+
+// MultiModule returns the three-module program the pipeline tests share:
+// HotCold(20000) as module "hotmod" (its main is the entry), then
+// CrossModule's lib and app with app's main renamed app_entry so the entry
+// symbols do not clash.
+func MultiModule() []*ir.Module {
+	lib, app := CrossModule()
+	hot := HotCold(20000)
+	hot.Name = "hotmod"
+	app.Func("main").Name = "app_entry"
+	return []*ir.Module{hot, lib, app}
+}

@@ -1,0 +1,145 @@
+// Package wire is the tree's one varint codec: the append-to-[]byte Writer
+// and the checked Reader every cached or shipped format is written and
+// parsed with (profile's stream decoder, whose bytes arrive incrementally,
+// is the one exception).
+//
+// Reader rules: the first error sticks, names the owning package and is
+// what Done reports, and every later read returns a zero value; Int rejects
+// values past MaxInt (they would wrap negative and re-encode unchanged);
+// Count rejects a count above the bytes that remain (every element of every
+// format costs at least one), so no header allocates more than its input;
+// Str and Bytes copy, never aliasing the input; Done rejects trailing bytes.
+package wire
+
+import (
+	"encoding/binary"
+	"fmt"
+	"math"
+)
+
+// Writer appends a wire encoding to Buf, which starts as the format's magic.
+type Writer struct{ Buf []byte }
+
+func (w *Writer) U64(v uint64) { w.Buf = binary.AppendUvarint(w.Buf, v) }
+func (w *Writer) I64(v int64)  { w.Buf = binary.AppendVarint(w.Buf, v) }
+func (w *Writer) Byte(b byte)  { w.Buf = append(w.Buf, b) }
+
+// Int writes a non-negative int: an id, a counter or an element count.
+func (w *Writer) Int(v int) { w.U64(uint64(v)) }
+
+func (w *Writer) Bool(b bool) {
+	if b {
+		w.Byte(1)
+	} else {
+		w.Byte(0)
+	}
+}
+
+// Str and Bytes write a length prefix, then the contents.
+func (w *Writer) Str(s string)   { w.Int(len(s)); w.Buf = append(w.Buf, s...) }
+func (w *Writer) Bytes(p []byte) { w.Int(len(p)); w.Buf = append(w.Buf, p...) }
+
+// Reader parses a wire encoding; the package comment has its rules.
+type Reader struct {
+	pkg  string
+	data []byte
+	off  int
+	err  error
+}
+
+// NewReader reads data, prefixing errors with pkg; a wrong magic is the first.
+func NewReader(pkg, magic string, data []byte) *Reader {
+	r := &Reader{pkg: pkg, data: data}
+	if len(data) >= len(magic) && string(data[:len(magic)]) == magic {
+		r.off = len(magic)
+	} else {
+		r.Fail("bad magic, want %q", magic)
+	}
+	return r
+}
+
+// Fail records a decoder's own check, unless an earlier error is set.
+func (r *Reader) Fail(format string, args ...any) {
+	if r.err == nil {
+		r.err = fmt.Errorf(r.pkg+": "+format, args...)
+	}
+}
+
+// Err returns the first error, if any.
+func (r *Reader) Err() error { return r.err }
+
+// Done returns the first error, or an error if input remains unread.
+func (r *Reader) Done() error {
+	if r.off != len(r.data) {
+		r.Fail("%d trailing bytes", len(r.data)-r.off)
+	}
+	return r.err
+}
+
+func (r *Reader) U64() uint64 {
+	if r.err != nil {
+		return 0
+	}
+	v, n := binary.Uvarint(r.data[r.off:])
+	if n <= 0 { // encoding/binary's report of truncation (0) or overflow (<0)
+		r.Fail("truncated or overlong varint at offset %d", r.off)
+		return 0
+	}
+	r.off += n
+	return v
+}
+
+// I64 undoes binary.AppendVarint's zig-zag over U64, sharing its checks.
+func (r *Reader) I64() int64 {
+	u := r.U64()
+	return int64(u>>1) ^ -int64(u&1)
+}
+
+func (r *Reader) Byte() byte {
+	if r.err != nil || r.off >= len(r.data) {
+		r.Fail("truncated byte at offset %d", r.off)
+		return 0
+	}
+	r.off++
+	return r.data[r.off-1]
+}
+
+// Bool reads a byte that must be 0 or 1.
+func (r *Reader) Bool() bool {
+	b := r.Byte()
+	if b > 1 {
+		r.Fail("bad bool %d before offset %d", b, r.off)
+	}
+	return b == 1
+}
+
+// Int reads a value that must fit a non-negative int.
+func (r *Reader) Int() int {
+	v := r.U64()
+	if v <= math.MaxInt {
+		return int(v)
+	}
+	r.Fail("value %d before offset %d overflows int", v, r.off)
+	return 0
+}
+
+// Count reads an element count or byte length.
+func (r *Reader) Count() int {
+	v := r.U64()
+	if v <= uint64(len(r.data)-r.off) {
+		return int(v)
+	}
+	r.Fail("count %d before offset %d exceeds remaining input", v, r.off)
+	return 0
+}
+
+// span consumes a length-prefixed run of bytes.
+func (r *Reader) span() []byte {
+	n := r.Count()
+	r.off += n
+	return r.data[r.off-n : r.off]
+}
+
+// Str and Bytes read a length-prefixed string or blob (nil when empty).
+func (r *Reader) Str() string   { return string(r.span()) }
+func (r *Reader) Bytes() []byte { return append([]byte(nil), r.span()...) }

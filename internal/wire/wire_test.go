@@ -1,0 +1,127 @@
+package wire
+
+import (
+	"bytes"
+	"encoding/binary"
+	"math"
+	"strings"
+	"testing"
+)
+
+func TestRoundTrip(t *testing.T) {
+	w := &Writer{Buf: []byte("MAGC")}
+	ints := []int64{0, 1, -1, 63, -64, 64, math.MaxInt64, math.MinInt64}
+	for _, v := range ints {
+		w.I64(v)
+	}
+	w.U64(math.MaxUint64)
+	w.Int(math.MaxInt)
+	w.Byte(0xfe)
+	w.Bool(true)
+	w.Bool(false)
+	w.Str("héllo")
+	w.Str("")
+	w.Bytes([]byte{1, 2, 3})
+	w.Bytes(nil)
+
+	r := NewReader("pkg", "MAGC", w.Buf)
+	for _, want := range ints {
+		if got := r.I64(); got != want {
+			t.Errorf("I64 = %d, want %d", got, want)
+		}
+	}
+	if got := r.U64(); got != math.MaxUint64 {
+		t.Errorf("U64 = %d", got)
+	}
+	if got := r.Int(); got != math.MaxInt {
+		t.Errorf("Int = %d", got)
+	}
+	if got := r.Byte(); got != 0xfe {
+		t.Errorf("Byte = %#x", got)
+	}
+	if !r.Bool() || r.Bool() {
+		t.Error("Bool round trip")
+	}
+	if got := r.Str(); got != "héllo" {
+		t.Errorf("Str = %q", got)
+	}
+	if got := r.Str(); got != "" {
+		t.Errorf("empty Str = %q", got)
+	}
+	blob := r.Bytes()
+	if !bytes.Equal(blob, []byte{1, 2, 3}) {
+		t.Errorf("Bytes = %v", blob)
+	}
+	if got := r.Bytes(); got != nil {
+		t.Errorf("empty Bytes = %v, want nil", got)
+	}
+	if err := r.Done(); err != nil {
+		t.Fatal(err)
+	}
+	// Decoded blobs are copies, never views of the input.
+	blob[0] = 9
+	if w.Buf[len(w.Buf)-4] != 1 {
+		t.Error("Bytes aliases the input")
+	}
+}
+
+func TestReaderRejects(t *testing.T) {
+	overlong := bytes.Repeat([]byte{0xff}, 10) // ten continuation bytes: more than 64 bits
+	maxIntPlus1 := binary.AppendUvarint(nil, math.MaxInt+1)
+	huge := binary.AppendUvarint(nil, 1<<63)
+	for _, tc := range []struct {
+		name  string
+		magic string
+		data  []byte
+		read  func(*Reader)
+		want  string
+	}{
+		{"short magic", "MAGC", []byte("MAG"), func(r *Reader) { r.U64() }, "bad magic"},
+		{"wrong magic", "MAGC", []byte("MAGX\x00"), func(r *Reader) { r.U64() }, "bad magic"},
+		{"truncated varint", "", []byte{0x80}, func(r *Reader) { r.U64() }, "varint at offset 0"},
+		{"empty varint", "", nil, func(r *Reader) { r.I64() }, "varint at offset 0"},
+		{"overlong varint", "", overlong, func(r *Reader) { r.U64() }, "varint at offset 0"},
+		{"overlong signed varint", "", overlong, func(r *Reader) { r.I64() }, "varint at offset 0"},
+		{"truncated byte", "M", []byte("M"), func(r *Reader) { r.Byte() }, "truncated byte at offset 1"},
+		{"bad bool", "", []byte{2}, func(r *Reader) { r.Bool() }, "bad bool 2"},
+		{"Int > MaxInt", "", maxIntPlus1, func(r *Reader) { r.Int() }, "overflows int"},
+		{"count > remaining", "", []byte{3, 'a', 'b'}, func(r *Reader) { r.Count() }, "count 3 before offset 1 exceeds"},
+		{"Str past end", "", []byte{3, 'a', 'b'}, func(r *Reader) { r.Str() }, "exceeds remaining"},
+		{"Bytes past end", "", append(huge, 'x'), func(r *Reader) { r.Bytes() }, "exceeds remaining"},
+		{"trailing byte", "", []byte{1, 0}, func(r *Reader) { r.U64() }, "1 trailing bytes"},
+	} {
+		r := NewReader("pkg", tc.magic, tc.data)
+		tc.read(r)
+		err := r.Done()
+		if err == nil || !strings.HasPrefix(err.Error(), "pkg: ") || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: err = %v, want pkg: ...%s...", tc.name, err, tc.want)
+		}
+	}
+}
+
+// TestFirstErrorSticks: after a failure every read yields a zero value
+// without consuming input, a decoder's own Fail does not replace it, and
+// Done reports it rather than the bytes left over.
+func TestFirstErrorSticks(t *testing.T) {
+	r := NewReader("pkg", "", []byte{9, 5, 1, 'x', 7})
+	if r.Count() != 0 || r.Err() == nil {
+		t.Fatal("count of 9 with 4 bytes left accepted")
+	}
+	first := r.Err()
+	if r.U64() != 0 || r.I64() != 0 || r.Int() != 0 || r.Count() != 0 || r.Byte() != 0 || r.Bool() || r.Str() != "" || r.Bytes() != nil {
+		t.Error("read after an error returned a non-zero value")
+	}
+	r.Fail("semantic check")
+	if r.Err() != first || r.Done() != first {
+		t.Errorf("first error replaced: %v, then %v", first, r.Done())
+	}
+
+	ok := NewReader("pkg", "", []byte{4})
+	if ok.Int() != 4 {
+		t.Fatal("Int")
+	}
+	ok.Fail("block id %d out of range", 4)
+	if err := ok.Done(); err == nil || err.Error() != "pkg: block id 4 out of range" {
+		t.Errorf("Fail: %v", err)
+	}
+}

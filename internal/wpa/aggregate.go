@@ -12,16 +12,15 @@
 package wpa
 
 import (
-	"encoding/binary"
 	"fmt"
 	"io"
-	"math"
 	"sort"
 	"sync"
 	"time"
 
 	"propeller/internal/bbaddrmap"
 	"propeller/internal/profile"
+	"propeller/internal/wire"
 )
 
 // funcProfile is one function's position-independent profile
@@ -295,34 +294,31 @@ const aggMagic = "WAG1"
 
 // EncodeAggregate serializes the aggregate deterministically.
 func EncodeAggregate(a *Aggregate) []byte {
-	buf := append([]byte(nil), aggMagic...)
-	uv := func(v uint64) { buf = binary.AppendUvarint(buf, v) }
-	str := func(s string) { uv(uint64(len(s))); buf = append(buf, s...) }
-
-	uv(uint64(a.profileBytes))
-	uv(uint64(a.samples))
-	uv(uint64(a.records))
-	uv(uint64(a.branchEdges))
-	uv(uint64(a.callEdgeN))
+	w := &wire.Writer{Buf: []byte(aggMagic)}
+	w.Int(int(a.profileBytes))
+	w.Int(a.samples)
+	w.Int(a.records)
+	w.Int(a.branchEdges)
+	w.Int(a.callEdgeN)
 
 	names := make([]string, 0, len(a.funcs))
 	for fn := range a.funcs {
 		names = append(names, fn)
 	}
 	sort.Strings(names)
-	uv(uint64(len(names)))
+	w.Int(len(names))
 	for _, fn := range names {
 		fp := a.funcs[fn]
-		str(fn)
+		w.Str(fn)
 		ids := make([]int, 0, len(fp.counts))
 		for id := range fp.counts {
 			ids = append(ids, id)
 		}
 		sort.Ints(ids)
-		uv(uint64(len(ids)))
+		w.Int(len(ids))
 		for _, id := range ids {
-			uv(uint64(id))
-			uv(fp.counts[id])
+			w.Int(id)
+			w.U64(fp.counts[id])
 		}
 		eks := make([]edgeKey, 0, len(fp.edges))
 		for k := range fp.edges {
@@ -334,11 +330,11 @@ func EncodeAggregate(a *Aggregate) []byte {
 			}
 			return eks[i].to < eks[j].to
 		})
-		uv(uint64(len(eks)))
+		w.Int(len(eks))
 		for _, k := range eks {
-			uv(uint64(k.from))
-			uv(uint64(k.to))
-			uv(fp.edges[k])
+			w.Int(k.from)
+			w.Int(k.to)
+			w.U64(fp.edges[k])
 		}
 	}
 
@@ -356,158 +352,48 @@ func EncodeAggregate(a *Aggregate) []byte {
 		}
 		return a.callee < b.callee
 	})
-	uv(uint64(len(cks)))
+	w.Int(len(cks))
 	for _, k := range cks {
-		str(k.fn)
-		uv(uint64(k.block))
-		str(k.callee)
-		uv(a.calls[k])
+		w.Str(k.fn)
+		w.Int(k.block)
+		w.Str(k.callee)
+		w.U64(a.calls[k])
 	}
-	return buf
-}
-
-// aggDec is a bounds-checked varint reader over an encoded aggregate.
-type aggDec struct {
-	data []byte
-	off  int
-}
-
-func (d *aggDec) uvarint() (uint64, error) {
-	v, n := binary.Uvarint(d.data[d.off:])
-	if n <= 0 {
-		return 0, fmt.Errorf("wpa: aggregate codec: truncated varint at offset %d", d.off)
-	}
-	d.off += n
-	return v, nil
-}
-
-// int reads a value that must be a non-negative int — a block id or a
-// counter. Casting unchecked, an entry holding 2^63 or more would decode
-// to a negative int that re-encodes to the very same bytes.
-func (d *aggDec) int() (int, error) {
-	v, err := d.uvarint()
-	if err != nil {
-		return 0, err
-	}
-	if v > math.MaxInt {
-		return 0, fmt.Errorf("wpa: aggregate codec: value %d before offset %d overflows int", v, d.off)
-	}
-	return int(v), nil
-}
-
-func (d *aggDec) count() (int, error) {
-	v, err := d.uvarint()
-	if err != nil {
-		return 0, err
-	}
-	// No element costs fewer than one encoded byte, so any count beyond
-	// the remaining input is corrupt; rejecting it here keeps a hostile
-	// header from provoking a huge allocation.
-	if v > uint64(len(d.data)-d.off) {
-		return 0, fmt.Errorf("wpa: aggregate codec: count %d exceeds remaining input", v)
-	}
-	return int(v), nil
-}
-
-func (d *aggDec) str() (string, error) {
-	n, err := d.count()
-	if err != nil {
-		return "", err
-	}
-	s := string(d.data[d.off : d.off+n])
-	d.off += n
-	return s, nil
+	return w.Buf
 }
 
 // DecodeAggregate parses an EncodeAggregate value. It never panics on
 // corrupt input (fuzzed); a decoded aggregate re-encodes byte-identically.
 func DecodeAggregate(data []byte) (*Aggregate, error) {
-	if len(data) < len(aggMagic) || string(data[:len(aggMagic)]) != aggMagic {
-		return nil, fmt.Errorf("wpa: aggregate codec: bad magic")
-	}
-	d := &aggDec{data: data, off: len(aggMagic)}
+	r := wire.NewReader("wpa: aggregate codec", aggMagic, data)
 	a := newAggregate()
-	var err error
-	getu := func() uint64 {
-		if err != nil {
-			return 0
-		}
-		var v uint64
-		v, err = d.uvarint()
-		return v
-	}
-	geti := func() int {
-		if err != nil {
-			return 0
-		}
-		var v int
-		v, err = d.int()
-		return v
-	}
-	getn := func() int {
-		if err != nil {
-			return 0
-		}
-		var n int
-		n, err = d.count()
-		return n
-	}
-	gets := func() string {
-		if err != nil {
-			return ""
-		}
-		var s string
-		s, err = d.str()
-		return s
-	}
-	a.profileBytes = int64(geti())
-	a.samples = geti()
-	a.records = geti()
-	a.branchEdges = geti()
-	a.callEdgeN = geti()
-	nFuncs := getn()
-	for i := 0; i < nFuncs && err == nil; i++ {
-		fn := gets()
-		if err != nil {
-			break
-		}
+	a.profileBytes = int64(r.Int())
+	a.samples = r.Int()
+	a.records = r.Int()
+	a.branchEdges = r.Int()
+	a.callEdgeN = r.Int()
+	for i, nFuncs := 0, r.Count(); i < nFuncs && r.Err() == nil; i++ {
+		fn := r.Str()
 		if _, dup := a.funcs[fn]; dup {
-			return nil, fmt.Errorf("wpa: aggregate codec: duplicate function %q", fn)
+			r.Fail("duplicate function %q", fn)
 		}
 		fp := &funcProfile{counts: map[int]uint64{}, edges: map[edgeKey]uint64{}}
 		a.funcs[fn] = fp
-		nCounts := getn()
-		for j := 0; j < nCounts && err == nil; j++ {
-			id := geti()
-			c := getu()
-			if err == nil {
-				fp.counts[id] = c
-			}
+		for j, n := 0, r.Count(); j < n && r.Err() == nil; j++ {
+			id := r.Int()
+			fp.counts[id] = r.U64()
 		}
-		nEdges := getn()
-		for j := 0; j < nEdges && err == nil; j++ {
-			from, to := geti(), geti()
-			w := getu()
-			if err == nil {
-				fp.edges[edgeKey{from, to}] = w
-			}
+		for j, n := 0, r.Count(); j < n && r.Err() == nil; j++ {
+			k := edgeKey{from: r.Int(), to: r.Int()}
+			fp.edges[k] = r.U64()
 		}
 	}
-	nCalls := getn()
-	for i := 0; i < nCalls && err == nil; i++ {
-		fn := gets()
-		block := geti()
-		callee := gets()
-		w := getu()
-		if err == nil {
-			a.calls[callKey{fn, block, callee}] += w
-		}
+	for i, nCalls := 0, r.Count(); i < nCalls && r.Err() == nil; i++ {
+		k := callKey{fn: r.Str(), block: r.Int(), callee: r.Str()}
+		a.calls[k] += r.U64()
 	}
-	if err != nil {
+	if err := r.Done(); err != nil {
 		return nil, err
-	}
-	if d.off != len(data) {
-		return nil, fmt.Errorf("wpa: aggregate codec: %d trailing bytes", len(data)-d.off)
 	}
 	return a, nil
 }

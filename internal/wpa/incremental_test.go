@@ -236,7 +236,8 @@ func TestLayoutEntryCodec(t *testing.T) {
 	}
 	good := encodeLayoutEntry(intraOut{cluster: []int{0, 1}, samples: 9})
 	wrapID := binary.AppendUvarint([]byte(layoutEntryMagic+"\x00\x09\x01"), 1<<63) // 9 samples, one block id
-	for _, corrupt := range [][]byte{nil, []byte("WFL"), good[:len(good)-1], append(append([]byte(nil), good...), 1), wrapID} {
+	skipThenByte := append(encodeLayoutEntry(intraOut{skip: true}), 0)
+	for _, corrupt := range [][]byte{nil, []byte("WFL"), good[:len(good)-1], append(append([]byte(nil), good...), 1), append(append([]byte(nil), good...), 0), skipThenByte, wrapID} {
 		if _, err := decodeLayoutEntry(corrupt); err == nil {
 			t.Errorf("corrupt layout entry decoded without error")
 		}

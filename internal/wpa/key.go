@@ -15,14 +15,13 @@ package wpa
 import (
 	"bytes"
 	"crypto/sha256"
-	"encoding/binary"
 	"encoding/hex"
 	"fmt"
-	"io"
 	"sort"
 
 	"propeller/internal/buildsys"
 	"propeller/internal/layoutfile"
+	"propeller/internal/wire"
 )
 
 // contentHash fingerprints a function's static shape from the BB address
@@ -31,20 +30,15 @@ import (
 // are derived from the blocks that precede a block, so the shape already
 // determines them relative to the entry).
 func (fi *funcInfo) contentHash() string {
-	h := sha256.New()
-	var scratch [binary.MaxVarintLen64]byte
-	vi := func(v int64) {
-		n := binary.PutVarint(scratch[:], v)
-		h.Write(scratch[:n])
-	}
-	io.WriteString(h, fi.name)
-	vi(int64(fi.entryID))
-	vi(int64(len(fi.order)))
+	w := &wire.Writer{Buf: []byte(fi.name)}
+	w.I64(int64(fi.entryID))
+	w.I64(int64(len(fi.order)))
 	for _, id := range fi.order {
-		vi(int64(id))
-		vi(fi.sizes[id])
+		w.I64(int64(id))
+		w.I64(fi.sizes[id])
 	}
-	return hex.EncodeToString(h.Sum(nil))
+	sum := sha256.Sum256(w.Buf)
+	return hex.EncodeToString(sum[:])
 }
 
 // layoutPolicyKey captures every Config knob that influences layout
@@ -123,57 +117,30 @@ func globalLayoutCacheKey(epoch, policy string, funcHashes []string) string {
 const layoutEntryMagic = "WFL1"
 
 func encodeLayoutEntry(o intraOut) []byte {
-	buf := append([]byte(nil), layoutEntryMagic...)
+	w := &wire.Writer{Buf: []byte(layoutEntryMagic)}
+	w.Bool(o.skip)
 	if o.skip {
-		return append(buf, 1)
+		return w.Buf
 	}
-	buf = append(buf, 0)
-	buf = binary.AppendUvarint(buf, o.samples)
-	buf = binary.AppendUvarint(buf, uint64(len(o.cluster)))
+	w.U64(o.samples)
+	w.Int(len(o.cluster))
 	for _, id := range o.cluster {
-		buf = binary.AppendUvarint(buf, uint64(id))
+		w.Int(id)
 	}
-	return buf
+	return w.Buf
 }
 
 func decodeLayoutEntry(data []byte) (intraOut, error) {
-	var o intraOut
-	if len(data) < len(layoutEntryMagic)+1 || string(data[:len(layoutEntryMagic)]) != layoutEntryMagic {
-		return o, fmt.Errorf("wpa: layout-entry codec: bad magic")
-	}
-	d := &aggDec{data: data, off: len(layoutEntryMagic)}
-	switch data[d.off] {
-	case 1:
-		o.skip = true
-		d.off++
-		if d.off != len(data) {
-			return o, fmt.Errorf("wpa: layout-entry codec: trailing bytes after skip marker")
-		}
-		return o, nil
-	case 0:
-		d.off++
-	default:
-		return o, fmt.Errorf("wpa: layout-entry codec: bad skip marker %d", data[d.off])
-	}
-	samples, err := d.uvarint()
-	if err != nil {
-		return o, err
-	}
-	n, err := d.count()
-	if err != nil {
-		return o, err
-	}
-	o.samples = samples
-	o.cluster = make([]int, n)
-	for i := 0; i < n; i++ {
-		if o.cluster[i], err = d.int(); err != nil {
-			return o, err
+	r := wire.NewReader("wpa: layout-entry codec", layoutEntryMagic, data)
+	o := intraOut{skip: r.Bool()}
+	if !o.skip {
+		o.samples = r.U64()
+		o.cluster = make([]int, r.Count())
+		for i := range o.cluster {
+			o.cluster[i] = r.Int()
 		}
 	}
-	if d.off != len(data) {
-		return o, fmt.Errorf("wpa: layout-entry codec: %d trailing bytes", len(data)-d.off)
-	}
-	return o, nil
+	return o, r.Done()
 }
 
 // Global layout artifact codec: the cached result of the "global layout"
@@ -191,33 +158,17 @@ func encodeArtifacts(res *Result) ([]byte, error) {
 	if err := layoutfile.WriteOrder(&ld, res.Order); err != nil {
 		return nil, err
 	}
-	buf := append([]byte(nil), artifactsMagic...)
-	buf = binary.AppendUvarint(buf, uint64(cc.Len()))
-	buf = append(buf, cc.Bytes()...)
-	buf = binary.AppendUvarint(buf, uint64(ld.Len()))
-	buf = append(buf, ld.Bytes()...)
-	return buf, nil
+	w := &wire.Writer{Buf: []byte(artifactsMagic)}
+	w.Bytes(cc.Bytes())
+	w.Bytes(ld.Bytes())
+	return w.Buf, nil
 }
 
 func decodeArtifacts(data []byte, res *Result) error {
-	if len(data) < len(artifactsMagic) || string(data[:len(artifactsMagic)]) != artifactsMagic {
-		return fmt.Errorf("wpa: artifact codec: bad magic")
-	}
-	d := &aggDec{data: data, off: len(artifactsMagic)}
-	ccN, err := d.count()
-	if err != nil {
+	r := wire.NewReader("wpa: artifact codec", artifactsMagic, data)
+	cc, ld := r.Bytes(), r.Bytes()
+	if err := r.Done(); err != nil {
 		return err
-	}
-	cc := data[d.off : d.off+ccN]
-	d.off += ccN
-	ldN, err := d.count()
-	if err != nil {
-		return err
-	}
-	ld := data[d.off : d.off+ldN]
-	d.off += ldN
-	if d.off != len(data) {
-		return fmt.Errorf("wpa: artifact codec: %d trailing bytes", len(data)-d.off)
 	}
 	dirs, err := layoutfile.ParseDirectives(bytes.NewReader(cc))
 	if err != nil {

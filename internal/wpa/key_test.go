@@ -1,11 +1,20 @@
 package wpa
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"reflect"
+	"sort"
 	"testing"
 
+	"propeller/internal/bbaddrmap"
 	"propeller/internal/buildsys"
+	"propeller/internal/codegen"
 	"propeller/internal/exttsp"
+	"propeller/internal/linker"
+	"propeller/internal/objfile"
+	"propeller/internal/sim"
+	"propeller/internal/testprog"
 )
 
 // TestLayoutPolicyKeyCoversParams walks exttsp.Params by reflection and
@@ -109,5 +118,85 @@ func TestCacheNeverAliasesAcrossParams(t *testing.T) {
 		if !reflect.DeepEqual(warm.Directives, fresh.Directives) {
 			t.Errorf("params %+v: warm directives diverged", p)
 		}
+	}
+}
+
+// TestCacheEntryFormatsGolden is the in-package half of integration's
+// TestWireFormatsGolden: the two cache-entry formats with no exported
+// encoder — every per-function WFL1 entry and the WGA1 artifact pair the
+// incremental analysis of testprog's multi-module program publishes, read
+// back out of its cache — and the per-function cache keys they sit under
+// (contentHash feeds them), pinned to hashes taken before the codecs moved
+// onto internal/wire.
+func TestCacheEntryFormatsGolden(t *testing.T) {
+	var objs []*objfile.Object
+	for _, mod := range testprog.MultiModule() {
+		obj, err := codegen.Compile(mod, codegen.Options{Mode: codegen.ModeLabels, DataInCode: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		objs = append(objs, obj)
+	}
+	bin, _, err := linker.Link(objs, linker.Config{EmitAddrMap: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mach, err := sim.Load(bin)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run, err := mach.Run(sim.Config{MaxInsts: 20_000_000, LBRPeriod: 211})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := bbaddrmap.Decode(bin.BBAddrMap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{Cache: buildsys.NewCache(), ProfileEpoch: "golden"}
+	res, err := Analyze(m, run.Profile, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	infos, err := funcInfos(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := make([]string, 0, len(infos))
+	for fn := range infos {
+		names = append(names, fn)
+	}
+	sort.Strings(names)
+	wfl, keys, laidOut := sha256.New(), sha256.New(), 0
+	for _, fn := range names {
+		key := funcLayoutCacheKey(cfg.ProfileEpoch, cfg.funcPolicyKey(fn), infos[fn].contentHash())
+		keys.Write([]byte(key))
+		data, ok := cfg.Cache.Get(key)
+		if !ok {
+			continue
+		}
+		if o, err := decodeLayoutEntry(data); err != nil {
+			t.Fatalf("%s: %v", fn, err)
+		} else if !o.skip {
+			laidOut++
+		}
+		wfl.Write(data)
+	}
+	if laidOut == 0 {
+		t.Fatal("no function was laid out: the WFL1 hash would cover skip markers only")
+	}
+	wga, err := encodeArtifacts(res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wgaSum := sha256.Sum256(wga)
+	if got, want := hex.EncodeToString(wfl.Sum(nil)), "722ba45b3d8bd6a5845fd9bc3fc954b1475fe1f6050eca5d256005f3076aaf4e"; got != want {
+		t.Errorf("WFL1 entries: sha256 %s, want %s", got, want)
+	}
+	if got, want := hex.EncodeToString(keys.Sum(nil)), "8dd00c5636e0787e172b4af163241d23b43c64345c1ab9676c1ab6421b4db366"; got != want {
+		t.Errorf("per-function layout cache keys: sha256 %s, want %s", got, want)
+	}
+	if got, want := hex.EncodeToString(wgaSum[:]), "166820743a2361f5e4646c2bb14079c372906665c71a7c4c6789864f733944b2"; got != want {
+		t.Errorf("WGA1 entry: sha256 %s, want %s", got, want)
 	}
 }
