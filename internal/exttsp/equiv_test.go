@@ -215,7 +215,39 @@ func (st *refState) chainScore(nodes []int) float64 {
 	return total
 }
 
-func (st *refState) bestMerge(x, y *refChain) (mergeCandidate, bool) {
+// refCandidate is the reference's merge candidate: the materialised order
+// production no longer carries.
+type refCandidate struct {
+	gain       float64
+	x, y       int
+	xGen, yGen int
+	order      []int
+}
+
+// refHeap orders refCandidates as candidateHeap orders mergeCandidates.
+type refHeap []refCandidate
+
+func (h refHeap) Len() int { return len(h) }
+func (h refHeap) Less(i, j int) bool {
+	if h[i].gain != h[j].gain {
+		return h[i].gain > h[j].gain
+	}
+	if h[i].x != h[j].x {
+		return h[i].x < h[j].x
+	}
+	return h[i].y < h[j].y
+}
+func (h refHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
+func (h *refHeap) Push(x any)   { *h = append(*h, x.(refCandidate)) }
+func (h *refHeap) Pop() any {
+	old := *h
+	n := len(old)
+	item := old[n-1]
+	*h = old[:n-1]
+	return item
+}
+
+func (st *refState) bestMerge(x, y *refChain) (refCandidate, bool) {
 	baseX := st.chainScore(x.nodes)
 	baseY := st.chainScore(y.nodes)
 	forced := st.opts.ForcedFirst
@@ -228,7 +260,7 @@ func (st *refState) bestMerge(x, y *refChain) (mergeCandidate, bool) {
 		}
 		return seq[0] == forced
 	}
-	best := mergeCandidate{gain: -1, x: x.id, y: y.id, xGen: x.gen, yGen: y.gen}
+	best := refCandidate{gain: -1, x: x.id, y: y.id, xGen: x.gen, yGen: y.gen}
 	try := func(seq []int) {
 		if !legal(seq) {
 			return
@@ -261,7 +293,7 @@ func (st *refState) bestMerge(x, y *refChain) (mergeCandidate, bool) {
 	return best, true
 }
 
-func (st *refState) applyMerge(c mergeCandidate) {
+func (st *refState) applyMerge(c refCandidate) {
 	x := st.chains[c.x]
 	y := st.chains[c.y]
 	x.nodes = c.order
@@ -277,7 +309,7 @@ func (st *refState) applyMerge(c mergeCandidate) {
 
 func (st *refState) runNaive() {
 	for {
-		var best mergeCandidate
+		var best refCandidate
 		found := false
 		for _, x := range st.chains {
 			if x.dead {
@@ -305,7 +337,7 @@ func (st *refState) runNaive() {
 }
 
 func (st *refState) runHeap() {
-	h := &candidateHeap{}
+	h := &refHeap{}
 	push := func(x, y *refChain) {
 		if c, ok := st.bestMerge(x, y); ok {
 			heap.Push(h, c)
@@ -319,7 +351,7 @@ func (st *refState) runHeap() {
 		}
 	}
 	for h.Len() > 0 {
-		c := heap.Pop(h).(mergeCandidate)
+		c := heap.Pop(h).(refCandidate)
 		x, y := st.chains[c.x], st.chains[c.y]
 		if x.dead || y.dead || x.gen != c.xGen || y.gen != c.yGen {
 			continue

@@ -17,11 +17,25 @@
 // Both strategies evaluate the same candidate set with the same
 // tie-breaking and produce identical layouts; only the retrieval cost
 // differs, which is what the ablation benchmark measures.
+//
+// A merge is priced without being built. A candidate is a split point —
+// the order x[:i]·y·x[i:] — and bestMerge is filter-and-refine: price
+// approximates every candidate's gain from the few edges a merge can
+// move, with a proven bound eps on its distance from the canonical gain;
+// only the candidates that could still win are refined with the
+// canonical score (viewScore, a left-to-right float64 fold over the
+// three sub-ranges, allocation-free); applyMerge materialises the one
+// winning order. The canonical fold is kept, rather than replaced by the
+// cheaper delta, because its summation order is part of every layout
+// emitted so far (a pair whose real gain is 0 can read +1e-10 and merge)
+// and those layouts are byte-identical by contract: the price only ever
+// decides what is not worth folding, never which merge wins or what gain
+// and score a candidate carries. DESIGN.md item 10 derives eps.
 package exttsp
 
 import (
-	"container/heap"
 	"fmt"
+	"math"
 	"sort"
 )
 
@@ -215,36 +229,42 @@ type chain struct {
 	nodes []int
 	size  int64
 	count uint64
-	// score caches chainScore(nodes): a chain's internal score only
-	// changes when the chain itself is rewritten by a merge, so bestMerge
-	// never has to rescan the chain to price a candidate.
+	// score is the canonical fold of nodes (viewScore over the chain
+	// alone). It only changes when a merge rewrites the chain, so
+	// bestMerge never rescans a chain to learn its base score.
 	score float64
-	gen   int  // incremented on every mutation (heap invalidation)
-	dead  bool // merged away
-	// inEdges/outEdges index g.Edges with an endpoint in this chain; they
-	// are rebuilt lazily from node membership.
+	// deg is the summed out-degree of nodes: an upper bound on the number
+	// of terms in a fold over the chain, which sizes the filter's ε.
+	deg  int
+	gen  int  // incremented on every mutation (heap invalidation)
+	dead bool // merged away
+}
+
+// validate rejects a forced-first node or an edge endpoint outside a
+// non-empty g.
+func validate(g *Graph, opts Options) error {
+	n := len(g.Nodes)
+	if opts.ForcedFirst >= n {
+		return fmt.Errorf("exttsp: forced-first node %d out of range", opts.ForcedFirst)
+	}
+	for _, e := range g.Edges {
+		if e.Src < 0 || e.Src >= n || e.Dst < 0 || e.Dst >= n {
+			return fmt.Errorf("exttsp: edge (%d,%d) out of range", e.Src, e.Dst)
+		}
+	}
+	return nil
 }
 
 // Layout computes a block order maximizing the Ext-TSP score.
 func Layout(g *Graph, opts Options) ([]int, error) {
-	n := len(g.Nodes)
-	if n == 0 {
+	if len(g.Nodes) == 0 {
 		return nil, nil
 	}
-	if opts.ForcedFirst >= n {
-		return nil, fmt.Errorf("exttsp: forced-first node %d out of range", opts.ForcedFirst)
-	}
-	for _, e := range g.Edges {
-		if e.Src < 0 || e.Src >= n || e.Dst < 0 || e.Dst >= n {
-			return nil, fmt.Errorf("exttsp: edge (%d,%d) out of range", e.Src, e.Dst)
-		}
+	if err := validate(g, opts); err != nil {
+		return nil, err
 	}
 	st := newState(g, opts)
-	if opts.UseHeap {
-		st.runHeap()
-	} else {
-		st.runNaive()
-	}
+	st.run()
 	return st.finalOrder(), nil
 }
 
@@ -252,48 +272,104 @@ type state struct {
 	g      *Graph
 	opts   Options
 	chains []*chain
-	owner  []int // node -> chain id
-	// adjacency: chain id -> set of chain ids connected by >=1 edge
-	// (recomputed from edges on demand via nodeEdges)
+	owner  []int   // node -> chain id
+	off    []int64 // node -> byte offset inside its chain
+	idx    []int   // node -> index inside its chain's nodes
+	// nodeOut/nodeIn index g.Edges by endpoint, ascending, without
+	// self-loops and zero weights (neither affects inter-chain merging).
 	nodeOut [][]int // node -> indices into g.Edges with Src == node
 	nodeIn  [][]int // node -> indices into g.Edges with Dst == node
 
-	// Reusable scratch indexed by node/chain id, replacing the per-call
-	// map allocations of chainScore and neighbors. Entries are valid only
-	// when their generation stamp matches the current epoch, so nothing
-	// is ever cleared.
-	pos    []int64 // node -> layout offset within the scored sequence
-	posGen []int64 // node -> epoch stamp for pos
-	nbGen  []int64 // chain id -> epoch stamp for neighbor dedup
-	epoch  int64
-	nbBuf  []int // reused neighbor id buffer (invalidated by next call)
+	// Reusable neighbor-dedup scratch indexed by chain id. An entry is
+	// valid only when its stamp matches the current epoch, so nothing is
+	// ever cleared.
+	nbGen []int64
+	epoch int64
+	nbBuf []int // reused neighbor id buffer (invalidated by next call)
+
+	// price's scratch, reused across bestMerge calls. A state is confined
+	// to one goroutine (FormChains builds one per shard).
+	cross  []crossEdge
+	diff   []float64
+	approx []float64
 
 	// pr is opts.Params resolved against the paper defaults, so scoring
 	// never consults package-level state.
 	pr Params
+	// maxW is the largest scoring weight in pr, the per-unit-weight bound
+	// on an edge's term in ε. It is +Inf under a negative weight: ε's
+	// derivation needs non-negative terms, and an infinite ε makes
+	// bestMerge refine every candidate.
+	maxW float64
 }
 
 func newState(g *Graph, opts Options) *state {
+	n := len(g.Nodes)
 	st := &state{g: g, opts: opts, pr: opts.Params.normalize()}
-	st.chains = make([]*chain, len(g.Nodes))
-	st.owner = make([]int, len(g.Nodes))
+	st.maxW = max(st.pr.FallthroughWeight, st.pr.ForwardWeight, st.pr.BackwardWeight)
+	if !(min(st.pr.FallthroughWeight, st.pr.ForwardWeight, st.pr.BackwardWeight) >= 0) {
+		st.maxW = math.Inf(1)
+	}
+	st.nodeOut, st.nodeIn = adjacency(g)
+	st.chains = make([]*chain, n)
+	st.owner = make([]int, n)
+	st.off = make([]int64, n)
+	st.idx = make([]int, n)
+	st.nbGen = make([]int64, n)
+	chains := make([]chain, n)
+	ids := make([]int, n)
 	for i := range g.Nodes {
-		st.chains[i] = &chain{id: i, nodes: []int{i}, size: g.Nodes[i].Size, count: g.Nodes[i].Count}
+		ids[i] = i
+		// Capacity 1: the first merge into the chain reallocates, so
+		// singleton chains never write into each other.
+		chains[i] = chain{id: i, nodes: ids[i : i+1 : i+1], size: g.Nodes[i].Size, count: g.Nodes[i].Count, deg: len(st.nodeOut[i])}
+		st.chains[i] = &chains[i]
 		st.owner[i] = i
 	}
-	st.nodeOut = make([][]int, len(g.Nodes))
-	st.nodeIn = make([][]int, len(g.Nodes))
-	for ei, e := range g.Edges {
-		if e.Src == e.Dst || e.Weight == 0 {
-			continue // self-loops do not affect inter-chain merging
-		}
-		st.nodeOut[e.Src] = append(st.nodeOut[e.Src], ei)
-		st.nodeIn[e.Dst] = append(st.nodeIn[e.Dst], ei)
-	}
-	st.pos = make([]int64, len(g.Nodes))
-	st.posGen = make([]int64, len(g.Nodes))
-	st.nbGen = make([]int64, len(g.Nodes))
 	return st
+}
+
+// adjacency builds the per-node out- and in-edge index lists over one
+// backing array, each list ascending in edge index (the order every fold
+// visits a node's edges in).
+func adjacency(g *Graph) (out, in [][]int) {
+	n := len(g.Nodes)
+	skip := func(e Edge) bool { return e.Src == e.Dst || e.Weight == 0 }
+	deg := make([]int, 2*n) // out-degrees, then in-degrees
+	m := 0
+	for _, e := range g.Edges {
+		if skip(e) {
+			continue
+		}
+		deg[e.Src]++
+		deg[n+e.Dst]++
+		m++
+	}
+	backing := make([]int, 2*m)
+	lists := make([][]int, 2*n)
+	p := 0
+	for i, d := range deg {
+		lists[i] = backing[p : p : p+d]
+		p += d
+	}
+	for ei, e := range g.Edges {
+		if skip(e) {
+			continue
+		}
+		lists[e.Src] = append(lists[e.Src], ei)
+		lists[n+e.Dst] = append(lists[n+e.Dst], ei)
+	}
+	return lists[:n], lists[n:]
+}
+
+// run merges chains until no profitable merge is left, with the
+// configured retrieval.
+func (st *state) run() {
+	if st.opts.UseHeap {
+		st.runHeap()
+	} else {
+		st.runNaive()
+	}
 }
 
 // neighbors returns the live chain ids connected to chain c, ascending.
@@ -325,116 +401,287 @@ func (st *state) neighbors(c *chain) []int {
 	return out
 }
 
-// chainScore computes the Ext-TSP score of an ordered node sequence,
-// counting only edges internal to the sequence.
-func (st *state) chainScore(nodes []int) float64 {
-	if len(nodes) == 1 {
-		// Count self-loop contribution as zero; a single node has no
-		// internal placement freedom.
-		return 0
+// A merge of chains x and y is identified by its split point i: the
+// merged order is x[:i]·y·x[i:], so i = len(x) is X·Y, i = 0 is Y·X and
+// 0 < i < len(x) is X₁·Y·X₂. A node's offset in that order is its offset
+// in its own chain (st.off) plus a shift the split decides: y's nodes
+// move by the byte offset of the split, x's nodes at index >= i (st.idx;
+// zero-size nodes share offsets, so the index decides) by y.size.
+
+// splitOff is the byte offset of split point i inside x.
+func (st *state) splitOff(x *chain, i int) int64 {
+	if i == len(x.nodes) {
+		return x.size
 	}
-	st.epoch++
-	ep := st.epoch
-	addr := int64(0)
-	for _, nd := range nodes {
-		st.pos[nd] = addr
-		st.posGen[nd] = ep
-		addr += st.g.Nodes[nd].Size
-	}
-	var total float64
-	for _, nd := range nodes {
+	return st.off[x.nodes[i]]
+}
+
+// viewScore is the canonical score of the merge of x and y at split: the
+// Ext-TSP score of the merged order counting only edges internal to it,
+// summed left to right over the order's nodes and each node's out-edges.
+// That float64 fold, in that order, is what every stored score and gain
+// is made of; nothing is materialised to compute it.
+func (st *state) viewScore(x, y *chain, split int) float64 {
+	s := st.splitOff(x, split)
+	total := st.foldSegment(0, x.nodes[:split], 0, x, y, split, s)
+	total = st.foldSegment(total, y.nodes, s, x, y, split, s)
+	return st.foldSegment(total, x.nodes[split:], y.size, x, y, split, s)
+}
+
+// foldSegment continues viewScore's fold over one contiguous run of the
+// merged order, whose nodes all move by shift.
+func (st *state) foldSegment(total float64, seg []int, shift int64, x, y *chain, split int, s int64) float64 {
+	for _, nd := range seg {
+		srcEnd := st.off[nd] + shift + st.g.Nodes[nd].Size
 		for _, ei := range st.nodeOut[nd] {
-			e := st.g.Edges[ei]
-			if st.posGen[e.Dst] != ep {
+			e := &st.g.Edges[ei]
+			dst := st.off[e.Dst]
+			switch st.owner[e.Dst] {
+			case y.id:
+				dst += s
+			case x.id:
+				if st.idx[e.Dst] >= split {
+					dst += y.size
+				}
+			default:
 				continue
 			}
-			total += st.pr.edgeGain(e.Weight, st.pos[e.Src]+st.g.Nodes[e.Src].Size, st.pos[e.Dst])
+			total += st.pr.edgeGain(e.Weight, srcEnd, dst)
 		}
 	}
 	return total
 }
 
+// chainScore is the canonical score of c on its own.
+func (st *state) chainScore(c *chain) float64 {
+	return st.viewScore(c, &chain{id: -1}, len(c.nodes))
+}
+
 // mergeCandidate is one way of combining chains x and y.
 type mergeCandidate struct {
 	gain  float64
-	score float64 // chainScore of order (becomes the merged chain's cache)
+	score float64 // viewScore of the merge (becomes the merged chain's cache)
 	x, y  int     // chain ids
 	xGen  int
 	yGen  int
-	order []int // resulting node sequence
+	split int // the merged order is x[:split]·y·x[split:]
+}
+
+// crossEdge is an edge between x and y as price sees it: everything
+// edgeGain needs except the two shifts a split decides.
+type crossEdge struct {
+	w      uint64
+	srcEnd int64 // end offset of the source inside its own chain
+	dst    int64 // start offset of the target inside its own chain
+	xi     int   // index inside x of the endpoint that lies in x
+	fromX  bool  // x -> y; false is y -> x
+}
+
+// The candidates of a pair are explored in the order X·Y, Y·X, then the
+// splits before x's nodes 1, 2, … (only while x is at most MaxSplitChain
+// long); the first of equal gains wins, so the order is part of the
+// result. splitOf maps the k-th candidate to its split point.
+func splitOf(k, nx int) int {
+	if k == 0 {
+		return nx
+	}
+	return k - 1
+}
+
+// legalFirsts reports which candidates of (x, y) honor the forced-first
+// constraint: those that start with x's first node (all but Y·X), and Y·X.
+func (st *state) legalFirsts(x, y *chain) (xFirst, yFirst bool) {
+	f := st.opts.ForcedFirst
+	if f < 0 || (st.owner[f] != x.id && st.owner[f] != y.id) {
+		return true, true
+	}
+	return x.nodes[0] == f, y.nodes[0] == f
+}
+
+// legal reports whether candidate k is one legalFirsts allows.
+func legal(k int, xFirst, yFirst bool) bool {
+	if k == 1 {
+		return yFirst
+	}
+	return xFirst
+}
+
+// price is the filter half of bestMerge. It returns, for each candidate k
+// of (x, y) in exploration order (illegal ones are left unpriced), an
+// approximation of the candidate's gain, and a bound eps on how far any
+// of them is from the canonical gain viewScore(…) - x.score - y.score.
+//
+// Only the edges a merge can move are visited: y is contiguous in every
+// candidate, so edges inside y always cancel against y.score and are
+// never read; an edge inside x moves only under a split that separates
+// its ends, and then its jump grows by y.size wherever the split is, so
+// one difference array over split points prices all of x's internal
+// edges for every split at once; the x<->y edges are evaluated per
+// candidate.
+//
+// Approximate and canonical gain are two float64 summations of the same
+// edge terms in different orders (the canonical one with the unmoved
+// terms added and subtracted again), so they differ by summation error
+// only: at most (operations performed) × 2⁻⁵³ × (sum of the magnitudes
+// added). With n bounding the operations of either side and the
+// magnitudes bounded through the chains' scores and the visited weights,
+// that is below n·2⁻⁵³·(2(x.score+y.score) + 7·maxW·Σw); eps is over four
+// times that, room for its own rounding (DESIGN.md item 10 has the
+// derivation).
+func (st *state) price(x, y *chain, xFirst, yFirst bool) (approx []float64, eps float64) {
+	nx := len(x.nodes)
+	cands := 2
+	if nx <= st.opts.maxSplit() {
+		cands = nx + 1
+	}
+	splits := xFirst && cands > 2
+
+	// diff[i], once prefix-summed, is the change of x's internal edges
+	// under split i.
+	var diff []float64
+	if splits {
+		if cap(st.diff) <= nx {
+			st.diff = make([]float64, 2*(nx+1))
+		}
+		diff = st.diff[:nx+1]
+		clear(diff)
+	}
+	cross := st.cross[:0]
+	var wsum float64
+	for i, u := range x.nodes {
+		uEnd := st.off[u] + st.g.Nodes[u].Size
+		for _, ei := range st.nodeOut[u] {
+			e := &st.g.Edges[ei]
+			v := e.Dst
+			switch st.owner[v] {
+			case y.id:
+				cross = append(cross, crossEdge{w: e.Weight, srcEnd: uEnd, dst: st.off[v], xi: i, fromX: true})
+			case x.id:
+				if !splits {
+					continue
+				}
+				// Splits j with lo < j <= hi separate u from v.
+				lo, hi := i, st.idx[v]
+				var moved float64
+				if lo < hi {
+					moved = st.pr.edgeGain(e.Weight, uEnd, st.off[v]+y.size)
+				} else {
+					lo, hi = hi, lo
+					moved = st.pr.edgeGain(e.Weight, uEnd+y.size, st.off[v])
+				}
+				d := moved - st.pr.edgeGain(e.Weight, uEnd, st.off[v])
+				diff[lo+1] += d
+				diff[hi+1] -= d
+			default:
+				continue
+			}
+			wsum += float64(e.Weight)
+		}
+		for _, ei := range st.nodeIn[u] {
+			e := &st.g.Edges[ei]
+			if v := e.Src; st.owner[v] == y.id {
+				cross = append(cross, crossEdge{w: e.Weight, srcEnd: st.off[v] + st.g.Nodes[v].Size, dst: st.off[u], xi: i})
+				wsum += float64(e.Weight)
+			}
+		}
+	}
+	if splits {
+		for i := 1; i < nx; i++ {
+			diff[i] += diff[i-1]
+		}
+		diff[nx] = 0 // X·Y separates nothing; drop the summation residue
+	}
+
+	approx = st.approx[:0]
+	for k := 0; k < cands; k++ {
+		var a float64
+		if legal(k, xFirst, yFirst) {
+			i := splitOf(k, nx)
+			s := st.splitOff(x, i)
+			if splits {
+				a = diff[i]
+			}
+			for _, c := range cross {
+				var shift int64
+				if c.xi >= i {
+					shift = y.size
+				}
+				if c.fromX {
+					a += st.pr.edgeGain(c.w, c.srcEnd+shift, c.dst+s)
+				} else {
+					a += st.pr.edgeGain(c.w, c.srcEnd+s, c.dst+shift)
+				}
+			}
+		}
+		approx = append(approx, a)
+	}
+	st.cross, st.approx = cross, approx
+
+	n := x.deg + y.deg + 2*nx + 8
+	eps = 16 * float64(n) * 0x1p-53 * (x.score + y.score + 2*st.maxW*wsum)
+	return approx, eps
 }
 
 // bestMerge finds the highest-gain combination of two chains, honoring the
-// forced-first constraint. Returns ok=false when no combination is legal.
-// Both retrieval strategies call it with x.id < y.id, so the explored
-// candidate set — and therefore the final layout — is identical for the
-// naive and heap variants.
+// forced-first constraint; ok is false when no combination is legal and
+// profitable. Both retrieval strategies call it with x.id < y.id, so the
+// explored candidate set — and therefore the final layout — is identical
+// for the naive and heap variants.
+//
+// It is filter-and-refine. price approximates every candidate's gain to
+// within eps of the canonical gain, so with top the best approximation the
+// canonical winner is among the candidates priced at top-2·eps or better.
+// Only those are scored with viewScore, in exploration order with a strict
+// >, and only canonical numbers leave this function: which merge wins,
+// and the gain and score it carries, are exactly what scoring every
+// materialised candidate would have produced. (The price cannot rule a
+// pair out on its own: X·Y and Y·X only add jumps, so top is never
+// negative, and a real gain of 0 can fold to either sign.)
 func (st *state) bestMerge(x, y *chain) (mergeCandidate, bool) {
-	baseX := x.score
-	baseY := y.score
-	forced := st.opts.ForcedFirst
-
-	legal := func(seq []int) bool {
-		if forced < 0 {
-			return true
-		}
-		hasForced := st.owner[forced] == x.id || st.owner[forced] == y.id
-		if !hasForced {
-			return true
-		}
-		return seq[0] == forced
-	}
-
 	best := mergeCandidate{gain: -1, x: x.id, y: y.id, xGen: x.gen, yGen: y.gen}
-	try := func(seq []int) {
-		if !legal(seq) {
-			return
-		}
-		score := st.chainScore(seq)
-		gain := score - baseX - baseY
-		if gain > best.gain {
-			best.gain = gain
-			best.score = score
-			best.order = seq
+	xFirst, yFirst := st.legalFirsts(x, y)
+	approx, eps := st.price(x, y, xFirst, yFirst)
+	top := math.Inf(-1)
+	for k, a := range approx {
+		if legal(k, xFirst, yFirst) && a > top {
+			top = a
 		}
 	}
-
-	concat := func(a, b []int) []int {
-		out := make([]int, 0, len(a)+len(b))
-		out = append(out, a...)
-		return append(out, b...)
-	}
-	try(concat(x.nodes, y.nodes))
-	try(concat(y.nodes, x.nodes))
-	if len(x.nodes) <= st.opts.maxSplit() {
-		for i := 1; i < len(x.nodes); i++ {
-			seq := make([]int, 0, len(x.nodes)+len(y.nodes))
-			seq = append(seq, x.nodes[:i]...)
-			seq = append(seq, y.nodes...)
-			seq = append(seq, x.nodes[i:]...)
-			try(seq)
+	for k, a := range approx {
+		if !legal(k, xFirst, yFirst) || a < top-2*eps {
+			continue
+		}
+		split := splitOf(k, len(x.nodes))
+		score := st.viewScore(x, y, split)
+		if gain := score - x.score - y.score; gain > best.gain {
+			best.gain, best.score, best.split = gain, score, split
 		}
 	}
-	if best.order == nil || best.gain <= 0 {
-		return best, false
-	}
-	return best, true
+	return best, best.gain > 0
 }
 
-// applyMerge folds chain y into chain x with the given node order.
+// applyMerge folds chain y into chain x at the candidate's split point:
+// the one place a merged order is materialised.
 func (st *state) applyMerge(c mergeCandidate) {
-	x := st.chains[c.x]
-	y := st.chains[c.y]
-	x.nodes = c.order
+	x, y := st.chains[c.x], st.chains[c.y]
+	nx, ny := len(x.nodes), len(y.nodes)
+	addr := st.splitOff(x, c.split)
+	x.nodes = append(x.nodes, y.nodes...) // grow by len(y), then open the gap
+	copy(x.nodes[c.split+ny:], x.nodes[c.split:nx])
+	copy(x.nodes[c.split:], y.nodes)
+	for i := c.split; i < nx+ny; i++ {
+		nd := x.nodes[i]
+		st.owner[nd], st.off[nd], st.idx[nd] = x.id, addr, i
+		addr += st.g.Nodes[nd].Size
+	}
 	x.size += y.size
 	x.count += y.count
+	x.deg += y.deg
 	x.score = c.score
 	x.gen++
 	y.dead = true
+	y.nodes = nil
 	y.gen++
-	for _, nd := range y.nodes {
-		st.owner[nd] = x.id
-	}
 }
 
 // runNaive repeatedly scans all connected chain pairs for the single best
@@ -469,15 +716,16 @@ func (st *state) runNaive() {
 	}
 }
 
-// candidateHeap is a max-heap of merge candidates with lazy invalidation.
-// Ties on gain break toward the lexicographically smallest (x, y) pair —
-// exactly the pair the naive scan (ascending x, then ascending neighbor)
-// would have committed to — so heap retrieval replays the naive merge
-// sequence and the two strategies produce identical layouts.
+// candidateHeap is a binary max-heap of merge candidates with lazy
+// invalidation. Ties on gain break toward the lexicographically smallest
+// (x, y) pair — exactly the pair the naive scan (ascending x, then
+// ascending neighbor) would have committed to — so heap retrieval replays
+// the naive merge sequence and the two strategies produce identical
+// layouts. It sifts the slice itself: container/heap would box every
+// pushed candidate into an interface, one allocation per push.
 type candidateHeap []mergeCandidate
 
-func (h candidateHeap) Len() int { return len(h) }
-func (h candidateHeap) Less(i, j int) bool {
+func (h candidateHeap) before(i, j int) bool {
 	if h[i].gain != h[j].gain {
 		return h[i].gain > h[j].gain
 	}
@@ -486,34 +734,64 @@ func (h candidateHeap) Less(i, j int) bool {
 	}
 	return h[i].y < h[j].y
 }
-func (h candidateHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *candidateHeap) Push(x any)   { *h = append(*h, x.(mergeCandidate)) }
-func (h *candidateHeap) Pop() any {
-	old := *h
-	n := len(old)
-	item := old[n-1]
-	*h = old[:n-1]
-	return item
+
+func (h *candidateHeap) push(c mergeCandidate) {
+	*h = append(*h, c)
+	s := *h
+	for i := len(s) - 1; i > 0; {
+		parent := (i - 1) / 2
+		if !s.before(i, parent) {
+			break
+		}
+		s[i], s[parent] = s[parent], s[i]
+		i = parent
+	}
+}
+
+func (h *candidateHeap) pop() mergeCandidate {
+	s := *h
+	top, n := s[0], len(s)-1
+	s[0] = s[n]
+	s = s[:n]
+	*h = s
+	for i := 0; ; {
+		child := 2*i + 1
+		if child >= n {
+			break
+		}
+		if r := child + 1; r < n && s.before(r, child) {
+			child = r
+		}
+		if !s.before(child, i) {
+			break
+		}
+		s[i], s[child] = s[child], s[i]
+		i = child
+	}
+	return top
 }
 
 // runHeap retrieves the most profitable merge from a priority queue,
 // re-seeding candidates only for the chains a merge touched.
 func (st *state) runHeap() {
-	h := &candidateHeap{}
+	var h candidateHeap
 	push := func(x, y *chain) {
 		if c, ok := st.bestMerge(x, y); ok {
-			heap.Push(h, c)
+			h.push(c)
 		}
 	}
 	for _, x := range st.chains {
+		if x.dead {
+			continue
+		}
 		for _, yid := range st.neighbors(x) {
 			if yid > x.id {
 				push(x, st.chains[yid])
 			}
 		}
 	}
-	for h.Len() > 0 {
-		c := heap.Pop(h).(mergeCandidate)
+	for len(h) > 0 {
+		c := h.pop()
 		x, y := st.chains[c.x], st.chains[c.y]
 		if x.dead || y.dead || x.gen != c.xGen || y.gen != c.yGen {
 			continue // stale entry
@@ -565,7 +843,7 @@ func (st *state) finalOrder() []int {
 		}
 		return ci.id < cj.id
 	})
-	var order []int
+	order := make([]int, 0, len(st.g.Nodes))
 	for _, c := range live {
 		order = append(order, c.nodes...)
 	}

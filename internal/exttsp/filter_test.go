@@ -1,0 +1,254 @@
+package exttsp
+
+import (
+	"math"
+	"math/rand"
+	"reflect"
+	"testing"
+)
+
+// materialise spells out the merged order a split point denotes.
+func materialise(x, y *chain, split int) []int {
+	out := append([]int(nil), x.nodes[:split]...)
+	out = append(out, y.nodes...)
+	return append(out, x.nodes[split:]...)
+}
+
+// lockstep drives production and the materialising reference through one
+// naive-retrieval run side by side and compares them on every bestMerge
+// call: same verdict, same gain, same canonical score, same merged order.
+// It also holds the filter to its contract: every candidate price lands
+// within eps of the candidate's canonical gain, and price explores exactly
+// as many candidates as the reference builds. Returns the calls checked.
+func lockstep(t *testing.T, g *Graph, opts Options) int {
+	t.Helper()
+	st, ref := newState(g, opts), newRefState(g, opts)
+	calls := 0
+	for {
+		var best mergeCandidate
+		var refBest refCandidate
+		found := false
+		for _, x := range st.chains {
+			if x.dead {
+				continue
+			}
+			for _, yid := range st.neighbors(x) {
+				if yid <= x.id {
+					continue
+				}
+				y := st.chains[yid]
+				calls++
+
+				xFirst, yFirst := st.legalFirsts(x, y)
+				approx, eps := st.price(x, y, xFirst, yFirst)
+				approx = append([]float64(nil), approx...) // price's scratch is reused
+				want := 2
+				if len(x.nodes) <= opts.maxSplit() {
+					want = len(x.nodes) + 1
+				}
+				if len(approx) != want {
+					t.Fatalf("pair (%d,%d): priced %d candidates, reference explores %d", x.id, y.id, len(approx), want)
+				}
+				for k, a := range approx {
+					if !legal(k, xFirst, yFirst) {
+						continue
+					}
+					canon := st.viewScore(x, y, splitOf(k, len(x.nodes))) - x.score - y.score
+					if !(math.Abs(a-canon) <= eps) {
+						t.Fatalf("pair (%d,%d) candidate %d: approx %v vs canonical %v differ by %g > eps %g",
+							x.id, y.id, k, a, canon, math.Abs(a-canon), eps)
+					}
+				}
+
+				c, ok := st.bestMerge(x, y)
+				rc, rok := ref.bestMerge(ref.chains[x.id], ref.chains[yid])
+				if ok != rok {
+					t.Fatalf("pair (%d,%d): production ok=%v gain=%v, reference ok=%v gain=%v", x.id, y.id, ok, c.gain, rok, rc.gain)
+				}
+				if !ok {
+					continue
+				}
+				if c.gain != rc.gain {
+					t.Fatalf("pair (%d,%d): gain %v != reference %v", x.id, y.id, c.gain, rc.gain)
+				}
+				if s := ref.chainScore(rc.order); c.score != s {
+					t.Fatalf("pair (%d,%d): score %v != reference %v", x.id, y.id, c.score, s)
+				}
+				if got := materialise(x, y, c.split); !reflect.DeepEqual(got, rc.order) {
+					t.Fatalf("pair (%d,%d): order\n got %v\nwant %v", x.id, y.id, got, rc.order)
+				}
+				if !found || c.gain > best.gain {
+					best, refBest, found = c, rc, true
+				}
+			}
+		}
+		if !found {
+			break
+		}
+		st.applyMerge(best)
+		ref.applyMerge(refBest)
+	}
+	if got, want := st.finalOrder(), ref.finalOrder(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("final order\n got %v\nwant %v", got, want)
+	}
+	return calls
+}
+
+// matchesReference holds Layout under each given retrieval (UseHeap
+// values) to the materialising reference, node for node.
+func matchesReference(t *testing.T, g *Graph, opts Options, retrievals ...bool) {
+	t.Helper()
+	for _, useHeap := range retrievals {
+		opts.UseHeap = useHeap
+		got, err := Layout(g, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := untunedLayout(g, opts); !reflect.DeepEqual(got, want) {
+			t.Fatalf("heap=%v: layout diverged from the reference\n got %v\nwant %v", useHeap, got, want)
+		}
+	}
+}
+
+// TestBestMergeMatchesReference is the per-call differential between the
+// filter-and-refine bestMerge and the reference that materialises and
+// rescans every candidate, over whole runs on random graphs.
+func TestBestMergeMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(18))
+	policies := []Params{
+		{},
+		{ForwardWeight: 0.4, BackwardWeight: 0.05},  // fw-heavy
+		{ForwardWindow: 2048, BackwardWindow: 1280}, // window-2x
+	}
+	calls := 0
+	for trial := 0; trial < 60; trial++ {
+		n := 2 + rng.Intn(60)
+		g := fuzzGraph(rng, n)
+		if trial%2 == 0 {
+			g = randGraph(rng, n)
+		}
+		opts := Options{ForcedFirst: rng.Intn(n+1) - 1, Params: policies[trial%len(policies)]}
+		if trial%4 == 3 {
+			opts.MaxSplitChain = 1 + rng.Intn(6)
+		}
+		calls += lockstep(t, g, opts)
+	}
+	if calls < 10000 {
+		t.Errorf("only %d bestMerge calls compared", calls)
+	}
+}
+
+// backboneGraph is a heavy chain 0→1→…→m-1, which merges into one long x,
+// plus leaves attached to several backbone nodes each with the one weight
+// w: every split of the backbone prices a leaf alike, up to distance.
+func backboneGraph(rng *rand.Rand, m, leaves int, w uint64, size func() int64) *Graph {
+	g := &Graph{Nodes: make([]Node, m+leaves)}
+	for i := range g.Nodes {
+		g.Nodes[i] = Node{Size: size(), Count: uint64(1 + rng.Intn(50))}
+	}
+	for i := 0; i+1 < m; i++ {
+		g.Edges = append(g.Edges, Edge{Src: i, Dst: i + 1, Weight: 1000 * w})
+	}
+	for l := m; l < m+leaves; l++ {
+		for k := 0; k < 4; k++ {
+			g.Edges = append(g.Edges, Edge{Src: rng.Intn(m), Dst: l, Weight: w}, Edge{Src: l, Dst: rng.Intn(m), Weight: w})
+		}
+	}
+	return g
+}
+
+// TestEdgeCasesMatchReference: the inputs where pricing a merge from
+// offsets and a filter could part ways with scoring the built order —
+// zero-size nodes (several nodes share an offset, so only the index says
+// which side of a split a node is on), exact ties, sums that leave the
+// 53-bit mantissa, degenerate windows, every position of the forced
+// node, and chains on both sides of MaxSplitChain.
+func TestEdgeCasesMatchReference(t *testing.T) {
+	fixed := func(s int64) func() int64 { return func() int64 { return s } }
+	type row struct {
+		name string
+		g    func(rng *rand.Rand) *Graph
+		opts Options
+		// heapOnly skips the naive arms, cubic in a 160-node backbone.
+		heapOnly bool
+	}
+	zeroHeavy := func(rng *rand.Rand) *Graph {
+		g := fuzzGraph(rng, 40)
+		for i := range g.Nodes {
+			if rng.Intn(2) == 0 {
+				g.Nodes[i].Size = 0
+			}
+		}
+		return g
+	}
+	rows := []row{
+		{name: "zero-size at split boundaries", g: func(rng *rand.Rand) *Graph {
+			sizes := []int64{0, 0, 16, 0}
+			return backboneGraph(rng, 12, 6, 3, func() int64 { return sizes[rng.Intn(len(sizes))] })
+		}, opts: Options{ForcedFirst: -1}},
+		{name: "half the nodes zero-size", g: zeroHeavy, opts: Options{ForcedFirst: -1}},
+		{name: "every node zero-size", g: func(rng *rand.Rand) *Graph {
+			return backboneGraph(rng, 10, 5, 2, fixed(0))
+		}, opts: Options{ForcedFirst: 0}},
+		{name: "equal-weight star, every split ties", g: func(rng *rand.Rand) *Graph {
+			return backboneGraph(rng, 16, 8, 7, fixed(2000)) // every non-adjacent jump is out of window
+		}, opts: Options{ForcedFirst: -1}},
+		{name: "equal weights inside the windows", g: func(rng *rand.Rand) *Graph {
+			return backboneGraph(rng, 16, 8, 7, fixed(8))
+		}, opts: Options{ForcedFirst: -1}},
+		{name: "weights near 2^40", g: func(rng *rand.Rand) *Graph {
+			g := fuzzGraph(rng, 40)
+			for i := range g.Edges {
+				g.Edges[i].Weight += 1<<40 - 50
+			}
+			return g
+		}, opts: Options{ForcedFirst: -1}},
+		{name: "1-byte windows", g: zeroHeavy, opts: Options{ForcedFirst: -1, Params: Params{ForwardWindow: 1, BackwardWindow: 1}}},
+		{name: "negative weight (filter off)", g: zeroHeavy, opts: Options{ForcedFirst: -1, Params: Params{BackwardWeight: -0.05}}},
+		{name: "forced node inside x", g: func(rng *rand.Rand) *Graph { return fuzzGraph(rng, 40) }, opts: Options{ForcedFirst: 0}},
+		{name: "forced node inside y", g: func(rng *rand.Rand) *Graph { return fuzzGraph(rng, 40) }, opts: Options{ForcedFirst: 39}},
+		{name: "forced node mid-graph", g: func(rng *rand.Rand) *Graph { return fuzzGraph(rng, 40) }, opts: Options{ForcedFirst: 17}},
+		{name: "no forced node", g: func(rng *rand.Rand) *Graph { return fuzzGraph(rng, 40) }, opts: Options{ForcedFirst: -1}},
+		{name: "MaxSplitChain 1", g: func(rng *rand.Rand) *Graph { return randGraph(rng, 40) }, opts: Options{ForcedFirst: 0, MaxSplitChain: 1}},
+		{name: "MaxSplitChain 5, chains on both sides", g: func(rng *rand.Rand) *Graph {
+			return backboneGraph(rng, 14, 8, 5, fixed(24))
+		}, opts: Options{ForcedFirst: -1, MaxSplitChain: 5}},
+		{name: "default MaxSplitChain crossed", g: func(rng *rand.Rand) *Graph {
+			return backboneGraph(rng, 160, 12, 5, func() int64 { return int64(rng.Intn(3)) * 8 })
+		}, opts: Options{ForcedFirst: 0}, heapOnly: true},
+	}
+	for _, r := range rows {
+		t.Run(r.name, func(t *testing.T) {
+			for seed := int64(1); seed <= 3; seed++ {
+				g := r.g(rand.New(rand.NewSource(seed)))
+				if r.heapOnly {
+					matchesReference(t, g, r.opts, true)
+					continue
+				}
+				matchesReference(t, g, r.opts, false, true)
+				lockstep(t, g, r.opts)
+			}
+		})
+	}
+}
+
+// TestLayoutAllocs pins the allocation shape of one Layout: state set-up
+// is a fixed number of allocations, a merge grows one node slice at most,
+// and pricing or refining a candidate allocates nothing — so the count
+// stays under a ceiling linear in nodes (1 733 measured). One allocation
+// per candidate built would be about 680 000 on this graph.
+func TestLayoutAllocs(t *testing.T) {
+	const n = 2000
+	g := fuzzGraph(rand.New(rand.NewSource(2000)), n)
+	opts := Options{ForcedFirst: -1, UseHeap: true}
+	allocs := testing.AllocsPerRun(3, func() {
+		if _, err := Layout(g, opts); err != nil {
+			t.Fatal(err)
+		}
+	})
+	// At most n-1 merges, each one append; the heap and the scratch
+	// buffers grow by doubling.
+	if ceiling := float64(64 + 2*n); allocs > ceiling {
+		t.Errorf("Layout of %d nodes made %.0f allocations, want <= %.0f", n, allocs, ceiling)
+	}
+}

@@ -5,21 +5,36 @@ import (
 	"testing"
 )
 
-// graphFromBytes decodes an arbitrary byte string into a small CFG-like
-// graph deterministically, so the fuzzer explores graph shapes (including
-// self-loops, duplicate edges, zero weights, and disconnected nodes)
-// rather than raw memory-safety only.
-func graphFromBytes(data []byte) (*Graph, int) {
-	if len(data) < 2 {
-		return nil, 0
+// graphFromBytes decodes an arbitrary byte string into a CFG-like graph
+// and layout options deterministically, so the fuzzer explores graph
+// shapes (self-loops, duplicate edges, zero weights, zero sizes,
+// disconnected nodes) and the options that change which candidates a
+// merge has (forced node, split bound, scoring windows) rather than raw
+// memory-safety only. Most inputs give up to 63 nodes; a first byte of
+// 224 or more gives 64–312, enough for a chain to outgrow the default
+// MaxSplitChain.
+func graphFromBytes(data []byte) (*Graph, Options) {
+	if len(data) < 3 {
+		return nil, Options{}
 	}
 	n := 2 + int(data[0])%62
-	forced := -1
-	if data[1]%3 == 0 {
-		forced = int(data[1]/3) % n
+	if data[0] >= 224 {
+		n = 64 + 8*int(data[0]-224)
 	}
+	opts := Options{ForcedFirst: -1}
+	if data[1]%3 == 0 {
+		opts.ForcedFirst = int(data[1]/3) % n
+	}
+	// Small split bounds make concat-only pairs common on small graphs.
+	opts.MaxSplitChain = []int{0, 0, 1, 3, 8}[int(data[2]&0x0f)%5]
+	opts.Params = []Params{
+		{},
+		{ForwardWindow: 1, BackwardWindow: 1},
+		{ForwardWeight: 0.4, BackwardWeight: 0.05},
+		{FallthroughWeight: 0.001, ForwardWindow: 16384},
+	}[int(data[2]>>4)%4]
 	g := &Graph{Nodes: make([]Node, n)}
-	i := 2
+	i := 3
 	next := func() byte {
 		if i >= len(data) {
 			return 0
@@ -29,46 +44,53 @@ func graphFromBytes(data []byte) (*Graph, int) {
 		return b
 	}
 	for j := range g.Nodes {
-		g.Nodes[j] = Node{Size: int64(1 + next()), Count: uint64(next())}
+		g.Nodes[j] = Node{Size: int64(next()), Count: uint64(next())}
 	}
 	for i < len(data)-2 {
-		g.Edges = append(g.Edges, Edge{
-			Src:    int(next()) % n,
-			Dst:    int(next()) % n,
-			Weight: uint64(next()),
-		})
+		src := int(next())<<8 | int(next())
+		dst := int(next())<<8 | int(next())
+		w := uint64(next()) | uint64(next())<<8 | uint64(next())<<16 | uint64(next())<<24
+		g.Edges = append(g.Edges, Edge{Src: src % n, Dst: dst % n, Weight: w})
 	}
-	return g, forced
+	return g, opts
 }
 
-// FuzzHeapNaiveEquivalence is the retrieval-equivalence property as a
-// fuzz target: on any decoded graph, the heap-based logarithmic retrieval
-// and the naive quadratic rescan must produce identical layouts with
-// equal Ext-TSP scores — the §4.7 speedup must be purely about retrieval
-// cost, never about which merge wins.
+// FuzzHeapNaiveEquivalence is a three-way equivalence on any decoded
+// graph. The heap-based logarithmic retrieval and the naive quadratic
+// rescan must produce identical layouts — the §4.7 speedup must be purely
+// about retrieval cost, never about which merge wins. And both must equal
+// the reference that materialises and rescans every candidate: the two
+// retrievals share one bestMerge, so only the reference can see it pick a
+// different merge than scoring the built orders would.
 func FuzzHeapNaiveEquivalence(f *testing.F) {
-	f.Add([]byte{8, 0, 10, 5, 20, 9, 30, 1, 40, 7, 0, 1, 50, 1, 2, 40, 2, 3, 30})
-	f.Add([]byte{3, 3, 1, 1, 1, 1, 1, 1, 0, 0, 9, 1, 1, 9})
-	f.Add([]byte{64, 6, 255, 255, 0, 0, 128, 3, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9})
+	f.Add([]byte{8, 0, 0, 10, 5, 20, 9, 30, 1, 40, 7, 0, 1, 50, 1, 2, 40, 2, 3, 30})
+	f.Add([]byte{3, 3, 0x12, 0, 1, 0, 1, 0, 1, 0, 0, 0, 1, 9, 0, 0, 0, 0, 1, 0, 2, 9, 0, 0, 0})
+	f.Add([]byte{64, 6, 0x23, 255, 255, 0, 0, 128, 3, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9})
+	f.Add([]byte{230, 1, 0x30, 0, 0, 0, 1, 0, 2, 0xff, 0xff, 0xff, 0xff, 0, 2, 0, 1, 1, 0, 0, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		g, forced := graphFromBytes(data)
+		g, opts := graphFromBytes(data)
 		if g == nil {
 			return
 		}
-		on, err := Layout(g, Options{ForcedFirst: forced})
+		on, err := Layout(g, opts)
 		if err != nil {
 			t.Fatalf("naive layout: %v", err)
 		}
-		oh, err := Layout(g, Options{ForcedFirst: forced, UseHeap: true})
+		opts.UseHeap = true
+		oh, err := Layout(g, opts)
 		if err != nil {
 			t.Fatalf("heap layout: %v", err)
 		}
 		if !reflect.DeepEqual(on, oh) {
-			t.Fatalf("retrieval strategies diverged (n=%d forced=%d)\nnaive %v\nheap  %v",
-				len(g.Nodes), forced, on, oh)
+			t.Fatalf("retrieval strategies diverged (n=%d opts=%+v)\nnaive %v\nheap  %v",
+				len(g.Nodes), opts, on, oh)
+		}
+		if ref := untunedLayout(g, opts); !reflect.DeepEqual(oh, ref) {
+			t.Fatalf("layout diverged from the materialising reference (n=%d opts=%+v)\n got %v\nwant %v",
+				len(g.Nodes), opts, oh, ref)
 		}
 		scratch := &Scratch{}
-		if sn, sh := ScoreWith(g, on, Params{}, scratch), ScoreWith(g, oh, Params{}, scratch); sn != sh {
+		if sn, sh := ScoreWith(g, on, opts.Params, scratch), ScoreWith(g, oh, opts.Params, scratch); sn != sh {
 			t.Fatalf("scores diverged: naive %v heap %v", sn, sh)
 		}
 	})

@@ -108,11 +108,7 @@ func FormChains(g *Graph, opts Options, nodes []int) ([]Chain, error) {
 		}
 	}
 	st := newState(local, lopts)
-	if opts.UseHeap {
-		st.runHeap()
-	} else {
-		st.runNaive()
-	}
+	st.run()
 	var out []Chain
 	for _, c := range st.chains {
 		if c.dead {
@@ -152,13 +148,8 @@ func LayoutChains(g *Graph, opts Options, chains []Chain) ([]int, error) {
 	if n == 0 {
 		return nil, nil
 	}
-	if opts.ForcedFirst >= n {
-		return nil, fmt.Errorf("exttsp: forced-first node %d out of range", opts.ForcedFirst)
-	}
-	for _, e := range g.Edges {
-		if e.Src < 0 || e.Src >= n || e.Dst < 0 || e.Dst >= n {
-			return nil, fmt.Errorf("exttsp: edge (%d,%d) out of range", e.Src, e.Dst)
-		}
+	if err := validate(g, opts); err != nil {
+		return nil, err
 	}
 	st := newState(g, opts)
 	seen := make([]bool, n)
@@ -175,9 +166,8 @@ func LayoutChains(g *Graph, opts Options, chains []Chain) ([]int, error) {
 		c := st.chains[rep]
 		c.dead = false
 		c.nodes = append([]int(nil), ch.Nodes...)
-		c.size = 0
-		c.count = 0
-		for _, nd := range ch.Nodes {
+		c.size, c.count, c.deg = 0, 0, 0
+		for i, nd := range ch.Nodes {
 			if nd < 0 || nd >= n {
 				return nil, fmt.Errorf("exttsp: chain node %d out of range", nd)
 			}
@@ -185,22 +175,25 @@ func LayoutChains(g *Graph, opts Options, chains []Chain) ([]int, error) {
 				return nil, fmt.Errorf("exttsp: node %d appears in two chains", nd)
 			}
 			seen[nd] = true
-			st.owner[nd] = rep
+			st.owner[nd], st.off[nd], st.idx[nd] = rep, c.size, i
 			c.size += g.Nodes[nd].Size
 			c.count += g.Nodes[nd].Count
+			c.deg += len(st.nodeOut[nd])
 		}
-		c.score = st.chainScore(c.nodes)
 	}
 	for nd, ok := range seen {
 		if !ok {
 			return nil, fmt.Errorf("exttsp: node %d missing from chains", nd)
 		}
 	}
-	if opts.UseHeap {
-		st.runHeap()
-	} else {
-		st.runNaive()
+	// Scored once every node knows its chain: a fold tells members from
+	// outsiders by owner.
+	for _, c := range st.chains {
+		if !c.dead {
+			c.score = st.chainScore(c)
+		}
 	}
+	st.run()
 	return st.finalOrder(), nil
 }
 
@@ -209,20 +202,11 @@ func LayoutChains(g *Graph, opts Options, chains []Chain) ([]int, error) {
 // order is identical to Layout's at every worker count; workers <= 1 (or
 // a single component) falls through to the serial path.
 func LayoutParallel(g *Graph, opts Options, workers int) ([]int, error) {
-	if workers <= 1 {
+	if workers <= 1 || len(g.Nodes) == 0 {
 		return Layout(g, opts)
 	}
-	n := len(g.Nodes)
-	if n == 0 {
-		return nil, nil
-	}
-	if opts.ForcedFirst >= n {
-		return nil, fmt.Errorf("exttsp: forced-first node %d out of range", opts.ForcedFirst)
-	}
-	for _, e := range g.Edges {
-		if e.Src < 0 || e.Src >= n || e.Dst < 0 || e.Dst >= n {
-			return nil, fmt.Errorf("exttsp: edge (%d,%d) out of range", e.Src, e.Dst)
-		}
+	if err := validate(g, opts); err != nil {
+		return nil, err
 	}
 	comps := Components(g)
 	if len(comps) <= 1 {
