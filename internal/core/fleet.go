@@ -53,9 +53,9 @@ func (f FleetOptions) hosts() int {
 // accounting, including any rejected or duplicated batches.
 func CollectFleetProfile(bin *objfile.Binary, spec RunSpec, fo FleetOptions, trackMisses bool) (*profile.Profile, *sim.Result, fleetprof.IngestStats, error) {
 	hosts := fo.hosts()
-	// One shared Program: the decode table is immutable after Load, so
-	// every host runs off the same pre-decoded text instead of paying the
-	// load per host.
+	// One shared Program: the decode table is safe for concurrent runs,
+	// so every host runs off the same decoded text instead of decoding it
+	// per host.
 	prog, err := sim.Load(bin)
 	if err != nil {
 		return nil, nil, fleetprof.IngestStats{}, err

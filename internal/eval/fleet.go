@@ -101,8 +101,8 @@ func FleetSweep() (*FleetSweepResult, error) {
 	bin := meta.Binary
 	maxHosts := slices.Max(fleetSweepHosts)
 
-	// One shared Program: the pre-decoded text is immutable, so all hosts
-	// simulate concurrently off a single Load.
+	// One shared Program: its decode table is safe for concurrent runs,
+	// so all hosts simulate off a single Load.
 	sprog, err := sim.Load(bin)
 	if err != nil {
 		return nil, err

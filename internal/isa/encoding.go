@@ -135,24 +135,25 @@ func (e *DecodeError) Error() string {
 	return fmt.Sprintf("isa: invalid opcode %#02x at offset %#x", e.Byte, e.Offset)
 }
 
-// Decode decodes a single instruction from buf starting at off. It returns
-// the instruction and its size. A *DecodeError is returned for invalid
-// opcodes or truncated encodings.
-func Decode(buf []byte, off int) (Inst, int, error) {
-	if off >= len(buf) {
-		return Inst{}, 0, &DecodeError{Offset: off, Short: true}
+// TryDecode is Decode without the error value: it returns the instruction at
+// off and its size, or size 0 when nothing decodes there (invalid opcode,
+// register operand out of range, or an encoding that runs past the end of
+// buf). It never allocates, which is what lets the simulator ask "does this
+// offset decode, and how long is it" of every byte of a text page — most of
+// which are not instruction starts — and build a DecodeError only for the
+// one offset a fault actually reports.
+func TryDecode(buf []byte, off int) (Inst, int) {
+	if uint(off) >= uint(len(buf)) {
+		return Inst{}, 0
 	}
-	op := Op(buf[off])
+	b := buf[off:]
+	op := Op(b[0])
 	f := opFormat(op)
-	if f == 0xFF {
-		return Inst{}, 0, &DecodeError{Offset: off, Byte: buf[off]}
-	}
 	size := formatSize(f)
-	if off+size > len(buf) {
-		return Inst{}, 0, &DecodeError{Offset: off, Short: true}
+	if size == 0 || size > len(b) {
+		return Inst{}, 0
 	}
 	in := Inst{Op: op}
-	b := buf[off:]
 	switch f {
 	case fmtNone:
 	case fmtR:
@@ -173,26 +174,29 @@ func Decode(buf []byte, off int) (Inst, int, error) {
 	case fmtRel32:
 		in.Imm = int64(int32(binary.LittleEndian.Uint32(b[1:])))
 	}
-	if (in.A >= NumRegs && usesRegA(f)) || (in.B >= NumRegs && usesRegB(f)) {
-		return Inst{}, 0, &DecodeError{Offset: off, Byte: buf[off]}
+	// Formats without a register operand leave A and B zero.
+	if in.A >= NumRegs || in.B >= NumRegs {
+		return Inst{}, 0
 	}
-	return in, size, nil
+	return in, size
 }
 
-func usesRegA(f format) bool {
-	switch f {
-	case fmtR, fmtRR, fmtRI32, fmtRI64, fmtRRI32:
-		return true
+// Decode decodes a single instruction from buf starting at off. It returns
+// the instruction and its size. A *DecodeError is returned for invalid
+// opcodes or truncated encodings.
+func Decode(buf []byte, off int) (Inst, int, error) {
+	in, size := TryDecode(buf, off)
+	if size != 0 {
+		return in, size, nil
 	}
-	return false
-}
-
-func usesRegB(f format) bool {
-	switch f {
-	case fmtRR, fmtRRI32:
-		return true
+	// Say why: past the end, not an opcode, cut short, or a bad register.
+	if uint(off) >= uint(len(buf)) {
+		return Inst{}, 0, &DecodeError{Offset: off, Short: true}
 	}
-	return false
+	if n := SizeOf(Op(buf[off])); n != 0 && off+n > len(buf) {
+		return Inst{}, 0, &DecodeError{Offset: off, Short: true}
+	}
+	return Inst{}, 0, &DecodeError{Offset: off, Byte: buf[off]}
 }
 
 // FitsRel8 reports whether a displacement can be encoded in a short branch.

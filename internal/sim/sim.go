@@ -9,6 +9,8 @@ package sim
 import (
 	"encoding/binary"
 	"fmt"
+	"sync"
+	"sync/atomic"
 
 	"propeller/internal/heatmap"
 	"propeller/internal/isa"
@@ -107,32 +109,115 @@ func (r *Result) IPC() float64 {
 	return float64(r.Insts) / float64(r.Cycles)
 }
 
-// cachedInst is one pre-decoded instruction, packed to 16 bytes so the
-// flat decode table stays cache-friendly. size 0 marks a text offset where
-// no instruction decodes; executing it faults.
+// cachedInst is one pre-decoded instruction, packed to 8 bytes: the decode
+// table has an entry per text byte, so its density decides how much of the
+// hot code's table the host's L1 holds.
 type cachedInst struct {
-	imm  int64
-	op   isa.Op
+	// imm is the immediate or displacement. Only movi64 can carry one that
+	// does not fit; that one gets the hMovI64 handler, which reads text.
+	imm int32
+	op  handler
+	// a and b are the register operands, except that a conditional branch
+	// keeps its condition in a as a mask over the three flag values: bit
+	// flags+1 is set when the branch is taken.
 	a, b byte
+	// size is the encoded length, or noInst at an address where nothing
+	// decodes (or that lies outside text). noInst is larger than a fetch
+	// window, so such an entry never passes the in-window test and always
+	// reaches the slow step, which reports the fault.
 	size uint8
 }
 
-// Program is a loaded binary ready to execute. It is immutable after Load:
-// the decode table and LSDA index are built once, so any number of Run
-// calls — including concurrent ones from different goroutines — can share
-// one Program. All mutable run state (registers, stack, data image, uarch
-// model, LBR ring) is private to each Run call.
+// handler is an opcode renumbered for dispatch: the opcode space has gaps
+// (so that embedded data fails to decode), the handlers are dense from 1, and
+// forms that execute alike share one, so Run's switch is a single jump table.
+type handler uint8
+
+const (
+	hNone handler = iota // no such instruction
+	hNop
+	hHalt
+	hRet
+	hMovRR
+	hMovI   // movi, and movi64 of a value that fits 32 bits
+	hMovI64 // movi64 of one that does not
+	hAdd
+	hSub
+	hMul
+	hDiv
+	hMod
+	hAnd
+	hOr
+	hXor
+	hShl
+	hShr
+	hAddI
+	hCmp
+	hCmpI
+	hLoad
+	hStore
+	hPrefetch
+	hPush
+	hPop
+	hJmp // rel8 and rel32
+	hJcc // all twelve conditional branches; the condition is a mask in a
+	hJmpR
+	hCall
+	hCallR
+	hThrow
+)
+
+var handlers = [256]handler{
+	isa.OpNop: hNop, isa.OpHalt: hHalt, isa.OpRet: hRet,
+	isa.OpMovRR: hMovRR, isa.OpMovI: hMovI, isa.OpMovI64: hMovI,
+	isa.OpAdd: hAdd, isa.OpSub: hSub, isa.OpMul: hMul, isa.OpDiv: hDiv, isa.OpMod: hMod,
+	isa.OpAnd: hAnd, isa.OpOr: hOr, isa.OpXor: hXor, isa.OpShl: hShl, isa.OpShr: hShr,
+	isa.OpAddI: hAddI, isa.OpCmp: hCmp, isa.OpCmpI: hCmpI,
+	isa.OpLoad: hLoad, isa.OpStore: hStore, isa.OpPrefetch: hPrefetch,
+	isa.OpPush: hPush, isa.OpPop: hPop,
+	isa.OpJmp: hJmp, isa.OpJmpS: hJmp,
+	isa.OpJeq: hJcc, isa.OpJne: hJcc, isa.OpJlt: hJcc, isa.OpJle: hJcc, isa.OpJgt: hJcc, isa.OpJge: hJcc,
+	isa.OpJeqS: hJcc, isa.OpJneS: hJcc, isa.OpJltS: hJcc, isa.OpJleS: hJcc, isa.OpJgtS: hJcc, isa.OpJgeS: hJcc,
+	isa.OpJmpR: hJmpR, isa.OpCall: hCall, isa.OpCallR: hCallR,
+	isa.OpThrow: hThrow,
+}
+
+const noInst = 0xFF
+
+// Decoded pages cover 4 KB of address space, aligned in address space (not
+// in text offsets) so that a 32-byte fetch window never spans two of them.
+const (
+	pageBits = 12
+	pageSize = 1 << pageBits
+	pageMask = pageSize - 1
+)
+
+type page [pageSize]cachedInst
+
+// fetchWindow is the span of addresses the fetch model treats as one unit:
+// the 32-byte DSB window, two to a cache line.
+const fetchWindow = 1 << dsbWindowBits
+
+// Program is a loaded binary ready to execute, safe for any number of
+// concurrent Run calls. Its only mutable state is the decode table, which
+// fills in one page at a time as runs first fetch from it; all run state
+// (registers, stack, data image, uarch model, LBR ring) is private to each
+// Run call.
 type Program struct {
 	bin  *objfile.Binary
 	lsda map[uint64]uint64 // call-site end address → landing pad
 
-	// code is the flat decode table, one entry per text byte, indexed by
-	// pc - TextBase. Every offset is decoded eagerly at Load: jump tables
-	// may live inside text (data-in-code), so instruction boundaries are
-	// unknowable statically and per-offset decoding is the only scheme
-	// that never desynchronizes. Offsets that decode to nothing stay
-	// size 0 and fault only if fetched.
-	code []cachedInst
+	// pages is the decode table: one entry per address, in pages indexed
+	// by (pc >> pageBits) - firstPage. Every address of a page is decoded,
+	// not just instruction starts: jump tables may live inside text
+	// (data-in-code), so instruction boundaries are unknowable statically
+	// and per-offset decoding is the only scheme that never
+	// desynchronizes. A page is decoded when a run first fetches from it
+	// — most of a warehouse-scale binary is never fetched at all — and
+	// published through its atomic pointer; it is immutable from then on.
+	pages     []atomic.Pointer[page]
+	firstPage uint64
+	decodeMu  sync.Mutex // serializes decoding, so a page is built once
 }
 
 // Load prepares a binary for execution. The returned Program is safe for
@@ -149,24 +234,56 @@ func Load(bin *objfile.Binary) (*Program, error) {
 		pad := binary.LittleEndian.Uint64(bin.LSDA[off+8:])
 		p.lsda[call] = pad
 	}
+	// Keeps pc+size and the end of a page or window from wrapping in Run.
+	if room := ^uint64(0) - bin.TextBase; uint64(len(bin.Text)) > room || room-uint64(len(bin.Text)) < pageSize {
+		return nil, fmt.Errorf("sim: text segment at %#x runs into the end of the address space", bin.TextBase)
+	}
 	if bin.Entry < bin.TextBase || bin.Entry >= bin.TextEnd() {
 		return nil, fmt.Errorf("sim: entry %#x outside text", bin.Entry)
 	}
-	p.code = make([]cachedInst, len(bin.Text))
-	for off := range bin.Text {
-		inst, size, err := isa.Decode(bin.Text, off)
-		if err != nil {
-			continue // not an instruction start; faults if ever fetched
+	p.firstPage = bin.TextBase >> pageBits
+	p.pages = make([]atomic.Pointer[page], (bin.TextEnd()-1)>>pageBits-p.firstPage+1)
+	return p, nil
+}
+
+// decodePage builds and publishes decoded page i.
+func (p *Program) decodePage(i uint64) *page {
+	p.decodeMu.Lock()
+	defer p.decodeMu.Unlock()
+	if pg := p.pages[i].Load(); pg != nil {
+		return pg // another run got here first
+	}
+	pg := new(page)
+	text := p.bin.Text
+	off := (p.firstPage+i)<<pageBits - p.bin.TextBase // wraps below text; TryDecode rejects it
+	for j := range pg {
+		ci := &pg[j]
+		inst, size := isa.TryDecode(text, int(off)+j)
+		if size == 0 {
+			ci.size = noInst
+			continue
 		}
-		p.code[off] = cachedInst{
-			imm:  inst.Imm,
-			op:   inst.Op,
-			a:    inst.A,
-			b:    inst.B,
-			size: uint8(size),
+		*ci = cachedInst{imm: int32(inst.Imm), op: handlers[inst.Op], a: inst.A, b: inst.B, size: uint8(size)}
+		switch {
+		case inst.Op.IsCondBranch():
+			ci.a = condMasks[inst.Op.BranchCond()]
+		case int64(ci.imm) != inst.Imm:
+			ci.op = hMovI64
 		}
 	}
-	return p, nil
+	p.pages[i].Store(pg)
+	return pg
+}
+
+// condMasks holds, per condition, which of the flag values -1, 0, +1 (bits
+// 0, 1, 2) satisfy it.
+var condMasks = [isa.NumConds]byte{
+	isa.CondEQ: 0b010,
+	isa.CondNE: 0b101,
+	isa.CondLT: 0b001,
+	isa.CondLE: 0b011,
+	isa.CondGT: 0b100,
+	isa.CondGE: 0b110,
 }
 
 type frame struct {
@@ -175,8 +292,110 @@ type frame struct {
 	fpAtCall int64 // frame pointer to restore when unwinding into this frame
 }
 
+// memory is the address space of one run. A segment check is written as
+// addr-base against the segment length, so an address near 2^64 cannot
+// wrap its way past it.
+type memory struct {
+	stack, data, rodata, text                 []byte
+	stackBase, dataBase, rodataBase, textBase uint64
+}
+
+// word returns the 8 bytes of seg at off, or nil if they are not all there.
+func word(seg []byte, off uint64) []byte {
+	if off < uint64(len(seg)) {
+		if b := seg[off:]; len(b) >= 8 {
+			return b[:8]
+		}
+	}
+	return nil
+}
+
+func (m *memory) load64(addr uint64) (int64, bool) {
+	b := word(m.stack, addr-m.stackBase)
+	if b == nil {
+		b = word(m.data, addr-m.dataBase)
+	}
+	if b == nil {
+		b = word(m.rodata, addr-m.rodataBase)
+	}
+	if b == nil {
+		// Jump tables may live inside text (data-in-code).
+		b = word(m.text, addr-m.textBase)
+	}
+	if b == nil {
+		return 0, false
+	}
+	return int64(binary.LittleEndian.Uint64(b)), true
+}
+
+func (m *memory) store64(addr uint64, v int64) bool {
+	b := word(m.stack, addr-m.stackBase)
+	if b == nil {
+		b = word(m.data, addr-m.dataBase)
+	}
+	if b == nil {
+		return false
+	}
+	binary.LittleEndian.PutUint64(b, uint64(v))
+	return true
+}
+
+// arenaSink is the OnSample a run uses when the caller gave none: it
+// materializes the stream into Result.Profile.
+type arenaSink struct {
+	prof  *profile.Profile
+	arena sampleArena
+}
+
+func (s *arenaSink) add(sample profile.Sample) error {
+	recs := s.arena.alloc(len(sample.Records))
+	copy(recs, sample.Records)
+	s.prof.Samples = append(s.prof.Samples, profile.Sample{Records: recs})
+	return nil
+}
+
+// machine is the architectural and model state of one run: what an
+// instruction can read or change.
+type machine struct {
+	regs      [isa.NumRegs]int64
+	flags     int64 // sign of the last comparison
+	mem       memory
+	callStack []frame
+	lbr       lbrRing
+	u         *uarch            // nil when Config.DisableUarch
+	heat      *heatmap.Recorder // nil unless Config.Heatmap
+
+	loadMisses map[uint64]uint64 // nil unless Config.TrackLoadMisses
+	lsda       map[uint64]uint64
+
+	exit int64  // r0 at halt
+	msg  string // why exec returned stopFault
+}
+
+// stop says why exec returned.
+type stop uint8
+
+const (
+	stopLeave stop = iota // the next instruction is in another page, or none is left
+	stopHalt              // the program ended
+	stopFault             // the instruction at the returned pc faulted (machine.msg)
+)
+
 // Run executes the program with the given configuration. Runs are
 // independent: concurrent Run calls on one Program do not share state.
+//
+// Execution steps by fetch window. A slow step is taken for the first
+// instruction of every 32-byte window the run enters, for an instruction
+// that extends past its window, and after every taken transfer: it runs
+// the fetch model and the heat map (in machine.exec) and, when the
+// transfer left the decoded page or the countdown to the next sample or
+// the end of the budget ran out, looks those up here. Every other
+// instruction is a fast step: load the decoded entry, dispatch, execute.
+// That is exact because the fetch model can only change state at those
+// points (see uarch.fetch), the instruction-side model and everything an
+// instruction itself touches are disjoint, and cycles are additive, so the
+// per-instruction base cycle is added from the instruction count at the
+// end.
 func (p *Program) Run(cfg Config) (*Result, error) {
 	maxInsts := cfg.MaxInsts
 	if maxInsts == 0 {
@@ -188,313 +407,350 @@ func (p *Program) Run(cfg Config) (*Result, error) {
 	}
 	bin := p.bin
 
-	var regs [isa.NumRegs]int64
-	regs[isa.RegArg0] = cfg.Args[0]
-	regs[isa.RegArg1] = cfg.Args[1]
-	regs[isa.RegArg2] = cfg.Args[2]
-	regs[isa.RegArg3] = cfg.Args[3]
-	regs[isa.RegSP] = int64(StackTop)
-	var flags int64
-
-	stackBase := StackTop - stackSize
-	stack := make([]byte, stackSize)
 	data := make([]byte, int64(len(bin.Data))+bin.BSSSize)
 	copy(data, bin.Data)
-
-	var u *uarch
+	m := &machine{
+		mem: memory{
+			stack: make([]byte, stackSize), stackBase: StackTop - stackSize,
+			data: data, dataBase: bin.DataBase,
+			rodata: bin.Rodata, rodataBase: bin.RodataBase,
+			text: bin.Text, textBase: bin.TextBase,
+		},
+		heat: cfg.Heatmap,
+		lsda: p.lsda,
+	}
+	m.regs[isa.RegArg0] = cfg.Args[0]
+	m.regs[isa.RegArg1] = cfg.Args[1]
+	m.regs[isa.RegArg2] = cfg.Args[2]
+	m.regs[isa.RegArg3] = cfg.Args[3]
+	m.regs[isa.RegSP] = int64(StackTop)
 	if !cfg.DisableUarch {
-		u = newUarch(bin.HugePages)
+		m.u = newUarch(bin.HugePages)
 	}
-	res := &Result{}
 	if cfg.TrackLoadMisses {
-		res.LoadMisses = map[uint64]uint64{}
+		m.loadMisses = map[uint64]uint64{}
 	}
-	var lbr lbrRing
-	var arena sampleArena
-	var streamBuf [profile.LBRDepth]profile.Branch
-	streaming := cfg.OnSample != nil
-	if cfg.LBRPeriod > 0 && !streaming {
-		res.Profile = &profile.Profile{Period: cfg.LBRPeriod, BuildID: bin.BuildID}
+	res := &Result{LoadMisses: m.loadMisses}
+
+	// Sampling has one site in the loop and one kind of sink: the caller's
+	// OnSample, or the arena that fills Result.Profile.
+	var sampleBuf [profile.LBRDepth]profile.Branch
+	onSample := cfg.OnSample
+	nextSample := ^uint64(0) // retired count at which the next sample is due
+	if cfg.LBRPeriod > 0 {
+		nextSample = cfg.LBRPeriod - cfg.LBRPhase%cfg.LBRPeriod
+		if onSample == nil {
+			res.Profile = &profile.Profile{Period: cfg.LBRPeriod, BuildID: bin.BuildID}
+			onSample = (&arenaSink{prof: res.Profile}).add
+		}
 	}
 
-	var callStack []frame
-
-	finish := func() {
-		if u != nil {
-			res.Cycles = u.cycles
-		} else {
-			res.Cycles = res.Insts
-		}
-		if cfg.KeepMemory {
-			res.DataImage = data
-		}
-	}
-	fault := func(pc uint64, format string, args ...any) error {
-		finish() // record cycles and memory on every exit path
-		return &RunError{PC: pc, Inst: res.Insts, Msg: fmt.Sprintf(format, args...)}
-	}
-
-	load64 := func(pc, addr uint64) (int64, error) {
-		switch {
-		case addr >= stackBase && addr+8 <= StackTop:
-			return int64(binary.LittleEndian.Uint64(stack[addr-stackBase:])), nil
-		case addr >= bin.DataBase && addr+8 <= bin.DataBase+uint64(len(data)):
-			return int64(binary.LittleEndian.Uint64(data[addr-bin.DataBase:])), nil
-		case addr >= bin.RodataBase && addr+8 <= bin.RodataBase+uint64(len(bin.Rodata)):
-			return int64(binary.LittleEndian.Uint64(bin.Rodata[addr-bin.RodataBase:])), nil
-		case addr >= bin.TextBase && addr+8 <= bin.TextEnd():
-			// Jump tables may live inside text (data-in-code).
-			return int64(binary.LittleEndian.Uint64(bin.Text[addr-bin.TextBase:])), nil
-		}
-		return 0, fault(pc, "load from unmapped address %#x", addr)
-	}
-	store64 := func(pc, addr uint64, v int64) error {
-		switch {
-		case addr >= stackBase && addr+8 <= StackTop:
-			binary.LittleEndian.PutUint64(stack[addr-stackBase:], uint64(v))
-			return nil
-		case addr >= bin.DataBase && addr+8 <= bin.DataBase+uint64(len(data)):
-			binary.LittleEndian.PutUint64(data[addr-bin.DataBase:], uint64(v))
-			return nil
-		}
-		return fault(pc, "store to unmapped or read-only address %#x", addr)
-	}
+	// Retired instructions are counted down: the run has retired
+	// limit-left, and limit is the next count at which something other
+	// than execution is due (a sample or the end of the budget).
+	var limit, left uint64
 
 	pc := bin.Entry
-	textBase := bin.TextBase
-	textEnd := bin.TextEnd()
-	code := p.code
-
-	for res.Insts < maxInsts {
-		if pc < textBase || pc >= textEnd {
-			return res, fault(pc, "instruction fetch outside text segment")
+	var (
+		why stop
+		err error
+	)
+	for {
+		if left == 0 {
+			if limit == nextSample {
+				recs := sampleBuf[:m.lbr.count()]
+				m.lbr.snapshotInto(recs)
+				if err = onSample(profile.Sample{Records: recs}); err != nil {
+					break
+				}
+				if nextSample += cfg.LBRPeriod; nextSample < cfg.LBRPeriod {
+					nextSample = ^uint64(0)
+				}
+			}
+			if limit >= maxInsts {
+				why, m.msg = stopFault, fmt.Sprintf("instruction budget of %d exhausted", maxInsts)
+				break
+			}
+			left = min(maxInsts, nextSample) - limit
+			limit += left
 		}
-		ci := code[pc-textBase]
-		if ci.size == 0 {
-			// Re-decode for the error detail: the table only records that
-			// nothing decodes here.
-			_, _, err := isa.Decode(bin.Text, int(pc-textBase))
-			return res, fault(pc, "instruction decode failed: %v", err)
+		i := pc>>pageBits - p.firstPage
+		if i >= uint64(len(p.pages)) {
+			why, m.msg = stopFault, "instruction fetch outside text segment"
+			break
+		}
+		pg := p.pages[i].Load()
+		if pg == nil {
+			pg = p.decodePage(i)
+		}
+		if pc, left, why = m.exec(pg, pc, left, limit); why != stopLeave {
+			break
+		}
+	}
+
+	// Every exit comes through here: cycles, counters and memory are
+	// recorded for a faulted run too.
+	res.Exit = m.exit
+	res.Insts = limit - left
+	res.Cycles = res.Insts
+	if u := m.u; u != nil {
+		res.Counters = u.c
+		res.Cycles += u.cycles
+	}
+	if cfg.KeepMemory {
+		res.DataImage = data
+	}
+	switch {
+	case err != nil:
+		return res, err
+	case why == stopFault:
+		return res, &RunError{PC: pc, Inst: res.Insts, Msg: m.msg}
+	}
+	return res, nil
+}
+
+// exec runs the program from pc, an address in decoded page pg, until
+// control leaves the page, the left instructions due before Run has to
+// look again (the run will have retired limit of them then) are retired,
+// or the run ends. It returns the next pc and what remains of left; on
+// stopFault, the pc that faulted.
+func (m *machine) exec(pg *page, pc, left, limit uint64) (uint64, uint64, stop) {
+	regs, mem, u := &m.regs, &m.mem, m.u
+	flags := m.flags
+	pn := pc >> pageBits
+	var target uint64
+	for {
+		// Slow step: pc enters a fetch window.
+		ci := &pg[pc&pageMask]
+		if ci.size == noInst {
+			m.msg = m.fetchFault(pc)
+			return pc, left, stopFault
 		}
 		if u != nil {
-			u.fetch(&res.Counters, pc, int(ci.size))
+			u.fetch(pc, uint64(ci.size))
 		}
-		if cfg.Heatmap != nil {
-			cfg.Heatmap.Touch(pc, res.Insts)
+		winEnd := pc | (fetchWindow - 1) + 1
+		if m.heat != nil {
+			m.heat.Touch(pc, limit-left)
+			winEnd = 0 // the recorder sees every fetch
 		}
-		res.Insts++
-		nextPC := pc + uint64(ci.size)
-		in := isa.Inst{Op: ci.op, A: ci.a, B: ci.b, Imm: ci.imm}
 
-		taken := false
-		var target uint64
-		indirect := false
-		isCall := false
-		isRet := false
+		for {
+			left--
+			next := pc + uint64(ci.size)
+			a, b, imm := ci.a&(isa.NumRegs-1), ci.b&(isa.NumRegs-1), int64(ci.imm)
 
-		switch in.Op {
-		case isa.OpNop:
-		case isa.OpHalt:
-			res.Exit = regs[isa.RegRet]
-			finish()
-			return res, nil
-		case isa.OpMovRR:
-			regs[in.A] = regs[in.B]
-		case isa.OpMovI, isa.OpMovI64:
-			regs[in.A] = in.Imm
-		case isa.OpAdd:
-			regs[in.A] += regs[in.B]
-		case isa.OpSub:
-			regs[in.A] -= regs[in.B]
-		case isa.OpMul:
-			regs[in.A] *= regs[in.B]
-		case isa.OpDiv:
-			if regs[in.B] == 0 {
-				return res, fault(pc, "division by zero")
-			}
-			regs[in.A] /= regs[in.B]
-		case isa.OpMod:
-			if regs[in.B] == 0 {
-				return res, fault(pc, "modulo by zero")
-			}
-			regs[in.A] %= regs[in.B]
-		case isa.OpAnd:
-			regs[in.A] &= regs[in.B]
-		case isa.OpOr:
-			regs[in.A] |= regs[in.B]
-		case isa.OpXor:
-			regs[in.A] ^= regs[in.B]
-		case isa.OpShl:
-			regs[in.A] <<= uint64(regs[in.B]) & 63
-		case isa.OpShr:
-			regs[in.A] = int64(uint64(regs[in.A]) >> (uint64(regs[in.B]) & 63))
-		case isa.OpAddI:
-			regs[in.A] += in.Imm
-		case isa.OpCmp:
-			flags = sign(regs[in.A] - regs[in.B])
-		case isa.OpCmpI:
-			flags = sign(regs[in.A] - in.Imm)
-		case isa.OpLoad:
-			addr := uint64(regs[in.A] + in.Imm)
-			v, err := load64(pc, addr)
-			if err != nil {
-				return res, err
-			}
-			regs[in.B] = v
-			if u != nil && u.dataAccess(&res.Counters, addr, true) && cfg.TrackLoadMisses {
-				res.LoadMisses[pc]++
-			}
-		case isa.OpStore:
-			addr := uint64(regs[in.A] + in.Imm)
-			if err := store64(pc, addr, regs[in.B]); err != nil {
-				return res, err
-			}
-			if u != nil {
-				u.dataAccess(&res.Counters, addr, false)
-			}
-		case isa.OpPrefetch:
-			if u != nil {
-				u.prefetch(&res.Counters, uint64(regs[in.A]+in.Imm))
-			}
-		case isa.OpPush:
-			regs[isa.RegSP] -= 8
-			if uint64(regs[isa.RegSP]) < stackBase {
-				return res, fault(pc, "stack overflow")
-			}
-			if err := store64(pc, uint64(regs[isa.RegSP]), regs[in.A]); err != nil {
-				return res, err
-			}
-		case isa.OpPop:
-			v, err := load64(pc, uint64(regs[isa.RegSP]))
-			if err != nil {
-				return res, err
-			}
-			regs[in.A] = v
-			regs[isa.RegSP] += 8
-		case isa.OpJmp, isa.OpJmpS:
-			taken = true
-			target = uint64(int64(nextPC) + in.Imm)
-		case isa.OpJmpR:
-			taken = true
-			indirect = true
-			target = uint64(regs[in.A])
-		case isa.OpCall:
-			taken = true
-			isCall = true
-			target = uint64(int64(nextPC) + in.Imm)
-			regs[isa.RegSP] -= 8
-			if uint64(regs[isa.RegSP]) < stackBase {
-				return res, fault(pc, "stack overflow")
-			}
-			if err := store64(pc, uint64(regs[isa.RegSP]), int64(nextPC)); err != nil {
-				return res, err
-			}
-			callStack = append(callStack, frame{retAddr: nextPC, spBefore: uint64(regs[isa.RegSP]) + 8, fpAtCall: regs[isa.RegFP]})
-		case isa.OpCallR:
-			taken = true
-			isCall = true
-			indirect = true
-			target = uint64(regs[in.A])
-			regs[isa.RegSP] -= 8
-			if uint64(regs[isa.RegSP]) < stackBase {
-				return res, fault(pc, "stack overflow")
-			}
-			if err := store64(pc, uint64(regs[isa.RegSP]), int64(nextPC)); err != nil {
-				return res, err
-			}
-			callStack = append(callStack, frame{retAddr: nextPC, spBefore: uint64(regs[isa.RegSP]) + 8, fpAtCall: regs[isa.RegFP]})
-		case isa.OpRet:
-			if len(callStack) == 0 {
-				// Returning from the entry function ends the program.
-				res.Exit = regs[isa.RegRet]
-				finish()
-				return res, nil
-			}
-			v, err := load64(pc, uint64(regs[isa.RegSP]))
-			if err != nil {
-				return res, err
-			}
-			regs[isa.RegSP] += 8
-			callStack = callStack[:len(callStack)-1]
-			taken = true
-			isRet = true
-			target = uint64(v)
-		case isa.OpThrow:
-			pad, fr, fp, depth, ok := p.unwind(callStack)
-			if !ok {
-				return res, fault(pc, "uncaught exception")
-			}
-			callStack = callStack[:depth]
-			regs[isa.RegSP] = int64(fr)
-			// The CFI of §4.4 exists so the unwinder can restore the
-			// callee-saved frame pointer of the landing frame; the
-			// simulator applies that restoration directly.
-			regs[isa.RegFP] = fp
-			taken = true
-			indirect = true
-			target = pad
-		default:
-			if in.Op >= isa.OpJeq && in.Op <= isa.OpJgeS {
-				cond := in.Op.BranchCond()
-				if cond.Holds(flags) {
-					taken = true
-					target = uint64(int64(nextPC) + in.Imm)
-				} else if u != nil {
-					u.condNotTaken(&res.Counters, pc)
+			switch ci.op {
+			case hNop:
+			case hHalt:
+				m.exit = regs[isa.RegRet]
+				return pc, left, stopHalt
+			case hMovRR:
+				regs[a] = regs[b]
+			case hMovI:
+				regs[a] = imm
+			case hMovI64:
+				regs[a] = int64(binary.LittleEndian.Uint64(mem.text[pc-mem.textBase+2:]))
+			case hAdd:
+				regs[a] += regs[b]
+			case hSub:
+				regs[a] -= regs[b]
+			case hMul:
+				regs[a] *= regs[b]
+			case hDiv:
+				if regs[b] == 0 {
+					m.msg = "division by zero"
+					return pc, left, stopFault
 				}
-			} else {
-				return res, fault(pc, "unimplemented opcode %v", in.Op)
-			}
-		}
-
-		if taken {
-			if u != nil {
-				switch {
-				case isCall:
-					u.call(&res.Counters, pc, target, nextPC, indirect)
-				case isRet:
-					u.ret(&res.Counters, target)
-				default:
-					u.takenBranch(&res.Counters, pc, target, indirect, in.Op.IsCondBranch())
+				regs[a] /= regs[b]
+			case hMod:
+				if regs[b] == 0 {
+					m.msg = "modulo by zero"
+					return pc, left, stopFault
 				}
-			}
-			lbr.push(pc, target)
-			nextPC = target
-		}
-
-		if cfg.LBRPeriod > 0 && (res.Insts+cfg.LBRPhase)%cfg.LBRPeriod == 0 {
-			n := lbr.count()
-			if streaming {
-				// One reused buffer: the callback owns the records only for
-				// the duration of the call, so sampling allocates nothing.
-				recs := streamBuf[:n]
-				lbr.snapshotInto(recs)
-				if err := cfg.OnSample(profile.Sample{Records: recs}); err != nil {
-					finish()
-					return res, err
+				regs[a] %= regs[b]
+			case hAnd:
+				regs[a] &= regs[b]
+			case hOr:
+				regs[a] |= regs[b]
+			case hXor:
+				regs[a] ^= regs[b]
+			case hShl:
+				regs[a] <<= uint64(regs[b]) & 63
+			case hShr:
+				regs[a] = int64(uint64(regs[a]) >> (uint64(regs[b]) & 63))
+			case hAddI:
+				regs[a] += imm
+			case hCmp:
+				flags = sign(regs[a] - regs[b])
+				m.flags = flags
+			case hCmpI:
+				flags = sign(regs[a] - imm)
+				m.flags = flags
+			case hLoad:
+				addr := uint64(regs[a] + imm)
+				v, ok := mem.load64(addr)
+				if !ok {
+					m.msg = fmt.Sprintf("load from unmapped address %#x", addr)
+					return pc, left, stopFault
 				}
-			} else {
-				// Arena-backed materialization: samples are subslices of
-				// large flat blocks, zero allocations per sample once a
-				// block is warm.
-				recs := arena.alloc(n)
-				lbr.snapshotInto(recs)
-				res.Profile.Samples = append(res.Profile.Samples, profile.Sample{Records: recs})
+				regs[b] = v
+				if u != nil && u.dataAccess(addr, true) && m.loadMisses != nil {
+					m.loadMisses[pc]++
+				}
+			case hStore:
+				addr := uint64(regs[a] + imm)
+				if !mem.store64(addr, regs[b]) {
+					m.msg = fmt.Sprintf("store to unmapped or read-only address %#x", addr)
+					return pc, left, stopFault
+				}
+				if u != nil {
+					u.dataAccess(addr, false)
+				}
+			case hPrefetch:
+				if u != nil {
+					u.prefetch(uint64(regs[a] + imm))
+				}
+			case hPush:
+				if msg := m.push(regs[a]); msg != "" {
+					m.msg = msg
+					return pc, left, stopFault
+				}
+			case hPop:
+				v, ok := mem.load64(uint64(regs[isa.RegSP]))
+				if !ok {
+					m.msg = fmt.Sprintf("load from unmapped address %#x", uint64(regs[isa.RegSP]))
+					return pc, left, stopFault
+				}
+				regs[a] = v
+				regs[isa.RegSP] += 8
+			case hJmp:
+				target = next + uint64(imm)
+				if u != nil {
+					u.takenBranch(pc, target, false, false)
+				}
+				goto taken
+			case hJmpR:
+				target = uint64(regs[a])
+				if u != nil {
+					u.takenBranch(pc, target, true, false)
+				}
+				goto taken
+			case hCall, hCallR:
+				target = next + uint64(imm)
+				if ci.op == hCallR {
+					target = uint64(regs[a])
+				}
+				if msg := m.push(int64(next)); msg != "" {
+					m.msg = msg
+					return pc, left, stopFault
+				}
+				m.callStack = append(m.callStack, frame{retAddr: next, spBefore: uint64(regs[isa.RegSP]) + 8, fpAtCall: regs[isa.RegFP]})
+				if u != nil {
+					u.call(pc, target, next, ci.op == hCallR)
+				}
+				goto taken
+			case hRet:
+				if len(m.callStack) == 0 {
+					// Returning from the entry function ends the program.
+					m.exit = regs[isa.RegRet]
+					return pc, left, stopHalt
+				}
+				v, ok := mem.load64(uint64(regs[isa.RegSP]))
+				if !ok {
+					m.msg = fmt.Sprintf("load from unmapped address %#x", uint64(regs[isa.RegSP]))
+					return pc, left, stopFault
+				}
+				regs[isa.RegSP] += 8
+				m.callStack = m.callStack[:len(m.callStack)-1]
+				target = uint64(v)
+				if u != nil {
+					u.ret(target)
+				}
+				goto taken
+			case hThrow:
+				pad, fr, fp, depth, ok := m.unwind()
+				if !ok {
+					m.msg = "uncaught exception"
+					return pc, left, stopFault
+				}
+				m.callStack = m.callStack[:depth]
+				regs[isa.RegSP] = int64(fr)
+				// The CFI of §4.4 exists so the unwinder can restore the
+				// callee-saved frame pointer of the landing frame; the
+				// simulator applies that restoration directly.
+				regs[isa.RegFP] = fp
+				target = pad
+				if u != nil {
+					u.takenBranch(pc, target, true, false)
+				}
+				goto taken
+			case hJcc:
+				if ci.a>>uint(flags+1)&1 != 0 { // decodePage left the condition mask in a
+					target = next + uint64(imm)
+					if u != nil {
+						u.takenBranch(pc, target, false, true)
+					}
+					goto taken
+				}
+				if u != nil {
+					u.condNotTaken(pc)
+				}
+			default:
+				m.msg = fmt.Sprintf("unimplemented opcode %v", isa.Op(mem.text[pc-mem.textBase]))
+				return pc, left, stopFault
+			}
+
+			// Fast step: the next instruction, if all of it is in the window.
+			pc = next
+			ci = &pg[pc&pageMask]
+			if left == 0 || pc+uint64(ci.size) > winEnd {
+				goto leave
 			}
 		}
-		pc = nextPC
+	taken:
+		m.lbr.push(pc, target)
+		pc = target
+	leave:
+		if left == 0 || pc>>pageBits != pn {
+			return pc, left, stopLeave
+		}
 	}
-	return res, fault(pc, "instruction budget of %d exhausted", maxInsts)
+}
+
+// fetchFault says why nothing can be fetched at pc: the decode table only
+// records that nothing decodes there.
+func (m *machine) fetchFault(pc uint64) string {
+	off := pc - m.mem.textBase
+	if off >= uint64(len(m.mem.text)) {
+		return "instruction fetch outside text segment" // the part of a first or last page that is not text
+	}
+	_, _, err := isa.Decode(m.mem.text, int(off))
+	return fmt.Sprintf("instruction decode failed: %v", err)
+}
+
+// push decrements the stack pointer and stores v there; it returns the
+// fault message if it cannot.
+func (m *machine) push(v int64) string {
+	m.regs[isa.RegSP] -= 8
+	sp := uint64(m.regs[isa.RegSP])
+	if sp < m.mem.stackBase {
+		return "stack overflow"
+	}
+	if !m.mem.store64(sp, v) {
+		return fmt.Sprintf("store to unmapped or read-only address %#x", sp)
+	}
+	return ""
 }
 
 // unwind walks the shadow call stack outward looking for a call site with a
 // landing pad. It returns the pad address, the SP and FP to restore (the
 // register state of the frame that owns the landing pad), and the new
 // stack depth.
-func (p *Program) unwind(callStack []frame) (pad, sp uint64, fp int64, depth int, ok bool) {
-	for i := len(callStack) - 1; i >= 0; i-- {
-		fr := callStack[i]
-		if lp, found := p.lsda[fr.retAddr]; found {
+func (m *machine) unwind() (pad, sp uint64, fp int64, depth int, ok bool) {
+	for i := len(m.callStack) - 1; i >= 0; i-- {
+		fr := m.callStack[i]
+		if lp, found := m.lsda[fr.retAddr]; found {
 			return lp, fr.spBefore, fr.fpAtCall, i, true
 		}
 	}
@@ -511,9 +767,13 @@ func sign(v int64) int64 {
 	return 0
 }
 
-// sampleArenaRecords sizes the LBR sample arena's flat blocks: one
-// allocation backs ~2k full-depth samples.
-const sampleArenaRecords = 1 << 16
+// The LBR sample arena's flat blocks double from 1k records up to 64k,
+// where one allocation backs ~2k full-depth samples: a run that takes a
+// handful of samples does not pay for (and zero) a megabyte.
+const (
+	sampleArenaMinRecords = 1 << 10
+	sampleArenaMaxRecords = 1 << 16
+)
 
 // sampleArena backs a run's materialized LBR samples with chunked flat
 // blocks, so the per-sample snapshot is an arena carve instead of a heap
@@ -524,7 +784,8 @@ type sampleArena struct {
 
 func (a *sampleArena) alloc(n int) []profile.Branch {
 	if len(a.block)+n > cap(a.block) {
-		a.block = make([]profile.Branch, 0, sampleArenaRecords)
+		size := min(max(2*cap(a.block), sampleArenaMinRecords), sampleArenaMaxRecords)
+		a.block = make([]profile.Branch, 0, size)
 	}
 	l := len(a.block)
 	a.block = a.block[:l+n]

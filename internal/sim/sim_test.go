@@ -240,6 +240,12 @@ func TestLoadRejectsBadEntry(t *testing.T) {
 	if _, err := Load(bad2); err == nil {
 		t.Error("ragged LSDA accepted")
 	}
+	bad3 := bin.Clone()
+	bad3.TextBase = -uint64(len(bad3.Text)) - 8
+	bad3.Entry = bad3.TextBase
+	if _, err := Load(bad3); err == nil {
+		t.Error("text at the very end of the address space accepted")
+	}
 }
 
 func fname(i int) string {

@@ -24,12 +24,12 @@ func runProfileBytes(t *testing.T, p *Program, cfg Config) []byte {
 	return res.Profile.AppendWire(nil)
 }
 
-// TestSharedProgramConcurrentRuns is the immutability contract of the
-// pre-decoded Program: many goroutines run distinct LBR phases off one
-// Load, and every run's profile must be byte-identical to the profile
-// the same configuration produces on a Program it has to itself. Run
-// under -race this also proves the decode table is never written after
-// Load.
+// TestSharedProgramConcurrentRuns is the sharing contract of Program:
+// many goroutines run distinct LBR phases off one Load, and every run's
+// profile must be byte-identical to the profile the same configuration
+// produces on a Program it has to itself. Run under -race this also
+// proves the decode table's pages are published safely
+// (TestColdStartConcurrentRuns makes every run start on a cold table).
 func TestSharedProgramConcurrentRuns(t *testing.T) {
 	bin := build(t, testprog.SumLoop(200_000), false)
 	shared, err := Load(bin)

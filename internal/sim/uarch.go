@@ -65,30 +65,17 @@ type Counters struct {
 	Prefetches uint64
 }
 
-// set-associative cache with move-to-front pseudo-LRU inside each set.
-type cache struct {
-	sets [][]uint64
-	ways int
-}
-
-func newCache(nsets, ways int) *cache {
-	c := &cache{sets: make([][]uint64, nsets), ways: ways}
-	backing := make([]uint64, nsets*ways)
-	for i := range backing {
-		backing[i] = ^uint64(0)
+// access looks key up in one set of a set-associative cache with
+// move-to-front pseudo-LRU order; it returns true on a hit and inserts the
+// tag on a miss. A hit on the most recent way — the common case for a fetch
+// stream that stays in a line and a load stream that stays in a structure —
+// leaves the set as it is.
+func access(set []uint64, key uint64) bool {
+	if set[0] == key {
+		return true
 	}
-	for i := range c.sets {
-		c.sets[i] = backing[i*ways : (i+1)*ways]
-	}
-	return c
-}
-
-// access returns true on hit; on miss the tag is inserted.
-func (c *cache) access(key uint64) bool {
-	set := c.sets[key%uint64(len(c.sets))]
-	for i, tag := range set {
-		if tag == key {
-			// Move to front.
+	for i := 1; i < len(set); i++ {
+		if set[i] == key {
 			copy(set[1:i+1], set[:i])
 			set[0] = key
 			return true
@@ -99,21 +86,31 @@ func (c *cache) access(key uint64) bool {
 	return false
 }
 
+// uarch is the model state of one run. Every table is a fixed-size array
+// indexed by a mask of the key (all set counts are powers of two), so a
+// lookup is a shift, a mask and a compare; one allocation holds the lot.
+// It accumulates penalty cycles only: each retired instruction also costs
+// one base cycle, which Run adds from the instruction count when it ends.
 type uarch struct {
-	l1i  *cache
-	l1d  *cache
-	l2   *cache
-	itlb *cache
-	stlb *cache
+	c Counters
 
-	btbTag    []uint64
-	btbTarget []uint64
-	gshare    []uint8
+	l1i  [l1iSets][l1iWays]uint64
+	l1d  [l1dSets][l1dWays]uint64
+	l2   [l2Sets][l2Ways]uint64
+	stlb [stlbSets][stlbWays]uint64
+
+	// itlb is 32 sets of 4 ways for 4K pages, or its first 8 entries as
+	// one fully-associative set for 2M pages.
+	itlb     [itlb4kSets * itlb4kWays]uint64
+	itlbMask uint64
+	itlbWays uint64
+	pageBits uint
+
+	btbTag    [btbEntries]uint64
+	btbTarget [btbEntries]uint64
+	gshare    [gshareEntries]uint8
 	ghist     uint64
-	dsb       []uint64
-
-	hugePages bool
-	pageBits  uint
+	dsb       [dsbEntries]uint64
 
 	// rsb is the return stack buffer: calls push their return address,
 	// returns predict by popping. 16 entries, wrapping like hardware.
@@ -128,77 +125,90 @@ type uarch struct {
 
 func newUarch(hugePages bool) *uarch {
 	u := &uarch{
-		l1i:        newCache(l1iSets, l1iWays),
-		l1d:        newCache(l1dSets, l1dWays),
-		l2:         newCache(l2Sets, l2Ways),
-		stlb:       newCache(stlbSets, stlbWays),
-		btbTag:     make([]uint64, btbEntries),
-		btbTarget:  make([]uint64, btbEntries),
-		gshare:     make([]uint8, gshareEntries),
-		dsb:        make([]uint64, dsbEntries),
-		hugePages:  hugePages,
+		itlbMask:   itlb4kSets - 1,
+		itlbWays:   itlb4kWays,
 		pageBits:   12,
 		lastLine:   ^uint64(0),
 		lastWindow: ^uint64(0),
 	}
 	if hugePages {
-		u.pageBits = 21
-		u.itlb = newCache(1, itlb2mWays)
-	} else {
-		u.itlb = newCache(itlb4kSets, itlb4kWays)
+		u.itlbMask, u.itlbWays, u.pageBits = 0, itlb2mWays, 21
 	}
-	for i := range u.btbTag {
-		u.btbTag[i] = ^uint64(0)
+	fill := func(tags []uint64) {
+		for i := range tags {
+			tags[i] = ^uint64(0)
+		}
 	}
-	for i := range u.dsb {
-		u.dsb[i] = ^uint64(0)
+	for i := range u.l1i {
+		fill(u.l1i[i][:])
 	}
+	for i := range u.l1d {
+		fill(u.l1d[i][:])
+	}
+	for i := range u.l2 {
+		fill(u.l2[i][:])
+	}
+	for i := range u.stlb {
+		fill(u.stlb[i][:])
+	}
+	fill(u.itlb[:])
+	fill(u.btbTag[:])
+	fill(u.dsb[:])
 	return u
 }
 
-// fetch models the frontend cost of fetching one instruction.
-func (u *uarch) fetch(c *Counters, pc uint64, size int) {
-	u.cycles++ // base cost
-	lineStart := pc >> lineBits
-	lineEnd := (pc + uint64(size) - 1) >> lineBits
-	for line := lineStart; line <= lineEnd; line++ {
-		if line == u.lastLine {
-			continue
-		}
-		u.lastLine = line
-		// iTLB on new-line fetches (tag lookups happen per 64B fetch).
-		page := (line << lineBits) >> u.pageBits
-		if !u.itlb.access(page) {
-			c.ITLBMiss++
-			if !u.stlb.access(page) {
-				c.STLBMiss++
-				u.cycles += penPageWalk
-				c.FetchStalls += penPageWalk
-			} else {
-				u.cycles += penITLBMiss
-				c.FetchStalls += penITLBMiss
-			}
-		}
-		if !u.l1i.access(line) {
-			c.L1IMiss++
-			if !u.l2.access(line) {
-				c.L2CodeMiss++
-				u.cycles += penL2Miss
-				c.FetchStalls += penL2Miss
-			} else {
-				u.cycles += penL1iMiss
-				c.FetchStalls += penL1iMiss
-			}
-		}
+// fetch models the frontend cost of fetching one instruction. It changes
+// state only for an instruction that starts in a new 32-byte window, runs
+// past the end of its 64-byte line, or follows a taken transfer (which
+// resets lastLine and lastWindow); for any other instruction it is a no-op,
+// which is what lets Run skip the call inside a window.
+func (u *uarch) fetch(pc, size uint64) {
+	line := pc >> lineBits
+	if line != u.lastLine {
+		u.fetchLine(line)
+	}
+	// An instruction is at most 10 bytes: it ends in this line or the next.
+	if end := (pc + size - 1) >> lineBits; end != line {
+		u.fetchLine(end)
 	}
 	window := pc >> dsbWindowBits
 	if window != u.lastWindow {
 		u.lastWindow = window
-		slot := window % uint64(len(u.dsb))
+		slot := window % dsbEntries
 		if u.dsb[slot] != window {
 			u.dsb[slot] = window
-			c.DSBMiss++
+			u.c.DSBMiss++
 			u.cycles += penDSBMiss
+		}
+	}
+}
+
+// fetchLine models the fetch of a line other than the last one fetched.
+func (u *uarch) fetchLine(line uint64) {
+	u.lastLine = line
+	c := &u.c
+	// iTLB on new-line fetches (tag lookups happen per 64B fetch).
+	page := (line << lineBits) >> u.pageBits
+	if !access(u.itlb[(page&u.itlbMask)*u.itlbWays:][:u.itlbWays], page) {
+		c.ITLBMiss++
+		if !access(u.stlb[page%stlbSets][:], page) {
+			c.STLBMiss++
+			u.cycles += penPageWalk
+			c.FetchStalls += penPageWalk
+		} else {
+			u.cycles += penITLBMiss
+			c.FetchStalls += penITLBMiss
+		}
+	}
+	if !access(u.l1i[line%l1iSets][:], line) {
+		c.L1IMiss++
+		if !access(u.l2[line%l2Sets][:], line) {
+			c.L2CodeMiss++
+			u.cycles += penL2Miss
+			c.FetchStalls += penL2Miss
+		} else {
+			u.cycles += penL1iMiss
+			c.FetchStalls += penL1iMiss
 		}
 	}
 }
@@ -206,14 +216,14 @@ func (u *uarch) fetch(c *Counters, pc uint64, size int) {
 // dataAccess models one load or store; it returns true on an L1d miss so
 // the caller can attribute the miss to the instruction (§3.5's cache miss
 // profiles).
-func (u *uarch) dataAccess(c *Counters, addr uint64, isLoad bool) bool {
+func (u *uarch) dataAccess(addr uint64, isLoad bool) bool {
 	line := addr >> lineBits
-	hit := u.l1d.access(line)
+	hit := access(u.l1d[line%l1dSets][:], line)
 	if isLoad {
-		c.Loads++
+		u.c.Loads++
 	}
 	if !hit {
-		c.L1DMiss++
+		u.c.L1DMiss++
 		u.cycles += penL1dMiss
 		return true
 	}
@@ -221,29 +231,30 @@ func (u *uarch) dataAccess(c *Counters, addr uint64, isLoad bool) bool {
 }
 
 // prefetch warms the L1d without stalling (software prefetch hint).
-func (u *uarch) prefetch(c *Counters, addr uint64) {
-	c.Prefetches++
-	u.l1d.access(addr >> lineBits)
+func (u *uarch) prefetch(addr uint64) {
+	u.c.Prefetches++
+	line := addr >> lineBits
+	access(u.l1d[line%l1dSets][:], line)
 }
 
 // call records a call's return address in the RSB and models the taken
 // transfer.
-func (u *uarch) call(c *Counters, pc, target, retAddr uint64, indirect bool) {
+func (u *uarch) call(pc, target, retAddr uint64, indirect bool) {
 	u.rsb[u.rsbTop&15] = retAddr
 	u.rsbTop++
-	u.takenBranch(c, pc, target, indirect, false)
+	u.takenBranch(pc, target, indirect, false)
 }
 
 // ret models a return: predicted through the RSB, not the BTB.
-func (u *uarch) ret(c *Counters, target uint64) {
-	c.TakenBranch++
+func (u *uarch) ret(target uint64) {
+	u.c.TakenBranch++
 	var predicted uint64
 	if u.rsbTop > 0 {
 		u.rsbTop--
 		predicted = u.rsb[u.rsbTop&15]
 	}
 	if predicted != target {
-		c.Mispredicts++
+		u.c.Mispredicts++
 		u.cycles += penMispredict
 	}
 	u.lastWindow = ^uint64(0)
@@ -251,7 +262,8 @@ func (u *uarch) ret(c *Counters, target uint64) {
 }
 
 // takenBranch models a taken control transfer.
-func (u *uarch) takenBranch(c *Counters, pc, target uint64, indirect, conditional bool) {
+func (u *uarch) takenBranch(pc, target uint64, indirect, conditional bool) {
+	c := &u.c
 	c.TakenBranch++
 	slot := pc % btbEntries
 	if u.btbTag[slot] != pc {
@@ -279,7 +291,8 @@ func (u *uarch) takenBranch(c *Counters, pc, target uint64, indirect, conditiona
 }
 
 // condNotTaken models a conditional branch that fell through.
-func (u *uarch) condNotTaken(c *Counters, pc uint64) {
+func (u *uarch) condNotTaken(pc uint64) {
+	c := &u.c
 	c.CondBranches++
 	c.NotTakenBr++
 	if !u.predictCorrect(pc, false) {
