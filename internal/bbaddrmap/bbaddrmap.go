@@ -9,7 +9,13 @@
 // blocks without disassembling anything.
 package bbaddrmap
 
-import "propeller/internal/wire"
+import (
+	"cmp"
+	"slices"
+	"sort"
+
+	"propeller/internal/wire"
+)
 
 // BlockFlags describe block characteristics stored alongside the offsets.
 type BlockFlags byte
@@ -107,70 +113,145 @@ func Merge(maps ...*Map) *Map {
 }
 
 // Lookup is an address→block index built from a Map, used by Phase 3 to
-// resolve LBR sample addresses to (function, block ID) pairs.
+// resolve LBR sample addresses to blocks. It numbers the binary densely:
+// every block is a row of one flat table and is named by its int32 row
+// index, every distinct function name by an int32 index into FuncNames, so
+// the per-record consumers count into slices and compare integers; names
+// and stable block IDs are read back from the table only when a result
+// leaves the address space of this binary.
+//
+// Rows are grouped by fragment (one FuncEntry), fragments sorted by start
+// address and each fragment's rows by block start, so for a linked binary —
+// whose fragments do not overlap — the whole table is in address order.
 type Lookup struct {
-	funcs []lookupFunc // sorted by Start
+	frags  []fragment // sorted by start; ties keep map order
+	blocks []Block
+	names  []string // distinct function names in order of first appearance
 }
 
-type lookupFunc struct {
-	Start, End uint64
-	Entry      *FuncEntry
-	blocks     []lookupBlock // sorted by Start
+// fragment is one FuncEntry's address range and its run of table rows.
+type fragment struct {
+	start, end uint64
+	lo, hi     int32 // blocks[lo:hi], sorted by Start
+	entry      *FuncEntry
 }
 
-type lookupBlock struct {
-	Start, End uint64
-	ID         int
-	Flags      BlockFlags
+// Block is one row of a Lookup's block table.
+type Block struct {
+	Start, End uint64 // the block's bytes are [Start, End)
+	ID         int    // stable IR block ID
+	Fn         int32  // index of the owning function's name in FuncNames
+	// Entry marks a block carrying its function's entry-block ID: that of
+	// the first block of the first fragment the map lists under the name
+	// (the primary fragment).
+	Entry bool
 }
+
+// NoBlock is the row index the index-form queries return for "no block".
+const NoBlock int32 = -1
 
 // NewLookup builds an address index over the map. Functions and blocks with
-// zero size are still indexed (as empty ranges that never match).
+// zero size are still indexed (as empty ranges that never match). The map
+// must outlive the lookup (FuncAt returns its entries) and hold fewer than
+// 2^31 blocks.
 func NewLookup(m *Map) *Lookup {
-	l := &Lookup{}
+	total := 0
+	for i := range m.Funcs {
+		total += len(m.Funcs[i].Blocks)
+	}
+	l := &Lookup{
+		frags:  make([]fragment, len(m.Funcs)),
+		blocks: make([]Block, 0, total),
+		names:  make([]string, 0, len(m.Funcs)),
+	}
 	for i := range m.Funcs {
 		f := &m.Funcs[i]
-		var end uint64 = f.Addr
-		lf := lookupFunc{Start: f.Addr, Entry: f}
+		end := f.Addr
 		for _, b := range f.Blocks {
-			start := f.Addr + b.Offset
-			bend := start + b.Size
-			if bend > end {
-				end = bend
-			}
-			lf.blocks = append(lf.blocks, lookupBlock{Start: start, End: bend, ID: b.ID, Flags: b.Flags})
+			end = max(end, f.Addr+b.Offset+b.Size)
 		}
-		lf.End = end
-		l.funcs = append(l.funcs, lf)
+		l.frags[i] = fragment{start: f.Addr, end: end, entry: f}
 	}
-	sortFuncs(l.funcs)
-	for i := range l.funcs {
-		sortBlocks(l.funcs[i].blocks)
+	// Stable, so fragments starting at one address stay in map order.
+	slices.SortStableFunc(l.frags, func(a, b fragment) int { return cmp.Compare(a.start, b.start) })
+
+	fnOf := make(map[string]int32, len(m.Funcs))
+	// By function index; -1 when the primary fragment is empty.
+	entryID := make([]int, 0, len(m.Funcs))
+	for _, f := range m.Funcs {
+		if _, seen := fnOf[f.Name]; seen {
+			continue
+		}
+		fnOf[f.Name] = int32(len(l.names))
+		l.names = append(l.names, f.Name)
+		id := -1
+		if len(f.Blocks) > 0 {
+			id = f.Blocks[0].ID
+		}
+		entryID = append(entryID, id)
+	}
+	for i := range l.frags {
+		f := &l.frags[i]
+		fn := fnOf[f.entry.Name]
+		f.lo = int32(len(l.blocks))
+		for _, b := range f.entry.Blocks {
+			start := f.start + b.Offset
+			l.blocks = append(l.blocks, Block{Start: start, End: start + b.Size, ID: b.ID, Fn: fn, Entry: b.ID == entryID[fn]})
+		}
+		f.hi = int32(len(l.blocks))
+		slices.SortStableFunc(l.blocks[f.lo:f.hi], func(a, b Block) int { return cmp.Compare(a.Start, b.Start) })
 	}
 	return l
 }
 
-func sortFuncs(fs []lookupFunc) {
-	for i := 1; i < len(fs); i++ {
-		for j := i; j > 0 && fs[j].Start < fs[j-1].Start; j-- {
-			fs[j], fs[j-1] = fs[j-1], fs[j]
+// Blocks returns the block table, shared and read-only: row i is the block
+// every index-form query names i.
+func (l *Lookup) Blocks() []Block { return l.blocks }
+
+// FuncNames returns the distinct function names, shared and read-only,
+// indexed by Block.Fn.
+func (l *Lookup) FuncNames() []string { return l.names }
+
+// fragScan is how many fragments an address query examines, counting down
+// from the last one starting at or before the address. Fragments of a
+// linked binary are disjoint, so the nearest non-empty one decides; the
+// window admits the empty fragments and the few overlapping ones a split
+// section can put between.
+const fragScan = 8
+
+// fragAfter returns the index of the first fragment starting after addr
+// (possibly len(frags)): the one binary search every address query starts
+// from.
+func (l *Lookup) fragAfter(addr uint64) int {
+	lo, hi := 0, len(l.frags)
+	for lo < hi {
+		mid := (lo + hi) / 2
+		if l.frags[mid].start <= addr {
+			lo = mid + 1
+		} else {
+			hi = mid
 		}
 	}
+	return lo
 }
 
-func sortBlocks(bs []lookupBlock) {
-	for i := 1; i < len(bs); i++ {
-		for j := i; j > 0 && bs[j].Start < bs[j-1].Start; j-- {
-			bs[j], bs[j-1] = bs[j-1], bs[j]
+// prevFrag continues the scan for fragments whose range contains addr:
+// it returns the nearest one below index i inside the fragScan window under
+// top = fragAfter(addr), or -1 when the window is exhausted.
+func (l *Lookup) prevFrag(addr uint64, i, top int) int {
+	for i--; i >= 0 && i >= top-fragScan; i-- {
+		if addr < l.frags[i].end {
+			return i
 		}
 	}
+	return -1
 }
 
 // blockCovering binary-searches blocks (sorted by Start) for the one
 // covering addr, returning its index or -1. Zero-size blocks never cover
 // anything and are skipped; non-empty blocks are disjoint, so the last
 // block starting at or before addr is the only candidate.
-func blockCovering(bs []lookupBlock, addr uint64) int {
+func blockCovering(bs []Block, addr uint64) int {
 	lo, hi := 0, len(bs)
 	for lo < hi {
 		mid := (lo + hi) / 2
@@ -197,7 +278,7 @@ func blockCovering(bs []lookupBlock, addr uint64) int {
 
 // firstBlockFrom returns the index of the first block with Start >= start
 // (possibly len(bs)).
-func firstBlockFrom(bs []lookupBlock, start uint64) int {
+func firstBlockFrom(bs []Block, start uint64) int {
 	lo, hi := 0, len(bs)
 	for lo < hi {
 		mid := (lo + hi) / 2
@@ -210,151 +291,122 @@ func firstBlockFrom(bs []lookupBlock, start uint64) int {
 	return lo
 }
 
-// Resolve maps an address to the containing function name and block ID.
-// ok is false when the address is not covered by any recorded block.
-func (l *Lookup) Resolve(addr uint64) (fn string, blockID int, ok bool) {
-	// Binary search the function list for the last Start <= addr.
-	lo, hi := 0, len(l.funcs)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if l.funcs[mid].Start <= addr {
-			lo = mid + 1
-		} else {
-			hi = mid
+// BlockAt returns the row of the block whose bytes cover addr, or NoBlock.
+func (l *Lookup) BlockAt(addr uint64) int32 {
+	top := l.fragAfter(addr)
+	for i := l.prevFrag(addr, top, top); i >= 0; i = l.prevFrag(addr, i, top) {
+		f := &l.frags[i]
+		if bi := blockCovering(l.blocks[f.lo:f.hi], addr); bi >= 0 {
+			return f.lo + int32(bi)
 		}
 	}
-	// Blocks of one function can interleave with another function's range
-	// only if sections were split; scan backwards over candidates.
-	for i := lo - 1; i >= 0; i-- {
-		f := &l.funcs[i]
-		if addr >= f.End {
-			// Functions are sorted by start; earlier ones may still cover
-			// addr if this one is short, so keep scanning a little.
-			if i < lo-8 {
-				break
-			}
-			continue
-		}
-		if bi := blockCovering(f.blocks, addr); bi >= 0 {
-			return f.Entry.Name, f.blocks[bi].ID, true
-		}
-	}
-	return "", 0, false
+	return NoBlock
 }
 
-// ResolveFull is Resolve plus the block's address bounds.
-func (l *Lookup) ResolveFull(addr uint64) (ref BlockRef, start, end uint64, ok bool) {
-	lo, hi := 0, len(l.funcs)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if l.funcs[mid].Start <= addr {
-			lo = mid + 1
-		} else {
-			hi = mid
+// BlockStarting returns the row of the block whose first byte is addr, or
+// NoBlock. Branch targets always land on block starts; return addresses
+// usually do not — Phase 3 uses this to tell intra-function branch edges
+// apart from returns.
+func (l *Lookup) BlockStarting(addr uint64) int32 {
+	top := l.fragAfter(addr)
+	for i := l.prevFrag(addr, top, top); i >= 0; i = l.prevFrag(addr, i, top) {
+		f := &l.frags[i]
+		run := l.blocks[f.lo:f.hi]
+		if bi := firstBlockFrom(run, addr); bi < len(run) && run[bi].Start == addr {
+			return f.lo + int32(bi)
 		}
 	}
-	for i := lo - 1; i >= 0 && i >= lo-8; i-- {
-		f := &l.funcs[i]
-		if addr >= f.End {
-			continue
-		}
-		if bi := blockCovering(f.blocks, addr); bi >= 0 {
-			b := &f.blocks[bi]
-			return BlockRef{Fn: f.Entry.Name, ID: b.ID}, b.Start, b.End, true
-		}
-	}
-	return BlockRef{}, 0, 0, false
+	return NoBlock
 }
 
-// BlockRef identifies a block: owning function name and stable block ID.
-type BlockRef struct {
-	Fn string
-	ID int
-}
-
-// IsBlockStart reports whether addr is exactly the first byte of a block,
-// returning the block. Branch targets always land on block starts; return
-// addresses usually do not — Phase 3 uses this to tell intra-function
-// branch edges apart from returns.
-func (l *Lookup) IsBlockStart(addr uint64) (BlockRef, bool) {
-	lo, hi := 0, len(l.funcs)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if l.funcs[mid].Start <= addr {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	for i := lo - 1; i >= 0 && i >= lo-8; i-- {
-		f := &l.funcs[i]
-		if addr >= f.End {
-			continue
-		}
-		if bi := firstBlockFrom(f.blocks, addr); bi < len(f.blocks) && f.blocks[bi].Start == addr {
-			return BlockRef{Fn: f.Entry.Name, ID: f.blocks[bi].ID}, true
-		}
-	}
-	return BlockRef{}, false
-}
-
-// BlocksInRange returns, in address order, every block whose start address
-// lies in [start, end]. Phase 3 walks the range between consecutive LBR
-// records with this to credit fall-through execution.
-func (l *Lookup) BlocksInRange(start, end uint64) []BlockRef {
-	return l.BlocksInRangeAppend(nil, start, end)
-}
-
-// BlocksInRangeAppend is BlocksInRange appending into dst — the
-// zero-allocation form the sample-aggregation hot loop calls with a
-// reused scratch slice (one fall-through range is resolved per LBR
-// record, so a fresh slice per call is the analyzer's top allocation
-// site).
-func (l *Lookup) BlocksInRangeAppend(dst []BlockRef, start, end uint64) []BlockRef {
+// AppendBlocksIn appends to dst, in address order, the row of every block
+// whose start address lies in [start, end]. Phase 3 walks the range between
+// consecutive LBR records with this to credit fall-through execution.
+func (l *Lookup) AppendBlocksIn(dst []int32, start, end uint64) []int32 {
 	if end < start {
 		return dst
 	}
-	// Fragments are sorted by start; find the first candidate and walk
-	// forward until fragments begin past the range end.
-	lo, hi := 0, len(l.funcs)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if l.funcs[mid].Start <= start {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	first := lo - 1
-	if first < 0 {
-		first = 0
-	}
-	for i := first; i < len(l.funcs); i++ {
-		f := &l.funcs[i]
-		if f.Start > end {
+	// From the last fragment starting at or before start, walk forward
+	// until fragments begin past the range end.
+	for i := max(l.fragAfter(start)-1, 0); i < len(l.frags); i++ {
+		f := &l.frags[i]
+		if f.start > end {
 			break
 		}
-		if f.End <= start {
+		if f.end <= start {
 			continue
 		}
-		for bi := firstBlockFrom(f.blocks, start); bi < len(f.blocks); bi++ {
-			b := &f.blocks[bi]
-			if b.Start > end {
-				break
-			}
-			dst = append(dst, BlockRef{Fn: f.Entry.Name, ID: b.ID})
+		for bi := f.lo + int32(firstBlockFrom(l.blocks[f.lo:f.hi], start)); bi < f.hi && l.blocks[bi].Start <= end; bi++ {
+			dst = append(dst, bi)
 		}
 	}
 	return dst
 }
 
-// Resolver memoizes a Lookup's three hot resolution operations behind
-// small direct-mapped caches. Phase 3 resolves two addresses and one
+// BlockRef identifies a block across binaries: owning function name and
+// stable block ID.
+type BlockRef struct {
+	Fn string
+	ID int
+}
+
+// ref spells row bi as a BlockRef.
+func (l *Lookup) ref(bi int32) BlockRef {
+	b := &l.blocks[bi]
+	return BlockRef{Fn: l.names[b.Fn], ID: b.ID}
+}
+
+// Resolve maps an address to the containing function name and block ID.
+// ok is false when the address is not covered by any recorded block.
+func (l *Lookup) Resolve(addr uint64) (fn string, blockID int, ok bool) {
+	ref, _, _, ok := l.ResolveFull(addr)
+	return ref.Fn, ref.ID, ok
+}
+
+// ResolveFull is Resolve plus the block's address bounds.
+func (l *Lookup) ResolveFull(addr uint64) (ref BlockRef, start, end uint64, ok bool) {
+	bi := l.BlockAt(addr)
+	if bi < 0 {
+		return BlockRef{}, 0, 0, false
+	}
+	return l.ref(bi), l.blocks[bi].Start, l.blocks[bi].End, true
+}
+
+// IsBlockStart is BlockStarting spelled as a BlockRef.
+func (l *Lookup) IsBlockStart(addr uint64) (BlockRef, bool) {
+	bi := l.BlockStarting(addr)
+	if bi < 0 {
+		return BlockRef{}, false
+	}
+	return l.ref(bi), true
+}
+
+// BlocksInRange is AppendBlocksIn spelled as BlockRefs.
+func (l *Lookup) BlocksInRange(start, end uint64) []BlockRef {
+	var refs []BlockRef
+	for _, bi := range l.AppendBlocksIn(nil, start, end) {
+		refs = append(refs, l.ref(bi))
+	}
+	return refs
+}
+
+// FuncAt returns the function entry covering addr, if any.
+func (l *Lookup) FuncAt(addr uint64) (*FuncEntry, bool) {
+	top := l.fragAfter(addr)
+	if i := l.prevFrag(addr, top, top); i >= 0 {
+		return l.frags[i].entry, true
+	}
+	return nil, false
+}
+
+// Resolver memoizes a Lookup's three hot queries behind small
+// direct-mapped caches. Phase 3 resolves two addresses and one
 // fall-through range per LBR record, and the record stream revisits the
 // same branch sites constantly (a loop's sampled branches repeat for as
 // long as the loop runs), so most binary searches are re-deriving an
 // answer the resolver has already produced. A cache hit is one
-// multiplicative hash and one compare.
+// multiplicative hash and one compare, and an entry is an address and a
+// row index — 16 bytes, 24 for a range — so a table stays within L2.
 //
 // Results are exactly the underlying Lookup's — the resolver only
 // short-circuits recomputation — so swapping it into an aggregation
@@ -364,10 +416,10 @@ func (l *Lookup) BlocksInRangeAppend(dst []BlockRef, start, end uint64) []BlockR
 // owns one (they share the Lookup, which is immutable).
 type Resolver struct {
 	l     *Lookup
-	full  []resolveFullEnt
-	bs    []blockStartEnt
-	rng   []rangeEnt
-	arena []BlockRef
+	at    *[1 << resolverBits]addrEnt
+	start *[1 << resolverBits]addrEnt
+	rng   *[1 << resolverBits]rangeEnt
+	arena []int32
 }
 
 // resolverBits sizes each direct-mapped cache at 2^resolverBits entries:
@@ -379,34 +431,25 @@ const resolverBits = 12
 // the range cache are reset together (a var so tests can shrink it).
 var arenaMax = 1 << 20
 
-type resolveFullEnt struct {
-	addr       uint64
-	start, end uint64
-	ref        BlockRef
-	ok         bool
-	set        bool
-}
-
-type blockStartEnt struct {
+type addrEnt struct {
 	addr uint64
-	ref  BlockRef
-	ok   bool
+	blk  int32
 	set  bool
 }
 
 type rangeEnt struct {
 	start, end uint64
-	off, n     int32
-	set        bool
+	off        int32
+	n1         int32 // row count + 1; 0 marks an empty slot
 }
 
 // NewResolver returns a memoizing view over l.
 func NewResolver(l *Lookup) *Resolver {
 	return &Resolver{
-		l:    l,
-		full: make([]resolveFullEnt, 1<<resolverBits),
-		bs:   make([]blockStartEnt, 1<<resolverBits),
-		rng:  make([]rangeEnt, 1<<resolverBits),
+		l:     l,
+		at:    new([1 << resolverBits]addrEnt),
+		start: new([1 << resolverBits]addrEnt),
+		rng:   new([1 << resolverBits]rangeEnt),
 	}
 }
 
@@ -418,68 +461,82 @@ func mixRange(start, end uint64) uint64 {
 	return ((start ^ (end<<32 | end>>32)) * 0x9E3779B97F4A7C15) >> (64 - resolverBits)
 }
 
-// ResolveFull is Lookup.ResolveFull behind the memo.
-func (r *Resolver) ResolveFull(addr uint64) (ref BlockRef, start, end uint64, ok bool) {
-	e := &r.full[mixAddr(addr)]
-	if e.set && e.addr == addr {
-		return e.ref, e.start, e.end, e.ok
+// BlockAt is Lookup.BlockAt behind the memo.
+func (r *Resolver) BlockAt(addr uint64) int32 {
+	e := &r.at[mixAddr(addr)]
+	if !e.set || e.addr != addr {
+		*e = addrEnt{addr: addr, blk: r.l.BlockAt(addr), set: true}
 	}
-	ref, start, end, ok = r.l.ResolveFull(addr)
-	*e = resolveFullEnt{addr: addr, start: start, end: end, ref: ref, ok: ok, set: true}
-	return ref, start, end, ok
+	return e.blk
 }
 
-// IsBlockStart is Lookup.IsBlockStart behind the memo.
-func (r *Resolver) IsBlockStart(addr uint64) (BlockRef, bool) {
-	e := &r.bs[mixAddr(addr)]
-	if e.set && e.addr == addr {
-		return e.ref, e.ok
+// BlockStarting is Lookup.BlockStarting behind the memo.
+func (r *Resolver) BlockStarting(addr uint64) int32 {
+	e := &r.start[mixAddr(addr)]
+	if !e.set || e.addr != addr {
+		*e = addrEnt{addr: addr, blk: r.l.BlockStarting(addr), set: true}
 	}
-	ref, ok := r.l.IsBlockStart(addr)
-	*e = blockStartEnt{addr: addr, ref: ref, ok: ok, set: true}
-	return ref, ok
+	return e.blk
 }
 
-// BlocksInRange is Lookup.BlocksInRange behind the memo. The returned
-// slice aliases the resolver's arena and is valid only until the next
-// BlocksInRange call — exactly the lifetime the aggregation loop needs,
-// and on a hit the refs are not even copied.
-func (r *Resolver) BlocksInRange(start, end uint64) []BlockRef {
+// BlocksIn is Lookup.AppendBlocksIn behind the memo. The returned slice
+// aliases the resolver's arena and is valid only until the next BlocksIn
+// call — exactly the lifetime the record walk needs, and on a hit the
+// rows are not even copied.
+func (r *Resolver) BlocksIn(start, end uint64) []int32 {
 	e := &r.rng[mixRange(start, end)]
-	if e.set && e.start == start && e.end == end {
-		return r.arena[e.off : int(e.off)+int(e.n) : int(e.off)+int(e.n)]
+	if e.n1 > 0 && e.start == start && e.end == end {
+		return r.arena[e.off : e.off+e.n1-1 : e.off+e.n1-1]
 	}
 	if len(r.arena) > arenaMax {
-		// Entries evicted by collisions leak their arena refs; when the
+		// Entries evicted by collisions leak their arena rows; when the
 		// leaks fill the arena, start over (the caches refill in a few
 		// thousand records).
 		r.arena = r.arena[:0]
-		for i := range r.rng {
-			r.rng[i].set = false
-		}
+		clear(r.rng[:])
 	}
 	off := len(r.arena)
-	r.arena = r.l.BlocksInRangeAppend(r.arena, start, end)
-	*e = rangeEnt{start: start, end: end, off: int32(off), n: int32(len(r.arena) - off), set: true}
+	r.arena = r.l.AppendBlocksIn(r.arena, start, end)
+	*e = rangeEnt{start: start, end: end, off: int32(off), n1: int32(len(r.arena)-off) + 1}
 	return r.arena[off:len(r.arena):len(r.arena)]
 }
 
-// FuncAt returns the function entry covering addr, if any.
-func (l *Lookup) FuncAt(addr uint64) (*FuncEntry, bool) {
-	lo, hi := 0, len(l.funcs)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if l.funcs[mid].Start <= addr {
-			lo = mid + 1
-		} else {
-			hi = mid
+// FuncSet collects the distinct functions a stream of addresses falls in:
+// one memoized BlockAt and one flag by function index per address, which
+// is what the admission gates need of a profile (how many functions, and
+// which, its records touch).
+type FuncSet struct {
+	r   *Resolver
+	hit []bool
+	n   int
+}
+
+// NewFuncSet returns an empty set over l's functions.
+func NewFuncSet(l *Lookup) *FuncSet {
+	return &FuncSet{r: NewResolver(l), hit: make([]bool, len(l.names))}
+}
+
+// Add marks the function whose block covers addr, if one does.
+func (s *FuncSet) Add(addr uint64) {
+	if bi := s.r.BlockAt(addr); bi >= 0 {
+		if fn := s.r.l.blocks[bi].Fn; !s.hit[fn] {
+			s.hit[fn] = true
+			s.n++
 		}
 	}
-	for i := lo - 1; i >= 0 && i >= lo-8; i-- {
-		f := &l.funcs[i]
-		if addr < f.End {
-			return f.Entry, true
+}
+
+// Len reports how many distinct functions have been marked.
+func (s *FuncSet) Len() int { return s.n }
+
+// Names returns the marked functions' names, sorted.
+func (s *FuncSet) Names() []string {
+	out := make([]string, 0, s.n)
+	for fn, hit := range s.hit {
+		if hit {
+			out = append(out, s.r.l.names[fn])
 		}
 	}
-	return nil, false
+	sort.Strings(out)
+	return out
 }

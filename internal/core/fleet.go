@@ -103,10 +103,11 @@ func CollectFleetProfile(bin *objfile.Binary, spec RunSpec, fo FleetOptions, tra
 	}
 
 	// Admission gate: refuse to relink on a profile that is too thin.
-	// A binary without a map skips the hot-function criteria; one whose
-	// map does not decode must not open the gate unchecked.
+	// The map is decoded and indexed only for a gate that reads it. A
+	// binary without a map skips the hot-function criterion; one whose map
+	// does not decode must not open the gate unchecked.
 	var lk *bbaddrmap.Lookup
-	if bin.BBAddrMap != nil {
+	if bin.BBAddrMap != nil && fo.Gate.ReadsAddrMap() {
 		m, err := bbaddrmap.Decode(bin.BBAddrMap)
 		if err != nil {
 			return nil, nil, st, fmt.Errorf("core: fleet admission gate: %w", err)

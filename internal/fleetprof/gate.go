@@ -22,6 +22,11 @@ type Gate struct {
 	MinHostCoverage float64
 }
 
+// ReadsAddrMap reports whether any criterion resolves sample addresses, so
+// that a caller decodes and indexes the bb-address-map only for a gate that
+// will look at it.
+func (g Gate) ReadsAddrMap() bool { return g.MinHotFuncs > 0 }
+
 // GateReport says whether the gate is open and why/why not.
 type GateReport struct {
 	Ready        bool    `json:"ready"`
@@ -39,7 +44,10 @@ type GateReport struct {
 func (s *Service) Ready(g Gate, lk *bbaddrmap.Lookup, expectedHosts int) GateReport {
 	rep := GateReport{Ready: true}
 	hosts := map[int]bool{}
-	funcs := map[string]bool{}
+	var funcs *bbaddrmap.FuncSet
+	if lk != nil && g.ReadsAddrMap() {
+		funcs = bbaddrmap.NewFuncSet(lk)
+	}
 	for _, sh := range s.shards {
 		sh.mu.Lock()
 		for k, b := range sh.batches {
@@ -48,22 +56,20 @@ func (s *Service) Ready(g Gate, lk *bbaddrmap.Lookup, expectedHosts int) GateRep
 			}
 			hosts[k.host] = true
 			rep.Samples += int64(len(b.samples))
-			if lk != nil && g.MinHotFuncs > 0 {
+			if funcs != nil {
 				for _, smp := range b.samples {
 					for _, r := range smp.Records {
-						if fn, _, ok := lk.Resolve(r.From); ok {
-							funcs[fn] = true
-						}
-						if fn, _, ok := lk.Resolve(r.To); ok {
-							funcs[fn] = true
-						}
+						funcs.Add(r.From)
+						funcs.Add(r.To)
 					}
 				}
 			}
 		}
 		sh.mu.Unlock()
 	}
-	rep.HotFuncs = len(funcs)
+	if funcs != nil {
+		rep.HotFuncs = funcs.Len()
+	}
 	if expectedHosts > 0 {
 		rep.HostCoverage = float64(len(hosts)) / float64(expectedHosts)
 	}

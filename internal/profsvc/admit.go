@@ -2,7 +2,6 @@ package profsvc
 
 import (
 	"fmt"
-	"sort"
 
 	"propeller/internal/bbaddrmap"
 	"propeller/internal/fleetprof"
@@ -45,47 +44,39 @@ type AdmitReport struct {
 }
 
 // hotFuncs resolves the distinct function set touched by a profile's
-// records, sorted for determinism. Nil lookup resolves to nil.
+// records, sorted for determinism: one memoized lookup and one flag by
+// function index per address. Nil lookup resolves to nil.
 func hotFuncs(p *profile.Profile, lk *bbaddrmap.Lookup) []string {
 	if lk == nil || p == nil {
 		return nil
 	}
-	set := map[string]bool{}
+	set := bbaddrmap.NewFuncSet(lk)
 	for _, smp := range p.Samples {
 		for _, r := range smp.Records {
-			if fn, _, ok := lk.Resolve(r.From); ok {
-				set[fn] = true
-			}
-			if fn, _, ok := lk.Resolve(r.To); ok {
-				set[fn] = true
-			}
+			set.Add(r.From)
+			set.Add(r.To)
 		}
 	}
-	out := make([]string, 0, len(set))
-	for fn := range set {
-		out = append(out, fn)
-	}
-	sort.Strings(out)
-	return out
+	return set.Names()
 }
 
 // Score evaluates the admission policy for one generation. epoch is the
 // profile collected this epoch (what the fleet just shipped); agg is the
-// store's decayed aggregate for the serving build (epoch included); lk
-// resolves addresses against the serving binary's bb-address-map (nil
-// skips the hot-function criteria); st carries host coverage from the
-// fleet run; expectedHosts sizes the coverage denominator (<=0 skips);
-// prevHot is the previous generation's hot-function set (empty skips the
-// overlap criterion — the first generation has nothing to overlap with).
-func (sc Scorer) Score(epoch, agg *profile.Profile, lk *bbaddrmap.Lookup,
+// store's decayed aggregate for the serving build (epoch included); hot is
+// epoch's hot-function set resolved against the serving binary's
+// bb-address-map (hotFuncs; nil — the binary has no map — skips the
+// hot-function criteria), which the caller keeps as the next generation's
+// prevHot; st carries host coverage from the fleet run; expectedHosts sizes
+// the coverage denominator (<=0 skips); prevHot is the previous generation's
+// hot-function set (empty skips the overlap criterion — the first generation
+// has nothing to overlap with).
+func (sc Scorer) Score(epoch, agg *profile.Profile, hot []string,
 	st fleetprof.IngestStats, expectedHosts int, prevHot []string) AdmitReport {
-	rep := AdmitReport{Ready: true, Freshness: 1, HotOverlap: 1}
+	rep := AdmitReport{Ready: true, Freshness: 1, HotOverlap: 1, HotFuncs: len(hot)}
 	if epoch != nil {
 		rep.Samples = int64(len(epoch.Samples))
 	}
-
-	cur := hotFuncs(epoch, lk)
-	rep.HotFuncs = len(cur)
+	haveMap := hot != nil
 
 	if expectedHosts > 0 {
 		rep.HostCoverage = float64(len(st.HostBatches)) / float64(expectedHosts)
@@ -96,9 +87,9 @@ func (sc Scorer) Score(epoch, agg *profile.Profile, lk *bbaddrmap.Lookup,
 			rep.Freshness = 1
 		}
 	}
-	if len(prevHot) > 0 && lk != nil {
-		curSet := make(map[string]bool, len(cur))
-		for _, fn := range cur {
+	if len(prevHot) > 0 && haveMap {
+		curSet := make(map[string]bool, len(hot))
+		for _, fn := range hot {
 			curSet[fn] = true
 		}
 		n := 0
@@ -115,7 +106,7 @@ func (sc Scorer) Score(epoch, agg *profile.Profile, lk *bbaddrmap.Lookup,
 	case g.MinSamples > 0 && rep.Samples < g.MinSamples:
 		rep.Ready = false
 		rep.Reason = fmt.Sprintf("samples %d < min %d", rep.Samples, g.MinSamples)
-	case g.MinHotFuncs > 0 && lk != nil && rep.HotFuncs < g.MinHotFuncs:
+	case g.MinHotFuncs > 0 && haveMap && rep.HotFuncs < g.MinHotFuncs:
 		rep.Ready = false
 		rep.Reason = fmt.Sprintf("hot functions %d < min %d", rep.HotFuncs, g.MinHotFuncs)
 	case g.MinHostCoverage > 0 && expectedHosts > 0 && rep.HostCoverage < g.MinHostCoverage:
@@ -124,7 +115,7 @@ func (sc Scorer) Score(epoch, agg *profile.Profile, lk *bbaddrmap.Lookup,
 	case sc.MinFreshness > 0 && rep.Freshness < sc.MinFreshness:
 		rep.Ready = false
 		rep.Reason = fmt.Sprintf("freshness %.2f < min %.2f", rep.Freshness, sc.MinFreshness)
-	case sc.MinHotOverlap > 0 && lk != nil && len(prevHot) > 0 && rep.HotOverlap < sc.MinHotOverlap:
+	case sc.MinHotOverlap > 0 && haveMap && len(prevHot) > 0 && rep.HotOverlap < sc.MinHotOverlap:
 		rep.Ready = false
 		rep.Reason = fmt.Sprintf("hot overlap %.2f < min %.2f", rep.HotOverlap, sc.MinHotOverlap)
 	}

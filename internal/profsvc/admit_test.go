@@ -47,7 +47,7 @@ func TestScorerGateCriteria(t *testing.T) {
 	}
 
 	sc = Scorer{Gate: fleetprof.Gate{MinHotFuncs: 2}}
-	rep = sc.Score(addrProf(4, 0x1000), addrProf(4, 0x1000), testLookup(), fleetprof.IngestStats{}, 0, nil)
+	rep = sc.Score(addrProf(4, 0x1000), addrProf(4, 0x1000), hotFuncs(addrProf(4, 0x1000), testLookup()), fleetprof.IngestStats{}, 0, nil)
 	if rep.Ready || rep.HotFuncs != 1 || !strings.Contains(rep.Reason, "hot functions") {
 		t.Fatalf("single-function profile should fail MinHotFuncs=2: %+v", rep)
 	}
@@ -84,16 +84,16 @@ func TestHotOverlapCriterion(t *testing.T) {
 	lk := testLookup()
 	epoch := addrProf(4, 0x1000) // only f is hot now
 
-	rep := sc.Score(epoch, epoch, lk, fleetprof.IngestStats{}, 0, []string{"f", "g"})
+	rep := sc.Score(epoch, epoch, hotFuncs(epoch, lk), fleetprof.IngestStats{}, 0, []string{"f", "g"})
 	if rep.Ready || rep.HotOverlap != 0.5 || !strings.Contains(rep.Reason, "overlap") {
 		t.Fatalf("losing g should fail MinHotOverlap=0.8: %+v", rep)
 	}
-	rep = sc.Score(epoch, epoch, lk, fleetprof.IngestStats{}, 0, []string{"f"})
+	rep = sc.Score(epoch, epoch, hotFuncs(epoch, lk), fleetprof.IngestStats{}, 0, []string{"f"})
 	if !rep.Ready || rep.HotOverlap != 1 {
 		t.Fatalf("recurring hot set should pass: %+v", rep)
 	}
 	// First generation: no previous hot set, criterion skipped.
-	rep = sc.Score(epoch, epoch, lk, fleetprof.IngestStats{}, 0, nil)
+	rep = sc.Score(epoch, epoch, hotFuncs(epoch, lk), fleetprof.IngestStats{}, 0, nil)
 	if !rep.Ready {
 		t.Fatalf("no previous hot set should skip the overlap criterion: %+v", rep)
 	}
@@ -121,12 +121,12 @@ func TestCorruptAddrMapDoesNotOpenGate(t *testing.T) {
 	if err != nil || lk == nil {
 		t.Fatalf("intact map: lookup %v, err %v", lk, err)
 	}
-	if rep := sc.Score(thin, thin, lk, fleetprof.IngestStats{}, 0, nil); rep.Ready {
+	if rep := sc.Score(thin, thin, hotFuncs(thin, lk), fleetprof.IngestStats{}, 0, nil); rep.Ready {
 		t.Fatalf("intact map: thin profile admitted: %+v", rep)
 	}
 
 	if lk, err := gateLookup(&objfile.Binary{BBAddrMap: enc[:len(enc)-1]}); err == nil {
-		rep := sc.Score(thin, thin, lk, fleetprof.IngestStats{}, 0, nil)
+		rep := sc.Score(thin, thin, hotFuncs(thin, lk), fleetprof.IngestStats{}, 0, nil)
 		t.Fatalf("truncated map decoded to lookup %v (gate ready=%v); want an error", lk, rep.Ready)
 	}
 

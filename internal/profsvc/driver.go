@@ -255,6 +255,10 @@ func RunGenerations(p *core.Program, cfg DriverConfig) (*LoopResult, error) {
 		BatchSamples:    cfg.BatchSamples,
 	}
 	var prevHot []string
+	// The scorer's view of the serving binary's address map, rebuilt only
+	// when an adoption changes which binary is serving.
+	var lk *bbaddrmap.Lookup
+	var lkOf *objfile.Binary
 
 	for g := 1; g <= cfg.generations(); g++ {
 		gen := Generation{Index: g, ProfiledBuildID: deployed.BuildID}
@@ -293,11 +297,14 @@ func RunGenerations(p *core.Program, cfg DriverConfig) (*LoopResult, error) {
 			}
 		}
 
-		lk, err := gateLookup(deployed)
-		if err != nil {
-			return nil, fmt.Errorf("profsvc: gen %d admission: %w", g, err)
+		if lkOf != deployed {
+			if lk, err = gateLookup(deployed); err != nil {
+				return nil, fmt.Errorf("profsvc: gen %d admission: %w", g, err)
+			}
+			lkOf = deployed
 		}
-		gen.Admit = cfg.Scorer.Score(merged, agg, lk, ingest, cfg.hosts(), prevHot)
+		hot := hotFuncs(merged, lk)
+		gen.Admit = cfg.Scorer.Score(merged, agg, hot, ingest, cfg.hosts(), prevHot)
 		gen.GateOpen = gen.Admit.Ready
 		if !gen.Admit.Ready {
 			// Keep serving the current binary; the store keeps
@@ -368,7 +375,7 @@ func RunGenerations(p *core.Program, cfg DriverConfig) (*LoopResult, error) {
 		out.Generations = append(out.Generations, gen)
 
 		// Next generation's overlap reference: this generation's hot set.
-		prevHot = hotFuncs(merged, lk)
+		prevHot = hot
 	}
 
 	// The loop converged if a stable suffix reaches the final generation.

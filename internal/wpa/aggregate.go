@@ -9,6 +9,13 @@
 // onto the edited binary's map (functions that vanished are dropped,
 // vanished block IDs are ignored), so the expensive sample pass is paid
 // once per profile epoch, not once per build.
+//
+// The sample pass itself never touches a name or an ID: shards count into
+// slices and packed-key tables indexed by rows of the binary's block table
+// (bbaddrmap.Lookup), share that index space so they merge by vector add,
+// and are converted to the stable-ID Aggregate once, when the pass is over.
+// The Aggregate, not the dense counters, is what gets cached and merged
+// across epochs: rows mean something only against one binary's layout.
 package wpa
 
 import (
@@ -183,10 +190,19 @@ func BuildAggregate(m *bbaddrmap.Map, prof *profile.Profile, cfg Config) (*Aggre
 	if err := cfg.checkBuildID(prof.BuildID); err != nil {
 		return nil, err
 	}
+	if err := checkMap(m); err != nil {
+		return nil, err
+	}
+	return cfg.buildAggregate(bbaddrmap.NewLookup(m), prof)
+}
+
+// buildAggregate is BuildAggregate over an already-built lookup and an
+// already-checked profile.
+func (c Config) buildAggregate(lk *bbaddrmap.Lookup, prof *profile.Profile) (*Aggregate, error) {
 	samples := prof.Samples
-	w := max(1, min(cfg.workers(), len(samples)))
+	w := max(1, min(c.workers(), len(samples)))
 	chunk := (len(samples) + w - 1) / w
-	return aggregate(m, w, prof.SizeBytes(), func(emit func([]profile.Sample)) error {
+	return aggregate(lk, w, prof.SizeBytes(), func(emit func([]profile.Sample)) error {
 		for lo := 0; lo < len(samples); lo += chunk {
 			emit(samples[lo:min(lo+chunk, len(samples))])
 		}
@@ -194,19 +210,25 @@ func BuildAggregate(m *bbaddrmap.Map, prof *profile.Profile, cfg Config) (*Aggre
 	})
 }
 
+// streamSampleBytes is the profile residency of a streamed aggregation
+// (Stats.ProfileBytes): one sample's worth, §5.1's chunked reading.
+const streamSampleBytes = 2 + profile.LBRDepth*16
+
 // buildAggregateStream aggregates a serialized profile without
 // materializing it (§5.1's chunked reading): the decoded samples reach
 // the shards in copied batches, so the result stays bit-identical to
 // BuildAggregate over the same samples.
 func buildAggregateStream(m *bbaddrmap.Map, r io.Reader, cfg Config) (*Aggregate, error) {
+	if err := checkMap(m); err != nil {
+		return nil, err
+	}
 	w := cfg.workers()
 	// streamBatch samples per emit amortizes the hand-off; the decoder's
 	// record buffer is reused across callbacks, so records must be copied
 	// before crossing to a worker — into one flat block per batch (each
 	// sample a capacity-clamped subslice), not one allocation per sample.
 	const streamBatch = 512
-	const sampleBuf = 2 + profile.LBRDepth*16
-	return aggregate(m, w, sampleBuf, func(emit func([]profile.Sample)) error {
+	return aggregate(bbaddrmap.NewLookup(m), w, streamSampleBytes, func(emit func([]profile.Sample)) error {
 		batch := make([]profile.Sample, 0, streamBatch)
 		block := make([]profile.Branch, 0, streamBatch*profile.LBRDepth)
 		// The header check runs before any sample is aggregated, so a
@@ -241,18 +263,15 @@ func buildAggregateStream(m *bbaddrmap.Map, r io.Reader, cfg Config) (*Aggregate
 // the feed may reuse the batch's memory; otherwise the batch crosses to a
 // worker goroutine and the feed must not touch it again. Every
 // contribution is a commutative uint64 sum, so the merged result does not
-// depend on which shard took which batch.
-func aggregate(m *bbaddrmap.Map, w int, profileBytes int64, feed func(emit func([]profile.Sample)) error) (*Aggregate, error) {
-	infos, err := funcInfos(m)
-	if err != nil {
-		return nil, err
-	}
-	lookup := bbaddrmap.NewLookup(m)
+// depend on which shard took which batch. Beyond the result it allocates
+// per shard, not per sample.
+func aggregate(lk *bbaddrmap.Lookup, w int, profileBytes int64, feed func(emit func([]profile.Sample)) error) (*Aggregate, error) {
 	shards := make([]*shard, w)
 	for i := range shards {
-		shards[i] = &shard{infos: infos, agg: newAggregate(), resolver: bbaddrmap.NewResolver(lookup)}
+		shards[i] = &shard{walker: newRecordWalker(lk), count: make([]uint64, len(lk.Blocks()))}
 	}
 	aggStart := time.Now()
+	var err error
 	if w == 1 {
 		err = feed(shards[0].add)
 	} else {
@@ -274,16 +293,165 @@ func aggregate(m *bbaddrmap.Map, w int, profileBytes int64, feed func(emit func(
 	if err != nil {
 		return nil, err
 	}
-	agg := shards[0].agg
-	agg.aggregateWall = time.Since(aggStart)
+	aggWall := time.Since(aggStart)
 	mergeStart := time.Now()
 	for _, sh := range shards[1:] {
-		agg.Merge(sh.agg)
+		shards[0].merge(sh)
 	}
+	agg := shards[0].aggregate(lk)
+	agg.aggregateWall = aggWall
 	agg.mergeWall = time.Since(mergeStart)
 	agg.workers = w
 	agg.profileBytes = profileBytes
 	return agg, nil
+}
+
+// shard folds samples into private dense counters, so one aggregation
+// worker can consume its batches without synchronization. Everything is
+// indexed by rows of the shared lookup's block table.
+type shard struct {
+	walker recordWalker
+	count  []uint64   // executions, by block row
+	edges  pairCounts // (from row, to row): taken branches and fall-throughs of one function
+	calls  pairCounts // (call-site row, callee entry row)
+
+	samples, records, branchEdges, callEdgeN int
+}
+
+// add folds one batch of LBR samples into the shard's counters. The four
+// event counts are kept in locals and stored once per batch: shards are
+// small and allocated together, so a store per record from each worker
+// would bounce one cache line between them.
+func (sh *shard) add(batch []profile.Sample) {
+	blocks := sh.walker.blocks
+	var st step
+	var records, branchEdges, callEdgeN int
+	for _, s := range batch {
+		records += len(s.Records)
+		for i := range s.Records {
+			sh.walker.walk(s.Records, i, &st)
+			switch st.kind {
+			case recBranch:
+				sh.edges.add(st.from, st.to, 1)
+				branchEdges++
+			case recCall:
+				sh.calls.add(st.from, st.to, 1)
+				callEdgeN++
+			}
+			if st.last && st.to >= 0 {
+				sh.count[st.to]++
+			}
+			prevFn := int32(-1)
+			for j, b := range st.run {
+				sh.count[b]++
+				if fn := blocks[b].Fn; fn == prevFn {
+					sh.edges.add(st.run[j-1], b, 1)
+					branchEdges++
+				} else {
+					prevFn = fn
+				}
+			}
+		}
+	}
+	sh.samples += len(batch)
+	sh.records += records
+	sh.branchEdges += branchEdges
+	sh.callEdgeN += callEdgeN
+}
+
+// merge adds another shard's counters into sh.
+func (sh *shard) merge(o *shard) {
+	for i, c := range o.count {
+		sh.count[i] += c
+	}
+	o.edges.each(sh.edges.add)
+	o.calls.each(sh.calls.add)
+	sh.samples += o.samples
+	sh.records += o.records
+	sh.branchEdges += o.branchEdges
+	sh.callEdgeN += o.callEdgeN
+}
+
+// aggregate converts the dense counters to the position-independent
+// Aggregate: rows become (function name, stable block ID). Several rows can
+// carry one ID — a hostile map may repeat it — and then their counts add.
+func (sh *shard) aggregate(lk *bbaddrmap.Lookup) *Aggregate {
+	blocks, names := lk.Blocks(), lk.FuncNames()
+	agg := newAggregate()
+	agg.samples, agg.records = sh.samples, sh.records
+	agg.branchEdges, agg.callEdgeN = sh.branchEdges, sh.callEdgeN
+	profiles := make([]*funcProfile, len(names))
+	profileOf := func(fn int32) *funcProfile {
+		if profiles[fn] == nil {
+			profiles[fn] = &funcProfile{counts: map[int]uint64{}, edges: map[edgeKey]uint64{}}
+			agg.funcs[names[fn]] = profiles[fn]
+		}
+		return profiles[fn]
+	}
+	for bi, c := range sh.count {
+		if c != 0 {
+			profileOf(blocks[bi].Fn).counts[blocks[bi].ID] += c
+		}
+	}
+	sh.edges.each(func(from, to int32, n uint64) {
+		profileOf(blocks[from].Fn).edges[edgeKey{blocks[from].ID, blocks[to].ID}] += n
+	})
+	sh.calls.each(func(from, to int32, n uint64) {
+		agg.calls[callKey{names[blocks[from].Fn], blocks[from].ID, names[blocks[to].Fn]}] += n
+	})
+	return agg
+}
+
+// pairCounts counts ordered pairs of block rows: an open-addressing table
+// keyed by the two rows packed into one word, linear probing, grown at half
+// full. The zero value is an empty table.
+type pairCounts struct {
+	slots []pairSlot
+	n     int
+}
+
+type pairSlot struct {
+	key uint64 // from<<32 | to, plus one; 0 marks an empty slot
+	n   uint64
+}
+
+func (t *pairCounts) add(from, to int32, n uint64) {
+	if 2*t.n >= len(t.slots) {
+		t.grow()
+	}
+	key := (uint64(from)<<32 | uint64(to)) + 1
+	mask := uint64(len(t.slots) - 1)
+	for i := (key * 0x9E3779B97F4A7C15) >> 32 & mask; ; i = (i + 1) & mask {
+		switch s := &t.slots[i]; s.key {
+		case key:
+			s.n += n
+			return
+		case 0:
+			*s = pairSlot{key: key, n: n}
+			t.n++
+			return
+		}
+	}
+}
+
+func (t *pairCounts) grow() {
+	old := t.slots
+	t.slots, t.n = make([]pairSlot, max(256, 2*len(old))), 0
+	for _, s := range old {
+		if s.key != 0 {
+			t.add(int32((s.key-1)>>32), int32(s.key-1), s.n)
+		}
+	}
+}
+
+// each calls visit for every pair counted, in table order (callers sum
+// into maps or other tables, so the order does not show).
+func (t *pairCounts) each(visit func(from, to int32, n uint64)) {
+	for _, s := range t.slots {
+		if s.key != 0 {
+			visit(int32((s.key-1)>>32), int32(s.key-1), s.n)
+		}
+	}
 }
 
 // Wire format for cached aggregates. Every map is emitted in sorted key

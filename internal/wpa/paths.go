@@ -11,7 +11,6 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
-	"fmt"
 	"io"
 	"sort"
 	"strconv"
@@ -74,11 +73,13 @@ func (o PathOptions) maxPerFunc() int {
 // intra-function branches and the fall-through blocks between records —
 // and flushes on anything else: calls, returns, unresolvable addresses,
 // truncated records, or a function change mid-range (a path never
-// crosses a function boundary).
+// crosses a function boundary). Functions are named by their index in the
+// lookup's FuncNames until a path is recorded.
 type pathWalker struct {
 	opts   PathOptions
+	names  []string
 	counts map[string]*pathStat
-	curFn  string
+	curFn  int32 // -1 between paths
 	cur    []int
 }
 
@@ -90,21 +91,22 @@ type pathStat struct {
 
 func (w *pathWalker) flush() {
 	if len(w.cur) >= 2 {
-		key := pathKey(w.curFn, w.cur)
+		fn := w.names[w.curFn]
+		key := pathKey(fn, w.cur)
 		st := w.counts[key]
 		if st == nil {
-			st = &pathStat{fn: w.curFn, blocks: append([]int(nil), w.cur...)}
+			st = &pathStat{fn: fn, blocks: append([]int(nil), w.cur...)}
 			w.counts[key] = st
 		}
 		st.count++
 	}
 	w.cur = w.cur[:0]
-	w.curFn = ""
+	w.curFn = -1
 }
 
 // push appends a block to the current path, flushing first when the
 // length cap is reached (the successor then starts a fresh path).
-func (w *pathWalker) push(fn string, id int) {
+func (w *pathWalker) push(fn int32, id int) {
 	if len(w.cur) >= w.opts.maxLen() {
 		w.flush()
 		w.curFn = fn
@@ -115,7 +117,7 @@ func (w *pathWalker) push(fn string, id int) {
 // branch records a taken intra-function branch from → to. If the source
 // block does not continue the current path, the path restarts at the
 // source.
-func (w *pathWalker) branch(fn string, from, to int) {
+func (w *pathWalker) branch(fn int32, from, to int) {
 	if w.curFn != fn || len(w.cur) == 0 || w.cur[len(w.cur)-1] != from {
 		w.flush()
 		w.curFn = fn
@@ -128,7 +130,7 @@ func (w *pathWalker) branch(fn string, from, to int) {
 // is the range's first block re-reporting the branch target already
 // pushed, not a new visit, and is skipped; a function change splits the
 // path.
-func (w *pathWalker) step(fn string, id int) {
+func (w *pathWalker) step(fn int32, id int) {
 	if w.curFn == fn && len(w.cur) > 0 && w.cur[len(w.cur)-1] == id {
 		return
 	}
@@ -155,35 +157,33 @@ func pathKey(fn string, blocks []int) string {
 // counts — reconstruction is a fold over independent samples, so the
 // output is deterministic for any fixed sample multiset.
 func ReconstructPaths(m *bbaddrmap.Map, prof *profile.Profile, opts PathOptions) (PathSet, error) {
-	if m == nil || len(m.Funcs) == 0 {
-		return nil, fmt.Errorf("wpa: empty BB address map (was the binary built with metadata?)")
+	if err := checkMap(m); err != nil {
+		return nil, err
 	}
-	res := bbaddrmap.NewResolver(bbaddrmap.NewLookup(m))
-	w := &pathWalker{opts: opts, counts: map[string]*pathStat{}}
+	return reconstructPaths(bbaddrmap.NewLookup(m), prof, opts), nil
+}
+
+// reconstructPaths is ReconstructPaths over an already-built lookup.
+func reconstructPaths(lk *bbaddrmap.Lookup, prof *profile.Profile, opts PathOptions) PathSet {
+	walker := newRecordWalker(lk)
+	blocks := walker.blocks
+	w := &pathWalker{opts: opts, names: lk.FuncNames(), counts: map[string]*pathStat{}, curFn: -1}
+	var st step
 	for _, s := range prof.Samples {
-		for i, r := range s.Records {
-			fromRef, _, fromEnd, fromOK := res.ResolveFull(r.From)
-			toRef, toStart := res.IsBlockStart(r.To)
-			if fromOK && toStart && fromRef.Fn == toRef.Fn && fromEnd-r.From <= 10 {
-				// Same classification as addSample: source in the
-				// terminator region, target a block start, one function.
-				w.branch(fromRef.Fn, fromRef.ID, toRef.ID)
+		for i := range s.Records {
+			walker.walk(s.Records, i, &st)
+			if st.kind == recBranch {
+				w.branch(blocks[st.from].Fn, blocks[st.from].ID, blocks[st.to].ID)
 			} else {
 				// Call, return, or unresolvable record — the path cannot
 				// continue across it.
 				w.flush()
 			}
-			if i+1 < len(s.Records) {
-				next := s.Records[i+1]
-				if next.From < r.To {
-					// Truncated or inconsistent pair (e.g. a cut-short
-					// trailing record): no fall-through range exists.
-					w.flush()
-					continue
-				}
-				for _, ref := range res.BlocksInRange(r.To, next.From) {
-					w.step(ref.Fn, ref.ID)
-				}
+			if st.cut {
+				w.flush()
+			}
+			for _, b := range st.run {
+				w.step(blocks[b].Fn, blocks[b].ID)
 			}
 		}
 		// The ring ends here; whatever ran after the last record was not
@@ -214,7 +214,7 @@ func ReconstructPaths(m *bbaddrmap.Map, prof *profile.Profile, opts PathOptions)
 		}
 		out[fn] = paths
 	}
-	return out, nil
+	return out
 }
 
 func lessBlocks(a, b []int) bool {

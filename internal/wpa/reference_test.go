@@ -1,0 +1,359 @@
+package wpa
+
+import (
+	"bytes"
+	"fmt"
+	"math/rand"
+	"reflect"
+	"testing"
+
+	"propeller/internal/bbaddrmap"
+	"propeller/internal/profile"
+)
+
+// The sample kernel this package had before the dense block table, kept
+// verbatim as the oracle of the differential suite: every address becomes
+// a BlockRef{Fn string, ID int} and every count a Go map keyed on it. It
+// resolves through the Lookup's string-form queries, uncached — those are
+// themselves held to the old per-fragment Lookup in
+// internal/bbaddrmap/reference_test.go. The record classification is
+// written out twice below, as it was: once in refShard.addSample and once
+// in referencePaths.
+
+type refShard struct {
+	infos  map[string]*funcInfo
+	agg    *Aggregate
+	lookup *bbaddrmap.Lookup
+}
+
+func refEntryOf(infos map[string]*funcInfo, fn string) int {
+	if fi := infos[fn]; fi != nil {
+		return fi.entryID
+	}
+	return -1
+}
+
+func (sh *refShard) profileOf(fn string) *funcProfile {
+	fp := sh.agg.funcs[fn]
+	if fp == nil {
+		fp = &funcProfile{counts: map[int]uint64{}, edges: map[edgeKey]uint64{}}
+		sh.agg.funcs[fn] = fp
+	}
+	return fp
+}
+
+func (sh *refShard) addSample(s profile.Sample) {
+	agg := sh.agg
+	agg.samples++
+	for i, r := range s.Records {
+		agg.records++
+		// Classify the taken branch.
+		fromRef, _, fromEnd, fromOK := sh.lookup.ResolveFull(r.From)
+		toRef, toStart := sh.lookup.IsBlockStart(r.To)
+		if fromOK && toStart && fromRef.Fn == toRef.Fn && fromEnd-r.From <= 10 {
+			sh.profileOf(fromRef.Fn).edges[edgeKey{fromRef.ID, toRef.ID}]++
+			agg.branchEdges++
+		} else if fromOK && toStart && toRef.ID == refEntryOf(sh.infos, toRef.Fn) {
+			agg.calls[callKey{fromRef.Fn, fromRef.ID, toRef.Fn}]++
+			agg.callEdgeN++
+		}
+		if i+1 < len(s.Records) {
+			next := s.Records[i+1]
+			if next.From >= r.To {
+				refs := sh.lookup.BlocksInRange(r.To, next.From)
+				for j, ref := range refs {
+					fp := sh.profileOf(ref.Fn)
+					fp.counts[ref.ID]++
+					if j > 0 && refs[j-1].Fn == ref.Fn {
+						fp.edges[edgeKey{refs[j-1].ID, ref.ID}]++
+						agg.branchEdges++
+					}
+				}
+			}
+		} else if toStart {
+			sh.profileOf(toRef.Fn).counts[toRef.ID]++
+		}
+	}
+}
+
+// referenceAggregate is the old serial aggregation of samples against m.
+func referenceAggregate(m *bbaddrmap.Map, samples []profile.Sample, profileBytes int64) (*Aggregate, error) {
+	infos, err := funcInfos(m)
+	if err != nil {
+		return nil, err
+	}
+	sh := &refShard{infos: infos, agg: newAggregate(), lookup: bbaddrmap.NewLookup(m)}
+	for _, s := range samples {
+		sh.addSample(s)
+	}
+	sh.agg.profileBytes = profileBytes
+	return sh.agg, nil
+}
+
+type refPathWalker struct {
+	opts   PathOptions
+	counts map[string]*pathStat
+	curFn  string
+	cur    []int
+}
+
+func (w *refPathWalker) flush() {
+	if len(w.cur) >= 2 {
+		key := pathKey(w.curFn, w.cur)
+		st := w.counts[key]
+		if st == nil {
+			st = &pathStat{fn: w.curFn, blocks: append([]int(nil), w.cur...)}
+			w.counts[key] = st
+		}
+		st.count++
+	}
+	w.cur = w.cur[:0]
+	w.curFn = ""
+}
+
+func (w *refPathWalker) push(fn string, id int) {
+	if len(w.cur) >= w.opts.maxLen() {
+		w.flush()
+		w.curFn = fn
+	}
+	w.cur = append(w.cur, id)
+}
+
+func (w *refPathWalker) branch(fn string, from, to int) {
+	if w.curFn != fn || len(w.cur) == 0 || w.cur[len(w.cur)-1] != from {
+		w.flush()
+		w.curFn = fn
+		w.cur = append(w.cur, from)
+	}
+	w.push(fn, to)
+}
+
+func (w *refPathWalker) step(fn string, id int) {
+	if w.curFn == fn && len(w.cur) > 0 && w.cur[len(w.cur)-1] == id {
+		return
+	}
+	if w.curFn != fn {
+		w.flush()
+		w.curFn = fn
+	}
+	w.push(fn, id)
+}
+
+// referencePaths is the old ReconstructPaths up to the per-sample fold:
+// it returns every path seen at least once with its count, keyed by
+// pathKey — what the selection after the fold (unchanged) starts from.
+func referencePaths(m *bbaddrmap.Map, prof *profile.Profile, opts PathOptions) map[string]uint64 {
+	res := bbaddrmap.NewLookup(m)
+	w := &refPathWalker{opts: opts, counts: map[string]*pathStat{}}
+	for _, s := range prof.Samples {
+		for i, r := range s.Records {
+			fromRef, _, fromEnd, fromOK := res.ResolveFull(r.From)
+			toRef, toStart := res.IsBlockStart(r.To)
+			if fromOK && toStart && fromRef.Fn == toRef.Fn && fromEnd-r.From <= 10 {
+				w.branch(fromRef.Fn, fromRef.ID, toRef.ID)
+			} else {
+				w.flush()
+			}
+			if i+1 < len(s.Records) {
+				next := s.Records[i+1]
+				if next.From < r.To {
+					w.flush()
+					continue
+				}
+				for _, ref := range res.BlocksInRange(r.To, next.From) {
+					w.step(ref.Fn, ref.ID)
+				}
+			}
+		}
+		w.flush()
+	}
+	out := map[string]uint64{}
+	for key, st := range w.counts {
+		out[key] = st.count
+	}
+	return out
+}
+
+// checkAgainstReference holds the kernel to the reference on one map and
+// profile: the aggregate by EncodeAggregate bytes (the four event counters
+// are in them) at several worker counts, in memory and streamed, and the
+// reconstructed paths — every path seen, MinCount 1 and no per-function
+// cap — by their counts.
+func checkAgainstReference(m *bbaddrmap.Map, prof *profile.Profile, workers []int) error {
+	want, err := referenceAggregate(m, prof.Samples, prof.SizeBytes())
+	if err != nil {
+		return fmt.Errorf("reference: %w", err)
+	}
+	wantMem := EncodeAggregate(want)
+	want.profileBytes = streamSampleBytes
+	wantStream := EncodeAggregate(want)
+	wire := prof.AppendWire(nil)
+	for _, w := range workers {
+		cfg := Config{Workers: w}
+		got, err := BuildAggregate(m, prof, cfg)
+		if err != nil {
+			return fmt.Errorf("workers %d: %w", w, err)
+		}
+		if !bytes.Equal(EncodeAggregate(got), wantMem) {
+			return fmt.Errorf("workers %d: in-memory aggregate differs from the reference\ngot  %s\nwant %s", w, describe(got), describe(want))
+		}
+		if got, err = buildAggregateStream(m, bytes.NewReader(wire), cfg); err != nil {
+			return fmt.Errorf("workers %d, streamed: %w", w, err)
+		}
+		if !bytes.Equal(EncodeAggregate(got), wantStream) {
+			return fmt.Errorf("workers %d: streamed aggregate differs from the reference\ngot  %s\nwant %s", w, describe(got), describe(want))
+		}
+	}
+	all := PathOptions{MinCount: 1, MaxPerFunc: 1 << 30}
+	paths, err := ReconstructPaths(m, prof, all)
+	if err != nil {
+		return err
+	}
+	gotPaths := map[string]uint64{}
+	for fn, ps := range paths {
+		for _, p := range ps {
+			gotPaths[pathKey(fn, p.Blocks)] = p.Count
+		}
+	}
+	if wantPaths := referencePaths(m, prof, all); !reflect.DeepEqual(gotPaths, wantPaths) {
+		return fmt.Errorf("reconstructed paths differ from the reference\ngot  %v\nwant %v", gotPaths, wantPaths)
+	}
+	return nil
+}
+
+func describe(a *Aggregate) string {
+	s := fmt.Sprintf("samples=%d records=%d branchEdges=%d callEdges=%d calls=%v", a.samples, a.records, a.branchEdges, a.callEdgeN, a.calls)
+	for fn, fp := range a.funcs {
+		s += fmt.Sprintf(" %s{%v %v}", fn, fp.counts, fp.edges)
+	}
+	return s
+}
+
+// hostileInput draws a map no linker would emit and a record stream no
+// hardware would, from a byte string (exhausted bytes read as zero), so the
+// fuzzer steers both. The map has zero-size blocks, several fragments under
+// one name, repeated block IDs, overlapping fragment ranges (piles deeper
+// than the lookup's scan window included), empty functions and block
+// offsets out of order; the stream takes its addresses from every block
+// boundary and a byte either side, and from below, between and above every
+// range, and has pairs with next.From < r.To, single-record samples and
+// empty samples.
+func hostileInput(data []byte) (*bbaddrmap.Map, *profile.Profile) {
+	pick := func(n int) int {
+		if len(data) == 0 || n <= 1 {
+			return 0
+		}
+		b := int(data[0])
+		data = data[1:]
+		return b % n
+	}
+	m := &bbaddrmap.Map{}
+	addr := uint64(0x1000)
+	addrs := []uint64{0, 0xFFF}
+	for i, nFrag := 0, 1+pick(14); i < nFrag; i++ {
+		fe := bbaddrmap.FuncEntry{Name: "f" + string(rune('a'+pick(5))), Addr: addr}
+		off := uint64(0)
+		for j, nb := 0, pick(6); j < nb; j++ {
+			b := bbaddrmap.BlockEntry{ID: j, Offset: off, Size: uint64(pick(20))}
+			switch pick(8) {
+			case 0:
+				b.ID = pick(j + 1) // a repeated ID
+			case 1:
+				b.Offset = uint64(pick(int(off) + 1)) // out of order, overlapping
+			}
+			fe.Blocks = append(fe.Blocks, b)
+			start := addr + b.Offset
+			addrs = append(addrs, start-1, start, start+1, start+b.Size-1, start+b.Size, start+b.Size+1)
+			off += b.Size
+		}
+		m.Funcs = append(m.Funcs, fe)
+		switch pick(4) {
+		case 0: // the next fragment starts inside this one, or exactly on it
+			addr += uint64(pick(int(off) + 1))
+		case 1: // ...or within its first bytes: eight of these make a pile
+			addr += uint64(pick(3))
+		default:
+			addr += off + uint64(pick(24))
+		}
+	}
+	addrs = append(addrs, addr, addr+40, ^uint64(0))
+	prof := &profile.Profile{Binary: "fuzz", Period: 1000}
+	for i, nSamples := 0, pick(48); i < nSamples; i++ {
+		var s profile.Sample
+		for j, nRec := 0, pick(profile.LBRDepth+1); j < nRec; j++ {
+			s.Records = append(s.Records, profile.Branch{From: addrs[pick(len(addrs))], To: addrs[pick(len(addrs))]})
+		}
+		prof.Samples = append(prof.Samples, s)
+	}
+	return m, prof
+}
+
+// FuzzAggregateEquivalence: on any map and any record stream the dense
+// kernel and the reference agree byte for byte, and neither panics.
+func FuzzAggregateEquivalence(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{3, 0, 4, 5, 0, 6, 0, 7, 0, 2, 1, 2, 8, 0, 9, 0, 3, 2, 3, 4, 0, 5, 0, 6, 0, 1, 9, 4, 3, 7, 12, 2, 5, 9, 14, 3, 8, 1, 6})
+	rng := rand.New(rand.NewSource(20))
+	for i := 0; i < 6; i++ {
+		seed := make([]byte, 200+rng.Intn(400))
+		rng.Read(seed)
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		m, prof := hostileInput(data)
+		if err := checkAgainstReference(m, prof, []int{1, 3}); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
+// TestAggregateMatchesReferenceOnHostileInputs runs the fuzz body over a
+// few thousand random byte strings, so a plain `go test` covers the corner
+// semantics without the fuzzing engine, and over the package's structured
+// random maps and profiles (real intra-function branches, calls and
+// fall-through runs, which random addresses rarely form).
+func TestAggregateMatchesReferenceOnHostileInputs(t *testing.T) {
+	rng := rand.New(rand.NewSource(4242))
+	for i := 0; i < 3000; i++ {
+		data := make([]byte, rng.Intn(700))
+		rng.Read(data)
+		m, prof := hostileInput(data)
+		if err := checkAgainstReference(m, prof, []int{1, 2}); err != nil {
+			t.Fatalf("input %d (%x): %v", i, data, err)
+		}
+	}
+	for trial := 0; trial < 12; trial++ {
+		m := randMap(rng, 3+rng.Intn(20))
+		if err := checkAgainstReference(m, randProfile(rng, m, 5+rng.Intn(900)), []int{1, 2, 8}); err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+	}
+}
+
+// TestBuildAggregateAllocs holds aggregation over an already-built lookup
+// to allocations per shard, not per sample: four times the samples cost
+// the same allocations (to within a table doubling or two), and a second
+// shard costs a bounded number more.
+func TestBuildAggregateAllocs(t *testing.T) {
+	rng := rand.New(rand.NewSource(99))
+	m := randMap(rng, 40)
+	lk := bbaddrmap.NewLookup(m)
+	small := randProfile(rng, m, 2000)
+	large := &profile.Profile{Samples: append(append(append(append([]profile.Sample(nil),
+		small.Samples...), small.Samples...), small.Samples...), small.Samples...)}
+	allocs := func(prof *profile.Profile, w int) float64 {
+		return testing.AllocsPerRun(5, func() {
+			if _, err := (Config{Workers: w}).buildAggregate(lk, prof); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	s1, l1, l2 := allocs(small, 1), allocs(large, 1), allocs(large, 2)
+	if l1 > s1+16 {
+		t.Errorf("1 shard: %.0f allocations for %d samples, %.0f for %d; want them equal to within a few slice doublings", s1, len(small.Samples), l1, len(large.Samples))
+	}
+	if perShard := l2 - l1; perShard > 64 {
+		t.Errorf("a second shard costs %.0f allocations; want at most 64", perShard)
+	}
+	t.Logf("allocations: %d samples/1 shard %.0f, %d samples/1 shard %.0f, /2 shards %.0f", len(small.Samples), s1, len(large.Samples), l1, l2)
+}

@@ -292,29 +292,18 @@ type dcfg struct {
 	edges  map[edgeKey]uint64
 }
 
-// shard folds samples into a private Aggregate, so one aggregation worker
-// can consume its batches without synchronization; infos and the lookup
-// behind the resolver are shared read-only views of the BB address map.
-type shard struct {
-	infos map[string]*funcInfo
-	agg   *Aggregate
-
-	// resolver memoizes the per-record address resolution (two lookups
-	// and one fall-through range per LBR record) behind direct-mapped
-	// caches; profiled, the raw binary searches were half the whole
-	// analysis. Each shard owns its own resolver over the shared lookup.
-	resolver *bbaddrmap.Resolver
-	// lastFn/lastFP memoize the most recent profileOf hit: consecutive LBR
-	// records overwhelmingly stay within one function, so a string
-	// compare replaces most map lookups.
-	lastFn string
-	lastFP *funcProfile
+// checkMap rejects the map of a binary built without metadata.
+func checkMap(m *bbaddrmap.Map) error {
+	if m == nil || len(m.Funcs) == 0 {
+		return fmt.Errorf("wpa: empty BB address map (was the binary built with metadata?)")
+	}
+	return nil
 }
 
 // funcInfos derives every function's static shape from the BB address map.
 func funcInfos(m *bbaddrmap.Map) (map[string]*funcInfo, error) {
-	if m == nil || len(m.Funcs) == 0 {
-		return nil, fmt.Errorf("wpa: empty BB address map (was the binary built with metadata?)")
+	if err := checkMap(m); err != nil {
+		return nil, err
 	}
 	infos := map[string]*funcInfo{}
 	for i := range m.Funcs {
@@ -338,72 +327,6 @@ func funcInfos(m *bbaddrmap.Map) (map[string]*funcInfo, error) {
 		}
 	}
 	return infos, nil
-}
-
-func (sh *shard) profileOf(fn string) *funcProfile {
-	if sh.lastFP != nil && sh.lastFn == fn {
-		return sh.lastFP
-	}
-	fp := sh.agg.funcs[fn]
-	if fp == nil {
-		fp = &funcProfile{counts: map[int]uint64{}, edges: map[edgeKey]uint64{}}
-		sh.agg.funcs[fn] = fp
-	}
-	sh.lastFn, sh.lastFP = fn, fp
-	return fp
-}
-
-// add folds one batch of LBR samples into the shard's aggregate.
-func (sh *shard) add(batch []profile.Sample) {
-	for _, s := range batch {
-		sh.addSample(s)
-	}
-}
-
-// addSample folds one LBR sample into the per-function profiles.
-func (sh *shard) addSample(s profile.Sample) {
-	agg := sh.agg
-	agg.samples++
-	for i, r := range s.Records {
-		agg.records++
-		// Classify the taken branch.
-		fromRef, _, fromEnd, fromOK := sh.resolver.ResolveFull(r.From)
-		toRef, toStart := sh.resolver.IsBlockStart(r.To)
-		if fromOK && toStart && fromRef.Fn == toRef.Fn && fromEnd-r.From <= 10 {
-			// Intra-function branch: the source sits in the block's
-			// terminator region and the target is a block start.
-			sh.profileOf(fromRef.Fn).edges[edgeKey{fromRef.ID, toRef.ID}]++
-			agg.branchEdges++
-		} else if fromOK && toStart && toRef.ID == entryOf(sh.infos, toRef.Fn) {
-			// Call (or tail transfer) into another function's entry,
-			// attributed to its call-site block so inter-procedural
-			// layout can split callers between call sites (§4.7).
-			agg.calls[callKey{fromRef.Fn, fromRef.ID, toRef.Fn}]++
-			agg.callEdgeN++
-		}
-		// Sequential execution between this record's target and the
-		// next record's source credits every block in the range, and
-		// every adjacent pair inside it is a traversed fall-through
-		// edge — without these, the layout algorithm would only see
-		// taken branches and would happily destroy existing
-		// fall-through paths.
-		if i+1 < len(s.Records) {
-			next := s.Records[i+1]
-			if next.From >= r.To {
-				refs := sh.resolver.BlocksInRange(r.To, next.From)
-				for j, ref := range refs {
-					fp := sh.profileOf(ref.Fn)
-					fp.counts[ref.ID]++
-					if j > 0 && refs[j-1].Fn == ref.Fn {
-						fp.edges[edgeKey{refs[j-1].ID, ref.ID}]++
-						agg.branchEdges++
-					}
-				}
-			}
-		} else if toStart {
-			sh.profileOf(toRef.Fn).counts[toRef.ID]++
-		}
-	}
 }
 
 // layout runs the "global layout" action. With the incremental cache
@@ -538,18 +461,26 @@ func Analyze(m *bbaddrmap.Map, prof *profile.Profile, cfg Config) (*Result, erro
 	if err := cfg.checkBuildID(prof.BuildID); err != nil {
 		return nil, err
 	}
+	if err := checkMap(m); err != nil {
+		return nil, err
+	}
+	// One lookup serves path reconstruction and aggregation; an analysis
+	// that needs neither (a warm aggregate, no path cloning) never builds it.
+	var lk *bbaddrmap.Lookup
+	lookup := func() *bbaddrmap.Lookup {
+		if lk == nil {
+			lk = bbaddrmap.NewLookup(m)
+		}
+		return lk
+	}
 	if cfg.needsPaths() && cfg.HotPaths == nil {
 		// The path strings are not recoverable from the (cached) edge
 		// aggregate, so reconstruct them from the raw samples up front —
 		// this also folds their fingerprint into layoutPolicyKey before
 		// any cache lookup.
-		paths, err := ReconstructPaths(m, prof, PathOptions{})
-		if err != nil {
-			return nil, err
-		}
-		cfg.HotPaths = paths
+		cfg.HotPaths = reconstructPaths(lookup(), prof, PathOptions{})
 	}
-	return cfg.analyze(m, func() (*Aggregate, error) { return BuildAggregate(m, prof, cfg) })
+	return cfg.analyze(m, func() (*Aggregate, error) { return cfg.buildAggregate(lookup(), prof) })
 }
 
 // AnalyzeStream runs the whole-program analysis over a serialized profile
@@ -558,13 +489,6 @@ func Analyze(m *bbaddrmap.Map, prof *profile.Profile, cfg Config) (*Result, erro
 // active and a warm epoch aggregate, the stream is not read at all.
 func AnalyzeStream(m *bbaddrmap.Map, r io.Reader, cfg Config) (*Result, error) {
 	return cfg.analyze(m, func() (*Aggregate, error) { return buildAggregateStream(m, r, cfg) })
-}
-
-func entryOf(infos map[string]*funcInfo, fn string) int {
-	if fi := infos[fn]; fi != nil {
-		return fi.entryID
-	}
-	return -1
 }
 
 // hotBlocks returns the block ids participating in the hot layout: sampled
