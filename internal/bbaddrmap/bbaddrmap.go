@@ -55,34 +55,45 @@ type Map struct {
 
 // Encode serializes the map to the section byte format.
 func Encode(m *Map) []byte {
-	var w wire.Writer
-	w.Int(len(m.Funcs))
-	for _, f := range m.Funcs {
-		w.Str(f.Name)
-		w.U64(f.Addr)
-		w.Int(len(f.Blocks))
-		for _, b := range f.Blocks {
-			w.Int(b.ID)
-			w.U64(b.Offset)
-			w.U64(b.Size)
-			w.Byte(byte(b.Flags))
+	return wire.Encode("", func(w *wire.Writer) {
+		w.Int(len(m.Funcs))
+		for _, f := range m.Funcs {
+			w.Str(f.Name)
+			w.U64(f.Addr)
+			w.Int(len(f.Blocks))
+			for _, b := range f.Blocks {
+				w.Int(b.ID)
+				w.U64(b.Offset)
+				w.U64(b.Size)
+				w.Byte(byte(b.Flags))
+			}
 		}
-	}
-	return w.Buf
+	})
 }
+
+// Smallest encodings of one function (empty name, address, block count)
+// and one block (ID, offset, size, flags).
+const (
+	minFuncBytes  = 3
+	minBlockBytes = 4
+)
 
 // Decode parses a section previously produced by Encode. The section has
 // no magic: it is embedded in objects and executables that carry their own.
+// The functions are one slice and their block lists runs of shared chunks
+// (capacity-clamped, so appending to one reallocates it), each bounded by
+// what the remaining input could hold.
 func Decode(data []byte) (*Map, error) {
 	r := wire.NewReader("bbaddrmap", "", data)
-	m := &Map{}
-	for i, nFuncs := 0, r.Count(); i < nFuncs && r.Err() == nil; i++ {
-		f := FuncEntry{Name: r.Str(), Addr: r.U64()}
-		f.Blocks = make([]BlockEntry, r.Count())
+	m := &Map{Funcs: wire.Take[FuncEntry](r, r.Count(), minFuncBytes)}
+	blocks := wire.Pool[BlockEntry]{Chunk: 4096, MinBytes: minBlockBytes}
+	for i := range m.Funcs {
+		f := &m.Funcs[i]
+		f.Name, f.Addr = r.Str(), r.U64()
+		f.Blocks = blocks.Take(r, r.Count())
 		for j := range f.Blocks {
 			f.Blocks[j] = BlockEntry{ID: r.Int(), Offset: r.U64(), Size: r.U64(), Flags: BlockFlags(r.Byte())}
 		}
-		m.Funcs = append(m.Funcs, f)
 	}
 	if err := r.Done(); err != nil {
 		return nil, err
@@ -93,12 +104,16 @@ func Decode(data []byte) (*Map, error) {
 // Rebase returns a copy of the map with delta added to every function
 // address. The linker uses this when placing sections at final addresses.
 func (m *Map) Rebase(delta uint64) *Map {
+	total := 0
+	for i := range m.Funcs {
+		total += len(m.Funcs[i].Blocks)
+	}
 	out := &Map{Funcs: make([]FuncEntry, len(m.Funcs))}
+	blocks := make([]BlockEntry, total)
 	for i, f := range m.Funcs {
-		nf := f
-		nf.Addr = f.Addr + delta
-		nf.Blocks = append([]BlockEntry(nil), f.Blocks...)
-		out.Funcs[i] = nf
+		n := copy(blocks, f.Blocks)
+		out.Funcs[i] = FuncEntry{Name: f.Name, Addr: f.Addr + delta, Blocks: blocks[:n:n]}
+		blocks = blocks[n:]
 	}
 	return out
 }

@@ -254,15 +254,27 @@ func TestResolveProperty(t *testing.T) {
 
 // FuzzDecode: the section arrives inside any object or executable handed
 // to the linker, wsc-wpa, wsc-objdump or the profile service. Decode must
-// never panic or allocate beyond its input's scale, and whatever it
-// accepts must re-encode to a fixed point.
+// never panic, whatever it accepts must re-encode to a fixed point, and one
+// decode — accepted or not, hostile counts in any position — allocates at
+// most 32 bytes per input byte plus a constant (the costliest bytes are an
+// empty function, 48 bytes of FuncEntry per 3, and a 32-byte BlockEntry per
+// 4 in a chunk that may be abandoned half used).
 func FuzzDecode(f *testing.F) {
 	f.Add(Encode(sample()))
 	f.Add(Encode(&Map{}))
 	f.Add(binary.AppendUvarint([]byte{1}, 1<<63))
 	f.Add(binary.AppendUvarint([]byte{1, 0, 0}, 1<<26))
+	// Counts the remaining bytes could be, but not as functions or blocks.
+	f.Add(append(binary.AppendUvarint(nil, 6000), make([]byte, 6000)...))
+	f.Add(append(binary.AppendUvarint([]byte{1, 0, 0}, 6000), make([]byte, 6000)...))
 	f.Fuzz(func(t *testing.T, data []byte) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
 		m, err := Decode(data)
+		runtime.ReadMemStats(&after)
+		if n := after.TotalAlloc - before.TotalAlloc; n > 32*uint64(len(data))+1<<16 {
+			t.Fatalf("decoding %d bytes allocated %d", len(data), n)
+		}
 		if err != nil {
 			return
 		}

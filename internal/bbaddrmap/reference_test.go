@@ -4,6 +4,8 @@ import (
 	"math/rand"
 	"slices"
 	"testing"
+
+	"propeller/internal/wire"
 )
 
 // refLookup is the Lookup this package had before the dense block table:
@@ -410,5 +412,86 @@ func TestFuncSet(t *testing.T) {
 	}
 	if got := s.Names(); s.Len() != 2 || !slices.Equal(got, []string{"bar", "foo"}) {
 		t.Fatalf("Names() = %v, Len() = %d; want [bar foo], 2", got, s.Len())
+	}
+}
+
+// refDecode is Decode as it was before it read into slabs — a block slice
+// per function, the function list grown by append — kept verbatim as the
+// oracle of TestDecodeMatchesReference.
+func refDecode(data []byte) (*Map, error) {
+	r := wire.NewReader("bbaddrmap", "", data)
+	m := &Map{}
+	for i, nFuncs := 0, r.Count(); i < nFuncs && r.Err() == nil; i++ {
+		f := FuncEntry{Name: r.Str(), Addr: r.U64()}
+		f.Blocks = make([]BlockEntry, r.Count())
+		for j := range f.Blocks {
+			f.Blocks[j] = BlockEntry{ID: r.Int(), Offset: r.U64(), Size: r.U64(), Flags: BlockFlags(r.Byte())}
+		}
+		m.Funcs = append(m.Funcs, f)
+	}
+	if err := r.Done(); err != nil {
+		return nil, err
+	}
+	return m, nil
+}
+
+// TestDecodeMatchesReference: the slab decoder against refDecode on random
+// maps — the same functions and blocks, the same bytes re-encoded in a
+// buffer of exactly their size, the same verdict on every truncation.
+func TestDecodeMatchesReference(t *testing.T) {
+	for seed := int64(0); seed < 50; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		m := &Map{}
+		for f, nf := 0, rng.Intn(40); f < nf; f++ {
+			fe := FuncEntry{Name: "f" + string(rune('a'+f%26)), Addr: uint64(rng.Intn(1 << 20))}
+			for b, nb := 0, rng.Intn(12); b < nb; b++ {
+				fe.Blocks = append(fe.Blocks, BlockEntry{ID: rng.Intn(300), Offset: uint64(rng.Intn(4096)), Size: uint64(rng.Intn(64)), Flags: BlockFlags(rng.Intn(16))})
+			}
+			m.Funcs = append(m.Funcs, fe)
+		}
+		data := Encode(m)
+		if cap(data) != len(data) {
+			t.Fatalf("seed %d: encoded %d bytes in a %d-byte buffer", seed, len(data), cap(data))
+		}
+		got, err := Decode(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := refDecode(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		same := len(got.Funcs) == len(want.Funcs)
+		for i := 0; same && i < len(want.Funcs); i++ {
+			g, w := got.Funcs[i], want.Funcs[i]
+			same = g.Name == w.Name && g.Addr == w.Addr && slices.Equal(g.Blocks, w.Blocks)
+		}
+		if !same || !slices.Equal(Encode(got), data) {
+			t.Fatalf("seed %d: decoded map differs from the reference decoder's", seed)
+		}
+		for cut := 0; cut < len(data); cut += 1 + rng.Intn(5) {
+			_, errNew := Decode(data[:cut])
+			_, errRef := refDecode(data[:cut])
+			if (errNew == nil) != (errRef == nil) {
+				t.Fatalf("seed %d: truncation at %d: %v, reference %v", seed, cut, errNew, errRef)
+			}
+		}
+	}
+}
+
+// TestDecodedSlicesDoNotAlias: the functions' decoded block lists are runs
+// of one chunk; appending to one reallocates it and leaves the next alone.
+func TestDecodedSlicesDoNotAlias(t *testing.T) {
+	data := Encode(sample())
+	m, err := Decode(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range m.Funcs {
+		f := &m.Funcs[i]
+		f.Blocks = append(f.Blocks, BlockEntry{ID: 999, Size: 999})[:len(f.Blocks)]
+	}
+	if !slices.Equal(Encode(m), data) {
+		t.Fatal("an append to one function's decoded blocks changed another's")
 	}
 }

@@ -23,7 +23,9 @@
 package codegen
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"propeller/internal/ir"
 	"propeller/internal/layoutfile"
@@ -146,6 +148,10 @@ type compiler struct {
 
 	// lsda accumulates call-site records across the module.
 	lsda []callSite
+
+	// lo is the per-function lowering state, reused across the module's
+	// functions.
+	lo layout
 }
 
 type fragmentInfo struct {
@@ -202,94 +208,99 @@ type sectionPlan struct {
 }
 
 func (cg *compiler) lowerFunc(f *ir.Func) error {
-	plans, emitMap, err := cg.planSections(f)
+	lo := &cg.lo
+	lo.reset(f)
+	emitMap, err := cg.planSections(lo)
 	if err != nil {
 		return err
 	}
-	return cg.emitFunc(f, plans, emitMap)
+	return cg.emitFunc(lo, emitMap)
 }
 
-// planSections decides the block→section assignment.
-func (cg *compiler) planSections(f *ir.Func) ([]sectionPlan, bool, error) {
+// planSections decides the block→section assignment, filling lo.plans; it
+// reports whether the function gets BB address maps.
+func (cg *compiler) planSections(lo *layout) (bool, error) {
+	f := lo.f
 	switch cg.opts.Mode {
-	case ModeNone:
-		return []sectionPlan{{suffix: "", blocks: f.Blocks}}, false, nil
-	case ModeLabels:
-		return []sectionPlan{{suffix: "", blocks: f.Blocks}}, true, nil
 	case ModeAll:
-		var plans []sectionPlan
 		for i, b := range f.Blocks {
 			suffix := ""
 			if i > 0 {
 				suffix = fmt.Sprintf(".%d", b.ID)
 			}
-			plans = append(plans, sectionPlan{suffix: suffix, blocks: []*ir.Block{b}})
+			lo.plans = append(lo.plans, sectionPlan{suffix: suffix, blocks: f.Blocks[i : i+1]})
 		}
-		return plans, true, nil
+		return true, nil
 	case ModeList:
-		spec, ok := cg.opts.Directives[f.Name]
-		if !ok {
-			// No directive: this function was cold in the profile; keep the
-			// vanilla single-section layout.
-			return []sectionPlan{{suffix: "", blocks: f.Blocks}}, true, nil
+		if spec, ok := cg.opts.Directives[f.Name]; ok {
+			return true, lo.planFromDirective(spec)
 		}
-		return cg.planFromDirective(f, spec)
+		// No directive: this function was cold in the profile; keep the
+		// vanilla single-section layout.
+		fallthrough
+	case ModeNone, ModeLabels:
+		lo.plans = append(lo.plans, sectionPlan{blocks: f.Blocks})
+		return cg.opts.Mode != ModeNone, nil
 	}
-	return nil, false, fmt.Errorf("codegen: unknown mode %v", cg.opts.Mode)
+	return false, fmt.Errorf("codegen: unknown mode %v", cg.opts.Mode)
 }
 
-func (cg *compiler) planFromDirective(f *ir.Func, spec layoutfile.ClusterSpec) ([]sectionPlan, bool, error) {
+func (lo *layout) planFromDirective(spec layoutfile.ClusterSpec) error {
+	f := lo.f
 	if len(spec.Clusters) == 0 || len(spec.Clusters[0]) == 0 {
-		return nil, false, fmt.Errorf("codegen: %s: empty cluster directive", f.Name)
+		return fmt.Errorf("codegen: %s: empty cluster directive", f.Name)
 	}
 	if spec.Clusters[0][0] != f.Entry().ID {
-		return nil, false, fmt.Errorf("codegen: %s: primary cluster must start with entry block %d, got %d",
+		return fmt.Errorf("codegen: %s: primary cluster must start with entry block %d, got %d",
 			f.Name, f.Entry().ID, spec.Clusters[0][0])
 	}
-	var plans []sectionPlan
-	listed := map[int]bool{}
+	// Directives name blocks by stable ID: resolve them through the block
+	// numbers sorted by ID (already sorted unless a pass laid the blocks
+	// out), not by a scan of the function per listed ID.
+	lo.byID = lo.byID[:0]
+	for i := range f.Blocks {
+		lo.byID = append(lo.byID, int32(i))
+	}
+	slices.SortFunc(lo.byID, func(a, b int32) int { return cmp.Compare(f.Blocks[a].ID, f.Blocks[b].ID) })
+	// Every block lands in exactly one plan, so the plans' block lists are
+	// runs of one backing array.
+	order := slices.Grow(lo.order[:0], len(f.Blocks))
 	for ci, cluster := range spec.Clusters {
 		suffix := ""
 		if ci > 0 {
 			suffix = fmt.Sprintf(".%d", ci)
 		}
-		var blocks []*ir.Block
+		start := len(order)
 		for _, id := range cluster {
-			b := f.BlockByID(id)
-			if b == nil {
-				return nil, false, fmt.Errorf("codegen: %s: directive references unknown block %d", f.Name, id)
+			at, ok := slices.BinarySearchFunc(lo.byID, id, func(i int32, id int) int { return cmp.Compare(f.Blocks[i].ID, id) })
+			if !ok {
+				return fmt.Errorf("codegen: %s: directive references unknown block %d", f.Name, id)
 			}
-			if listed[id] {
-				return nil, false, fmt.Errorf("codegen: %s: block %d in multiple clusters", f.Name, id)
+			b := f.Blocks[lo.byID[at]]
+			if lo.state(b).listed {
+				return fmt.Errorf("codegen: %s: block %d in multiple clusters", f.Name, id)
 			}
-			listed[id] = true
-			blocks = append(blocks, b)
+			lo.state(b).listed = true
+			order = append(order, b)
 		}
-		plans = append(plans, sectionPlan{suffix: suffix, blocks: blocks})
+		lo.plans = append(lo.plans, sectionPlan{suffix: suffix, blocks: order[start:len(order):len(order)]})
 	}
 	// Unlisted blocks form the implicit cold section: non-pads first, then
-	// landing pads kept together (§4.5).
-	var coldPlain, coldPads []*ir.Block
-	for _, b := range f.Blocks {
-		if listed[b.ID] {
-			continue
-		}
-		if b.LandingPad {
-			coldPads = append(coldPads, b)
-		} else {
-			coldPlain = append(coldPlain, b)
+	// landing pads kept together (§4.5). A cold section that begins with a
+	// landing pad gets its nop from emitFunc, like any other.
+	start := len(order)
+	for _, pads := range []bool{false, true} {
+		for _, b := range f.Blocks {
+			if !lo.state(b).listed && b.LandingPad == pads {
+				order = append(order, b)
+			}
 		}
 	}
-	if len(coldPlain)+len(coldPads) > 0 {
-		cold := sectionPlan{suffix: ".cold", blocks: append(coldPlain, coldPads...)}
-		// If the cold section begins with a landing pad, a nop keeps the
-		// pad's offset from @LPStart non-zero (§4.5).
-		if cold.blocks[0].LandingPad {
-			cold.nop = true
-		}
-		plans = append(plans, cold)
+	if len(order) > start {
+		lo.plans = append(lo.plans, sectionPlan{suffix: ".cold", blocks: order[start:]})
 	}
-	return plans, true, nil
+	lo.order = order
+	return nil
 }
 
 // symbolNameFor returns the symbol naming a function fragment.

@@ -209,3 +209,83 @@ func TestClusterSectionsPackTightly(t *testing.T) {
 		}
 	}
 }
+
+// chainModule builds funcs functions of blocks blocks, each block ins
+// register moves and a conditional branch to the next block or the entry.
+func chainModule(funcs, blocks, ins int) *ir.Module {
+	m := ir.NewModule("chain")
+	for fi := 0; fi < funcs; fi++ {
+		f := m.NewFunc("fn_"+string(rune('a'+fi%26))+string(rune('a'+fi/26)), 0)
+		for len(f.Blocks) < blocks {
+			f.NewBlock()
+		}
+		for bi, b := range f.Blocks {
+			for i := 0; i < ins; i++ {
+				b.Emit(ir.Inst{Op: isa.OpMovI, A: 1, Imm: int64(i)})
+			}
+			if bi+1 < blocks {
+				b.Branch(isa.CondLT, f.Blocks[bi+1], f.Blocks[0])
+			} else {
+				b.Return()
+			}
+		}
+	}
+	return m
+}
+
+// TestCompileAllocs: the backend allocates per function and per emitted
+// section (a Section, a Symbol, their names, the text bytes, the address
+// map), never per block or per instruction: the per-block lowering state
+// is one slice the compiler reuses across the module's functions.
+func TestCompileAllocs(t *testing.T) {
+	allocs := func(funcs, blocks, ins int, opts Options) float64 {
+		m := chainModule(funcs, blocks, ins)
+		return testing.AllocsPerRun(5, func() {
+			if _, err := Compile(m, opts); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	dirs := layoutfile.Directives{}
+	for _, f := range chainModule(8, 256, 1).Funcs {
+		dirs[f.Name] = layoutfile.ClusterSpec{Clusters: [][]int{{0, 2, 1}, {5, 4}}}
+	}
+	for _, opts := range []Options{{Mode: ModeLabels}, {Mode: ModeList, Directives: dirs}} {
+		small, manyBlocks, manyIns := allocs(8, 8, 4, opts), allocs(8, 256, 4, opts), allocs(8, 8, 128, opts)
+		// Growth with the block and instruction counts is the growth of a
+		// few per-function buffers (relocations, the address map's blocks),
+		// logarithmic in their length.
+		if manyBlocks > small+8*12 || manyIns > small+8*4 {
+			t.Errorf("%v: %.0f allocations for 8 functions of 8 blocks x 4 instructions, %.0f with 256 blocks, %.0f with 128 instructions",
+				opts.Mode, small, manyBlocks, manyIns)
+		}
+		t.Logf("%v: %.0f / %.0f / %.0f allocations", opts.Mode, small, manyBlocks, manyIns)
+		sections := 1
+		if opts.Mode == ModeList {
+			sections = 3 // two clusters and .cold
+		}
+		if limit := float64(40 + 16*8*sections); small > limit {
+			t.Errorf("%v: %.0f allocations for 8 small functions of %d sections, want <= %.0f", opts.Mode, small, sections, limit)
+		}
+	}
+}
+
+// TestStaleNumbering: a function whose Blocks were reordered by hand
+// without Func.Renumber does not compile — the verifier Compile runs first
+// reports it, naming the function — where indexing per-block state by a
+// stale Index() would have lowered the wrong blocks.
+func TestStaleNumbering(t *testing.T) {
+	m := chainModule(2, 4, 1)
+	f := m.Funcs[1]
+	f.Blocks[1], f.Blocks[2] = f.Blocks[2], f.Blocks[1]
+	for _, mode := range []Mode{ModeNone, ModeLabels, ModeAll, ModeList} {
+		_, err := Compile(m, Options{Mode: mode})
+		if err == nil || !strings.Contains(err.Error(), f.Name) || !strings.Contains(err.Error(), "stale block numbering") {
+			t.Errorf("%v: Compile of a reordered function: %v", mode, err)
+		}
+	}
+	f.Renumber()
+	if _, err := Compile(m, Options{Mode: ModeLabels}); err != nil {
+		t.Errorf("Compile after Renumber: %v", err)
+	}
+}

@@ -3,11 +3,13 @@ package codegen
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"propeller/internal/bbaddrmap"
 	"propeller/internal/ir"
 	"propeller/internal/isa"
 	"propeller/internal/objfile"
+	"propeller/internal/prefetch"
 )
 
 // Switch lowering uses the two codegen-reserved scratch registers r12/r13:
@@ -32,54 +34,85 @@ type tailBranch struct {
 	size   int64 // 5 when long, 2 when relaxed to the short form
 }
 
-// layout carries all per-function lowering state.
+// blockState is the lowering state of one block.
+type blockState struct {
+	plan, pos  int32 // section plan, and position within it; plan -1 until assigned
+	listed     bool  // named by the function's cluster directive
+	off, size  int64 // offset within the section; body plus tail branches
+	body       int64 // body size excluding tail branches
+	tails      [2]tailBranch
+	nTails     int32
+	pfLo, pfHi int32 // layout.prefetch[pfLo:pfHi] are this block's insertions
+}
+
+// prefetchIns is one §3.5 insertion: a prefetch ahead of body instruction
+// inst of its block, delta bytes past the load's address.
+type prefetchIns struct {
+	inst  int
+	delta int64
+}
+
+// layout carries all per-function lowering state. The compiler owns one
+// and reuses its slices for every function of the module.
 type layout struct {
 	f     *ir.Func
 	plans []sectionPlan
 
-	planOf map[*ir.Block]int
-	posOf  map[*ir.Block]int // position within its plan
-	offOf  map[*ir.Block]int64
-	sizeOf map[*ir.Block]int64
-	body   map[*ir.Block]int64 // body size excluding tail branches
-	tails  map[*ir.Block][]tailBranch
+	// blocks is indexed by ir.Block.Index(), which ir.Verify (Compile runs
+	// it first) has checked for every block, successor and landing pad.
+	blocks []blockState
 
-	secSize []int64
+	order     []*ir.Block // backing array of a directive's plans
+	byID      []int32     // block numbers sorted by stable ID
+	prefetch  []prefetchIns
+	secSize   []int64
+	mapBlocks []bbaddrmap.BlockEntry
 }
 
-func (cg *compiler) emitFunc(f *ir.Func, plans []sectionPlan, emitMap bool) error {
-	lo := &layout{
-		f:      f,
-		plans:  plans,
-		planOf: map[*ir.Block]int{},
-		posOf:  map[*ir.Block]int{},
-		offOf:  map[*ir.Block]int64{},
-		sizeOf: map[*ir.Block]int64{},
-		body:   map[*ir.Block]int64{},
-		tails:  map[*ir.Block][]tailBranch{},
+func (lo *layout) reset(f *ir.Func) {
+	lo.f = f
+	lo.plans = lo.plans[:0]
+	lo.prefetch = lo.prefetch[:0]
+	lo.blocks = slices.Grow(lo.blocks[:0], len(f.Blocks))[:len(f.Blocks)]
+	for i := range lo.blocks {
+		lo.blocks[i] = blockState{plan: -1}
 	}
-	for pi := range plans {
+}
+
+func (lo *layout) state(b *ir.Block) *blockState { return &lo.blocks[b.Index()] }
+
+func (cg *compiler) emitFunc(lo *layout, emitMap bool) error {
+	f := lo.f
+	covered := 0
+	for pi := range lo.plans {
+		plan := &lo.plans[pi]
 		// Any section beginning with a landing pad gets a leading nop so the
 		// pad offset relative to the section start is non-zero (§4.5).
-		if plans[pi].blocks[0].LandingPad {
-			plans[pi].nop = true
+		if plan.blocks[0].LandingPad {
+			plan.nop = true
 		}
-		for pos, b := range plans[pi].blocks {
-			lo.planOf[b] = pi
-			lo.posOf[b] = pos
+		for pos, b := range plan.blocks {
+			st := lo.state(b)
+			if st.plan < 0 {
+				covered++
+			}
+			st.plan, st.pos = int32(pi), int32(pos)
 		}
 	}
-	if len(lo.planOf) != len(f.Blocks) {
-		return fmt.Errorf("codegen: %s: section plan covers %d of %d blocks", f.Name, len(lo.planOf), len(f.Blocks))
+	if covered != len(f.Blocks) {
+		return fmt.Errorf("codegen: %s: section plan covers %d of %d blocks", f.Name, covered, len(f.Blocks))
 	}
 
+	sites := cg.opts.Prefetch[f.Name]
 	for _, b := range f.Blocks {
-		lo.body[b] = cg.bodySize(f, b)
-		tails, err := lo.tailPlan(b)
-		if err != nil {
+		st := lo.state(b)
+		if len(sites) > 0 {
+			lo.matchPrefetch(sites, b, st)
+		}
+		st.body = cg.bodySize(b, st)
+		if err := lo.tailPlan(b, st); err != nil {
 			return err
 		}
-		lo.tails[b] = tails
 	}
 	lo.relax()
 	return cg.emitSections(lo, emitMap)
@@ -87,12 +120,12 @@ func (cg *compiler) emitFunc(f *ir.Func, plans []sectionPlan, emitMap bool) erro
 
 // bodySize is the byte size of the block's non-terminator code plus any
 // switch dispatch sequence, inline jump table, and inserted prefetches.
-func (cg *compiler) bodySize(f *ir.Func, b *ir.Block) int64 {
+func (cg *compiler) bodySize(b *ir.Block, st *blockState) int64 {
 	var n int64
 	for _, in := range b.Ins {
 		n += int64(isa.SizeOf(in.Op))
 	}
-	n += int64(len(cg.prefetchAt(f, b))) * int64(isa.SizeOf(isa.OpPrefetch))
+	n += int64(st.pfHi-st.pfLo) * int64(isa.SizeOf(isa.OpPrefetch))
 	if b.Term.Kind == ir.TermSwitch {
 		n += switchSeqBytes
 		if cg.opts.DataInCode {
@@ -102,94 +135,96 @@ func (cg *compiler) bodySize(f *ir.Func, b *ir.Block) int64 {
 	return n
 }
 
-// prefetchAt matches §3.5 insertion directives against a block: the
-// directive identifies the load by its block-relative byte offset in the
-// metadata build, which equals the cumulative body-instruction size here
-// (body encodings are mode-independent). Returns inst index → delta.
-func (cg *compiler) prefetchAt(f *ir.Func, b *ir.Block) map[int]int64 {
-	sites := cg.opts.Prefetch[f.Name]
-	if len(sites) == 0 {
-		return nil
-	}
-	var out map[int]int64
+// matchPrefetch matches the function's §3.5 insertion directives against a
+// block, once: a directive identifies the load by its block-relative byte
+// offset in the metadata build, which equals the cumulative
+// body-instruction size here (body encodings are mode-independent). The
+// last directive naming a load decides its delta.
+func (lo *layout) matchPrefetch(sites []prefetch.Site, b *ir.Block, st *blockState) {
+	st.pfLo = int32(len(lo.prefetch))
 	off := uint64(0)
 	for i, in := range b.Ins {
 		if in.Op == isa.OpLoad {
-			for _, site := range sites {
+			at := -1
+			for si, site := range sites {
 				if site.Block == b.ID && site.Off == off {
-					if out == nil {
-						out = map[int]int64{}
-					}
-					out[i] = site.Delta
+					at = si
 				}
+			}
+			if at >= 0 {
+				lo.prefetch = append(lo.prefetch, prefetchIns{inst: i, delta: sites[at].Delta})
 			}
 		}
 		off += uint64(isa.SizeOf(in.Op))
 	}
-	return out
+	st.pfHi = int32(len(lo.prefetch))
 }
 
 // tailPlan computes the branch instructions ending the block.
-func (lo *layout) tailPlan(b *ir.Block) ([]tailBranch, error) {
-	sameSection := func(t *ir.Block) bool { return lo.planOf[t] == lo.planOf[b] }
+func (lo *layout) tailPlan(b *ir.Block, st *blockState) error {
 	isNext := func(t *ir.Block) bool {
-		return sameSection(t) && lo.posOf[t] == lo.posOf[b]+1
+		ts := lo.state(t)
+		return ts.plan == st.plan && ts.pos == st.pos+1
 	}
-	mk := func(op isa.Op, t *ir.Block) tailBranch {
-		return tailBranch{op: op, target: t, local: sameSection(t), size: int64(isa.SizeOf(op))}
+	add := func(op isa.Op, t *ir.Block) {
+		local := t != nil && lo.state(t).plan == st.plan
+		st.tails[st.nTails] = tailBranch{op: op, target: t, local: local, size: int64(isa.SizeOf(op))}
+		st.nTails++
 	}
 	switch b.Term.Kind {
 	case ir.TermJump:
-		t := b.Term.Succs[0]
-		if isNext(t) {
-			return nil, nil // physical fall-through within the section
+		// A jump to the next block is a physical fall-through within the
+		// section.
+		if t := b.Term.Succs[0]; !isNext(t) {
+			add(isa.OpJmp, t)
 		}
-		return []tailBranch{mk(isa.OpJmp, t)}, nil
 	case ir.TermBranch:
 		t, f := b.Term.Succs[0], b.Term.Succs[1]
-		if t == f {
-			if isNext(t) {
-				return nil, nil
-			}
-			return []tailBranch{mk(isa.OpJmp, t)}, nil
-		}
 		switch {
+		case t == f:
+			if !isNext(t) {
+				add(isa.OpJmp, t)
+			}
 		case isNext(f):
-			return []tailBranch{mk(isa.CondBranch(b.Term.Cond), t)}, nil
+			add(isa.CondBranch(b.Term.Cond), t)
 		case isNext(t):
-			return []tailBranch{mk(isa.CondBranch(b.Term.Cond.Negate()), f)}, nil
+			add(isa.CondBranch(b.Term.Cond.Negate()), f)
 		default:
 			// Explicit fall-through (§4.2): the conditional keeps its taken
 			// target; the fall-through successor gets a trailing jump the
 			// linker may later delete.
-			return []tailBranch{mk(isa.CondBranch(b.Term.Cond), t), mk(isa.OpJmp, f)}, nil
+			add(isa.CondBranch(b.Term.Cond), t)
+			add(isa.OpJmp, f)
 		}
 	case ir.TermSwitch:
-		return nil, nil // dispatch code is part of the body
+		// Dispatch code is part of the body.
 	case ir.TermReturn:
-		return []tailBranch{{op: isa.OpRet, size: 1}}, nil
+		add(isa.OpRet, nil)
 	case ir.TermHalt:
-		return []tailBranch{{op: isa.OpHalt, size: 1}}, nil
+		add(isa.OpHalt, nil)
 	case ir.TermThrow:
-		return []tailBranch{{op: isa.OpThrow, size: 1}}, nil
+		add(isa.OpThrow, nil)
+	default:
+		return fmt.Errorf("codegen: %s bb%d: unknown terminator", lo.f.Name, b.ID)
 	}
-	return nil, fmt.Errorf("codegen: %s bb%d: unknown terminator", lo.f.Name, b.ID)
+	return nil
 }
 
 // relax computes block offsets, iteratively shrinking local branches whose
 // displacement fits rel8. Shrinking is monotone (distances only decrease),
 // so the loop terminates.
 func (lo *layout) relax() {
+	lo.secSize = slices.Grow(lo.secSize[:0], len(lo.plans))[:len(lo.plans)]
 	for {
 		lo.assignOffsets()
 		changed := false
-		for _, b := range lo.f.Blocks {
-			tails := lo.tails[b]
-			off := lo.offOf[b] + lo.body[b]
-			for i := range tails {
-				tb := &tails[i]
+		for i := range lo.blocks {
+			st := &lo.blocks[i]
+			off := st.off + st.body
+			for ti := range st.tails[:st.nTails] {
+				tb := &st.tails[ti]
 				if tb.local && tb.size == 5 && tb.op != isa.OpRet {
-					disp := lo.offOf[tb.target] - (off + 2) // size if short
+					disp := lo.state(tb.target).off - (off + 2) // size if short
 					if isa.FitsRel8(disp) {
 						tb.size = 2
 						changed = true
@@ -205,20 +240,19 @@ func (lo *layout) relax() {
 }
 
 func (lo *layout) assignOffsets() {
-	lo.secSize = make([]int64, len(lo.plans))
 	for pi, plan := range lo.plans {
 		var off int64
 		if plan.nop {
 			off = 1
 		}
 		for _, b := range plan.blocks {
-			lo.offOf[b] = off
-			size := lo.body[b]
-			for _, tb := range lo.tails[b] {
-				size += tb.size
+			st := lo.state(b)
+			st.off = off
+			st.size = st.body
+			for _, tb := range st.tails[:st.nTails] {
+				st.size += tb.size
 			}
-			lo.sizeOf[b] = size
-			off += size
+			off += st.size
 		}
 		lo.secSize[pi] = off
 	}
@@ -232,7 +266,8 @@ func (cg *compiler) emitSections(lo *layout, emitMap bool) error {
 	// and exception tables.
 	secSym := func(pi int) string { return symbolNameFor(f.Name, lo.plans[pi].suffix) }
 	blockRef := func(b *ir.Block) (string, int64) {
-		return secSym(lo.planOf[b]), lo.offOf[b]
+		st := lo.state(b)
+		return secSym(int(st.plan)), st.off
 	}
 
 	var rodata *objfile.Section
@@ -262,18 +297,20 @@ func (cg *compiler) emitSections(lo *layout, emitMap bool) error {
 		if plan.nop {
 			buf = isa.Encode(buf, isa.Inst{Op: isa.OpNop})
 		}
-		var mapBlocks []bbaddrmap.BlockEntry
+		mapBlocks := lo.mapBlocks[:0]
 		for pos, b := range plan.blocks {
+			st := lo.state(b)
 			blockStart := int64(len(buf))
-			if blockStart != lo.offOf[b] {
-				return fmt.Errorf("codegen: %s bb%d: emitted offset %d != planned %d", f.Name, b.ID, blockStart, lo.offOf[b])
+			if blockStart != st.off {
+				return fmt.Errorf("codegen: %s bb%d: emitted offset %d != planned %d", f.Name, b.ID, blockStart, st.off)
 			}
 			hasCall := false
-			prefetches := cg.prefetchAt(f, b)
+			prefetches := lo.prefetch[st.pfLo:st.pfHi]
 			// Body instructions.
 			for ii, in := range b.Ins {
-				if delta, ok := prefetches[ii]; ok {
-					buf = isa.Encode(buf, isa.Inst{Op: isa.OpPrefetch, A: in.A, Imm: in.Imm + delta})
+				if len(prefetches) > 0 && prefetches[0].inst == ii {
+					buf = isa.Encode(buf, isa.Inst{Op: isa.OpPrefetch, A: in.A, Imm: in.Imm + prefetches[0].delta})
+					prefetches = prefetches[1:]
 				}
 				instOff := int64(len(buf))
 				switch {
@@ -366,7 +403,7 @@ func (cg *compiler) emitSections(lo *layout, emitMap bool) error {
 				}
 			}
 			// Tail branches.
-			for _, tb := range lo.tails[b] {
+			for _, tb := range st.tails[:st.nTails] {
 				instOff := int64(len(buf))
 				switch {
 				case tb.op == isa.OpRet || tb.op == isa.OpHalt || tb.op == isa.OpThrow:
@@ -376,7 +413,7 @@ func (cg *compiler) emitSections(lo *layout, emitMap bool) error {
 					if tb.size == 2 {
 						op = tb.op.ShortForm()
 					}
-					disp := lo.offOf[tb.target] - (instOff + tb.size)
+					disp := lo.state(tb.target).off - (instOff + tb.size)
 					buf = isa.Encode(buf, isa.Inst{Op: op, Imm: disp})
 				default:
 					sym, off := blockRef(tb.target)
@@ -387,8 +424,8 @@ func (cg *compiler) emitSections(lo *layout, emitMap bool) error {
 					})
 				}
 			}
-			if got := int64(len(buf)) - blockStart; got != lo.sizeOf[b] {
-				return fmt.Errorf("codegen: %s bb%d: emitted %d bytes, planned %d", f.Name, b.ID, got, lo.sizeOf[b])
+			if got := int64(len(buf)) - blockStart; got != st.size {
+				return fmt.Errorf("codegen: %s bb%d: emitted %d bytes, planned %d", f.Name, b.ID, got, st.size)
 			}
 			var flags bbaddrmap.BlockFlags
 			if b.LandingPad {
@@ -400,13 +437,14 @@ func (cg *compiler) emitSections(lo *layout, emitMap bool) error {
 			if hasCall {
 				flags |= bbaddrmap.FlagCall
 			}
-			if fallsThrough(lo, plan, pos, b) {
+			if fallsThrough(plan, pos, b, int(st.nTails)) {
 				flags |= bbaddrmap.FlagFallThrough
 			}
 			mapBlocks = append(mapBlocks, bbaddrmap.BlockEntry{
-				ID: b.ID, Offset: uint64(lo.offOf[b]), Size: uint64(lo.sizeOf[b]), Flags: flags,
+				ID: b.ID, Offset: uint64(st.off), Size: uint64(st.size), Flags: flags,
 			})
 		}
+		lo.mapBlocks = mapBlocks
 		sec.Data = buf
 		secIdx := cg.obj.AddSection(sec)
 		symKind := objfile.SymFunc
@@ -433,19 +471,20 @@ func (cg *compiler) emitSections(lo *layout, emitMap bool) error {
 }
 
 // fallsThrough reports whether b's layout successor inside the same section
-// is a CFG successor reached without a taken branch.
-func fallsThrough(lo *layout, plan sectionPlan, pos int, b *ir.Block) bool {
+// is a CFG successor reached without a taken branch; tails is the number of
+// tail branches b was given.
+func fallsThrough(plan sectionPlan, pos int, b *ir.Block, tails int) bool {
 	if pos+1 >= len(plan.blocks) {
 		return false
 	}
 	next := plan.blocks[pos+1]
 	switch b.Term.Kind {
 	case ir.TermJump:
-		return b.Term.Succs[0] == next && len(lo.tails[b]) == 0
+		return b.Term.Succs[0] == next && tails == 0
 	case ir.TermBranch:
 		// Fall-through exists when the conditional's not-taken path is the
 		// next block (a single tail branch was emitted).
-		return len(lo.tails[b]) == 1 && (b.Term.Succs[1] == next || b.Term.Succs[0] == next)
+		return tails == 1 && (b.Term.Succs[1] == next || b.Term.Succs[0] == next)
 	}
 	return false
 }

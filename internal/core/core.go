@@ -229,7 +229,7 @@ func codegenAction(name string, irBytes int64, irFetch float64, run func() error
 func CodegenActions(p *Program) []*buildsys.Action {
 	out := make([]*buildsys.Action, len(p.Modules))
 	for i, m := range p.Modules {
-		out[i] = codegenAction("codegen:"+m.Name, int64(len(ir.EncodeModule(m))), 0, nil)
+		out[i] = codegenAction("codegen:"+m.Name, int64(ir.EncodedSize(m)), 0, nil)
 	}
 	return out
 }

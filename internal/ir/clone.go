@@ -1,9 +1,10 @@
 package ir
 
-// CloneFunc returns a deep copy of f. Block IDs are preserved, so profile
-// mappings and cluster directives remain valid against the clone. The clone
-// is what ThinLTO importing and the Phase-4 rebuild work on, leaving cached
-// IR untouched.
+// CloneFunc returns a deep copy of f. Block IDs and the block numbering are
+// preserved, so profile mappings and cluster directives remain valid
+// against the clone. The clone is what ThinLTO importing and the Phase-4
+// rebuild work on, leaving cached IR untouched; it shares no memory with f,
+// so a clone never pins the slab a decoded f lives in.
 func CloneFunc(f *Func) *Func {
 	nf := &Func{
 		Name:        f.Name,
@@ -15,24 +16,19 @@ func CloneFunc(f *Func) *Func {
 		EntryCount:  f.EntryCount,
 		nextBlockID: f.nextBlockID,
 	}
-	old2new := make(map[*Block]*Block, len(f.Blocks))
-	for _, b := range f.Blocks {
-		nb := &Block{
-			ID:         b.ID,
-			Fn:         nf,
-			LandingPad: b.LandingPad,
-			Count:      b.Count,
-		}
-		old2new[b] = nb
-		nf.Blocks = append(nf.Blocks, nb)
+	slab := make([]Block, len(f.Blocks))
+	nf.Blocks = make([]*Block, len(f.Blocks))
+	for i := range slab {
+		nf.Blocks[i] = &slab[i]
 	}
-	for _, b := range f.Blocks {
-		nb := old2new[b]
+	for i, b := range f.Blocks {
+		nb := nf.Blocks[i]
+		*nb = Block{ID: b.ID, Fn: nf, LandingPad: b.LandingPad, Count: b.Count, index: int32(i)}
 		nb.Ins = make([]Inst, len(b.Ins))
 		copy(nb.Ins, b.Ins)
-		for i := range nb.Ins {
-			if nb.Ins[i].Pad != nil {
-				nb.Ins[i].Pad = old2new[nb.Ins[i].Pad]
+		for j := range nb.Ins {
+			if pad := nb.Ins[j].Pad; pad != nil {
+				nb.Ins[j].Pad = nf.Blocks[f.mustIndex(pad)]
 			}
 		}
 		nb.Term = Term{
@@ -42,8 +38,8 @@ func CloneFunc(f *Func) *Func {
 		}
 		if len(b.Term.Succs) > 0 {
 			nb.Term.Succs = make([]*Block, len(b.Term.Succs))
-			for i, s := range b.Term.Succs {
-				nb.Term.Succs[i] = old2new[s]
+			for j, s := range b.Term.Succs {
+				nb.Term.Succs[j] = nf.Blocks[f.mustIndex(s)]
 			}
 		}
 		if len(b.Term.Weights) > 0 {

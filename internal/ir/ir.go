@@ -61,6 +61,8 @@ type Func struct {
 	// Blocks in layout-agnostic creation order. Blocks[0] is the entry.
 	// Block IDs are stable across transformations and are the keys used by
 	// the BB address map and the cluster directives in cc_prof.txt.
+	// Every block knows its position here (Index); code that reorders or
+	// shortens Blocks directly must call Renumber.
 	Blocks []*Block
 
 	// HasEH marks functions containing calls covered by landing pads; they
@@ -85,6 +87,8 @@ type Block struct {
 
 	// LandingPad marks exception landing pads (targets of unwinding).
 	LandingPad bool
+
+	index int32 // position in Fn.Blocks (see Renumber); here, it fills padding
 
 	// Count is the profiled execution count (PGO metadata).
 	Count uint64
@@ -165,24 +169,43 @@ func (m *Module) AddGlobal(g *Global) { m.Globals = append(m.Globals, g) }
 
 // NewBlock creates a block with the next stable ID and appends it to f.
 func (f *Func) NewBlock() *Block {
-	b := &Block{ID: f.nextBlockID, Fn: f}
+	b := &Block{ID: f.nextBlockID, Fn: f, index: int32(len(f.Blocks))}
 	f.nextBlockID++
 	f.Blocks = append(f.Blocks, b)
 	return b
 }
 
+// Index returns b's position in b.Fn.Blocks: the dense numbering the
+// verifier, the encoder and the backend index per-block state by. They only
+// read it (one Program is encoded and compiled from several goroutines) and
+// check it as they go, so a stale numbering is an error, never a wrong block.
+func (b *Block) Index() int { return int(b.index) }
+
+// Renumber re-establishes Blocks[i].Index() == i. It writes every block, so
+// it belongs to the pass that owns the function, never to a reader.
+func (f *Func) Renumber() {
+	for i, b := range f.Blocks {
+		b.index = int32(i)
+	}
+}
+
+// numbered reports whether b is a block of f whose number is current.
+func (f *Func) numbered(b *Block) bool {
+	return b != nil && uint(b.index) < uint(len(f.Blocks)) && f.Blocks[b.index] == b
+}
+
+// mustIndex is Index for EncodeModule and CloneFunc, which cannot return an
+// error: any index for a block f does not hold under its number would
+// silently build a different program.
+func (f *Func) mustIndex(b *Block) int {
+	if !f.numbered(b) {
+		panic(fmt.Sprintf("ir: function %s: block reference outside the function or stale block numbering (Func.Renumber not called after reordering Blocks)", f.Name))
+	}
+	return int(b.index)
+}
+
 // Entry returns the function's entry block.
 func (f *Func) Entry() *Block { return f.Blocks[0] }
-
-// BlockByID returns the block with the given stable ID, or nil.
-func (f *Func) BlockByID(id int) *Block {
-	for _, b := range f.Blocks {
-		if b.ID == id {
-			return b
-		}
-	}
-	return nil
-}
 
 // NumInsts returns the total instruction count including terminators.
 func (f *Func) NumInsts() int {

@@ -3,6 +3,7 @@ package ir
 import (
 	"bytes"
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"runtime"
 	"strings"
@@ -75,18 +76,6 @@ func TestPreds(t *testing.T) {
 	entryPreds := f.Entry().Preds()
 	if len(entryPreds) != 0 {
 		t.Errorf("entry has %d preds, want 0", len(entryPreds))
-	}
-}
-
-func TestBlockByID(t *testing.T) {
-	_, f := buildDiamond(t)
-	for _, b := range f.Blocks {
-		if f.BlockByID(b.ID) != b {
-			t.Errorf("BlockByID(%d) mismatch", b.ID)
-		}
-	}
-	if f.BlockByID(999) != nil {
-		t.Error("BlockByID(999) should be nil")
 	}
 }
 
@@ -362,7 +351,14 @@ func TestDecodeRejectsGarbage(t *testing.T) {
 // hostileHeader is a module "m" with no globals and one function "f" that
 // declares 1<<24 blocks and then ends: 20 bytes that used to cost 16.7 M
 // allocated blocks before the first read past the end failed.
-func hostileHeader() []byte {
+func hostileHeader() []byte { return blocksHeader(1<<24, 0) }
+
+// blocksHeader is a module "m" with no globals and one function "f" that
+// declares blocks blocks and then ends in pad zero bytes. With pad at least
+// blocks the count passes Reader.Count, and only the pools' check of what
+// the remaining input could hold (nine bytes a block) stands between it and
+// a slab of 120-byte Blocks per input byte.
+func blocksHeader(blocks uint64, pad int) []byte {
 	w := &wire.Writer{Buf: []byte(irMagic)}
 	w.Str("m")
 	w.Int(0)
@@ -374,8 +370,8 @@ func hostileHeader() []byte {
 	w.Byte(0) // flags
 	w.U64(0)  // entry count
 	w.Int(0)  // next block id
-	w.Int(1 << 24)
-	return w.Buf
+	w.U64(blocks)
+	return append(w.Buf, make([]byte, pad)...)
 }
 
 // oneBlockModule encodes a module whose only function has one returning
@@ -452,18 +448,39 @@ func TestDecodeRejectsHostile(t *testing.T) {
 	}
 }
 
+// allocatedBy returns the heap bytes fn allocated (garbage included).
+func allocatedBy(fn func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fn()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
 // FuzzDecodeModule: IR modules reach DecodeModule from the IR cache and
 // from files handed to wsc-cc and wsc-propeller -ir-dir. It must never
-// panic or allocate beyond its input's scale, and whatever it accepts
-// must re-encode to a fixed point.
+// panic, whatever it accepts must re-encode to a fixed point, and one
+// decode — accepted or not, hostile counts in any position — allocates at
+// most decodeAllocFactor bytes per input byte plus a constant: the slabs
+// and chunk pools are sized by what the remaining input could hold, never
+// by what a header claims.
 func FuzzDecodeModule(f *testing.F) {
 	f.Add(EncodeModule(randModule(rand.New(rand.NewSource(7)))))
 	f.Add([]byte(irMagic))
 	f.Add(hostileHeader())
+	f.Add(blocksHeader(8000, 8000))
 	f.Add(oneBlockModule(0, 1<<63, nil, nil))
 	f.Add(oneBlockModule(0, 0, []uint64{0}, []uint64{5}))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		m, err := DecodeModule(data)
+		var m *Module
+		var err error
+		// The costliest input bytes are a call to a two-byte callee never
+		// seen before: a 40-byte Inst in a chunk that may be abandoned half
+		// used, and a symbol-table entry in a map that grows by doubling.
+		const decodeAllocFactor, decodeAllocSlack = 48, 1 << 16
+		if n := allocatedBy(func() { m, err = DecodeModule(data) }); n > decodeAllocFactor*uint64(len(data))+decodeAllocSlack {
+			t.Fatalf("decoding %d bytes allocated %d", len(data), n)
+		}
 		if err != nil {
 			return
 		}
@@ -478,12 +495,9 @@ func FuzzDecodeModule(f *testing.F) {
 	})
 }
 
-// TestEncodeModuleAllocs pins the encoder's allocation shape: the
-// blockIndex map per function plus the growth of the one output buffer,
-// and nothing per instruction, operand or string. (Through an io.Writer
-// every field escaped: 5.6 M allocations to encode Superroot's 6 MB.)
-func TestEncodeModuleAllocs(t *testing.T) {
-	const funcs, blocks, ins = 20, 8, 30
+// wideModule builds funcs functions of blocks blocks of ins calls each, the
+// callees drawn from a module-wide set of 16 names, every block weighted.
+func wideModule(funcs, blocks, ins int) *Module {
 	m := NewModule("wide")
 	for fi := 0; fi < funcs; fi++ {
 		f := m.NewFunc(fmt.Sprintf("fn_%d", fi), 2)
@@ -492,18 +506,39 @@ func TestEncodeModuleAllocs(t *testing.T) {
 		}
 		for bi, b := range f.Blocks {
 			for i := 0; i < ins; i++ {
-				b.Emit(Inst{Op: isa.OpCall, Imm: int64(i) - 7, Sym: fmt.Sprintf("callee_%d_%d", fi, i)})
+				b.Emit(Inst{Op: isa.OpCall, Imm: int64(i) - 7, Sym: fmt.Sprintf("callee_%d", (fi+i)%16)})
 			}
 			if bi+1 < blocks {
-				b.Jump(f.Blocks[bi+1])
+				b.Branch(isa.CondLT, f.Blocks[bi+1], f.Blocks[0])
+				b.Term.SetWeights(uint64(bi), 1)
 			} else {
 				b.Return()
 			}
 		}
 	}
-	got := testing.AllocsPerRun(10, func() { EncodeModule(m) })
-	if limit := float64(16 + 8*funcs); got > limit {
-		t.Errorf("EncodeModule of %d funcs / %d instructions: %.0f allocations, want <= %.0f", funcs, funcs*blocks*ins, got, limit)
+	return m
+}
+
+// TestEncodeModuleAllocs pins the encoder's allocation shape: the result,
+// copied once at its exact size out of wire.Encode's pooled scratch buffer,
+// and nothing per function, block, instruction, operand or string. The
+// bound leaves room for the scratch buffer to regrow by doubling, which it
+// does after a collection empties the pool and, under -race, whenever
+// sync.Pool drops a Put. (It was a map[*Block]int per function plus the
+// buffer's growth before the IR had a block numbering, and through an
+// io.Writer every field escaped: 5.6 M allocations to encode Superroot's
+// 6 MB.)
+func TestEncodeModuleAllocs(t *testing.T) {
+	for _, shape := range [][3]int{{20, 8, 30}, {200, 40, 30}} {
+		m := wideModule(shape[0], shape[1], shape[2])
+		enc := EncodeModule(m)
+		if len(enc) != cap(enc) || len(enc) != EncodedSize(m) {
+			t.Errorf("EncodeModule: %d bytes in a %d-byte buffer, EncodedSize %d", len(enc), cap(enc), EncodedSize(m))
+		}
+		got := testing.AllocsPerRun(10, func() { EncodeModule(m) })
+		if limit := float64(2 + bits.Len(uint(len(enc)))); got > limit {
+			t.Errorf("EncodeModule of %d funcs x %d blocks x %d instructions: %.0f allocations, want <= %.0f", shape[0], shape[1], shape[2], got, limit)
+		}
 	}
 }
 

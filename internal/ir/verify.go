@@ -2,6 +2,7 @@ package ir
 
 import (
 	"fmt"
+	"slices"
 
 	"propeller/internal/isa"
 )
@@ -57,40 +58,58 @@ func Verify(m *Module) error {
 // VerifyFunc checks a single function's CFG invariants:
 //
 //   - at least one block, all owned by f, with unique IDs;
+//   - the block numbering is current, f.Blocks[b.Index()] == b for every
+//     block, successor and landing pad (which is how membership in f is
+//     decided): a pass that forgot Renumber fails here, not in the backend;
 //   - every terminator's successor count matches its kind;
-//   - successors belong to the same function;
 //   - the entry block is not a landing pad;
 //   - weights, when present, match the successor count;
 //   - register operands are valid machine registers;
 //   - call landing pads are landing-pad blocks of the same function.
+//
+// It never writes the numbering: one program is verified from several
+// goroutines.
 func VerifyFunc(f *Func) error {
 	if len(f.Blocks) == 0 {
 		return &VerifyError{Func: f.Name, Block: -1, Msg: "function has no blocks"}
 	}
-	ids := make(map[int]bool, len(f.Blocks))
-	inFunc := make(map[*Block]bool, len(f.Blocks))
-	for _, b := range f.Blocks {
+	ascending := true
+	for i, b := range f.Blocks {
 		if b.Fn != f {
 			return &VerifyError{Func: f.Name, Block: b.ID, Msg: "block owned by another function"}
 		}
-		if ids[b.ID] {
-			return &VerifyError{Func: f.Name, Block: b.ID, Msg: "duplicate block ID"}
+		if b.Index() != i {
+			return &VerifyError{Func: f.Name, Block: b.ID, Msg: fmt.Sprintf("stale block numbering: block at position %d is numbered %d (Func.Renumber not called after reordering Blocks)", i, b.index)}
 		}
-		ids[b.ID] = true
-		inFunc[b] = true
+		if i > 0 && b.ID <= f.Blocks[i-1].ID {
+			ascending = false
+		}
+	}
+	if !ascending {
+		// Creation order is ascending: only a laid-out function sorts.
+		ids := make([]int, len(f.Blocks))
+		for i, b := range f.Blocks {
+			ids[i] = b.ID
+		}
+		slices.Sort(ids)
+		for i := 1; i < len(ids); i++ {
+			if ids[i] == ids[i-1] {
+				return &VerifyError{Func: f.Name, Block: ids[i], Msg: "duplicate block ID"}
+			}
+		}
 	}
 	if f.Entry().LandingPad {
 		return &VerifyError{Func: f.Name, Block: f.Entry().ID, Msg: "entry block is a landing pad"}
 	}
 	for _, b := range f.Blocks {
-		if err := verifyBlock(f, b, inFunc); err != nil {
+		if err := verifyBlock(f, b); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-func verifyBlock(f *Func, b *Block, inFunc map[*Block]bool) error {
+func verifyBlock(f *Func, b *Block) error {
 	fail := func(format string, args ...any) error {
 		return &VerifyError{Func: f.Name, Block: b.ID, Msg: fmt.Sprintf(format, args...)}
 	}
@@ -108,7 +127,7 @@ func verifyBlock(f *Func, b *Block, inFunc map[*Block]bool) error {
 			if in.Op != isa.OpCall && in.Op != isa.OpCallR {
 				return fail("instruction %d: landing pad on non-call %v", i, in.Op)
 			}
-			if !inFunc[in.Pad] {
+			if !f.numbered(in.Pad) {
 				return fail("instruction %d: landing pad bb%d not in function", i, in.Pad.ID)
 			}
 			if !in.Pad.LandingPad {
@@ -141,7 +160,7 @@ func verifyBlock(f *Func, b *Block, inFunc map[*Block]bool) error {
 		return fail("%v terminator with %d successors, want %d", b.Term.Kind, len(b.Term.Succs), want)
 	}
 	for i, s := range b.Term.Succs {
-		if s == nil || !inFunc[s] {
+		if !f.numbered(s) {
 			return fail("successor %d not in function", i)
 		}
 	}

@@ -107,6 +107,10 @@ func ParseDirectives(r io.Reader) (Directives, error) {
 			if cur == "" {
 				return nil, fmt.Errorf("layoutfile: line %d: empty function name", lineNo)
 			}
+			if cur[0] == '!' {
+				// "! !f" would be written back as "!!f", a cluster line.
+				return nil, fmt.Errorf("layoutfile: line %d: function name %q begins with '!'", lineNo, cur)
+			}
 			if _, dup := d[cur]; dup {
 				return nil, fmt.Errorf("layoutfile: line %d: duplicate function %q", lineNo, cur)
 			}

@@ -107,3 +107,64 @@ func TestParseOrderSkipsBlanksAndComments(t *testing.T) {
 		t.Errorf("got %+v", got.Symbols)
 	}
 }
+
+// FuzzParseDirectives: cc_prof.txt reaches ParseDirectives from files
+// handed to wsc-cc and wsc-propeller and from the profile service's
+// /publish path. It must never panic, and whatever it accepts must
+// re-write to a fixed point: the written form parses, and writes again to
+// the same bytes.
+func FuzzParseDirectives(f *testing.F) {
+	f.Add([]byte("!foo\n!!0 2 5\n!!3 4\n!bar\n!!0\n"))
+	f.Add([]byte("# comment\n\n  !foo  \n!! 1\t2 \n"))
+	f.Add([]byte("!!0\n"))
+	f.Add([]byte("! !x\n!!0\n"))
+	f.Add([]byte("!f\n!!-1 +2 99999999999999999999\n"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		d, err := ParseDirectives(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		var first, second bytes.Buffer
+		if err := WriteDirectives(&first, d); err != nil {
+			t.Fatal(err)
+		}
+		again, err := ParseDirectives(bytes.NewReader(first.Bytes()))
+		if err != nil {
+			t.Fatalf("re-parse of the written form of an accepted input failed: %v\n%q", err, first.Bytes())
+		}
+		if err := WriteDirectives(&second, again); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(first.Bytes(), second.Bytes()) {
+			t.Fatalf("written form is not a fixed point:\n%q\n%q", first.Bytes(), second.Bytes())
+		}
+	})
+}
+
+// FuzzParseOrder does the same for ld_prof.txt (wsc-ld, wsc-propeller,
+// /publish).
+func FuzzParseOrder(f *testing.F) {
+	f.Add([]byte("main\nfoo.cold\nbar.1\n"))
+	f.Add([]byte("# comment\n\n  main  \n"))
+	f.Add([]byte("a\na\n"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		o, err := ParseOrder(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		var first, second bytes.Buffer
+		if err := WriteOrder(&first, o); err != nil {
+			t.Fatal(err)
+		}
+		again, err := ParseOrder(bytes.NewReader(first.Bytes()))
+		if err != nil {
+			t.Fatalf("re-parse of the written form of an accepted input failed: %v\n%q", err, first.Bytes())
+		}
+		if err := WriteOrder(&second, again); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(first.Bytes(), second.Bytes()) {
+			t.Fatalf("written form is not a fixed point:\n%q\n%q", first.Bytes(), second.Bytes())
+		}
+	})
+}

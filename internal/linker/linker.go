@@ -122,21 +122,34 @@ type linkState struct {
 	}
 }
 
+// collect indexes every object's sections and symbols. Link state is four
+// exactly sized slabs per object: placedSecs, symDefs and the private copies
+// of the section bytes and relocations. A section's run of a slab is
+// capacity-clamped and relaxation only ever shortens it in place, so no
+// section can write into its neighbour.
 func (ld *linkState) collect(objs []*objfile.Object) error {
-	ld.syms = make(map[string]*symDef)
+	nSyms := 0
+	for _, obj := range objs {
+		nSyms += len(obj.Symbols)
+	}
+	ld.syms = make(map[string]*symDef, nSyms)
 	for _, obj := range objs {
 		if err := obj.Validate(); err != nil {
 			return fmt.Errorf("linker: %w", err)
 		}
-		secOf := make([]*placedSec, len(obj.Sections))
+		nData, nRelocs := 0, 0
+		for _, sec := range obj.Sections {
+			nData += len(sec.Data)
+			nRelocs += len(sec.Relocs)
+		}
+		secs := make([]placedSec, len(obj.Sections))
+		data := make([]byte, nData)
+		relocs := make([]objfile.Reloc, nRelocs)
 		for i, sec := range obj.Sections {
-			ps := &placedSec{
-				obj:    obj,
-				sec:    sec,
-				data:   append([]byte(nil), sec.Data...),
-				relocs: append([]objfile.Reloc(nil), sec.Relocs...),
-			}
-			secOf[i] = ps
+			ps := &secs[i]
+			nd, nr := copy(data, sec.Data), copy(relocs, sec.Relocs)
+			*ps = placedSec{obj: obj, sec: sec, data: data[:nd:nd], relocs: relocs[:nr:nr]}
+			data, relocs = data[nd:], relocs[nr:]
 			ld.inputBytes += sec.Size + int64(len(sec.Relocs))*objfile.RelPC32.Size()
 			switch sec.Kind {
 			case objfile.SecText:
@@ -159,15 +172,17 @@ func (ld *linkState) collect(objs []*objfile.Object) error {
 				return fmt.Errorf("linker: %s: unknown section kind %v", sec.Name, sec.Kind)
 			}
 		}
-		for _, sym := range obj.Symbols {
+		defs := make([]symDef, len(obj.Symbols))
+		for i, sym := range obj.Symbols {
 			if prev, dup := ld.syms[sym.Name]; dup {
 				return fmt.Errorf("linker: duplicate symbol %q in %s and %s", sym.Name, prev.obj.Name, obj.Name)
 			}
-			ps := secOf[sym.Section]
-			ld.syms[sym.Name] = &symDef{
+			ps := &secs[sym.Section]
+			defs[i] = symDef{
 				obj: obj, sec: obj.Sections[sym.Section], off: sym.Off,
 				size: sym.Size, kind: sym.Kind, ps: ps,
 			}
+			ld.syms[sym.Name] = &defs[i]
 			// Record the section's defining symbol (offset-0 func/part
 			// symbol) for ordering-file lookups.
 			if sym.Off == 0 && (sym.Kind == objfile.SymFunc || sym.Kind == objfile.SymFuncPart) {

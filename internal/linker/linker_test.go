@@ -1,12 +1,14 @@
 package linker
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
 	"propeller/internal/bbaddrmap"
 	"propeller/internal/codegen"
 	"propeller/internal/ir"
+	"propeller/internal/isa"
 	"propeller/internal/layoutfile"
 	"propeller/internal/objfile"
 	"propeller/internal/testprog"
@@ -196,5 +198,39 @@ func TestBSSPlacement(t *testing.T) {
 	sym, ok := bin.SymbolByName("buf")
 	if !ok || sym.Addr < bin.DataBase {
 		t.Errorf("buf at %#x, data base %#x", sym.Addr, bin.DataBase)
+	}
+}
+
+// TestLinkCollectAllocs: collect allocates four slabs per object (placed
+// sections, symbol definitions, the private copies of the section bytes
+// and of the relocations) plus the symbol table and the per-kind section
+// lists, which grow by doubling — nothing per section or per symbol.
+func TestLinkCollectAllocs(t *testing.T) {
+	build := func(objs, funcs int) []*objfile.Object {
+		var out []*objfile.Object
+		for oi := 0; oi < objs; oi++ {
+			m := ir.NewModule(fmt.Sprintf("m%d", oi))
+			for fi := 0; fi < funcs; fi++ {
+				f := m.NewFunc(fmt.Sprintf("f%d_%d", oi, fi), 0)
+				f.Entry().Emit(ir.Inst{Op: isa.OpCall, Sym: fmt.Sprintf("f%d_%d", oi, (fi+1)%funcs)})
+				f.Entry().Return()
+			}
+			out = append(out, compile(t, m, codegen.Options{Mode: codegen.ModeLabels}))
+		}
+		return out
+	}
+	allocs := func(objs []*objfile.Object) float64 {
+		return testing.AllocsPerRun(10, func() {
+			ld := &linkState{}
+			if err := ld.collect(objs); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	few, many := allocs(build(8, 4)), allocs(build(8, 64))
+	// Sixteen times the sections and symbols: only the symbol table and
+	// the lists' doubling may grow, by a constant and a logarithm.
+	if few > 8*4+40 || many > few+40 {
+		t.Errorf("collect of 8 objects: %.0f allocations with 4 functions each, %.0f with 64", few, many)
 	}
 }

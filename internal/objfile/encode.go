@@ -12,7 +12,10 @@ const (
 
 // EncodeObject serializes an object file.
 func EncodeObject(o *Object) []byte {
-	w := &wire.Writer{Buf: []byte(objMagic)}
+	return wire.Encode(objMagic, func(w *wire.Writer) { writeObject(w, o) })
+}
+
+func writeObject(w *wire.Writer, o *Object) {
 	w.Str(o.Name)
 	w.Int(len(o.Sections))
 	for _, s := range o.Sections {
@@ -39,26 +42,42 @@ func EncodeObject(o *Object) []byte {
 		w.I64(s.Size)
 		w.Bool(s.Global)
 	}
-	return w.Buf
 }
 
-// DecodeObject parses an object file produced by EncodeObject.
+// Smallest encodings of one section, relocation and symbol: what
+// DecodeObject's pools divide the remaining input by.
+const (
+	minSectionBytes = 6 // empty name, kind, size, align, empty data, reloc count
+	minRelocBytes   = 5 // offset, type, empty symbol, addend, relax flag
+	minSymbolBytes  = 6 // empty name, kind, section, offset, size, global flag
+)
+
+// DecodeObject parses an object file produced by EncodeObject: sections and
+// symbols into one slab each, every relocation list exact (a decoded object
+// lives until its link), all bounded by what the remaining input could hold.
 func DecodeObject(data []byte) (*Object, error) {
 	r := wire.NewReader("objfile", objMagic, data)
 	o := &Object{Name: r.Str()}
-	for i, n := 0, r.Count(); i < n && r.Err() == nil; i++ {
-		s := &Section{Name: r.Str(), Kind: SectionKind(r.Byte()), Size: r.I64(), Align: r.I64(), Data: r.Bytes()}
-		for j, nRel := 0, r.Count(); j < nRel && r.Err() == nil; j++ {
-			s.Relocs = append(s.Relocs, Reloc{
-				Off: r.I64(), Type: RelocType(r.Byte()), Sym: r.Str(), Addend: r.I64(), Relax: r.Bool(),
-			})
-		}
-		o.Sections = append(o.Sections, s)
+	secs := wire.Take[Section](r, r.Count(), minSectionBytes)
+	if len(secs) > 0 {
+		o.Sections = make([]*Section, len(secs))
 	}
-	for i, n := 0, r.Count(); i < n && r.Err() == nil; i++ {
-		o.Symbols = append(o.Symbols, &Symbol{
-			Name: r.Str(), Kind: SymKind(r.Byte()), Section: r.Int(), Off: r.I64(), Size: r.I64(), Global: r.Bool(),
-		})
+	for i := range secs {
+		s := &secs[i]
+		o.Sections[i] = s
+		s.Name, s.Kind, s.Size, s.Align, s.Data = r.Str(), SectionKind(r.Byte()), r.I64(), r.I64(), r.Bytes()
+		s.Relocs = wire.Take[Reloc](r, r.Count(), minRelocBytes)
+		for j := range s.Relocs {
+			s.Relocs[j] = Reloc{Off: r.I64(), Type: RelocType(r.Byte()), Sym: r.Str(), Addend: r.I64(), Relax: r.Bool()}
+		}
+	}
+	syms := wire.Take[Symbol](r, r.Count(), minSymbolBytes)
+	if len(syms) > 0 {
+		o.Symbols = make([]*Symbol, len(syms))
+	}
+	for i := range syms {
+		o.Symbols[i] = &syms[i]
+		syms[i] = Symbol{Name: r.Str(), Kind: SymKind(r.Byte()), Section: r.Int(), Off: r.I64(), Size: r.I64(), Global: r.Bool()}
 	}
 	if err := r.Done(); err != nil {
 		return nil, err

@@ -5,8 +5,11 @@ import (
 	"encoding/binary"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
+
+	"propeller/internal/wire"
 )
 
 func sampleObject() *Object {
@@ -282,17 +285,57 @@ func TestObjectRoundTripRandom(t *testing.T) {
 	}
 }
 
+// allocatedBy returns the heap bytes fn allocated (garbage included).
+func allocatedBy(fn func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fn()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// hostileCounts is an object "o" that declares sections sections, whose
+// first section declares relocs relocations, and which then declares syms
+// symbols and ends in pad zero bytes: with pad at least a count, the count
+// passes Reader.Count and only the pools' what-could-the-input-hold check
+// stands between it and an allocation several times the input.
+func hostileCounts(sections, relocs, syms uint64, pad int) []byte {
+	w := &wire.Writer{Buf: []byte(objMagic)}
+	w.Str("o")
+	w.U64(sections)
+	w.Str(".text.f")
+	w.Byte(byte(SecText))
+	w.I64(4)
+	w.I64(1)
+	w.Bytes([]byte{0, 0, 0, 0})
+	w.U64(relocs)
+	w.U64(syms)
+	return append(w.Buf, make([]byte, pad)...)
+}
+
 // FuzzDecodeObject: objects reach DecodeObject from the object cache and
-// from files handed to wsc-ld and wsc-objdump. It must never panic or
-// allocate beyond its input's scale, and whatever it accepts (Validate
-// included) must re-encode to a fixed point.
+// from files handed to wsc-ld and wsc-objdump. It must never panic,
+// whatever it accepts (Validate included) must re-encode to a fixed point,
+// and one decode — accepted or not, hostile counts in any position —
+// allocates at most 32 bytes per input byte plus a constant (the costliest
+// byte is an empty section: 88 bytes of Section and its pointer per 6).
 func FuzzDecodeObject(f *testing.F) {
 	f.Add(EncodeObject(sampleObject()))
 	f.Add([]byte(objMagic))
 	f.Add(binary.AppendUvarint([]byte(objMagic+"\x00"), 1<<63)) // section count 2^63
 	f.Add(append(EncodeObject(sampleObject()), 0x00))
+	f.Add(hostileCounts(1<<40, 0, 0, 0))
+	f.Add(hostileCounts(1, 1<<40, 0, 0))
+	f.Add(hostileCounts(1, 0, 1<<40, 0))
+	f.Add(hostileCounts(4000, 0, 0, 4000))
+	f.Add(hostileCounts(1, 4000, 0, 4000))
+	f.Add(hostileCounts(1, 0, 4000, 4000))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		o, err := DecodeObject(data)
+		var o *Object
+		var err error
+		if n := allocatedBy(func() { o, err = DecodeObject(data) }); n > 32*uint64(len(data))+1<<16 {
+			t.Fatalf("decoding %d bytes allocated %d", len(data), n)
+		}
 		if err != nil {
 			return
 		}
@@ -328,4 +371,64 @@ func FuzzDecodeBinary(f *testing.F) {
 			t.Fatal("encoding is not a fixed point over accepted inputs")
 		}
 	})
+}
+
+// wideObject builds an object of sections text sections of size bytes, each
+// with relocs relocations and a defining symbol.
+func wideObject(sections, size, relocs int) *Object {
+	o := &Object{Name: "wide"}
+	for i := 0; i < sections; i++ {
+		s := &Section{Name: ".text.f" + string(rune('a'+i%26)) + string(rune('a'+i/26)), Kind: SecText, Data: make([]byte, size)}
+		for j := 0; j < relocs; j++ {
+			s.Relocs = append(s.Relocs, Reloc{Off: int64(j % size), Type: RelPC32, Sym: "callee", Addend: int64(j)})
+		}
+		idx := o.AddSection(s)
+		o.AddSymbol(&Symbol{Name: s.Name[len(".text."):], Kind: SymFunc, Section: idx, Size: int64(size), Global: true})
+	}
+	return o
+}
+
+// TestDecodedSlicesDoNotAlias: appending to one decoded section's
+// relocations reallocates them; the next section's are untouched.
+func TestDecodedSlicesDoNotAlias(t *testing.T) {
+	data := EncodeObject(wideObject(4, 16, 3))
+	o, err := DecodeObject(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range o.Sections {
+		s.Relocs = append(s.Relocs, Reloc{Off: 1, Type: RelAbs64, Sym: "intruder"})
+		s.Relocs = s.Relocs[:len(s.Relocs)-1]
+	}
+	o.Sections = append(o.Sections, &Section{Name: "extra"})[:len(o.Sections)]
+	o.Symbols = append(o.Symbols, &Symbol{Name: "extra"})[:len(o.Symbols)]
+	if !bytes.Equal(EncodeObject(o), data) {
+		t.Fatal("an append to one decoded slice changed another")
+	}
+}
+
+// TestDecodeObjectAllocs: per section the decoder allocates its name, its
+// bytes, its relocation list and one string per relocation symbol, per
+// symbol its name; Sections, Symbols and their pointer slices are four
+// allocations per object, whatever the counts.
+func TestDecodeObjectAllocs(t *testing.T) {
+	allocs := func(sections, size, relocs int) float64 {
+		data := EncodeObject(wideObject(sections, size, relocs))
+		return testing.AllocsPerRun(10, func() {
+			if _, err := DecodeObject(data); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	for _, shape := range [][3]int{{4, 16, 0}, {64, 16, 0}, {64, 4096, 0}, {64, 16, 8}} {
+		sections, relocs := shape[0], shape[2]
+		perSection := 3 // section name, data, symbol name
+		if relocs > 0 {
+			perSection += 1 + relocs // the list, a symbol string each
+		}
+		got := allocs(sections, shape[1], relocs)
+		if limit := float64(12 + sections*perSection); got > limit {
+			t.Errorf("DecodeObject of %d sections x %d relocations: %.0f allocations, want <= %.0f", sections, relocs, got, limit)
+		}
+	}
 }

@@ -324,6 +324,7 @@ func removeUnreachable(f *ir.Func, st *Stats) bool {
 		}
 	}
 	f.Blocks = kept
+	f.Renumber()
 	return true
 }
 

@@ -162,6 +162,7 @@ func LayoutBlocks(m *ir.Module) error {
 			blocks[i] = f.Blocks[oi]
 		}
 		f.Blocks = blocks
+		f.Renumber()
 	}
 	return nil
 }

@@ -8,13 +8,16 @@
 // values past MaxInt (they would wrap negative and re-encode unchanged);
 // Count rejects a count above the bytes that remain (every element of every
 // format costs at least one), so no header allocates more than its input;
-// Str and Bytes copy, never aliasing the input; Done rejects trailing bytes.
+// Str and Bytes copy, never aliasing the input (View is the one read that
+// does, for a caller that interns what it keeps); Done rejects trailing
+// bytes. Pool allocates a decoder's slices in bulk within the same bound.
 package wire
 
 import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"sync"
 )
 
 // Writer appends a wire encoding to Buf, which starts as the format's magic.
@@ -38,6 +41,30 @@ func (w *Writer) Bool(b bool) {
 // Str and Bytes write a length prefix, then the contents.
 func (w *Writer) Str(s string)   { w.Int(len(s)); w.Buf = append(w.Buf, s...) }
 func (w *Writer) Bytes(p []byte) { w.Int(len(p)); w.Buf = append(w.Buf, p...) }
+
+var scratch = sync.Pool{New: func() any { return new(Writer) }}
+
+// Encode runs fill over a reused Writer whose buffer starts as magic and
+// returns a copy of what it wrote, allocated once at its exact size: an
+// encoder neither grows its result by doubling nor walks its input twice
+// to size it. EncodedLen is len(Encode(magic, fill)) without the copy.
+func Encode(magic string, fill func(*Writer)) []byte {
+	w := scratch.Get().(*Writer)
+	w.Buf = append(w.Buf[:0], magic...)
+	fill(w)
+	out := append(make([]byte, 0, len(w.Buf)), w.Buf...)
+	scratch.Put(w)
+	return out
+}
+
+func EncodedLen(magic string, fill func(*Writer)) int {
+	w := scratch.Get().(*Writer)
+	w.Buf = append(w.Buf[:0], magic...)
+	fill(w)
+	n := len(w.Buf)
+	scratch.Put(w)
+	return n
+}
 
 // Reader parses a wire encoding; the package comment has its rules.
 type Reader struct {
@@ -143,3 +170,48 @@ func (r *Reader) span() []byte {
 // Str and Bytes read a length-prefixed string or blob (nil when empty).
 func (r *Reader) Str() string   { return string(r.span()) }
 func (r *Reader) Bytes() []byte { return append([]byte(nil), r.span()...) }
+
+// View reads a length-prefixed blob without copying it: the result aliases
+// the input and must not be modified or retained past the input's lifetime.
+func (r *Reader) View() []byte { return r.span() }
+
+// Remaining returns the number of unread bytes.
+func (r *Reader) Remaining() int { return len(r.data) - r.off }
+
+// Pool carves the element slices of a decoded value out of shared chunks.
+// MinBytes is the fewest input bytes one encoded element can occupy: Take
+// fails the reader on a count the remaining input could not hold and sizes
+// a new chunk max(n, min(Chunk, remaining input / MinBytes)) elements. A
+// chunk is opened only once the last is used up by elements each paid for
+// with MinBytes of input, so a pool allocates within a constant factor of
+// the input's length, as Reader.Count promises for one slice. Chunk 0
+// allocates every slice exactly, as a value that outlives the call should
+// be. Slices come back capacity-clamped: appending to one reallocates it
+// and never writes into its neighbour.
+type Pool[T any] struct {
+	Chunk, MinBytes int
+	free            []T
+}
+
+// Take returns n zeroed elements (nil when n is 0 or the reader has failed).
+func (p *Pool[T]) Take(r *Reader, n int) []T {
+	if n == 0 || r.err != nil {
+		return nil
+	}
+	fit := r.Remaining() / p.MinBytes
+	if n > fit {
+		r.Fail("count %d before offset %d exceeds what the remaining input can hold", n, r.off)
+		return nil
+	}
+	if n > len(p.free) {
+		p.free = make([]T, max(n, min(p.Chunk, fit)))
+	}
+	s := p.free[:n:n]
+	p.free = p.free[n:]
+	return s
+}
+
+// Take is Pool.Take for one exactly allocated slice.
+func Take[T any](r *Reader, n, minBytes int) []T {
+	return (&Pool[T]{MinBytes: minBytes}).Take(r, n)
+}

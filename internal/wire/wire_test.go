@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"math"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -124,4 +125,80 @@ func TestFirstErrorSticks(t *testing.T) {
 	if err := ok.Done(); err == nil || err.Error() != "pkg: block id 4 out of range" {
 		t.Errorf("Fail: %v", err)
 	}
+}
+
+// TestPool: slices are carved from shared chunks with their capacity
+// clamped; a chunk is never larger than the remaining input could fill, a
+// count it could not hold fails the reader, and chunk 0 allocates exactly.
+func TestPool(t *testing.T) {
+	data := append([]byte("MAGC"), make([]byte, 100)...)
+	r := NewReader("pkg", "MAGC", data)
+	p := Pool[int32]{Chunk: 64, MinBytes: 4}
+	a, b := p.Take(r, 3), p.Take(r, 5)
+	if len(a) != 3 || cap(a) != 3 || len(b) != 5 || cap(b) != 5 {
+		t.Fatalf("Take(3), Take(5): len/cap %d/%d, %d/%d", len(a), cap(a), len(b), cap(b))
+	}
+	if got := len(p.free) + 8; got != 25 { // both from one chunk of min(64, 100/4)
+		t.Errorf("first chunk holds %d elements, want 25", got)
+	}
+	if c := p.Take(r, 20); len(c) != 20 || len(p.free) != 5 {
+		t.Errorf("a take the chunk cannot serve: %d elements, %d free; want a new chunk of 25", len(c), len(p.free))
+	}
+	if p.Take(r, 0) != nil {
+		t.Error("Take(0) is not nil")
+	}
+	if got := p.Take(r, 26); got != nil || r.Err() == nil || !strings.Contains(r.Err().Error(), "pkg: count 26") {
+		t.Errorf("a count the remaining input cannot hold: %v, err %v", got, r.Err())
+	}
+	if p.Take(r, 1) != nil {
+		t.Error("Take after a failure is not nil")
+	}
+
+	r = NewReader("pkg", "MAGC", data)
+	exact := Pool[int32]{MinBytes: 4}
+	if s := exact.Take(r, 7); len(s) != 7 || len(exact.free) != 0 {
+		t.Errorf("chunk 0: %d elements taken, %d left over", len(s), len(exact.free))
+	}
+	if r.Remaining() != 100 {
+		t.Errorf("Remaining = %d, want 100", r.Remaining())
+	}
+}
+
+func TestViewAliasesInput(t *testing.T) {
+	w := &Writer{Buf: []byte("MAGC")}
+	w.Str("abc")
+	r := NewReader("pkg", "MAGC", w.Buf)
+	if v := r.View(); string(v) != "abc" || &v[0] != &w.Buf[5] {
+		t.Errorf("View = %q, aliasing %t", v, len(v) > 0 && &v[0] == &w.Buf[5])
+	}
+}
+
+// TestEncode: the result is the magic plus what fill wrote, in a buffer of
+// exactly that size which later encodings do not touch, and EncodedLen
+// agrees, from several goroutines at once.
+func TestEncode(t *testing.T) {
+	fill := func(n int) func(*Writer) {
+		return func(w *Writer) {
+			for i := 0; i < n; i++ {
+				w.Int(i)
+			}
+		}
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for n := 0; n < 300; n += 7 {
+				got := Encode("MAGC", fill(n))
+				want := &Writer{Buf: []byte("MAGC")}
+				fill(n)(want)
+				Encode("OTHER", fill(500))
+				if !bytes.Equal(got, want.Buf) || cap(got) != len(got) || EncodedLen("MAGC", fill(n)) != len(got) {
+					t.Errorf("Encode of %d ints: %d bytes in a %d-byte buffer, want %d", n, len(got), cap(got), len(want.Buf))
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

@@ -115,10 +115,10 @@ func (a *Aggregate) project(infos map[string]*funcInfo) map[string]*dcfg {
 		}
 		counts := fp.counts
 		for id := range fp.counts {
-			if _, ok := fi.sizes[id]; !ok {
+			if _, ok := fi.index(id); !ok {
 				counts = make(map[int]uint64, len(fp.counts))
 				for id2, v := range fp.counts {
-					if _, ok := fi.sizes[id2]; ok {
+					if _, ok := fi.index(id2); ok {
 						counts[id2] = v
 					}
 				}

@@ -33,9 +33,9 @@ func (fi *funcInfo) contentHash() string {
 	w := &wire.Writer{Buf: []byte(fi.name)}
 	w.I64(int64(fi.entryID))
 	w.I64(int64(len(fi.order)))
-	for _, id := range fi.order {
+	for i, id := range fi.order {
 		w.I64(int64(id))
-		w.I64(fi.sizes[id])
+		w.I64(fi.sizes[i])
 	}
 	sum := sha256.Sum256(w.Buf)
 	return hex.EncodeToString(sum[:])

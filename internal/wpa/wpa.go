@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"io"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -270,9 +271,50 @@ type Result struct {
 type funcInfo struct {
 	name    string
 	entryID int
-	sizes   map[int]int64 // block id -> size
-	order   []int         // block ids in map order (original layout)
+	order   []int   // distinct block ids in map order (original layout)
+	sizes   []int64 // parallel to order; a repeated id keeps its last size
 	size    int64
+	// byID maps a block id to its position in order, and exists only for a
+	// function whose map lists ids out of ascending order (a laid-out
+	// binary's hot functions); for the rest order is searched directly.
+	byID map[int]int32
+}
+
+// index returns id's position in order.
+func (fi *funcInfo) index(id int) (int, bool) {
+	if fi.byID != nil {
+		i, ok := fi.byID[id]
+		return int(i), ok
+	}
+	return slices.BinarySearch(fi.order, id)
+}
+
+// sizeOf returns the size of block id, 0 when the map has no such block.
+func (fi *funcInfo) sizeOf(id int) int64 {
+	if i, ok := fi.index(id); ok {
+		return fi.sizes[i]
+	}
+	return 0
+}
+
+// add records one block of the map.
+func (fi *funcInfo) add(id int, size int64) {
+	fi.size += size
+	if i, ok := fi.index(id); ok {
+		fi.sizes[i] = size
+		return
+	}
+	if n := len(fi.order); fi.byID == nil && n > 0 && id < fi.order[n-1] {
+		fi.byID = make(map[int]int32, cap(fi.order))
+		for i, have := range fi.order {
+			fi.byID[have] = int32(i)
+		}
+	}
+	if fi.byID != nil {
+		fi.byID[id] = int32(len(fi.order))
+	}
+	fi.order = append(fi.order, id)
+	fi.sizes = append(fi.sizes, size)
 }
 
 type edgeKey struct {
@@ -305,12 +347,18 @@ func funcInfos(m *bbaddrmap.Map) (map[string]*funcInfo, error) {
 	if err := checkMap(m); err != nil {
 		return nil, err
 	}
-	infos := map[string]*funcInfo{}
+	// One slab each for the infos, the ids and the sizes: a first pass
+	// counts every function's blocks across its fragments (size doubles as
+	// the counter), a second carves its runs and fills them.
+	infos := make(map[string]*funcInfo, len(m.Funcs))
+	slab := make([]funcInfo, 0, len(m.Funcs))
+	total := 0
 	for i := range m.Funcs {
 		fe := &m.Funcs[i]
 		fi := infos[fe.Name]
 		if fi == nil {
-			fi = &funcInfo{name: fe.Name, entryID: -1, sizes: map[int]int64{}}
+			slab = append(slab, funcInfo{name: fe.Name, entryID: -1})
+			fi = &slab[len(slab)-1]
 			infos[fe.Name] = fi
 			if len(fe.Blocks) > 0 {
 				// The first fragment listed for a function is the primary
@@ -318,12 +366,21 @@ func funcInfos(m *bbaddrmap.Map) (map[string]*funcInfo, error) {
 				fi.entryID = fe.Blocks[0].ID
 			}
 		}
+		fi.size += int64(len(fe.Blocks))
+		total += len(fe.Blocks)
+	}
+	ids, sizes := make([]int, total), make([]int64, total)
+	for i := range slab {
+		fi := &slab[i]
+		n := int(fi.size)
+		fi.order, fi.sizes, fi.size = ids[:0:n], sizes[:0:n], 0
+		ids, sizes = ids[n:], sizes[n:]
+	}
+	for i := range m.Funcs {
+		fe := &m.Funcs[i]
+		fi := infos[fe.Name]
 		for _, b := range fe.Blocks {
-			if _, dup := fi.sizes[b.ID]; !dup {
-				fi.order = append(fi.order, b.ID)
-			}
-			fi.sizes[b.ID] = int64(b.Size)
-			fi.size += int64(b.Size)
+			fi.add(b.ID, int64(b.Size))
 		}
 	}
 	return infos, nil
@@ -516,7 +573,7 @@ func (g *dcfg) buildGraph(ids []int) (*exttsp.Graph, map[int]int) {
 	eg := &exttsp.Graph{}
 	for i, id := range ids {
 		index[id] = i
-		eg.Nodes = append(eg.Nodes, exttsp.Node{Size: g.info.sizes[id], Count: g.counts[id]})
+		eg.Nodes = append(eg.Nodes, exttsp.Node{Size: g.info.sizeOf(id), Count: g.counts[id]})
 	}
 	// Deterministic edge order.
 	keys := make([]edgeKey, 0, len(g.edges))
@@ -865,7 +922,7 @@ func layoutInterProc(res *Result, graphs map[string]*dcfg, infos map[string]*fun
 			n := globalNode{fn, id}
 			index[n] = len(nodes)
 			nodes = append(nodes, n)
-			eg.Nodes = append(eg.Nodes, exttsp.Node{Size: g.info.sizes[id], Count: g.counts[id]})
+			eg.Nodes = append(eg.Nodes, exttsp.Node{Size: g.info.sizeOf(id), Count: g.counts[id]})
 		}
 	}
 	for _, fn := range names {
