@@ -159,7 +159,7 @@ func AnalyzeStreamed(bin *objfile.Binary, prof *profile.Profile, opts Options) (
 	if err != nil {
 		return nil, err
 	}
-	// AppendWire + bytes.Reader keep the whole round trip on the
-	// zero-copy decode path (no bufio wrapper on either side).
-	return wpa.AnalyzeStream(m, bytes.NewReader(prof.AppendWire(nil)), cfg)
+	// A bytes.Buffer is decoded in place: the round trip allocates the wire
+	// bytes and no decode window.
+	return wpa.AnalyzeStream(m, bytes.NewBuffer(prof.AppendWire(nil)), cfg)
 }

@@ -19,7 +19,6 @@
 package fleetprof
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -219,7 +218,7 @@ func (s *Service) ingest(sh *shard, b Batch) {
 	sh.batches[key] = reserved
 	sh.mu.Unlock()
 
-	p, err := profile.Read(bytes.NewReader(b.Payload))
+	p, err := profile.ReadBytes(b.Payload)
 	if err != nil {
 		s.corrupt.Add(1)
 		return

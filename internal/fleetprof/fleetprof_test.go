@@ -167,16 +167,20 @@ func TestBackpressure(t *testing.T) {
 	}
 }
 
-// TestCorruptBatchCounted: garbage payloads are counted, not crashed on.
+// TestCorruptBatchCounted: garbage payloads, and clean ones with anything
+// after their last sample, are counted, not crashed on or ingested.
 func TestCorruptBatchCounted(t *testing.T) {
 	svc := NewService(ServiceConfig{})
-	if err := svc.Submit(Batch{Host: 0, Seq: 0, Payload: []byte("garbage")}); err != nil {
-		t.Fatalf("Submit: %v", err)
+	clean := (&profile.Profile{Binary: "b", BuildID: "bid", Period: 10, Samples: make([]profile.Sample, 3)}).AppendWire(nil)
+	for seq, payload := range [][]byte{[]byte("garbage"), append(clean, 0), append(clean, clean...)} {
+		if err := svc.Submit(Batch{Host: 0, Seq: seq, Payload: payload}); err != nil {
+			t.Fatalf("Submit: %v", err)
+		}
 	}
 	svc.Drain()
 	st := svc.Stats()
-	if st.CorruptBatches != 1 || st.AcceptedBatches != 0 {
-		t.Fatalf("corrupt=%d accepted=%d, want 1/0", st.CorruptBatches, st.AcceptedBatches)
+	if st.CorruptBatches != 3 || st.AcceptedBatches != 0 {
+		t.Fatalf("corrupt=%d accepted=%d, want 3/0", st.CorruptBatches, st.AcceptedBatches)
 	}
 }
 

@@ -103,7 +103,7 @@ func TestWireFormatsGolden(t *testing.T) {
 		"obj-list":   "516b4cc2c0961d503f789f09cdcb7b48707bffab24aeddd7bd2614416b058013",
 		"binary":     "0073e574fcbf266831b4293d165e9cdb583123147d575fc3f1095938b6eb6baa",
 		"bbaddrmap":  "80d32a9ac9a098550745b20f3481fa23209560e3cc81aa1f34689dab5c25d946",
-		"profile":    "3b06f57e18b70a4bc7be0b263b6e731adbba98f404b3c8dde19be52a07005d56",
+		"profile":    "48e19240d6358336635526d1592ef7eb12cfc82729145de5e224f73fb9a48dce",
 		"aggregate":  "1792a77265287086d2de0fb47c46b929fa42d22c24f5f5d901e16238ef21c025",
 	} {
 		if got[name] != want {

@@ -3,12 +3,13 @@ package profile
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"reflect"
 	"strings"
 	"testing"
 )
 
-// v2 builds a raw profile image by hand so each field can be corrupted
+// rawProf builds a raw profile image by hand so each field can be corrupted
 // independently of what Write is capable of producing.
 type rawProf struct{ buf []byte }
 
@@ -23,6 +24,32 @@ func (r *rawProf) str(s string) *rawProf {
 	return r
 }
 
+// d writes a signed delta the way WPR3 records carry them.
+func (r *rawProf) d(v int64) *rawProf {
+	r.buf = binary.AppendVarint(r.buf, v)
+	return r
+}
+
+// raw appends bytes as they are: a varint no writer would produce.
+func (r *rawProf) raw(b ...byte) *rawProf { r.buf = append(r.buf, b...); return r }
+
+// hdr is a well-formed WPR3 header declaring n samples.
+func hdr(n uint64) *rawProf { return (&rawProf{}).magic("WPR3").str("app").str("id").u(211).u(n) }
+
+// fullWidthSample is one sample short of its last delta, every field before
+// it spelled in ten bytes: the last delta starts where a window of the
+// longest well-formed sample ends.
+func fullWidthSample() *rawProf {
+	r := hdr(1).raw(0x80|LBRDepth, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0)
+	for i := 0; i < 2*LBRDepth-1; i++ {
+		r.u(1 << 63)
+	}
+	return r
+}
+
+// overlong is an 11-byte varint: ten continuation bytes, then a terminator.
+var overlong = append(bytes.Repeat([]byte{0x80}, 10), 0x01)
+
 func TestReadCorruptInputs(t *testing.T) {
 	cases := []struct {
 		name string
@@ -32,17 +59,26 @@ func TestReadCorruptInputs(t *testing.T) {
 		{"empty", nil, "truncated magic"},
 		{"short magic", []byte("WP"), "truncated magic"},
 		{"bad magic", []byte("NOPE"), "bad magic"},
-		{"truncated name length", (&rawProf{}).magic("WPR2").buf, "truncated binary name length"},
-		{"huge name length", (&rawProf{}).magic("WPR2").u(1 << 40).buf, "binary name length"},
-		{"truncated name body", (&rawProf{}).magic("WPR2").u(100).buf, "truncated binary name"},
-		{"huge build ID", (&rawProf{}).magic("WPR2").str("app").u(1 << 20).buf, "build ID length"},
-		{"truncated period", (&rawProf{}).magic("WPR2").str("app").str("id").buf, "truncated period"},
-		{"truncated sample count", (&rawProf{}).magic("WPR2").str("app").str("id").u(211).buf, "truncated sample count"},
-		{"absurd sample count", (&rawProf{}).magic("WPR2").str("app").str("id").u(211).u(1 << 40).buf, "implausible sample count"},
-		{"missing samples", (&rawProf{}).magic("WPR2").str("app").str("id").u(211).u(3).buf, "truncated record count"},
-		{"over-deep sample", (&rawProf{}).magic("WPR2").str("app").str("id").u(211).u(1).u(LBRDepth + 1).buf, "exceeds LBR depth"},
-		{"truncated records", (&rawProf{}).magic("WPR2").str("app").str("id").u(211).u(1).u(2).u(5).buf, "truncated record"},
-		{"legacy magic truncated", (&rawProf{}).magic("WPRF").str("app").u(211).buf, "truncated sample count"},
+		{"truncated name length", (&rawProf{}).magic("WPR3").buf, "truncated binary name length"},
+		{"huge name length", (&rawProf{}).magic("WPR3").u(1 << 40).buf, "binary name length"},
+		{"truncated name body", (&rawProf{}).magic("WPR3").u(100).buf, "truncated binary name"},
+		{"huge build ID", (&rawProf{}).magic("WPR3").str("app").u(1 << 20).buf, "build ID length"},
+		{"truncated period", (&rawProf{}).magic("WPR3").str("app").str("id").buf, "truncated period"},
+		{"truncated sample count", (&rawProf{}).magic("WPR3").str("app").str("id").u(211).buf, "truncated sample count"},
+		{"absurd sample count", hdr(1 << 40).buf, "implausible sample count"},
+		{"missing samples", hdr(3).buf, "truncated record count"},
+		{"over-deep sample", hdr(1).u(LBRDepth + 1).buf, "exceeds LBR depth"},
+		{"truncated records", hdr(1).u(2).d(5).buf, "truncated record"},
+		{"delta truncated mid-varint", hdr(1).u(1).d(0x100).raw(0x80, 0x80).buf, "truncated record in sample 0"},
+		{"over-long period", (&rawProf{}).magic("WPR3").str("app").str("id").raw(overlong...).buf, "over-long varint in period"},
+		{"over-long record count", hdr(1).raw(overlong...).buf, "over-long varint in record count"},
+		{"over-long delta", hdr(1).u(1).raw(overlong...).d(1).buf, "over-long varint in record in sample 0"},
+		{"name length of continuation bytes", (&rawProf{}).magic("WPR3").raw(overlong[:10]...).buf, "truncated binary name length"},
+		{"delta of continuation bytes at the sample bound", fullWidthSample().raw(overlong[:10]...).buf, "truncated record in sample 0"},
+		{"over-long delta at the sample bound", fullWidthSample().raw(overlong...).buf, "over-long varint in record in sample 0"},
+		{"legacy magic truncated", (&rawProf{}).magic("WPRF").str("app").u(211).buf, `bad magic "WPRF"`},
+		{"trailing byte", hdr(1).u(1).d(0x100).d(0x40).raw(0).buf, "1 trailing bytes"},
+		{"second profile", append(hdr(0).buf, hdr(0).buf...), "14 trailing bytes"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -51,7 +87,10 @@ func TestReadCorruptInputs(t *testing.T) {
 			} else if !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("error %q does not mention %q", err, tc.want)
 			}
-			// Stream must fail the same way, not panic.
+			// The in-place form and Stream must fail the same way, not panic.
+			if _, err := ReadBytes(tc.data); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("ReadBytes: error %v does not mention %q", err, tc.want)
+			}
 			if _, _, err := Stream(bytes.NewReader(tc.data), nil, func(Sample) error { return nil }); err == nil {
 				t.Fatalf("Stream accepted corrupt input")
 			}
@@ -59,14 +98,59 @@ func TestReadCorruptInputs(t *testing.T) {
 	}
 }
 
-func TestReadLegacyV1(t *testing.T) {
-	raw := (&rawProf{}).magic("WPRF").str("old.wb").u(97).u(1).u(1).u(0x100).u(0x200).buf
-	p, err := Read(bytes.NewReader(raw))
-	if err != nil {
-		t.Fatal(err)
+// TestReadLegacyMagics: the two formats this tree used to write are named
+// in the refusal, with the one that is read — not reported as garbage, and
+// not decoded.
+func TestReadLegacyMagics(t *testing.T) {
+	old := sample()
+	old.BuildID = "deadbeef"
+	payloads := map[string][]byte{
+		"WPR2": RefAppendWire(old, nil),
+		"WPRF": (&rawProf{}).magic("WPRF").str("old.wb").u(97).u(1).u(1).u(0x100).u(0x200).buf,
 	}
-	if p.Binary != "old.wb" || p.BuildID != "" || p.Period != 97 || len(p.Samples) != 1 {
-		t.Fatalf("legacy decode mismatch: %+v", p)
+	for magic, data := range payloads {
+		if _, err := RefRead(bytes.NewReader(data)); err != nil {
+			t.Fatalf("%s: the reference reader rejects its own format: %v", magic, err)
+		}
+		_, err := Read(bytes.NewReader(data))
+		if err == nil || !strings.Contains(err.Error(), magic) || !strings.Contains(err.Error(), profMagic) {
+			t.Errorf("%s: error %v should name the legacy magic and %s", magic, err, profMagic)
+		}
+		called := false
+		if _, _, err := Stream(bytes.NewReader(data), func(Header) error { called = true; return nil }, nil); err == nil || called {
+			t.Errorf("%s: Stream err=%v, header callback ran=%t", magic, err, called)
+		}
+	}
+}
+
+// errAfter yields data, then fails with err instead of io.EOF.
+type errAfter struct {
+	data []byte
+	err  error
+}
+
+func (r *errAfter) Read(p []byte) (int, error) {
+	if len(r.data) == 0 {
+		return 0, r.err
+	}
+	n := copy(p, r.data)
+	r.data = r.data[n:]
+	return n, nil
+}
+
+// TestReadErrorSurfacesAsItself: when the reader fails with anything but
+// io.EOF (http.MaxBytesReader's error, a broken connection), that error is
+// what the caller gets — matchable, and never described as a truncation —
+// wherever in the payload it strikes, including after the last sample.
+func TestReadErrorSurfacesAsItself(t *testing.T) {
+	p := sample()
+	p.BuildID = "aaaa"
+	wire := p.AppendWire(nil)
+	for k := 0; k <= len(wire); k++ {
+		_, err := Read(&errAfter{wire[:k], errRejected})
+		if !errors.Is(err, errRejected) || strings.Contains(err.Error(), "truncated") {
+			t.Fatalf("reader failing after %d of %d bytes: err = %v", k, len(wire), err)
+		}
 	}
 }
 

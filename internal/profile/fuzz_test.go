@@ -2,52 +2,73 @@ package profile
 
 import (
 	"bytes"
-	"reflect"
+	"fmt"
 	"testing"
+	"testing/iotest"
 )
 
-// FuzzRead exercises the decoder against arbitrary bytes: it must never
-// panic or over-allocate, and any input it accepts must round-trip through
-// Write/Read unchanged (Stream must agree with Read on the same bytes).
+// FuzzRead exercises the decoder against arbitrary bytes. It must never
+// panic. One in-place decode — accepted or not, hostile counts in any
+// position — allocates at most 160 bytes per input byte plus a constant: the
+// costliest byte is an empty sample, 24 bytes of Sample in a slice that
+// append regrows by a quarter at a time, and the constant is the first 4096
+// preallocated samples plus one arena block. The same bytes arriving one at
+// a time through the window decode to the same samples or the same error,
+// and Stream agrees. Whatever parses re-encodes and re-parses to the same
+// samples. The formats this tree used to write never parse.
 func FuzzRead(f *testing.F) {
-	var seed bytes.Buffer
 	p := sample()
 	p.BuildID = "feedface"
-	if err := p.Write(&seed); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(seed.Bytes())
+	f.Add(p.AppendWire(nil))
+	f.Add([]byte("WPR3"))
+	// 2^28 samples declared over a 14-byte body: no allocation on their account.
+	f.Add(hdr(maxSamples).buf)
+	f.Add(hdr(1).u(2).d(5).d(-3).d(1 << 40).raw(0x80).buf)
+	f.Add(hdr(2).u(1).d(-1).d(1 << 62).u(0).raw(0).buf)
+	f.Add(hdr(1).u(1).raw(overlong...).d(1).buf)
+	f.Add((&rawProf{}).magic("WPR3").raw(overlong[:10]...).buf)
+	f.Add(append(hdr(100_000).buf, make([]byte, 100_000)...))
+	// Must-reject: the old WPR2 and WPRF seeds.
+	f.Add(RefAppendWire(p, nil))
 	f.Add([]byte("WPR2"))
 	f.Add([]byte("WPRF\x00\x00\x00"))
 	f.Add((&rawProf{}).magic("WPR2").str("a").str("b").u(211).u(1 << 40).buf)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		got, err := Read(bytes.NewReader(data))
-		var streamed []Sample
+		var got *Profile
+		var err error
+		if n := allocatedBy(func() { got, err = ReadBytes(data) }); n > 160*uint64(len(data))+256<<10 {
+			t.Fatalf("decoding %d bytes allocated %d", len(data), n)
+		}
+		if err == nil && (bytes.HasPrefix(data, []byte("WPR2")) || bytes.HasPrefix(data, []byte("WPRF"))) {
+			t.Fatal("a legacy payload was accepted")
+		}
+		windowed, werr := Read(iotest.OneByteReader(bytes.NewReader(data)))
+		if fmt.Sprint(werr) != fmt.Sprint(err) {
+			t.Fatalf("in place: %v; a byte at a time: %v", err, werr)
+		}
+		streamed := &Profile{}
 		h, n, serr := Stream(bytes.NewReader(data), nil, func(s Sample) error {
-			recs := make([]Branch, len(s.Records))
-			copy(recs, s.Records)
-			streamed = append(streamed, Sample{Records: recs})
+			streamed.Samples = append(streamed.Samples, Sample{Records: append([]Branch(nil), s.Records...)})
 			return nil
 		})
-		if (err == nil) != (serr == nil) {
+		if fmt.Sprint(serr) != fmt.Sprint(err) {
 			t.Fatalf("Read err=%v but Stream err=%v", err, serr)
 		}
 		if err != nil {
 			return
 		}
-		if got.Binary != h.Binary || got.BuildID != h.BuildID || got.Period != h.Period || len(got.Samples) != n {
-			t.Fatalf("Read header %+v disagrees with Stream header %+v (n=%d)", got, h, n)
+		streamed.Binary, streamed.BuildID, streamed.Period = h.Binary, h.BuildID, h.Period
+		if n != len(got.Samples) || uint64(n) != h.Samples {
+			t.Fatalf("Stream consumed %d of %d declared samples, Read %d", n, h.Samples, len(got.Samples))
 		}
-		var out bytes.Buffer
-		if err := got.Write(&out); err != nil {
-			t.Fatalf("re-encode failed: %v", err)
-		}
-		again, err := Read(bytes.NewReader(out.Bytes()))
+		again, err := ReadBytes(got.AppendWire(nil))
 		if err != nil {
 			t.Fatalf("re-decode failed: %v", err)
 		}
-		if !reflect.DeepEqual(got.Aggregate(), again.Aggregate()) || len(got.Samples) != len(again.Samples) {
-			t.Fatal("round trip changed the profile")
+		for name, other := range map[string]*Profile{"a byte at a time": windowed, "Stream": streamed, "re-encoded": again} {
+			if err := sameSamples(other, got); err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
 		}
 	})
 }

@@ -5,11 +5,13 @@
 package profile
 
 import (
-	"bufio"
-	"encoding/binary"
+	"bytes"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
+
+	"propeller/internal/wire"
 )
 
 // LBRDepth is the depth of the last-branch-record ring: the hardware keeps
@@ -181,12 +183,8 @@ func MergeInto(dst, delta *Profile) error {
 	return nil
 }
 
-// Wire format magics: profMagicV2 adds the build-ID header field; the V1
-// magic is still accepted on read (legacy profiles carry no build ID).
-const (
-	profMagicV1 = "WPRF"
-	profMagicV2 = "WPR2"
-)
+// profMagic opens a serialized profile: WPR3 is WPR2 with delta-coded records.
+const profMagic = "WPR3"
 
 // Decoder sanity caps: a header field exceeding these is corrupt input,
 // and must fail cleanly instead of driving a huge allocation.
@@ -196,32 +194,43 @@ const (
 	maxSamples    = 1 << 28
 )
 
+// maxSampleBytes bounds an encoded sample: a count and two varints per record.
+const maxSampleBytes = (1 + 2*LBRDepth) * wire.MaxVarintLen64
+
 // Write serializes the profile (the perf.data stand-in).
 func (p *Profile) Write(w io.Writer) error {
 	_, err := w.Write(p.AppendWire(nil))
 	return err
 }
 
-// AppendWire appends the profile's wire encoding to dst and returns the
-// extended slice. This is the collector batch path: encoding a small chunk
-// into a reused buffer costs zero allocations once the buffer has warmed
-// up.
+// AppendWire appends the profile's wire encoding (DESIGN.md §6) to dst and
+// returns the extended slice. A record is the zig-zag varints of From - prevTo
+// and To - From, prevTo being 0 at the start of a sample: LBR records chain,
+// so both are small, and the differences wrap in uint64, so any pair of
+// addresses round-trips. This is the collector batch path: a small chunk
+// encoded into a reused, warmed-up buffer costs zero allocations.
 func (p *Profile) AppendWire(dst []byte) []byte {
-	dst = append(dst, profMagicV2...)
-	dst = binary.AppendUvarint(dst, uint64(len(p.Binary)))
-	dst = append(dst, p.Binary...)
-	dst = binary.AppendUvarint(dst, uint64(len(p.BuildID)))
-	dst = append(dst, p.BuildID...)
-	dst = binary.AppendUvarint(dst, p.Period)
-	dst = binary.AppendUvarint(dst, uint64(len(p.Samples)))
+	records := 0
+	for i := range p.Samples {
+		records += len(p.Samples[i].Records)
+	}
+	// Chained records take two to three bytes; others grow dst as they go.
+	dst = slices.Grow(dst, len(profMagic)+len(p.Binary)+len(p.BuildID)+4*wire.MaxVarintLen64+len(p.Samples)+3*records)
+	w := wire.Writer{Buf: append(dst, profMagic...)}
+	w.Str(p.Binary)
+	w.Str(p.BuildID)
+	w.U64(p.Period)
+	w.Int(len(p.Samples))
 	for _, s := range p.Samples {
-		dst = binary.AppendUvarint(dst, uint64(len(s.Records)))
+		w.Int(len(s.Records))
+		var prevTo uint64
 		for _, r := range s.Records {
-			dst = binary.AppendUvarint(dst, r.From)
-			dst = binary.AppendUvarint(dst, r.To)
+			w.I64(int64(r.From - prevTo))
+			w.I64(int64(r.To - r.From))
+			prevTo = r.To
 		}
 	}
-	return dst
+	return w.Buf
 }
 
 // Header is the leading metadata of a serialized profile.
@@ -233,169 +242,242 @@ type Header struct {
 	Samples uint64
 }
 
-// wireReader is what the decoder needs from its input. *bufio.Reader and
-// *bytes.Reader both satisfy it, so decoding an in-memory batch (the
-// ingestion-shard hot path) skips the bufio wrapper and its allocation.
-type wireReader interface {
-	io.Reader
-	io.ByteReader
+// Decoder reads one serialized profile through a byte window: the whole
+// payload, decoded in place, or a buffer refilled from a stream. Corrupt
+// input (truncated fields, absurd counts, over-deep samples, trailing bytes)
+// is an error, never a panic or an allocation ahead of the bytes actually
+// present. Decoders share no state; one is not safe for concurrent use.
+type Decoder struct {
+	// Header is decoded when the Decoder is made: a caller can reject a
+	// profile (wrong build ID, wrong binary) without paying for its body.
+	Header Header
+
+	src  io.Reader // nil when buf began as the whole payload
+	buf  []byte    // unread bytes in hand
+	win  []byte    // what buf is refilled into
+	rerr error     // why src stopped: io.EOF at a clean end
+	next uint64    // index of the sample Next decodes
 }
 
-func readString(br wireReader, what string, max uint64) (string, error) {
-	n, err := binary.ReadUvarint(br)
-	if err != nil {
-		return "", fmt.Errorf("profile: truncated %s length: %w", what, err)
+// NewDecoder reads the header of the profile r yields. A *bytes.Buffer is
+// taken whole and decoded in place; anything else through a 64 KB window.
+func NewDecoder(r io.Reader) (*Decoder, error) {
+	if b, ok := r.(*bytes.Buffer); ok {
+		return newDecoder(nil, b.Next(b.Len()), 0)
+	}
+	return newDecoder(r, nil, 64<<10)
+}
+
+func newDecoder(src io.Reader, buf []byte, window int) (*Decoder, error) {
+	d := &Decoder{src: src, buf: buf, win: make([]byte, window)}
+	if src == nil {
+		d.rerr = io.EOF
+	}
+	return d, d.header()
+}
+
+// fill tops buf up to n bytes, or to all that src has left. Callers ask for
+// one byte more than their field can take: with that byte in hand an
+// over-long varint cannot pass for one cut short.
+func (d *Decoder) fill(n int) {
+	if d.rerr != nil || len(d.buf) >= n {
+		return
+	}
+	if len(d.win) < n {
+		d.win = make([]byte, n)
+	}
+	have := copy(d.win, d.buf)
+	k, err := io.ReadAtLeast(d.src, d.win[have:], n-have)
+	if err == io.ErrUnexpectedEOF {
+		err = io.EOF
+	}
+	d.buf, d.rerr = d.win[:have+k], err
+}
+
+// bad is the error for an over-long varint (n < 0) or for input that ended
+// inside a field: a truncation, unless the reader stopped with its own error.
+func (d *Decoder) bad(n int, what string) error {
+	switch {
+	case n < 0:
+		return fmt.Errorf("profile: over-long varint in %s", what)
+	case d.rerr != io.EOF:
+		return fmt.Errorf("profile: reading %s: %w", what, d.rerr)
+	}
+	return fmt.Errorf("profile: truncated %s: %w", what, io.ErrUnexpectedEOF)
+}
+
+// uvarint reads a header varint; n <= 0 is wire.Uvarints' refusal, for bad.
+func (d *Decoder) uvarint() (uint64, int) {
+	var v [1]uint64
+	d.fill(wire.MaxVarintLen64 + 1)
+	n := wire.Uvarints(v[:], d.buf)
+	d.buf = d.buf[max(n, 0):]
+	return v[0], n
+}
+
+func (d *Decoder) str(what string, max uint64) (string, error) {
+	n, k := d.uvarint()
+	if k <= 0 {
+		return "", d.bad(k, what+" length")
 	}
 	if n > max {
 		return "", fmt.Errorf("profile: %s length %d exceeds cap %d", what, n, max)
 	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(br, buf); err != nil {
-		return "", fmt.Errorf("profile: truncated %s: %w", what, err)
+	if d.fill(int(n)); len(d.buf) < int(n) {
+		return "", d.bad(0, what)
 	}
-	return string(buf), nil
+	s := string(d.buf[:n])
+	d.buf = d.buf[n:]
+	return s, nil
 }
 
-func readHeader(br wireReader) (Header, error) {
-	var h Header
-	var magic [4]byte
-	if _, err := io.ReadFull(br, magic[:]); err != nil {
-		return h, fmt.Errorf("profile: truncated magic: %w", err)
+func (d *Decoder) header() (err error) {
+	if d.fill(len(profMagic)); len(d.buf) < len(profMagic) {
+		return d.bad(0, "magic")
 	}
-	withBuildID := false
-	switch string(magic[:]) {
-	case profMagicV2:
-		withBuildID = true
-	case profMagicV1:
-	default:
-		return h, fmt.Errorf("profile: bad magic %q", magic)
+	if magic := d.buf[:len(profMagic)]; string(magic) != profMagic {
+		return fmt.Errorf("profile: bad magic %q, want %q (the WPR2 and WPRF formats are no longer read)", magic, profMagic)
 	}
-	var err error
-	if h.Binary, err = readString(br, "binary name", maxNameLen); err != nil {
-		return h, err
+	d.buf = d.buf[len(profMagic):]
+	h := &d.Header
+	if h.Binary, err = d.str("binary name", maxNameLen); err != nil {
+		return err
 	}
-	if withBuildID {
-		if h.BuildID, err = readString(br, "build ID", maxBuildIDLen); err != nil {
-			return h, err
-		}
+	if h.BuildID, err = d.str("build ID", maxBuildIDLen); err != nil {
+		return err
 	}
-	if h.Period, err = binary.ReadUvarint(br); err != nil {
-		return h, fmt.Errorf("profile: truncated period: %w", err)
+	var n int
+	if h.Period, n = d.uvarint(); n <= 0 {
+		return d.bad(n, "period")
 	}
-	if h.Samples, err = binary.ReadUvarint(br); err != nil {
-		return h, fmt.Errorf("profile: truncated sample count: %w", err)
+	if h.Samples, n = d.uvarint(); n <= 0 {
+		return d.bad(n, "sample count")
 	}
 	if h.Samples > maxSamples {
-		return h, fmt.Errorf("profile: implausible sample count %d", h.Samples)
+		return fmt.Errorf("profile: implausible sample count %d", h.Samples)
 	}
-	return h, nil
+	return nil
+}
+
+// Next appends the next sample's records, at most LBRDepth, to dst. After
+// the last declared sample it returns io.EOF if the input ends there too:
+// bytes past it are corruption, as in every wire.Reader format, and a stream
+// is read to its end to count them.
+func (d *Decoder) Next(dst []Branch) ([]Branch, error) {
+	if d.next == d.Header.Samples {
+		trailing := len(d.buf)
+		for d.rerr == nil {
+			d.buf = nil
+			d.fill(1)
+			trailing += len(d.buf)
+		}
+		if d.rerr != io.EOF {
+			return dst, fmt.Errorf("profile: reading past the last sample: %w", d.rerr)
+		}
+		if trailing > 0 {
+			return dst, fmt.Errorf("profile: %d trailing bytes", trailing)
+		}
+		return dst, io.EOF
+	}
+	// With a sample's worst case in hand nothing below can come up short:
+	// only the tail of the input is decoded from fewer bytes.
+	d.fill(maxSampleBytes + 1)
+	var deltas [2 * LBRDepth]uint64
+	n := wire.Uvarints(deltas[:1], d.buf)
+	if n <= 0 {
+		return dst, d.bad(n, fmt.Sprintf("record count in sample %d", d.next))
+	}
+	nRec := deltas[0]
+	if nRec > LBRDepth {
+		return dst, fmt.Errorf("profile: sample with %d records exceeds LBR depth", nRec)
+	}
+	if nRec > 0 {
+		k := wire.Uvarints(deltas[:2*nRec], d.buf[n:])
+		if k <= 0 {
+			return dst, d.bad(k, fmt.Sprintf("record in sample %d", d.next))
+		}
+		n += k
+		l := len(dst)
+		dst = slices.Grow(dst, int(nRec))[:l+int(nRec)]
+		var prevTo uint64
+		for i, recs := 0, dst[l:]; i < len(recs); i++ {
+			from := prevTo + uint64(wire.Unzigzag(deltas[2*i]))
+			prevTo = from + uint64(wire.Unzigzag(deltas[2*i+1]))
+			recs[i] = Branch{From: from, To: prevTo}
+		}
+	}
+	d.buf = d.buf[n:]
+	d.next++
+	return dst, nil
+}
+
+// arenaBlockRecords sizes the flat blocks Profile decodes records into:
+// one allocation backs ~128 full-depth samples (§5.1's memory fix).
+const arenaBlockRecords = 1 << 12
+
+// Profile materializes the samples not yet decoded, each a capacity-clamped
+// slice of a shared block, so a later append cannot alias a neighbor.
+func (d *Decoder) Profile() (*Profile, error) {
+	h := d.Header
+	// Preallocate only up to a modest bound: the declared count is
+	// attacker-controlled and the samples may not actually follow.
+	p := &Profile{Binary: h.Binary, BuildID: h.BuildID, Period: h.Period,
+		Samples: make([]Sample, 0, min(h.Samples-d.next, 1<<12))}
+	var block []Branch
+	for {
+		if cap(block)-len(block) < LBRDepth {
+			block = make([]Branch, 0, arenaBlockRecords)
+		}
+		l := len(block)
+		var err error
+		if block, err = d.Next(block); err == io.EOF {
+			return p, nil
+		} else if err != nil {
+			return nil, err
+		}
+		p.Samples = append(p.Samples, Sample{Records: block[l:len(block):len(block)]})
+	}
+}
+
+// Read deserializes a profile from a stream, ReadBytes one held in memory.
+func Read(r io.Reader) (*Profile, error)   { return readAll(NewDecoder(r)) }
+func ReadBytes(b []byte) (*Profile, error) { return readAll(newDecoder(nil, b, 0)) }
+
+func readAll(d *Decoder, err error) (*Profile, error) {
+	if err != nil {
+		return nil, err
+	}
+	return d.Profile()
 }
 
 // Stream reads a serialized profile incrementally — the "chunked reading"
 // §5.1 names as the easy fix for profile-read memory. onHeader, when
-// non-nil, runs after the header is decoded and before any sample is
-// consumed, so callers can reject a profile (wrong build ID, wrong binary)
-// without paying for its body. onSample is invoked for every sample; its
-// record slice is only valid for the duration of the callback. Either
+// non-nil, runs before any sample is consumed, so callers can reject a
+// profile without paying for its body. onSample is invoked for every sample;
+// its record slice is only valid for the duration of the callback. Either
 // callback returning an error aborts the read. The returned count is the
 // number of samples consumed.
 func Stream(r io.Reader, onHeader func(Header) error, onSample func(Sample) error) (Header, int, error) {
-	br, ok := r.(wireReader)
-	if !ok {
-		br = bufio.NewReader(r)
+	d, err := NewDecoder(r)
+	if err == nil && onHeader != nil {
+		err = onHeader(d.Header)
 	}
-	h, err := readHeader(br)
 	if err != nil {
-		return h, 0, err
-	}
-	if onHeader != nil {
-		if err := onHeader(h); err != nil {
-			return h, 0, err
-		}
+		return d.Header, 0, err
 	}
 	var buf [LBRDepth]Branch
-	for i := uint64(0); i < h.Samples; i++ {
-		nRec, err := binary.ReadUvarint(br)
+	for n := 0; ; n++ {
+		recs, err := d.Next(buf[:0])
+		if err == io.EOF {
+			return d.Header, n, nil
+		}
+		if err == nil {
+			err = onSample(Sample{Records: recs})
+		}
 		if err != nil {
-			return h, int(i), fmt.Errorf("profile: truncated record count in sample %d: %w", i, err)
-		}
-		if nRec > LBRDepth {
-			return h, int(i), fmt.Errorf("profile: sample with %d records exceeds LBR depth", nRec)
-		}
-		s := Sample{Records: buf[:nRec]}
-		for j := range s.Records {
-			if s.Records[j].From, err = binary.ReadUvarint(br); err != nil {
-				return h, int(i), fmt.Errorf("profile: truncated record in sample %d: %w", i, err)
-			}
-			if s.Records[j].To, err = binary.ReadUvarint(br); err != nil {
-				return h, int(i), fmt.Errorf("profile: truncated record in sample %d: %w", i, err)
-			}
-		}
-		if err := onSample(s); err != nil {
-			return h, int(i), err
+			return d.Header, n, err
 		}
 	}
-	return h, int(h.Samples), nil
-}
-
-// Read deserializes a profile. It is Stream with materialization: corrupt
-// input (truncated headers, absurd counts, over-deep samples) returns an
-// error and never panics or over-allocates ahead of the bytes actually
-// present.
-func Read(r io.Reader) (*Profile, error) {
-	p := &Profile{}
-	var arena branchArena
-	_, _, err := Stream(r, func(h Header) error {
-		p.Binary = h.Binary
-		p.BuildID = h.BuildID
-		p.Period = h.Period
-		// Preallocate only up to a modest bound: the declared count is
-		// attacker-controlled and the samples may not actually follow.
-		cap := h.Samples
-		if cap > 1<<12 {
-			cap = 1 << 12
-		}
-		p.Samples = make([]Sample, 0, cap)
-		return nil
-	}, func(s Sample) error {
-		p.Samples = append(p.Samples, Sample{Records: arena.save(s.Records)})
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return p, nil
-}
-
-// arenaBlockRecords sizes the decode arena's flat blocks: one allocation
-// backs ~128 full-depth samples instead of one per sample.
-const arenaBlockRecords = 1 << 12
-
-// branchArena hands out record slices carved from large flat blocks — the
-// arena-style decode of §5.1's memory fix: materializing a profile costs
-// one allocation per block, not per sample. Slices are capacity-clamped so
-// a later append cannot alias a neighbor.
-type branchArena struct {
-	block []Branch
-}
-
-func (a *branchArena) alloc(n int) []Branch {
-	if len(a.block)+n > cap(a.block) {
-		size := arenaBlockRecords
-		if n > size {
-			size = n
-		}
-		a.block = make([]Branch, 0, size)
-	}
-	l := len(a.block)
-	a.block = a.block[:l+n]
-	return a.block[l : l+n : l+n]
-}
-
-func (a *branchArena) save(recs []Branch) []Branch {
-	out := a.alloc(len(recs))
-	copy(out, recs)
-	return out
 }
 
 // SizeBytes estimates the serialized size, used by the memory model when

@@ -9,7 +9,7 @@
 // already in the tree:
 //
 //   - an HTTP front end (POST /publish, GET /profile/<buildID>,
-//     GET /statusz) that accepts WPR2 profile payloads through the
+//     GET /statusz) that accepts WPR3 profile payloads through the
 //     hardened streaming reader, enforces build-ID matching, and serves
 //     the current merged aggregate per build;
 //   - a versioned profile Store keyed by build ID, with per-generation

@@ -42,7 +42,7 @@ func genFingerprint(r *LoopResult) []string {
 // TestGenerationLoopConverges is the headline property: the profile →
 // relink → redeploy loop improves the binary, never regresses, and
 // reaches a byte-identical fixed point within five generations — and
-// routing publish/fetch through the real HTTP front end (streamed WPR2,
+// routing publish/fetch through the real HTTP front end (streamed WPR3,
 // build-ID enforced) reproduces the in-process loop decision for decision.
 func TestGenerationLoopConverges(t *testing.T) {
 	prog := tinyProgram(t)

@@ -14,7 +14,7 @@ import (
 )
 
 // Service is the HTTP front end of the continuous profile-build service.
-// It accepts WPR2 profile payloads on POST /publish (streamed through the
+// It accepts WPR3 profile payloads on POST /publish (streamed through the
 // hardened reader, never materializing untrusted bytes ahead of
 // validation), serves the current merged aggregate per build on
 // GET /profile/{buildID}, and exposes GET /statusz.
@@ -82,8 +82,8 @@ func (e *errReject) Error() string { return e.msg }
 
 // Handler returns the service's HTTP mux:
 //
-//	POST /publish            — ingest one WPR2 profile payload
-//	GET  /profile/{buildID}  — current merged aggregate, WPR2 bytes
+//	POST /publish            — ingest one WPR3 profile payload
+//	GET  /profile/{buildID}  — current merged aggregate, WPR3 bytes
 //	GET  /statusz            — plain-text state snapshot
 func (s *Service) Handler() http.Handler {
 	mux := http.NewServeMux()
@@ -94,34 +94,19 @@ func (s *Service) Handler() http.Handler {
 }
 
 func (s *Service) handlePublish(w http.ResponseWriter, r *http.Request) {
-	p := &profile.Profile{}
-	body := http.MaxBytesReader(w, r.Body, maxPublishBytes)
-	_, _, err := profile.Stream(body, func(h profile.Header) error {
-		if h.BuildID == "" {
-			return &errReject{http.StatusBadRequest, "profile has no build ID"}
-		}
-		s.mu.Lock()
-		serving := s.serving
-		s.mu.Unlock()
-		if serving != "" && h.BuildID != serving {
-			return &errReject{http.StatusConflict,
-				fmt.Sprintf("profile build ID %s does not match serving build ID %s", h.BuildID, serving)}
-		}
-		p.Binary = h.Binary
-		p.BuildID = h.BuildID
-		p.Period = h.Period
-		return nil
-	}, func(smp profile.Sample) error {
-		recs := make([]profile.Branch, len(smp.Records))
-		copy(recs, smp.Records)
-		p.Samples = append(p.Samples, profile.Sample{Records: recs})
-		return nil
-	})
-	if err != nil {
-		s.reject(w, err)
-		return
+	d, err := profile.NewDecoder(http.MaxBytesReader(w, r.Body, maxPublishBytes))
+	if err == nil {
+		// Checked at the header: a mismatched profile costs no body decode.
+		err = s.checkBuildID(d.Header.BuildID)
 	}
-	retained, err := s.store.Publish(p)
+	var p *profile.Profile
+	if err == nil {
+		p, err = d.Profile()
+	}
+	var retained int64
+	if err == nil {
+		retained, err = s.store.Publish(p)
+	}
 	if err != nil {
 		s.reject(w, err)
 		return
@@ -136,6 +121,20 @@ func (s *Service) handlePublish(w http.ResponseWriter, r *http.Request) {
 		Retained: retained,
 		Epoch:    s.store.Epoch(),
 	})
+}
+
+func (s *Service) checkBuildID(id string) error {
+	if id == "" {
+		return &errReject{http.StatusBadRequest, "profile has no build ID"}
+	}
+	s.mu.Lock()
+	serving := s.serving
+	s.mu.Unlock()
+	if serving != "" && id != serving {
+		return &errReject{http.StatusConflict,
+			fmt.Sprintf("profile build ID %s does not match serving build ID %s", id, serving)}
+	}
+	return nil
 }
 
 func (s *Service) reject(w http.ResponseWriter, err error) {

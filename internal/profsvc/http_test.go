@@ -14,7 +14,7 @@ import (
 	"propeller/internal/profile"
 )
 
-func newTestServer(t *testing.T) (*Store, *Service, *httptest.Server) {
+func newTestServer(t testing.TB) (*Store, *Service, *httptest.Server) {
 	t.Helper()
 	store := NewStore(StoreConfig{})
 	svc := NewService(store)
@@ -23,7 +23,7 @@ func newTestServer(t *testing.T) (*Store, *Service, *httptest.Server) {
 	return store, svc, ts
 }
 
-// TestPublishFetchRoundTrip: WPR2 bytes survive the real HTTP path —
+// TestPublishFetchRoundTrip: WPR3 bytes survive the real HTTP path —
 // publish through the streaming reader, fetch the merged aggregate back,
 // byte-identical to a direct store read.
 func TestPublishFetchRoundTrip(t *testing.T) {
@@ -85,9 +85,10 @@ func TestPublishRejectsNoBuildID(t *testing.T) {
 	}
 }
 
-// TestPublishRejectsCorruptPayload: garbage and truncated bodies are 400s
-// from the hardened reader and a body past maxPublishBytes is a 413,
-// never a stored profile or a panic.
+// TestPublishRejectsCorruptPayload: garbage, truncated bodies and bytes
+// after the last sample are 400s from the hardened reader and a body past
+// maxPublishBytes is a 413 — whether the limit strikes inside the samples or
+// in what trails them — never a stored profile or a panic.
 func TestPublishRejectsCorruptPayload(t *testing.T) {
 	store, _, ts := newTestServer(t)
 	valid := profBytes(t, mkProf("bid", 1, 6))
@@ -112,7 +113,11 @@ func TestPublishRejectsCorruptPayload(t *testing.T) {
 		"garbage":   {strings.NewReader("not a profile at all"), http.StatusBadRequest},
 		"badmagic":  {bytes.NewReader(append([]byte("XXXX"), valid[4:]...)), http.StatusBadRequest},
 		"truncated": {bytes.NewReader(valid[:len(valid)-3]), http.StatusBadRequest},
+		"trailing":  {bytes.NewReader(append(valid[:len(valid):len(valid)], 0)), http.StatusBadRequest},
+		"twice":     {io.MultiReader(bytes.NewReader(valid), bytes.NewReader(valid)), http.StatusBadRequest},
 		"oversized": {endless, http.StatusRequestEntityTooLarge},
+		"oversized tail": {io.MultiReader(bytes.NewReader(valid), &repeatReader{chunk: sample}),
+			http.StatusRequestEntityTooLarge},
 	} {
 		resp, err := http.Post(ts.URL+"/publish", "application/octet-stream", tc.body)
 		if err != nil {

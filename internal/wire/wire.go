@@ -1,7 +1,7 @@
 // Package wire is the tree's one varint codec: the append-to-[]byte Writer
 // and the checked Reader every cached or shipped format is written and
-// parsed with (profile's stream decoder, whose bytes arrive incrementally,
-// is the one exception).
+// parsed with, and beside them the slice-level Uvarints/Unzigzag that
+// profile's decoder, whose bytes arrive a window at a time, calls directly.
 //
 // Reader rules: the first error sticks, names the owning package and is
 // what Done reports, and every later read returns a zero value; Int rejects
@@ -19,6 +19,33 @@ import (
 	"math"
 	"sync"
 )
+
+// MaxVarintLen64 is the longest encoding Uvarints accepts and Writer.U64 writes.
+const MaxVarintLen64 = binary.MaxVarintLen64
+
+// Uvarints is binary.Uvarint for the len(dst) > 0 consecutive values at the
+// front of b: it fills dst and returns the bytes they took together, or the
+// first refusal's n (0: b ends mid-value; negative: over-long). One call per
+// run, the one-byte case decided inline, outruns a call per value.
+func Uvarints(dst []uint64, b []byte) (n int) {
+	for i := range dst {
+		if n < len(b) && b[n] < 0x80 {
+			dst[i] = uint64(b[n])
+			n++
+			continue
+		}
+		v, k := binary.Uvarint(b[n:])
+		if k <= 0 {
+			return k
+		}
+		dst[i] = v
+		n += k
+	}
+	return n
+}
+
+// Unzigzag undoes the zig-zag binary.AppendVarint, and so Writer.I64, applies.
+func Unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
 
 // Writer appends a wire encoding to Buf, which starts as the format's magic.
 type Writer struct{ Buf []byte }
@@ -116,11 +143,8 @@ func (r *Reader) U64() uint64 {
 	return v
 }
 
-// I64 undoes binary.AppendVarint's zig-zag over U64, sharing its checks.
-func (r *Reader) I64() int64 {
-	u := r.U64()
-	return int64(u>>1) ^ -int64(u&1)
-}
+// I64 is Unzigzag over U64, sharing its checks.
+func (r *Reader) I64() int64 { return Unzigzag(r.U64()) }
 
 func (r *Reader) Byte() byte {
 	if r.err != nil || r.off >= len(r.data) {

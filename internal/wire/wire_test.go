@@ -202,3 +202,41 @@ func TestEncode(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// TestSliceVarints: Uvarints reads back a run of what Writer.U64 writes,
+// Unzigzag undoes Writer.I64's zig-zag, and a run cut short or over-long
+// anywhere is refused with binary.Uvarint's n, whatever decoded before it.
+func TestSliceVarints(t *testing.T) {
+	vals := []uint64{0, 1, 0x7f, 0x80, 0x3fff, 0x4000, 1<<32 - 1, 1 << 63, math.MaxUint64}
+	var run, signed Writer
+	for _, v := range vals {
+		run.U64(v)
+		signed.I64(int64(v))
+	}
+	got := make([]uint64, len(vals))
+	if n := Uvarints(got, run.Buf); n != len(run.Buf) {
+		t.Fatalf("Uvarints consumed %d of %d bytes", n, len(run.Buf))
+	}
+	for i, v := range vals {
+		if got[i] != v {
+			t.Errorf("Uvarints[%d] = %#x, want %#x", i, got[i], v)
+		}
+	}
+	if n := Uvarints(got, signed.Buf); n != len(signed.Buf) {
+		t.Fatalf("Uvarints consumed %d of %d zig-zag bytes", n, len(signed.Buf))
+	}
+	for i, v := range vals {
+		if Unzigzag(got[i]) != int64(v) {
+			t.Errorf("Unzigzag[%d] = %#x, want %#x", i, Unzigzag(got[i]), int64(v))
+		}
+	}
+	for k := 0; k < len(run.Buf); k++ {
+		if n := Uvarints(got, run.Buf[:k]); n != 0 {
+			t.Errorf("Uvarints of a run cut at %d returned %d, want 0", k, n)
+		}
+	}
+	overlong := append([]byte{5}, bytes.Repeat([]byte{0x80}, 10)...)
+	if n := Uvarints(got[:2], append(overlong, 1)); n >= 0 {
+		t.Errorf("Uvarints accepted an 11-byte varint: n = %d", n)
+	}
+}

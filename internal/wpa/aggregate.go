@@ -202,9 +202,9 @@ func (c Config) buildAggregate(lk *bbaddrmap.Lookup, prof *profile.Profile) (*Ag
 	samples := prof.Samples
 	w := max(1, min(c.workers(), len(samples)))
 	chunk := (len(samples) + w - 1) / w
-	return aggregate(lk, w, prof.SizeBytes(), func(emit func([]profile.Sample)) error {
+	return aggregate(lk, w, prof.SizeBytes(), func(emit func(sampleBatch) sampleBatch) error {
 		for lo := 0; lo < len(samples); lo += chunk {
-			emit(samples[lo:min(lo+chunk, len(samples))])
+			emit(sampleBatch{samples: samples[lo:min(lo+chunk, len(samples))]})
 		}
 		return nil
 	})
@@ -215,57 +215,61 @@ func (c Config) buildAggregate(lk *bbaddrmap.Lookup, prof *profile.Profile) (*Ag
 const streamSampleBytes = 2 + profile.LBRDepth*16
 
 // buildAggregateStream aggregates a serialized profile without
-// materializing it (§5.1's chunked reading): the decoded samples reach
-// the shards in copied batches, so the result stays bit-identical to
-// BuildAggregate over the same samples.
+// materializing it (§5.1's chunked reading): the samples are decoded
+// straight into the batches the shards fold, so the result stays
+// bit-identical to BuildAggregate over the same samples.
 func buildAggregateStream(m *bbaddrmap.Map, r io.Reader, cfg Config) (*Aggregate, error) {
 	if err := checkMap(m); err != nil {
 		return nil, err
 	}
-	w := cfg.workers()
-	// streamBatch samples per emit amortizes the hand-off; the decoder's
-	// record buffer is reused across callbacks, so records must be copied
-	// before crossing to a worker — into one flat block per batch (each
-	// sample a capacity-clamped subslice), not one allocation per sample.
+	// streamBatch samples per emit amortizes the hand-off; their records
+	// share one flat block (each sample a capacity-clamped subslice).
 	const streamBatch = 512
-	return aggregate(bbaddrmap.NewLookup(m), w, streamSampleBytes, func(emit func([]profile.Sample)) error {
-		batch := make([]profile.Sample, 0, streamBatch)
-		block := make([]profile.Branch, 0, streamBatch*profile.LBRDepth)
-		// The header check runs before any sample is aggregated, so a
+	return aggregate(bbaddrmap.NewLookup(m), cfg.workers(), streamSampleBytes, func(emit func(sampleBatch) sampleBatch) error {
+		d, err := profile.NewDecoder(r)
+		// The header check runs before any sample is decoded, so a
 		// build-ID-mismatched profile is rejected without paying for its body.
-		onHeader := func(h profile.Header) error { return cfg.checkBuildID(h.BuildID) }
-		_, _, err := profile.Stream(r, onHeader, func(s profile.Sample) error {
-			l := len(block)
-			block = append(block, s.Records...)
-			batch = append(batch, profile.Sample{Records: block[l:len(block):len(block)]})
-			if len(batch) < streamBatch {
-				return nil
+		if err == nil {
+			err = cfg.checkBuildID(d.Header.BuildID)
+		}
+		var b sampleBatch
+		for err == nil {
+			if b.samples == nil {
+				b = sampleBatch{make([]profile.Sample, 0, streamBatch), make([]profile.Branch, 0, streamBatch*profile.LBRDepth)}
 			}
-			emit(batch)
-			if w == 1 {
-				batch, block = batch[:0], block[:0]
-			} else {
-				batch = make([]profile.Sample, 0, streamBatch)
-				block = make([]profile.Branch, 0, streamBatch*profile.LBRDepth)
+			l := len(b.recs)
+			if b.recs, err = d.Next(b.recs); err != nil {
+				break
 			}
-			return nil
-		})
-		if err != nil {
+			b.samples = append(b.samples, profile.Sample{Records: b.recs[l:len(b.recs):len(b.recs)]})
+			if len(b.samples) == streamBatch {
+				b = emit(b)
+				b.samples, b.recs = b.samples[:0], b.recs[:0]
+			}
+		}
+		if err != io.EOF {
 			return fmt.Errorf("wpa: streaming profile: %w", err)
 		}
-		emit(batch)
+		emit(b)
 		return nil
 	})
 }
 
+// sampleBatch is what a feed hands the shards: samples and, when the feed
+// decoded them itself, the block their records live in, to be refilled.
+type sampleBatch struct {
+	samples []profile.Sample
+	recs    []profile.Branch
+}
+
 // aggregate folds the sample batches feed emits into one Aggregate over
-// w private shards. With w == 1 emit folds the batch before it returns, so
-// the feed may reuse the batch's memory; otherwise the batch crosses to a
-// worker goroutine and the feed must not touch it again. Every
-// contribution is a commutative uint64 sum, so the merged result does not
-// depend on which shard took which batch. Beyond the result it allocates
-// per shard, not per sample.
-func aggregate(lk *bbaddrmap.Lookup, w int, profileBytes int64, feed func(emit func([]profile.Sample)) error) (*Aggregate, error) {
+// w private shards. emit returns a batch the feed may refill (the zero
+// batch when none has been folded yet): with w == 1 the one it was given;
+// otherwise that one crosses to a worker goroutine and the feed must not
+// touch it until an emit hands it back. Every contribution is a commutative
+// uint64 sum, so the merged result does not depend on which shard took
+// which batch. Beyond the result it allocates per shard, not per sample.
+func aggregate(lk *bbaddrmap.Lookup, w int, profileBytes int64, feed func(emit func(sampleBatch) sampleBatch) error) (*Aggregate, error) {
 	shards := make([]*shard, w)
 	for i := range shards {
 		shards[i] = &shard{walker: newRecordWalker(lk), count: make([]uint64, len(lk.Blocks()))}
@@ -273,20 +277,31 @@ func aggregate(lk *bbaddrmap.Lookup, w int, profileBytes int64, feed func(emit f
 	aggStart := time.Now()
 	var err error
 	if w == 1 {
-		err = feed(shards[0].add)
+		err = feed(func(b sampleBatch) sampleBatch { shards[0].add(b.samples); return b })
 	} else {
-		ch := make(chan []profile.Sample, w) // one batch in hand per worker
+		ch := make(chan sampleBatch, w) // one batch in hand per worker
+		// emit takes one back whenever it can, so w queued, w being folded
+		// and one with the feed are all that exist: free never blocks.
+		free := make(chan sampleBatch, 2*w+1)
 		var wg sync.WaitGroup
 		for _, sh := range shards {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				for batch := range ch {
-					sh.add(batch)
+				for b := range ch {
+					sh.add(b.samples)
+					free <- b
 				}
 			}()
 		}
-		err = feed(func(batch []profile.Sample) { ch <- batch })
+		err = feed(func(b sampleBatch) (spare sampleBatch) {
+			ch <- b
+			select {
+			case spare = <-free:
+			default:
+			}
+			return spare
+		})
 		close(ch)
 		wg.Wait()
 	}
