@@ -17,7 +17,6 @@ package core
 import (
 	"fmt"
 	"sort"
-	"time"
 
 	"propeller/internal/bbaddrmap"
 	"propeller/internal/buildsys"
@@ -173,10 +172,6 @@ type Result struct {
 	Phase2 PhaseStats
 	Phase3 PhaseStats
 	Phase4 PhaseStats
-
-	// AnalyzeWall is the measured wall time of the whole-program analysis
-	// (used by the §4.7 intra-vs-inter study; modeled costs elsewhere).
-	AnalyzeWall time.Duration
 }
 
 // Cost-model constants: abstract seconds per unit of real work. Only
@@ -421,6 +416,13 @@ func listObjCacheKey(irKey string, m *ir.Module, dirs layoutfile.Directives, opt
 // the LBR sampler enabled (Phase 3's profiling half). trackMisses also
 // records the §3.5 cache-miss profile.
 func CollectProfile(bin *objfile.Binary, spec RunSpec, trackMisses bool) (*profile.Profile, *sim.Result, error) {
+	return collectProfile(bin, spec, trackMisses, nil)
+}
+
+// collectProfile is CollectProfile with the simulator's batch hand-off:
+// onBatch, when non-nil, receives the profile's samples while the run is
+// still taking them (sim.Config.OnBatch).
+func collectProfile(bin *objfile.Binary, spec RunSpec, trackMisses bool, onBatch func([]profile.Sample)) (*profile.Profile, *sim.Result, error) {
 	mach, err := sim.Load(bin)
 	if err != nil {
 		return nil, nil, err
@@ -430,6 +432,7 @@ func CollectProfile(bin *objfile.Binary, spec RunSpec, trackMisses bool) (*profi
 		LBRPeriod:       spec.lbrPeriod(),
 		Args:            spec.Args,
 		TrackLoadMisses: trackMisses,
+		OnBatch:         onBatch,
 	})
 	if err != nil {
 		return nil, nil, err
@@ -438,22 +441,56 @@ func CollectProfile(bin *objfile.Binary, spec RunSpec, trackMisses bool) (*profi
 	return res.Profile, res, nil
 }
 
-// wpaInputs decodes bin's BB address map and resolves the analyzer
-// configuration the two Phase-3 entry points share.
-func wpaInputs(bin *objfile.Binary, opts Options) (*bbaddrmap.Map, wpa.Config, error) {
+// wpaConfig resolves the analyzer configuration the Phase-3 entry points
+// share.
+func wpaConfig(bin *objfile.Binary, opts Options) (wpa.Config, error) {
 	if bin.BBAddrMap == nil {
-		return nil, wpa.Config{}, fmt.Errorf("core: binary has no BB address map; build with metadata first")
-	}
-	m, err := bbaddrmap.Decode(bin.BBAddrMap)
-	if err != nil {
-		return nil, wpa.Config{}, err
+		return wpa.Config{}, fmt.Errorf("core: binary has no BB address map; build with metadata first")
 	}
 	cfg := opts.WPA
 	cfg.InterProc = cfg.InterProc || opts.InterProc
 	if cfg.BuildID == "" {
 		cfg.BuildID = bin.BuildID
 	}
+	return cfg, nil
+}
+
+// wpaInputs is wpaConfig plus bin's decoded BB address map.
+func wpaInputs(bin *objfile.Binary, opts Options) (*bbaddrmap.Map, wpa.Config, error) {
+	cfg, err := wpaConfig(bin, opts)
+	if err != nil {
+		return nil, wpa.Config{}, err
+	}
+	m, err := bbaddrmap.Decode(bin.BBAddrMap)
+	if err != nil {
+		return nil, wpa.Config{}, err
+	}
 	return m, cfg, nil
+}
+
+// collectAndAnalyze is Phase 3 of the single-host path, CollectProfile then
+// Analyze, as a two-stage pipeline: the profiling run hands the analyzer
+// each batch of samples it has finished writing, and the analyzer decodes
+// the address map and aggregates on the other cores while the run goes on.
+// Profile, training run and analysis are those of the two calls made one
+// after the other.
+func collectAndAnalyze(bin *objfile.Binary, spec RunSpec, opts Options) (prof *profile.Profile, run *sim.Result, wres *wpa.Result, err error) {
+	cfg, err := wpaConfig(bin, opts)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	decodeMap := func() (*bbaddrmap.Map, error) { return bbaddrmap.Decode(bin.BBAddrMap) }
+	wres, err = wpa.AnalyzeDuring(decodeMap, bin.BuildID, cfg, func(add func([]profile.Sample)) (*profile.Profile, error) {
+		var err error
+		if prof, run, err = collectProfile(bin, spec, opts.SoftwarePrefetch, add); err != nil {
+			return nil, fmt.Errorf("core: profiling run failed: %w", err)
+		}
+		return prof, nil
+	})
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	return prof, run, wres, nil
 }
 
 // Analyze runs the whole-program analysis (Phase 3's WPA half).
@@ -542,26 +579,25 @@ func Optimize(p *Program, train RunSpec, opts Options) (*Result, error) {
 
 	// Phase 3. Fleet mode gathers the profile from many simulated hosts
 	// through the ingestion service and analyzes it through the streaming
-	// reader; single-host mode keeps the direct path.
+	// reader; single-host mode aggregates the profile while the training
+	// run is still producing it.
 	var prof *profile.Profile
 	var trainRun *sim.Result
 	var ingest *fleetprof.IngestStats
-	analyze := Analyze
+	var wres *wpa.Result
 	if opts.Fleet != nil {
 		var st fleetprof.IngestStats
 		if prof, trainRun, st, err = CollectFleetProfile(meta.Binary, train, *opts.Fleet, opts.SoftwarePrefetch); err != nil {
 			return nil, err
 		}
-		ingest, analyze = &st, AnalyzeStreamed
-	} else if prof, trainRun, err = CollectProfile(meta.Binary, train, opts.SoftwarePrefetch); err != nil {
-		return nil, fmt.Errorf("core: profiling run failed: %w", err)
+		ingest = &st
+		wres, err = AnalyzeStreamed(meta.Binary, prof, opts)
+	} else {
+		prof, trainRun, wres, err = collectAndAnalyze(meta.Binary, train, opts)
 	}
-	analyzeStart := time.Now()
-	wres, err := analyze(meta.Binary, prof, opts)
 	if err != nil {
 		return nil, err
 	}
-	analyzeWall := time.Since(analyzeStart)
 
 	// §3.5 extension: derive prefetch-insertion directives from the
 	// cache-miss profile, to be applied by the Phase-4 backends.
@@ -584,7 +620,6 @@ func Optimize(p *Program, train RunSpec, opts Options) (*Result, error) {
 	out := &Result{
 		Metadata:           meta,
 		Optimized:          optimized,
-		AnalyzeWall:        analyzeWall,
 		PrefetchDirectives: pfd,
 		IngestStats:        ingest,
 		Profile:            prof,

@@ -2,13 +2,15 @@ package policysearch
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 )
 
 // FuzzReadTable feeds arbitrary bytes to the -layout-table parser: it never
-// panics, and a table it accepts writes to bytes that parse back and write
-// to the same bytes again (the first write may normalize: key order, number
-// spelling, invalid UTF-8).
+// panics, and a table it accepts writes to bytes that parse back to an equal
+// table (an empty funcPolicies map is not written, and reads back as none)
+// and write to the same bytes again (the first write may normalize: key
+// order, number spelling, invalid UTF-8).
 func FuzzReadTable(f *testing.F) {
 	res, err := Search(Config{Seed: 1, Workers: 1}, fakeWorkloads())
 	if err != nil {
@@ -24,6 +26,7 @@ func FuzzReadTable(f *testing.F) {
 	f.Add([]byte(`{"version":"wsc-search-table-v1","workloads":{}}`))
 	f.Add([]byte(`{"version":"wsc-search-table-v1","workloads":{"x":{"bogus":1}}}`))
 	f.Add([]byte(`{"version":"wsc-search-table-v1","workloads":{"x":{"funcPolicies":{"f":null}}}} trailing`))
+	f.Add([]byte(`{"version":"wsc-search-table-v1","workloads":{"x":{"funcPolicies":{}},"y":{"params":{"ForwardWeight":-0}}}}` + " \n"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		table, err := ReadTable(bytes.NewReader(data))
 		if err != nil {
@@ -36,6 +39,15 @@ func FuzzReadTable(f *testing.F) {
 		again, err := ReadTable(bytes.NewReader(first.Bytes()))
 		if err != nil {
 			t.Fatalf("a written table does not parse: %v\n%s", err, first.Bytes())
+		}
+		for name, pol := range table.Workloads {
+			if len(pol.FuncPolicies) == 0 {
+				pol.FuncPolicies = nil
+				table.Workloads[name] = pol
+			}
+		}
+		if !reflect.DeepEqual(table, again) {
+			t.Fatalf("a written table reads back different:\n%+v\n%+v", table, again)
 		}
 		if err := again.WriteTable(&second); err != nil {
 			t.Fatal(err)

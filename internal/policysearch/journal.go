@@ -132,13 +132,17 @@ func (t PolicyTable) WriteTable(w io.Writer) error {
 	return enc.Encode(t)
 }
 
-// ReadTable parses and validates a -layout-table file.
+// ReadTable parses and validates a -layout-table file: one JSON value and
+// nothing but white space after it.
 func ReadTable(r io.Reader) (*PolicyTable, error) {
 	var t PolicyTable
 	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&t); err != nil {
 		return nil, fmt.Errorf("policysearch: layout table: %w", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return nil, fmt.Errorf("policysearch: layout table: trailing data after the table")
 	}
 	if t.Version != TableVersion {
 		return nil, fmt.Errorf("policysearch: layout table: version %q, want %q", t.Version, TableVersion)

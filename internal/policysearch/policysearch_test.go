@@ -5,6 +5,7 @@ import (
 	"math"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 
 	"propeller/internal/eval"
@@ -261,5 +262,18 @@ func TestPolicyTableRoundTrip(t *testing.T) {
 	}
 	if _, err := ReadTable(bytes.NewReader([]byte(`{"version":"nope","workloads":{"x":{}}}`))); err == nil {
 		t.Error("ReadTable accepted a wrong version")
+	}
+	buf.Reset()
+	if err := table.WriteTable(&buf); err != nil {
+		t.Fatal(err)
+	}
+	file := buf.String()
+	for _, tail := range []string{"x", "{}", file, " \n\t 0", "]"} {
+		if _, err := ReadTable(strings.NewReader(file + tail)); err == nil {
+			t.Errorf("ReadTable accepted a table followed by %q", tail)
+		}
+	}
+	if _, err := ReadTable(strings.NewReader(" " + file + " \r\n\t ")); err != nil {
+		t.Errorf("ReadTable rejected a table wrapped in white space: %v", err)
 	}
 }

@@ -48,6 +48,16 @@ type Config struct {
 	// non-nil error aborts the run and is returned from Run unchanged.
 	OnSample func(profile.Sample) error
 
+	// OnBatch, when non-nil (with LBRPeriod > 0 and no OnSample), is handed
+	// Result.Profile's samples while the run is still taking them: each
+	// call passes the next run of Profile.Samples, in order and without a
+	// gap, once neither those samples nor their records will be written
+	// again — every time a block of the sample arena fills, and once more
+	// for the tail before Run returns, faulted or not. The batch is a
+	// sub-slice of the retained profile, so the callee may keep it and read
+	// it from another goroutine, and must not write it.
+	OnBatch func([]profile.Sample)
+
 	// Heatmap, when non-nil, records instruction fetches.
 	Heatmap *heatmap.Recorder
 
@@ -340,18 +350,37 @@ func (m *memory) store64(addr uint64, v int64) bool {
 	return true
 }
 
-// arenaSink is the OnSample a run uses when the caller gave none: it
-// materializes the stream into Result.Profile.
+// arenaSink is where a run's samples go when the caller gave no OnSample:
+// it materializes them into Result.Profile, and hands the finished part of
+// the profile to Config.OnBatch whenever an arena block fills.
 type arenaSink struct {
-	prof  *profile.Profile
-	arena sampleArena
+	prof    *profile.Profile
+	arena   sampleArena
+	onBatch func([]profile.Sample) // may be nil
+	sent    int                    // samples of prof already handed to onBatch
 }
 
-func (s *arenaSink) add(sample profile.Sample) error {
-	recs := s.arena.alloc(len(sample.Records))
-	copy(recs, sample.Records)
+// take snapshots the ring straight into the arena as prof's next sample.
+func (s *arenaSink) take(l *lbrRing) {
+	n := l.count()
+	if !s.arena.fits(n) {
+		// The carve below abandons the current block: everything sampled
+		// so far is final.
+		s.flush()
+	}
+	recs := s.arena.alloc(n)
+	l.snapshotInto(recs)
 	s.prof.Samples = append(s.prof.Samples, profile.Sample{Records: recs})
-	return nil
+}
+
+// flush hands onBatch the samples taken since the last flush. Later appends
+// to prof.Samples write past the batch or into a new backing array, never
+// into it.
+func (s *arenaSink) flush() {
+	if n := len(s.prof.Samples); s.onBatch != nil && n > s.sent {
+		s.onBatch(s.prof.Samples[s.sent:n:n])
+		s.sent = n
+	}
 }
 
 // machine is the architectural and model state of one run: what an
@@ -432,16 +461,17 @@ func (p *Program) Run(cfg Config) (*Result, error) {
 	}
 	res := &Result{LoadMisses: m.loadMisses}
 
-	// Sampling has one site in the loop and one kind of sink: the caller's
-	// OnSample, or the arena that fills Result.Profile.
+	// Sampling has one site in the loop. A sample goes to the caller's
+	// OnSample through sampleBuf, or straight from the ring into the arena
+	// that fills Result.Profile.
 	var sampleBuf [profile.LBRDepth]profile.Branch
-	onSample := cfg.OnSample
+	var sink *arenaSink
 	nextSample := ^uint64(0) // retired count at which the next sample is due
 	if cfg.LBRPeriod > 0 {
 		nextSample = cfg.LBRPeriod - cfg.LBRPhase%cfg.LBRPeriod
-		if onSample == nil {
+		if cfg.OnSample == nil {
 			res.Profile = &profile.Profile{Period: cfg.LBRPeriod, BuildID: bin.BuildID}
-			onSample = (&arenaSink{prof: res.Profile}).add
+			sink = &arenaSink{prof: res.Profile, onBatch: cfg.OnBatch}
 		}
 	}
 
@@ -458,10 +488,14 @@ func (p *Program) Run(cfg Config) (*Result, error) {
 	for {
 		if left == 0 {
 			if limit == nextSample {
-				recs := sampleBuf[:m.lbr.count()]
-				m.lbr.snapshotInto(recs)
-				if err = onSample(profile.Sample{Records: recs}); err != nil {
-					break
+				if sink != nil {
+					sink.take(&m.lbr)
+				} else {
+					recs := sampleBuf[:m.lbr.count()]
+					m.lbr.snapshotInto(recs)
+					if err = cfg.OnSample(profile.Sample{Records: recs}); err != nil {
+						break
+					}
 				}
 				if nextSample += cfg.LBRPeriod; nextSample < cfg.LBRPeriod {
 					nextSample = ^uint64(0)
@@ -489,7 +523,10 @@ func (p *Program) Run(cfg Config) (*Result, error) {
 	}
 
 	// Every exit comes through here: cycles, counters and memory are
-	// recorded for a faulted run too.
+	// recorded for a faulted run too, and its last samples are handed on.
+	if sink != nil {
+		sink.flush()
+	}
 	res.Exit = m.exit
 	res.Insts = limit - left
 	res.Cycles = res.Insts
@@ -782,8 +819,11 @@ type sampleArena struct {
 	block []profile.Branch
 }
 
+// fits reports whether alloc(n) would carve from the current block.
+func (a *sampleArena) fits(n int) bool { return len(a.block)+n <= cap(a.block) }
+
 func (a *sampleArena) alloc(n int) []profile.Branch {
-	if len(a.block)+n > cap(a.block) {
+	if !a.fits(n) {
 		size := min(max(2*cap(a.block), sampleArenaMinRecords), sampleArenaMaxRecords)
 		a.block = make([]profile.Branch, 0, size)
 	}

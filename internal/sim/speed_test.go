@@ -121,6 +121,75 @@ func TestStreamingMatchesMaterialized(t *testing.T) {
 	}
 }
 
+// TestBatchesTileTheProfile: the OnBatch calls of a run, laid end to end,
+// are Result.Profile.Samples — the same records in the same memory, none
+// missing and none twice — whether the run halts or faults part-way, and
+// the profile is the one a run without the callback returns. A second
+// goroutine reads every batch while the run goes on, which under -race
+// shows that nothing handed over is written again.
+func TestBatchesTileTheProfile(t *testing.T) {
+	bin := build(t, testprog.SumLoop(300_000), false)
+	p, err := Load(bin)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, maxInsts := range []uint64{0, 700_001} {
+		cfg := Config{LBRPeriod: 97, LBRPhase: 5, MaxInsts: maxInsts}
+		plain, plainErr := p.Run(cfg)
+
+		var batches [][]profile.Sample
+		handed := make(chan []profile.Sample, 1)
+		records := make(chan int)
+		go func() {
+			n := 0
+			for b := range handed {
+				for _, s := range b {
+					for _, r := range s.Records {
+						if r.From != 0 {
+							n++
+						}
+					}
+				}
+			}
+			records <- n
+		}()
+		cfg.OnBatch = func(b []profile.Sample) {
+			if len(b) == 0 || len(b) != cap(b) {
+				t.Errorf("batch of %d samples with capacity %d; want a non-empty, capacity-clamped slice", len(b), cap(b))
+			}
+			batches = append(batches, b)
+			handed <- b
+		}
+		res, err := p.Run(cfg)
+		close(handed)
+		if (err == nil) != (plainErr == nil) || (maxInsts != 0) != (err != nil) {
+			t.Fatalf("budget %d: run returned %v, without the callback %v", maxInsts, err, plainErr)
+		}
+		if got, want := res.Profile.AppendWire(nil), plain.Profile.AppendWire(nil); !bytes.Equal(got, want) {
+			t.Errorf("budget %d: the callback changed the profile", maxInsts)
+		}
+		at, want := 0, 0
+		for _, b := range batches {
+			for i := range b {
+				if at == len(res.Profile.Samples) {
+					t.Fatalf("budget %d: batches hold more than the profile's %d samples", maxInsts, at)
+				}
+				s := res.Profile.Samples[at]
+				if len(b[i].Records) != len(s.Records) || &b[i].Records[0] != &s.Records[0] {
+					t.Fatalf("budget %d: batched sample %d is not the profile's", maxInsts, at)
+				}
+				at, want = at+1, want+len(s.Records)
+			}
+		}
+		if at != len(res.Profile.Samples) || len(batches) < 4 {
+			t.Errorf("budget %d: %d batches cover %d of %d samples", maxInsts, len(batches), at, len(res.Profile.Samples))
+		}
+		if got := <-records; got != want {
+			t.Errorf("budget %d: the reader saw %d records, the profile has %d", maxInsts, got, want)
+		}
+	}
+}
+
 // TestStreamingSampleErrorAborts: a callback error must stop the run
 // and surface unchanged.
 func TestStreamingSampleErrorAborts(t *testing.T) {

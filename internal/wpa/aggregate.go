@@ -193,21 +193,26 @@ func BuildAggregate(m *bbaddrmap.Map, prof *profile.Profile, cfg Config) (*Aggre
 	if err := checkMap(m); err != nil {
 		return nil, err
 	}
-	return cfg.buildAggregate(bbaddrmap.NewLookup(m), prof)
+	return cfg.buildAggregate(bbaddrmap.NewLookup(m), prof), nil
 }
 
 // buildAggregate is BuildAggregate over an already-built lookup and an
 // already-checked profile.
-func (c Config) buildAggregate(lk *bbaddrmap.Lookup, prof *profile.Profile) (*Aggregate, error) {
+func (c Config) buildAggregate(lk *bbaddrmap.Lookup, prof *profile.Profile) *Aggregate {
 	samples := prof.Samples
 	w := max(1, min(c.workers(), len(samples)))
-	chunk := (len(samples) + w - 1) / w
-	return aggregate(lk, w, prof.SizeBytes(), func(emit func(sampleBatch) sampleBatch) error {
-		for lo := 0; lo < len(samples); lo += chunk {
-			emit(sampleBatch{samples: samples[lo:min(lo+chunk, len(samples))]})
-		}
-		return nil
-	})
+	ag := newAggregator(w, func() *bbaddrmap.Lookup { return lk })
+	inBatches(samples, (len(samples)+w-1)/w, ag.Add)
+	agg := ag.Finish()
+	agg.profileBytes = prof.SizeBytes()
+	return agg
+}
+
+// inBatches hands add the samples n at a time, in order.
+func inBatches(samples []profile.Sample, n int, add func([]profile.Sample)) {
+	for ; len(samples) > 0; samples = samples[min(n, len(samples)):] {
+		add(samples[:min(n, len(samples))])
+	}
 }
 
 // streamSampleBytes is the profile residency of a streamed aggregation
@@ -222,103 +227,140 @@ func buildAggregateStream(m *bbaddrmap.Map, r io.Reader, cfg Config) (*Aggregate
 	if err := checkMap(m); err != nil {
 		return nil, err
 	}
-	// streamBatch samples per emit amortizes the hand-off; their records
-	// share one flat block (each sample a capacity-clamped subslice).
-	const streamBatch = 512
-	return aggregate(bbaddrmap.NewLookup(m), cfg.workers(), streamSampleBytes, func(emit func(sampleBatch) sampleBatch) error {
-		d, err := profile.NewDecoder(r)
-		// The header check runs before any sample is decoded, so a
-		// build-ID-mismatched profile is rejected without paying for its body.
-		if err == nil {
-			err = cfg.checkBuildID(d.Header.BuildID)
-		}
-		var b sampleBatch
-		for err == nil {
-			if b.samples == nil {
-				b = sampleBatch{make([]profile.Sample, 0, streamBatch), make([]profile.Branch, 0, streamBatch*profile.LBRDepth)}
-			}
-			l := len(b.recs)
-			if b.recs, err = d.Next(b.recs); err != nil {
-				break
-			}
-			b.samples = append(b.samples, profile.Sample{Records: b.recs[l:len(b.recs):len(b.recs)]})
-			if len(b.samples) == streamBatch {
-				b = emit(b)
-				b.samples, b.recs = b.samples[:0], b.recs[:0]
-			}
-		}
-		if err != io.EOF {
-			return fmt.Errorf("wpa: streaming profile: %w", err)
-		}
-		emit(b)
-		return nil
-	})
+	lk := bbaddrmap.NewLookup(m)
+	ag := newAggregator(cfg.workers(), func() *bbaddrmap.Lookup { return lk })
+	err := cfg.decodeInto(ag, r)
+	agg := ag.Finish() // also after a failed decode: it stops the shards
+	if err != nil {
+		return nil, err
+	}
+	agg.profileBytes = streamSampleBytes
+	return agg, nil
 }
 
-// sampleBatch is what a feed hands the shards: samples and, when the feed
-// decoded them itself, the block their records live in, to be refilled.
+// decodeInto feeds ag the samples of the serialized profile r.
+func (c Config) decodeInto(ag *Aggregator, r io.Reader) error {
+	// streamBatch samples per hand-off amortizes it; their records share one
+	// flat block (each sample a capacity-clamped subslice).
+	const streamBatch = 512
+	d, err := profile.NewDecoder(r)
+	// The header check runs before any sample is decoded, so a
+	// build-ID-mismatched profile is rejected without paying for its body.
+	if err == nil {
+		err = c.checkBuildID(d.Header.BuildID)
+	}
+	var b sampleBatch
+	for err == nil {
+		if b.samples == nil {
+			b = sampleBatch{make([]profile.Sample, 0, streamBatch), make([]profile.Branch, 0, streamBatch*profile.LBRDepth)}
+		}
+		l := len(b.recs)
+		if b.recs, err = d.Next(b.recs); err != nil {
+			break
+		}
+		b.samples = append(b.samples, profile.Sample{Records: b.recs[l:len(b.recs):len(b.recs)]})
+		if len(b.samples) == streamBatch {
+			b = ag.add(b)
+			b.samples, b.recs = b.samples[:0], b.recs[:0]
+		}
+	}
+	if err != io.EOF {
+		return fmt.Errorf("wpa: streaming profile: %w", err)
+	}
+	ag.add(b)
+	return nil
+}
+
+// sampleBatch is what the shards fold: samples and, when the feed decoded
+// them itself, the block their records live in, to be refilled.
 type sampleBatch struct {
 	samples []profile.Sample
 	recs    []profile.Branch
 }
 
-// aggregate folds the sample batches feed emits into one Aggregate over
-// w private shards. emit returns a batch the feed may refill (the zero
-// batch when none has been folded yet): with w == 1 the one it was given;
-// otherwise that one crosses to a worker goroutine and the feed must not
-// touch it until an emit hands it back. Every contribution is a commutative
-// uint64 sum, so the merged result does not depend on which shard took
-// which batch. Beyond the result it allocates per shard, not per sample.
-func aggregate(lk *bbaddrmap.Lookup, w int, profileBytes int64, feed func(emit func(sampleBatch) sampleBatch) error) (*Aggregate, error) {
-	shards := make([]*shard, w)
-	for i := range shards {
-		shards[i] = &shard{walker: newRecordWalker(lk), count: make([]uint64, len(lk.Blocks()))}
-	}
-	aggStart := time.Now()
-	var err error
+// Aggregator folds batches of samples into one Aggregate as they arrive,
+// over private shards: Add any number of batches, then Finish, from one
+// goroutine. Every contribution is a commutative uint64 sum, so the result
+// does not depend on how the samples were cut into batches or on which
+// shard took which batch. With more than one shard the batches are folded
+// on worker goroutines, which Finish stops: every Aggregator must be
+// finished, its result wanted or not. Beyond the result it allocates per
+// shard, not per sample.
+type Aggregator struct {
+	lookup func() *bbaddrmap.Lookup
+	shards []*shard
+	ch     chan sampleBatch // nil on the serial path
+	free   chan sampleBatch // folded batches whose record block can be refilled
+	wg     sync.WaitGroup
+}
+
+// newAggregator starts an aggregation over w shards. lookup builds the
+// block table the shards count into; it is called once, on the first worker
+// (w == 1: here), so a feed that is already running does not wait for it.
+func newAggregator(w int, lookup func() *bbaddrmap.Lookup) *Aggregator {
+	a := &Aggregator{lookup: sync.OnceValue(lookup), shards: make([]*shard, w)}
 	if w == 1 {
-		err = feed(func(b sampleBatch) sampleBatch { shards[0].add(b.samples); return b })
-	} else {
-		ch := make(chan sampleBatch, w) // one batch in hand per worker
-		// emit takes one back whenever it can, so w queued, w being folded
-		// and one with the feed are all that exist: free never blocks.
-		free := make(chan sampleBatch, 2*w+1)
-		var wg sync.WaitGroup
-		for _, sh := range shards {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for b := range ch {
-					sh.add(b.samples)
-					free <- b
+		a.shards[0] = newShard(a.lookup())
+		return a
+	}
+	a.ch = make(chan sampleBatch, w) // one batch in hand per worker
+	// add takes a refillable batch back whenever it can, so w queued, w being
+	// folded and one with the feed are all that exist: free never blocks.
+	a.free = make(chan sampleBatch, 2*w+1)
+	for i := range a.shards {
+		a.wg.Add(1)
+		go func() {
+			defer a.wg.Done()
+			sh := newShard(a.lookup())
+			a.shards[i] = sh
+			for b := range a.ch {
+				sh.fold(b.samples)
+				if b.recs != nil {
+					a.free <- b
 				}
-			}()
-		}
-		err = feed(func(b sampleBatch) (spare sampleBatch) {
-			ch <- b
-			select {
-			case spare = <-free:
-			default:
 			}
-			return spare
-		})
-		close(ch)
-		wg.Wait()
+		}()
 	}
-	if err != nil {
-		return nil, err
+	return a
+}
+
+// add hands b to a shard and returns a batch the feed may refill (the zero
+// batch when none has been folded yet): on the serial path b itself;
+// otherwise b crosses to a worker goroutine — add blocks only while w
+// batches are already queued — and the feed must not write it again unless
+// a later add hands it back.
+func (a *Aggregator) add(b sampleBatch) (spare sampleBatch) {
+	if a.ch == nil {
+		a.shards[0].fold(b.samples)
+		return b
 	}
-	aggWall := time.Since(aggStart)
+	a.ch <- b
+	select {
+	case spare = <-a.free:
+	default:
+	}
+	return spare
+}
+
+// Add folds batch, which must stay unwritten until Finish returns.
+func (a *Aggregator) Add(batch []profile.Sample) { a.add(sampleBatch{samples: batch}) }
+
+// Finish waits for the batches still queued, merges the shards and returns
+// the Aggregate of everything added.
+func (a *Aggregator) Finish() *Aggregate {
+	if a.ch != nil {
+		close(a.ch)
+		a.wg.Wait()
+	}
 	mergeStart := time.Now()
-	for _, sh := range shards[1:] {
-		shards[0].merge(sh)
+	sum, busy := a.shards[0], a.shards[0].busy
+	for _, sh := range a.shards[1:] {
+		busy = max(busy, sh.busy)
+		sum.merge(sh)
 	}
-	agg := shards[0].aggregate(lk)
-	agg.aggregateWall = aggWall
-	agg.mergeWall = time.Since(mergeStart)
-	agg.workers = w
-	agg.profileBytes = profileBytes
-	return agg, nil
+	agg := sum.aggregate(a.lookup())
+	agg.aggregateWall, agg.mergeWall, agg.workers = busy, time.Since(mergeStart), len(a.shards)
+	return agg
 }
 
 // shard folds samples into private dense counters, so one aggregation
@@ -331,6 +373,19 @@ type shard struct {
 	calls  pairCounts // (call-site row, callee entry row)
 
 	samples, records, branchEdges, callEdgeN int
+
+	busy time.Duration // spent in fold
+}
+
+func newShard(lk *bbaddrmap.Lookup) *shard {
+	return &shard{walker: newRecordWalker(lk), count: make([]uint64, len(lk.Blocks()))}
+}
+
+// fold is add on the shard's clock.
+func (sh *shard) fold(batch []profile.Sample) {
+	start := time.Now()
+	sh.add(batch)
+	sh.busy += time.Since(start)
 }
 
 // add folds one batch of LBR samples into the shard's counters. The four

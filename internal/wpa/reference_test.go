@@ -176,7 +176,8 @@ func referencePaths(m *bbaddrmap.Map, prof *profile.Profile, opts PathOptions) m
 
 // checkAgainstReference holds the kernel to the reference on one map and
 // profile: the aggregate by EncodeAggregate bytes (the four event counters
-// are in them) at several worker counts, in memory and streamed, and the
+// are in them) at several worker counts, in memory, streamed and added
+// incrementally in batches of 1, 7, 2 048 and all samples, and the
 // reconstructed paths — every path seen, MinCount 1 and no per-function
 // cap — by their counts.
 func checkAgainstReference(m *bbaddrmap.Map, prof *profile.Profile, workers []int) error {
@@ -188,6 +189,7 @@ func checkAgainstReference(m *bbaddrmap.Map, prof *profile.Profile, workers []in
 	want.profileBytes = streamSampleBytes
 	wantStream := EncodeAggregate(want)
 	wire := prof.AppendWire(nil)
+	lk := bbaddrmap.NewLookup(m)
 	for _, w := range workers {
 		cfg := Config{Workers: w}
 		got, err := BuildAggregate(m, prof, cfg)
@@ -202,6 +204,15 @@ func checkAgainstReference(m *bbaddrmap.Map, prof *profile.Profile, workers []in
 		}
 		if !bytes.Equal(EncodeAggregate(got), wantStream) {
 			return fmt.Errorf("workers %d: streamed aggregate differs from the reference\ngot  %s\nwant %s", w, describe(got), describe(want))
+		}
+		for _, batch := range []int{1, 7, 2048, max(1, len(prof.Samples))} {
+			ag := newAggregator(w, func() *bbaddrmap.Lookup { return lk })
+			inBatches(prof.Samples, batch, ag.Add)
+			got = ag.Finish()
+			got.profileBytes = prof.SizeBytes()
+			if !bytes.Equal(EncodeAggregate(got), wantMem) {
+				return fmt.Errorf("workers %d: aggregate added in batches of %d differs from the reference\ngot  %s\nwant %s", w, batch, describe(got), describe(want))
+			}
 		}
 	}
 	all := PathOptions{MinCount: 1, MaxPerFunc: 1 << 30}
@@ -343,9 +354,7 @@ func TestBuildAggregateAllocs(t *testing.T) {
 		small.Samples...), small.Samples...), small.Samples...), small.Samples...)}
 	allocs := func(prof *profile.Profile, w int) float64 {
 		return testing.AllocsPerRun(5, func() {
-			if _, err := (Config{Workers: w}).buildAggregate(lk, prof); err != nil {
-				t.Fatal(err)
-			}
+			(Config{Workers: w}).buildAggregate(lk, prof)
 		})
 	}
 	s1, l1, l2 := allocs(small, 1), allocs(large, 1), allocs(large, 2)

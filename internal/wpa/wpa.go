@@ -235,10 +235,13 @@ type Stats struct {
 	LayoutShardNodes []int
 
 	// Per-phase wall-time breakdown (the Table-4 analysis-time axis):
-	// AggregateWall covers sample aggregation (sharded when Workers > 1),
-	// MergeWall the deterministic shard merge (nothing to merge on the
-	// serial path), and LayoutWall the Ext-TSP layout step alone — the
-	// quantity the §4.7 intra-vs-inter 3-10x comparison is about.
+	// AggregateWall covers sample aggregation (sharded when Workers > 1) as
+	// the busiest shard's time spent folding — its critical path, and none
+	// of the time a shard waited for a feed that decodes, or is still
+	// sampling, the next batch; MergeWall the deterministic shard merge
+	// (nothing to merge on the serial path), and LayoutWall the Ext-TSP
+	// layout step alone — the quantity the §4.7 intra-vs-inter 3-10x
+	// comparison is about.
 	AggregateWall time.Duration
 	MergeWall     time.Duration
 	LayoutWall    time.Duration
@@ -537,7 +540,78 @@ func Analyze(m *bbaddrmap.Map, prof *profile.Profile, cfg Config) (*Result, erro
 		// any cache lookup.
 		cfg.HotPaths = reconstructPaths(lookup(), prof, PathOptions{})
 	}
-	return cfg.analyze(m, func() (*Aggregate, error) { return cfg.buildAggregate(lookup(), prof) })
+	return cfg.analyze(m, func() (*Aggregate, error) { return cfg.buildAggregate(lookup(), prof), nil })
+}
+
+// AnalyzeDuring is Analyze over a profile that is still being collected.
+// run makes the profiling run of the binary whose build ID is buildID,
+// passing add each batch of the profile's samples once that batch will not
+// be written again, and returns the complete profile; the batches are
+// aggregated on the analysis workers while run is still sampling, so when
+// it returns only its last batch, the shard merge and the layout remain.
+// loadMap decodes the binary's BB address map; with more than one worker it
+// too runs beside the start of the profiling run.
+//
+// The result is the one Analyze returns for the same profile, bit for bit.
+// A configured incremental cache is consulted first, and on a warm epoch
+// aggregate run is called with a nil add: the profiling run goes ahead
+// alone. Paths for path cloning are reconstructed from the complete profile
+// once run has returned. An error from run is returned as it is, after the
+// workers have stopped.
+func AnalyzeDuring(loadMap func() (*bbaddrmap.Map, error), buildID string, cfg Config, run func(add func([]profile.Sample)) (*profile.Profile, error)) (*Result, error) {
+	if err := cfg.checkBuildID(buildID); err != nil {
+		return nil, err
+	}
+	checkedMap := sync.OnceValues(func() (*bbaddrmap.Map, error) {
+		m, err := loadMap()
+		if err == nil {
+			err = checkMap(m)
+		}
+		return m, err
+	})
+	lookup := sync.OnceValue(func() *bbaddrmap.Lookup {
+		m, err := checkedMap()
+		if err != nil {
+			// Nothing resolves against an empty table, so the shards fold
+			// the run's batches into nothing; the error is reported below.
+			m = &bbaddrmap.Map{}
+		}
+		return bbaddrmap.NewLookup(m)
+	})
+	var prof *profile.Profile
+	agg, hit, err := cfg.loadAggregate(func() (*Aggregate, error) {
+		ag := newAggregator(cfg.workers(), lookup)
+		var err error
+		prof, err = run(ag.Add)
+		agg := ag.Finish() // also after a failed run: it stops the shards
+		if err != nil {
+			return nil, err
+		}
+		if _, err := checkedMap(); err != nil {
+			return nil, err
+		}
+		agg.profileBytes = prof.SizeBytes()
+		return agg, nil
+	})
+	if err == nil && hit {
+		prof, err = run(nil)
+	}
+	if err != nil {
+		return nil, err
+	}
+	m, err := checkedMap()
+	if err != nil {
+		return nil, err
+	}
+	if cfg.needsPaths() && cfg.HotPaths == nil {
+		cfg.HotPaths = reconstructPaths(lookup(), prof, PathOptions{})
+	}
+	res, err := AnalyzeAggregate(m, agg, cfg)
+	if err != nil {
+		return nil, err
+	}
+	res.Stats.AggregateCacheHit = hit
+	return res, nil
 }
 
 // AnalyzeStream runs the whole-program analysis over a serialized profile
