@@ -287,11 +287,15 @@ type state struct {
 	epoch int64
 	nbBuf []int // reused neighbor id buffer (invalidated by next call)
 
-	// price's scratch, reused across bestMerge calls. A state is confined
-	// to one goroutine (FormChains builds one per shard).
-	cross  []crossEdge
-	diff   []float64
-	approx []float64
+	// sc is the price scratch of the goroutine that owns st. Only that
+	// goroutine ever writes a state (FormChains builds one per shard);
+	// pool helpers scoring one of its batches bring their own scratch.
+	sc priceScratch
+	// pool, when non-nil, is LayoutParallel's helper pool and batch the
+	// hand-off runHeap offers it, reused from merge to merge
+	// (parallel.go). Layout leaves both nil and allocates for neither.
+	pool  *pool
+	batch *batch
 
 	// pr is opts.Params resolved against the paper defaults, so scoring
 	// never consults package-level state.
@@ -477,6 +481,15 @@ type crossEdge struct {
 	fromX  bool  // x -> y; false is y -> x
 }
 
+// priceScratch holds price's buffers, reused across bestMerge calls. It is
+// the only thing bestMerge writes, so goroutines that each hold their own
+// can score pairs of one state at once while nothing mutates the state.
+type priceScratch struct {
+	cross  []crossEdge
+	diff   []float64
+	approx []float64
+}
+
 // The candidates of a pair are explored in the order X·Y, Y·X, then the
 // splits before x's nodes 1, 2, … (only while x is at most MaxSplitChain
 // long); the first of equal gains wins, so the order is part of the
@@ -527,8 +540,9 @@ func legal(k int, xFirst, yFirst bool) bool {
 // magnitudes bounded through the chains' scores and the visited weights,
 // that is below n·2⁻⁵³·(2(x.score+y.score) + 7·maxW·Σw); eps is over four
 // times that, room for its own rounding (DESIGN.md item 10 has the
-// derivation).
-func (st *state) price(x, y *chain, xFirst, yFirst bool) (approx []float64, eps float64) {
+// derivation). The returned slice is sc's and is overwritten by the next
+// call with sc.
+func (st *state) price(sc *priceScratch, x, y *chain, xFirst, yFirst bool) (approx []float64, eps float64) {
 	nx := len(x.nodes)
 	cands := 2
 	if nx <= st.opts.maxSplit() {
@@ -540,13 +554,13 @@ func (st *state) price(x, y *chain, xFirst, yFirst bool) (approx []float64, eps 
 	// under split i.
 	var diff []float64
 	if splits {
-		if cap(st.diff) <= nx {
-			st.diff = make([]float64, 2*(nx+1))
+		if cap(sc.diff) <= nx {
+			sc.diff = make([]float64, 2*(nx+1))
 		}
-		diff = st.diff[:nx+1]
+		diff = sc.diff[:nx+1]
 		clear(diff)
 	}
-	cross := st.cross[:0]
+	cross := sc.cross[:0]
 	var wsum float64
 	for i, u := range x.nodes {
 		uEnd := st.off[u] + st.g.Nodes[u].Size
@@ -592,7 +606,7 @@ func (st *state) price(x, y *chain, xFirst, yFirst bool) (approx []float64, eps 
 		diff[nx] = 0 // X·Y separates nothing; drop the summation residue
 	}
 
-	approx = st.approx[:0]
+	approx = sc.approx[:0]
 	for k := 0; k < cands; k++ {
 		var a float64
 		if legal(k, xFirst, yFirst) {
@@ -615,7 +629,7 @@ func (st *state) price(x, y *chain, xFirst, yFirst bool) (approx []float64, eps 
 		}
 		approx = append(approx, a)
 	}
-	st.cross, st.approx = cross, approx
+	sc.cross, sc.approx = cross, approx
 
 	n := x.deg + y.deg + 2*nx + 8
 	eps = 16 * float64(n) * 0x1p-53 * (x.score + y.score + 2*st.maxW*wsum)
@@ -637,10 +651,10 @@ func (st *state) price(x, y *chain, xFirst, yFirst bool) (approx []float64, eps 
 // materialised candidate would have produced. (The price cannot rule a
 // pair out on its own: X·Y and Y·X only add jumps, so top is never
 // negative, and a real gain of 0 can fold to either sign.)
-func (st *state) bestMerge(x, y *chain) (mergeCandidate, bool) {
+func (st *state) bestMerge(sc *priceScratch, x, y *chain) (mergeCandidate, bool) {
 	best := mergeCandidate{gain: -1, x: x.id, y: y.id, xGen: x.gen, yGen: y.gen}
 	xFirst, yFirst := st.legalFirsts(x, y)
-	approx, eps := st.price(x, y, xFirst, yFirst)
+	approx, eps := st.price(sc, x, y, xFirst, yFirst)
 	top := math.Inf(-1)
 	for k, a := range approx {
 		if legal(k, xFirst, yFirst) && a > top {
@@ -703,7 +717,7 @@ func (st *state) runNaive() {
 				if y.dead {
 					continue
 				}
-				if c, ok := st.bestMerge(x, y); ok && (!found || c.gain > best.gain) {
+				if c, ok := st.bestMerge(&st.sc, x, y); ok && (!found || c.gain > best.gain) {
 					best = c
 					found = true
 				}
@@ -771,24 +785,30 @@ func (h *candidateHeap) pop() mergeCandidate {
 	return top
 }
 
+// rescore is bestMerge for chain x and its neighbour nb, with the pair in
+// (lower id, higher id) order so the cached candidate is the same one the
+// naive rescan evaluates.
+func (st *state) rescore(sc *priceScratch, x, nb *chain) (mergeCandidate, bool) {
+	if nb.dead {
+		return mergeCandidate{}, false
+	}
+	if nb.id < x.id {
+		return st.bestMerge(sc, nb, x)
+	}
+	return st.bestMerge(sc, x, nb)
+}
+
 // runHeap retrieves the most profitable merge from a priority queue,
 // re-seeding candidates only for the chains a merge touched.
 func (st *state) runHeap() {
 	var h candidateHeap
-	push := func(x, y *chain) {
-		if c, ok := st.bestMerge(x, y); ok {
-			h.push(c)
-		}
-	}
 	for _, x := range st.chains {
 		if x.dead {
 			continue
 		}
-		for _, yid := range st.neighbors(x) {
-			if yid > x.id {
-				push(x, st.chains[yid])
-			}
-		}
+		// Each unordered pair once, from its lower id.
+		nbs := st.neighbors(x)
+		st.pushMerges(&h, x, nbs[sort.SearchInts(nbs, x.id):])
 	}
 	for len(h) > 0 {
 		c := h.pop()
@@ -797,18 +817,27 @@ func (st *state) runHeap() {
 			continue // stale entry
 		}
 		st.applyMerge(c)
-		for _, nid := range st.neighbors(x) {
-			nb := st.chains[nid]
-			if nb.dead {
-				continue
+		st.pushMerges(&h, x, st.neighbors(x))
+	}
+}
+
+// pushMerges scores x against each of its neighbours nbs and pushes the
+// profitable candidates in nbs order. Nothing writes the state between
+// one applyMerge and the next, so under a pool a large enough batch is
+// shared with its idle helpers (scoreBatch); the heap receives the same
+// candidates in the same order either way.
+func (st *state) pushMerges(h *candidateHeap, x *chain, nbs []int) {
+	if st.pool != nil && st.batchWork(x, nbs) >= st.pool.minWork {
+		for _, c := range st.scoreBatch(x, nbs) {
+			if c.gain > 0 {
+				h.push(c)
 			}
-			// Keep pairs in (lower id, higher id) order so the cached
-			// candidate is the same one the naive rescan evaluates.
-			if nb.id < x.id {
-				push(nb, x)
-			} else {
-				push(x, nb)
-			}
+		}
+		return
+	}
+	for _, nid := range nbs {
+		if c, ok := st.rescore(&st.sc, x, st.chains[nid]); ok {
+			h.push(c)
 		}
 	}
 }

@@ -40,7 +40,7 @@ func lockstep(t *testing.T, g *Graph, opts Options) int {
 				calls++
 
 				xFirst, yFirst := st.legalFirsts(x, y)
-				approx, eps := st.price(x, y, xFirst, yFirst)
+				approx, eps := st.price(&st.sc, x, y, xFirst, yFirst)
 				approx = append([]float64(nil), approx...) // price's scratch is reused
 				want := 2
 				if len(x.nodes) <= opts.maxSplit() {
@@ -60,7 +60,7 @@ func lockstep(t *testing.T, g *Graph, opts Options) int {
 					}
 				}
 
-				c, ok := st.bestMerge(x, y)
+				c, ok := st.bestMerge(&st.sc, x, y)
 				rc, rok := ref.bestMerge(ref.chains[x.id], ref.chains[yid])
 				if ok != rok {
 					t.Fatalf("pair (%d,%d): production ok=%v gain=%v, reference ok=%v gain=%v", x.id, y.id, ok, c.gain, rok, rc.gain)
@@ -250,5 +250,23 @@ func TestLayoutAllocs(t *testing.T) {
 	// buffers grow by doubling.
 	if ceiling := float64(64 + 2*n); allocs > ceiling {
 		t.Errorf("Layout of %d nodes made %.0f allocations, want <= %.0f", n, allocs, ceiling)
+	}
+}
+
+// TestLayoutSerialAllocs pins what one per-function Layout call allocates
+// — the path of every intra-procedural workload, thousands of calls per
+// relink. The pool of LayoutParallel must add nothing to it: no batch, no
+// channel, no goroutine.
+func TestLayoutSerialAllocs(t *testing.T) {
+	g := fuzzGraph(rand.New(rand.NewSource(64)), 64)
+	opts := Options{ForcedFirst: 0, UseHeap: true}
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, err := Layout(g, opts); err != nil {
+			t.Fatal(err)
+		}
+	})
+	const want = 96 // the count before the pool existed
+	if allocs != want {
+		t.Errorf("Layout of a 64-node graph made %.0f allocations, want %d", allocs, want)
 	}
 }

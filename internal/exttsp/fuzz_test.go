@@ -55,18 +55,46 @@ func graphFromBytes(data []byte) (*Graph, Options) {
 	return g, opts
 }
 
-// FuzzHeapNaiveEquivalence is a three-way equivalence on any decoded
+// hubSeed is a fuzz input whose graph is one component around a few hubs:
+// every other node has an edge to or from a hub, so a merge into a hub's
+// chain re-scores dozens of neighbours — batches with many claims per
+// participant, which a sparse random input rarely decodes to.
+func hubSeed(first byte, hubs int) []byte {
+	data := []byte{first, 1, 0}
+	g, _ := graphFromBytes(data)
+	n := len(g.Nodes)
+	for i := 0; i < n; i++ {
+		data = append(data, byte(8+i%40), byte(i))
+	}
+	for i := 1; i < n; i++ {
+		src, dst := i, i%hubs // a hub hangs off the hub before it
+		if i < hubs {
+			dst = i - 1
+		}
+		if i%3 == 0 {
+			src, dst = dst, src
+		}
+		data = append(data, byte(src>>8), byte(src), byte(dst>>8), byte(dst), byte(1+i%7), byte(i%2), 0, 0)
+	}
+	return data
+}
+
+// FuzzHeapNaiveEquivalence is a four-way equivalence on any decoded
 // graph. The heap-based logarithmic retrieval and the naive quadratic
 // rescan must produce identical layouts — the §4.7 speedup must be purely
-// about retrieval cost, never about which merge wins. And both must equal
+// about retrieval cost, never about which merge wins. Both must equal
 // the reference that materialises and rescans every candidate: the two
 // retrievals share one bestMerge, so only the reference can see it pick a
-// different merge than scoring the built orders would.
+// different merge than scoring the built orders would. And the heap run
+// whose every re-scoring batch is shared with LayoutParallel's pool must
+// place every node where the serial heap run does.
 func FuzzHeapNaiveEquivalence(f *testing.F) {
 	f.Add([]byte{8, 0, 0, 10, 5, 20, 9, 30, 1, 40, 7, 0, 1, 50, 1, 2, 40, 2, 3, 30})
 	f.Add([]byte{3, 3, 0x12, 0, 1, 0, 1, 0, 1, 0, 0, 0, 1, 9, 0, 0, 0, 0, 1, 0, 2, 9, 0, 0, 0})
 	f.Add([]byte{64, 6, 0x23, 255, 255, 0, 0, 128, 3, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9})
 	f.Add([]byte{230, 1, 0x30, 0, 0, 0, 1, 0, 2, 0xff, 0xff, 0xff, 0xff, 0, 2, 0, 1, 1, 0, 0, 0})
+	f.Add(hubSeed(60, 1))
+	f.Add(hubSeed(228, 3))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		g, opts := graphFromBytes(data)
 		if g == nil {
@@ -88,6 +116,14 @@ func FuzzHeapNaiveEquivalence(f *testing.F) {
 		if ref := untunedLayout(g, opts); !reflect.DeepEqual(oh, ref) {
 			t.Fatalf("layout diverged from the materialising reference (n=%d opts=%+v)\n got %v\nwant %v",
 				len(g.Nodes), opts, oh, ref)
+		}
+		op, err := layoutParallelMinWork(g, opts, 3, 0)
+		if err != nil {
+			t.Fatalf("pooled layout: %v", err)
+		}
+		if !reflect.DeepEqual(oh, op) {
+			t.Fatalf("pooled re-scoring diverged from the serial heap run (n=%d opts=%+v)\nheap   %v\npooled %v",
+				len(g.Nodes), opts, oh, op)
 		}
 		scratch := &Scratch{}
 		if sn, sh := ScoreWith(g, on, opts.Params, scratch), ScoreWith(g, oh, opts.Params, scratch); sn != sh {

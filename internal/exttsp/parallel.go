@@ -8,6 +8,13 @@
 // component in parallel shards and the shard chain-sets can be merged by
 // re-seeding the ordinary retrieval over the pre-built chains: the final
 // layout is identical to the single serial run, at every worker count.
+//
+// Components alone leave a warehouse-scale layout on one core — the hot
+// graph of a real binary is one giant component plus crumbs — so the
+// worker count is cores for the layout, not components in flight: inside
+// a component, the re-scoring that follows every merge is a batch of
+// independent bestMerge calls over a frozen state, and LayoutParallel's
+// pool lets idle workers take part of it (batch, scoreBatch).
 package exttsp
 
 import (
@@ -81,6 +88,11 @@ func Components(g *Graph) [][]int {
 // subgraph preserves every candidate gain and, because the local
 // re-indexing is order-preserving, every id tie-break.
 func FormChains(g *Graph, opts Options, nodes []int) ([]Chain, error) {
+	return formChains(g, opts, nodes, nil)
+}
+
+// formChains is FormChains whose merge state may borrow p's idle helpers.
+func formChains(g *Graph, opts Options, nodes []int, p *pool) ([]Chain, error) {
 	local := &Graph{Nodes: make([]Node, len(nodes))}
 	index := make(map[int]int, len(nodes))
 	for i, n := range nodes {
@@ -108,6 +120,7 @@ func FormChains(g *Graph, opts Options, nodes []int) ([]Chain, error) {
 		}
 	}
 	st := newState(local, lopts)
+	st.pool = p
 	st.run()
 	var out []Chain
 	for _, c := range st.chains {
@@ -144,6 +157,12 @@ func minNode(c Chain) int {
 // every applyMerge keeps the lower-id chain — so the final density sort
 // breaks ties exactly as a whole-graph Layout call does.
 func LayoutChains(g *Graph, opts Options, chains []Chain) ([]int, error) {
+	return layoutChains(g, opts, chains, nil)
+}
+
+// layoutChains is LayoutChains whose merge state may borrow p's idle
+// helpers.
+func layoutChains(g *Graph, opts Options, chains []Chain, p *pool) ([]int, error) {
 	n := len(g.Nodes)
 	if n == 0 {
 		return nil, nil
@@ -152,6 +171,7 @@ func LayoutChains(g *Graph, opts Options, chains []Chain) ([]int, error) {
 		return nil, err
 	}
 	st := newState(g, opts)
+	st.pool = p
 	seen := make([]bool, n)
 	// Mark every chain dead, then revive one representative per seeded
 	// chain; the retrieval loops skip dead entries.
@@ -197,10 +217,12 @@ func LayoutChains(g *Graph, opts Options, chains []Chain) ([]int, error) {
 	return st.finalOrder(), nil
 }
 
-// LayoutParallel is Layout with chain formation fanned out over a worker
-// pool, one shard per connected component of the merge graph. The final
-// order is identical to Layout's at every worker count; workers <= 1 (or
-// a single component) falls through to the serial path.
+// LayoutParallel is Layout on workers cores. Chain formation fans out one
+// shard per connected component of the merge graph, and a worker with no
+// component left to form scores part of the re-scoring batches of those
+// still running — so one giant component, or a graph that is a single
+// component, uses every worker too. The final order is identical to
+// Layout's at every worker count; workers <= 1 is the serial path.
 func LayoutParallel(g *Graph, opts Options, workers int) ([]int, error) {
 	if workers <= 1 || len(g.Nodes) == 0 {
 		return Layout(g, opts)
@@ -208,31 +230,59 @@ func LayoutParallel(g *Graph, opts Options, workers int) ([]int, error) {
 	if err := validate(g, opts); err != nil {
 		return nil, err
 	}
-	comps := Components(g)
-	if len(comps) <= 1 {
-		return Layout(g, opts)
-	}
-	if workers > len(comps) {
-		workers = len(comps)
-	}
+	return layoutShards(g, opts, Components(g), workers, batchMinWork)
+}
+
+// layoutShards forms the chains of every shard (a partition of g's nodes
+// into unions of components) on workers goroutines — the caller and
+// workers-1 helpers that are gone when it returns — and finishes the
+// layout over them. minWork is the pool's hand-off threshold.
+func layoutShards(g *Graph, opts Options, comps [][]int, workers, minWork int) ([]int, error) {
+	p := &pool{jobs: make(chan *batch), helpers: workers - 1, minWork: minWork}
 	shards := make([][]Chain, len(comps))
 	errs := make([]error, len(comps))
-	var next atomic.Int64
+	var next, formed atomic.Int64
+	allFormed := make(chan struct{})
+	form := func() {
+		for {
+			i := int(next.Add(1)) - 1
+			if i >= len(comps) {
+				return
+			}
+			shards[i], errs[i] = formChains(g, opts, comps[i], p)
+			if int(formed.Add(1)) == len(comps) {
+				close(allFormed)
+			}
+		}
+	}
 	var wg sync.WaitGroup
-	for k := 0; k < workers; k++ {
+	for k := 0; k < p.helpers; k++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(comps) {
-					return
-				}
-				shards[i], errs[i] = FormChains(g, opts, comps[i])
+			form()
+			var sc priceScratch
+			for b := range p.jobs {
+				b.help(&sc)
 			}
 		}()
 	}
-	wg.Wait()
+	defer func() {
+		close(p.jobs)
+		wg.Wait()
+	}()
+	form()
+	// Until the last shard is formed the caller is an idle worker like any
+	// other.
+	var sc priceScratch
+	for waiting := true; waiting; {
+		select {
+		case b := <-p.jobs:
+			b.help(&sc)
+		case <-allFormed:
+			waiting = false
+		}
+	}
 	var chains []Chain
 	for i := range comps {
 		if errs[i] != nil {
@@ -240,5 +290,114 @@ func LayoutParallel(g *Graph, opts Options, workers int) ([]int, error) {
 		}
 		chains = append(chains, shards[i]...)
 	}
-	return LayoutChains(g, opts, chains)
+	return layoutChains(g, opts, chains, p)
+}
+
+// batchMinWork is the least work estimate (batchWork) at which runHeap
+// offers a batch to the pool. Sized on the Bigtable hot graph (one
+// component of 2 171 blocks, BenchmarkLayoutInterProc, GOMAXPROCS=2, 20
+// layouts), time per batch with the owner alone against owner plus one
+// helper, by work estimate:
+//
+//	  512–1 023    37 µs →    43 µs
+//	1 024–2 047    70 µs →    77 µs
+//	2 048–4 095   137 µs →   132 µs
+//	4 096–8 191   295 µs →   238 µs
+//	8 192–16 383  485 µs →   360 µs
+//	65 536–       3.48 ms →  1.86 ms
+//
+// A parked helper starts about 100 µs after the send (the runtime wakes a
+// thread, which then steals the goroutine), so a batch the owner finishes
+// in less gains nothing and pays for the wake. The 157 batches of 2 081
+// at or above the threshold hold 76% of the serial loop's time.
+const batchMinWork = 4096
+
+// pool is the helper side of one LayoutParallel call, shared by every
+// state the call builds. A helper with no shard left to form parks in a
+// receive on jobs, and jobs is unbuffered, so a non-blocking send reaches
+// a helper only if it is idle at that instant: helpers busy forming other
+// components are simply not borrowed, an offer never queues behind other
+// work, and the goroutines running never exceed the worker count.
+type pool struct {
+	jobs    chan *batch
+	helpers int
+	minWork int
+}
+
+// batch is one merged chain's re-scoring, shared between the goroutine
+// that owns the state and the helpers that took its offer. Between
+// applyMerge and the heap pushes nothing writes st, and bestMerge writes
+// only the priceScratch it is handed, so the calls are independent: each
+// participant claims neighbour indices from next, scores with its own
+// scratch and stores the candidate at its neighbour's index.
+type batch struct {
+	st   *state
+	x    *chain
+	nbs  []int            // x's neighbour chain ids, ascending
+	out  []mergeCandidate // out[i] is the candidate for nbs[i]; gain <= 0 is none
+	next atomic.Int64     // first unclaimed index of nbs
+	busy sync.WaitGroup   // helpers that took the offer and have not finished
+}
+
+// score claims and scores neighbours until none is left.
+func (b *batch) score(sc *priceScratch) {
+	for {
+		i := int(b.next.Add(1)) - 1
+		if i >= len(b.nbs) {
+			return
+		}
+		// A miss keeps the zero gain of the empty candidate or the
+		// non-positive gain bestMerge found: not pushed either way.
+		b.out[i], _ = b.st.rescore(sc, b.x, b.st.chains[b.nbs[i]])
+	}
+}
+
+// help is a helper's whole part in b; it must not touch b afterwards,
+// because the owner reuses it for the next merge.
+func (b *batch) help(sc *priceScratch) {
+	b.score(sc)
+	b.busy.Done()
+}
+
+// batchWork estimates the cost of re-scoring x against nbs: bestMerge
+// walks both chains of a pair, so the summed pair lengths.
+func (st *state) batchWork(x *chain, nbs []int) int {
+	work := len(nbs) * len(x.nodes)
+	for _, id := range nbs {
+		work += len(st.chains[id].nodes)
+	}
+	return work
+}
+
+// scoreBatch is runHeap's re-scoring loop shared with the pool: it returns
+// the candidate of every neighbour in nbs, by index, exactly as the serial
+// loop computes them, for the caller to push in that order. The slice is
+// reused by the next call.
+func (st *state) scoreBatch(x *chain, nbs []int) []mergeCandidate {
+	b := st.batch
+	if b == nil {
+		b = &batch{st: st}
+		st.batch = b
+	}
+	b.x, b.nbs = x, nbs
+	if cap(b.out) < len(nbs) {
+		b.out = make([]mergeCandidate, 2*len(nbs))
+	}
+	b.out = b.out[:len(nbs)]
+	b.next.Store(0)
+	// One offer per neighbour at most, and none once a send finds nobody
+	// idle.
+offers:
+	for k := 0; k < st.pool.helpers && k < len(nbs); k++ {
+		b.busy.Add(1)
+		select {
+		case st.pool.jobs <- b:
+		default:
+			b.busy.Done()
+			break offers
+		}
+	}
+	b.score(&st.sc)
+	b.busy.Wait()
+	return b.out
 }

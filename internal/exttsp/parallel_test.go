@@ -3,8 +3,10 @@ package exttsp
 import (
 	"math/rand"
 	"reflect"
+	"runtime"
 	"sort"
 	"testing"
+	"time"
 )
 
 // islandGraph builds a graph of several disconnected fuzz islands, the
@@ -139,5 +141,102 @@ func TestFormChainsRejectsBadShard(t *testing.T) {
 	}
 	if _, err := FormChains(g, Options{ForcedFirst: -1}, []int{0, 9}); err == nil {
 		t.Error("out-of-range shard node accepted")
+	}
+}
+
+// connectedGraph is fuzzGraph made one component by a spanning path of
+// positive weights: the shape component sharding cannot split.
+func connectedGraph(rng *rand.Rand, n int) *Graph {
+	g := fuzzGraph(rng, n)
+	for i := 0; i+1 < n; i++ {
+		g.Edges = append(g.Edges, Edge{Src: i, Dst: i + 1, Weight: uint64(1 + rng.Intn(50))})
+	}
+	return g
+}
+
+// TestLayoutParallelOneComponent is the batch property: on a graph that is
+// a single component — where every worker but one has nothing to form and
+// can only help by scoring part of the owner's re-scoring batches — the
+// order is Layout's at every worker count, at the production threshold
+// and with every batch forced across the pool.
+func TestLayoutParallelOneComponent(t *testing.T) {
+	check := func(name string, g *Graph, opts Options, minWorks ...int) {
+		t.Helper()
+		if n := len(Components(g)); n != 1 {
+			t.Fatalf("%s: %d components, want 1", name, n)
+		}
+		want, err := Layout(g, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, w := range []int{1, 2, 3, 8} {
+			got, err := LayoutParallel(g, opts, w)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s workers=%d: LayoutParallel diverged from Layout", name, w)
+			}
+			for _, minWork := range minWorks {
+				got, err := layoutParallelMinWork(g, opts, w, minWork)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s workers=%d threshold=%d: pooled layout diverged from Layout\nserial %v\npooled %v", name, w, minWork, want, got)
+				}
+			}
+		}
+	}
+	rng := rand.New(rand.NewSource(2171))
+	// The Bigtable hot graph's giant component is 2 171 blocks.
+	big := 2200
+	if testing.Short() {
+		big = 600
+	}
+	check("big", connectedGraph(rng, big), Options{ForcedFirst: -1, UseHeap: true}, 0)
+	for trial := 0; trial < 40; trial++ {
+		n := 2 + rng.Intn(70)
+		opts := Options{ForcedFirst: rng.Intn(n+1) - 1, UseHeap: true}
+		if trial%4 == 3 {
+			opts.MaxSplitChain = 1 + rng.Intn(6)
+		}
+		// Thresholds around the work of a small graph's batches put pooled
+		// and serial re-scoring in one run.
+		check("small", connectedGraph(rng, n), opts, 0, 24)
+	}
+}
+
+// TestLayoutParallelLeavesNoGoroutines: the pool lives inside the call —
+// its helpers are gone when LayoutParallel returns, with an order or with
+// an error from before or after they were started.
+func TestLayoutParallelLeavesNoGoroutines(t *testing.T) {
+	g := islandGraph(rand.New(rand.NewSource(24)), 5)
+	opts := Options{ForcedFirst: -1, UseHeap: true}
+	badShards := Components(g)
+	badShards[1] = []int{badShards[1][0], badShards[1][0]} // not ascending: FormChains rejects it
+	calls := []struct {
+		name    string
+		call    func() ([]int, error)
+		wantErr bool
+	}{
+		{"success", func() ([]int, error) { return layoutParallelMinWork(g, opts, 4, 0) }, false},
+		{"validate error", func() ([]int, error) {
+			return LayoutParallel(g, Options{ForcedFirst: len(g.Nodes), UseHeap: true}, 4)
+		}, true},
+		{"shard error", func() ([]int, error) { return layoutShards(g, opts, badShards, 4, 0) }, true},
+	}
+	for _, c := range calls {
+		base := runtime.NumGoroutine()
+		if _, err := c.call(); (err != nil) != c.wantErr {
+			t.Fatalf("%s: err = %v, want error %v", c.name, err, c.wantErr)
+		}
+		// A helper that has signalled its WaitGroup is still counted until
+		// it has finished exiting.
+		for deadline := time.Now().Add(2 * time.Second); runtime.NumGoroutine() > base; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s: %d goroutines, %d before the call: a pool helper outlived it", c.name, runtime.NumGoroutine(), base)
+			}
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package wpa_test
 
 import (
+	"fmt"
 	"testing"
 
 	"propeller/internal/bbaddrmap"
@@ -95,8 +96,11 @@ func BenchmarkReconstructPaths(b *testing.B) {
 // BenchmarkLayoutInterProc times the layout half of the analysis with
 // inter-procedural layout on a Bigtable-shaped hot graph — the global
 // Ext-TSP run that dominates the benchmark's interproc-layout op, at that
-// workload's size (3000 requests, LBR period 211, two workers) — so the
-// layer can be read without a whole optimize run:
+// workload's size (3000 requests, LBR period 211) — so the layer can be
+// read without a whole optimize run. The hot graph is one component of
+// about 2 200 blocks plus crumbs, so workers=2 (what the op runs with)
+// against workers=1 reads what sharing a component's re-scoring batches
+// buys; run it at -cpu 2 or more:
 //
 //	go test ./internal/wpa -run '^$' -bench LayoutInterProc -benchtime 10x
 func BenchmarkLayoutInterProc(b *testing.B) {
@@ -108,15 +112,20 @@ func BenchmarkLayoutInterProc(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := wpa.AnalyzeAggregate(amap, agg, cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if res.Stats.LayoutShards == 0 {
-			b.Fatal("no global layout ran")
-		}
+	for _, workers := range []int{1, 2} {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			cfg := cfg
+			cfg.Workers = workers
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				res, err := wpa.AnalyzeAggregate(amap, agg, cfg)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if res.Stats.LayoutShards == 0 {
+					b.Fatal("no global layout ran")
+				}
+			}
+		})
 	}
 }

@@ -216,11 +216,14 @@ type Stats struct {
 	// actually used.
 	Workers int
 
-	// LayoutWorkers is the effective parallelism of the layout phase:
-	// the worker-pool size after clamping to the number of independent
-	// layout units. Before the inter-procedural run was sharded it was
-	// always 1 in InterProc mode; reporting the effective value keeps
-	// the §4.7 scaling report honest.
+	// LayoutWorkers is the component-level parallelism of the layout
+	// phase: the worker-pool size after clamping to the number of
+	// independent layout units (LayoutShards). In InterProc mode it
+	// counts the shards that can be formed at once, not the cores the
+	// layout uses — exttsp.LayoutParallel gets every configured worker and
+	// shares the re-scoring inside a component among them — because the
+	// modeled Phase-3 makespan and BENCH_wpa.json's scaling curves are
+	// functions of the component partition alone.
 	LayoutWorkers int
 
 	// LayoutShards is the number of independent layout units: hot
@@ -230,8 +233,9 @@ type Stats struct {
 	LayoutShards int
 
 	// LayoutShardNodes, in InterProc mode, holds the hot-block count of
-	// every component shard in descending order — the partition shape
-	// the modeled layout-scaling curve (BENCH_wpa.json) is derived from.
+	// every component-level shard in descending order — the partition
+	// shape the modeled layout-scaling curve (BENCH_wpa.json) is derived
+	// from.
 	LayoutShardNodes []int
 
 	// Per-phase wall-time breakdown (the Table-4 analysis-time axis):
@@ -969,14 +973,15 @@ func appendColdSymbols(res *Result, names []string, infos map[string]*funcInfo) 
 // edges included (§4.7), then slices the global chain into per-function
 // cluster sections and a symbol order matching the chain.
 //
-// The global run is the paper's 3-10x analysis-cost arm, and it shards:
-// chain formation decomposes by connected components of the hot-block
-// graph (hfsort-style function clusters joined by their sampled call
-// edges), so with cfg.Workers > 1 the components fan out over a worker
-// pool (exttsp.FormChains) and the pre-built shard chain-sets are merged
-// by re-seeding the ordinary heap retrieval (exttsp.LayoutChains). The
-// result is bit-identical at every worker count, and the 1-worker path
-// is exactly the serial whole-graph exttsp.Layout call.
+// The global run is the paper's 3-10x analysis-cost arm, and it runs on
+// cfg.Workers cores (exttsp.LayoutParallel): chain formation decomposes by
+// connected components of the hot-block graph (hfsort-style function
+// clusters joined by their sampled call edges), which fan out over the
+// workers, and a worker with no component left to form scores part of the
+// re-scoring batches of the components still running — the hot graph of a
+// warehouse-scale binary is one giant component plus crumbs. The result
+// is bit-identical at every worker count, and the 1-worker path is
+// exactly the serial whole-graph exttsp.Layout call.
 func layoutInterProc(res *Result, graphs map[string]*dcfg, infos map[string]*funcInfo, callEdges map[callKey]uint64, cfg Config) error {
 	names := sortedFuncNames(graphs)
 	type globalNode struct {
@@ -1052,7 +1057,9 @@ func layoutInterProc(res *Result, graphs map[string]*dcfg, infos map[string]*fun
 
 	// The component partition is worker-independent, so the shard-shape
 	// stats (and therefore the modeled scaling curve) are identical at
-	// every worker count.
+	// every worker count. LayoutWorkers is clamped to it; the layout
+	// itself is not, because a hot graph that is one component still
+	// shares its re-scoring batches among the workers.
 	comps := exttsp.Components(eg)
 	res.Stats.LayoutShards = len(comps)
 	res.Stats.LayoutShardNodes = make([]int, len(comps))
@@ -1060,23 +1067,10 @@ func layoutInterProc(res *Result, graphs map[string]*dcfg, infos map[string]*fun
 		res.Stats.LayoutShardNodes[i] = len(c)
 	}
 	sort.Sort(sort.Reverse(sort.IntSlice(res.Stats.LayoutShardNodes)))
-	w := cfg.workers()
-	if w > len(comps) {
-		w = len(comps)
-	}
-	if w < 1 {
-		w = 1
-	}
-	res.Stats.LayoutWorkers = w
+	res.Stats.LayoutWorkers = max(1, min(cfg.workers(), len(comps)))
 
 	eopts := exttsp.Options{ForcedFirst: -1, UseHeap: !cfg.NaiveExtTSP, Params: cfg.ExtTSP}
-	var order []int
-	var err error
-	if w <= 1 {
-		order, err = exttsp.Layout(eg, eopts)
-	} else {
-		order, err = exttsp.LayoutParallel(eg, eopts, w)
-	}
+	order, err := exttsp.LayoutParallel(eg, eopts, cfg.workers())
 	if err != nil {
 		return fmt.Errorf("wpa: global layout: %w", err)
 	}
