@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"fmt"
 
 	"propeller/internal/bbaddrmap"
@@ -150,16 +149,15 @@ func (s *hostSource) Samples(emit func(profile.Sample) error) error {
 	return nil
 }
 
-// AnalyzeStreamed is the fleet-mode WPA entry: the merged profile goes to
-// the analyzer through its streaming reader — the same path a profile
-// fetched from fleet profile storage takes — with the binary's build ID
-// enforced at the header.
+// AnalyzeStreamed is the fleet-mode WPA entry: the merged profile, already
+// in memory (the store's aggregate, or what a fetch from it decoded), is
+// analyzed as the streaming reader would analyze its wire bytes —
+// wpa.AnalyzeStreamProfile, with no encode and decode between — with the
+// binary's build ID enforced before any sample is folded.
 func AnalyzeStreamed(bin *objfile.Binary, prof *profile.Profile, opts Options) (*wpa.Result, error) {
 	m, cfg, err := wpaInputs(bin, opts)
 	if err != nil {
 		return nil, err
 	}
-	// A bytes.Buffer is decoded in place: the round trip allocates the wire
-	// bytes and no decode window.
-	return wpa.AnalyzeStream(m, bytes.NewBuffer(prof.AppendWire(nil)), cfg)
+	return wpa.AnalyzeStreamProfile(m, prof, cfg)
 }

@@ -157,34 +157,40 @@ func allocatedBy(fn func()) uint64 {
 // TestIngestDecodeAllocs pins what an ingestion worker pays to decode one
 // in-memory batch: the decoder, the profile, its two header strings, the
 // samples slice and one arena block per arenaBlockRecords records — and no
-// window, which would be another 64 KB per batch.
+// window, which would be another 64 KB per batch. The blocks are sized to
+// the declared samples, so they add up to the records at full depth: at
+// the ingest batch size, and at 300 samples, where the last of three blocks
+// is a partial one.
 func TestIngestDecodeAllocs(t *testing.T) {
-	p := &Profile{Binary: "pm", BuildID: "feedface", Period: 211}
-	for i := 0; i < 300; i++ {
-		s := Sample{}
-		for j := uint64(0); j < LBRDepth; j++ {
-			s.Records = append(s.Records, Branch{From: 0x1000 + 40*j, To: 0x1010 + 40*j})
+	for _, n := range []int{64, 300} {
+		p := &Profile{Binary: "pm", BuildID: "feedface", Period: 211}
+		for i := 0; i < n; i++ {
+			s := Sample{}
+			for j := uint64(0); j < LBRDepth; j++ {
+				s.Records = append(s.Records, Branch{From: 0x1000 + 40*j, To: 0x1010 + 40*j})
+			}
+			p.Samples = append(p.Samples, s)
 		}
-		p.Samples = append(p.Samples, s)
-	}
-	wire := p.AppendWire(nil)
-	blocks := (300*LBRDepth + arenaBlockRecords - 1) / arenaBlockRecords
-	decode := func() {
-		if _, err := ReadBytes(wire); err != nil {
-			t.Fatal(err)
+		wire := p.AppendWire(nil)
+		blocks := (n*LBRDepth + arenaBlockRecords - 1) / arenaBlockRecords
+		decode := func() {
+			if _, err := ReadBytes(wire); err != nil {
+				t.Fatal(err)
+			}
 		}
-	}
-	if got, want := testing.AllocsPerRun(20, decode), float64(5+blocks); got > want {
-		t.Errorf("ReadBytes: %.0f allocations, want at most %.0f", got, want)
-	}
-	const runs = 20
-	perRun := allocatedBy(func() {
-		for i := 0; i < runs; i++ {
-			decode()
+		if got, want := testing.AllocsPerRun(20, decode), float64(5+blocks); got > want {
+			t.Errorf("%d samples: ReadBytes: %.0f allocations, want at most %.0f", n, got, want)
 		}
-	}) / runs
-	if budget := uint64(blocks*arenaBlockRecords*16 + 300*24 + 4096); perRun > budget {
-		t.Errorf("ReadBytes allocated %d bytes, want at most %d: samples and arena blocks only", perRun, budget)
+		const runs = 20
+		perRun := allocatedBy(func() {
+			for i := 0; i < runs; i++ {
+				decode()
+			}
+		}) / runs
+		// The slack is size-class rounding and the small allocations.
+		if budget := uint64(n*LBRDepth*16 + n*24 + 4096); perRun > budget {
+			t.Errorf("%d samples: ReadBytes allocated %d bytes, want at most %d: samples and right-sized blocks only", n, perRun, budget)
+		}
 	}
 }
 

@@ -411,12 +411,14 @@ func (d *Decoder) Next(dst []Branch) ([]Branch, error) {
 	return dst, nil
 }
 
-// arenaBlockRecords sizes the flat blocks Profile decodes records into:
+// arenaBlockRecords caps the flat blocks Profile decodes records into:
 // one allocation backs ~128 full-depth samples (§5.1's memory fix).
 const arenaBlockRecords = 1 << 12
 
 // Profile materializes the samples not yet decoded, each a capacity-clamped
-// slice of a shared block, so a later append cannot alias a neighbor.
+// slice of a shared block, so a later append cannot alias a neighbor. A
+// block holds the declared samples still to come at full depth, up to
+// arenaBlockRecords: a 64-sample ingest batch takes 32 KB, not 64.
 func (d *Decoder) Profile() (*Profile, error) {
 	h := d.Header
 	// Preallocate only up to a modest bound: the declared count is
@@ -425,8 +427,8 @@ func (d *Decoder) Profile() (*Profile, error) {
 		Samples: make([]Sample, 0, min(h.Samples-d.next, 1<<12))}
 	var block []Branch
 	for {
-		if cap(block)-len(block) < LBRDepth {
-			block = make([]Branch, 0, arenaBlockRecords)
+		if cap(block)-len(block) < LBRDepth && d.next < h.Samples {
+			block = make([]Branch, 0, min(arenaBlockRecords, (h.Samples-d.next)*LBRDepth))
 		}
 		l := len(block)
 		var err error

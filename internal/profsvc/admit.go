@@ -32,6 +32,11 @@ type Scorer struct {
 	MinHotOverlap float64
 }
 
+// readsHotSet reports whether any criterion reads the epoch's hot set, so
+// that the driver waits for it before deciding only for a scorer that
+// will look at it (fleetprof.Gate.ReadsAddrMap's counterpart).
+func (sc Scorer) readsHotSet() bool { return sc.ReadsAddrMap() || sc.MinHotOverlap > 0 }
+
 // AdmitReport extends GateReport with the scorer's quality criteria.
 type AdmitReport struct {
 	Ready        bool    `json:"ready"`

@@ -180,6 +180,35 @@ func measureBin(bin *objfile.Binary, cfg DriverConfig) (uint64, int64, error) {
 	return res.Cycles, res.Exit, nil
 }
 
+// job is work the loop starts now and reads later: fn runs on its own
+// goroutine from start, and join waits for it and returns its result —
+// the same result however many times it is called.
+type job[T any] struct {
+	done chan struct{}
+	v    T
+}
+
+func start[T any](fn func() T) *job[T] {
+	j := &job[T]{done: make(chan struct{})}
+	go func() {
+		defer close(j.done)
+		j.v = fn()
+	}()
+	return j
+}
+
+func (j *job[T]) join() T {
+	<-j.done
+	return j.v
+}
+
+// evalRun is one measureBin's outcome.
+type evalRun struct {
+	cycles uint64
+	exit   int64
+	err    error
+}
+
 // gateLookup is the address-map view the scorer's hot-function criteria
 // resolve against: nil for a binary without a map (those criteria are
 // skipped), an error for a map that does not decode — a corrupt map must
@@ -230,19 +259,39 @@ func RunGenerations(p *core.Program, cfg DriverConfig) (*LoopResult, error) {
 		return nil, fmt.Errorf("profsvc: metadata build: %w", err)
 	}
 
-	baseCycles, baseExit, err := measureBin(meta.Binary, cfg)
-	if err != nil {
-		return nil, fmt.Errorf("profsvc: baseline run: %w", err)
-	}
-	out := &LoopResult{
-		Workload:        p.Name,
-		BaselineBuildID: meta.Binary.BuildID,
-		BaselineCycles:  baseCycles,
-		BaselineExit:    baseExit,
+	// The baseline run is read only once a generation decides what to
+	// serve, so it runs beside generation 1's collection. Every return
+	// below joins what the loop started: the baseline run and, in the
+	// generation under way, the hot set.
+	baseline := start(func() (r evalRun) {
+		r.cycles, r.exit, r.err = measureBin(meta.Binary, cfg)
+		return r
+	})
+	var hotSet *job[[]string]
+	defer func() {
+		baseline.join()
+		if hotSet != nil {
+			hotSet.join()
+		}
+	}()
+	out := &LoopResult{Workload: p.Name, BaselineBuildID: meta.Binary.BuildID}
+	var deployedCycles uint64
+	haveBaseline := false
+	// readBaseline joins the baseline run where the loop first reads it.
+	readBaseline := func() error {
+		if haveBaseline {
+			return nil
+		}
+		r := baseline.join()
+		if r.err != nil {
+			return fmt.Errorf("profsvc: baseline run: %w", r.err)
+		}
+		out.BaselineCycles, out.BaselineExit, deployedCycles = r.cycles, r.exit, r.cycles
+		haveBaseline = true
+		return nil
 	}
 
 	deployed := meta.Binary
-	deployedCycles := baseCycles
 	spec := core.RunSpec{Args: cfg.Args, MaxInsts: cfg.trainInsts(), LBRPeriod: cfg.lbrPeriod()}
 	fo := core.FleetOptions{
 		Hosts:           cfg.Hosts,
@@ -275,6 +324,17 @@ func RunGenerations(p *core.Program, cfg DriverConfig) (*LoopResult, error) {
 		}
 		gen.EpochSamples = len(merged.Samples)
 
+		// The epoch's hot set against the serving binary's map runs beside
+		// everything up to the candidate's evaluation run.
+		if lkOf != deployed {
+			if lk, err = gateLookup(deployed); err != nil {
+				return nil, fmt.Errorf("profsvc: gen %d admission: %w", g, err)
+			}
+			lkOf = deployed
+		}
+		hotLk := lk
+		hotSet = start(func() []string { return hotFuncs(merged, hotLk) })
+
 		// Publish to the store and read back the decayed aggregate — over
 		// the wire when a client is configured.
 		var agg *profile.Profile
@@ -297,30 +357,37 @@ func RunGenerations(p *core.Program, cfg DriverConfig) (*LoopResult, error) {
 			}
 		}
 
-		if lkOf != deployed {
-			if lk, err = gateLookup(deployed); err != nil {
-				return nil, fmt.Errorf("profsvc: gen %d admission: %w", g, err)
-			}
-			lkOf = deployed
+		// A scorer whose criteria read the hot set waits for it to decide.
+		// Any other decides without it — the same Ready and Reason — and
+		// the report's hot-set fields are filled in once it is joined.
+		score := func(hot []string) AdmitReport {
+			return cfg.Scorer.Score(merged, agg, hot, ingest, cfg.hosts(), prevHot)
 		}
-		hot := hotFuncs(merged, lk)
-		gen.Admit = cfg.Scorer.Score(merged, agg, hot, ingest, cfg.hosts(), prevHot)
-		gen.GateOpen = gen.Admit.Ready
-		if !gen.Admit.Ready {
+		var early []string
+		if cfg.Scorer.readsHotSet() {
+			early = hotSet.join()
+		}
+		gen.GateOpen = score(early).Ready
+		if !gen.GateOpen {
 			// Keep serving the current binary; the store keeps
 			// accumulating until the profile is representative.
+			if err := readBaseline(); err != nil {
+				return nil, err
+			}
+			gen.Admit = score(hotSet.join())
 			gen.DeployedBuildID = deployed.BuildID
 			gen.DeployedCycles = deployedCycles
-			gen.SpeedupPct = speedupPct(baseCycles, deployedCycles)
+			gen.SpeedupPct = speedupPct(out.BaselineCycles, deployedCycles)
 			out.Generations = append(out.Generations, gen)
 			continue
 		}
 
 		// Whole-program analysis of the aggregate against the deployed
-		// binary's BB address map, build ID enforced at the header. The
-		// analysis is keyed by the store's aggregate fingerprint: when
-		// the decayed aggregate is stationary across generations, the
-		// epoch ID repeats and the layout comes straight from the cache.
+		// binary's BB address map, build ID enforced before any sample is
+		// folded. The analysis is keyed by the store's aggregate
+		// fingerprint: when the decayed aggregate is stationary across
+		// generations, the epoch ID repeats and the layout comes straight
+		// from the cache.
 		// Over a remote client the local store holds nothing for this
 		// build, the ID stays empty, and the cache path is inert.
 		opts.WPA.ProfileEpoch = ""
@@ -348,11 +415,16 @@ func RunGenerations(p *core.Program, cfg DriverConfig) (*LoopResult, error) {
 		if err != nil {
 			return nil, fmt.Errorf("profsvc: gen %d candidate run: %w", g, err)
 		}
-		if candExit != baseExit {
+		if err := readBaseline(); err != nil {
+			return nil, err
+		}
+		if candExit != out.BaselineExit {
 			return nil, fmt.Errorf("profsvc: gen %d candidate changed the checksum: %d vs %d",
-				g, candExit, baseExit)
+				g, candExit, out.BaselineExit)
 		}
 		gen.CandidateCycles = candCycles
+		hot := hotSet.join()
+		gen.Admit = score(hot)
 
 		// Strict-improvement adoption: the candidate replaces the serving
 		// binary only when it is measurably better. Equal-performance
@@ -365,7 +437,7 @@ func RunGenerations(p *core.Program, cfg DriverConfig) (*LoopResult, error) {
 		}
 		gen.DeployedBuildID = deployed.BuildID
 		gen.DeployedCycles = deployedCycles
-		gen.SpeedupPct = speedupPct(baseCycles, deployedCycles)
+		gen.SpeedupPct = speedupPct(out.BaselineCycles, deployedCycles)
 
 		if n := len(out.Generations); n > 0 {
 			prev := out.Generations[n-1]

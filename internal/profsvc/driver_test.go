@@ -1,8 +1,14 @@
 package profsvc
 
 import (
+	"encoding/json"
+	"net/http"
 	"net/http/httptest"
+	"reflect"
+	"runtime"
+	"strings"
 	"testing"
+	"time"
 
 	"propeller/internal/core"
 	"propeller/internal/fleetprof"
@@ -176,5 +182,153 @@ func TestClosedGateKeepsServing(t *testing.T) {
 	}
 	if res.FixedPoint {
 		t.Fatal("a gate-closed loop should not report convergence")
+	}
+}
+
+// loopScorers are the admission policies the driver schedules differently:
+// the zero scorer decides without the hot set and the hot-set scorers join
+// it before deciding; a closed gate never relinks, on either path; and a
+// freshness gate opens until the store's history dilutes the epoch. gates
+// says which decisions the tiny loop sees: "open", "closed" or "both".
+var loopScorers = []struct {
+	name   string
+	scorer Scorer
+	reads  bool
+	gates  string
+}{
+	{"zero", Scorer{}, false, "open"},
+	{"hot-set", Scorer{Gate: fleetprof.Gate{MinHotFuncs: 3}, MinHotOverlap: 0.5}, true, "open"},
+	{"closed", Scorer{Gate: fleetprof.Gate{MinSamples: 1 << 40}}, false, "closed"},
+	{"hot-set closed", Scorer{Gate: fleetprof.Gate{MinHotFuncs: 1 << 20}}, true, "closed"},
+	{"freshness", Scorer{MinFreshness: 0.9}, false, "both"},
+}
+
+// gates is which admission decisions a loop made, as loopScorers spells it.
+func gates(r *LoopResult) string {
+	var open, closed bool
+	for _, g := range r.Generations {
+		open, closed = open || g.GateOpen, closed || !g.GateOpen
+	}
+	switch {
+	case open && closed:
+		return "both"
+	case open:
+		return "open"
+	}
+	return "closed"
+}
+
+// withHTTP routes cfg's publishes and fetches through a fresh service behind
+// a real HTTP server, which the returned func closes.
+func withHTTP(cfg DriverConfig) (DriverConfig, func()) {
+	store := NewStore(StoreConfig{})
+	svc := NewService(store)
+	ts := httptest.NewServer(svc.Handler())
+	cfg.Store, cfg.Service, cfg.Client = store, svc, &Client{BaseURL: ts.URL}
+	return cfg, ts.Close
+}
+
+// TestRunGenerationsMatchesSerialReplay: the loop with the baseline run and
+// the hot sets off its critical path, and its analysis fed the store's
+// profile in memory, returns the LoopResult the serial driver with the wire
+// round trip returns — every generation with its admit report, cycle
+// counts and retained count, and the store's accounting — for each scorer,
+// in process and over HTTP.
+func TestRunGenerationsMatchesSerialReplay(t *testing.T) {
+	prog := tinyProgram(t)
+	for _, sc := range loopScorers {
+		if sc.scorer.readsHotSet() != sc.reads {
+			t.Fatalf("%s: readsHotSet = %v", sc.name, !sc.reads)
+		}
+		for _, wired := range []bool{false, true} {
+			run := func(drive func(*core.Program, DriverConfig) (*LoopResult, error)) *LoopResult {
+				cfg := tinyDriverConfig()
+				cfg.Generations = 3
+				cfg.Scorer = sc.scorer
+				if wired {
+					var stop func()
+					cfg, stop = withHTTP(cfg)
+					defer stop()
+				}
+				res, err := drive(prog, cfg)
+				if err != nil {
+					t.Fatalf("%s, wired=%v: %v", sc.name, wired, err)
+				}
+				return res
+			}
+			got, want := run(RunGenerations), run(serialRunGenerations)
+			if gates(want) != sc.gates {
+				t.Errorf("%s, wired=%v: gates %s, want %s: the scorer no longer covers its path", sc.name, wired, gates(want), sc.gates)
+			}
+			if !reflect.DeepEqual(got, want) {
+				g, _ := json.MarshalIndent(got, "", " ")
+				w, _ := json.MarshalIndent(want, "", " ")
+				t.Errorf("%s, wired=%v: the loop diverges from the serial replay\ngot  %s\nwant %s", sc.name, wired, g, w)
+			}
+		}
+	}
+}
+
+// TestRunGenerationsLeavesNoGoroutines: every return joins what the loop
+// started. A loop that fails in generation 1 — its collection over budget
+// while the baseline run is going, or its publish refused by a closed
+// server while the hot set is being resolved — a closed-gate loop and a
+// converging one all leave runtime.NumGoroutine where it was.
+func TestRunGenerationsLeavesNoGoroutines(t *testing.T) {
+	prog := tinyProgram(t)
+	dead := httptest.NewServer(http.NotFoundHandler())
+	dead.Close()
+	for _, tc := range []struct {
+		name    string
+		edit    func(*DriverConfig)
+		wantErr string
+	}{
+		{"collection fails", func(c *DriverConfig) { c.TrainInsts = 10_000 }, "profsvc: gen 1 collection: "},
+		{"publish fails", func(c *DriverConfig) { c.Client = &Client{BaseURL: dead.URL} }, "profsvc: gen 1 publish: "},
+		{"closed gate", func(c *DriverConfig) { c.Scorer = Scorer{Gate: fleetprof.Gate{MinSamples: 1 << 40}} }, ""},
+		{"converging", func(*DriverConfig) {}, ""},
+	} {
+		cfg := tinyDriverConfig()
+		cfg.Generations = 2
+		tc.edit(&cfg)
+		base := runtime.NumGoroutine()
+		_, err := RunGenerations(prog, cfg)
+		if tc.wantErr == "" && err != nil || tc.wantErr != "" && (err == nil || !strings.HasPrefix(err.Error(), tc.wantErr)) {
+			t.Fatalf("%s: err = %v, want prefix %q", tc.name, err, tc.wantErr)
+		}
+		// A job that has handed back its result is still counted until its
+		// goroutine has finished exiting.
+		for deadline := time.Now().Add(2 * time.Second); runtime.NumGoroutine() > base; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s: %d goroutines, %d before the loop: a job outlived it", tc.name, runtime.NumGoroutine(), base)
+			}
+		}
+	}
+}
+
+// BenchmarkRunGenerations times the service loop alone at the benchmark's
+// fleet-generation sizes: the MySQL shape at 2 500 requests, two hosts,
+// four generations of 20 M training instructions per host.
+//
+//	go test ./internal/profsvc -run '^$' -bench RunGenerations -benchtime 10x -cpu 2
+func BenchmarkRunGenerations(b *testing.B) {
+	spec := workload.MySQL()
+	spec.Requests = 2500
+	prog, err := workload.Generate(spec)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := DriverConfig{
+		Generations: 4, Hosts: 2, Shards: 1, WorkersPerShard: 1,
+		LossRate: 0.02, DupRate: 0.02, Seed: 1,
+		TrainInsts: 20_000_000, LBRPeriod: 211,
+	}
+	cfg.Opts.WPA.Workers = 2
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := RunGenerations(prog.Core, cfg); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -219,18 +219,28 @@ func inBatches(samples []profile.Sample, n int, add func([]profile.Sample)) {
 // (Stats.ProfileBytes): one sample's worth, §5.1's chunked reading.
 const streamSampleBytes = 2 + profile.LBRDepth*16
 
+// streamBatch samples per hand-off amortize it on the streamed feeds.
+const streamBatch = 512
+
 // buildAggregateStream aggregates a serialized profile without
 // materializing it (§5.1's chunked reading): the samples are decoded
 // straight into the batches the shards fold, so the result stays
 // bit-identical to BuildAggregate over the same samples.
 func buildAggregateStream(m *bbaddrmap.Map, r io.Reader, cfg Config) (*Aggregate, error) {
+	return cfg.streamAggregate(m, func(ag *Aggregator) error { return cfg.decodeInto(ag, r) })
+}
+
+// streamAggregate is the streamed aggregation behind both of its feeds:
+// feed hands ag the samples, the build ID checked before the first, and
+// whichever feed ran, the profile's residency is one sample.
+func (c Config) streamAggregate(m *bbaddrmap.Map, feed func(*Aggregator) error) (*Aggregate, error) {
 	if err := checkMap(m); err != nil {
 		return nil, err
 	}
 	lk := bbaddrmap.NewLookup(m)
-	ag := newAggregator(cfg.workers(), func() *bbaddrmap.Lookup { return lk })
-	err := cfg.decodeInto(ag, r)
-	agg := ag.Finish() // also after a failed decode: it stops the shards
+	ag := newAggregator(c.workers(), func() *bbaddrmap.Lookup { return lk })
+	err := feed(ag)
+	agg := ag.Finish() // also after a failed feed: it stops the shards
 	if err != nil {
 		return nil, err
 	}
@@ -238,16 +248,28 @@ func buildAggregateStream(m *bbaddrmap.Map, r io.Reader, cfg Config) (*Aggregate
 	return agg, nil
 }
 
-// decodeInto feeds ag the samples of the serialized profile r.
+// feedSamples hands ag the samples of a profile already in memory, in the
+// decoder's batches.
+func (c Config) feedSamples(ag *Aggregator, prof *profile.Profile) error {
+	if err := c.checkBuildID(prof.BuildID); err != nil {
+		return err
+	}
+	inBatches(prof.Samples, streamBatch, ag.Add)
+	return nil
+}
+
+// decodeInto feeds ag the samples of the serialized profile r. The records
+// of each batch share one flat block (each sample a capacity-clamped
+// subslice).
 func (c Config) decodeInto(ag *Aggregator, r io.Reader) error {
-	// streamBatch samples per hand-off amortizes it; their records share one
-	// flat block (each sample a capacity-clamped subslice).
-	const streamBatch = 512
 	d, err := profile.NewDecoder(r)
 	// The header check runs before any sample is decoded, so a
-	// build-ID-mismatched profile is rejected without paying for its body.
+	// build-ID-mismatched profile is rejected without paying for its body,
+	// and with the error every other feed returns.
 	if err == nil {
-		err = c.checkBuildID(d.Header.BuildID)
+		if err := c.checkBuildID(d.Header.BuildID); err != nil {
+			return err
+		}
 	}
 	var b sampleBatch
 	for err == nil {

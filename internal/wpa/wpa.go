@@ -67,11 +67,10 @@ type Config struct {
 	FuncPolicies map[string]FuncPolicy
 
 	// HotPaths are the reconstructed hot paths PathClone consumes.
-	// Analyze/AnalyzeStream reconstruct them from the profile when nil
-	// (AnalyzeStream only when the samples are re-readable, i.e. never —
-	// stream callers must supply them); AnalyzeAggregate requires the
-	// caller to pass them, because the position-independent aggregate
-	// cannot recover path strings.
+	// Analyze reconstructs them from the profile when nil; AnalyzeStream
+	// and AnalyzeStreamProfile never do (stream callers must supply them),
+	// and AnalyzeAggregate requires the caller to pass them, because the
+	// position-independent aggregate cannot recover path strings.
 	HotPaths PathSet
 
 	// HotThreshold is the minimum sampled count for a block to join the
@@ -624,6 +623,19 @@ func AnalyzeDuring(loadMap func() (*bbaddrmap.Map, error), buildID string, cfg C
 // active and a warm epoch aggregate, the stream is not read at all.
 func AnalyzeStream(m *bbaddrmap.Map, r io.Reader, cfg Config) (*Result, error) {
 	return cfg.analyze(m, func() (*Aggregate, error) { return buildAggregateStream(m, r, cfg) })
+}
+
+// AnalyzeStreamProfile is AnalyzeStream over a profile already in memory:
+// its samples feed the shards in the batches the decoder would have made,
+// with no encode and decode between. The result is AnalyzeStream's over
+// prof.AppendWire's bytes whenever those bytes decode (no sample deeper
+// than the LBR): the build ID checked before any sample is folded, the
+// profile's residency modeled as one sample, the incremental cache
+// consulted the same way, and no hot paths reconstructed.
+func AnalyzeStreamProfile(m *bbaddrmap.Map, prof *profile.Profile, cfg Config) (*Result, error) {
+	return cfg.analyze(m, func() (*Aggregate, error) {
+		return cfg.streamAggregate(m, func(ag *Aggregator) error { return cfg.feedSamples(ag, prof) })
+	})
 }
 
 // hotBlocks returns the block ids participating in the hot layout: sampled
