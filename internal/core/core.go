@@ -61,6 +61,20 @@ func (r RunSpec) lbrPeriod() uint64 {
 	return r.LBRPeriod
 }
 
+// samplingConfig is the simulator configuration of one LBR profiling run.
+// The analysis reads only the samples, which the functional run takes
+// exactly as the modeled one does, so the timing model runs only where its
+// output is read: in the run that records the §3.5 cache-miss profile.
+func (r RunSpec) samplingConfig(trackMisses bool) sim.Config {
+	return sim.Config{
+		MaxInsts:        r.MaxInsts,
+		LBRPeriod:       r.lbrPeriod(),
+		Args:            r.Args,
+		TrackLoadMisses: trackMisses,
+		DisableUarch:    !trackMisses,
+	}
+}
+
 // Options configure the pipeline.
 type Options struct {
 	// Executor runs distributed actions; default buildsys.Distributed().
@@ -153,7 +167,10 @@ type Result struct {
 	Metadata  *BuildResult // the PM binary (Phase 2)
 	Optimized *BuildResult // the PO binary (Phase 4)
 
-	Profile    *profile.Profile
+	Profile *profile.Profile
+	// TrainRun is the profiling run (host 0's in fleet mode), as
+	// CollectProfile returns it: cycles, counters and LoadMisses only when
+	// SoftwarePrefetch made it record the cache-miss profile.
 	TrainRun   *sim.Result
 	Directives layoutfile.Directives
 	Order      layoutfile.SymbolOrder
@@ -415,6 +432,11 @@ func listObjCacheKey(irKey string, m *ir.Module, dirs layoutfile.Directives, opt
 // CollectProfile runs the metadata binary under representative load with
 // the LBR sampler enabled (Phase 3's profiling half). trackMisses also
 // records the §3.5 cache-miss profile.
+//
+// The returned run holds the exit value, the instruction count and the
+// profile. Only a run with trackMisses drives the timing model and so also
+// holds cycles, counters and LoadMisses; any other run is functional, with
+// Cycles equal to Insts and zero Counters.
 func CollectProfile(bin *objfile.Binary, spec RunSpec, trackMisses bool) (*profile.Profile, *sim.Result, error) {
 	return collectProfile(bin, spec, trackMisses, nil)
 }
@@ -427,13 +449,9 @@ func collectProfile(bin *objfile.Binary, spec RunSpec, trackMisses bool, onBatch
 	if err != nil {
 		return nil, nil, err
 	}
-	res, err := mach.Run(sim.Config{
-		MaxInsts:        spec.MaxInsts,
-		LBRPeriod:       spec.lbrPeriod(),
-		Args:            spec.Args,
-		TrackLoadMisses: trackMisses,
-		OnBatch:         onBatch,
-	})
+	cfg := spec.samplingConfig(trackMisses)
+	cfg.OnBatch = onBatch
+	res, err := mach.Run(cfg)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -50,6 +50,11 @@ func (f FleetOptions) hosts() int {
 // profile. Host 0's run doubles as the training run whose cache-miss
 // profile feeds §3.5. The returned stats carry the full ingestion
 // accounting, including any rejected or duplicated batches.
+//
+// The returned run is host 0's, without a profile: its samples went to the
+// collector. With trackMisses, host 0 alone drives the timing model and
+// holds cycles, counters and LoadMisses; every other run, and host 0's
+// without trackMisses, is functional (CollectProfile).
 func CollectFleetProfile(bin *objfile.Binary, spec RunSpec, fo FleetOptions, trackMisses bool) (*profile.Profile, *sim.Result, fleetprof.IngestStats, error) {
 	hosts := fo.hosts()
 	// One shared Program: the decode table is safe for concurrent runs,
@@ -71,6 +76,8 @@ func CollectFleetProfile(bin *objfile.Binary, spec RunSpec, fo FleetOptions, tra
 	}
 	collectors := make([]*fleetprof.Collector, hosts)
 	for h := 0; h < hosts; h++ {
+		cfg := spec.samplingConfig(trackMisses && h == 0)
+		cfg.LBRPhase = uint64(h)
 		collectors[h] = &fleetprof.Collector{
 			Host:         h,
 			BatchSamples: fo.BatchSamples,
@@ -79,13 +86,7 @@ func CollectFleetProfile(bin *objfile.Binary, spec RunSpec, fo FleetOptions, tra
 			// while the host is still executing.
 			Source: &hostSource{
 				prog: prog,
-				cfg: sim.Config{
-					MaxInsts:        spec.MaxInsts,
-					LBRPeriod:       spec.lbrPeriod(),
-					LBRPhase:        uint64(h),
-					Args:            spec.Args,
-					TrackLoadMisses: trackMisses && h == 0,
-				},
+				cfg:  cfg,
 				hdr:  profile.Header{Binary: "pm", BuildID: bin.BuildID, Period: spec.lbrPeriod()},
 				host: h,
 				res:  &results[h],

@@ -114,10 +114,12 @@ func FleetSweep() (*FleetSweepResult, error) {
 		wg.Add(1)
 		go func(h int) {
 			defer wg.Done()
+			// Functional: only the samples are read (core.CollectProfile).
 			res, err := sprog.Run(sim.Config{
-				MaxInsts:  fleetSweepTrainInsts,
-				LBRPeriod: fleetSweepLBRPeriod,
-				LBRPhase:  uint64(h),
+				MaxInsts:     fleetSweepTrainInsts,
+				LBRPeriod:    fleetSweepLBRPeriod,
+				LBRPhase:     uint64(h),
+				DisableUarch: true,
 			})
 			if err != nil {
 				errs[h] = err

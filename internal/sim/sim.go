@@ -12,6 +12,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"propeller/internal/bbaddrmap"
 	"propeller/internal/heatmap"
 	"propeller/internal/isa"
 	"propeller/internal/objfile"
@@ -67,8 +68,12 @@ type Config struct {
 	// Args seed the argument registers r0..r3 at entry.
 	Args [4]int64
 
-	// DisableUarch skips the cache/TLB/predictor model (fast functional
-	// runs, e.g. PGO training executions).
+	// DisableUarch skips the cache/TLB/predictor model: a fast functional
+	// run whose Cycles equal Insts and whose Counters are zero. PGO
+	// training executions and the LBR profiling runs of core.CollectProfile
+	// and core.CollectFleetProfile are functional, because nobody reads
+	// their timing; the LBR ring, the sample grid, the exit value and every
+	// fault are the modeled run's. TrackLoadMisses needs the model.
 	DisableUarch bool
 
 	// KeepMemory retains the final data-segment image in the result;
@@ -78,6 +83,14 @@ type Config struct {
 	// TrackLoadMisses records per-PC L1d miss counts into the result —
 	// the cache-miss profile that drives §3.5 prefetch insertion.
 	TrackLoadMisses bool
+
+	// TraceBlocks, when non-nil, is a checking mode: the binary's own
+	// address map, through which the run folds the identity (function
+	// name, stable block ID) of every block it enters into
+	// Result.BlockTrace. Layout moves blocks but must never change which
+	// run or in what order, so every layout of one program on one input
+	// gives one hash. The mode takes the slow step on every instruction.
+	TraceBlocks *bbaddrmap.Lookup
 }
 
 // RunError describes an execution fault; BOLT-corrupted binaries surface
@@ -109,6 +122,10 @@ type Result struct {
 	// LoadMisses maps load-instruction addresses to their L1d miss
 	// counts (when Config.TrackLoadMisses was set).
 	LoadMisses map[uint64]uint64
+
+	// BlockTrace is the rolling hash of the blocks entered (when
+	// Config.TraceBlocks was set; 0 if none was).
+	BlockTrace uint64
 }
 
 // IPC returns retired instructions per cycle.
@@ -393,6 +410,8 @@ type machine struct {
 	lbr       lbrRing
 	u         *uarch            // nil when Config.DisableUarch
 	heat      *heatmap.Recorder // nil unless Config.Heatmap
+	trace     *blockTrace       // nil unless Config.TraceBlocks
+	watch     bool              // heat or trace: every instruction takes the slow step
 
 	loadMisses map[uint64]uint64 // nil unless Config.TrackLoadMisses
 	lsda       map[uint64]uint64
@@ -415,8 +434,9 @@ const (
 //
 // Execution steps by fetch window. A slow step is taken for the first
 // instruction of every 32-byte window the run enters, for an instruction
-// that extends past its window, and after every taken transfer: it runs
-// the fetch model and the heat map (in machine.exec) and, when the
+// that extends past its window, and after every taken transfer (for every
+// instruction, under a heat map or a block trace): it runs the fetch model,
+// the heat map and the block trace (in machine.exec) and, when the
 // transfer left the decoded page or the countdown to the next sample or
 // the end of the budget ran out, looks those up here. Every other
 // instruction is a fast step: load the decoded entry, dispatch, execute.
@@ -459,6 +479,10 @@ func (p *Program) Run(cfg Config) (*Result, error) {
 	if cfg.TrackLoadMisses {
 		m.loadMisses = map[uint64]uint64{}
 	}
+	if cfg.TraceBlocks != nil {
+		m.trace = newBlockTrace(cfg.TraceBlocks)
+	}
+	m.watch = m.heat != nil || m.trace != nil
 	res := &Result{LoadMisses: m.loadMisses}
 
 	// Sampling has one site in the loop. A sample goes to the caller's
@@ -537,6 +561,9 @@ func (p *Program) Run(cfg Config) (*Result, error) {
 	if cfg.KeepMemory {
 		res.DataImage = data
 	}
+	if m.trace != nil {
+		res.BlockTrace = m.trace.hash
+	}
 	switch {
 	case err != nil:
 		return res, err
@@ -567,9 +594,14 @@ func (m *machine) exec(pg *page, pc, left, limit uint64) (uint64, uint64, stop) 
 			u.fetch(pc, uint64(ci.size))
 		}
 		winEnd := pc | (fetchWindow - 1) + 1
-		if m.heat != nil {
-			m.heat.Touch(pc, limit-left)
-			winEnd = 0 // the recorder sees every fetch
+		if m.watch {
+			if m.heat != nil {
+				m.heat.Touch(pc, limit-left)
+			}
+			if m.trace != nil {
+				m.trace.enter(pc)
+			}
+			winEnd = 0 // the recorder and the trace see every fetch
 		}
 
 		for {
