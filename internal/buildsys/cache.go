@@ -133,13 +133,31 @@ func (c *Cache) Get(key string) ([]byte, bool) {
 // artifact into the local tier (evicting under the budget as needed), so
 // repeated Gets pay the network once.
 func (c *Cache) GetCost(key string) ([]byte, float64, bool) {
+	data, cost, ok := c.lookup(key)
+	if !ok {
+		return nil, 0, false
+	}
+	return cloneBytes(data), cost, true
+}
+
+// SizeCost is GetCost for a caller that is charged for the artifact but
+// never reads it: the artifact's length instead of a copy of its bytes.
+// Counters, recency order, remote re-admission and eviction move exactly as
+// under GetCost.
+func (c *Cache) SizeCost(key string) (int64, float64, bool) {
+	data, cost, ok := c.lookup(key)
+	return int64(len(data)), cost, ok
+}
+
+// lookup is GetCost without the copy: it returns the cache-owned buffer,
+// which the caller must neither mutate nor hand out.
+func (c *Cache) lookup(key string) ([]byte, float64, bool) {
 	c.mu.Lock()
 	if e, ok := c.entries[key]; ok {
 		c.hits++
 		c.lru.moveToFront(e)
-		out := cloneBytes(e.data)
 		c.mu.Unlock()
-		return out, 0, true
+		return e.data, 0, true
 	}
 	remote := c.remote
 	if remote == nil {
@@ -166,7 +184,7 @@ func (c *Cache) GetCost(key string) ([]byte, float64, bool) {
 		c.insertLocked(key, cloneBytes(data))
 		c.evictLocked()
 	}
-	return cloneBytes(data), cost, true
+	return data, cost, true
 }
 
 // Put stores a copy of data under key, writing through to the remote

@@ -174,3 +174,75 @@ func TestCacheKeyChurnUnderEpochs(t *testing.T) {
 		t.Errorf("idempotent re-put changed accounting: %+v vs %+v", after, before)
 	}
 }
+
+// lruKeys lists the local tier's keys, most recently touched first.
+func lruKeys(c *Cache) []string {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	var keys []string
+	for e := c.lru.front; e != nil; e = e.next {
+		keys = append(keys, e.key)
+	}
+	return keys
+}
+
+// TestSizeCostMatchesGetCost: SizeCost charges and books a lookup exactly
+// as GetCost does — size, cost, hit/miss and remote counters, recency
+// order, re-admission and eviction — on two caches built the same way.
+func TestSizeCostMatchesGetCost(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		setup func() (*Cache, *Remote)
+		key   string
+		ok    bool  // the lookup hits
+		evict int64 // local evictions after it
+	}{
+		{"local hit", func() (*Cache, *Remote) {
+			c := NewCacheWithBudget(8)
+			c.Put("a", []byte("aaaa"))
+			c.Put("b", []byte("bbbb"))
+			return c, nil
+		}, "a", true, 0},
+		{"remote hit", func() (*Cache, *Remote) {
+			r := NewRemote()
+			r.Put("a", []byte("aaaa"))
+			return NewTieredCache(0, r), r
+		}, "a", true, 0},
+		{"miss", func() (*Cache, *Remote) {
+			r := NewRemote()
+			c := NewTieredCache(8, r)
+			c.Put("b", []byte("bbbb"))
+			return c, r
+		}, "a", false, 0},
+		{"budgeted eviction", func() (*Cache, *Remote) {
+			r := NewRemote()
+			c := NewTieredCache(8, r)
+			for _, k := range []string{"a", "b", "c"} {
+				c.Put(k, []byte(k+k+k+k)) // "a" leaves the local tier
+			}
+			return c, r
+		}, "a", true, 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			gc, gr := tc.setup()
+			data, gCost, gOK := gc.GetCost(tc.key)
+			sc, sr := tc.setup()
+			size, sCost, sOK := sc.SizeCost(tc.key)
+			if size != int64(len(data)) || sCost != gCost || sOK != gOK {
+				t.Errorf("SizeCost = (%d, %v, %v), GetCost = (%d bytes, %v, %v)", size, sCost, sOK, len(data), gCost, gOK)
+			}
+			if gOK != tc.ok || gc.Stats().Evictions != tc.evict {
+				t.Fatalf("setup: GetCost ok=%v with %d evictions, want ok=%v with %d", gOK, gc.Stats().Evictions, tc.ok, tc.evict)
+			}
+			if g, s := gc.Stats(), sc.Stats(); g != s {
+				t.Errorf("stats: SizeCost %+v, GetCost %+v", s, g)
+			}
+			if g, s := lruKeys(gc), lruKeys(sc); fmt.Sprint(g) != fmt.Sprint(s) {
+				t.Errorf("recency order: SizeCost %v, GetCost %v", s, g)
+			}
+			if gr != nil && gr.Fetches() != sr.Fetches() {
+				t.Errorf("remote fetches: SizeCost %d, GetCost %d", sr.Fetches(), gr.Fetches())
+			}
+		})
+	}
+}

@@ -146,6 +146,8 @@ type BuildResult struct {
 	// IRKeys are the per-module IR cache keys Phase 1 computed for this
 	// build (Phase1CacheIR's result), which Relink takes; callers that
 	// built the binary need not encode the program again to learn them.
+	// A backend looks its module's key up to be charged for the IR bytes
+	// it would fetch; it compiles the in-memory module, not those bytes.
 	IRKeys []string
 
 	// Backends/Linking split the modeled cost as Fig. 9 reports it.
@@ -258,13 +260,16 @@ type objectPlan struct {
 // under its plan's key — scheduling the modeled transfer as a cost-only
 // fetch action when the remote tier served it, so warm-but-remote builds
 // are cheap, not free (§2.1) — or, on a miss, from one codegen action
-// that decodes the cached IR (its remote fetch latency is charged to the
-// action), compiles it and encodes the object once. The batch handed to
-// run is the fetches, then the codegen actions, each in module order;
-// run is the executor's Execute or ExecuteCriticalPath. Newly encoded
-// objects are Put under their keys after the batch, in module order, so a
-// budgeted cache's LRU order never depends on goroutine scheduling. The
-// objects are then linked under cfg.
+// that compiles the in-memory module and encodes the object once. The
+// action is charged for the module's cached IR as a remote backend would
+// ship it: its size and any remote fetch latency, looked up under irKeys[i]
+// (a missing entry is an error). Those bytes are never decoded; a module
+// is compiled only for reading, so one Program may be built from several
+// goroutines at once. The batch handed to run is the fetches, then the
+// codegen actions, each in module order; run is the executor's Execute or
+// ExecuteCriticalPath. Newly encoded objects are Put under their keys after
+// the batch, in module order, so a budgeted cache's LRU order never depends
+// on goroutine scheduling. The objects are then linked under cfg.
 //
 // A cached object that does not decode fails the build and names the
 // module, whatever the key: content-addressed bytes that rot are a cache
@@ -299,7 +304,7 @@ func build(p *Program, irKeys []string, opts Options, run func([]*buildsys.Actio
 				return nil, nil, fmt.Errorf("core: object cache miss for cold module %s", m.Name)
 			}
 		}
-		irData, irFetch, ok := opts.IRCache.GetCost(irKeys[i])
+		irBytes, irFetch, ok := opts.IRCache.SizeCost(irKeys[i])
 		if !ok {
 			return nil, nil, fmt.Errorf("core: IR cache miss for module %s", m.Name)
 		}
@@ -307,12 +312,8 @@ func build(p *Program, irKeys []string, opts Options, run func([]*buildsys.Actio
 		if pl.cg.Mode == codegen.ModeList {
 			name = "codegen-list:" + m.Name
 		}
-		a := codegenAction(name, int64(len(irData)), irFetch, func() error {
-			mod, err := ir.DecodeModule(irData)
-			if err != nil {
-				return fmt.Errorf("core: decode cached IR for %s: %w", m.Name, err)
-			}
-			obj, err := codegen.Compile(mod, pl.cg)
+		a := codegenAction(name, irBytes, irFetch, func() error {
+			obj, err := codegen.Compile(m, pl.cg)
 			if err != nil {
 				return err
 			}
@@ -520,9 +521,12 @@ func Analyze(bin *objfile.Binary, prof *profile.Profile, opts Options) (*wpa.Res
 	return wpa.Analyze(m, prof, cfg)
 }
 
-// Relink is Phase 4: hot modules are re-generated with cluster directives
-// from cached IR; cold objects come straight from the object cache; the
-// final link applies the global symbol order and drops cold metadata.
+// Relink is Phase 4: hot modules are re-generated with cluster directives,
+// each backend charged for its module's cached IR; cold objects come
+// straight from the object cache; the final link applies the global symbol
+// order and drops cold metadata. irKeys must be Phase1CacheIR(p)'s keys
+// (BuildResult.IRKeys of p's metadata build): they name the IR and object
+// cache entries of p's modules, and the backends compile p.Modules itself.
 //
 // Phase-4 objects are themselves cached under (IR content, module
 // directives, prefetch sites), so a warm relink after a small edit only

@@ -7,8 +7,10 @@ import (
 
 // Binary serialization of IR modules. This is the "optimized IR object"
 // artifact of Phase 1 (§3.1): the distributed build system caches these
-// bytes keyed by content hash, and Phase 4 re-reads them to rerun the
-// backend for hot modules only.
+// bytes keyed by content hash, and a Phase-2 or Phase-4 backend is charged
+// for fetching them. The pipeline's backends compile the in-memory module
+// instead of decoding the bytes; DecodeModule serves the toolchain CLIs,
+// which read IR files.
 
 const irMagic = "WIR1"
 

@@ -58,12 +58,57 @@ func nopOutTakenJump(t *testing.T, bin *objfile.Binary) *objfile.Binary {
 	return nil
 }
 
+// swapAdjacentBlocks returns a copy of bin in which two blocks of one
+// function, adjacent in its text, of equal size and different bytes, and
+// both executed, have exchanged their bytes. The pair is chosen from the
+// address map kept (whose functions are the hot ones, and whose block
+// addresses bin's text shares); a block counts as executed when an LBR
+// record of a sampled run lands at its start or leaves from inside it.
+func swapAdjacentBlocks(t *testing.T, bin *objfile.Binary, kept []byte) *objfile.Binary {
+	t.Helper()
+	m, err := bbaddrmap.Decode(kept)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l := bbaddrmap.NewLookup(m)
+	p, err := sim.Load(bin)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, _ := p.Run(sim.Config{MaxInsts: 200_000, LBRPeriod: 97, DisableUarch: true})
+	ran := map[int32]bool{}
+	for _, s := range res.Profile.Samples {
+		for _, r := range s.Records {
+			ran[l.BlockStarting(r.To)] = true
+			ran[l.BlockAt(r.From)] = true
+		}
+	}
+	blocks := l.Blocks()
+	for i := 1; i < len(blocks); i++ {
+		a, b := blocks[i-1], blocks[i]
+		if a.Fn != b.Fn || a.End != b.Start || a.End-a.Start != b.End-b.Start || !ran[int32(i-1)] || !ran[int32(i)] {
+			continue
+		}
+		lo, mid, hi := a.Start-bin.TextBase, b.Start-bin.TextBase, b.End-bin.TextBase
+		if bytes.Equal(bin.Text[lo:mid], bin.Text[mid:hi]) {
+			continue
+		}
+		bad := bin.Clone()
+		copy(bad.Text[lo:], bin.Text[mid:hi])
+		copy(bad.Text[mid:], bin.Text[lo:mid])
+		return bad
+	}
+	t.Fatal("no two adjacent executed blocks of equal size")
+	return nil
+}
+
 // TestBlockTraceSameAcrossLayouts: the metadata (PM) binary and the
 // Propeller-optimized (PO) binary of one program enter the same blocks in
 // the same order on one input. The shipped PO keeps the address map of its
 // hot objects only, so the check relinks it with every object's map and
-// first shows the text is the shipped bytes. A PO with one executed jump
-// turned into NOPs must be caught.
+// first shows the text is the shipped bytes. Two negative controls must be
+// caught: a PO with one executed jump turned into NOPs, and a PO with two
+// adjacent executed blocks of a hot function swapped.
 func TestBlockTraceSameAcrossLayouts(t *testing.T) {
 	mysql := workload.MySQL()
 	mysql.Requests = 1000
@@ -99,6 +144,10 @@ func TestBlockTraceSameAcrossLayouts(t *testing.T) {
 		badRun, err := traced(t, nopOutTakenJump(t, po))
 		if err == nil && badRun.BlockTrace == poRun.BlockTrace {
 			t.Errorf("%s: a PO with a taken jmp overwritten by NOPs gives the same trace %#x", spec.Name, badRun.BlockTrace)
+		}
+		swapRun, err := traced(t, swapAdjacentBlocks(t, po, res.Optimized.Binary.BBAddrMap))
+		if err == nil && swapRun.BlockTrace == poRun.BlockTrace {
+			t.Errorf("%s: a PO with two adjacent blocks swapped gives the same trace %#x", spec.Name, swapRun.BlockTrace)
 		}
 	}
 }
