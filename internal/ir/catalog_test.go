@@ -56,6 +56,34 @@ func TestDecodeModuleMatchesReferenceOnCatalog(t *testing.T) {
 	}
 }
 
+// TestCloneModuleMatchesOnCatalog holds the slab layout to the module it
+// copies over every module of every catalog workload: the same encoded
+// bytes, a module the verifier accepts, and every block numbered by its
+// position in its own function.
+func TestCloneModuleMatchesOnCatalog(t *testing.T) {
+	for _, spec := range workload.Catalog() {
+		if testing.Short() && spec.NumFuncs > 2000 {
+			continue
+		}
+		for _, m := range catalogModules(t, spec) {
+			c := ir.CloneModule(m)
+			if !bytes.Equal(ir.EncodeModule(c), ir.EncodeModule(m)) {
+				t.Fatalf("%s %s: the clone encodes to different bytes", spec.Name, m.Name)
+			}
+			if err := ir.Verify(c); err != nil {
+				t.Fatalf("%s %s: %v", spec.Name, m.Name, err)
+			}
+			for _, f := range c.Funcs {
+				for i, b := range f.Blocks {
+					if b.Index() != i || b.Fn != f {
+						t.Fatalf("%s %s: block %d of %s has index %d", spec.Name, m.Name, i, f.Name, b.Index())
+					}
+				}
+			}
+		}
+	}
+}
+
 // The IR codec alone on the benchmark's relink-wide shape (Superroot,
 // 13.5k functions in 1688 modules, 6 MB encoded):
 //

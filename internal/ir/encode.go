@@ -121,9 +121,11 @@ type decoder struct {
 // input is an error, never a panic, and every allocation is bounded by
 // the input's own length (wire.Reader.Count, wire.Pool).
 //
-// The module is read into slabs: one []Func per module, one []Block per
-// function, block-pointer, instruction and weight slices carved from chunks
-// the whole module shares (capacity-clamped: Block.Emit on a decoded block
+// The module is read into slabs, the layout every long-lived module has
+// (see CloneModule: the collector marks every pointer of every resident
+// object on every cycle): one []Func per module, one []Block per function,
+// block-pointer, instruction and weight slices carved from chunks the whole
+// module shares (capacity-clamped: Block.Emit on a decoded block
 // reallocates), module names and instruction symbols interned. A surviving
 // *Block therefore pins its function's slab and the chunks it points into;
 // callers that keep part of a decoded module work on a CloneFunc copy.

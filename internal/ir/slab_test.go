@@ -2,6 +2,7 @@ package ir
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -170,6 +171,71 @@ func TestDecodedSlicesDoNotAlias(t *testing.T) {
 	}
 	if !bytes.Equal(EncodeModule(m), data) {
 		t.Fatal("an append to one decoded slice changed another")
+	}
+}
+
+// encodeFuncs encodes each function of m as a module of its own; nil for a
+// function the encoder cannot place a block reference of.
+func encodeFuncs(m *Module) [][]byte {
+	out := make([][]byte, len(m.Funcs))
+	for i, f := range m.Funcs {
+		func() {
+			defer func() { recover() }()
+			out[i] = EncodeModule(&Module{Name: m.Name, Funcs: []*Func{f}})
+		}()
+	}
+	return out
+}
+
+// TestClonedSlicesDoNotAlias: a clone's slices are runs of five slabs the
+// whole module shares. Growing one — Emit into a block, NewBlock on a
+// function, a terminator rebuilt or grown — must reallocate it and never
+// write into the run after it, which here is always another function's.
+func TestClonedSlicesDoNotAlias(t *testing.T) {
+	edit := func(m *Module) {
+		f := m.Funcs[1]
+		grow, last := f.Blocks[len(f.Blocks)-2], f.Blocks[len(f.Blocks)-1]
+		last.Emit(Inst{Op: isa.OpMovI, A: 1, Imm: 99}) // next run: fn_2's entry instructions
+		added := f.NewBlock()                          // next run: this function's successor lists
+		added.Return()
+		last.Branch(isa.CondEQ, f.Blocks[0], added)
+		weights := append(grow.Term.Weights, 7)           // next run: fn_2's entry weights
+		grow.Switch(3, append(grow.Term.Succs, added)...) // next run: fn_2's block list
+		grow.Term.Weights = weights
+	}
+	src := wideModule(3, 4, 2)
+	clone := CloneModule(src)
+	before := encodeFuncs(clone)
+	edit(src)
+	edit(clone)
+	after, want := encodeFuncs(clone), encodeFuncs(src)
+	for i := range after {
+		if i != 1 && !bytes.Equal(after[i], before[i]) {
+			t.Errorf("editing fn_1 of a clone changed fn_%d", i)
+		}
+		if after[i] == nil || !bytes.Equal(after[i], want[i]) {
+			t.Errorf("fn_%d of the edited clone differs from the same edits on its source", i)
+		}
+	}
+}
+
+// TestCloneModuleAllocs: CloneModule allocates the module, its function
+// list and five slabs, plus a global list and at most three objects per
+// global — never per function, block or instruction. (Before the slabs it
+// allocated two slices and a Func per function, an instruction slice per
+// block, and a successor and a weight slice per branching block.)
+func TestCloneModuleAllocs(t *testing.T) {
+	for _, shape := range [][4]int{{8, 4, 4, 0}, {8, 64, 4, 0}, {64, 16, 16, 0}, {8, 4, 4, 3}, {64, 16, 16, 3}} {
+		funcs, blocks, ins, globals := shape[0], shape[1], shape[2], shape[3]
+		m := wideModule(funcs, blocks, ins)
+		for i := 0; i < globals; i++ {
+			m.AddGlobal(&Global{Name: fmt.Sprintf("g%d", i), Size: 16, Init: []byte{1, 2}, FuncPtrs: []string{"fn_0"}})
+		}
+		got := testing.AllocsPerRun(10, func() { CloneModule(m) })
+		t.Logf("%d funcs x %d blocks x %d instructions, %d globals: %.0f allocations", funcs, blocks, ins, globals, got)
+		if limit := float64(8 + 3*globals); got > limit {
+			t.Errorf("CloneModule of %d funcs x %d blocks x %d instructions, %d globals: %.0f allocations, want <= %.0f", funcs, blocks, ins, globals, got, limit)
+		}
 	}
 }
 

@@ -12,6 +12,7 @@ import (
 	"propeller/internal/isa"
 	"propeller/internal/linker"
 	"propeller/internal/objfile"
+	"propeller/internal/profile"
 	"propeller/internal/sim"
 	"propeller/internal/workload"
 )
@@ -30,31 +31,69 @@ func traced(t *testing.T, bin *objfile.Binary) (*sim.Result, error) {
 	return p.Run(sim.Config{TraceBlocks: bbaddrmap.NewLookup(m), DisableUarch: true})
 }
 
-// nopOutTakenJump returns a copy of bin in which the first direct jmp the
-// run's LBR saw taken to anywhere but the next instruction is overwritten
-// with NOPs of the same length.
-func nopOutTakenJump(t *testing.T, bin *objfile.Binary) *objfile.Binary {
+// takenBranches runs bin with LBR sampling for 200 000 instructions and
+// returns the taken branches its samples recorded, in order.
+func takenBranches(t *testing.T, bin *objfile.Binary) []profile.Branch {
 	t.Helper()
 	p, err := sim.Load(bin)
 	if err != nil {
 		t.Fatal(err)
 	}
 	res, _ := p.Run(sim.Config{MaxInsts: 200_000, LBRPeriod: 97, DisableUarch: true})
+	var out []profile.Branch
 	for _, s := range res.Profile.Samples {
-		for _, r := range s.Records {
-			off := int(r.From - bin.TextBase)
-			in, size, err := isa.Decode(bin.Text, off)
-			if err != nil || !in.Op.IsUncondJump() || r.To == r.From+uint64(size) {
-				continue
-			}
-			bad := bin.Clone()
-			for i := off; i < off+size; i++ {
-				bad.Text[i] = byte(isa.OpNop)
-			}
-			return bad
+		out = append(out, s.Records...)
+	}
+	return out
+}
+
+// nopOutTakenJump returns a copy of bin in which the first direct jmp the
+// run's LBR saw taken to anywhere but the next instruction is overwritten
+// with NOPs of the same length.
+func nopOutTakenJump(t *testing.T, bin *objfile.Binary) *objfile.Binary {
+	t.Helper()
+	for _, r := range takenBranches(t, bin) {
+		off := int(r.From - bin.TextBase)
+		in, size, err := isa.Decode(bin.Text, off)
+		if err != nil || !in.Op.IsUncondJump() || r.To == r.From+uint64(size) {
+			continue
 		}
+		bad := bin.Clone()
+		for i := off; i < off+size; i++ {
+			bad.Text[i] = byte(isa.OpNop)
+		}
+		return bad
 	}
 	t.Fatal("the run took no direct jmp")
+	return nil
+}
+
+// shrinkFarBranch returns a copy of bin in which the first rel32 jmp or jcc
+// the run's LBR saw taken, to a target a rel8 displacement cannot reach, is
+// rewritten in its short form with the displacement truncated to 8 bits,
+// the freed bytes filled with NOPs so that nothing after it moves: the
+// relaxation a linker must never perform.
+func shrinkFarBranch(t *testing.T, bin *objfile.Binary) *objfile.Binary {
+	t.Helper()
+	for _, r := range takenBranches(t, bin) {
+		off := int(r.From - bin.TextBase)
+		in, size, err := isa.Decode(bin.Text, off)
+		if err != nil || !(in.Op.IsUncondJump() || in.Op.IsCondBranch()) || in.Op.IsShortBranch() {
+			continue
+		}
+		disp := int64(r.To) - int64(r.From) - 2 // from the end of the short form
+		if isa.FitsRel8(disp) {
+			continue
+		}
+		bad := bin.Clone()
+		short := isa.Encode(nil, isa.Inst{Op: in.Op.ShortForm(), Imm: int64(int8(disp))})
+		copy(bad.Text[off:], short)
+		for i := off + len(short); i < off+size; i++ {
+			bad.Text[i] = byte(isa.OpNop)
+		}
+		return bad
+	}
+	t.Fatal("the run took no rel32 branch beyond rel8 range")
 	return nil
 }
 
@@ -71,17 +110,10 @@ func swapAdjacentBlocks(t *testing.T, bin *objfile.Binary, kept []byte) *objfile
 		t.Fatal(err)
 	}
 	l := bbaddrmap.NewLookup(m)
-	p, err := sim.Load(bin)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, _ := p.Run(sim.Config{MaxInsts: 200_000, LBRPeriod: 97, DisableUarch: true})
 	ran := map[int32]bool{}
-	for _, s := range res.Profile.Samples {
-		for _, r := range s.Records {
-			ran[l.BlockStarting(r.To)] = true
-			ran[l.BlockAt(r.From)] = true
-		}
+	for _, r := range takenBranches(t, bin) {
+		ran[l.BlockStarting(r.To)] = true
+		ran[l.BlockAt(r.From)] = true
 	}
 	blocks := l.Blocks()
 	for i := 1; i < len(blocks); i++ {
@@ -106,9 +138,10 @@ func swapAdjacentBlocks(t *testing.T, bin *objfile.Binary, kept []byte) *objfile
 // Propeller-optimized (PO) binary of one program enter the same blocks in
 // the same order on one input. The shipped PO keeps the address map of its
 // hot objects only, so the check relinks it with every object's map and
-// first shows the text is the shipped bytes. Two negative controls must be
-// caught: a PO with one executed jump turned into NOPs, and a PO with two
-// adjacent executed blocks of a hot function swapped.
+// first shows the text is the shipped bytes. Three negative controls must
+// be caught: a PO with one executed jump turned into NOPs, a PO with two
+// adjacent executed blocks of a hot function swapped, and a PO with one
+// taken out-of-range branch shrunk to its short form.
 func TestBlockTraceSameAcrossLayouts(t *testing.T) {
 	mysql := workload.MySQL()
 	mysql.Requests = 1000
@@ -148,6 +181,10 @@ func TestBlockTraceSameAcrossLayouts(t *testing.T) {
 		swapRun, err := traced(t, swapAdjacentBlocks(t, po, res.Optimized.Binary.BBAddrMap))
 		if err == nil && swapRun.BlockTrace == poRun.BlockTrace {
 			t.Errorf("%s: a PO with two adjacent blocks swapped gives the same trace %#x", spec.Name, swapRun.BlockTrace)
+		}
+		shrunkRun, err := traced(t, shrinkFarBranch(t, po))
+		if err == nil && shrunkRun.BlockTrace == poRun.BlockTrace {
+			t.Errorf("%s: a PO with an out-of-range branch shrunk to rel8 gives the same trace %#x", spec.Name, shrunkRun.BlockTrace)
 		}
 	}
 }

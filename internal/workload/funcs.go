@@ -156,8 +156,14 @@ func (bb *bodyBuilder) grow(target int) {
 	}
 }
 
-// next allocates a block and makes it the current insertion point.
-func (bb *bodyBuilder) newBlock() *ir.Block { return bb.f.NewBlock() }
+// newBlock allocates a block with room for a typical block's instructions:
+// the builder's copy is garbage once Generate clones it, so each regrowth
+// of a slice that starts empty would be spent for nothing.
+func (bb *bodyBuilder) newBlock() *ir.Block {
+	b := bb.f.NewBlock()
+	b.Ins = make([]ir.Inst, 0, 4)
+	return b
+}
 
 // straight adds a few arithmetic instructions to the current block.
 func (bb *bodyBuilder) straight() {

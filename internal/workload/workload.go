@@ -86,7 +86,12 @@ type Program struct {
 	TotalBlocks  int
 }
 
-// Generate builds the benchmark program.
+// Generate builds the benchmark program. Each module is verified, then
+// returned as an ir.CloneModule copy: slab-laid, because the program is
+// long-lived and the collector marks every pointer of every resident object
+// on every cycle. Its slices are capacity-clamped (an edit such as NewBlock
+// or Emit reallocates the one slice it grows), and one surviving *Block
+// pins its module's slabs.
 func Generate(spec Spec) (*Program, error) {
 	if spec.NumFuncs < 4 {
 		return nil, fmt.Errorf("workload: %s: need at least 4 functions", spec.Name)
@@ -184,10 +189,14 @@ func (g *gen) build() (*Program, error) {
 	}
 	g.emitMain(g.modules[0])
 
-	for _, m := range g.modules {
+	// Returned slab-laid (see Generate). The clone replaces the builder's
+	// copy of a module, several heap objects per block, at once, so a
+	// collection during the rest of the copy does not mark it.
+	for i, m := range g.modules {
 		if err := ir.Verify(m); err != nil {
 			return nil, fmt.Errorf("workload: %s: %w", spec.Name, err)
 		}
+		g.modules[i] = ir.CloneModule(m)
 	}
 	coldModules := 0
 	for i := hotModules; i < nModules; i++ {
