@@ -24,7 +24,8 @@
 // move, with a proven bound eps on its distance from the canonical gain;
 // only the candidates that could still win are refined with the
 // canonical score (viewScore, a left-to-right float64 fold over the
-// three sub-ranges, allocation-free); applyMerge materialises the one
+// three sub-ranges, allocation-free, which refine starts from a chain's
+// cached per-node fold where it can); applyMerge materialises the one
 // winning order. The canonical fold is kept, rather than replaced by the
 // cheaper delta, because its summation order is part of every layout
 // emitted so far (a pair whose real gain is 0 can read +1e-10 and merge)
@@ -275,6 +276,11 @@ type state struct {
 	owner  []int   // node -> chain id
 	off    []int64 // node -> byte offset inside its chain
 	idx    []int   // node -> index inside its chain's nodes
+	// fold[nd] is the canonical fold of nd's chain alone (viewScore's
+	// order) up to and including nd, so a chain's score is the fold at its
+	// last node. refold rewrites a chain's entries whenever the chain
+	// changes; a singleton's is 0, as the adjacency holds no self-loop.
+	fold []float64
 	// nodeOut/nodeIn index g.Edges by endpoint, ascending, without
 	// self-loops and zero weights (neither affects inter-chain merging).
 	nodeOut [][]int // node -> indices into g.Edges with Src == node
@@ -316,9 +322,10 @@ func newState(g *Graph, opts Options) *state {
 	}
 	st.nodeOut, st.nodeIn = adjacency(g)
 	st.chains = make([]*chain, n)
-	st.owner = make([]int, n)
+	ints := make([]int, 2*n)
+	st.owner, st.idx = ints[:n:n], ints[n:]
 	st.off = make([]int64, n)
-	st.idx = make([]int, n)
+	st.fold = make([]float64, n)
 	st.nbGen = make([]int64, n)
 	chains := make([]chain, n)
 	ids := make([]int, n)
@@ -456,9 +463,40 @@ func (st *state) foldSegment(total float64, seg []int, shift int64, x, y *chain,
 	return total
 }
 
-// chainScore is the canonical score of c on its own.
-func (st *state) chainScore(c *chain) float64 {
-	return st.viewScore(c, &chain{id: -1}, len(c.nodes))
+// refine is viewScore(x, y, split), started from a chain's cached fold
+// where it can be. X·Y adds exactly x's own fold terms, in x's order, up
+// to x.nodes[fx], the first node with an out-edge into y; Y·X adds y's
+// own up to y.nodes[fy] (x starts at offset 0, so y does not move). The
+// prefix is the same edgeGain calls on the same integer offsets, added in
+// the same order from 0, so starting from its fold is bit-exact. fx or fy
+// of 0, and every split, fold from scratch.
+func (st *state) refine(x, y *chain, split, fx, fy int) float64 {
+	nx := len(x.nodes)
+	switch {
+	case split == nx && fx > 0:
+		total := st.foldSegment(st.fold[x.nodes[fx-1]], x.nodes[fx:], 0, x, y, nx, x.size)
+		return st.foldSegment(total, y.nodes, x.size, x, y, nx, x.size)
+	case split == 0 && fy > 0:
+		total := st.foldSegment(st.fold[y.nodes[fy-1]], y.nodes[fy:], 0, x, y, 0, 0)
+		return st.foldSegment(total, x.nodes, y.size, x, y, 0, 0)
+	}
+	return st.viewScore(x, y, split)
+}
+
+// refold writes fold for every node of c, in c's current order and
+// offsets, and returns the total: c's canonical score on its own.
+func (st *state) refold(c *chain) float64 {
+	var total float64
+	for _, nd := range c.nodes {
+		srcEnd := st.off[nd] + st.g.Nodes[nd].Size
+		for _, ei := range st.nodeOut[nd] {
+			if e := &st.g.Edges[ei]; st.owner[e.Dst] == c.id {
+				total += st.pr.edgeGain(e.Weight, srcEnd, st.off[e.Dst])
+			}
+		}
+		st.fold[nd] = total
+	}
+	return total
 }
 
 // mergeCandidate is one way of combining chains x and y.
@@ -542,8 +580,17 @@ func legal(k int, xFirst, yFirst bool) bool {
 // times that, room for its own rounding (DESIGN.md item 10 has the
 // derivation). The returned slice is sc's and is overwritten by the next
 // call with sc.
-func (st *state) price(sc *priceScratch, x, y *chain, xFirst, yFirst bool) (approx []float64, eps float64) {
-	nx := len(x.nodes)
+//
+// From the x<->y edges price also reports fx, the first index in x of a
+// node with an out-edge into y, and fy, the first index in y of one with
+// an out-edge into x (len(x.nodes) and len(y.nodes) when there is none):
+// where refine's X·Y and Y·X folds must leave the cached fold. When the
+// pair has no split candidates, only the x<->y edges matter, and they are
+// collected from whichever chain is shorter: the same multiset in another
+// order, which ε's argument never relied on.
+func (st *state) price(sc *priceScratch, x, y *chain, xFirst, yFirst bool) (approx []float64, eps float64, fx, fy int) {
+	nx, ny := len(x.nodes), len(y.nodes)
+	fx, fy = nx, ny
 	cands := 2
 	if nx <= st.opts.maxSplit() {
 		cands = nx + 1
@@ -562,40 +609,64 @@ func (st *state) price(sc *priceScratch, x, y *chain, xFirst, yFirst bool) (appr
 	}
 	cross := sc.cross[:0]
 	var wsum float64
-	for i, u := range x.nodes {
-		uEnd := st.off[u] + st.g.Nodes[u].Size
-		for _, ei := range st.nodeOut[u] {
-			e := &st.g.Edges[ei]
-			v := e.Dst
-			switch st.owner[v] {
-			case y.id:
-				cross = append(cross, crossEdge{w: e.Weight, srcEnd: uEnd, dst: st.off[v], xi: i, fromX: true})
-			case x.id:
-				if !splits {
+	if !splits && ny < nx {
+		for j, v := range y.nodes {
+			vEnd := st.off[v] + st.g.Nodes[v].Size
+			for _, ei := range st.nodeOut[v] {
+				e := &st.g.Edges[ei]
+				if u := e.Dst; st.owner[u] == x.id {
+					cross = append(cross, crossEdge{w: e.Weight, srcEnd: vEnd, dst: st.off[u], xi: st.idx[u]})
+					wsum += float64(e.Weight)
+					fy = min(fy, j)
+				}
+			}
+			for _, ei := range st.nodeIn[v] {
+				e := &st.g.Edges[ei]
+				if u := e.Src; st.owner[u] == x.id {
+					cross = append(cross, crossEdge{w: e.Weight, srcEnd: st.off[u] + st.g.Nodes[u].Size, dst: st.off[v], xi: st.idx[u], fromX: true})
+					wsum += float64(e.Weight)
+					fx = min(fx, st.idx[u])
+				}
+			}
+		}
+	} else {
+		for i, u := range x.nodes {
+			uEnd := st.off[u] + st.g.Nodes[u].Size
+			for _, ei := range st.nodeOut[u] {
+				e := &st.g.Edges[ei]
+				v := e.Dst
+				switch st.owner[v] {
+				case y.id:
+					cross = append(cross, crossEdge{w: e.Weight, srcEnd: uEnd, dst: st.off[v], xi: i, fromX: true})
+					fx = min(fx, i)
+				case x.id:
+					if !splits {
+						continue
+					}
+					// Splits j with lo < j <= hi separate u from v.
+					lo, hi := i, st.idx[v]
+					var moved float64
+					if lo < hi {
+						moved = st.pr.edgeGain(e.Weight, uEnd, st.off[v]+y.size)
+					} else {
+						lo, hi = hi, lo
+						moved = st.pr.edgeGain(e.Weight, uEnd+y.size, st.off[v])
+					}
+					d := moved - st.pr.edgeGain(e.Weight, uEnd, st.off[v])
+					diff[lo+1] += d
+					diff[hi+1] -= d
+				default:
 					continue
 				}
-				// Splits j with lo < j <= hi separate u from v.
-				lo, hi := i, st.idx[v]
-				var moved float64
-				if lo < hi {
-					moved = st.pr.edgeGain(e.Weight, uEnd, st.off[v]+y.size)
-				} else {
-					lo, hi = hi, lo
-					moved = st.pr.edgeGain(e.Weight, uEnd+y.size, st.off[v])
-				}
-				d := moved - st.pr.edgeGain(e.Weight, uEnd, st.off[v])
-				diff[lo+1] += d
-				diff[hi+1] -= d
-			default:
-				continue
-			}
-			wsum += float64(e.Weight)
-		}
-		for _, ei := range st.nodeIn[u] {
-			e := &st.g.Edges[ei]
-			if v := e.Src; st.owner[v] == y.id {
-				cross = append(cross, crossEdge{w: e.Weight, srcEnd: st.off[v] + st.g.Nodes[v].Size, dst: st.off[u], xi: i})
 				wsum += float64(e.Weight)
+			}
+			for _, ei := range st.nodeIn[u] {
+				e := &st.g.Edges[ei]
+				if v := e.Src; st.owner[v] == y.id {
+					cross = append(cross, crossEdge{w: e.Weight, srcEnd: st.off[v] + st.g.Nodes[v].Size, dst: st.off[u], xi: i})
+					wsum += float64(e.Weight)
+					fy = min(fy, st.idx[v])
+				}
 			}
 		}
 	}
@@ -633,7 +704,7 @@ func (st *state) price(sc *priceScratch, x, y *chain, xFirst, yFirst bool) (appr
 
 	n := x.deg + y.deg + 2*nx + 8
 	eps = 16 * float64(n) * 0x1p-53 * (x.score + y.score + 2*st.maxW*wsum)
-	return approx, eps
+	return approx, eps, fx, fy
 }
 
 // bestMerge finds the highest-gain combination of two chains, honoring the
@@ -645,16 +716,18 @@ func (st *state) price(sc *priceScratch, x, y *chain, xFirst, yFirst bool) (appr
 // It is filter-and-refine. price approximates every candidate's gain to
 // within eps of the canonical gain, so with top the best approximation the
 // canonical winner is among the candidates priced at top-2·eps or better.
-// Only those are scored with viewScore, in exploration order with a strict
-// >, and only canonical numbers leave this function: which merge wins,
-// and the gain and score it carries, are exactly what scoring every
-// materialised candidate would have produced. (The price cannot rule a
-// pair out on its own: X·Y and Y·X only add jumps, so top is never
-// negative, and a real gain of 0 can fold to either sign.)
+// Only those are scored with viewScore — through refine, which starts X·Y
+// and Y·X from the cached fold of the chain they begin with, bit-exactly —
+// in exploration order with a strict >, and only canonical numbers leave
+// this function: which merge wins, and the gain and score it carries, are
+// exactly what scoring every materialised candidate would have produced.
+// (The price cannot rule a pair out on its own: X·Y and Y·X only add
+// jumps, so top is never negative, and a real gain of 0 can fold to
+// either sign.)
 func (st *state) bestMerge(sc *priceScratch, x, y *chain) (mergeCandidate, bool) {
 	best := mergeCandidate{gain: -1, x: x.id, y: y.id, xGen: x.gen, yGen: y.gen}
 	xFirst, yFirst := st.legalFirsts(x, y)
-	approx, eps := st.price(sc, x, y, xFirst, yFirst)
+	approx, eps, fx, fy := st.price(sc, x, y, xFirst, yFirst)
 	top := math.Inf(-1)
 	for k, a := range approx {
 		if legal(k, xFirst, yFirst) && a > top {
@@ -666,7 +739,7 @@ func (st *state) bestMerge(sc *priceScratch, x, y *chain) (mergeCandidate, bool)
 			continue
 		}
 		split := splitOf(k, len(x.nodes))
-		score := st.viewScore(x, y, split)
+		score := st.refine(x, y, split, fx, fy)
 		if gain := score - x.score - y.score; gain > best.gain {
 			best.gain, best.score, best.split = gain, score, split
 		}
@@ -688,6 +761,7 @@ func (st *state) applyMerge(c mergeCandidate) {
 		st.owner[nd], st.off[nd], st.idx[nd] = x.id, addr, i
 		addr += st.g.Nodes[nd].Size
 	}
+	st.refold(x) // its total is c.score, the same fold of the same order
 	x.size += y.size
 	x.count += y.count
 	x.deg += y.deg

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
 )
 
@@ -14,16 +15,32 @@ func materialise(x, y *chain, split int) []int {
 	return append(out, x.nodes[split:]...)
 }
 
+// lockStats is what one lockstep run compared.
+type lockStats struct {
+	calls int // bestMerge calls
+	ySide int // pairs price collects from y's side
+	// Over the candidates bestMerge refines in the pairs runHeap scores
+	// (every pair before the first merge, then the merged chain's): the
+	// nodes viewScore folds, and those refine was seen to skip by starting
+	// from a cached fold.
+	folded, skipped int
+}
+
 // lockstep drives production and the materialising reference through one
 // naive-retrieval run side by side and compares them on every bestMerge
 // call: same verdict, same gain, same canonical score, same merged order.
 // It also holds the filter to its contract: every candidate price lands
 // within eps of the candidate's canonical gain, and price explores exactly
-// as many candidates as the reference builds. Returns the calls checked.
-func lockstep(t *testing.T, g *Graph, opts Options) int {
+// as many candidates as the reference builds. And it holds the cached
+// start to viewScore: price's cross edges and fx/fy are those a walk of x
+// finds, whichever side it walked; refine equals viewScore bit for bit on
+// every legal candidate; and after every merge each node's fold is the
+// running prefix of a from-scratch fold of its chain.
+func lockstep(t *testing.T, g *Graph, opts Options) lockStats {
 	t.Helper()
 	st, ref := newState(g, opts), newRefState(g, opts)
-	calls := 0
+	var stats lockStats
+	merged := -1 // the chain the last merge rewrote
 	for {
 		var best mergeCandidate
 		var refBest refCandidate
@@ -37,26 +54,52 @@ func lockstep(t *testing.T, g *Graph, opts Options) int {
 					continue
 				}
 				y := st.chains[yid]
-				calls++
+				stats.calls++
 
 				xFirst, yFirst := st.legalFirsts(x, y)
-				approx, eps := st.price(&st.sc, x, y, xFirst, yFirst)
+				approx, eps, fx, fy := st.price(&st.sc, x, y, xFirst, yFirst)
 				approx = append([]float64(nil), approx...) // price's scratch is reused
+				nx, ny := len(x.nodes), len(y.nodes)
 				want := 2
-				if len(x.nodes) <= opts.maxSplit() {
-					want = len(x.nodes) + 1
+				if nx <= opts.maxSplit() {
+					want = nx + 1
 				}
 				if len(approx) != want {
 					t.Fatalf("pair (%d,%d): priced %d candidates, reference explores %d", x.id, y.id, len(approx), want)
+				}
+				wantCross, wantFx, wantFy := xSideCross(st, x, y)
+				if !reflect.DeepEqual(sortCross(st.sc.cross), sortCross(wantCross)) {
+					t.Fatalf("pair (%d,%d): price collected cross edges\n%v\nwalking x finds\n%v", x.id, y.id, st.sc.cross, wantCross)
+				}
+				if fx != wantFx || fy != wantFy {
+					t.Fatalf("pair (%d,%d): price says fx=%d fy=%d, want %d %d", x.id, y.id, fx, fy, wantFx, wantFy)
+				}
+				if ny < nx && (!xFirst || want == 2) {
+					stats.ySide++
+				}
+				top := math.Inf(-1)
+				for k, a := range approx {
+					if legal(k, xFirst, yFirst) {
+						top = max(top, a)
+					}
 				}
 				for k, a := range approx {
 					if !legal(k, xFirst, yFirst) {
 						continue
 					}
-					canon := st.viewScore(x, y, splitOf(k, len(x.nodes))) - x.score - y.score
+					split := splitOf(k, nx)
+					view := st.viewScore(x, y, split)
+					if r := st.refine(x, y, split, fx, fy); math.Float64bits(r) != math.Float64bits(view) {
+						t.Fatalf("pair (%d,%d) split %d (fx=%d fy=%d): refine %v != viewScore %v", x.id, y.id, split, fx, fy, r, view)
+					}
+					canon := view - x.score - y.score
 					if !(math.Abs(a-canon) <= eps) {
 						t.Fatalf("pair (%d,%d) candidate %d: approx %v vs canonical %v differ by %g > eps %g",
 							x.id, y.id, k, a, canon, math.Abs(a-canon), eps)
+					}
+					if a >= top-2*eps && (merged < 0 || x.id == merged || y.id == merged) {
+						stats.folded += nx + ny
+						stats.skipped += cachedStart(st, x, y, split, fx, fy)
 					}
 				}
 
@@ -87,11 +130,108 @@ func lockstep(t *testing.T, g *Graph, opts Options) int {
 		}
 		st.applyMerge(best)
 		ref.applyMerge(refBest)
+		checkFold(t, st, st.chains[best.x])
+		merged = best.x
 	}
 	if got, want := st.finalOrder(), ref.finalOrder(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("final order\n got %v\nwant %v", got, want)
 	}
-	return calls
+	return stats
+}
+
+// xSideCross is what price collects walking x's nodes: every x<->y edge
+// of the adjacency, and the first index in x of a node with an edge into
+// y and in y of one with an edge into x.
+func xSideCross(st *state, x, y *chain) (cross []crossEdge, fx, fy int) {
+	fx, fy = len(x.nodes), len(y.nodes)
+	end := func(nd int) int64 { return st.off[nd] + st.g.Nodes[nd].Size }
+	for i, u := range x.nodes {
+		for _, ei := range st.nodeOut[u] {
+			if e := st.g.Edges[ei]; st.owner[e.Dst] == y.id {
+				cross = append(cross, crossEdge{w: e.Weight, srcEnd: end(u), dst: st.off[e.Dst], xi: i, fromX: true})
+				fx = min(fx, i)
+			}
+		}
+		for _, ei := range st.nodeIn[u] {
+			if e := st.g.Edges[ei]; st.owner[e.Src] == y.id {
+				cross = append(cross, crossEdge{w: e.Weight, srcEnd: end(e.Src), dst: st.off[u], xi: i})
+				fy = min(fy, st.idx[e.Src])
+			}
+		}
+	}
+	return cross, fx, fy
+}
+
+// sortCross returns a sorted copy of a cross-edge multiset.
+func sortCross(cross []crossEdge) []crossEdge {
+	out := append([]crossEdge{}, cross...)
+	sort.Slice(out, func(i, j int) bool {
+		a, b := out[i], out[j]
+		if a.w != b.w {
+			return a.w < b.w
+		}
+		if a.srcEnd != b.srcEnd {
+			return a.srcEnd < b.srcEnd
+		}
+		if a.dst != b.dst {
+			return a.dst < b.dst
+		}
+		if a.xi != b.xi {
+			return a.xi < b.xi
+		}
+		return !a.fromX && b.fromX
+	})
+	return out
+}
+
+// cachedStart returns how many nodes refine skipped on split, proven by
+// poisoning the fold entry it must start from with NaN: 0 when it folded
+// from scratch.
+func cachedStart(st *state, x, y *chain, split, fx, fy int) int {
+	var nd, skip int
+	switch {
+	case split == len(x.nodes) && fx > 0:
+		nd, skip = x.nodes[fx-1], fx
+	case split == 0 && fy > 0:
+		nd, skip = y.nodes[fy-1], fy
+	default:
+		return 0
+	}
+	saved := st.fold[nd]
+	st.fold[nd] = math.NaN()
+	defer func() { st.fold[nd] = saved }()
+	if !math.IsNaN(st.refine(x, y, split, fx, fy)) {
+		return 0
+	}
+	return skip
+}
+
+// checkFold holds c's fold entries to a from-scratch fold of c's nodes —
+// offsets summed from the sizes, members from the node list — and its
+// last entry to c's score.
+func checkFold(t *testing.T, st *state, c *chain) {
+	t.Helper()
+	pos := map[int]int64{}
+	var addr int64
+	for _, nd := range c.nodes {
+		pos[nd] = addr
+		addr += st.g.Nodes[nd].Size
+	}
+	var total float64
+	for i, nd := range c.nodes {
+		for _, ei := range st.nodeOut[nd] {
+			e := st.g.Edges[ei]
+			if dst, ok := pos[e.Dst]; ok {
+				total += st.pr.edgeGain(e.Weight, pos[nd]+st.g.Nodes[nd].Size, dst)
+			}
+		}
+		if math.Float64bits(st.fold[nd]) != math.Float64bits(total) {
+			t.Fatalf("chain %d node %d (index %d): fold %v, from-scratch prefix %v", c.id, nd, i, st.fold[nd], total)
+		}
+	}
+	if last := st.fold[c.nodes[len(c.nodes)-1]]; math.Float64bits(last) != math.Float64bits(c.score) {
+		t.Fatalf("chain %d: last fold %v != score %v", c.id, last, c.score)
+	}
 }
 
 // matchesReference holds Layout under each given retrieval (UseHeap
@@ -120,7 +260,7 @@ func TestBestMergeMatchesReference(t *testing.T) {
 		{ForwardWeight: 0.4, BackwardWeight: 0.05},  // fw-heavy
 		{ForwardWindow: 2048, BackwardWindow: 1280}, // window-2x
 	}
-	calls := 0
+	var calls, ySide int
 	for trial := 0; trial < 60; trial++ {
 		n := 2 + rng.Intn(60)
 		g := fuzzGraph(rng, n)
@@ -131,10 +271,27 @@ func TestBestMergeMatchesReference(t *testing.T) {
 		if trial%4 == 3 {
 			opts.MaxSplitChain = 1 + rng.Intn(6)
 		}
-		calls += lockstep(t, g, opts)
+		s := lockstep(t, g, opts)
+		calls += s.calls
+		ySide += s.ySide
 	}
-	if calls < 10000 {
-		t.Errorf("only %d bestMerge calls compared", calls)
+	if calls < 10000 || ySide < 1000 {
+		t.Errorf("only %d bestMerge calls compared, %d of them priced from y's side", calls, ySide)
+	}
+}
+
+// TestCachedStartEngages: on a heavy backbone that grows by appending, the
+// X·Y refinements that decide each merge start from the backbone's cached
+// fold, so refine skips at least half of what viewScore would fold (85%
+// here). Without this check, a refine that always fell back to viewScore
+// would pass every oracle. The backbone is bare: a leaf's X·Y must leave
+// the cached fold at the backbone's first edge into the leaf, which can
+// be anywhere.
+func TestCachedStartEngages(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	g := backboneGraph(rng, 48, 0, 3, func() int64 { return int64(1 + rng.Intn(64)) })
+	if s := lockstep(t, g, Options{ForcedFirst: 0}); 2*s.skipped < s.folded {
+		t.Errorf("refine skipped %d of the %d nodes viewScore folds", s.skipped, s.folded)
 	}
 }
 

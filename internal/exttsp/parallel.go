@@ -206,11 +206,11 @@ func layoutChains(g *Graph, opts Options, chains []Chain, p *pool) ([]int, error
 			return nil, fmt.Errorf("exttsp: node %d missing from chains", nd)
 		}
 	}
-	// Scored once every node knows its chain: a fold tells members from
+	// Folded once every node knows its chain: a fold tells members from
 	// outsiders by owner.
 	for _, c := range st.chains {
 		if !c.dead {
-			c.score = st.chainScore(c)
+			c.score = st.refold(c)
 		}
 	}
 	st.run()
@@ -299,17 +299,22 @@ func layoutShards(g *Graph, opts Options, comps [][]int, workers, minWork int) (
 // layouts), time per batch with the owner alone against owner plus one
 // helper, by work estimate:
 //
-//	  512–1 023    37 µs →    43 µs
-//	1 024–2 047    70 µs →    77 µs
-//	2 048–4 095   137 µs →   132 µs
-//	4 096–8 191   295 µs →   238 µs
-//	8 192–16 383  485 µs →   360 µs
-//	65 536–       3.48 ms →  1.86 ms
+//	  512–1 023    37 µs →    45 µs
+//	1 024–2 047    76 µs →    83 µs
+//	2 048–4 095   148 µs →   143 µs
+//	4 096–8 191   338 µs →   291 µs
+//	8 192–16 383  432 µs →   341 µs
+//	65 536–       1.69 ms →  1.02 ms
 //
 // A parked helper starts about 100 µs after the send (the runtime wakes a
 // thread, which then steals the goroutine), so a batch the owner finishes
-// in less gains nothing and pays for the wake. The 157 batches of 2 081
-// at or above the threshold hold 76% of the serial loop's time.
+// in less gains nothing and pays for the wake. The 158 batches per layout
+// at or above the threshold, of 5 008, hold 73% of the re-scoring time.
+// Since refine starts concatenations from the cached fold and price walks
+// the shorter chain of a pair without splits, a long x against a short
+// neighbour costs less than |x|+|nb|; neither a threshold of 2 048 nor an
+// estimate that charges such a pair twice its short side beat this one
+// in alternated BenchmarkLayoutInterProc rounds.
 const batchMinWork = 4096
 
 // pool is the helper side of one LayoutParallel call, shared by every
