@@ -11,6 +11,7 @@ package bbaddrmap
 
 import (
 	"cmp"
+	"fmt"
 	"slices"
 	"sort"
 
@@ -57,18 +58,31 @@ type Map struct {
 func Encode(m *Map) []byte {
 	return wire.Encode("", func(w *wire.Writer) {
 		w.Int(len(m.Funcs))
-		for _, f := range m.Funcs {
-			w.Str(f.Name)
-			w.U64(f.Addr)
-			w.Int(len(f.Blocks))
-			for _, b := range f.Blocks {
-				w.Int(b.ID)
-				w.U64(b.Offset)
-				w.U64(b.Size)
-				w.Byte(byte(b.Flags))
-			}
+		for i := range m.Funcs {
+			writeFunc(w, &m.Funcs[i])
 		}
 	})
+}
+
+// AppendFunc appends to dst the encoding of a map holding the one function
+// f, as Encode would write it: the backend's per-fragment section.
+func AppendFunc(dst []byte, f *FuncEntry) []byte {
+	w := wire.Writer{Buf: dst}
+	w.Int(1)
+	writeFunc(&w, f)
+	return w.Buf
+}
+
+func writeFunc(w *wire.Writer, f *FuncEntry) {
+	w.Str(f.Name)
+	w.U64(f.Addr)
+	w.Int(len(f.Blocks))
+	for _, b := range f.Blocks {
+		w.Int(b.ID)
+		w.U64(b.Offset)
+		w.U64(b.Size)
+		w.Byte(byte(b.Flags))
+	}
 }
 
 // Smallest encodings of one function (empty name, address, block count)
@@ -101,30 +115,86 @@ func Decode(data []byte) (*Map, error) {
 	return m, nil
 }
 
-// Rebase returns a copy of the map with delta added to every function
-// address. The linker uses this when placing sections at final addresses.
-func (m *Map) Rebase(delta uint64) *Map {
-	total := 0
-	for i := range m.Funcs {
-		total += len(m.Funcs[i].Blocks)
-	}
-	out := &Map{Funcs: make([]FuncEntry, len(m.Funcs))}
-	blocks := make([]BlockEntry, total)
-	for i, f := range m.Funcs {
-		n := copy(blocks, f.Blocks)
-		out.Funcs[i] = FuncEntry{Name: f.Name, Addr: f.Addr + delta, Blocks: blocks[:n:n]}
-		blocks = blocks[n:]
-	}
-	return out
+// Fragment is one encoded map, an object's address map section, and where
+// its functions land in a spliced map.
+type Fragment struct {
+	Name string // prefixes the errors the fragment's bytes cause
+	Data []byte // what Decode would read
+	Base uint64 // added to every function's address
+	Trim uint64 // cut from each function's last block, which never goes below zero
 }
 
-// Merge concatenates several maps into one.
-func Merge(maps ...*Map) *Map {
-	out := &Map{}
-	for _, m := range maps {
-		out.Funcs = append(out.Funcs, m.Funcs...)
+// Splice returns the encoding of one map holding, in order, the functions
+// of every fragment frags hands to yield, each moved and trimmed as its
+// Fragment says — the bytes Encode writes for the fragments decoded,
+// rebased, trimmed and concatenated — or nil when they hold no function. It
+// decodes nothing: each fragment's functions are read and written straight
+// into the output. A fragment is checked exactly as Decode checks its
+// input; yield rejects one Decode rejects with Decode's error prefixed by
+// the fragment's name, and frags is to stop at the first error and return
+// it (its own, or yield's), which Splice returns as it is. Beside the
+// result, Splice allocates a constant few objects whatever the input.
+func Splice(frags func(yield func(Fragment) error) error) ([]byte, error) {
+	var err error
+	n := 0
+	out := wire.Encode("", func(w *wire.Writer) {
+		err = frags(func(f Fragment) error {
+			k, err := splice(w, &f)
+			if err != nil {
+				return fmt.Errorf("%s: %w", f.Name, err)
+			}
+			n += k
+			return nil
+		})
+		if err != nil {
+			return
+		}
+		// The function count leads the encoding but is known only now:
+		// append it, then rotate it to the front.
+		body := len(w.Buf)
+		w.Int(n)
+		var head [wire.MaxVarintLen64]byte
+		k := copy(head[:], w.Buf[body:])
+		copy(w.Buf[k:], w.Buf[:body])
+		copy(w.Buf, head[:k])
+	})
+	if err != nil || n == 0 {
+		return nil, err
 	}
-	return out
+	return out, nil
+}
+
+// splice writes f's functions to w, making Decode's reads and checks in
+// Decode's order, and returns how many it wrote.
+func splice(w *wire.Writer, f *Fragment) (int, error) {
+	r := wire.NewReader("bbaddrmap", "", f.Data)
+	n := r.Count()
+	if !r.Holds(n, minFuncBytes) {
+		return 0, r.Err()
+	}
+	for range n {
+		w.Bytes(r.View())
+		w.U64(r.U64() + f.Base)
+		blocks := r.Count()
+		if !r.Holds(blocks, minBlockBytes) {
+			return 0, r.Err()
+		}
+		w.Int(blocks)
+		for j := range blocks {
+			id, off, size, flags := r.Int(), r.U64(), r.U64(), r.Byte()
+			if j == blocks-1 {
+				size -= min(size, f.Trim)
+			}
+			w.Int(id)
+			w.U64(off)
+			w.U64(size)
+			w.Byte(flags)
+		}
+	}
+	if err := r.Done(); err != nil {
+		return 0, err
+	}
+	return n, nil
 }
 
 // Lookup is an address→block index built from a Map, used by Phase 3 to

@@ -3,6 +3,7 @@ package bbaddrmap
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"math/rand"
 	"reflect"
 	"runtime"
@@ -140,30 +141,6 @@ func TestFuncAt(t *testing.T) {
 	}
 }
 
-func TestRebase(t *testing.T) {
-	m := sample()
-	r := m.Rebase(0x1000)
-	if r.Funcs[0].Addr != 0x2000 || r.Funcs[2].Addr != 0x3000 {
-		t.Error("Rebase did not shift addresses")
-	}
-	if m.Funcs[0].Addr != 0x1000 {
-		t.Error("Rebase mutated the original")
-	}
-	r.Funcs[0].Blocks[0].Size = 999
-	if m.Funcs[0].Blocks[0].Size == 999 {
-		t.Error("Rebase shares block slices with the original")
-	}
-}
-
-func TestMerge(t *testing.T) {
-	a := &Map{Funcs: []FuncEntry{{Name: "a"}}}
-	b := &Map{Funcs: []FuncEntry{{Name: "b"}, {Name: "c"}}}
-	m := Merge(a, b)
-	if len(m.Funcs) != 3 || m.Funcs[2].Name != "c" {
-		t.Errorf("Merge produced %+v", m.Funcs)
-	}
-}
-
 // Property: the memoizing Resolver answers every index-form query exactly
 // like the raw Lookup, under heavy repetition (high hit rate), collisions,
 // and arena resets.
@@ -285,6 +262,106 @@ func FuzzDecode(f *testing.F) {
 		}
 		if !bytes.Equal(enc, Encode(again)) {
 			t.Fatal("encoding is not a fixed point over accepted inputs")
+		}
+	})
+}
+
+// spliceOne is Splice over the one fragment {"frag", data, base, trim}.
+func spliceOne(data []byte, base, trim uint64) ([]byte, error) {
+	return Splice(func(yield func(Fragment) error) error {
+		return yield(Fragment{Name: "frag", Data: data, Base: base, Trim: trim})
+	})
+}
+
+// moved is what the linker used to make of one decoded fragment: every
+// address moved by base and every function's last block cut by trim.
+func moved(m *Map, base, trim uint64) *Map {
+	out := &Map{}
+	for _, f := range m.Funcs {
+		f.Addr += base
+		f.Blocks = slices.Clone(f.Blocks)
+		if n := len(f.Blocks); n > 0 {
+			f.Blocks[n-1].Size -= min(f.Blocks[n-1].Size, trim)
+		}
+		out.Funcs = append(out.Funcs, f)
+	}
+	return out
+}
+
+// TestSpliceConcatenates: three fragments, one of them empty, splice into
+// the encoding of their moved functions in order; an error the caller's
+// walk returns comes back as it is, and no function at all is nil.
+func TestSpliceConcatenates(t *testing.T) {
+	a, b := sample(), &Map{Funcs: sample().Funcs[2:]}
+	frags := []Fragment{
+		{Name: "a", Data: Encode(a), Base: 0x10000, Trim: 3},
+		{Name: "empty", Data: Encode(&Map{}), Base: 0x20000},
+		{Name: "b", Data: Encode(b), Base: 0x30000, Trim: 99},
+	}
+	walk := func(frags []Fragment) func(func(Fragment) error) error {
+		return func(yield func(Fragment) error) error {
+			for _, f := range frags {
+				if err := yield(f); err != nil {
+					return err
+				}
+			}
+			return nil
+		}
+	}
+	got, err := Splice(walk(frags))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := &Map{Funcs: append(moved(a, 0x10000, 3).Funcs, moved(b, 0x30000, 99).Funcs...)}
+	if !bytes.Equal(got, Encode(want)) {
+		t.Fatalf("spliced %x, want %x", got, Encode(want))
+	}
+	if got, err := Splice(walk(frags[1:2])); got != nil || err != nil {
+		t.Errorf("splice of an empty map: %x, %v; want nil, nil", got, err)
+	}
+	stop := errors.New("stop")
+	if _, err := Splice(func(func(Fragment) error) error { return stop }); err != stop {
+		t.Errorf("the walk's own error came back as %v", err)
+	}
+}
+
+// FuzzSplice holds the splice to Decode over arbitrary bytes, bases and
+// trims: it accepts exactly what Decode accepts, rejects with Decode's
+// error behind the fragment's name, writes Encode of the decoded map moved
+// and trimmed (nil for no function), and allocates a constant few objects
+// whatever the function count (checked without -race).
+func FuzzSplice(f *testing.F) {
+	f.Add(Encode(sample()), uint64(0x400000), uint64(0))
+	f.Add(Encode(sample()), uint64(1)<<63, uint64(17))
+	f.Add(Encode(&Map{}), uint64(0), uint64(0))
+	f.Add(Encode(sample())[:9], uint64(0), uint64(0))
+	f.Add(append(Encode(sample()), 0), uint64(0), uint64(0))
+	f.Add(binary.AppendUvarint(nil, 1000), uint64(0), uint64(0))
+	f.Add(append(binary.AppendUvarint([]byte{1, 0, 0}, 6000), make([]byte, 6000)...), uint64(5), uint64(5))
+	f.Fuzz(func(t *testing.T, data []byte, base, trim uint64) {
+		m, derr := Decode(data)
+		got, err := spliceOne(data, base, trim)
+		if derr != nil {
+			if err == nil || err.Error() != "frag: "+derr.Error() {
+				t.Fatalf("Decode: %v; splice: %v", derr, err)
+			}
+			return
+		}
+		if err != nil {
+			t.Fatalf("Decode accepts what the splice rejects: %v", err)
+		}
+		var want []byte
+		if len(m.Funcs) > 0 {
+			want = Encode(moved(m, base, trim))
+		}
+		if !bytes.Equal(got, want) || (got == nil) != (want == nil) {
+			t.Fatalf("spliced %x, want %x", got, want)
+		}
+		if raceEnabled {
+			return // the count is exact only with the pool intact
+		}
+		if a := testing.AllocsPerRun(10, func() { spliceOne(data, base, trim) }); a > 4 {
+			t.Fatalf("splice of %d functions: %.1f allocations", len(m.Funcs), a)
 		}
 	})
 }

@@ -26,6 +26,8 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
+	"strconv"
+	"sync"
 
 	"propeller/internal/ir"
 	"propeller/internal/layoutfile"
@@ -113,15 +115,21 @@ func (o *Options) splitMinBytes() int {
 
 // Compile lowers a module to a relocatable object.
 func Compile(m *ir.Module, opts Options) (*objfile.Object, error) {
+	cg := compilers.Get().(*compiler)
+	defer compilers.Put(cg)
+	return cg.compile(m, opts)
+}
+
+// compile is Compile in this compiler's buffers, which it leaves empty.
+func (cg *compiler) compile(m *ir.Module, opts Options) (*objfile.Object, error) {
 	if err := ir.Verify(m); err != nil {
 		return nil, fmt.Errorf("codegen: %w", err)
 	}
 	if opts.HeuristicSplit && (opts.Mode == ModeNone || opts.Mode == ModeLabels) {
 		m = applyHeuristicSplit(m, opts.splitMinBytes())
 	}
-	obj := &objfile.Object{Name: m.Name}
-	cg := &compiler{opts: opts, obj: obj}
-
+	defer cg.reset()
+	cg.opts = opts
 	for _, g := range m.Globals {
 		cg.lowerGlobal(g)
 	}
@@ -130,42 +138,58 @@ func Compile(m *ir.Module, opts Options) (*objfile.Object, error) {
 			return nil, err
 		}
 	}
-	cg.emitEHFrame()
-	cg.emitLSDA()
-	cg.emitDebugRanges()
+	cg.emitEHFrame(m.Name)
+	cg.emitLSDA(m.Name)
+	cg.emitDebugRanges(m.Name)
+	obj := cg.ob.object(m.Name)
 	if err := obj.Validate(); err != nil {
 		return nil, fmt.Errorf("codegen: produced invalid object: %w", err)
 	}
 	return obj, nil
 }
 
+// compilers holds compilers between modules: their buffers, grown to the
+// largest module each has lowered, are the scratch every object is built in
+// before it is carved out at its exact size.
+var compilers = sync.Pool{New: func() any { return new(compiler) }}
+
 type compiler struct {
 	opts Options
-	obj  *objfile.Object
+	ob   objBuilder
 
 	// fragments lists every emitted text section (for CFI emission).
-	fragments []fragmentInfo
+	fragments []fragment
 
 	// lsda accumulates call-site records across the module.
-	lsda []callSite
+	lsda []lsdaSite
 
-	// lo is the per-function lowering state, reused across the module's
-	// functions.
+	// lo is the per-function lowering state, reused from function to
+	// function.
 	lo layout
 }
 
-type fragmentInfo struct {
-	symName string
-	size    int64
+// reset empties the compiler for the next module, dropping everything that
+// points into the one it lowered.
+func (cg *compiler) reset() {
+	cg.opts = Options{}
+	cg.ob.reset()
+	cg.fragments, cg.lsda = cg.fragments[:0], cg.lsda[:0]
+	cg.lo.release()
 }
 
-// callSite is one exception call-site table record: a call covered by a
+// fragment is one emitted text section, named by its symbol.
+type fragment struct {
+	sym  name
+	size int64
+}
+
+// lsdaSite is one exception call-site table record: a call covered by a
 // landing pad.
-type callSite struct {
-	callSec    string // section symbol containing the call
-	callEndOff int64  // offset just past the call instruction
-	padSec     string // section symbol containing the landing pad
-	padOff     int64  // offset of the landing pad block in its section
+type lsdaSite struct {
+	callSec    name  // section symbol containing the call
+	callEndOff int64 // offset just past the call instruction
+	padSec     name  // section symbol containing the landing pad
+	padOff     int64 // offset of the landing pad block in its section
 }
 
 func (cg *compiler) lowerGlobal(g *ir.Global) {
@@ -175,36 +199,47 @@ func (cg *compiler) lowerGlobal(g *ir.Global) {
 		kind = objfile.SecRodata
 		prefix = ".rodata."
 	}
-	data := make([]byte, g.Size)
-	copy(data, g.Init)
-	sec := &objfile.Section{
-		Name:  prefix + g.Name,
-		Kind:  kind,
-		Data:  data,
-		Align: 8,
-	}
+	b := &cg.ob
+	lo, rlo := len(b.data), len(b.relocs)
+	// ir.Verify has checked that the initializer fits.
+	b.data = append(b.data, g.Init...)
+	b.data = appendZeros(b.data, int(g.Size)-len(g.Init))
 	if g.CodeSnapshotOf != "" {
-		sec.Relocs = append(sec.Relocs, objfile.Reloc{
-			Off: 0, Type: objfile.RelCode64, Sym: g.CodeSnapshotOf,
-		})
+		b.reloc(0, objfile.RelCode64, name{str: g.CodeSnapshotOf}, 0, false)
 	}
 	for i, fp := range g.FuncPtrs {
-		sec.Relocs = append(sec.Relocs, objfile.Reloc{
-			Off: int64(8 * i), Type: objfile.RelAbs64Data, Sym: fp,
-		})
+		b.reloc(int64(8*i), objfile.RelAbs64Data, name{str: fp}, 0, false)
 	}
-	idx := cg.obj.AddSection(sec)
-	cg.obj.AddSymbol(&objfile.Symbol{
-		Name: g.Name, Kind: objfile.SymObject, Section: idx,
-		Off: 0, Size: g.Size, Global: true,
-	})
+	idx := b.addSection(b.spell(prefix, g.Name), kind, 8, lo, rlo)
+	b.addSymbol(name{str: g.Name}, objfile.SymObject, idx, 0, g.Size)
 }
+
+// Section plan suffixes besides ".n" for n >= 0 (a cluster's index, or in
+// ModeAll a block's ID).
+const (
+	primarySection = -1 // no suffix
+	coldSection    = -2 // ".cold"
+)
 
 // sectionPlan is one future text section: an ordered run of blocks.
 type sectionPlan struct {
-	suffix string // "" for the primary section
+	suffix int // primarySection, coldSection or n for ".n"
 	blocks []*ir.Block
 	nop    bool // prepend a nop (landing-pad-first rule, §4.5)
+	// name is the section's name, ".text." + sym; sym names the fragment's
+	// symbol, the function's name plus the suffix.
+	name, sym name
+}
+
+// appendSuffix appends the plan's suffix to dst.
+func (p *sectionPlan) appendSuffix(dst []byte) []byte {
+	switch p.suffix {
+	case primarySection:
+		return dst
+	case coldSection:
+		return append(dst, ".cold"...)
+	}
+	return strconv.AppendInt(append(dst, '.'), int64(p.suffix), 10)
 }
 
 func (cg *compiler) lowerFunc(f *ir.Func) error {
@@ -224,9 +259,9 @@ func (cg *compiler) planSections(lo *layout) (bool, error) {
 	switch cg.opts.Mode {
 	case ModeAll:
 		for i, b := range f.Blocks {
-			suffix := ""
+			suffix := primarySection
 			if i > 0 {
-				suffix = fmt.Sprintf(".%d", b.ID)
+				suffix = b.ID
 			}
 			lo.plans = append(lo.plans, sectionPlan{suffix: suffix, blocks: f.Blocks[i : i+1]})
 		}
@@ -239,7 +274,7 @@ func (cg *compiler) planSections(lo *layout) (bool, error) {
 		// vanilla single-section layout.
 		fallthrough
 	case ModeNone, ModeLabels:
-		lo.plans = append(lo.plans, sectionPlan{blocks: f.Blocks})
+		lo.plans = append(lo.plans, sectionPlan{suffix: primarySection, blocks: f.Blocks})
 		return cg.opts.Mode != ModeNone, nil
 	}
 	return false, fmt.Errorf("codegen: unknown mode %v", cg.opts.Mode)
@@ -266,9 +301,9 @@ func (lo *layout) planFromDirective(spec layoutfile.ClusterSpec) error {
 	// runs of one backing array.
 	order := slices.Grow(lo.order[:0], len(f.Blocks))
 	for ci, cluster := range spec.Clusters {
-		suffix := ""
+		suffix := primarySection
 		if ci > 0 {
-			suffix = fmt.Sprintf(".%d", ci)
+			suffix = ci
 		}
 		start := len(order)
 		for _, id := range cluster {
@@ -297,14 +332,8 @@ func (lo *layout) planFromDirective(spec layoutfile.ClusterSpec) error {
 		}
 	}
 	if len(order) > start {
-		lo.plans = append(lo.plans, sectionPlan{suffix: ".cold", blocks: order[start:]})
+		lo.plans = append(lo.plans, sectionPlan{suffix: coldSection, blocks: order[start:]})
 	}
 	lo.order = order
 	return nil
 }
-
-// symbolNameFor returns the symbol naming a function fragment.
-func symbolNameFor(fn, suffix string) string { return fn + suffix }
-
-// sectionNameFor returns the section name for a function fragment.
-func sectionNameFor(fn, suffix string) string { return ".text." + fn + suffix }

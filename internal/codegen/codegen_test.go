@@ -1,6 +1,8 @@
 package codegen
 
 import (
+	"bytes"
+	"math"
 	"strings"
 	"testing"
 
@@ -233,40 +235,50 @@ func chainModule(funcs, blocks, ins int) *ir.Module {
 	return m
 }
 
-// TestCompileAllocs: the backend allocates per function and per emitted
-// section (a Section, a Symbol, their names, the text bytes, the address
-// map), never per block or per instruction: the per-block lowering state
-// is one slice the compiler reuses across the module's functions.
+// TestCompileAllocs: the backend builds an object in scratch buffers a
+// compiler keeps between modules (Compile takes compilers from a pool) and
+// carves it out of eight exact slabs (the Object, its Sections and Symbols
+// and their pointer slices, the bytes, the relocations and the names), so
+// what a compiler allocates per module is constant: 64 functions against
+// 8, three sections per function against one, 256 blocks or 128
+// instructions per block against 8 and 4, may add only the relocation slab
+// cross-section branches need and the doubling of the hash tables Verify
+// and Validate fill with the module's names — at most 2 + 2·log2 of the
+// growth.
 func TestCompileAllocs(t *testing.T) {
+	cg := new(compiler)
 	allocs := func(funcs, blocks, ins int, opts Options) float64 {
 		m := chainModule(funcs, blocks, ins)
-		return testing.AllocsPerRun(5, func() {
-			if _, err := Compile(m, opts); err != nil {
+		return testing.AllocsPerRun(10, func() {
+			if _, err := cg.compile(m, opts); err != nil {
 				t.Fatal(err)
 			}
 		})
 	}
 	dirs := layoutfile.Directives{}
-	for _, f := range chainModule(8, 256, 1).Funcs {
+	for _, f := range chainModule(64, 256, 1).Funcs {
 		dirs[f.Name] = layoutfile.ClusterSpec{Clusters: [][]int{{0, 2, 1}, {5, 4}}}
 	}
-	for _, opts := range []Options{{Mode: ModeLabels}, {Mode: ModeList, Directives: dirs}} {
-		small, manyBlocks, manyIns := allocs(8, 8, 4, opts), allocs(8, 256, 4, opts), allocs(8, 8, 128, opts)
-		// Growth with the block and instruction counts is the growth of a
-		// few per-function buffers (relocations, the address map's blocks),
-		// logarithmic in their length.
-		if manyBlocks > small+8*12 || manyIns > small+8*4 {
-			t.Errorf("%v: %.0f allocations for 8 functions of 8 blocks x 4 instructions, %.0f with 256 blocks, %.0f with 128 instructions",
-				opts.Mode, small, manyBlocks, manyIns)
+	labels, list := Options{Mode: ModeLabels}, Options{Mode: ModeList, Directives: dirs}
+	base := allocs(8, 8, 4, labels)
+	for _, c := range []struct {
+		what   string
+		got    float64
+		growth float64
+	}{
+		{"64 functions", allocs(64, 8, 4, labels), 8},
+		{"3 sections per function", allocs(8, 8, 4, list), 3},
+		{"64 functions of 3 sections", allocs(64, 8, 4, list), 24},
+		{"256 blocks per function", allocs(8, 256, 4, labels), 32},
+		{"128 instructions per block", allocs(8, 8, 128, labels), 32},
+	} {
+		t.Logf("%s: %.0f allocations, %.0f for 8 functions of one section", c.what, c.got, base)
+		if limit := base + 2 + 2*math.Log2(c.growth); c.got > limit {
+			t.Errorf("%s: %.0f allocations, want <= %.0f (%.0f for 8 functions of one section)", c.what, c.got, limit, base)
 		}
-		t.Logf("%v: %.0f / %.0f / %.0f allocations", opts.Mode, small, manyBlocks, manyIns)
-		sections := 1
-		if opts.Mode == ModeList {
-			sections = 3 // two clusters and .cold
-		}
-		if limit := float64(40 + 16*8*sections); small > limit {
-			t.Errorf("%v: %.0f allocations for 8 small functions of %d sections, want <= %.0f", opts.Mode, small, sections, limit)
-		}
+	}
+	if base > 10 {
+		t.Errorf("%.0f allocations for 8 small functions, want <= 10", base)
 	}
 }
 
@@ -287,5 +299,23 @@ func TestStaleNumbering(t *testing.T) {
 	f.Renumber()
 	if _, err := Compile(m, Options{Mode: ModeLabels}); err != nil {
 		t.Errorf("Compile after Renumber: %v", err)
+	}
+}
+
+// TestCompiledSlicesDoNotAlias: a compiled object's sections are runs of
+// shared slabs, capacity-clamped, so appending to one section's bytes or
+// relocations reallocates them and changes nothing in any other section.
+func TestCompiledSlicesDoNotAlias(t *testing.T) {
+	obj, err := Compile(chainModule(4, 8, 2), Options{Mode: ModeAll, DebugInfo: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := objfile.EncodeObject(obj)
+	for _, s := range obj.Sections {
+		s.Data = append(s.Data, 0xAA)[:len(s.Data)]
+		s.Relocs = append(s.Relocs, objfile.Reloc{Off: 0, Type: objfile.RelAbs64, Sym: "intruder"})[:len(s.Relocs)]
+	}
+	if !bytes.Equal(objfile.EncodeObject(obj), want) {
+		t.Fatal("an append to one compiled section changed another")
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"slices"
+	"strconv"
 
 	"propeller/internal/bbaddrmap"
 	"propeller/internal/ir"
@@ -53,7 +54,7 @@ type prefetchIns struct {
 }
 
 // layout carries all per-function lowering state. The compiler owns one
-// and reuses its slices for every function of the module.
+// and reuses its slices for every function it lowers.
 type layout struct {
 	f     *ir.Func
 	plans []sectionPlan
@@ -67,11 +68,27 @@ type layout struct {
 	prefetch  []prefetchIns
 	secSize   []int64
 	mapBlocks []bbaddrmap.BlockEntry
+
+	// The function's jump tables, which its rodata section holds once all
+	// its text sections are emitted.
+	roData   []byte
+	roRelocs []relocRec
+}
+
+// release drops what the state points into in the function last lowered,
+// which is all it holds of its module: each function's state is released
+// before the next is laid out, so no stale entry lies past a slice's length.
+func (lo *layout) release() {
+	lo.f = nil
+	clear(lo.plans)
+	clear(lo.blocks)
+	clear(lo.order)
+	lo.plans, lo.order, lo.roRelocs = lo.plans[:0], lo.order[:0], lo.roRelocs[:0]
 }
 
 func (lo *layout) reset(f *ir.Func) {
+	lo.release()
 	lo.f = f
-	lo.plans = lo.plans[:0]
 	lo.prefetch = lo.prefetch[:0]
 	lo.blocks = slices.Grow(lo.blocks[:0], len(f.Blocks))[:len(f.Blocks)]
 	for i := range lo.blocks {
@@ -258,153 +275,137 @@ func (lo *layout) assignOffsets() {
 	}
 }
 
-// emitSections writes the final bytes, relocations, symbols, BB address map
-// fragments, and collects CFI/LSDA records.
+// emitSections writes the final bytes, relocations, symbols and BB address
+// map fragments into the object builder, and collects CFI/LSDA records.
 func (cg *compiler) emitSections(lo *layout, emitMap bool) error {
 	f := lo.f
+	b := &cg.ob
+	// Every plan's names come first: a branch, jump table or landing pad
+	// may refer to a section emitted after the one it is in.
+	for pi := range lo.plans {
+		plan := &lo.plans[pi]
+		start := len(b.names)
+		b.names = plan.appendSuffix(append(append(b.names, ".text."...), f.Name...))
+		plan.name = name{lo: int32(start), hi: int32(len(b.names))}
+		plan.sym = name{lo: int32(start + len(".text.")), hi: plan.name.hi}
+	}
 	// Resolve a block reference to (section symbol, offset) for relocations
 	// and exception tables.
-	secSym := func(pi int) string { return symbolNameFor(f.Name, lo.plans[pi].suffix) }
-	blockRef := func(b *ir.Block) (string, int64) {
-		st := lo.state(b)
-		return secSym(int(st.plan)), st.off
+	blockRef := func(blk *ir.Block) (name, int64) {
+		st := lo.state(blk)
+		return lo.plans[st.plan].sym, st.off
 	}
 
-	var rodata *objfile.Section
 	rodataIdx := -1
-	ensureRodata := func() (*objfile.Section, int) {
-		if rodata == nil {
-			rodata = &objfile.Section{Name: ".rodata." + f.Name, Kind: objfile.SecRodata, Align: 8}
-			rodataIdx = cg.obj.AddSection(rodata)
-		}
-		return rodata, rodataIdx
-	}
-
-	for pi, plan := range lo.plans {
-		buf := make([]byte, 0, lo.secSize[pi])
+	lo.roData = lo.roData[:0]
+	for pi := range lo.plans {
+		plan := &lo.plans[pi]
 		// Primary sections keep function alignment; cluster sections pack
 		// tightly (align 1) so ordered layouts can fall through between
 		// sections, as LLD does for basic block sections.
 		align := cg.opts.codeAlign()
-		if plan.suffix != "" {
+		if plan.suffix != primarySection {
 			align = 1
 		}
-		sec := &objfile.Section{
-			Name:  sectionNameFor(f.Name, plan.suffix),
-			Kind:  objfile.SecText,
-			Align: align,
-		}
+		// The section is buf[base:]; at is the offset in it buf ends at.
+		base, rbase := len(b.data), len(b.relocs)
+		buf := b.data
+		at := func() int64 { return int64(len(buf) - base) }
 		if plan.nop {
 			buf = isa.Encode(buf, isa.Inst{Op: isa.OpNop})
 		}
 		mapBlocks := lo.mapBlocks[:0]
-		for pos, b := range plan.blocks {
-			st := lo.state(b)
-			blockStart := int64(len(buf))
+		for pos, blk := range plan.blocks {
+			st := lo.state(blk)
+			blockStart := at()
 			if blockStart != st.off {
-				return fmt.Errorf("codegen: %s bb%d: emitted offset %d != planned %d", f.Name, b.ID, blockStart, st.off)
+				return fmt.Errorf("codegen: %s bb%d: emitted offset %d != planned %d", f.Name, blk.ID, blockStart, st.off)
 			}
 			hasCall := false
 			prefetches := lo.prefetch[st.pfLo:st.pfHi]
 			// Body instructions.
-			for ii, in := range b.Ins {
+			for ii, in := range blk.Ins {
 				if len(prefetches) > 0 && prefetches[0].inst == ii {
 					buf = isa.Encode(buf, isa.Inst{Op: isa.OpPrefetch, A: in.A, Imm: in.Imm + prefetches[0].delta})
 					prefetches = prefetches[1:]
 				}
-				instOff := int64(len(buf))
+				instOff := at()
 				switch {
 				case in.Op == isa.OpCall:
 					hasCall = true
 					buf = isa.Encode(buf, isa.Inst{Op: isa.OpCall})
-					sec.Relocs = append(sec.Relocs, objfile.Reloc{
-						Off: instOff, Type: objfile.RelPC32, Sym: in.Sym, Addend: in.Imm,
-					})
+					b.reloc(instOff, objfile.RelPC32, name{str: in.Sym}, in.Imm, false)
 					if in.Pad != nil {
 						padSym, padOff := blockRef(in.Pad)
-						cg.lsda = append(cg.lsda, callSite{
-							callSec:    sec.Name[len(".text."):],
-							callEndOff: instOff + 5,
-							padSec:     padSym,
-							padOff:     padOff,
-						})
+						cg.lsda = append(cg.lsda, lsdaSite{callSec: plan.sym, callEndOff: instOff + 5, padSec: padSym, padOff: padOff})
 					}
 				case in.Op == isa.OpCallR:
 					hasCall = true
 					buf = isa.Encode(buf, isa.Inst{Op: in.Op, A: in.A})
 					if in.Pad != nil {
 						padSym, padOff := blockRef(in.Pad)
-						cg.lsda = append(cg.lsda, callSite{
-							callSec:    sec.Name[len(".text."):],
-							callEndOff: instOff + 2,
-							padSec:     padSym,
-							padOff:     padOff,
-						})
+						cg.lsda = append(cg.lsda, lsdaSite{callSec: plan.sym, callEndOff: instOff + 2, padSec: padSym, padOff: padOff})
 					}
 				case in.Op == isa.OpMovI64 && in.Sym != "":
 					buf = isa.Encode(buf, isa.Inst{Op: isa.OpMovI64, A: in.A})
-					sec.Relocs = append(sec.Relocs, objfile.Reloc{
-						Off: instOff, Type: objfile.RelAbs64, Sym: in.Sym, Addend: in.Imm,
-					})
+					b.reloc(instOff, objfile.RelAbs64, name{str: in.Sym}, in.Imm, false)
 				default:
 					if sz := isa.SizeOf(in.Op); (sz == 6 || sz == 7) && !isa.FitsRel32(in.Imm) {
 						return fmt.Errorf("codegen: %s bb%d: immediate %d overflows the 32-bit field of %v",
-							f.Name, b.ID, in.Imm, in.Op)
+							f.Name, blk.ID, in.Imm, in.Op)
 					}
 					buf = isa.Encode(buf, isa.Inst{Op: in.Op, A: in.A, B: in.B, Imm: in.Imm})
 				}
 			}
 			// Switch dispatch + jump table.
-			if b.Term.Kind == ir.TermSwitch {
-				var tableSym string
+			if blk.Term.Kind == ir.TermSwitch {
+				var tableSym name
 				var tableAddend int64
 				if cg.opts.DataInCode {
-					tableSym = secSym(pi)
-					tableAddend = int64(len(buf)) + switchSeqBytes
+					tableSym = plan.sym
+					tableAddend = at() + switchSeqBytes
 				} else {
-					ro, _ := ensureRodata()
-					tableSym = fmt.Sprintf("%s.jt%d", f.Name, b.ID)
-					cg.obj.AddSymbol(&objfile.Symbol{
-						Name: tableSym, Kind: objfile.SymObject, Section: rodataIdx,
-						Off: int64(len(ro.Data)), Size: 8 * int64(len(b.Term.Succs)), Global: true,
-					})
-					for _, succ := range b.Term.Succs {
-						sym, off := blockRef(succ)
-						ro.Relocs = append(ro.Relocs, objfile.Reloc{
-							Off: int64(len(ro.Data)), Type: objfile.RelAbs64Data, Sym: sym, Addend: off,
-						})
-						ro.Data = append(ro.Data, make([]byte, 8)...)
+					if rodataIdx < 0 {
+						// The section's bytes and relocations are the
+						// function's tables, filled in below.
+						rodataIdx = b.addSection(b.spell(".rodata.", f.Name), objfile.SecRodata, 8, 0, 0)
 					}
-					ro.Size = int64(len(ro.Data))
+					tableSym = b.spell(f.Name, ".jt")
+					b.names = strconv.AppendInt(b.names, int64(blk.ID), 10)
+					tableSym.hi = int32(len(b.names))
+					b.addSymbol(tableSym, objfile.SymObject, rodataIdx, int64(len(lo.roData)), 8*int64(len(blk.Term.Succs)))
+					for _, succ := range blk.Term.Succs {
+						sym, off := blockRef(succ)
+						lo.roRelocs = append(lo.roRelocs, relocRec{
+							Reloc: objfile.Reloc{Off: int64(len(lo.roData)), Type: objfile.RelAbs64Data, Addend: off},
+							sym:   sym,
+						})
+						lo.roData = appendZeros(lo.roData, 8)
+					}
 				}
-				seqStart := int64(len(buf))
-				buf = isa.Encode(buf, isa.Inst{Op: isa.OpMovRR, A: isa.RegTmp2, B: b.Term.Index})
+				seqStart := at()
+				buf = isa.Encode(buf, isa.Inst{Op: isa.OpMovRR, A: isa.RegTmp2, B: blk.Term.Index})
 				buf = isa.Encode(buf, isa.Inst{Op: isa.OpMovI, A: isa.RegScratch, Imm: 3})
 				buf = isa.Encode(buf, isa.Inst{Op: isa.OpShl, A: isa.RegTmp2, B: isa.RegScratch})
-				movOff := int64(len(buf))
+				b.reloc(at(), objfile.RelAbs64, tableSym, tableAddend, false)
 				buf = isa.Encode(buf, isa.Inst{Op: isa.OpMovI64, A: isa.RegScratch})
-				sec.Relocs = append(sec.Relocs, objfile.Reloc{
-					Off: movOff, Type: objfile.RelAbs64, Sym: tableSym, Addend: tableAddend,
-				})
 				buf = isa.Encode(buf, isa.Inst{Op: isa.OpAdd, A: isa.RegScratch, B: isa.RegTmp2})
 				buf = isa.Encode(buf, isa.Inst{Op: isa.OpLoad, A: isa.RegScratch, B: isa.RegScratch})
 				buf = isa.Encode(buf, isa.Inst{Op: isa.OpJmpR, A: isa.RegScratch})
-				if got := int64(len(buf)) - seqStart; got != switchSeqBytes {
+				if got := at() - seqStart; got != switchSeqBytes {
 					return fmt.Errorf("codegen: switch sequence is %d bytes, expected %d", got, switchSeqBytes)
 				}
 				if cg.opts.DataInCode {
-					for _, succ := range b.Term.Succs {
+					for _, succ := range blk.Term.Succs {
 						sym, off := blockRef(succ)
-						sec.Relocs = append(sec.Relocs, objfile.Reloc{
-							Off: int64(len(buf)), Type: objfile.RelAbs64Data, Sym: sym, Addend: off,
-						})
-						buf = append(buf, make([]byte, 8)...)
+						b.reloc(at(), objfile.RelAbs64Data, sym, off, false)
+						buf = appendZeros(buf, 8)
 					}
 				}
 			}
 			// Tail branches.
 			for _, tb := range st.tails[:st.nTails] {
-				instOff := int64(len(buf))
+				instOff := at()
 				switch {
 				case tb.op == isa.OpRet || tb.op == isa.OpHalt || tb.op == isa.OpThrow:
 					buf = isa.Encode(buf, isa.Inst{Op: tb.op})
@@ -418,54 +419,54 @@ func (cg *compiler) emitSections(lo *layout, emitMap bool) error {
 				default:
 					sym, off := blockRef(tb.target)
 					buf = isa.Encode(buf, isa.Inst{Op: tb.op})
-					sec.Relocs = append(sec.Relocs, objfile.Reloc{
-						Off: instOff, Type: objfile.RelPC32, Sym: sym, Addend: off,
-						Relax: true,
-					})
+					b.reloc(instOff, objfile.RelPC32, sym, off, true)
 				}
 			}
-			if got := int64(len(buf)) - blockStart; got != st.size {
-				return fmt.Errorf("codegen: %s bb%d: emitted %d bytes, planned %d", f.Name, b.ID, got, st.size)
+			if got := at() - blockStart; got != st.size {
+				return fmt.Errorf("codegen: %s bb%d: emitted %d bytes, planned %d", f.Name, blk.ID, got, st.size)
 			}
 			var flags bbaddrmap.BlockFlags
-			if b.LandingPad {
+			if blk.LandingPad {
 				flags |= bbaddrmap.FlagLandingPad
 			}
-			if b.Term.Kind == ir.TermReturn {
+			if blk.Term.Kind == ir.TermReturn {
 				flags |= bbaddrmap.FlagReturn
 			}
 			if hasCall {
 				flags |= bbaddrmap.FlagCall
 			}
-			if fallsThrough(plan, pos, b, int(st.nTails)) {
+			if fallsThrough(plan, pos, blk, int(st.nTails)) {
 				flags |= bbaddrmap.FlagFallThrough
 			}
 			mapBlocks = append(mapBlocks, bbaddrmap.BlockEntry{
-				ID: b.ID, Offset: uint64(st.off), Size: uint64(st.size), Flags: flags,
+				ID: blk.ID, Offset: uint64(st.off), Size: uint64(st.size), Flags: flags,
 			})
 		}
 		lo.mapBlocks = mapBlocks
-		sec.Data = buf
-		secIdx := cg.obj.AddSection(sec)
+		size := at()
+		b.data = buf
+		secIdx := b.addSection(plan.name, objfile.SecText, align, base, rbase)
 		symKind := objfile.SymFunc
-		if plan.suffix != "" {
+		if plan.suffix != primarySection {
 			symKind = objfile.SymFuncPart
 		}
-		cg.obj.AddSymbol(&objfile.Symbol{
-			Name: secSym(pi), Kind: symKind, Section: secIdx,
-			Off: 0, Size: sec.Size, Global: true,
-		})
-		cg.fragments = append(cg.fragments, fragmentInfo{symName: secSym(pi), size: sec.Size})
+		b.addSymbol(plan.sym, symKind, secIdx, 0, size)
+		cg.fragments = append(cg.fragments, fragment{sym: plan.sym, size: size})
 		if emitMap {
-			m := &bbaddrmap.Map{Funcs: []bbaddrmap.FuncEntry{{
-				Name: f.Name, Addr: 0, Blocks: mapBlocks,
-			}}}
-			cg.obj.AddSection(&objfile.Section{
-				Name: ".llvm_bb_addr_map." + secSym(pi),
-				Kind: objfile.SecBBAddrMap,
-				Data: bbaddrmap.Encode(m),
-			})
+			mapName := b.spell(".llvm_bb_addr_map.")
+			b.names = plan.appendSuffix(append(b.names, f.Name...))
+			mapName.hi = int32(len(b.names))
+			start := len(b.data)
+			b.data = bbaddrmap.AppendFunc(b.data, &bbaddrmap.FuncEntry{Name: f.Name, Addr: 0, Blocks: mapBlocks})
+			b.addSection(mapName, objfile.SecBBAddrMap, 1, start, len(b.relocs))
 		}
+	}
+	if rodataIdx >= 0 {
+		ro := &b.secs[rodataIdx]
+		ro.lo, ro.rlo = len(b.data), len(b.relocs)
+		b.data = append(b.data, lo.roData...)
+		b.relocs = append(b.relocs, lo.roRelocs...)
+		ro.hi, ro.rhi = len(b.data), len(b.relocs)
 	}
 	return nil
 }
@@ -473,7 +474,7 @@ func (cg *compiler) emitSections(lo *layout, emitMap bool) error {
 // fallsThrough reports whether b's layout successor inside the same section
 // is a CFG successor reached without a taken branch; tails is the number of
 // tail branches b was given.
-func fallsThrough(plan sectionPlan, pos int, b *ir.Block, tails int) bool {
+func fallsThrough(plan *sectionPlan, pos int, b *ir.Block, tails int) bool {
 	if pos+1 >= len(plan.blocks) {
 		return false
 	}
@@ -492,41 +493,31 @@ func fallsThrough(plan sectionPlan, pos int, b *ir.Block, tails int) bool {
 // emitEHFrame writes one CFI section for the module: a 24-byte CIE plus one
 // FDE per text fragment. Each additional basic-block section costs one more
 // FDE (§4.4), which is why clustering matters.
-func (cg *compiler) emitEHFrame() {
+func (cg *compiler) emitEHFrame(module string) {
 	if len(cg.fragments) == 0 {
 		return
 	}
-	data := make([]byte, 24) // CIE
+	b := &cg.ob
+	start := len(b.data)
+	b.data = appendZeros(b.data, 24) // CIE
 	for _, fr := range cg.fragments {
-		data = append(data, fdeRecord(fr.symName, fr.size)...)
+		b.data = cg.appendFDE(b.data, fr)
 	}
-	cg.obj.AddSection(&objfile.Section{
-		Name:  ".eh_frame." + cg.obj.Name,
-		Kind:  objfile.SecEHFrame,
-		Data:  data,
-		Align: 8,
-	})
+	b.addSection(b.spell(".eh_frame.", module), objfile.SecEHFrame, 8, start, len(b.relocs))
 }
 
-// fdeRecord encodes one frame descriptor entry: [u16 nameLen][name][u64
+// appendFDE appends one frame descriptor entry: [u16 nameLen][name][u64
 // size], padded to at least 40 bytes (CFA redefinition + callee-saved
 // register rules), rounded up to 8.
-func fdeRecord(name string, size int64) []byte {
-	n := 2 + len(name) + 8
-	if n < 40 {
-		n = 40
-	}
-	n = (n + 7) &^ 7
-	rec := make([]byte, n)
-	binary.LittleEndian.PutUint16(rec, uint16(len(name)))
-	copy(rec[2:], name)
-	binary.LittleEndian.PutUint64(rec[2+len(name):], uint64(size))
-	return rec
+func (cg *compiler) appendFDE(dst []byte, fr fragment) []byte {
+	n := fr.sym.len()
+	rec := (max(2+n+8, 40) + 7) &^ 7
+	start := len(dst)
+	dst = binary.LittleEndian.AppendUint16(dst, uint16(n))
+	dst = cg.ob.appendName(dst, fr.sym)
+	dst = binary.LittleEndian.AppendUint64(dst, uint64(fr.size))
+	return appendZeros(dst, rec-(len(dst)-start))
 }
-
-// FDESize returns the encoded size of an FDE for a fragment symbol name,
-// exposed for size-accounting tests.
-func FDESize(name string) int64 { return int64(len(fdeRecord(name, 0))) }
 
 // DecodeEHFrame parses a merged eh_frame blob back into (name, size) pairs.
 // The simulator does not need CFI (it unwinds its own call stack), but
@@ -564,34 +555,21 @@ func DecodeEHFrame(data []byte) ([]string, error) {
 // end resolve through two address relocations against the fragment symbol
 // — exactly the per-cluster DW_AT_ranges + two relocations the paper
 // describes.
-func (cg *compiler) emitDebugRanges() {
+func (cg *compiler) emitDebugRanges(module string) {
 	if !cg.opts.DebugInfo || len(cg.fragments) == 0 {
 		return
 	}
-	sec := &objfile.Section{
-		Name:  ".debug_ranges." + cg.obj.Name,
-		Kind:  objfile.SecDebug,
-		Align: 8,
-	}
+	b := &cg.ob
+	start, rstart := len(b.data), len(b.relocs)
 	for _, fr := range cg.fragments {
-		hdr := make([]byte, 2+len(fr.symName))
-		binaryPutU16(hdr, uint16(len(fr.symName)))
-		copy(hdr[2:], fr.symName)
-		sec.Data = append(sec.Data, hdr...)
-		startOff := int64(len(sec.Data))
-		sec.Data = append(sec.Data, make([]byte, 16)...)
-		sec.Relocs = append(sec.Relocs,
-			objfile.Reloc{Off: startOff, Type: objfile.RelAbs64Data, Sym: fr.symName},
-			objfile.Reloc{Off: startOff + 8, Type: objfile.RelAbs64Data, Sym: fr.symName, Addend: fr.size},
-		)
+		b.data = binary.LittleEndian.AppendUint16(b.data, uint16(fr.sym.len()))
+		b.data = b.appendName(b.data, fr.sym)
+		off := int64(len(b.data) - start)
+		b.data = appendZeros(b.data, 16)
+		b.reloc(off, objfile.RelAbs64Data, fr.sym, 0, false)
+		b.reloc(off+8, objfile.RelAbs64Data, fr.sym, fr.size, false)
 	}
-	sec.Size = int64(len(sec.Data))
-	cg.obj.AddSection(sec)
-}
-
-func binaryPutU16(b []byte, v uint16) {
-	b[0] = byte(v)
-	b[1] = byte(v >> 8)
+	b.addSection(b.spell(".debug_ranges.", module), objfile.SecDebug, 8, start, rstart)
 }
 
 // DebugRange is one decoded §4.3 range record.
@@ -626,23 +604,17 @@ func DecodeDebugRanges(data []byte) ([]DebugRange, error) {
 // emitLSDA writes the exception call-site table: 16 zero bytes per record,
 // patched by the linker via ABS64 data relocations into (call-site end
 // address, landing-pad address) pairs the simulator's unwinder consumes.
-func (cg *compiler) emitLSDA() {
+func (cg *compiler) emitLSDA(module string) {
 	if len(cg.lsda) == 0 {
 		return
 	}
-	sec := &objfile.Section{
-		Name:  ".lsda." + cg.obj.Name,
-		Kind:  objfile.SecLSDA,
-		Align: 8,
-	}
+	b := &cg.ob
+	start, rstart := len(b.data), len(b.relocs)
 	for _, cs := range cg.lsda {
-		off := int64(len(sec.Data))
-		sec.Relocs = append(sec.Relocs,
-			objfile.Reloc{Off: off, Type: objfile.RelAbs64Data, Sym: cs.callSec, Addend: cs.callEndOff},
-			objfile.Reloc{Off: off + 8, Type: objfile.RelAbs64Data, Sym: cs.padSec, Addend: cs.padOff},
-		)
-		sec.Data = append(sec.Data, make([]byte, 16)...)
+		off := int64(len(b.data) - start)
+		b.reloc(off, objfile.RelAbs64Data, cs.callSec, cs.callEndOff, false)
+		b.reloc(off+8, objfile.RelAbs64Data, cs.padSec, cs.padOff, false)
+		b.data = appendZeros(b.data, 16)
 	}
-	sec.Size = int64(len(sec.Data))
-	cg.obj.AddSection(sec)
+	b.addSection(b.spell(".lsda.", module), objfile.SecLSDA, 8, start, rstart)
 }

@@ -1,6 +1,7 @@
 package codegen
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"propeller/internal/bbaddrmap"
@@ -10,14 +11,39 @@ import (
 	"propeller/internal/objfile"
 )
 
-// The backend's function lowering as it was before the IR had a block
-// numbering, kept verbatim as the oracle of TestCompileMatchesReference:
-// six map[*ir.Block] tables per function, a tail-branch slice per block,
-// directive IDs resolved by a linear scan, prefetch sites matched twice
-// per block. RefCompile is Compile over it; globals, CFI, LSDA and debug
-// ranges go through the production emitters, which keep no per-block state.
+// The backend as it was before the IR had a block numbering and before
+// objects were carved from slabs, kept verbatim as the oracle of
+// TestCompileMatchesReference: six map[*ir.Block] tables per function, a
+// tail-branch slice per block, directive IDs resolved by a linear scan,
+// prefetch sites matched twice per block, and a Section, a Symbol, names,
+// a text buffer, a relocation list, an address map and an FDE record
+// allocated per fragment, then globals, CFI, LSDA and debug ranges emitted
+// through objfile.Object's AddSection and AddSymbol.
 
-type refCompiler struct{ *compiler }
+type refCompiler struct {
+	opts Options
+	obj  *objfile.Object
+
+	// fragments lists every emitted text section (for CFI emission).
+	fragments []fragmentInfo
+
+	// lsda accumulates call-site records across the module.
+	lsda []callSite
+}
+
+type fragmentInfo struct {
+	symName string
+	size    int64
+}
+
+// callSite is one exception call-site table record: a call covered by a
+// landing pad.
+type callSite struct {
+	callSec    string // section symbol containing the call
+	callEndOff int64  // offset just past the call instruction
+	padSec     string // section symbol containing the landing pad
+	padOff     int64  // offset of the landing pad block in its section
+}
 
 // RefCompile lowers a module through the reference lowering.
 func RefCompile(m *ir.Module, opts Options) (*objfile.Object, error) {
@@ -28,7 +54,7 @@ func RefCompile(m *ir.Module, opts Options) (*objfile.Object, error) {
 		m = applyHeuristicSplit(m, opts.splitMinBytes())
 	}
 	obj := &objfile.Object{Name: m.Name}
-	cg := &refCompiler{&compiler{opts: opts, obj: obj}}
+	cg := &refCompiler{opts: opts, obj: obj}
 	for _, g := range m.Globals {
 		cg.lowerGlobal(g)
 	}
@@ -578,4 +604,136 @@ func refBlockByID(f *ir.Func, id int) *ir.Block {
 		}
 	}
 	return nil
+}
+
+func (cg *refCompiler) lowerGlobal(g *ir.Global) {
+	kind := objfile.SecData
+	prefix := ".data."
+	if g.ReadOnly {
+		kind = objfile.SecRodata
+		prefix = ".rodata."
+	}
+	data := make([]byte, g.Size)
+	copy(data, g.Init)
+	sec := &objfile.Section{
+		Name:  prefix + g.Name,
+		Kind:  kind,
+		Data:  data,
+		Align: 8,
+	}
+	if g.CodeSnapshotOf != "" {
+		sec.Relocs = append(sec.Relocs, objfile.Reloc{
+			Off: 0, Type: objfile.RelCode64, Sym: g.CodeSnapshotOf,
+		})
+	}
+	for i, fp := range g.FuncPtrs {
+		sec.Relocs = append(sec.Relocs, objfile.Reloc{
+			Off: int64(8 * i), Type: objfile.RelAbs64Data, Sym: fp,
+		})
+	}
+	idx := cg.obj.AddSection(sec)
+	cg.obj.AddSymbol(&objfile.Symbol{
+		Name: g.Name, Kind: objfile.SymObject, Section: idx,
+		Off: 0, Size: g.Size, Global: true,
+	})
+}
+
+// symbolNameFor returns the symbol naming a function fragment.
+func symbolNameFor(fn, suffix string) string { return fn + suffix }
+
+// sectionNameFor returns the section name for a function fragment.
+func sectionNameFor(fn, suffix string) string { return ".text." + fn + suffix }
+
+// emitEHFrame writes one CFI section for the module: a 24-byte CIE plus one
+// FDE per text fragment. Each additional basic-block section costs one more
+// FDE (§4.4), which is why clustering matters.
+func (cg *refCompiler) emitEHFrame() {
+	if len(cg.fragments) == 0 {
+		return
+	}
+	data := make([]byte, 24) // CIE
+	for _, fr := range cg.fragments {
+		data = append(data, fdeRecord(fr.symName, fr.size)...)
+	}
+	cg.obj.AddSection(&objfile.Section{
+		Name:  ".eh_frame." + cg.obj.Name,
+		Kind:  objfile.SecEHFrame,
+		Data:  data,
+		Align: 8,
+	})
+}
+
+// fdeRecord encodes one frame descriptor entry: [u16 nameLen][name][u64
+// size], padded to at least 40 bytes (CFA redefinition + callee-saved
+// register rules), rounded up to 8.
+func fdeRecord(name string, size int64) []byte {
+	n := 2 + len(name) + 8
+	if n < 40 {
+		n = 40
+	}
+	n = (n + 7) &^ 7
+	rec := make([]byte, n)
+	binary.LittleEndian.PutUint16(rec, uint16(len(name)))
+	copy(rec[2:], name)
+	binary.LittleEndian.PutUint64(rec[2+len(name):], uint64(size))
+	return rec
+}
+
+// emitDebugRanges writes the §4.3 debug metadata: for every text fragment
+// a range record [u16 nameLen][name][8B start][8B end], where start and
+// end resolve through two address relocations against the fragment symbol
+// — exactly the per-cluster DW_AT_ranges + two relocations the paper
+// describes.
+func (cg *refCompiler) emitDebugRanges() {
+	if !cg.opts.DebugInfo || len(cg.fragments) == 0 {
+		return
+	}
+	sec := &objfile.Section{
+		Name:  ".debug_ranges." + cg.obj.Name,
+		Kind:  objfile.SecDebug,
+		Align: 8,
+	}
+	for _, fr := range cg.fragments {
+		hdr := make([]byte, 2+len(fr.symName))
+		binaryPutU16(hdr, uint16(len(fr.symName)))
+		copy(hdr[2:], fr.symName)
+		sec.Data = append(sec.Data, hdr...)
+		startOff := int64(len(sec.Data))
+		sec.Data = append(sec.Data, make([]byte, 16)...)
+		sec.Relocs = append(sec.Relocs,
+			objfile.Reloc{Off: startOff, Type: objfile.RelAbs64Data, Sym: fr.symName},
+			objfile.Reloc{Off: startOff + 8, Type: objfile.RelAbs64Data, Sym: fr.symName, Addend: fr.size},
+		)
+	}
+	sec.Size = int64(len(sec.Data))
+	cg.obj.AddSection(sec)
+}
+
+func binaryPutU16(b []byte, v uint16) {
+	b[0] = byte(v)
+	b[1] = byte(v >> 8)
+}
+
+// emitLSDA writes the exception call-site table: 16 zero bytes per record,
+// patched by the linker via ABS64 data relocations into (call-site end
+// address, landing-pad address) pairs the simulator's unwinder consumes.
+func (cg *refCompiler) emitLSDA() {
+	if len(cg.lsda) == 0 {
+		return
+	}
+	sec := &objfile.Section{
+		Name:  ".lsda." + cg.obj.Name,
+		Kind:  objfile.SecLSDA,
+		Align: 8,
+	}
+	for _, cs := range cg.lsda {
+		off := int64(len(sec.Data))
+		sec.Relocs = append(sec.Relocs,
+			objfile.Reloc{Off: off, Type: objfile.RelAbs64Data, Sym: cs.callSec, Addend: cs.callEndOff},
+			objfile.Reloc{Off: off + 8, Type: objfile.RelAbs64Data, Sym: cs.padSec, Addend: cs.padOff},
+		)
+		sec.Data = append(sec.Data, make([]byte, 16)...)
+	}
+	sec.Size = int64(len(sec.Data))
+	cg.obj.AddSection(sec)
 }

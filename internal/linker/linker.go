@@ -9,6 +9,7 @@ package linker
 import (
 	"fmt"
 	"sort"
+	"strings"
 
 	"propeller/internal/bbaddrmap"
 	"propeller/internal/isa"
@@ -63,32 +64,40 @@ type Stats struct {
 type placedSec struct {
 	obj    *objfile.Object
 	sec    *objfile.Section
-	data   []byte // private copy; relaxation and relocation mutate it
+	data   []byte // private copy when written: relaxation and relocation mutate it
 	relocs []objfile.Reloc
 	addr   uint64
 	shrink int64 // bytes removed from the tail by relaxation
 	sym    string
+	// ordered marks a text section the ordering file has placed.
+	ordered bool
 }
 
 // Link links objects into an executable.
 func Link(objs []*objfile.Object, cfg Config) (*objfile.Binary, *Stats, error) {
+	ld, bin, err := link(objs, cfg)
+	if err != nil {
+		return nil, nil, err
+	}
+	return bin, ld.stats(bin), nil
+}
+
+// link is Link, returning the link state beside the binary.
+func link(objs []*objfile.Object, cfg Config) (*linkState, *objfile.Binary, error) {
 	if cfg.Entry == "" {
 		cfg.Entry = "main"
 	}
 	ld := &linkState{cfg: cfg}
 	if err := ld.collect(objs); err != nil {
-		return nil, nil, err
+		return ld, nil, err
 	}
 	ld.orderText()
 	ld.relaxAndPlace()
 	if err := ld.applyRelocs(); err != nil {
-		return nil, nil, err
+		return ld, nil, err
 	}
 	bin, err := ld.assemble()
-	if err != nil {
-		return nil, nil, err
-	}
-	return bin, ld.stats(bin), nil
+	return ld, bin, err
 }
 
 type symDef struct {
@@ -123,72 +132,105 @@ type linkState struct {
 }
 
 // collect indexes every object's sections and symbols. Link state is four
-// exactly sized slabs per object: placedSecs, symDefs and the private copies
-// of the section bytes and relocations. A section's run of a slab is
-// capacity-clamped and relaxation only ever shortens it in place, so no
-// section can write into its neighbour.
+// exactly sized slabs for the whole link: placedSecs, symDefs and the
+// private copies of the bytes and relocations of every section the link
+// writes (the address maps and CFI it only reads stay the objects'). A
+// section's run of a slab is capacity-clamped and relaxation only ever
+// shortens it in place, so no section can write into its neighbour.
 func (ld *linkState) collect(objs []*objfile.Object) error {
-	nSyms := 0
+	var nSecs, nSyms, nData, nRelocs int
+	var perKind [objfile.SecDebug + 1]int
 	for _, obj := range objs {
+		nSecs += len(obj.Sections)
 		nSyms += len(obj.Symbols)
+		for _, sec := range obj.Sections {
+			if int(sec.Kind) < len(perKind) {
+				perKind[sec.Kind]++
+			}
+			if written(sec.Kind) {
+				nData += len(sec.Data)
+				nRelocs += len(sec.Relocs)
+			}
+		}
+	}
+	for k, n := range perKind {
+		*ld.list(objfile.SectionKind(k)) = make([]*placedSec, 0, n)
 	}
 	ld.syms = make(map[string]*symDef, nSyms)
+	secs := make([]placedSec, nSecs)
+	defs := make([]symDef, nSyms)
+	data := make([]byte, nData)
+	relocs := make([]objfile.Reloc, nRelocs)
 	for _, obj := range objs {
 		if err := obj.Validate(); err != nil {
 			return fmt.Errorf("linker: %w", err)
 		}
-		nData, nRelocs := 0, 0
-		for _, sec := range obj.Sections {
-			nData += len(sec.Data)
-			nRelocs += len(sec.Relocs)
-		}
-		secs := make([]placedSec, len(obj.Sections))
-		data := make([]byte, nData)
-		relocs := make([]objfile.Reloc, nRelocs)
+		objSecs := secs[:len(obj.Sections)]
+		secs = secs[len(obj.Sections):]
 		for i, sec := range obj.Sections {
-			ps := &secs[i]
-			nd, nr := copy(data, sec.Data), copy(relocs, sec.Relocs)
-			*ps = placedSec{obj: obj, sec: sec, data: data[:nd:nd], relocs: relocs[:nr:nr]}
-			data, relocs = data[nd:], relocs[nr:]
+			ps := &objSecs[i]
+			*ps = placedSec{obj: obj, sec: sec, data: sec.Data, relocs: sec.Relocs}
+			if written(sec.Kind) {
+				nd, nr := copy(data, sec.Data), copy(relocs, sec.Relocs)
+				ps.data, ps.relocs = data[:nd:nd], relocs[:nr:nr]
+				data, relocs = data[nd:], relocs[nr:]
+			}
 			ld.inputBytes += sec.Size + int64(len(sec.Relocs))*objfile.RelPC32.Size()
-			switch sec.Kind {
-			case objfile.SecText:
-				ld.text = append(ld.text, ps)
-			case objfile.SecRodata:
-				ld.rodata = append(ld.rodata, ps)
-			case objfile.SecData:
-				ld.data = append(ld.data, ps)
-			case objfile.SecBSS:
-				ld.bss = append(ld.bss, ps)
-			case objfile.SecBBAddrMap:
-				ld.maps = append(ld.maps, ps)
-			case objfile.SecEHFrame:
-				ld.ehframes = append(ld.ehframes, ps)
-			case objfile.SecLSDA:
-				ld.lsdas = append(ld.lsdas, ps)
-			case objfile.SecDebug:
-				ld.debugs = append(ld.debugs, ps)
-			default:
+			list := ld.list(sec.Kind)
+			if list == nil {
 				return fmt.Errorf("linker: %s: unknown section kind %v", sec.Name, sec.Kind)
 			}
+			*list = append(*list, ps)
 		}
-		defs := make([]symDef, len(obj.Symbols))
-		for i, sym := range obj.Symbols {
+		for _, sym := range obj.Symbols {
 			if prev, dup := ld.syms[sym.Name]; dup {
 				return fmt.Errorf("linker: duplicate symbol %q in %s and %s", sym.Name, prev.obj.Name, obj.Name)
 			}
-			ps := &secs[sym.Section]
-			defs[i] = symDef{
+			ps := &objSecs[sym.Section]
+			def := &defs[0]
+			defs = defs[1:]
+			*def = symDef{
 				obj: obj, sec: obj.Sections[sym.Section], off: sym.Off,
 				size: sym.Size, kind: sym.Kind, ps: ps,
 			}
-			ld.syms[sym.Name] = &defs[i]
+			ld.syms[sym.Name] = def
 			// Record the section's defining symbol (offset-0 func/part
 			// symbol) for ordering-file lookups.
 			if sym.Off == 0 && (sym.Kind == objfile.SymFunc || sym.Kind == objfile.SymFuncPart) {
 				ps.sym = sym.Name
 			}
 		}
+	}
+	return nil
+}
+
+// written reports whether the link writes sections of kind k: relaxation
+// edits text, relocations patch text, data and the LSDA and debug tables.
+// The others' bytes are only read.
+func written(k objfile.SectionKind) bool {
+	return k != objfile.SecBBAddrMap && k != objfile.SecEHFrame
+}
+
+// list returns the link's list of sections of kind k, or nil for an
+// unknown kind.
+func (ld *linkState) list(k objfile.SectionKind) *[]*placedSec {
+	switch k {
+	case objfile.SecText:
+		return &ld.text
+	case objfile.SecRodata:
+		return &ld.rodata
+	case objfile.SecData:
+		return &ld.data
+	case objfile.SecBSS:
+		return &ld.bss
+	case objfile.SecBBAddrMap:
+		return &ld.maps
+	case objfile.SecEHFrame:
+		return &ld.ehframes
+	case objfile.SecLSDA:
+		return &ld.lsdas
+	case objfile.SecDebug:
+		return &ld.debugs
 	}
 	return nil
 }
@@ -204,16 +246,15 @@ func (ld *linkState) orderText() {
 			bySym[ps.sym] = ps
 		}
 	}
-	taken := make(map[*placedSec]bool)
-	var ordered []*placedSec
+	ordered := make([]*placedSec, 0, len(ld.text))
 	for _, name := range ld.cfg.Order.Symbols {
-		if ps, ok := bySym[name]; ok && !taken[ps] {
+		if ps, ok := bySym[name]; ok && !ps.ordered {
 			ordered = append(ordered, ps)
-			taken[ps] = true
+			ps.ordered = true
 		}
 	}
 	for _, ps := range ld.text {
-		if !taken[ps] {
+		if !ps.ordered {
 			ordered = append(ordered, ps)
 		}
 	}
@@ -461,6 +502,7 @@ func (ld *linkState) assemble() (*objfile.Binary, error) {
 	for i := range bin.Text {
 		bin.Text[i] = byte(isa.OpHalt)
 	}
+	bin.Sections = make([]objfile.PlacedSection, 0, len(ld.text)+len(ld.rodata)+len(ld.data)+len(ld.bss))
 	for _, ps := range ld.text {
 		copy(bin.Text[ps.addr-bin.TextBase:], ps.data)
 		bin.Sections = append(bin.Sections, objfile.PlacedSection{
@@ -502,6 +544,7 @@ func (ld *linkState) assemble() (*objfile.Binary, error) {
 		names = append(names, name)
 	}
 	sort.Strings(names)
+	bin.Symbols = make([]objfile.FinalSym, 0, len(names))
 	for _, name := range names {
 		def := ld.syms[name]
 		if !def.sec.Kind.Loaded() {
@@ -526,23 +569,15 @@ func (ld *linkState) assemble() (*objfile.Binary, error) {
 
 	// Merge metadata.
 	if ld.cfg.EmitAddrMap {
-		merged, err := ld.mergeAddrMaps()
+		m, err := bbaddrmap.Splice(ld.addrMaps)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("linker: %w", err)
 		}
-		if merged != nil {
-			bin.BBAddrMap = bbaddrmap.Encode(merged)
-		}
+		bin.BBAddrMap = m
 	}
-	for _, ps := range ld.ehframes {
-		bin.EHFrame = append(bin.EHFrame, ps.data...)
-	}
-	for _, ps := range ld.lsdas {
-		bin.LSDA = append(bin.LSDA, ps.data...)
-	}
-	for _, ps := range ld.debugs {
-		bin.Debug = append(bin.Debug, ps.data...)
-	}
+	bin.EHFrame = concat(ld.ehframes)
+	bin.LSDA = concat(ld.lsdas)
+	bin.Debug = concat(ld.debugs)
 	if ld.cfg.RetainRelocs {
 		bin.HasRelocInfo = true
 		var n int64
@@ -567,50 +602,44 @@ func (ld *linkState) assemble() (*objfile.Binary, error) {
 	return bin, nil
 }
 
-// mergeAddrMaps decodes every retained BB address map fragment, rebases it
-// to the final address of its text section, and fixes the last block's size
-// for any tail bytes relaxation removed.
-func (ld *linkState) mergeAddrMaps() (*bbaddrmap.Map, error) {
-	merged := &bbaddrmap.Map{}
-	const prefix = ".llvm_bb_addr_map."
+// concat returns the sections' bytes back to back, or nil when there are none.
+func concat(group []*placedSec) []byte {
+	n := 0
+	for _, ps := range group {
+		n += len(ps.data)
+	}
+	if n == 0 {
+		return nil
+	}
+	out := make([]byte, 0, n)
+	for _, ps := range group {
+		out = append(out, ps.data...)
+	}
+	return out
+}
+
+// addrMaps hands every retained BB address map fragment to yield, with the
+// final address of its text section and the tail bytes relaxation removed
+// from that section, for bbaddrmap.Splice to move and trim its functions by.
+func (ld *linkState) addrMaps(yield func(bbaddrmap.Fragment) error) error {
 	for _, ps := range ld.maps {
 		if ld.cfg.KeepMapFor != nil && !ld.cfg.KeepMapFor(ps.obj.Name) {
 			continue
 		}
 		name := ps.sec.Name
-		if len(name) <= len(prefix) || name[:len(prefix)] != prefix {
-			return nil, fmt.Errorf("linker: malformed address map section name %q", name)
+		sym, ok := strings.CutPrefix(name, ".llvm_bb_addr_map.")
+		if !ok || sym == "" {
+			return fmt.Errorf("malformed address map section name %q", name)
 		}
-		symName := name[len(prefix):]
-		def, ok := ld.syms[symName]
+		def, ok := ld.syms[sym]
 		if !ok || def.ps == nil {
-			return nil, fmt.Errorf("linker: address map for unknown fragment %q", symName)
+			return fmt.Errorf("address map for unknown fragment %q", sym)
 		}
-		m, err := bbaddrmap.Decode(ps.sec.Data)
-		if err != nil {
-			return nil, fmt.Errorf("linker: %s: %w", name, err)
+		if err := yield(bbaddrmap.Fragment{Name: name, Data: ps.sec.Data, Base: def.ps.addr, Trim: uint64(def.ps.shrink)}); err != nil {
+			return err
 		}
-		m = m.Rebase(def.ps.addr)
-		if def.ps.shrink > 0 {
-			for fi := range m.Funcs {
-				blocks := m.Funcs[fi].Blocks
-				if len(blocks) == 0 {
-					continue
-				}
-				last := &blocks[len(blocks)-1]
-				if uint64(def.ps.shrink) > last.Size {
-					last.Size = 0
-				} else {
-					last.Size -= uint64(def.ps.shrink)
-				}
-			}
-		}
-		merged.Funcs = append(merged.Funcs, m.Funcs...)
 	}
-	if len(merged.Funcs) == 0 {
-		return nil, nil
-	}
-	return merged, nil
+	return nil
 }
 
 func (ld *linkState) stats(bin *objfile.Binary) *Stats {

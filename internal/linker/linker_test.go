@@ -201,24 +201,27 @@ func TestBSSPlacement(t *testing.T) {
 	}
 }
 
+// chainObjects is objs objects of funcs functions each, every function a
+// call to the next of its object, compiled with address maps.
+func chainObjects(t *testing.T, objs, funcs int) []*objfile.Object {
+	var out []*objfile.Object
+	for oi := 0; oi < objs; oi++ {
+		m := ir.NewModule(fmt.Sprintf("m%d", oi))
+		for fi := 0; fi < funcs; fi++ {
+			f := m.NewFunc(fmt.Sprintf("f%d_%d", oi, fi), 0)
+			f.Entry().Emit(ir.Inst{Op: isa.OpCall, Sym: fmt.Sprintf("f%d_%d", oi, (fi+1)%funcs)})
+			f.Entry().Return()
+		}
+		out = append(out, compile(t, m, codegen.Options{Mode: codegen.ModeLabels}))
+	}
+	return out
+}
+
 // TestLinkCollectAllocs: collect allocates four slabs per object (placed
 // sections, symbol definitions, the private copies of the section bytes
 // and of the relocations) plus the symbol table and the per-kind section
 // lists, which grow by doubling — nothing per section or per symbol.
 func TestLinkCollectAllocs(t *testing.T) {
-	build := func(objs, funcs int) []*objfile.Object {
-		var out []*objfile.Object
-		for oi := 0; oi < objs; oi++ {
-			m := ir.NewModule(fmt.Sprintf("m%d", oi))
-			for fi := 0; fi < funcs; fi++ {
-				f := m.NewFunc(fmt.Sprintf("f%d_%d", oi, fi), 0)
-				f.Entry().Emit(ir.Inst{Op: isa.OpCall, Sym: fmt.Sprintf("f%d_%d", oi, (fi+1)%funcs)})
-				f.Entry().Return()
-			}
-			out = append(out, compile(t, m, codegen.Options{Mode: codegen.ModeLabels}))
-		}
-		return out
-	}
 	allocs := func(objs []*objfile.Object) float64 {
 		return testing.AllocsPerRun(10, func() {
 			ld := &linkState{}
@@ -227,10 +230,29 @@ func TestLinkCollectAllocs(t *testing.T) {
 			}
 		})
 	}
-	few, many := allocs(build(8, 4)), allocs(build(8, 64))
+	few, many := allocs(chainObjects(t, 8, 4)), allocs(chainObjects(t, 8, 64))
 	// Sixteen times the sections and symbols: only the symbol table and
 	// the lists' doubling may grow, by a constant and a logarithm.
 	if few > 8*4+40 || many > few+40 {
 		t.Errorf("collect of 8 objects: %.0f allocations with 4 functions each, %.0f with 64", few, many)
+	}
+}
+
+// TestLinkAllocs: a whole link that keeps every address map allocates per
+// object and per output table, never per fragment — the maps are spliced,
+// not decoded. Sixteen times the fragments per object may add only the
+// hash tables that grow with the symbols (Validate's name set per object,
+// the link's symbol table): at most 4 allocations per object.
+func TestLinkAllocs(t *testing.T) {
+	allocs := func(objs []*objfile.Object) float64 {
+		return testing.AllocsPerRun(10, func() {
+			if _, _, err := Link(objs, Config{Entry: "f0_0", EmitAddrMap: true}); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	few, many := allocs(chainObjects(t, 8, 4)), allocs(chainObjects(t, 8, 64))
+	if many > few+8*4 {
+		t.Errorf("link of 8 objects: %.0f allocations with 4 functions each, %.0f with 64", few, many)
 	}
 }

@@ -1,6 +1,10 @@
 package objfile
 
-import "propeller/internal/wire"
+import (
+	"strings"
+
+	"propeller/internal/wire"
+)
 
 // Binary serialization for objects and executables, so CLI tools can pass
 // artifacts through files and the build-system cache can store them.
@@ -52,40 +56,119 @@ const (
 	minSymbolBytes  = 6 // empty name, kind, section, offset, size, global flag
 )
 
-// DecodeObject parses an object file produced by EncodeObject: sections and
-// symbols into one slab each, every relocation list exact (a decoded object
-// lives until its link), all bounded by what the remaining input could hold.
+// DecodeObject parses an object file produced by EncodeObject into eight
+// exact slabs per object, whatever its section and relocation counts: the
+// Object, its Sections and Symbols and their pointer slices, one []byte
+// holding every section's data, one []Reloc holding every relocation list,
+// and one string holding every name and relocation symbol, which the
+// fields are substrings of. A first read of the input makes every check the
+// decode makes, in the same order, and sizes the slabs; the second fills
+// them. Nothing aliases the input.
 func DecodeObject(data []byte) (*Object, error) {
-	r := wire.NewReader("objfile", objMagic, data)
-	o := &Object{Name: r.Str()}
-	secs := wire.Take[Section](r, r.Count(), minSectionBytes)
-	if len(secs) > 0 {
-		o.Sections = make([]*Section, len(secs))
-	}
-	for i := range secs {
-		s := &secs[i]
-		o.Sections[i] = s
-		s.Name, s.Kind, s.Size, s.Align, s.Data = r.Str(), SectionKind(r.Byte()), r.I64(), r.I64(), r.Bytes()
-		s.Relocs = wire.Take[Reloc](r, r.Count(), minRelocBytes)
-		for j := range s.Relocs {
-			s.Relocs[j] = Reloc{Off: r.I64(), Type: RelocType(r.Byte()), Sym: r.Str(), Addend: r.I64(), Relax: r.Bool()}
-		}
-	}
-	syms := wire.Take[Symbol](r, r.Count(), minSymbolBytes)
-	if len(syms) > 0 {
-		o.Symbols = make([]*Symbol, len(syms))
-	}
-	for i := range syms {
-		o.Symbols[i] = &syms[i]
-		syms[i] = Symbol{Name: r.Str(), Kind: SymKind(r.Byte()), Section: r.Int(), Off: r.I64(), Size: r.I64(), Global: r.Bool()}
-	}
-	if err := r.Done(); err != nil {
+	sz, err := sizeObject(data)
+	if err != nil {
 		return nil, err
 	}
+	o := fillObject(data, sz)
 	if err := o.Validate(); err != nil {
 		return nil, err
 	}
 	return o, nil
+}
+
+// objSizes is what one encoded object's slabs hold.
+type objSizes struct {
+	sections, symbols, relocs int
+	data, names               int // bytes of section data, of names and symbols
+}
+
+// sizeObject checks an encoded object and returns its slab sizes. Its
+// reads are DecodeObject's, so its first error is the one the decode
+// reports; the relocation and symbol counts are also checked against what
+// the remaining input could hold, as wire.Take would check them.
+func sizeObject(data []byte) (objSizes, error) {
+	var sz objSizes
+	r := wire.NewReader("objfile", objMagic, data)
+	sz.names = len(r.View())
+	sz.sections = r.Count()
+	r.Holds(sz.sections, minSectionBytes)
+	for i := 0; i < sz.sections && r.Err() == nil; i++ {
+		sz.names += len(r.View())
+		r.Byte()
+		r.I64()
+		r.I64()
+		sz.data += len(r.View())
+		n := r.Count()
+		if !r.Holds(n, minRelocBytes) {
+			break
+		}
+		sz.relocs += n
+		for j := 0; j < n; j++ {
+			r.I64()
+			r.Byte()
+			sz.names += len(r.View())
+			r.I64()
+			r.Bool()
+		}
+	}
+	sz.symbols = r.Count()
+	r.Holds(sz.symbols, minSymbolBytes)
+	for i := 0; i < sz.symbols && r.Err() == nil; i++ {
+		sz.names += len(r.View())
+		r.Byte()
+		r.Int()
+		r.I64()
+		r.I64()
+		r.Bool()
+	}
+	return sz, r.Done()
+}
+
+// fillObject decodes an object sizeObject accepted into slabs of its sizes.
+// Every carved slice is capacity-clamped, so appending to one reallocates
+// it and never writes into its neighbour.
+func fillObject(data []byte, sz objSizes) *Object {
+	r := wire.NewReader("objfile", objMagic, data)
+	var names strings.Builder
+	names.Grow(sz.names)
+	// str copies the next string into names and returns it as a substring
+	// of names' one allocation, which never moves: Grow sized it exactly.
+	str := func() string {
+		start := names.Len()
+		names.Write(r.View())
+		return names.String()[start:]
+	}
+	o := &Object{Name: str()}
+	r.Count()
+	var secs []Section
+	if sz.sections > 0 {
+		secs, o.Sections = make([]Section, sz.sections), make([]*Section, sz.sections)
+	}
+	bytes, relocs := make([]byte, sz.data), make([]Reloc, sz.relocs)
+	for i := range secs {
+		s := &secs[i]
+		o.Sections[i] = s
+		s.Name, s.Kind, s.Size, s.Align = str(), SectionKind(r.Byte()), r.I64(), r.I64()
+		if n := copy(bytes, r.View()); n > 0 {
+			s.Data, bytes = bytes[:n:n], bytes[n:]
+		}
+		if n := r.Count(); n > 0 {
+			s.Relocs, relocs = relocs[:n:n], relocs[n:]
+		}
+		for j := range s.Relocs {
+			s.Relocs[j] = Reloc{Off: r.I64(), Type: RelocType(r.Byte()), Sym: str(), Addend: r.I64(), Relax: r.Bool()}
+		}
+	}
+	r.Count()
+	if sz.symbols > 0 {
+		syms := make([]Symbol, sz.symbols)
+		o.Symbols = make([]*Symbol, sz.symbols)
+		for i := range syms {
+			o.Symbols[i] = &syms[i]
+			syms[i] = Symbol{Name: str(), Kind: SymKind(r.Byte()), Section: r.Int(), Off: r.I64(), Size: r.I64(), Global: r.Bool()}
+		}
+	}
+	return o
 }
 
 // EncodeBinary serializes an executable.

@@ -330,6 +330,7 @@ func FuzzDecodeObject(f *testing.F) {
 	f.Add(hostileCounts(4000, 0, 0, 4000))
 	f.Add(hostileCounts(1, 4000, 0, 4000))
 	f.Add(hostileCounts(1, 0, 4000, 4000))
+	f.Add(EncodeObject(wideObject(4, 64, 60))) // many relocations, one symbol between them
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var o *Object
 		var err error
@@ -388,7 +389,7 @@ func wideObject(sections, size, relocs int) *Object {
 	return o
 }
 
-// TestDecodedSlicesDoNotAlias: appending to one decoded section's
+// TestDecodedSlicesDoNotAlias: appending to one decoded section's bytes or
 // relocations reallocates them; the next section's are untouched.
 func TestDecodedSlicesDoNotAlias(t *testing.T) {
 	data := EncodeObject(wideObject(4, 16, 3))
@@ -397,6 +398,7 @@ func TestDecodedSlicesDoNotAlias(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, s := range o.Sections {
+		s.Data = append(s.Data, 0xAA)[:len(s.Data)]
 		s.Relocs = append(s.Relocs, Reloc{Off: 1, Type: RelAbs64, Sym: "intruder"})
 		s.Relocs = s.Relocs[:len(s.Relocs)-1]
 	}
@@ -407,28 +409,39 @@ func TestDecodedSlicesDoNotAlias(t *testing.T) {
 	}
 }
 
-// TestDecodeObjectAllocs: per section the decoder allocates its name, its
-// bytes, its relocation list and one string per relocation symbol, per
-// symbol its name; Sections, Symbols and their pointer slices are four
-// allocations per object, whatever the counts.
+// TestDecodeObjectAllocs: the decoder allocates eight slabs per object —
+// the Object, Sections, Symbols, their pointer slices, the section bytes,
+// the relocations and the one string every name and relocation symbol is
+// cut from — so at most 12 allocations, whatever the section, data and
+// relocation counts.
 func TestDecodeObjectAllocs(t *testing.T) {
-	allocs := func(sections, size, relocs int) float64 {
-		data := EncodeObject(wideObject(sections, size, relocs))
-		return testing.AllocsPerRun(10, func() {
+	for _, shape := range [][3]int{{4, 16, 0}, {64, 16, 0}, {64, 4096, 0}, {64, 16, 8}, {512, 16, 32}} {
+		data := EncodeObject(wideObject(shape[0], shape[1], shape[2]))
+		got := testing.AllocsPerRun(10, func() {
 			if _, err := DecodeObject(data); err != nil {
 				t.Fatal(err)
 			}
 		})
+		if got > 12 {
+			t.Errorf("DecodeObject of %d sections of %d bytes x %d relocations: %.0f allocations, want <= 12", shape[0], shape[1], shape[2], got)
+		}
 	}
-	for _, shape := range [][3]int{{4, 16, 0}, {64, 16, 0}, {64, 4096, 0}, {64, 16, 8}} {
-		sections, relocs := shape[0], shape[2]
-		perSection := 3 // section name, data, symbol name
-		if relocs > 0 {
-			perSection += 1 + relocs // the list, a symbol string each
-		}
-		got := allocs(sections, shape[1], relocs)
-		if limit := float64(12 + sections*perSection); got > limit {
-			t.Errorf("DecodeObject of %d sections x %d relocations: %.0f allocations, want <= %.0f", sections, relocs, got, limit)
-		}
+}
+
+// TestDecodedObjectOutlivesInput: the decoded object copies everything it
+// holds — section bytes, names, relocation symbols — so overwriting the
+// input afterwards changes nothing in its re-encoding.
+func TestDecodedObjectOutlivesInput(t *testing.T) {
+	data := EncodeObject(wideObject(8, 16, 3))
+	want := bytes.Clone(data)
+	o, err := DecodeObject(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range data {
+		data[i] = 0xAA
+	}
+	if !bytes.Equal(EncodeObject(o), want) {
+		t.Fatal("overwriting the input changed the decoded object")
 	}
 }

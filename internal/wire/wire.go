@@ -102,14 +102,20 @@ type Reader struct {
 }
 
 // NewReader reads data, prefixing errors with pkg; a wrong magic is the first.
+// It inlines, so a Reader that does not outlive its decoder's call stays on
+// that call's stack.
 func NewReader(pkg, magic string, data []byte) *Reader {
 	r := &Reader{pkg: pkg, data: data}
-	if len(data) >= len(magic) && string(data[:len(magic)]) == magic {
+	r.skipMagic(magic)
+	return r
+}
+
+func (r *Reader) skipMagic(magic string) {
+	if len(r.data) >= len(magic) && string(r.data[:len(magic)]) == magic {
 		r.off = len(magic)
 	} else {
 		r.Fail("bad magic, want %q", magic)
 	}
-	return r
 }
 
 // Fail records a decoder's own check, unless an earlier error is set.
@@ -217,16 +223,27 @@ type Pool[T any] struct {
 	free            []T
 }
 
+// Holds reports whether the remaining input could hold n elements of at
+// least minBytes each, failing the reader when it could not (or already
+// has): the check Take makes before it allocates, for a decoder that sizes
+// its own slabs or allocates nothing.
+func (r *Reader) Holds(n, minBytes int) bool {
+	if r.err != nil {
+		return false
+	}
+	if n > r.Remaining()/minBytes {
+		r.Fail("count %d before offset %d exceeds what the remaining input can hold", n, r.off)
+		return false
+	}
+	return true
+}
+
 // Take returns n zeroed elements (nil when n is 0 or the reader has failed).
 func (p *Pool[T]) Take(r *Reader, n int) []T {
-	if n == 0 || r.err != nil {
+	if n == 0 || !r.Holds(n, p.MinBytes) {
 		return nil
 	}
 	fit := r.Remaining() / p.MinBytes
-	if n > fit {
-		r.Fail("count %d before offset %d exceeds what the remaining input can hold", n, r.off)
-		return nil
-	}
 	if n > len(p.free) {
 		p.free = make([]T, max(n, min(p.Chunk, fit)))
 	}
