@@ -547,7 +547,7 @@ func BenchmarkWPAScaling(b *testing.B) {
 				}
 				for _, w := range workerCounts {
 					start := time.Now()
-					res, err := wpa.Analyze(m, prof, wpa.Config{Workers: w, NaiveExtTSP: naive})
+					res, err := wpa.Analyze(func() (*bbaddrmap.Map, error) { return m, nil }, wpa.Samples(prof), wpa.Config{Workers: w, NaiveExtTSP: naive})
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -613,7 +613,7 @@ func BenchmarkWPAScaling(b *testing.B) {
 			var interSerial []byte
 			for _, w := range workerCounts {
 				start := time.Now()
-				res, err := wpa.Analyze(m, prof, wpa.Config{Workers: w, InterProc: true})
+				res, err := wpa.Analyze(func() (*bbaddrmap.Map, error) { return m, nil }, wpa.Samples(prof), wpa.Config{Workers: w, InterProc: true})
 				if err != nil {
 					b.Fatal(err)
 				}

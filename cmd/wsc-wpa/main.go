@@ -73,10 +73,6 @@ func main() {
 	if bin.BBAddrMap == nil {
 		fatalf("%s carries no BB address map; build with -basic-block-sections=labels", *binPath)
 	}
-	m, err := bbaddrmap.Decode(bin.BBAddrMap)
-	if err != nil {
-		fatalf("%v", err)
-	}
 	cfg := wpa.Config{
 		InterProc:     *interProc,
 		NaiveExtTSP:   *naive,
@@ -85,7 +81,7 @@ func main() {
 		BuildID:       bin.BuildID,
 		IgnoreBuildID: *ignoreBID,
 	}
-	var res *wpa.Result
+	var src wpa.Source
 	if len(profPaths) > 1 {
 		// Fleet shards: read every profile, merge deterministically in
 		// argument order, and analyze the merged result.
@@ -106,21 +102,19 @@ func main() {
 			fatalf("merge: %v", err)
 		}
 		fmt.Printf("wsc-wpa: merged %d profile shards (%d samples)\n", len(profs), len(merged.Samples))
-		res, err = wpa.Analyze(m, merged, cfg)
-		if err != nil {
-			fatalf("%v", err)
-		}
+		src = wpa.Samples(merged)
 	} else {
 		// One profile streams through the chunked reader (§5.1).
 		pf, err := os.Open(profPaths[0])
 		if err != nil {
 			fatalf("%v", err)
 		}
-		res, err = wpa.AnalyzeStream(m, pf, cfg)
-		pf.Close()
-		if err != nil {
-			fatalf("%v", err)
-		}
+		defer pf.Close()
+		src = wpa.Wire(pf)
+	}
+	res, err := wpa.Analyze(func() (*bbaddrmap.Map, error) { return bbaddrmap.Decode(bin.BBAddrMap) }, src, cfg)
+	if err != nil {
+		fatalf("%v", err)
 	}
 	cc, err := os.Create(*ccOut)
 	if err != nil {

@@ -460,31 +460,19 @@ func collectProfile(bin *objfile.Binary, spec RunSpec, trackMisses bool, onBatch
 	return res.Profile, res, nil
 }
 
-// wpaConfig resolves the analyzer configuration the Phase-3 entry points
-// share.
-func wpaConfig(bin *objfile.Binary, opts Options) (wpa.Config, error) {
+// analyze is Phase 3's analysis of src against bin's BB address map, which
+// wpa.Analyze decodes when it first needs it: beside the start of a live
+// run's sampling.
+func analyze(bin *objfile.Binary, src wpa.Source, opts Options) (*wpa.Result, error) {
 	if bin.BBAddrMap == nil {
-		return wpa.Config{}, fmt.Errorf("core: binary has no BB address map; build with metadata first")
+		return nil, fmt.Errorf("core: binary has no BB address map; build with metadata first")
 	}
 	cfg := opts.WPA
 	cfg.InterProc = cfg.InterProc || opts.InterProc
 	if cfg.BuildID == "" {
 		cfg.BuildID = bin.BuildID
 	}
-	return cfg, nil
-}
-
-// wpaInputs is wpaConfig plus bin's decoded BB address map.
-func wpaInputs(bin *objfile.Binary, opts Options) (*bbaddrmap.Map, wpa.Config, error) {
-	cfg, err := wpaConfig(bin, opts)
-	if err != nil {
-		return nil, wpa.Config{}, err
-	}
-	m, err := bbaddrmap.Decode(bin.BBAddrMap)
-	if err != nil {
-		return nil, wpa.Config{}, err
-	}
-	return m, cfg, nil
+	return wpa.Analyze(func() (*bbaddrmap.Map, error) { return bbaddrmap.Decode(bin.BBAddrMap) }, src, cfg)
 }
 
 // collectAndAnalyze is Phase 3 of the single-host path, CollectProfile then
@@ -494,31 +482,23 @@ func wpaInputs(bin *objfile.Binary, opts Options) (*bbaddrmap.Map, wpa.Config, e
 // Profile, training run and analysis are those of the two calls made one
 // after the other.
 func collectAndAnalyze(bin *objfile.Binary, spec RunSpec, opts Options) (prof *profile.Profile, run *sim.Result, wres *wpa.Result, err error) {
-	cfg, err := wpaConfig(bin, opts)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	decodeMap := func() (*bbaddrmap.Map, error) { return bbaddrmap.Decode(bin.BBAddrMap) }
-	wres, err = wpa.AnalyzeDuring(decodeMap, bin.BuildID, cfg, func(add func([]profile.Sample)) (*profile.Profile, error) {
+	wres, err = analyze(bin, wpa.During(bin.BuildID, func(add func([]profile.Sample)) (*profile.Profile, error) {
 		var err error
 		if prof, run, err = collectProfile(bin, spec, opts.SoftwarePrefetch, add); err != nil {
 			return nil, fmt.Errorf("core: profiling run failed: %w", err)
 		}
 		return prof, nil
-	})
+	}), opts)
 	if err != nil {
 		return nil, nil, nil, err
 	}
 	return prof, run, wres, nil
 }
 
-// Analyze runs the whole-program analysis (Phase 3's WPA half).
+// Analyze runs the whole-program analysis (Phase 3's WPA half) over a
+// profile in memory.
 func Analyze(bin *objfile.Binary, prof *profile.Profile, opts Options) (*wpa.Result, error) {
-	m, cfg, err := wpaInputs(bin, opts)
-	if err != nil {
-		return nil, err
-	}
-	return wpa.Analyze(m, prof, cfg)
+	return analyze(bin, wpa.Samples(prof), opts)
 }
 
 // Relink is Phase 4: hot modules are re-generated with cluster directives,
@@ -600,8 +580,8 @@ func Optimize(p *Program, train RunSpec, opts Options) (*Result, error) {
 	}
 
 	// Phase 3. Fleet mode gathers the profile from many simulated hosts
-	// through the ingestion service and analyzes it through the streaming
-	// reader; single-host mode aggregates the profile while the training
+	// through the ingestion service and analyzes the merged profile in
+	// memory; single-host mode aggregates the profile while the training
 	// run is still producing it.
 	var prof *profile.Profile
 	var trainRun *sim.Result
@@ -613,7 +593,7 @@ func Optimize(p *Program, train RunSpec, opts Options) (*Result, error) {
 			return nil, err
 		}
 		ingest = &st
-		wres, err = AnalyzeStreamed(meta.Binary, prof, opts)
+		wres, err = analyze(meta.Binary, wpa.Samples(prof), opts)
 	} else {
 		prof, trainRun, wres, err = collectAndAnalyze(meta.Binary, train, opts)
 	}

@@ -10,10 +10,6 @@ var MultiModuleProgram = multiModuleProgram
 // tests and the benchmark that hold it to CollectProfile then Analyze.
 var CollectAndAnalyze = collectAndAnalyze
 
-// WPAInputs is the address map and analysis configuration AnalyzeStreamed
-// runs with, for the test that holds it to wpa.AnalyzeStream.
-var WPAInputs = wpaInputs
-
 // WithPrefetchDirectives returns opts carrying the §3.5 insertion sites
 // Optimize derives between Phases 3 and 4, so a phase-by-phase replay can
 // hand Relink what Optimize hands it.

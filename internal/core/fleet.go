@@ -150,15 +150,10 @@ func (s *hostSource) Samples(emit func(profile.Sample) error) error {
 	return nil
 }
 
-// AnalyzeStreamed is the fleet-mode WPA entry: the merged profile, already
-// in memory (the store's aggregate, or what a fetch from it decoded), is
-// analyzed as the streaming reader would analyze its wire bytes —
-// wpa.AnalyzeStreamProfile, with no encode and decode between — with the
-// binary's build ID enforced before any sample is folded.
+// AnalyzeStreamed is Analyze: the fleet's merged profile is in memory too.
+//
+// Deprecated: use Analyze. The benchmark's second edition drops this
+// wrapper.
 func AnalyzeStreamed(bin *objfile.Binary, prof *profile.Profile, opts Options) (*wpa.Result, error) {
-	m, cfg, err := wpaInputs(bin, opts)
-	if err != nil {
-		return nil, err
-	}
-	return wpa.AnalyzeStreamProfile(m, prof, cfg)
+	return analyze(bin, wpa.Samples(prof), opts)
 }

@@ -64,7 +64,7 @@ func TestFleetStreamingMatchesMaterialized(t *testing.T) {
 		if st.AcceptedSamples == 0 {
 			t.Fatalf("%s: empty fleet profile", name)
 		}
-		wres, err := AnalyzeStreamed(meta.Binary, merged, Options{})
+		wres, err := Analyze(meta.Binary, merged, Options{})
 		if err != nil {
 			t.Fatalf("%s: analyze: %v", name, err)
 		}

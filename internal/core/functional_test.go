@@ -143,7 +143,7 @@ func TestFleetMixedModeHosts(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		wres, err := core.AnalyzeStreamed(meta.Binary, merged, core.Options{})
+		wres, err := core.Analyze(meta.Binary, merged, core.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -282,6 +282,7 @@ func IncrementalSweep(cfg IncrementalSweepConfig) (*IncrementalResult, error) {
 	if err != nil {
 		return nil, err
 	}
+	load0 := func() (*bbaddrmap.Map, error) { return map0, nil }
 
 	out := &IncrementalResult{Workload: spec.Name, Slots: cfg.slots()}
 
@@ -289,10 +290,10 @@ func IncrementalSweep(cfg IncrementalSweepConfig) (*IncrementalResult, error) {
 	{
 		cache := buildsys.NewCache()
 		scfg := wpa.Config{Cache: cache, ProfileEpoch: "stationary"}
-		if _, err := wpa.Analyze(map0, prof0, scfg); err != nil {
+		if _, err := wpa.Analyze(load0, wpa.Samples(prof0), scfg); err != nil {
 			return nil, err
 		}
-		again, err := wpa.Analyze(map0, prof0, scfg)
+		again, err := wpa.Analyze(load0, wpa.Samples(prof0), scfg)
 		if err != nil {
 			return nil, err
 		}
@@ -335,8 +336,9 @@ func IncrementalSweep(cfg IncrementalSweepConfig) (*IncrementalResult, error) {
 			if err != nil {
 				return nil, err
 			}
+			load1 := func() (*bbaddrmap.Map, error) { return map1, nil }
 			coldStart := time.Now()
-			coldRes, err := wpa.AnalyzeAggregate(map1, agg, coldOpts.WPA)
+			coldRes, err := wpa.Analyze(load1, wpa.Prebuilt(agg), coldOpts.WPA)
 			if err != nil {
 				return nil, err
 			}
@@ -361,7 +363,7 @@ func IncrementalSweep(cfg IncrementalSweepConfig) (*IncrementalResult, error) {
 			if err != nil {
 				return nil, err
 			}
-			warmRes0, err := wpa.AnalyzeAggregate(map0, agg, warmOpts.WPA)
+			warmRes0, err := wpa.Analyze(load0, wpa.Prebuilt(agg), warmOpts.WPA)
 			if err != nil {
 				return nil, err
 			}
@@ -374,7 +376,7 @@ func IncrementalSweep(cfg IncrementalSweepConfig) (*IncrementalResult, error) {
 				return nil, err
 			}
 			warmStart := time.Now()
-			warmRes, err := wpa.AnalyzeAggregate(map1, agg, warmOpts.WPA)
+			warmRes, err := wpa.Analyze(load1, wpa.Prebuilt(agg), warmOpts.WPA)
 			if err != nil {
 				return nil, err
 			}

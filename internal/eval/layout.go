@@ -433,7 +433,7 @@ func (e *LayoutEval) EvaluateInsts(pol LayoutPolicy, insts uint64) (LayoutCell, 
 		if e.cache != nil {
 			wcfg.Cache, wcfg.ProfileEpoch = e.cache, e.epoch
 		}
-		r, err := wpa.AnalyzeAggregate(e.m, e.agg, wcfg)
+		r, err := wpa.Analyze(func() (*bbaddrmap.Map, error) { return e.m, nil }, wpa.Prebuilt(e.agg), wcfg)
 		if err != nil {
 			return cell, fmt.Errorf("eval %s/%s: analyze (workers=%d): %w", e.spec.Name, pol.Name, w, err)
 		}

@@ -86,7 +86,7 @@ func TestWireFormatsGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	sum("aggregate", wpa.EncodeAggregate(agg))
-	res, err := wpa.AnalyzeAggregate(m, agg, wpa.Config{})
+	res, err := wpa.Analyze(func() (*bbaddrmap.Map, error) { return m, nil }, wpa.Prebuilt(agg), wpa.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

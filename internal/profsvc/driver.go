@@ -395,7 +395,7 @@ func RunGenerations(p *core.Program, cfg DriverConfig) (*LoopResult, error) {
 			opts.WPA.ProfileEpoch = id
 		}
 		gen.ProfileEpochID = opts.WPA.ProfileEpoch
-		wres, err := core.AnalyzeStreamed(deployed, agg, opts)
+		wres, err := core.Analyze(deployed, agg, opts)
 		if err != nil {
 			return nil, fmt.Errorf("profsvc: gen %d analysis: %w", g, err)
 		}

@@ -28,6 +28,7 @@ func wireAnalyzeStreamed(bin *objfile.Binary, prof *profile.Profile, opts core.O
 	if err != nil {
 		return nil, err
 	}
+	//lint:ignore SA1019 the oracle keeps the entry it was written against
 	return wpa.AnalyzeStream(m, bytes.NewBuffer(prof.AppendWire(nil)), cfg)
 }
 

@@ -19,8 +19,6 @@
 package wpa
 
 import (
-	"fmt"
-	"io"
 	"sort"
 	"sync"
 	"time"
@@ -182,9 +180,9 @@ func (a *Aggregate) Merge(d *Aggregate) {
 }
 
 // BuildAggregate runs the sample-aggregation half of the analysis over
-// an in-memory profile. With cfg.Workers != 1 the samples are
-// partitioned into contiguous chunks aggregated by private shards, then
-// merged deterministically; the output is bit-identical to the serial
+// an in-memory profile, as Analyze feeds a Samples source: with
+// cfg.Workers != 1 the sample batches are aggregated by private shards,
+// then merged deterministically; the output is bit-identical to the serial
 // path.
 func BuildAggregate(m *bbaddrmap.Map, prof *profile.Profile, cfg Config) (*Aggregate, error) {
 	if err := cfg.checkBuildID(prof.BuildID); err != nil {
@@ -193,104 +191,8 @@ func BuildAggregate(m *bbaddrmap.Map, prof *profile.Profile, cfg Config) (*Aggre
 	if err := checkMap(m); err != nil {
 		return nil, err
 	}
-	return cfg.buildAggregate(bbaddrmap.NewLookup(m), prof), nil
-}
-
-// buildAggregate is BuildAggregate over an already-built lookup and an
-// already-checked profile.
-func (c Config) buildAggregate(lk *bbaddrmap.Lookup, prof *profile.Profile) *Aggregate {
-	samples := prof.Samples
-	w := max(1, min(c.workers(), len(samples)))
-	ag := newAggregator(w, func() *bbaddrmap.Lookup { return lk })
-	inBatches(samples, (len(samples)+w-1)/w, ag.Add)
-	agg := ag.Finish()
-	agg.profileBytes = prof.SizeBytes()
-	return agg
-}
-
-// inBatches hands add the samples n at a time, in order.
-func inBatches(samples []profile.Sample, n int, add func([]profile.Sample)) {
-	for ; len(samples) > 0; samples = samples[min(n, len(samples)):] {
-		add(samples[:min(n, len(samples))])
-	}
-}
-
-// streamSampleBytes is the profile residency of a streamed aggregation
-// (Stats.ProfileBytes): one sample's worth, §5.1's chunked reading.
-const streamSampleBytes = 2 + profile.LBRDepth*16
-
-// streamBatch samples per hand-off amortize it on the streamed feeds.
-const streamBatch = 512
-
-// buildAggregateStream aggregates a serialized profile without
-// materializing it (§5.1's chunked reading): the samples are decoded
-// straight into the batches the shards fold, so the result stays
-// bit-identical to BuildAggregate over the same samples.
-func buildAggregateStream(m *bbaddrmap.Map, r io.Reader, cfg Config) (*Aggregate, error) {
-	return cfg.streamAggregate(m, func(ag *Aggregator) error { return cfg.decodeInto(ag, r) })
-}
-
-// streamAggregate is the streamed aggregation behind both of its feeds:
-// feed hands ag the samples, the build ID checked before the first, and
-// whichever feed ran, the profile's residency is one sample.
-func (c Config) streamAggregate(m *bbaddrmap.Map, feed func(*Aggregator) error) (*Aggregate, error) {
-	if err := checkMap(m); err != nil {
-		return nil, err
-	}
-	lk := bbaddrmap.NewLookup(m)
-	ag := newAggregator(c.workers(), func() *bbaddrmap.Lookup { return lk })
-	err := feed(ag)
-	agg := ag.Finish() // also after a failed feed: it stops the shards
-	if err != nil {
-		return nil, err
-	}
-	agg.profileBytes = streamSampleBytes
-	return agg, nil
-}
-
-// feedSamples hands ag the samples of a profile already in memory, in the
-// decoder's batches.
-func (c Config) feedSamples(ag *Aggregator, prof *profile.Profile) error {
-	if err := c.checkBuildID(prof.BuildID); err != nil {
-		return err
-	}
-	inBatches(prof.Samples, streamBatch, ag.Add)
-	return nil
-}
-
-// decodeInto feeds ag the samples of the serialized profile r. The records
-// of each batch share one flat block (each sample a capacity-clamped
-// subslice).
-func (c Config) decodeInto(ag *Aggregator, r io.Reader) error {
-	d, err := profile.NewDecoder(r)
-	// The header check runs before any sample is decoded, so a
-	// build-ID-mismatched profile is rejected without paying for its body,
-	// and with the error every other feed returns.
-	if err == nil {
-		if err := c.checkBuildID(d.Header.BuildID); err != nil {
-			return err
-		}
-	}
-	var b sampleBatch
-	for err == nil {
-		if b.samples == nil {
-			b = sampleBatch{make([]profile.Sample, 0, streamBatch), make([]profile.Branch, 0, streamBatch*profile.LBRDepth)}
-		}
-		l := len(b.recs)
-		if b.recs, err = d.Next(b.recs); err != nil {
-			break
-		}
-		b.samples = append(b.samples, profile.Sample{Records: b.recs[l:len(b.recs):len(b.recs)]})
-		if len(b.samples) == streamBatch {
-			b = ag.add(b)
-			b.samples, b.recs = b.samples[:0], b.recs[:0]
-		}
-	}
-	if err != io.EOF {
-		return fmt.Errorf("wpa: streaming profile: %w", err)
-	}
-	ag.add(b)
-	return nil
+	src, lk := Samples(prof), bbaddrmap.NewLookup(m)
+	return cfg.feed(&src, func() *bbaddrmap.Lookup { return lk })
 }
 
 // sampleBatch is what the shards fold: samples and, when the feed decoded
@@ -316,11 +218,12 @@ type Aggregator struct {
 	wg     sync.WaitGroup
 }
 
-// newAggregator starts an aggregation over w shards. lookup builds the
-// block table the shards count into; it is called once, on the first worker
-// (w == 1: here), so a feed that is already running does not wait for it.
+// newAggregator starts an aggregation over w shards. lookup returns the
+// block table the shards count into, the same one on every call: each shard
+// and Finish call it, and the first call, on the first worker (w == 1:
+// here), may build it, so a feed that is already running does not wait.
 func newAggregator(w int, lookup func() *bbaddrmap.Lookup) *Aggregator {
-	a := &Aggregator{lookup: sync.OnceValue(lookup), shards: make([]*shard, w)}
+	a := &Aggregator{lookup: lookup, shards: make([]*shard, w)}
 	if w == 1 {
 		a.shards[0] = newShard(a.lookup())
 		return a

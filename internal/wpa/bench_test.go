@@ -112,13 +112,14 @@ func BenchmarkLayoutInterProc(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	loadMap := func() (*bbaddrmap.Map, error) { return amap, nil }
 	for _, workers := range []int{1, 2} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			cfg := cfg
 			cfg.Workers = workers
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				res, err := wpa.AnalyzeAggregate(amap, agg, cfg)
+				res, err := wpa.Analyze(loadMap, wpa.Prebuilt(agg), cfg)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -43,13 +43,13 @@ func requireSameArtifacts(t *testing.T, want, got *Result, label string) {
 // hit (aggregate + global layout) and still byte-identical.
 func TestIncrementalAnalyzeMatchesCold(t *testing.T) {
 	for _, interproc := range []bool{false, true} {
-		cold, err := Analyze(synthMap(), synthProfile(50), Config{InterProc: interproc})
+		cold, err := Analyze(held(synthMap()), Samples(synthProfile(50)), Config{InterProc: interproc})
 		if err != nil {
 			t.Fatal(err)
 		}
 		cache := buildsys.NewCache()
 		cfg := Config{InterProc: interproc, Cache: cache, ProfileEpoch: "epoch-1"}
-		warm1, err := Analyze(synthMap(), synthProfile(50), cfg)
+		warm1, err := Analyze(held(synthMap()), Samples(synthProfile(50)), cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -60,7 +60,7 @@ func TestIncrementalAnalyzeMatchesCold(t *testing.T) {
 		if !interproc && warm1.Stats.FuncLayoutMisses == 0 {
 			t.Fatalf("interproc=%t: first cached run recorded no per-function misses", interproc)
 		}
-		warm2, err := Analyze(synthMap(), synthProfile(50), cfg)
+		warm2, err := Analyze(held(synthMap()), Samples(synthProfile(50)), cfg)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -88,7 +88,7 @@ func TestCacheNeverAliasesAcrossParams(t *testing.T) {
 		return Config{Cache: cache, ProfileEpoch: "e1", ExtTSP: p}
 	}
 	want := func(p exttsp.Params) *Result {
-		res, err := Analyze(m, prof, Config{ExtTSP: p})
+		res, err := Analyze(held(m), Samples(prof), Config{ExtTSP: p})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -100,7 +100,7 @@ func TestCacheNeverAliasesAcrossParams(t *testing.T) {
 	swept := exttsp.Params{ForwardWeight: 0.9, BackwardWeight: 0.0001, ForwardWindow: 8192}
 	for _, p := range []exttsp.Params{{}, swept} {
 		fresh := want(p)
-		cachedRes, err := Analyze(m, prof, mk(p))
+		cachedRes, err := Analyze(held(m), Samples(prof), mk(p))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -108,7 +108,7 @@ func TestCacheNeverAliasesAcrossParams(t *testing.T) {
 			t.Errorf("params %+v: cached directives %v != uncached %v", p, cachedRes.Directives, fresh.Directives)
 		}
 		// Run again warm: a same-params hit must still match.
-		warm, err := Analyze(m, prof, mk(p))
+		warm, err := Analyze(held(m), Samples(prof), mk(p))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -154,7 +154,7 @@ func TestCacheEntryFormatsGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := Config{Cache: buildsys.NewCache(), ProfileEpoch: "golden"}
-	res, err := Analyze(m, run.Profile, cfg)
+	res, err := Analyze(held(m), Samples(run.Profile), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -71,7 +71,7 @@ func TestLayoutPolicyKeyCoversFuncPolicies(t *testing.T) {
 func TestFuncPolicyMixingMatchesGlobal(t *testing.T) {
 	m, prof := synthMap(), synthProfile(50)
 	analyze := func(cfg Config) *Result {
-		res, err := Analyze(m, prof, cfg)
+		res, err := Analyze(held(m), Samples(prof), cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -109,19 +109,19 @@ func TestFuncPolicyCacheNoAliasing(t *testing.T) {
 		{FuncPolicies: map[string]FuncPolicy{"foo": {KeepBlockOrder: true}}},
 	}
 	for _, cfg := range configs {
-		fresh, err := Analyze(m, prof, cfg)
+		fresh, err := Analyze(held(m), Samples(prof), cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		cfg.Cache, cfg.ProfileEpoch = cache, "e1"
-		cold, err := Analyze(m, prof, cfg)
+		cold, err := Analyze(held(m), Samples(prof), cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(cold.Directives, fresh.Directives) {
 			t.Errorf("config %+v: cached directives diverged from uncached", cfg.FuncPolicies)
 		}
-		warm, err := Analyze(m, prof, cfg)
+		warm, err := Analyze(held(m), Samples(prof), cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -138,7 +138,7 @@ func TestFuncPolicyCacheNoAliasing(t *testing.T) {
 		Cache: cache, ProfileEpoch: "e1",
 		FuncPolicies: map[string]FuncPolicy{"bar": {ExtTSP: exttsp.Params{ForwardWeight: 0.9}}},
 	}
-	res, err := Analyze(m, prof, cfg)
+	res, err := Analyze(held(m), Samples(prof), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -107,13 +107,13 @@ func TestParallelAnalyzeBitIdentical(t *testing.T) {
 		m := randMap(rng, 3+rng.Intn(20))
 		prof := randProfile(rng, m, 5+rng.Intn(400))
 		for _, interProc := range []bool{false, true} {
-			serial, err := Analyze(m, prof, Config{Workers: 1, InterProc: interProc})
+			serial, err := Analyze(held(m), Samples(prof), Config{Workers: 1, InterProc: interProc})
 			if err != nil {
 				t.Fatal(err)
 			}
 			wantCC, wantLD := renderResult(t, serial)
 			for _, w := range []int{2, 4, 8} {
-				par, err := Analyze(m, prof, Config{Workers: w, InterProc: interProc})
+				par, err := Analyze(held(m), Samples(prof), Config{Workers: w, InterProc: interProc})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -158,7 +158,7 @@ func TestParallelAnalyzeStreamBitIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		streamed, err := buildAggregateStream(m, bytes.NewReader(raw.Bytes()), Config{Workers: w})
+		streamed, err := wireAggregate(m, bytes.NewReader(raw.Bytes()), Config{Workers: w})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -193,7 +193,7 @@ func TestParallelAnalyzeStreamBitIdentical(t *testing.T) {
 			if got, want := statsComparable(streamed.Stats), statsComparable(serial.Stats); !reflect.DeepEqual(got, want) {
 				t.Fatalf("interproc=%v workers=%d: stream stats diverged\nserial   %+v\nparallel %+v", interProc, w, want, got)
 			}
-			inMem, err := Analyze(m, prof, cfg)
+			inMem, err := Analyze(held(m), Samples(prof), cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -261,7 +261,7 @@ func interProcEdgeProfile(m *bbaddrmap.Map) *profile.Profile {
 func TestInterProcEntryRunAndColdSplit(t *testing.T) {
 	m := interProcEdgeMap()
 	prof := interProcEdgeProfile(m)
-	serial, err := Analyze(m, prof, Config{Workers: 1, InterProc: true})
+	serial, err := Analyze(held(m), Samples(prof), Config{Workers: 1, InterProc: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -298,7 +298,7 @@ func TestInterProcEntryRunAndColdSplit(t *testing.T) {
 	}
 
 	for _, w := range []int{2, 4, 8} {
-		par, err := Analyze(m, prof, Config{Workers: w, InterProc: true})
+		par, err := Analyze(held(m), Samples(prof), Config{Workers: w, InterProc: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -322,7 +322,7 @@ func TestInterProcEntryRunAndColdSplit(t *testing.T) {
 // positive effective count, and the per-phase breakdown sums into
 // AnalysisSeconds.
 func TestWorkersDefaultAndStats(t *testing.T) {
-	res, err := Analyze(synthMap(), synthProfile(50), Config{})
+	res, err := Analyze(held(synthMap()), Samples(synthProfile(50)), Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -333,7 +333,7 @@ func TestWorkersDefaultAndStats(t *testing.T) {
 	if res.Stats.AnalysisSeconds != want {
 		t.Errorf("AnalysisSeconds = %v, want %v", res.Stats.AnalysisSeconds, want)
 	}
-	res8, err := Analyze(synthMap(), synthProfile(50), Config{Workers: 8})
+	res8, err := Analyze(held(synthMap()), Samples(synthProfile(50)), Config{Workers: 8})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -178,11 +178,11 @@ func TestReconstructFiltersAndCaps(t *testing.T) {
 // reconstructed paths look like.
 func TestPathClonePolicyProducesValidClusters(t *testing.T) {
 	m, prof := synthMap(), synthProfile(50)
-	res, err := Analyze(m, prof, Config{PathClone: true})
+	res, err := Analyze(held(m), Samples(prof), Config{PathClone: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	base, err := Analyze(m, prof, Config{})
+	base, err := Analyze(held(m), Samples(prof), Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +214,7 @@ func TestPathClonePolicyProducesValidClusters(t *testing.T) {
 // TestKeepBlockOrderPolicy: the call-chain-first policy emits hot blocks
 // in original map order, entry first.
 func TestKeepBlockOrderPolicy(t *testing.T) {
-	res, err := Analyze(synthMap(), synthProfile(50), Config{KeepBlockOrder: true})
+	res, err := Analyze(held(synthMap()), Samples(synthProfile(50)), Config{KeepBlockOrder: true})
 	if err != nil {
 		t.Fatal(err)
 	}

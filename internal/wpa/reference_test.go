@@ -199,7 +199,7 @@ func checkAgainstReference(m *bbaddrmap.Map, prof *profile.Profile, workers []in
 		if !bytes.Equal(EncodeAggregate(got), wantMem) {
 			return fmt.Errorf("workers %d: in-memory aggregate differs from the reference\ngot  %s\nwant %s", w, describe(got), describe(want))
 		}
-		if got, err = buildAggregateStream(m, bytes.NewReader(wire), cfg); err != nil {
+		if got, err = wireAggregate(m, bytes.NewReader(wire), cfg); err != nil {
 			return fmt.Errorf("workers %d, streamed: %w", w, err)
 		}
 		if !bytes.Equal(EncodeAggregate(got), wantStream) {
@@ -354,7 +354,8 @@ func TestBuildAggregateAllocs(t *testing.T) {
 		small.Samples...), small.Samples...), small.Samples...), small.Samples...)}
 	allocs := func(prof *profile.Profile, w int) float64 {
 		return testing.AllocsPerRun(5, func() {
-			(Config{Workers: w}).buildAggregate(lk, prof)
+			src := Samples(prof)
+			(Config{Workers: w}).feed(&src, func() *bbaddrmap.Lookup { return lk })
 		})
 	}
 	s1, l1, l2 := allocs(small, 1), allocs(large, 1), allocs(large, 2)

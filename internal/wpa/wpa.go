@@ -10,7 +10,6 @@ package wpa
 
 import (
 	"fmt"
-	"io"
 	"runtime"
 	"slices"
 	"sort"
@@ -23,7 +22,6 @@ import (
 	"propeller/internal/exttsp"
 	"propeller/internal/hfsort"
 	"propeller/internal/layoutfile"
-	"propeller/internal/profile"
 )
 
 // Config controls the analysis.
@@ -66,10 +64,9 @@ type Config struct {
 	// mode only; the inter-procedural layout ignores it.
 	FuncPolicies map[string]FuncPolicy
 
-	// HotPaths are the reconstructed hot paths PathClone consumes.
-	// Analyze reconstructs them from the profile when nil; AnalyzeStream
-	// and AnalyzeStreamProfile never do (stream callers must supply them),
-	// and AnalyzeAggregate requires the caller to pass them, because the
+	// HotPaths are the reconstructed hot paths PathClone consumes. When
+	// nil, Analyze rebuilds them from a source that holds raw samples
+	// (Samples, During) and refuses any other (Wire, Prebuilt): the
 	// position-independent aggregate cannot recover path strings.
 	HotPaths PathSet
 
@@ -204,7 +201,7 @@ type Stats struct {
 	DCFGNodes    int
 	DCFGEdges    int
 	HotFuncs     int
-	ProfileBytes int64 // serialized profile size read
+	ProfileBytes int64 // the profile's residency while read: one sample for a Wire source, its size otherwise
 
 	// ModeledBytes is the peak-memory model for this phase: the larger of
 	// profile-reading and DCFG residency (§5.1 attributes Propeller's peak
@@ -434,35 +431,10 @@ func layout(res *Result, graphs map[string]*dcfg, infos map[string]*funcInfo, ca
 	return nil
 }
 
-// loadAggregate returns the epoch's cached aggregate when the incremental
-// cache holds one, otherwise builds it via build and publishes the result.
-func (c Config) loadAggregate(build func() (*Aggregate, error)) (*Aggregate, bool, error) {
-	if !c.cacheEnabled() {
-		agg, err := build()
-		return agg, false, err
-	}
-	key := aggCacheKey(c.ProfileEpoch)
-	if data, ok := c.Cache.Get(key); ok {
-		if agg, err := DecodeAggregate(data); err == nil {
-			return agg, true, nil
-		}
-		// A corrupt entry falls through to a rebuild that overwrites it.
-	}
-	agg, err := build()
-	if err != nil {
-		return nil, false, err
-	}
-	c.Cache.Put(key, EncodeAggregate(agg))
-	return agg, false, nil
-}
-
-// AnalyzeAggregate runs the layout half of the analysis over a
-// previously built aggregate, projecting its position-independent counts
-// onto m's BB address map. m may differ from the map the aggregate was
-// built against — the warm-relink case, where an edited binary reuses
-// the previous epoch's profile: functions that no longer exist are
-// dropped and counts for vanished block IDs are ignored.
-func AnalyzeAggregate(m *bbaddrmap.Map, agg *Aggregate, cfg Config) (*Result, error) {
+// layoutAggregate is the layout half of the analysis: it projects the
+// aggregate's position-independent counts onto m's BB address map and lays
+// out what is hot.
+func layoutAggregate(m *bbaddrmap.Map, agg *Aggregate, cfg Config) (*Result, error) {
 	infos, err := funcInfos(m)
 	if err != nil {
 		return nil, err
@@ -484,7 +456,7 @@ func AnalyzeAggregate(m *bbaddrmap.Map, agg *Aggregate, cfg Config) (*Result, er
 		st.DCFGEdges += len(g.edges)
 	}
 	// Memory model: peak is max(profile residency, DCFG residency); see
-	// §5.1. With chunked reading the profile component is one sample.
+	// §5.1.
 	dcfgBytes := int64(st.DCFGNodes)*48 + int64(st.DCFGEdges)*40 + int64(st.DCFGFuncs)*96
 	st.ModeledBytes = max(st.ProfileBytes, dcfgBytes)
 
@@ -497,145 +469,6 @@ func AnalyzeAggregate(m *bbaddrmap.Map, agg *Aggregate, cfg Config) (*Result, er
 	res.Stats.AnalysisSeconds = (res.Stats.AggregateWall + res.Stats.MergeWall + res.Stats.LayoutWall).Seconds()
 	res.Stats.HotFuncs = len(res.Directives)
 	return res, nil
-}
-
-// analyze is the one path from samples to a layout: load or build the
-// aggregate, then AnalyzeAggregate.
-func (c Config) analyze(m *bbaddrmap.Map, build func() (*Aggregate, error)) (*Result, error) {
-	agg, hit, err := c.loadAggregate(build)
-	if err != nil {
-		return nil, err
-	}
-	res, err := AnalyzeAggregate(m, agg, c)
-	if err != nil {
-		return nil, err
-	}
-	res.Stats.AggregateCacheHit = hit
-	return res, nil
-}
-
-// Analyze runs the whole-program analysis over an in-memory profile:
-// BuildAggregate (consulting the incremental cache when configured)
-// followed by AnalyzeAggregate. With cfg.Workers != 1 the samples are
-// partitioned into contiguous chunks aggregated by private shards, then
-// merged deterministically; the output is bit-identical to the serial
-// path, and — with the cache — to the uncached path.
-func Analyze(m *bbaddrmap.Map, prof *profile.Profile, cfg Config) (*Result, error) {
-	if err := cfg.checkBuildID(prof.BuildID); err != nil {
-		return nil, err
-	}
-	if err := checkMap(m); err != nil {
-		return nil, err
-	}
-	// One lookup serves path reconstruction and aggregation; an analysis
-	// that needs neither (a warm aggregate, no path cloning) never builds it.
-	var lk *bbaddrmap.Lookup
-	lookup := func() *bbaddrmap.Lookup {
-		if lk == nil {
-			lk = bbaddrmap.NewLookup(m)
-		}
-		return lk
-	}
-	if cfg.needsPaths() && cfg.HotPaths == nil {
-		// The path strings are not recoverable from the (cached) edge
-		// aggregate, so reconstruct them from the raw samples up front —
-		// this also folds their fingerprint into layoutPolicyKey before
-		// any cache lookup.
-		cfg.HotPaths = reconstructPaths(lookup(), prof, PathOptions{})
-	}
-	return cfg.analyze(m, func() (*Aggregate, error) { return cfg.buildAggregate(lookup(), prof), nil })
-}
-
-// AnalyzeDuring is Analyze over a profile that is still being collected.
-// run makes the profiling run of the binary whose build ID is buildID,
-// passing add each batch of the profile's samples once that batch will not
-// be written again, and returns the complete profile; the batches are
-// aggregated on the analysis workers while run is still sampling, so when
-// it returns only its last batch, the shard merge and the layout remain.
-// loadMap decodes the binary's BB address map; with more than one worker it
-// too runs beside the start of the profiling run.
-//
-// The result is the one Analyze returns for the same profile, bit for bit.
-// A configured incremental cache is consulted first, and on a warm epoch
-// aggregate run is called with a nil add: the profiling run goes ahead
-// alone. Paths for path cloning are reconstructed from the complete profile
-// once run has returned. An error from run is returned as it is, after the
-// workers have stopped.
-func AnalyzeDuring(loadMap func() (*bbaddrmap.Map, error), buildID string, cfg Config, run func(add func([]profile.Sample)) (*profile.Profile, error)) (*Result, error) {
-	if err := cfg.checkBuildID(buildID); err != nil {
-		return nil, err
-	}
-	checkedMap := sync.OnceValues(func() (*bbaddrmap.Map, error) {
-		m, err := loadMap()
-		if err == nil {
-			err = checkMap(m)
-		}
-		return m, err
-	})
-	lookup := sync.OnceValue(func() *bbaddrmap.Lookup {
-		m, err := checkedMap()
-		if err != nil {
-			// Nothing resolves against an empty table, so the shards fold
-			// the run's batches into nothing; the error is reported below.
-			m = &bbaddrmap.Map{}
-		}
-		return bbaddrmap.NewLookup(m)
-	})
-	var prof *profile.Profile
-	agg, hit, err := cfg.loadAggregate(func() (*Aggregate, error) {
-		ag := newAggregator(cfg.workers(), lookup)
-		var err error
-		prof, err = run(ag.Add)
-		agg := ag.Finish() // also after a failed run: it stops the shards
-		if err != nil {
-			return nil, err
-		}
-		if _, err := checkedMap(); err != nil {
-			return nil, err
-		}
-		agg.profileBytes = prof.SizeBytes()
-		return agg, nil
-	})
-	if err == nil && hit {
-		prof, err = run(nil)
-	}
-	if err != nil {
-		return nil, err
-	}
-	m, err := checkedMap()
-	if err != nil {
-		return nil, err
-	}
-	if cfg.needsPaths() && cfg.HotPaths == nil {
-		cfg.HotPaths = reconstructPaths(lookup(), prof, PathOptions{})
-	}
-	res, err := AnalyzeAggregate(m, agg, cfg)
-	if err != nil {
-		return nil, err
-	}
-	res.Stats.AggregateCacheHit = hit
-	return res, nil
-}
-
-// AnalyzeStream runs the whole-program analysis over a serialized profile
-// without materializing it (§5.1's chunked reading): peak memory becomes
-// the DCFG alone plus small sample batches. With the incremental cache
-// active and a warm epoch aggregate, the stream is not read at all.
-func AnalyzeStream(m *bbaddrmap.Map, r io.Reader, cfg Config) (*Result, error) {
-	return cfg.analyze(m, func() (*Aggregate, error) { return buildAggregateStream(m, r, cfg) })
-}
-
-// AnalyzeStreamProfile is AnalyzeStream over a profile already in memory:
-// its samples feed the shards in the batches the decoder would have made,
-// with no encode and decode between. The result is AnalyzeStream's over
-// prof.AppendWire's bytes whenever those bytes decode (no sample deeper
-// than the LBR): the build ID checked before any sample is folded, the
-// profile's residency modeled as one sample, the incremental cache
-// consulted the same way, and no hot paths reconstructed.
-func AnalyzeStreamProfile(m *bbaddrmap.Map, prof *profile.Profile, cfg Config) (*Result, error) {
-	return cfg.analyze(m, func() (*Aggregate, error) {
-		return cfg.streamAggregate(m, func(ag *Aggregator) error { return cfg.feedSamples(ag, prof) })
-	})
 }
 
 // hotBlocks returns the block ids participating in the hot layout: sampled

@@ -43,7 +43,7 @@ func synthProfile(n int) *profile.Profile {
 }
 
 func TestAnalyzeBuildsDirectives(t *testing.T) {
-	res, err := Analyze(synthMap(), synthProfile(50), Config{})
+	res, err := Analyze(held(synthMap()), Samples(synthProfile(50)), Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,13 +72,13 @@ func TestAnalyzeBuildsDirectives(t *testing.T) {
 }
 
 func TestAnalyzeEmptyMap(t *testing.T) {
-	if _, err := Analyze(&bbaddrmap.Map{}, synthProfile(1), Config{}); err == nil {
+	if _, err := Analyze(held(&bbaddrmap.Map{}), Samples(synthProfile(1)), Config{}); err == nil {
 		t.Error("empty map accepted")
 	}
 }
 
 func TestOrderContainsHotFuncs(t *testing.T) {
-	res, err := Analyze(synthMap(), synthProfile(50), Config{})
+	res, err := Analyze(held(synthMap()), Samples(synthProfile(50)), Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +99,7 @@ func TestOrderContainsHotFuncs(t *testing.T) {
 }
 
 func TestInterProcSplitsFunctions(t *testing.T) {
-	res, err := Analyze(synthMap(), synthProfile(50), Config{InterProc: true})
+	res, err := Analyze(held(synthMap()), Samples(synthProfile(50)), Config{InterProc: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +117,7 @@ func TestInterProcSplitsFunctions(t *testing.T) {
 		}
 	}
 	// The hot threshold and naive retrieval run too.
-	res2, err := Analyze(synthMap(), synthProfile(50), Config{InterProc: true, NaiveExtTSP: true})
+	res2, err := Analyze(held(synthMap()), Samples(synthProfile(50)), Config{InterProc: true, NaiveExtTSP: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,11 +127,11 @@ func TestInterProcSplitsFunctions(t *testing.T) {
 }
 
 func TestHotThresholdFiltersBlocks(t *testing.T) {
-	resLoose, err := Analyze(synthMap(), synthProfile(50), Config{HotThreshold: 1})
+	resLoose, err := Analyze(held(synthMap()), Samples(synthProfile(50)), Config{HotThreshold: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	resStrict, err := Analyze(synthMap(), synthProfile(50), Config{HotThreshold: 1 << 40})
+	resStrict, err := Analyze(held(synthMap()), Samples(synthProfile(50)), Config{HotThreshold: 1 << 40})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,11 +145,11 @@ func TestHotThresholdFiltersBlocks(t *testing.T) {
 }
 
 func TestDeterministicAnalysis(t *testing.T) {
-	a, err := Analyze(synthMap(), synthProfile(30), Config{})
+	a, err := Analyze(held(synthMap()), Samples(synthProfile(30)), Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Analyze(synthMap(), synthProfile(30), Config{})
+	b, err := Analyze(held(synthMap()), Samples(synthProfile(30)), Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +165,7 @@ func TestDeterministicAnalysis(t *testing.T) {
 
 func TestAnalyzeStreamMatchesAnalyze(t *testing.T) {
 	prof := synthProfile(40)
-	inMem, err := Analyze(synthMap(), prof, Config{})
+	inMem, err := Analyze(held(synthMap()), Samples(prof), Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
