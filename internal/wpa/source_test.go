@@ -72,18 +72,33 @@ func dcfgBytes(st Stats) int64 {
 	return int64(st.DCFGNodes)*48 + int64(st.DCFGEdges)*40 + int64(st.DCFGFuncs)*96
 }
 
-// TestSourcesAgree is the one agreement table over source kinds: the same
-// profile, in memory, over the wire, arriving during its run, or as a
+// TestSourcesAgree is the agreement table over the source kinds that are
+// not live runs: the same profile, in memory, over the wire, or as a
 // prebuilt aggregate with its hot paths supplied, yields the directives,
 // the order and the rendered bytes of a plain in-memory analysis, and its
-// counted stats, whatever the batches (samples per hand-off for a live
-// run, bytes per read for a reader), in every layout mode, at any worker
-// count, with no cache, on a cold epoch cache and on the warm one. The
-// stats differ only by the walls, the worker counts and each kind's
-// residency; on the warm pass the aggregate comes from the cache (not for
-// a Prebuilt source, which never looks it up) and a live run is given no
-// add.
+// counted stats, whatever the bytes per read of a reader, in every layout
+// mode, at any worker count, with no cache, on a cold epoch cache and on
+// the warm one. The stats differ only by the walls, the worker counts and
+// each kind's residency; on the warm pass the aggregate comes from the
+// cache (not for a Prebuilt source, which never looks it up).
 func TestSourcesAgree(t *testing.T) {
+	requireSourcesAgree(t, func(kind string) bool { return !strings.HasPrefix(kind, "during/") })
+}
+
+// TestAnalyzeDuringMatchesAnalyze: a profile analyzed while it arrives, as
+// a During source in batches of any size, at any worker count, yields the
+// artifacts and the counted stats of an analysis of the finished profile —
+// in every layout mode, with path cloning (whose paths come from the
+// complete profile), with no cache, and through the epoch cache, where a
+// warm aggregate leaves the run, still called once, with no add to call.
+func TestAnalyzeDuringMatchesAnalyze(t *testing.T) {
+	requireSourcesAgree(t, func(kind string) bool { return strings.HasPrefix(kind, "during/") })
+}
+
+// requireSourcesAgree runs the agreement table over the source kinds that
+// pick admits, by name: "samples", "prebuilt", "wire/<bytes per read>" and
+// "during/<samples per batch>".
+func requireSourcesAgree(t *testing.T, pick func(kind string) bool) {
 	rng := rand.New(rand.NewSource(2323))
 	for trial := 0; trial < 3; trial++ {
 		m := randMap(rng, 3+rng.Intn(20))
@@ -127,6 +142,9 @@ func TestSourcesAgree(t *testing.T) {
 				kinds = append(kinds, k)
 			}
 			for _, k := range kinds {
+				if !pick(k.name) {
+					continue
+				}
 				for _, w := range []int{1, 2, 8} {
 					cache := buildsys.NewCache()
 					for _, pass := range []string{"none", "cold", "warm"} {
