@@ -100,7 +100,7 @@ func TestAnalyzeDuringMatchesAnalyze(t *testing.T) {
 // "during/<samples per batch>".
 func requireSourcesAgree(t *testing.T, pick func(kind string) bool) {
 	rng := rand.New(rand.NewSource(2323))
-	for trial := 0; trial < 3; trial++ {
+	for trial := 0; trial < 4; trial++ {
 		m := randMap(rng, 3+rng.Intn(20))
 		prof := randProfile(rng, m, 50+rng.Intn(600))
 		prof.BuildID = "pm-build"
