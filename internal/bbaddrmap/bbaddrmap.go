@@ -485,11 +485,13 @@ func (l *Lookup) FuncAt(addr uint64) (*FuncEntry, bool) {
 }
 
 // Resolver memoizes a Lookup's three hot queries behind small
-// direct-mapped caches. Phase 3 resolves two addresses and one
-// fall-through range per LBR record, and the record stream revisits the
-// same branch sites constantly (a loop's sampled branches repeat for as
-// long as the loop runs), so most binary searches are re-deriving an
-// answer the resolver has already produced. A cache hit is one
+// direct-mapped caches. Hot-path reconstruction resolves two addresses and
+// one fall-through range per LBR record, and FuncSet one address, and the
+// record stream revisits the same branch sites constantly (a loop's
+// sampled branches repeat for as long as the loop runs), so most binary
+// searches are re-deriving an answer the resolver has already produced.
+// (Aggregation counts records by address first and resolves each distinct
+// key once, so there the memo only catches addresses shared between keys.) A cache hit is one
 // multiplicative hash and one compare, and an entry is an address and a
 // row index — 16 bytes, 24 for a range — so a table stays within L2.
 //

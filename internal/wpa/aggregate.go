@@ -10,10 +10,18 @@
 // vanished block IDs are ignored), so the expensive sample pass is paid
 // once per profile epoch, not once per build.
 //
-// The sample pass itself never touches a name or an ID: shards count into
-// slices and packed-key tables indexed by rows of the binary's block table
-// (bbaddrmap.Lookup), share that index space so they merge by vector add,
-// and are converted to the stable-ID Aggregate once, when the pass is over.
+// The per-record pass never touches a name, an ID or even a block: a
+// shard counts records by their raw addresses — each (from, to) branch and
+// each (to, next from) fall-through range — in two open-addressing tables.
+// A profile repeats a few thousand distinct keys millions of times (a loop's
+// sampled branches recur for as long as the loop runs), so a drain resolves
+// each distinct key once, through the record walker, and credits its count
+// into slices and packed-key tables indexed by rows of the binary's block
+// table (bbaddrmap.Lookup). A shard drains when either address table reaches
+// keyBound distinct keys and when its feed ends, so its memory is bounded
+// whatever the stream. Shards share the row index space so they merge by
+// vector add, and are converted to the stable-ID Aggregate once, when the
+// pass is over.
 // The Aggregate, not the dense counters, is what gets cached and merged
 // across epochs: rows mean something only against one binary's layout.
 package wpa
@@ -56,6 +64,7 @@ type Aggregate struct {
 	aggregateWall time.Duration
 	mergeWall     time.Duration
 	workers       int
+	keys          int // distinct address keys the shards resolved
 }
 
 // Samples reports how many LBR samples the aggregate folds.
@@ -244,6 +253,7 @@ func newAggregator(w int, lookup func() *bbaddrmap.Lookup) *Aggregator {
 					a.free <- b
 				}
 			}
+			sh.finish()
 		}()
 	}
 	return a
@@ -273,7 +283,9 @@ func (a *Aggregator) Add(batch []profile.Sample) { a.add(sampleBatch{samples: ba
 // Finish waits for the batches still queued, merges the shards and returns
 // the Aggregate of everything added.
 func (a *Aggregator) Finish() *Aggregate {
-	if a.ch != nil {
+	if a.ch == nil {
+		a.shards[0].finish()
+	} else {
 		close(a.ch)
 		a.wg.Wait()
 	}
@@ -285,22 +297,37 @@ func (a *Aggregator) Finish() *Aggregate {
 	}
 	agg := sum.aggregate(a.lookup())
 	agg.aggregateWall, agg.mergeWall, agg.workers = busy, time.Since(mergeStart), len(a.shards)
+	agg.keys = sum.keys
 	return agg
 }
 
-// shard folds samples into private dense counters, so one aggregation
-// worker can consume its batches without synchronization. Everything is
+// shard folds samples into private counters, so one aggregation worker can
+// consume its batches without synchronization. Records are counted by
+// address first; drain resolves each distinct key into the dense counters,
 // indexed by rows of the shared lookup's block table.
 type shard struct {
-	walker recordWalker
-	count  []uint64   // executions, by block row
-	edges  pairCounts // (from row, to row): taken branches and fall-throughs of one function
-	calls  pairCounts // (call-site row, callee entry row)
+	walker   recordWalker
+	branches addrCounts // (from, to) of every record; ends counts sample-ending ones
+	ranges   addrCounts // (to, next record's from) of every uncut fall-through range
+
+	count []uint64   // executions, by block row
+	edges pairCounts // (from row, to row): taken branches and fall-throughs of one function
+	calls pairCounts // (call-site row, callee entry row)
 
 	samples, records, branchEdges, callEdgeN int
 
-	busy time.Duration // spent in fold
+	keys int // distinct keys drained, summed over drains
+	peak int // most keys either address table held
+
+	busy time.Duration // spent in fold and finish
 }
+
+// keyBound caps the distinct keys a shard's address table holds: a drain
+// empties both when either reaches it, so a stream of distinct records costs
+// O(keyBound) memory and one resolution each. The benchmark's profiles have
+// at most about 7 000 distinct keys of either kind, so they drain once, at
+// the end. A var so tests can shrink it.
+var keyBound = 1 << 14
 
 func newShard(lk *bbaddrmap.Lookup) *shard {
 	return &shard{walker: newRecordWalker(lk), count: make([]uint64, len(lk.Blocks()))}
@@ -313,45 +340,86 @@ func (sh *shard) fold(batch []profile.Sample) {
 	sh.busy += time.Since(start)
 }
 
-// add folds one batch of LBR samples into the shard's counters. The four
-// event counts are kept in locals and stored once per batch: shards are
+// finish drains what the address tables still hold, on the shard's clock:
+// resolution is aggregation work, whoever calls it.
+func (sh *shard) finish() {
+	start := time.Now()
+	sh.drain()
+	sh.busy += time.Since(start)
+}
+
+// add counts one batch of LBR samples by address: each record's branch,
+// and its fall-through range unless it is the sample's last record (whose
+// target alone is counted, as the branch slot's ends) or its successor's
+// source lies below its target (a cut pair, which has no range). The
+// record count is kept in a local and stored once per batch: shards are
 // small and allocated together, so a store per record from each worker
 // would bounce one cache line between them.
 func (sh *shard) add(batch []profile.Sample) {
-	blocks := sh.walker.blocks
-	var st step
-	var records, branchEdges, callEdgeN int
+	records, bound := 0, keyBound
 	for _, s := range batch {
-		records += len(s.Records)
-		for i := range s.Records {
-			sh.walker.walk(s.Records, i, &st)
-			switch st.kind {
-			case recBranch:
-				sh.edges.add(st.from, st.to, 1)
-				branchEdges++
-			case recCall:
-				sh.calls.add(st.from, st.to, 1)
-				callEdgeN++
+		recs := s.Records
+		records += len(recs)
+		for i, r := range recs {
+			b := sh.branches.slot(r.From, r.To)
+			b.n++
+			if i+1 == len(recs) {
+				b.ends++
+			} else if next := recs[i+1].From; next >= r.To {
+				sh.ranges.slot(r.To, next).n++
 			}
-			if st.last && st.to >= 0 {
-				sh.count[st.to]++
-			}
-			prevFn := int32(-1)
-			for j, b := range st.run {
-				sh.count[b]++
-				if fn := blocks[b].Fn; fn == prevFn {
-					sh.edges.add(st.run[j-1], b, 1)
-					branchEdges++
-				} else {
-					prevFn = fn
-				}
+			if sh.branches.n >= bound || sh.ranges.n >= bound {
+				sh.drain()
 			}
 		}
 	}
 	sh.samples += len(batch)
 	sh.records += records
-	sh.branchEdges += branchEdges
-	sh.callEdgeN += callEdgeN
+}
+
+// drain resolves every key the address tables hold, once, through the
+// record walker, credits its count into the row counters, and empties the
+// tables for reuse. Every contribution is linear in the record count, so a
+// key counted n times adds what n walks of its record would.
+func (sh *shard) drain() {
+	w, blocks := &sh.walker, sh.walker.blocks
+	for _, s := range sh.branches.slots {
+		if s.n == 0 {
+			continue
+		}
+		kind, from, to := w.branch(s.a, s.b)
+		switch kind {
+		case recBranch:
+			sh.edges.add(from, to, s.n)
+			sh.branchEdges += int(s.n)
+		case recCall:
+			sh.calls.add(from, to, s.n)
+			sh.callEdgeN += int(s.n)
+		}
+		if s.ends != 0 && to >= 0 {
+			sh.count[to] += s.ends
+		}
+	}
+	for _, s := range sh.ranges.slots {
+		if s.n == 0 {
+			continue
+		}
+		run := w.fallThrough(s.a, s.b)
+		prevFn := int32(-1)
+		for j, b := range run {
+			sh.count[b] += s.n
+			if fn := blocks[b].Fn; fn == prevFn {
+				sh.edges.add(run[j-1], b, s.n)
+				sh.branchEdges += int(s.n)
+			} else {
+				prevFn = fn
+			}
+		}
+	}
+	sh.keys += sh.branches.n + sh.ranges.n
+	sh.peak = max(sh.peak, sh.branches.n, sh.ranges.n)
+	sh.branches.reset()
+	sh.ranges.reset()
 }
 
 // merge adds another shard's counters into sh.
@@ -365,6 +433,7 @@ func (sh *shard) merge(o *shard) {
 	sh.records += o.records
 	sh.branchEdges += o.branchEdges
 	sh.callEdgeN += o.callEdgeN
+	sh.keys += o.keys
 }
 
 // aggregate converts the dense counters to the position-independent
@@ -447,6 +516,57 @@ func (t *pairCounts) each(visit func(from, to int32, n uint64)) {
 			visit(int32((s.key-1)>>32), int32(s.key-1), s.n)
 		}
 	}
+}
+
+// addrCounts counts records by a pair of raw addresses: an open-addressing
+// table, linear probing, grown at half full and emptied in place by reset,
+// so a shard that drains reuses its slots. The zero value is an empty table.
+type addrCounts struct {
+	slots []addrSlot
+	n     int
+}
+
+type addrSlot struct {
+	a, b uint64
+	n    uint64 // records with this key; 0 marks an empty slot
+	ends uint64 // of those, how many ended their sample
+}
+
+// slot returns the slot of (a, b), claiming an empty one for a new key; the
+// caller counts into it before the next call.
+func (t *addrCounts) slot(a, b uint64) *addrSlot {
+	if 2*t.n >= len(t.slots) {
+		t.grow()
+	}
+	mask := uint64(len(t.slots) - 1)
+	h := (a ^ b*0x9E3779B97F4A7C15) * 0xD6E8FEB86659FD93
+	for i := (h ^ h>>32) & mask; ; i = (i + 1) & mask {
+		s := &t.slots[i]
+		if s.n == 0 {
+			s.a, s.b = a, b
+			t.n++
+			return s
+		}
+		if s.a == a && s.b == b {
+			return s
+		}
+	}
+}
+
+func (t *addrCounts) grow() {
+	old := t.slots
+	t.slots, t.n = make([]addrSlot, max(256, 2*len(old))), 0
+	for _, s := range old {
+		if s.n != 0 {
+			ns := t.slot(s.a, s.b)
+			ns.n, ns.ends = s.n, s.ends
+		}
+	}
+}
+
+func (t *addrCounts) reset() {
+	clear(t.slots)
+	t.n = 0
 }
 
 // Wire format for cached aggregates. Every map is emitted in sorted key

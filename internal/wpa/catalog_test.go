@@ -13,8 +13,11 @@ import (
 // string-keyed one on what the pipeline actually feeds it: every catalog
 // workload's metadata binary and a training profile of it, at 1, 2 and 8
 // workers, in memory and streamed, by EncodeAggregate bytes; and the
-// reconstructed paths with them.
+// reconstructed paths with them. On drainWorkload it does so again with the
+// shards' distinct-key bound shrunk to 64 and to 1, so they drain mid-feed
+// a real profile's repeated keys, not only the default's single drain.
 func TestAggregateMatchesReference(t *testing.T) {
+	const drainWorkload = "mysql"
 	for _, spec := range workload.Catalog() {
 		t.Run(spec.Name, func(t *testing.T) {
 			spec.Requests /= 8 // keeps the uncached reference kernel to a fraction of a second a workload
@@ -40,6 +43,17 @@ func TestAggregateMatchesReference(t *testing.T) {
 			prof.BuildID = "" // the check builds its own configs
 			if err := wpa.CheckAgainstReference(amap, prof, []int{1, 2, 8}); err != nil {
 				t.Fatal(err)
+			}
+			if spec.Name != drainWorkload {
+				return
+			}
+			for _, bound := range []int{64, 1} {
+				restore := wpa.SetKeyBound(bound)
+				err := wpa.CheckAgainstReference(amap, prof, []int{1, 2, 8})
+				restore()
+				if err != nil {
+					t.Fatalf("key bound %d: %v", bound, err)
+				}
 			}
 		})
 	}

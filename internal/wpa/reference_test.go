@@ -299,8 +299,19 @@ func hostileInput(data []byte) (*bbaddrmap.Map, *profile.Profile) {
 	return m, prof
 }
 
+// fuzzKeyBound takes the shards' distinct-key bound from an input's first
+// byte: a power of two from 1, a drain after every new key, to 2 048, more
+// keys than hostileInput's 48 samples can hold, a single drain at the end.
+func fuzzKeyBound(data []byte) (bound int, rest []byte) {
+	if len(data) == 0 {
+		return keyBound, data
+	}
+	return 1 << (data[0] % 12), data[1:]
+}
+
 // FuzzAggregateEquivalence: on any map and any record stream the dense
-// kernel and the reference agree byte for byte, and neither panics.
+// kernel and the reference agree byte for byte, and neither panics,
+// whenever the shards drain their address tables.
 func FuzzAggregateEquivalence(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{3, 0, 4, 5, 0, 6, 0, 7, 0, 2, 1, 2, 8, 0, 9, 0, 3, 2, 3, 4, 0, 5, 0, 6, 0, 1, 9, 4, 3, 7, 12, 2, 5, 9, 14, 3, 8, 1, 6})
@@ -311,33 +322,53 @@ func FuzzAggregateEquivalence(f *testing.F) {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
+		bound, data := fuzzKeyBound(data)
+		defer func(old int) { keyBound = old }(keyBound)
+		keyBound = bound
 		m, prof := hostileInput(data)
 		if err := checkAgainstReference(m, prof, []int{1, 3}); err != nil {
-			t.Fatal(err)
+			t.Fatalf("key bound %d: %v", bound, err)
 		}
 	})
 }
 
 // TestAggregateMatchesReferenceOnHostileInputs runs the fuzz body over a
 // few thousand random byte strings, so a plain `go test` covers the corner
-// semantics without the fuzzing engine, and over the package's structured
-// random maps and profiles (real intra-function branches, calls and
-// fall-through runs, which random addresses rarely form).
+// semantics without the fuzzing engine (cut ranges, unresolvable and zero
+// addresses, single-record and empty samples), and over the package's
+// structured random maps and profiles (real intra-function branches, calls
+// and fall-through runs, which random addresses rarely form). It does so at
+// the default distinct-key bound, where these inputs drain once, and at 64
+// and 1, where the shards drain mid-feed — at 1, after every new key — on
+// the first 600 byte strings.
 func TestAggregateMatchesReferenceOnHostileInputs(t *testing.T) {
-	rng := rand.New(rand.NewSource(4242))
-	for i := 0; i < 3000; i++ {
-		data := make([]byte, rng.Intn(700))
-		rng.Read(data)
-		m, prof := hostileInput(data)
-		if err := checkAgainstReference(m, prof, []int{1, 2}); err != nil {
-			t.Fatalf("input %d (%x): %v", i, data, err)
-		}
-	}
-	for trial := 0; trial < 12; trial++ {
-		m := randMap(rng, 3+rng.Intn(20))
-		if err := checkAgainstReference(m, randProfile(rng, m, 5+rng.Intn(900)), []int{1, 2, 8}); err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
-		}
+	defer func(old int) { keyBound = old }(keyBound)
+	for _, c := range []struct {
+		bound, inputs int
+		workers       []int
+	}{
+		{keyBound, 3000, []int{1, 2}},
+		{64, 600, []int{1, 2, 8}},
+		{1, 600, []int{1, 2, 8}},
+	} {
+		t.Run(fmt.Sprintf("bound=%d", c.bound), func(t *testing.T) {
+			keyBound = c.bound
+			rng := rand.New(rand.NewSource(4242))
+			for i := 0; i < c.inputs; i++ {
+				data := make([]byte, rng.Intn(700))
+				rng.Read(data)
+				m, prof := hostileInput(data)
+				if err := checkAgainstReference(m, prof, c.workers); err != nil {
+					t.Fatalf("input %d (%x): %v", i, data, err)
+				}
+			}
+			for trial := 0; trial < 12; trial++ {
+				m := randMap(rng, 3+rng.Intn(20))
+				if err := checkAgainstReference(m, randProfile(rng, m, 5+rng.Intn(900)), []int{1, 2, 8}); err != nil {
+					t.Fatalf("trial %d: %v", trial, err)
+				}
+			}
+		})
 	}
 }
 
@@ -366,4 +397,57 @@ func TestBuildAggregateAllocs(t *testing.T) {
 		t.Errorf("a second shard costs %.0f allocations; want at most 64", perShard)
 	}
 	t.Logf("allocations: %d samples/1 shard %.0f, %d samples/1 shard %.0f, /2 shards %.0f", len(small.Samples), s1, len(large.Samples), l1, l2)
+}
+
+// TestShardTablesStayBounded streams a Wire profile in which no record
+// repeats — the worst case for counting by address — and holds each shard's
+// address tables to keyBound distinct keys: the shards drain mid-feed,
+// resolve every key exactly once, and still match the reference.
+func TestShardTablesStayBounded(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	m := randMap(rng, 40)
+	prof := &profile.Profile{Binary: "distinct", Period: 1000}
+	addr, records := m.Funcs[0].Addr, 0
+	for records < 3*keyBound {
+		var s profile.Sample
+		for j := 0; j < profile.LBRDepth; j++ {
+			// Distinct branches (addr, addr+1) and distinct ranges (addr+1,
+			// addr+2), walking through blocks, terminators and the gaps
+			// between functions.
+			s.Records = append(s.Records, profile.Branch{From: addr, To: addr + 1})
+			addr += 2
+		}
+		records += len(s.Records)
+		prof.Samples = append(prof.Samples, s)
+	}
+	want, err := referenceAggregate(m, prof.Samples, streamSampleBytes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wire, lk := prof.AppendWire(nil), bbaddrmap.NewLookup(m)
+	for _, w := range []int{1, 2, 8} {
+		dec, err := profile.NewDecoder(bytes.NewReader(wire))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ag := newAggregator(w, func() *bbaddrmap.Lookup { return lk })
+		if err := decodeInto(ag, dec); err != nil {
+			t.Fatal(err)
+		}
+		got := ag.Finish()
+		got.profileBytes = streamSampleBytes
+		if !bytes.Equal(EncodeAggregate(got), EncodeAggregate(want)) {
+			t.Fatalf("workers %d: aggregate differs from the reference\ngot  %s\nwant %s", w, describe(got), describe(want))
+		}
+		for i, sh := range ag.shards {
+			if sh.peak > keyBound {
+				t.Errorf("workers %d, shard %d: an address table held %d keys; the bound is %d", w, i, sh.peak, keyBound)
+			}
+		}
+		// Every record is its own branch key, and every record but a
+		// sample's last its own range key.
+		if wantKeys := 2*records - len(prof.Samples); got.keys != wantKeys {
+			t.Errorf("workers %d: %d keys resolved, want %d", w, got.keys, wantKeys)
+		}
+	}
 }

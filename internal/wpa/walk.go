@@ -1,10 +1,13 @@
 // The record walker: the one place an LBR record is given a meaning.
-// Aggregation and hot-path reconstruction both consume a sample as a
-// sequence of steps — a classified taken branch plus the blocks that ran
-// in sequence up to the next record's source — and differ only in what
-// they count, so the classification and the fall-through range live here
-// and the consumers see block-table rows (bbaddrmap.Lookup), not addresses
-// or names.
+// A record means two things: its taken branch (branch), classified as an
+// intra-function edge, a call into an entry or neither, and the blocks that
+// ran in sequence from its target up to the next record's source
+// (fallThrough). Both depend on the record's addresses alone, so their two
+// consumers call them differently: hot-path reconstruction walks a sample
+// record by record (walk), because a path needs record order, while
+// aggregation counts records by address and calls branch and fallThrough
+// once per distinct key (shard.drain). Either way the consumers see
+// block-table rows (bbaddrmap.Lookup), not addresses or names.
 package wpa
 
 import (
@@ -40,9 +43,6 @@ type step struct {
 	// row of the block its target starts; bbaddrmap.NoBlock when there is
 	// none. Both are rows whenever kind is not recOther.
 	from, to int32
-	// last marks the sample's final record: whatever ran after its target
-	// was not captured.
-	last bool
 	// cut marks a record whose successor's source lies below its target (a
 	// truncated or inconsistent pair): no fall-through range exists.
 	cut bool
@@ -68,23 +68,42 @@ func newRecordWalker(lk *bbaddrmap.Lookup) recordWalker {
 	return recordWalker{res: bbaddrmap.NewResolver(lk), blocks: lk.Blocks()}
 }
 
-// walk resolves recs[i].
+// walk resolves recs[i]: its taken branch, and the fall-through range up
+// to the next record's source unless the record is the sample's last or its
+// pair is cut.
 func (w *recordWalker) walk(recs []profile.Branch, i int, st *step) {
 	r := recs[i]
-	*st = step{from: w.res.BlockAt(r.From), to: w.res.BlockStarting(r.To)}
-	if st.from >= 0 && st.to >= 0 {
-		from, to := &w.blocks[st.from], &w.blocks[st.to]
-		if from.Fn == to.Fn && from.End-r.From <= termRegion {
-			st.kind = recBranch
-		} else if to.Entry {
-			st.kind = recCall
-		}
-	}
+	*st = step{}
+	st.kind, st.from, st.to = w.branch(r.From, r.To)
 	if i+1 == len(recs) {
-		st.last = true
-	} else if next := recs[i+1].From; next < r.To {
+		return // whatever ran after the sample's last target was not captured
+	}
+	if next := recs[i+1].From; next < r.To {
 		st.cut = true
 	} else {
-		st.run = w.res.BlocksIn(r.To, next)
+		st.run = w.fallThrough(r.To, next)
 	}
+}
+
+// branch classifies the taken branch from → to and returns the rows of the
+// block covering from and of the block starting at to, bbaddrmap.NoBlock
+// where there is none.
+func (w *recordWalker) branch(from, to uint64) (kind recordKind, fromRow, toRow int32) {
+	fromRow, toRow = w.res.BlockAt(from), w.res.BlockStarting(to)
+	if fromRow >= 0 && toRow >= 0 {
+		f, t := &w.blocks[fromRow], &w.blocks[toRow]
+		if f.Fn == t.Fn && f.End-from <= termRegion {
+			kind = recBranch
+		} else if t.Entry {
+			kind = recCall
+		}
+	}
+	return kind, fromRow, toRow
+}
+
+// fallThrough returns step.run for a record whose target is to and whose
+// successor's source is next (next >= to). It aliases the walker's resolver
+// and is valid until the next call.
+func (w *recordWalker) fallThrough(to, next uint64) []int32 {
+	return w.res.BlocksIn(to, next)
 }
