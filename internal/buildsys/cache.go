@@ -18,9 +18,9 @@
 //     byte-identical across runs and machines instead of depending on
 //     wall clocks.
 //
-// Action Run closures still execute for real — on a goroutine pool
-// bounded by the executor's slot count — only the reported *times* are
-// modeled.
+// Action Run closures still execute for real — through par.Do, on at
+// most the executor's slot count of goroutines — only the reported
+// *times* are modeled.
 package buildsys
 
 import (

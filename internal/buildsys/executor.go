@@ -3,7 +3,8 @@ package buildsys
 import (
 	"fmt"
 	"sort"
-	"sync"
+
+	"propeller/internal/par"
 )
 
 // Fleet environment constants. Only ratios and ceilings matter for the
@@ -108,8 +109,8 @@ type ExecStats struct {
 // exactly the constraint that rules out monolithic post-link rewrites
 // (§2.1).
 //
-// Admitted actions' Run closures then execute on a goroutine pool
-// bounded by Slots. All actions run even if some fail; the returned
+// Admitted actions' Run closures then execute through par.Do on at most
+// Slots goroutines. All actions run even if some fail; the returned
 // error is the failure of the earliest action in submission order, so
 // error reporting is deterministic regardless of goroutine interleaving.
 //
@@ -140,28 +141,18 @@ func (e *Executor) Execute(actions []*Action) (*ExecStats, error) {
 	stats.PeakConcurrentMem = sched.peakMem
 	stats.StallSeconds = sched.stall
 
-	errs := make([]error, len(actions))
-	sem := make(chan struct{}, e.slots())
-	var wg sync.WaitGroup
-	for i, a := range actions {
+	err := par.Do(len(actions), e.slots(), func(i int) error {
+		a := actions[i]
 		if a.Run == nil {
-			continue
+			return nil
 		}
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(i int, a *Action) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			if err := a.Run(); err != nil {
-				errs[i] = fmt.Errorf("buildsys: action %q: %w", a.Name, err)
-			}
-		}(i, a)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
+		if err := a.Run(); err != nil {
+			return fmt.Errorf("buildsys: action %q: %w", a.Name, err)
 		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return stats, nil
 }

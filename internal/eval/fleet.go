@@ -7,10 +7,10 @@ import (
 	"fmt"
 	"io"
 	"slices"
-	"sync"
 
 	"propeller/internal/core"
 	"propeller/internal/fleetprof"
+	"propeller/internal/par"
 	"propeller/internal/profile"
 	"propeller/internal/sim"
 	"propeller/internal/workload"
@@ -108,32 +108,23 @@ func FleetSweep() (*FleetSweepResult, error) {
 		return nil, err
 	}
 	profiles := make([]*profile.Profile, maxHosts)
-	errs := make([]error, maxHosts)
-	var wg sync.WaitGroup
-	for h := 0; h < maxHosts; h++ {
-		wg.Add(1)
-		go func(h int) {
-			defer wg.Done()
-			// Functional: only the samples are read (core.CollectProfile).
-			res, err := sprog.Run(sim.Config{
-				MaxInsts:     fleetSweepTrainInsts,
-				LBRPeriod:    fleetSweepLBRPeriod,
-				LBRPhase:     uint64(h),
-				DisableUarch: true,
-			})
-			if err != nil {
-				errs[h] = err
-				return
-			}
-			res.Profile.Binary = "pm"
-			profiles[h] = res.Profile
-		}(h)
-	}
-	wg.Wait()
-	for h, err := range errs {
+	err = par.Do(maxHosts, maxHosts, func(h int) error {
+		// Functional: only the samples are read (core.CollectProfile).
+		res, err := sprog.Run(sim.Config{
+			MaxInsts:     fleetSweepTrainInsts,
+			LBRPeriod:    fleetSweepLBRPeriod,
+			LBRPhase:     uint64(h),
+			DisableUarch: true,
+		})
 		if err != nil {
-			return nil, fmt.Errorf("eval: fleet host %d run failed: %w", h, err)
+			return fmt.Errorf("eval: fleet host %d run failed: %w", h, err)
 		}
+		res.Profile.Binary = "pm"
+		profiles[h] = res.Profile
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 
 	res := &FleetSweepResult{Hosts: fleetSweepHosts, Shards: fleetSweepShards, LossRates: fleetSweepLossRates, BuildID: bin.BuildID}

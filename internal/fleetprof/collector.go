@@ -3,9 +3,9 @@ package fleetprof
 import (
 	"errors"
 	"fmt"
-	"sync"
 	"time"
 
+	"propeller/internal/par"
 	"propeller/internal/profile"
 )
 
@@ -364,22 +364,18 @@ func (c *Collector) deliver(svc *Service, b Batch, st *CollectorStats) (dropped 
 	}
 }
 
-// RunFleet runs every collector concurrently against the service, drains
-// the queues, and folds the client-side stats into the service's. The
-// returned stats are final. Collector errors are reported lowest-host
-// first so failures are deterministic too.
+// RunFleet runs every collector at once against the service (par.Do with
+// one goroutine per collector), folds the client-side stats into the
+// service's, and drains the queues — also when collectors failed. The
+// returned stats are final. The error is the lowest-index collector's,
+// so failures are deterministic too.
 func RunFleet(collectors []*Collector, t Transport, svc *Service) (IngestStats, error) {
-	errs := make([]error, len(collectors))
 	stats := make([]CollectorStats, len(collectors))
-	var wg sync.WaitGroup
-	for i, c := range collectors {
-		wg.Add(1)
-		go func(i int, c *Collector) {
-			defer wg.Done()
-			stats[i], errs[i] = c.Run(t, svc)
-		}(i, c)
-	}
-	wg.Wait()
+	err := par.Do(len(collectors), len(collectors), func(i int) error {
+		var err error
+		stats[i], err = collectors[i].Run(t, svc)
+		return err
+	})
 	// Fold in collector order, not completion order: the aggregate sums
 	// floats (ModeledSendSeconds), and float addition is order-dependent
 	// in the last ulp — folding as goroutines finish would make the
@@ -388,12 +384,7 @@ func RunFleet(collectors []*Collector, t Transport, svc *Service) (IngestStats, 
 		svc.foldClient(cs)
 	}
 	svc.Drain()
-	for _, err := range errs {
-		if err != nil {
-			return svc.Stats(), err
-		}
-	}
-	return svc.Stats(), nil
+	return svc.Stats(), err
 }
 
 // ModeledMakespan is the modeled wall time of the fleet run at the given

@@ -440,3 +440,39 @@ func TestCollectorEncodeAllocAmortized(t *testing.T) {
 			perBatch, small, big)
 	}
 }
+
+// brokenSource streams its profile and then fails, so its collector has
+// shipped batches before it errs.
+type brokenSource struct{ ProfileSource }
+
+func (b brokenSource) Samples(emit func(profile.Sample) error) error {
+	if err := b.ProfileSource.Samples(emit); err != nil {
+		return err
+	}
+	return fmt.Errorf("source broke")
+}
+
+// TestRunFleetLowestFailure: among working collectors, two without a
+// source (hosts 1 and 3) and one whose source fails mid-stream (host 5),
+// RunFleet reports host 1's error, still folds every collector's stats,
+// including the failed host's sent batches, and drains the service.
+func TestRunFleetLowestFailure(t *testing.T) {
+	for round := 0; round < 50; round++ {
+		cs := fleet(7, 10, "bid", 4)
+		cs[1].Source, cs[3].Source = nil, nil
+		cs[5].Source = brokenSource{cs[5].Source.(ProfileSource)}
+		svc := NewService(ServiceConfig{Shards: 4, BuildID: "bid"})
+		st, err := RunFleet(cs, Transport{}, svc)
+		if want := "fleetprof: collector host 1 has no sample source"; err == nil || err.Error() != want {
+			t.Fatalf("err = %v, want %q", err, want)
+		}
+		if !svc.drained {
+			t.Fatal("service not drained after a failed fleet")
+		}
+		// Four working hosts ship 3 batches of 10 samples at 4 per batch;
+		// host 5 shipped its two full windows before its source failed.
+		if st.SentBatches != 14 || st.AcceptedBatches != 14 || st.HostBatches[5] != 2 {
+			t.Fatalf("sent %d, accepted %d, host 5 %d; want 14, 14, 2", st.SentBatches, st.AcceptedBatches, st.HostBatches[5])
+		}
+	}
+}

@@ -11,7 +11,7 @@
 // driver that samples a wide rung of candidates, scores them on cheap
 // fidelity (a fraction of the full simulation budget), and promotes only
 // the survivors to full analyze → relink → simulate. Candidate
-// evaluation fans out over a worker pool; results are committed by
+// evaluation fans out through par.Do; results are committed by
 // index and all randomness is consumed in serial driver code, so a
 // fixed seed is bit-reproducible at every worker count.
 //
@@ -28,9 +28,9 @@ import (
 	"hash/fnv"
 	"math/rand"
 	"runtime"
-	"sync"
 
 	"propeller/internal/eval"
+	"propeller/internal/par"
 )
 
 // Evaluator is the fitness function: it maps any layout policy
@@ -136,10 +136,11 @@ type Outcome struct {
 	Cycles uint64 `json:"cycles"`
 }
 
-// pool evaluates candidate batches in parallel and owns every piece of
-// shared search state. All mutation happens in serial code (evalBatch's
-// commit loop); worker goroutines only fill their own result slot, so
-// the trajectory, memo, and stats are identical at every worker count.
+// pool evaluates candidate batches through par.Do and owns every piece
+// of shared search state. All mutation happens in serial code
+// (evalBatch's commit loop); each task only fills its own result slot,
+// so the trajectory, memo, and stats are identical at every worker
+// count.
 type pool struct {
 	ev      Evaluator
 	workers int
@@ -179,7 +180,6 @@ func (p *pool) memoKey(c Candidate, insts uint64) string {
 // run serially, so goroutine interleaving never leaks into results.
 func (p *pool) evalBatch(cands []Candidate, insts uint64) ([]Outcome, error) {
 	outs := make([]Outcome, len(cands))
-	errs := make([]error, len(cands))
 	todo := make([]int, 0, len(cands))
 	for i, c := range cands {
 		if hit, ok := p.memo[p.memoKey(c, insts)]; ok {
@@ -191,34 +191,22 @@ func (p *pool) evalBatch(cands []Candidate, insts uint64) ([]Outcome, error) {
 		todo = append(todo, i)
 	}
 
-	idx := make(chan int, len(todo))
-	for _, i := range todo {
-		idx <- i
-	}
-	close(idx)
-	var wg sync.WaitGroup
-	for w := 0; w < p.workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				cell, err := p.ev.EvaluateInsts(cands[i].Policy, insts)
-				if err != nil {
-					errs[i] = err
-					continue
-				}
-				outs[i] = Outcome{Candidate: cands[i], Insts: insts, Cycles: cell.Cycles}
-			}
-		}()
-	}
-	wg.Wait()
-
-	// Serial commit in submission order: deterministic error selection,
-	// memo insertion, eval counting, and champion updates.
-	for _, i := range todo {
-		if errs[i] != nil {
-			return nil, errs[i]
+	err := par.Do(len(todo), p.workers, func(t int) error {
+		i := todo[t]
+		cell, err := p.ev.EvaluateInsts(cands[i].Policy, insts)
+		if err != nil {
+			return err
 		}
+		outs[i] = Outcome{Candidate: cands[i], Insts: insts, Cycles: cell.Cycles}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+
+	// Serial commit in submission order: memo insertion, eval counting,
+	// and champion updates.
+	for _, i := range todo {
 		p.memo[p.memoKey(cands[i], insts)] = outs[i]
 		if insts == p.full {
 			p.stats.FullEvals++

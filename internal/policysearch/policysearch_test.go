@@ -2,13 +2,16 @@ package policysearch
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"reflect"
 	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"propeller/internal/eval"
+	"propeller/internal/exttsp"
 )
 
 // fakeEval is a synthetic fitness surface with a known structure: the
@@ -275,5 +278,53 @@ func TestPolicyTableRoundTrip(t *testing.T) {
 	}
 	if _, err := ReadTable(strings.NewReader(" " + file + " \r\n\t ")); err != nil {
 		t.Errorf("ReadTable rejected a table wrapped in white space: %v", err)
+	}
+}
+
+// failEval is fakeEval with a failure for chosen ForwardWeights; a lower
+// weight sleeps longer, so the lower-index failure finishes last.
+type failEval struct {
+	fakeEval
+	fail map[float64]bool
+}
+
+func (f *failEval) EvaluateInsts(pol eval.LayoutPolicy, insts uint64) (eval.LayoutCell, error) {
+	w := pol.Params.ForwardWeight
+	time.Sleep(time.Duration((1-w)*400) * time.Microsecond)
+	if f.fail[w] {
+		return eval.LayoutCell{}, fmt.Errorf("weight %g failed", w)
+	}
+	return f.fakeEval.EvaluateInsts(pol, insts)
+}
+
+// TestEvalBatchLowestFailureAmongMemoHits: a batch that mixes memo hits
+// with two failing evaluations reports the lower-index failure at every
+// worker count and commits nothing.
+func TestEvalBatchLowestFailureAmongMemoHits(t *testing.T) {
+	cand := func(i int) Candidate {
+		return Candidate{Policy: eval.LayoutPolicy{Name: fmt.Sprint(i), Params: exttsp.Params{ForwardWeight: 0.1 * float64(i+1)}}}
+	}
+	for _, workers := range []int{1, 2, 8} {
+		ev := &failEval{fakeEval: fakeEval{full: 1 << 20}, fail: map[float64]bool{}}
+		p := &pool{ev: ev, workers: workers, full: 1 << 20, stats: &SearchStats{}, memo: map[string]Outcome{}}
+		if _, err := p.evalBatch([]Candidate{cand(0), cand(2), cand(5)}, p.full); err != nil {
+			t.Fatal(err)
+		}
+		var cands []Candidate
+		for i := 0; i < 8; i++ {
+			cands = append(cands, cand(i))
+		}
+		ev.fail[cands[3].Policy.Params.ForwardWeight] = true
+		ev.fail[cands[6].Policy.Params.ForwardWeight] = true
+		want := fmt.Sprintf("weight %g failed", cands[3].Policy.Params.ForwardWeight)
+		for round := 0; round < 5; round++ {
+			_, err := p.evalBatch(cands, p.full)
+			if err == nil || err.Error() != want {
+				t.Fatalf("workers=%d: err = %v, want %q", workers, err, want)
+			}
+		}
+		if len(p.memo) != 3 || p.stats.FullEvals != 3 || p.best == nil || p.best.Candidate.Policy.Name != "2" {
+			t.Fatalf("workers=%d: a failed batch committed: memo %d, full evals %d, best %+v", workers, len(p.memo), p.stats.FullEvals, p.best)
+		}
 	}
 }

@@ -11,6 +11,7 @@ import (
 	"propeller/internal/core"
 	"propeller/internal/layoutfile"
 	"propeller/internal/objfile"
+	"propeller/internal/par"
 	"propeller/internal/profile"
 	"propeller/internal/sim"
 )
@@ -180,28 +181,6 @@ func measureBin(bin *objfile.Binary, cfg DriverConfig) (uint64, int64, error) {
 	return res.Cycles, res.Exit, nil
 }
 
-// job is work the loop starts now and reads later: fn runs on its own
-// goroutine from start, and join waits for it and returns its result —
-// the same result however many times it is called.
-type job[T any] struct {
-	done chan struct{}
-	v    T
-}
-
-func start[T any](fn func() T) *job[T] {
-	j := &job[T]{done: make(chan struct{})}
-	go func() {
-		defer close(j.done)
-		j.v = fn()
-	}()
-	return j
-}
-
-func (j *job[T]) join() T {
-	<-j.done
-	return j.v
-}
-
 // evalRun is one measureBin's outcome.
 type evalRun struct {
 	cycles uint64
@@ -263,15 +242,15 @@ func RunGenerations(p *core.Program, cfg DriverConfig) (*LoopResult, error) {
 	// serve, so it runs beside generation 1's collection. Every return
 	// below joins what the loop started: the baseline run and, in the
 	// generation under way, the hot set.
-	baseline := start(func() (r evalRun) {
+	baseline := par.Start(func() (r evalRun) {
 		r.cycles, r.exit, r.err = measureBin(meta.Binary, cfg)
 		return r
 	})
-	var hotSet *job[[]string]
+	var hotSet *par.Job[[]string]
 	defer func() {
-		baseline.join()
+		baseline.Join()
 		if hotSet != nil {
-			hotSet.join()
+			hotSet.Join()
 		}
 	}()
 	out := &LoopResult{Workload: p.Name, BaselineBuildID: meta.Binary.BuildID}
@@ -282,7 +261,7 @@ func RunGenerations(p *core.Program, cfg DriverConfig) (*LoopResult, error) {
 		if haveBaseline {
 			return nil
 		}
-		r := baseline.join()
+		r := baseline.Join()
 		if r.err != nil {
 			return fmt.Errorf("profsvc: baseline run: %w", r.err)
 		}
@@ -333,7 +312,7 @@ func RunGenerations(p *core.Program, cfg DriverConfig) (*LoopResult, error) {
 			lkOf = deployed
 		}
 		hotLk := lk
-		hotSet = start(func() []string { return hotFuncs(merged, hotLk) })
+		hotSet = par.Start(func() []string { return hotFuncs(merged, hotLk) })
 
 		// Publish to the store and read back the decayed aggregate — over
 		// the wire when a client is configured.
@@ -365,7 +344,7 @@ func RunGenerations(p *core.Program, cfg DriverConfig) (*LoopResult, error) {
 		}
 		var early []string
 		if cfg.Scorer.readsHotSet() {
-			early = hotSet.join()
+			early = hotSet.Join()
 		}
 		gen.GateOpen = score(early).Ready
 		if !gen.GateOpen {
@@ -374,7 +353,7 @@ func RunGenerations(p *core.Program, cfg DriverConfig) (*LoopResult, error) {
 			if err := readBaseline(); err != nil {
 				return nil, err
 			}
-			gen.Admit = score(hotSet.join())
+			gen.Admit = score(hotSet.Join())
 			gen.DeployedBuildID = deployed.BuildID
 			gen.DeployedCycles = deployedCycles
 			gen.SpeedupPct = speedupPct(out.BaselineCycles, deployedCycles)
@@ -423,7 +402,7 @@ func RunGenerations(p *core.Program, cfg DriverConfig) (*LoopResult, error) {
 				g, candExit, out.BaselineExit)
 		}
 		gen.CandidateCycles = candCycles
-		hot := hotSet.join()
+		hot := hotSet.Join()
 		gen.Admit = score(hot)
 
 		// Strict-improvement adoption: the candidate replaces the serving

@@ -13,8 +13,6 @@ import (
 	"runtime"
 	"slices"
 	"sort"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"propeller/internal/bbaddrmap"
@@ -22,6 +20,7 @@ import (
 	"propeller/internal/exttsp"
 	"propeller/internal/hfsort"
 	"propeller/internal/layoutfile"
+	"propeller/internal/par"
 )
 
 // Config controls the analysis.
@@ -654,8 +653,8 @@ func clonePaths(eg *exttsp.Graph, index map[int]int, paths []HotPath) []int {
 // layoutIntra produces one hot cluster per function (intra-function
 // layout, the configuration evaluated throughout §5) and a global function
 // order via call-chain clustering. The per-function Ext-TSP runs are
-// embarrassingly parallel and fan out over a bounded worker pool; results
-// are committed in sorted-name order, so the output — including which
+// embarrassingly parallel and fan out through par.Do; results are
+// committed in sorted-name order, so the output — including which
 // error surfaces when several functions fail — is independent of the
 // worker count.
 func layoutIntra(res *Result, graphs map[string]*dcfg, infos map[string]*funcInfo, callEdges map[callKey]uint64, cfg Config) error {
@@ -688,37 +687,14 @@ func layoutIntra(res *Result, graphs map[string]*dcfg, infos map[string]*funcInf
 			todo = append(todo, i)
 		}
 	}
-	w := cfg.workers()
-	if w > len(todo) {
-		w = len(todo)
-	}
-	if w < 1 {
-		w = 1
-	}
+	w := max(1, min(cfg.workers(), len(todo)))
 	res.Stats.LayoutWorkers = w
-	if w <= 1 {
-		for _, i := range todo {
-			outs[i] = layoutOneIntra(graphs[names[i]], cfg)
-		}
-	} else {
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		for k := 0; k < w; k++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					t := int(next.Add(1)) - 1
-					if t >= len(todo) {
-						return
-					}
-					i := todo[t]
-					outs[i] = layoutOneIntra(graphs[names[i]], cfg)
-				}
-			}()
-		}
-		wg.Wait()
-	}
+	// A function's failure is its outs slot's err, reported by name below.
+	_ = par.Do(len(todo), w, func(t int) error {
+		i := todo[t]
+		outs[i] = layoutOneIntra(graphs[names[i]], cfg)
+		return nil
+	})
 	// Publish the computed entries (errors are never cached) and count
 	// the functions whose Ext-TSP actually ran.
 	for _, i := range todo {
