@@ -25,13 +25,14 @@
 // only the candidates that could still win are refined with the
 // canonical score (viewScore, a left-to-right float64 fold over the
 // three sub-ranges, allocation-free, which refine starts from a chain's
-// cached per-node fold where it can); applyMerge materialises the one
-// winning order. The canonical fold is kept, rather than replaced by the
-// cheaper delta, because its summation order is part of every layout
-// emitted so far (a pair whose real gain is 0 can read +1e-10 and merge)
-// and those layouts are byte-identical by contract: the price only ever
-// decides what is not worth folding, never which merge wins or what gain
-// and score a candidate carries. DESIGN.md item 10 derives eps.
+// cached per-node fold and continues over its cached per-edge terms where
+// it can); applyMerge materialises the one winning order. The canonical
+// fold is kept, rather than replaced by the cheaper delta, because its
+// summation order is part of every layout emitted so far (a pair whose
+// real gain is 0 can read +1e-10 and merge) and those layouts are
+// byte-identical by contract: the price only ever decides what is not
+// worth folding, never which merge wins or what gain and score a
+// candidate carries. DESIGN.md item 10 derives eps.
 package exttsp
 
 import (
@@ -281,6 +282,17 @@ type state struct {
 	// last node. refold rewrites a chain's entries whenever the chain
 	// changes; a singleton's is 0, as the adjacency holds no self-loop.
 	fold []float64
+	// gain[tOff[nd]+j] is the term of nd's j-th out-edge in the fold of
+	// nd's chain alone, for an edge inside the chain, and nd's out-edges
+	// end at tOff[nd+1]; exit[nd] is the index of nd's first out-edge that
+	// leaves its chain (len(nodeOut[nd]) when none). refold writes a
+	// chain's entries with its fold. A term reads only the distance
+	// between its ends, so it holds in any order that keeps the chain
+	// whole, wherever the chain starts. The zero values are right for
+	// singletons: no term, and every out-edge leaves.
+	gain []float64
+	tOff []int
+	exit []int
 	// nodeOut/nodeIn index g.Edges by endpoint, ascending, without
 	// self-loops and zero weights (neither affects inter-chain merging).
 	nodeOut [][]int // node -> indices into g.Edges with Src == node
@@ -320,12 +332,13 @@ func newState(g *Graph, opts Options) *state {
 	if !(min(st.pr.FallthroughWeight, st.pr.ForwardWeight, st.pr.BackwardWeight) >= 0) {
 		st.maxW = math.Inf(1)
 	}
-	st.nodeOut, st.nodeIn = adjacency(g)
+	st.nodeOut, st.nodeIn, st.tOff = adjacency(g)
 	st.chains = make([]*chain, n)
-	ints := make([]int, 2*n)
-	st.owner, st.idx = ints[:n:n], ints[n:]
+	ints := make([]int, 3*n)
+	st.owner, st.idx, st.exit = ints[:n:n], ints[n:2*n:2*n], ints[2*n:]
 	st.off = make([]int64, n)
-	st.fold = make([]float64, n)
+	floats := make([]float64, n+st.tOff[n])
+	st.fold, st.gain = floats[:n:n], floats[n:]
 	st.nbGen = make([]int64, n)
 	chains := make([]chain, n)
 	ids := make([]int, n)
@@ -342,11 +355,15 @@ func newState(g *Graph, opts Options) *state {
 
 // adjacency builds the per-node out- and in-edge index lists over one
 // backing array, each list ascending in edge index (the order every fold
-// visits a node's edges in).
-func adjacency(g *Graph) (out, in [][]int) {
+// visits a node's edges in). The out-lists lie end to end in node order:
+// nd's is backing[tOff[nd]:tOff[nd+1]].
+func adjacency(g *Graph) (out, in [][]int, tOff []int) {
 	n := len(g.Nodes)
 	skip := func(e Edge) bool { return e.Src == e.Dst || e.Weight == 0 }
-	deg := make([]int, 2*n) // out-degrees, then in-degrees
+	// Out-degrees, then in-degrees, each rewritten below to where its list
+	// starts: tOff is the first n+1, since nd's out-list ends where the
+	// next list starts. The spare entry is tOff[0] of an empty graph.
+	deg := make([]int, 2*n+1)
 	m := 0
 	for _, e := range g.Edges {
 		if skip(e) {
@@ -359,8 +376,9 @@ func adjacency(g *Graph) (out, in [][]int) {
 	backing := make([]int, 2*m)
 	lists := make([][]int, 2*n)
 	p := 0
-	for i, d := range deg {
+	for i, d := range deg[:2*n] {
 		lists[i] = backing[p : p : p+d]
+		deg[i] = p
 		p += d
 	}
 	for ei, e := range g.Edges {
@@ -370,7 +388,7 @@ func adjacency(g *Graph) (out, in [][]int) {
 		lists[e.Src] = append(lists[e.Src], ei)
 		lists[n+e.Dst] = append(lists[n+e.Dst], ei)
 	}
-	return lists[:n], lists[n:]
+	return lists[:n], lists[n:], deg[:n+1]
 }
 
 // run merges chains until no profitable merge is left, with the
@@ -468,31 +486,78 @@ func (st *state) foldSegment(total float64, seg []int, shift int64, x, y *chain,
 // to x.nodes[fx], the first node with an out-edge into y; Y·X adds y's
 // own up to y.nodes[fy] (x starts at offset 0, so y does not move). The
 // prefix is the same edgeGain calls on the same integer offsets, added in
-// the same order from 0, so starting from its fold is bit-exact. fx or fy
-// of 0, and every split, fold from scratch.
+// the same order from 0, so starting from its fold is bit-exact. The rest
+// of X·Y and Y·X keeps each chain whole, so foldWhole adds the cached
+// terms of both chains' inner edges. Every split folds from scratch.
 func (st *state) refine(x, y *chain, split, fx, fy int) float64 {
-	nx := len(x.nodes)
-	switch {
-	case split == nx && fx > 0:
-		total := st.foldSegment(st.fold[x.nodes[fx-1]], x.nodes[fx:], 0, x, y, nx, x.size)
-		return st.foldSegment(total, y.nodes, x.size, x, y, nx, x.size)
-	case split == 0 && fy > 0:
-		total := st.foldSegment(st.fold[y.nodes[fy-1]], y.nodes[fy:], 0, x, y, 0, 0)
-		return st.foldSegment(total, x.nodes, y.size, x, y, 0, 0)
+	var total float64
+	switch split {
+	case len(x.nodes):
+		if fx > 0 {
+			total = st.fold[x.nodes[fx-1]]
+		}
+		total = st.foldWhole(total, x.nodes[fx:], x, 0, y, x.size)
+		return st.foldWhole(total, y.nodes, y, x.size, x, 0)
+	case 0:
+		if fy > 0 {
+			total = st.fold[y.nodes[fy-1]]
+		}
+		total = st.foldWhole(total, y.nodes[fy:], y, 0, x, y.size)
+		return st.foldWhole(total, x.nodes, x, y.size, y, 0)
 	}
 	return st.viewScore(x, y, split)
 }
 
-// refold writes fold for every node of c, in c's current order and
-// offsets, and returns the total: c's canonical score on its own.
+// foldWhole continues viewScore's fold over seg, a run of chain c's nodes
+// in c's order, in a merge of c and o that keeps both whole: c's nodes
+// move by shift, o's by oShift. An edge inside c adds its cached term
+// (gain), bit for bit the edgeGain call it replaces, since both ends move
+// alike; only a node with an edge that leaves c (from exit on) looks its
+// targets up, to price the edges into o and skip the rest.
+func (st *state) foldWhole(total float64, seg []int, c *chain, shift int64, o *chain, oShift int64) float64 {
+	for _, nd := range seg {
+		gains := st.gain[st.tOff[nd]:st.tOff[nd+1]]
+		k := st.exit[nd]
+		for _, t := range gains[:k] {
+			total += t
+		}
+		if k == len(gains) {
+			continue
+		}
+		out := st.nodeOut[nd]
+		srcEnd := st.off[nd] + shift + st.g.Nodes[nd].Size
+		for j := k; j < len(out); j++ {
+			e := &st.g.Edges[out[j]]
+			switch st.owner[e.Dst] {
+			case c.id:
+				total += gains[j]
+			case o.id:
+				total += st.pr.edgeGain(e.Weight, srcEnd, st.off[e.Dst]+oShift)
+			}
+		}
+	}
+	return total
+}
+
+// refold writes fold, gain and exit for every node of c, in c's current
+// order and offsets, and returns the total: c's canonical score on its
+// own.
 func (st *state) refold(c *chain) float64 {
 	var total float64
 	for _, nd := range c.nodes {
 		srcEnd := st.off[nd] + st.g.Nodes[nd].Size
-		for _, ei := range st.nodeOut[nd] {
-			if e := &st.g.Edges[ei]; st.owner[e.Dst] == c.id {
-				total += st.pr.edgeGain(e.Weight, srcEnd, st.off[e.Dst])
+		out := st.nodeOut[nd]
+		gains := st.gain[st.tOff[nd]:st.tOff[nd+1]]
+		st.exit[nd] = len(out)
+		for j, ei := range out {
+			e := &st.g.Edges[ei]
+			if st.owner[e.Dst] != c.id {
+				st.exit[nd] = min(st.exit[nd], j)
+				continue
 			}
+			t := st.pr.edgeGain(e.Weight, srcEnd, st.off[e.Dst])
+			gains[j] = t
+			total += t
 		}
 		st.fold[nd] = total
 	}
@@ -632,7 +697,7 @@ func (st *state) price(sc *priceScratch, x, y *chain, xFirst, yFirst bool) (appr
 	} else {
 		for i, u := range x.nodes {
 			uEnd := st.off[u] + st.g.Nodes[u].Size
-			for _, ei := range st.nodeOut[u] {
+			for j, ei := range st.nodeOut[u] {
 				e := &st.g.Edges[ei]
 				v := e.Dst
 				switch st.owner[v] {
@@ -643,7 +708,8 @@ func (st *state) price(sc *priceScratch, x, y *chain, xFirst, yFirst bool) (appr
 					if !splits {
 						continue
 					}
-					// Splits j with lo < j <= hi separate u from v.
+					// Splits i' with lo < i' <= hi separate u from v;
+					// the unmoved term is cached.
 					lo, hi := i, st.idx[v]
 					var moved float64
 					if lo < hi {
@@ -652,7 +718,7 @@ func (st *state) price(sc *priceScratch, x, y *chain, xFirst, yFirst bool) (appr
 						lo, hi = hi, lo
 						moved = st.pr.edgeGain(e.Weight, uEnd+y.size, st.off[v])
 					}
-					d := moved - st.pr.edgeGain(e.Weight, uEnd, st.off[v])
+					d := moved - st.gain[st.tOff[u]+j]
 					diff[lo+1] += d
 					diff[hi+1] -= d
 				default:

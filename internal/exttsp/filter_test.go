@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 )
@@ -24,6 +25,10 @@ type lockStats struct {
 	// nodes viewScore folds, and those refine was seen to skip by starting
 	// from a cached fold.
 	folded, skipped int
+	// Over every legal X·Y and Y·X candidate: those whose refinement reads
+	// a cached edge gain in a node's run before its exit, and those that
+	// read one past a node's exit (a node with an edge leaving its chain).
+	inRun, pastExit int
 }
 
 // lockstep drives production and the materialising reference through one
@@ -34,13 +39,16 @@ type lockStats struct {
 // as many candidates as the reference builds. And it holds the cached
 // start to viewScore: price's cross edges and fx/fy are those a walk of x
 // finds, whichever side it walked; refine equals viewScore bit for bit on
-// every legal candidate; and after every merge each node's fold is the
-// running prefix of a from-scratch fold of its chain.
+// every legal candidate, and reads a poisoned cached edge gain wherever
+// it must; and after every merge each node's fold is the running prefix
+// of a from-scratch fold of its chain, and every live chain's cached
+// gains and exits are those a from-scratch walk finds.
 func lockstep(t *testing.T, g *Graph, opts Options) lockStats {
 	t.Helper()
 	st, ref := newState(g, opts), newRefState(g, opts)
 	var stats lockStats
 	merged := -1 // the chain the last merge rewrote
+	checkGains(t, st)
 	for {
 		var best mergeCandidate
 		var refBest refCandidate
@@ -92,6 +100,9 @@ func lockstep(t *testing.T, g *Graph, opts Options) lockStats {
 					if r := st.refine(x, y, split, fx, fy); math.Float64bits(r) != math.Float64bits(view) {
 						t.Fatalf("pair (%d,%d) split %d (fx=%d fy=%d): refine %v != viewScore %v", x.id, y.id, split, fx, fy, r, view)
 					}
+					inRun, pastExit := cachedGain(t, st, x, y, split, fx, fy)
+					stats.inRun += b2i(inRun)
+					stats.pastExit += b2i(pastExit)
 					canon := view - x.score - y.score
 					if !(math.Abs(a-canon) <= eps) {
 						t.Fatalf("pair (%d,%d) candidate %d: approx %v vs canonical %v differ by %g > eps %g",
@@ -131,6 +142,7 @@ func lockstep(t *testing.T, g *Graph, opts Options) lockStats {
 		st.applyMerge(best)
 		ref.applyMerge(refBest)
 		checkFold(t, st, st.chains[best.x])
+		checkGains(t, st)
 		merged = best.x
 	}
 	if got, want := st.finalOrder(), ref.finalOrder(); !reflect.DeepEqual(got, want) {
@@ -204,6 +216,94 @@ func cachedStart(st *state, x, y *chain, split, fx, fy int) int {
 		return 0
 	}
 	return skip
+}
+
+// cachedGain poisons, one at a time, two cached edge gains that refine's
+// X·Y or Y·X fold of (x, y) must read — the first one before its node's
+// exit, added in a run, and the first one past it, which the per-edge
+// walk of a node with an edge leaving its chain adds — and fails unless
+// refine returns NaN. It reports which of the two there were.
+func cachedGain(t *testing.T, st *state, x, y *chain, split, fx, fy int) (inRun, pastExit bool) {
+	t.Helper()
+	type run struct {
+		seg []int
+		c   *chain
+	}
+	var runs []run
+	switch split {
+	case len(x.nodes):
+		runs = []run{{x.nodes[fx:], x}, {y.nodes, y}}
+	case 0:
+		runs = []run{{y.nodes[fy:], y}, {x.nodes, x}}
+	default:
+		return false, false
+	}
+	slots := [2]int{-1, -1} // before the exit, past it
+	for _, r := range runs {
+		for _, nd := range r.seg {
+			for j, ei := range st.nodeOut[nd] {
+				if k := b2i(j >= st.exit[nd]); slots[k] < 0 && st.owner[st.g.Edges[ei].Dst] == r.c.id {
+					slots[k] = st.tOff[nd] + j
+				}
+			}
+		}
+	}
+	for k, slot := range slots {
+		if slot < 0 {
+			continue
+		}
+		saved := st.gain[slot]
+		st.gain[slot] = math.NaN()
+		r := st.refine(x, y, split, fx, fy)
+		st.gain[slot] = saved
+		if !math.IsNaN(r) {
+			t.Fatalf("pair (%d,%d) split %d: refine %v did not read the cached gain at %d (past the exit: %v)", x.id, y.id, split, r, slot, k == 1)
+		}
+	}
+	return slots[0] >= 0, slots[1] >= 0
+}
+
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// checkGains holds every live chain's cached edge gains to edgeGain on
+// offsets summed from the sizes, by bits, and each node's exit to the
+// index of its first out-edge whose target is not in the node list.
+func checkGains(t *testing.T, st *state) {
+	t.Helper()
+	for _, c := range st.chains {
+		if c.dead {
+			continue
+		}
+		pos := map[int]int64{}
+		var addr int64
+		for _, nd := range c.nodes {
+			pos[nd] = addr
+			addr += st.g.Nodes[nd].Size
+		}
+		for _, nd := range c.nodes {
+			exit := len(st.nodeOut[nd])
+			for j, ei := range st.nodeOut[nd] {
+				e := st.g.Edges[ei]
+				dst, ok := pos[e.Dst]
+				if !ok {
+					exit = min(exit, j)
+					continue
+				}
+				want := st.pr.edgeGain(e.Weight, pos[nd]+st.g.Nodes[nd].Size, dst)
+				if got := st.gain[st.tOff[nd]+j]; math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("chain %d node %d edge %d->%d: cached gain %v, from scratch %v", c.id, nd, nd, e.Dst, got, want)
+				}
+			}
+			if st.exit[nd] != exit {
+				t.Fatalf("chain %d node %d: exit %d, first out-edge leaving the chain is %d", c.id, nd, st.exit[nd], exit)
+			}
+		}
+	}
 }
 
 // checkFold holds c's fold entries to a from-scratch fold of c's nodes —
@@ -292,6 +392,24 @@ func TestCachedStartEngages(t *testing.T) {
 	g := backboneGraph(rng, 48, 0, 3, func() int64 { return int64(1 + rng.Intn(64)) })
 	if s := lockstep(t, g, Options{ForcedFirst: 0}); 2*s.skipped < s.folded {
 		t.Errorf("refine skipped %d of the %d nodes viewScore folds", s.skipped, s.folded)
+	}
+}
+
+// TestCachedGainsEngage: on a backbone with leaves, the X·Y and Y·X
+// refinements read the chains' cached edge gains — lockstep poisons one
+// per candidate and fails unless refine returns NaN — both from a node
+// whose out-edges all stay in its chain and past the exit of one with an
+// edge to a leaf. The edges are listed leaves first, so a backbone node's
+// edge into a leaf not yet merged comes before its backbone edge. Without
+// this check, a refine that recomputed every edge gain would pass every
+// oracle.
+func TestCachedGainsEngage(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	g := backboneGraph(rng, 48, 8, 3, func() int64 { return int64(1 + rng.Intn(64)) })
+	slices.Reverse(g.Edges)
+	s := lockstep(t, g, Options{ForcedFirst: 0})
+	if s.inRun < 200 || s.pastExit < 200 {
+		t.Errorf("refine read a poisoned gain before a node's exit on %d candidates, past it on %d", s.inRun, s.pastExit)
 	}
 }
 

@@ -136,55 +136,72 @@ func swapAdjacentBlocks(t *testing.T, bin *objfile.Binary, kept []byte) *objfile
 
 // TestBlockTraceSameAcrossLayouts: the metadata (PM) binary and the
 // Propeller-optimized (PO) binary of one program enter the same blocks in
-// the same order on one input. The shipped PO keeps the address map of its
-// hot objects only, so the check relinks it with every object's map and
-// first shows the text is the shipped bytes. Three negative controls must
-// be caught: a PO with one executed jump turned into NOPs, a PO with two
-// adjacent executed blocks of a hot function swapped, and a PO with one
-// taken out-of-range branch shrunk to its short form.
+// the same order on one input, whether the PO was laid out function by
+// function or by the global inter-procedural Ext-TSP run (§4.7), which
+// interleaves the hot blocks of different functions. The shipped PO keeps
+// the address map of its hot objects only, so the check relinks it with
+// every object's map and first shows the text is the shipped bytes. Three
+// negative controls must be caught: a PO with one executed jump turned
+// into NOPs, a PO with two adjacent executed blocks of a hot function
+// swapped, and a PO with one taken out-of-range branch shrunk to its short
+// form.
 func TestBlockTraceSameAcrossLayouts(t *testing.T) {
 	mysql := workload.MySQL()
 	mysql.Requests = 1000
-	for _, spec := range []workload.Spec{workload.Tiny(), mysql} {
-		prog, err := workload.Generate(spec)
+	for _, tc := range []struct {
+		spec workload.Spec
+		opts core.Options
+	}{
+		{workload.Tiny(), core.Options{}},
+		{mysql, core.Options{}},
+		{mysql, core.Options{InterProc: true}},
+	} {
+		name := tc.spec.Name
+		if tc.opts.InterProc {
+			name += " (inter-procedural)"
+		}
+		prog, err := workload.Generate(tc.spec)
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := core.Optimize(prog.Core, core.RunSpec{MaxInsts: 400_000_000, LBRPeriod: 211}, core.Options{})
+		res, err := core.Optimize(prog.Core, core.RunSpec{MaxInsts: 400_000_000, LBRPeriod: 211}, tc.opts)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if tc.opts.InterProc && res.WPAStats.LayoutShards == 0 {
+			t.Fatalf("%s: no global layout ran", name)
 		}
 		po, _, err := linker.Link(res.Optimized.Objects, linker.Config{Entry: prog.Core.Entry, Order: &res.Order, EmitAddrMap: true})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(po.Text, res.Optimized.Binary.Text) || po.Entry != res.Optimized.Binary.Entry {
-			t.Fatalf("%s: relinking with every address map moved the text", spec.Name)
+			t.Fatalf("%s: relinking with every address map moved the text", name)
 		}
 
 		pmRun, err := traced(t, res.Metadata.Binary)
 		if err != nil {
-			t.Fatalf("%s: PM: %v", spec.Name, err)
+			t.Fatalf("%s: PM: %v", name, err)
 		}
 		poRun, err := traced(t, po)
 		if err != nil {
-			t.Fatalf("%s: PO: %v", spec.Name, err)
+			t.Fatalf("%s: PO: %v", name, err)
 		}
 		if pmRun.BlockTrace == 0 || pmRun.Exit != poRun.Exit || pmRun.BlockTrace != poRun.BlockTrace {
-			t.Errorf("%s: PM exit %d trace %#x, PO exit %d trace %#x", spec.Name, pmRun.Exit, pmRun.BlockTrace, poRun.Exit, poRun.BlockTrace)
+			t.Errorf("%s: PM exit %d trace %#x, PO exit %d trace %#x", name, pmRun.Exit, pmRun.BlockTrace, poRun.Exit, poRun.BlockTrace)
 		}
 
 		badRun, err := traced(t, nopOutTakenJump(t, po))
 		if err == nil && badRun.BlockTrace == poRun.BlockTrace {
-			t.Errorf("%s: a PO with a taken jmp overwritten by NOPs gives the same trace %#x", spec.Name, badRun.BlockTrace)
+			t.Errorf("%s: a PO with a taken jmp overwritten by NOPs gives the same trace %#x", name, badRun.BlockTrace)
 		}
 		swapRun, err := traced(t, swapAdjacentBlocks(t, po, res.Optimized.Binary.BBAddrMap))
 		if err == nil && swapRun.BlockTrace == poRun.BlockTrace {
-			t.Errorf("%s: a PO with two adjacent blocks swapped gives the same trace %#x", spec.Name, swapRun.BlockTrace)
+			t.Errorf("%s: a PO with two adjacent blocks swapped gives the same trace %#x", name, swapRun.BlockTrace)
 		}
 		shrunkRun, err := traced(t, shrinkFarBranch(t, po))
 		if err == nil && shrunkRun.BlockTrace == poRun.BlockTrace {
-			t.Errorf("%s: a PO with an out-of-range branch shrunk to rel8 gives the same trace %#x", spec.Name, shrunkRun.BlockTrace)
+			t.Errorf("%s: a PO with an out-of-range branch shrunk to rel8 gives the same trace %#x", name, shrunkRun.BlockTrace)
 		}
 	}
 }
