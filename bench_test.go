@@ -492,9 +492,11 @@ func wpaLayoutActions(res *wpa.Result, naive bool) []*buildsys.Action {
 }
 
 // interProcShardActions models the §4.7 global Ext-TSP run as one action
-// per component shard of the hot-block graph (the partition the parallel
-// layoutInterProc fans out), using the same heap-retrieval cost formula
-// as wpaLayoutActions. Shard node counts come from wpa.Stats, which
+// per component shard of the hot-block graph, using the same
+// heap-retrieval cost formula as wpaLayoutActions. The component
+// partition is priced as an upper bound on the run's parallelism: merges
+// never cross a component, but the code runs one merge state and does not
+// fan the components out. Shard node counts come from wpa.Stats, which
 // reports them identically at every worker count.
 func interProcShardActions(st wpa.Stats) []*buildsys.Action {
 	const (
@@ -517,8 +519,9 @@ func interProcShardActions(st wpa.Stats) []*buildsys.Action {
 // wpa.Analyze swept over worker counts 1–16 and the naive-vs-heap Ext-TSP
 // retrieval ablation, for every catalog workload, reusing the shared
 // sweep's metadata binaries and LBR profiles. A second arm sweeps the
-// §4.7 inter-procedural mode, whose layout parallelism is bounded by the
-// hot-graph component shards. It writes the full curve to BENCH_wpa.json
+// §4.7 inter-procedural mode, whose modeled layout parallelism is bounded
+// by the hot-graph component shards (an upper bound: the layout itself is
+// one merge state sharing its re-scoring). It writes the full curve to BENCH_wpa.json
 // (the CI bench-smoke artifact) and fails if any modeled curve is not
 // monotone non-increasing in workers, if the heap retrieval does not beat
 // naive at every worker count, or if the parallel analysis is not

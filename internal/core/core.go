@@ -662,11 +662,13 @@ func Optimize(p *Program, train RunSpec, opts Options) (*Result, error) {
 // of §4.7's parallel analysis by their measured wall-time shares, and
 // each arm scales by its own parallelism: sample aggregation (plus the
 // shard merge, which only exists when aggregation is sharded) divides by
-// the worker count, while the layout arm divides by the effective layout
-// parallelism the analysis reported — 1 when a serial global Ext-TSP run
-// ignored the worker setting, min(workers, shards) when it sharded.
-// Dividing the whole span by the worker count, as the model used to,
-// overstated InterProc scaling whenever the layout arm did not shard.
+// the worker count, while the layout arm divides by the layout
+// parallelism the analysis reported (LayoutWorkers): min(workers,
+// functions laid out) per function, and for the global Ext-TSP run
+// min(workers, components), the bound its component partition puts on
+// parallelism, since merges never cross a component. Dividing the whole
+// span by the worker count, as the model used to, overstated InterProc
+// scaling whenever the hot graph was one component.
 //
 // Only an explicit Workers setting (> 1) scales the model: the default
 // (0 = GOMAXPROCS) would make the modeled Table-5 numbers depend on the

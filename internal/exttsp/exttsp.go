@@ -306,8 +306,8 @@ type state struct {
 	nbBuf []int // reused neighbor id buffer (invalidated by next call)
 
 	// sc is the price scratch of the goroutine that owns st. Only that
-	// goroutine ever writes a state (FormChains builds one per shard);
-	// pool helpers scoring one of its batches bring their own scratch.
+	// goroutine ever writes a state; pool helpers scoring one of its
+	// batches bring their own scratch.
 	sc priceScratch
 	// pool, when non-nil, is LayoutParallel's helper pool and batch the
 	// hand-off runHeap offers it, reused from merge to merge

@@ -4,13 +4,13 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
-	"sort"
 	"testing"
 	"time"
 )
 
-// islandGraph builds a graph of several disconnected fuzz islands, the
-// shape the component-sharded chain formation partitions.
+// islandGraph builds a graph of several disconnected fuzz islands: merges
+// never cross an island, so one merge state must interleave the islands'
+// merge sequences exactly as Layout does.
 func islandGraph(rng *rand.Rand, islands int) *Graph {
 	g := &Graph{}
 	for k := 0; k < islands; k++ {
@@ -43,10 +43,10 @@ func TestComponentsPartition(t *testing.T) {
 	}
 }
 
-// TestLayoutParallelMatchesSerial is the sharding property: for
-// multi-component graphs, component-sharded chain formation merged over
-// pre-built chains must reproduce the serial whole-graph layout exactly,
-// for both retrieval strategies, with and without a forced-first node.
+// TestLayoutParallelMatchesSerial: on multi-component graphs, run through
+// the one pooled merge state, LayoutParallel must reproduce the serial
+// whole-graph layout exactly, for both retrieval strategies, with and
+// without a forced-first node.
 func TestLayoutParallelMatchesSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(4407))
 	for trial := 0; trial < 60; trial++ {
@@ -75,72 +75,30 @@ func TestLayoutParallelMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestFormChainsMatchesGlobalChains checks the per-component claim
-// directly: chains formed on one component's induced subgraph equal the
-// chains a whole-graph run forms for that component.
-func TestFormChainsMatchesGlobalChains(t *testing.T) {
-	rng := rand.New(rand.NewSource(99))
-	for trial := 0; trial < 40; trial++ {
-		g := islandGraph(rng, 2+rng.Intn(4))
-		opts := Options{ForcedFirst: -1, UseHeap: trial%2 == 0}
-		st := newState(g, opts)
-		if opts.UseHeap {
-			st.runHeap()
-		} else {
-			st.runNaive()
-		}
-		global := map[int][]int{} // representative -> nodes
-		for _, c := range st.chains {
-			if !c.dead {
-				global[minNode(Chain{Nodes: c.nodes})] = c.nodes
-			}
-		}
-		for _, comp := range Components(g) {
-			chains, err := FormChains(g, opts, comp)
-			if err != nil {
+// TestLayoutParallelAllocs: the pool is one state's helper side, not a
+// copy of the graph per component, so a parallel layout at the production
+// threshold allocates what Layout does plus a fixed hand-off set (pool,
+// channel, par.Do's bookkeeping) however many components the graph has.
+func TestLayoutParallelAllocs(t *testing.T) {
+	const extra = 16
+	rng := rand.New(rand.NewSource(37))
+	opts := Options{ForcedFirst: -1, UseHeap: true}
+	for _, islands := range []int{1, 3, 6, 12} {
+		g := islandGraph(rng, islands)
+		serial := testing.AllocsPerRun(20, func() {
+			if _, err := Layout(g, opts); err != nil {
 				t.Fatal(err)
 			}
-			for _, ch := range chains {
-				want, ok := global[minNode(ch)]
-				if !ok || !reflect.DeepEqual(ch.Nodes, want) {
-					t.Fatalf("trial %d comp %v: shard chain %v != global chain %v", trial, comp, ch.Nodes, want)
-				}
+		})
+		parallel := testing.AllocsPerRun(20, func() {
+			if _, err := LayoutParallel(g, opts, 2); err != nil {
+				t.Fatal(err)
 			}
+		})
+		if parallel > serial+extra {
+			t.Errorf("%d islands: LayoutParallel made %.0f allocations, Layout %.0f; want at most %d more",
+				islands, parallel, serial, extra)
 		}
-	}
-}
-
-func TestLayoutChainsValidation(t *testing.T) {
-	g := &Graph{Nodes: make([]Node, 3)}
-	cases := [][]Chain{
-		{{Nodes: []int{0, 1}}},                       // node 2 missing
-		{{Nodes: []int{0, 1}}, {Nodes: []int{1, 2}}}, // node 1 twice
-		{{Nodes: []int{0, 1, 2}}, {Nodes: nil}},      // empty chain
-		{{Nodes: []int{0, 1, 5}}},                    // out of range
-	}
-	for i, chains := range cases {
-		if _, err := LayoutChains(g, Options{ForcedFirst: -1}, chains); err == nil {
-			t.Errorf("case %d: invalid chain partition accepted", i)
-		}
-	}
-	order, err := LayoutChains(g, Options{ForcedFirst: -1}, []Chain{{Nodes: []int{1, 0}}, {Nodes: []int{2}}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sorted := append([]int(nil), order...)
-	sort.Ints(sorted)
-	if !reflect.DeepEqual(sorted, []int{0, 1, 2}) {
-		t.Fatalf("layout %v is not a permutation", order)
-	}
-}
-
-func TestFormChainsRejectsBadShard(t *testing.T) {
-	g := fuzzGraph(rand.New(rand.NewSource(1)), 6)
-	if _, err := FormChains(g, Options{ForcedFirst: -1}, []int{2, 1}); err == nil {
-		t.Error("descending shard accepted")
-	}
-	if _, err := FormChains(g, Options{ForcedFirst: -1}, []int{0, 9}); err == nil {
-		t.Error("out-of-range shard node accepted")
 	}
 }
 
@@ -155,10 +113,10 @@ func connectedGraph(rng *rand.Rand, n int) *Graph {
 }
 
 // TestLayoutParallelOneComponent is the batch property: on a graph that is
-// a single component — where every worker but one has nothing to form and
-// can only help by scoring part of the owner's re-scoring batches — the
-// order is Layout's at every worker count, at the production threshold
-// and with every batch forced across the pool.
+// a single component — the shape of a warehouse-scale hot graph, where
+// every worker but the owner can only help by scoring part of its
+// re-scoring batches — the order is Layout's at every worker count, at
+// the production threshold and with every batch forced across the pool.
 func TestLayoutParallelOneComponent(t *testing.T) {
 	check := func(name string, g *Graph, opts Options, minWorks ...int) {
 		t.Helper()
@@ -209,12 +167,10 @@ func TestLayoutParallelOneComponent(t *testing.T) {
 
 // TestLayoutParallelLeavesNoGoroutines: the pool lives inside the call —
 // its helpers are gone when LayoutParallel returns, with an order or with
-// an error from before or after they were started.
+// a validate error.
 func TestLayoutParallelLeavesNoGoroutines(t *testing.T) {
 	g := islandGraph(rand.New(rand.NewSource(24)), 5)
 	opts := Options{ForcedFirst: -1, UseHeap: true}
-	badShards := Components(g)
-	badShards[1] = []int{badShards[1][0], badShards[1][0]} // not ascending: FormChains rejects it
 	calls := []struct {
 		name    string
 		call    func() ([]int, error)
@@ -224,7 +180,6 @@ func TestLayoutParallelLeavesNoGoroutines(t *testing.T) {
 		{"validate error", func() ([]int, error) {
 			return LayoutParallel(g, Options{ForcedFirst: len(g.Nodes), UseHeap: true}, 4)
 		}, true},
-		{"shard error", func() ([]int, error) { return layoutShards(g, opts, badShards, 4, 0) }, true},
 	}
 	for _, c := range calls {
 		base := runtime.NumGoroutine()

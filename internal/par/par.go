@@ -6,13 +6,12 @@
 // order after Do returns, and the error reported is the lowest failing
 // index's. Completion order then never reaches a result.
 //
-// Three goroutine sets are not indexed fan-outs and do not use Do:
-//   - exttsp's batch pool, whose helpers, once their shards are formed,
-//     score whatever re-scoring batches the layout's owner offers
-//     mid-merge: its work has no index space fixed up front;
-//   - wpa.Aggregator's stream shards and fleetprof.Service's shard
-//     workers, long-lived consumers of a channel fed for as long as the
-//     stream runs.
+// exttsp's batch pool runs on Do too: task 0 owns the merge state and
+// the others are helpers scoring whatever re-scoring batches it offers,
+// so exttsp keeps only the batch hand-off's WaitGroup. The two goroutine
+// sets that remain are not indexed fan-outs and do not use Do:
+// wpa.Aggregator's stream shards and fleetprof.Service's shard workers,
+// long-lived consumers of a channel fed for as long as the stream runs.
 package par
 
 import (

@@ -211,20 +211,21 @@ type Stats struct {
 	// actually used.
 	Workers int
 
-	// LayoutWorkers is the component-level parallelism of the layout
-	// phase: the worker-pool size after clamping to the number of
-	// independent layout units (LayoutShards). In InterProc mode it
-	// counts the shards that can be formed at once, not the cores the
-	// layout uses — exttsp.LayoutParallel gets every configured worker and
-	// shares the re-scoring inside a component among them — because the
-	// modeled Phase-3 makespan and BENCH_wpa.json's scaling curves are
-	// functions of the component partition alone.
+	// LayoutWorkers is the unit-level parallelism of the layout phase:
+	// the worker-pool size after clamping to the number of independent
+	// layout units (LayoutShards). In InterProc mode it is the bound the
+	// component partition puts on parallelism, not the cores the layout
+	// uses — exttsp.LayoutParallel runs one merge state and shares its
+	// re-scoring among every configured worker — because the modeled
+	// Phase-3 makespan and BENCH_wpa.json's scaling curves are functions
+	// of the component partition alone.
 	LayoutWorkers int
 
 	// LayoutShards is the number of independent layout units: hot
 	// functions in intra-function mode, connected components of the
-	// global hot-block graph in InterProc mode. It bounds LayoutWorkers
-	// and is identical at every worker count.
+	// global hot-block graph in InterProc mode, where merges never cross
+	// a component but the layout does not split along them. It bounds
+	// LayoutWorkers and is identical at every worker count.
 	LayoutShards int
 
 	// LayoutShardNodes, in InterProc mode, holds the hot-block count of
@@ -795,14 +796,12 @@ func appendColdSymbols(res *Result, names []string, infos map[string]*funcInfo) 
 // cluster sections and a symbol order matching the chain.
 //
 // The global run is the paper's 3-10x analysis-cost arm, and it runs on
-// cfg.Workers cores (exttsp.LayoutParallel): chain formation decomposes by
-// connected components of the hot-block graph (hfsort-style function
-// clusters joined by their sampled call edges), which fan out over the
-// workers, and a worker with no component left to form scores part of the
-// re-scoring batches of the components still running — the hot graph of a
-// warehouse-scale binary is one giant component plus crumbs. The result
-// is bit-identical at every worker count, and the 1-worker path is
-// exactly the serial whole-graph exttsp.Layout call.
+// cfg.Workers cores (exttsp.LayoutParallel): one merge state whose idle
+// workers score part of each large re-scoring batch — the hot graph of a
+// warehouse-scale binary is one giant component plus crumbs, so splitting
+// by component would leave all but one worker idle. The result is
+// bit-identical at every worker count, and the 1-worker path is exactly
+// the serial whole-graph exttsp.Layout call.
 func layoutInterProc(res *Result, graphs map[string]*dcfg, infos map[string]*funcInfo, callEdges map[callKey]uint64, cfg Config) error {
 	names := sortedFuncNames(graphs)
 	type globalNode struct {
@@ -879,8 +878,8 @@ func layoutInterProc(res *Result, graphs map[string]*dcfg, infos map[string]*fun
 	// The component partition is worker-independent, so the shard-shape
 	// stats (and therefore the modeled scaling curve) are identical at
 	// every worker count. LayoutWorkers is clamped to it; the layout
-	// itself is not, because a hot graph that is one component still
-	// shares its re-scoring batches among the workers.
+	// itself is not, because its one merge state shares the re-scoring
+	// batches among all the workers.
 	comps := exttsp.Components(eg)
 	res.Stats.LayoutShards = len(comps)
 	res.Stats.LayoutShardNodes = make([]int, len(comps))
