@@ -1,0 +1,104 @@
+package sim_test
+
+import (
+	"testing"
+
+	"propeller/internal/bbaddrmap"
+	"propeller/internal/codegen"
+	"propeller/internal/core"
+	"propeller/internal/ir"
+	"propeller/internal/linker"
+	"propeller/internal/objfile"
+	"propeller/internal/profile"
+	"propeller/internal/sim"
+	"propeller/internal/testprog"
+	"propeller/internal/workload"
+)
+
+// BenchmarkRun times the interpreter alone on three binaries — a call-heavy
+// one (Fib), a load/store/branch mix (Integrity) and the 505.mcf shape the
+// benchmark's profile-deep workload profiles, cut to about 5M instructions
+// — plain, sampled (modeled, streamed, and functional as Phase 3's
+// profiling runs go), functional, and in the block-trace checking mode;
+// Minst/s is the figure to compare. mcf's functional and lbr-functional
+// arms are the ones Phase 3's profiling run moves with.
+func BenchmarkRun(b *testing.B) {
+	progs := []struct {
+		name  string
+		build func(b *testing.B) (bin, pm *objfile.Binary)
+	}{
+		{"fib", testprogBuild(testprog.Fib(24))},
+		{"integrity", testprogBuild(testprog.Integrity(200_000))},
+		{"mcf", mcfBuild},
+	}
+	cfgs := []struct {
+		name string
+		cfg  sim.Config
+	}{
+		{"plain", sim.Config{}},
+		{"lbr", sim.Config{LBRPeriod: 211}},
+		{"stream", sim.Config{LBRPeriod: 211, OnSample: func(profile.Sample) error { return nil }}},
+		{"lbr-functional", sim.Config{LBRPeriod: 211, DisableUarch: true}},
+		{"functional", sim.Config{DisableUarch: true}},
+		{"trace", sim.Config{DisableUarch: true}},
+	}
+	for _, pr := range progs {
+		bin, pm := pr.build(b)
+		p, err := sim.Load(bin)
+		if err != nil {
+			b.Fatal(err)
+		}
+		// The trace runs the same text with its address map.
+		traced, err := sim.Load(pm)
+		if err != nil {
+			b.Fatal(err)
+		}
+		m, err := bbaddrmap.Decode(pm.BBAddrMap)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, c := range cfgs {
+			b.Run(pr.name+"/"+c.name, func(b *testing.B) {
+				p, cfg := p, c.cfg
+				if c.name == "trace" {
+					p, cfg.TraceBlocks = traced, bbaddrmap.NewLookup(m)
+				}
+				var insts uint64
+				for i := 0; i < b.N; i++ {
+					res, err := p.Run(cfg)
+					if err != nil {
+						b.Fatal(err)
+					}
+					insts += res.Insts
+				}
+				b.ReportMetric(float64(insts)/b.Elapsed().Seconds()/1e6, "Minst/s")
+			})
+		}
+	}
+}
+
+// testprogBuild links mods plainly, and again with labels and an address
+// map for the trace arm.
+func testprogBuild(mods ...*ir.Module) func(*testing.B) (*objfile.Binary, *objfile.Binary) {
+	return func(b *testing.B) (*objfile.Binary, *objfile.Binary) {
+		bin := sim.BuildModules(b, mods, codegen.Options{}, linker.Config{})
+		pm := sim.BuildModules(b, mods, codegen.Options{Mode: codegen.ModeLabels}, linker.Config{EmitAddrMap: true})
+		return bin, pm
+	}
+}
+
+// mcfBuild is profile-deep's program at 9 200 requests instead of 92 000:
+// its PM binary (the one Phase 3 profiles) serves every arm.
+func mcfBuild(b *testing.B) (*objfile.Binary, *objfile.Binary) {
+	spec := workload.SPECInt()[2]
+	spec.Requests = 9200
+	prog, err := workload.Generate(spec)
+	if err != nil {
+		b.Fatal(err)
+	}
+	pm, err := core.BuildWithMetadata(prog.Core, core.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	return pm.Binary, pm.Binary
+}

@@ -1,7 +1,9 @@
 package sim_test
 
-// Differential tests: the window-stepped simulator against the reference
-// interpreter in reference_test.go, compared on everything a run returns.
+// Differential tests: the simulator — its window-stepped loop for modeled,
+// heat-map and trace runs and its page-stepped loop for functional ones —
+// against the reference interpreter in reference_test.go, compared on
+// everything a run returns.
 
 import (
 	"errors"
@@ -60,6 +62,8 @@ func variants() []variant {
 		{name: "loadmisses", cfg: sim.Config{TrackLoadMisses: true}},
 		{name: "keepmemory", cfg: sim.Config{KeepMemory: true}},
 		{name: "functional", cfg: sim.Config{DisableUarch: true, LBRPeriod: 97, LBRPhase: 96}},
+		{name: "functional-plain", cfg: sim.Config{DisableUarch: true}}, // the PGO training run
+		{name: "functional-lbr-7+3", cfg: sim.Config{DisableUarch: true, LBRPeriod: 7, LBRPhase: 3}},
 	}
 	for _, period := range []uint64{1, 7, 97, 211} {
 		for _, phase := range []uint64{0, 3, period - 1} {
@@ -74,7 +78,7 @@ func variants() []variant {
 
 type runFunc func(sim.Config) (*sim.Result, error)
 
-func observe(t *testing.T, run runFunc, bin *objfile.Binary, v variant, maxInsts uint64) outcome {
+func observe(t testing.TB, run runFunc, bin *objfile.Binary, v variant, maxInsts uint64) outcome {
 	t.Helper()
 	cfg := v.cfg
 	cfg.MaxInsts = maxInsts
@@ -119,7 +123,7 @@ type subject struct {
 	run, ref runFunc
 }
 
-func load(t *testing.T, name string, bin *objfile.Binary) subject {
+func load(t testing.TB, name string, bin *objfile.Binary) subject {
 	t.Helper()
 	p, err := sim.Load(bin)
 	if err != nil {
@@ -134,7 +138,7 @@ func load(t *testing.T, name string, bin *objfile.Binary) subject {
 
 // programs is every testprog program, a data-in-code build, a huge-page
 // build, and the tiny workload (data-in-code, exceptions, 60 functions).
-func programs(t *testing.T) []subject {
+func programs(t testing.TB) []subject {
 	t.Helper()
 	lib, app := testprog.CrossModule()
 	tiny, err := workload.Generate(workload.Tiny())
@@ -162,7 +166,54 @@ func programs(t *testing.T) []subject {
 		load(t, "crossmodule", build(none, linker.Config{}, lib, app)),
 		load(t, "multimodule", build(none, linker.Config{}, testprog.MultiModule()...)),
 		load(t, "tiny", base.Binary),
+		load(t, "page-straddle", raw(pageStraddle())),
 	}
+}
+
+// pageStraddle is a hand-assembled program whose loops cross the 4 KB page
+// boundaries at +0x1000 and +0x2000 every way control can: the first loop
+// calls into the next page and returns, executes an instruction split
+// across the boundary, falls through out of it into the next page and
+// branches back; the second falls through onto a boundary exactly and
+// branches back across it. It exits with a sum of every counter.
+func pageStraddle() []byte {
+	text := make([]byte, 0x2040)
+	for i := range text {
+		text[i] = byte(isa.OpNop)
+	}
+	// at assembles insts from off and returns the offset after them; a
+	// branch's Imm is given as its target offset.
+	at := func(off int, insts ...isa.Inst) int {
+		for _, in := range insts {
+			size := len(isa.Encode(nil, in))
+			if in.Op.IsBranch() || in.Op == isa.OpCall {
+				in.Imm -= int64(off + size)
+			}
+			off += copy(text[off:], isa.Encode(nil, in))
+		}
+		return off
+	}
+	const (
+		loop1  = 0xFF0  // addi 0xFF0, call 0xFF6, then an addi at 0xFFB..0x1000
+		callee = 0x1100 // in the second page
+		loop2  = 0x1FF4 // two addis end at 0x1FFF; the compare starts the third page
+		exit   = 0x2020
+	)
+	addi := func(r byte, v int64) isa.Inst { return isa.Inst{Op: isa.OpAddI, A: r, Imm: v} }
+	add := func(a, b byte) isa.Inst { return isa.Inst{Op: isa.OpAdd, A: a, B: b} }
+	at(0, isa.Inst{Op: isa.OpMovI, A: 2, Imm: 50}, isa.Inst{Op: isa.OpJmp, Imm: loop1})
+	if end := at(loop1, addi(0, 1), isa.Inst{Op: isa.OpCall, Imm: callee}, addi(3, 2)); end != 0x1001 {
+		panic("page-straddle: the split instruction does not cross +0x1000")
+	}
+	at(0x1001, addi(2, -1), isa.Inst{Op: isa.OpCmpI, A: 2, Imm: 0}, isa.Inst{Op: isa.OpJne, Imm: loop1},
+		isa.Inst{Op: isa.OpJmp, Imm: loop2})
+	at(callee, addi(1, 3), isa.Inst{Op: isa.OpRet})
+	if end := at(loop2, addi(4, 1), addi(5, 2)); end != 0x2000 {
+		panic("page-straddle: the second loop does not fall through onto +0x2000")
+	}
+	at(0x2000, isa.Inst{Op: isa.OpCmpI, A: 4, Imm: 40}, isa.Inst{Op: isa.OpJlt, Imm: loop2}, isa.Inst{Op: isa.OpJmp, Imm: exit})
+	at(exit, add(0, 1), add(0, 3), add(0, 4), add(0, 5), isa.Inst{Op: isa.OpHalt})
+	return text
 }
 
 // Hand-assembled binaries: faults need control over exact addresses.
@@ -198,7 +249,7 @@ var (
 )
 
 // faults is one binary per way a run can end badly.
-func faults(t *testing.T) []subject {
+func faults(t testing.TB) []subject {
 	t.Helper()
 	var out []subject
 	add := func(name string, text []byte) { out = append(out, load(t, name, raw(text))) }
@@ -222,6 +273,15 @@ func faults(t *testing.T) []subject {
 	add("jump-outside-text", asm(movi(1, 0x10), jmpr(1)))
 	add("jump-to-text-end", asm(movi(1, int64(rawText)+12), jmpr(1)))
 	add("fall-off-text", asm(isa.Inst{Op: isa.OpNop}, isa.Inst{Op: isa.OpNop}))
+	// Not faults: a compare whose flags must outlive a store, a load, a
+	// wide movi64 and a div (each executed out of line by the functional
+	// loop) to steer the branch past the throw; and an entry function that
+	// returns, after a call and return, and so ends the program.
+	add("flags-across-rare", asm(movi(0, 5), isa.Inst{Op: isa.OpCmpI, A: 0, Imm: 4},
+		movi(1, int64(rawData)), store0(1), load0(1), movi(3, 1<<40), movi(4, 3), isa.Inst{Op: isa.OpDiv, A: 0, B: 4},
+		isa.Inst{Op: isa.OpJgtS, Imm: 1}, isa.Inst{Op: isa.OpThrow}, halt))
+	add("ret-from-entry", asm(movi(0, 7), isa.Inst{Op: isa.OpCall, Imm: 1}, isa.Inst{Op: isa.OpRet},
+		isa.Inst{Op: isa.OpAddI, A: 0, Imm: 1}, isa.Inst{Op: isa.OpRet}))
 	// A call whose callee overwrites its return address with garbage.
 	add("return-outside-text", asm(
 		isa.Inst{Op: isa.OpCall, Imm: 1}, halt,
@@ -253,6 +313,23 @@ func faults(t *testing.T) []subject {
 	return out
 }
 
+// TestPageStraddle holds pageStraddle to the path its comment describes:
+// two instructions in, 50 trips of 8 through the first loop, one jump, 40
+// trips of 4 through the second, one jump, and four adds and a halt.
+func TestPageStraddle(t *testing.T) {
+	p, err := sim.Load(raw(pageStraddle()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := p.Run(sim.Config{DisableUarch: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := int64(50 + 3*50 + 2*50 + 40 + 2*40); res.Exit != want || res.Insts != 2+50*8+1+40*4+1+5 {
+		t.Errorf("exit %d after %d instructions, want %d after %d", res.Exit, res.Insts, want, 2+50*8+1+40*4+1+5)
+	}
+}
+
 func compare(t *testing.T, s subject, v variant, maxInsts uint64) (faulted bool) {
 	t.Helper()
 	got := observe(t, s.run, s.bin, v, maxInsts)
@@ -282,7 +359,9 @@ func TestMatchesReferenceFullRuns(t *testing.T) {
 	for _, s := range faults(t) {
 		for _, v := range vs {
 			faulted := compare(t, s, v, 0)
-			if ok := s.name == "movi64-immediates" || s.name == "jump-mid-inst-hidden-code" || s.name == "jump-through-table"; faulted == ok {
+			ok := map[string]bool{"movi64-immediates": true, "flags-across-rare": true, "ret-from-entry": true,
+				"jump-mid-inst-hidden-code": true, "jump-through-table": true}[s.name]
+			if faulted == ok {
 				t.Errorf("%s/%s: faulted = %v", s.name, v.name, faulted)
 			}
 		}
@@ -294,9 +373,11 @@ func TestMatchesReferenceFullRuns(t *testing.T) {
 // instruction, on a taken branch and on a sample; a short run compares the
 // partial counters and the fault. Four programs that between them execute
 // every opcode take every budget in every configuration; the rest, and the
-// fault binaries, take every budget plain and with a dense sample grid
-// (their other configurations are held by the full runs above) — each run
-// zeroes a fresh model and stack, and the full product is minutes of that.
+// fault binaries, take every budget plain and with a dense sample grid,
+// modeled and functional, so each of the two interpreter loops meets every
+// budget on every binary (their other configurations are held by the full
+// runs above) — each run zeroes a fresh model and stack, and the full
+// product is minutes of that.
 func TestMatchesReferenceEveryBudget(t *testing.T) {
 	limit := uint64(300)
 	if testing.Short() {
@@ -304,10 +385,10 @@ func TestMatchesReferenceEveryBudget(t *testing.T) {
 	}
 	every := map[string]bool{"fib": true, "switch-data-in-code": true, "exceptions": true, "tiny": true}
 	all := variants()
-	var two []variant
+	var some []variant
 	for _, v := range all {
-		if v.name == "plain" || v.name == "lbr-7+3" {
-			two = append(two, v)
+		if v.name == "plain" || v.name == "lbr-7+3" || v.name == "functional-lbr-7+3" {
+			some = append(some, v)
 		}
 	}
 	for _, s := range append(programs(t), faults(t)...) {
@@ -316,7 +397,7 @@ func TestMatchesReferenceEveryBudget(t *testing.T) {
 		if res, _ := s.ref(sim.Config{}); res.Insts < last {
 			last = res.Insts + 1
 		}
-		vs := two
+		vs := some
 		if every[s.name] {
 			vs = all
 		}
@@ -334,17 +415,20 @@ func TestMatchesReferenceEveryBudget(t *testing.T) {
 // TestAddressWrapFaults is not differential — the reference panics here. An
 // access whose 8 bytes would run past 2^64, or past the end of a segment, is
 // a fault, never a wrapped bounds check and a slice panic: a BOLT-corrupted
-// binary must surface as a RunError.
+// binary must surface as a RunError. Every access runs modeled and
+// functional, since the functional loop checks its stack slots inline; a
+// call's return-address push takes the push cases.
 func TestAddressWrapFaults(t *testing.T) {
 	const (
 		stackSize = 4096
-		textLen   = 10 + 7 + 1 + 10 // movi64, load or store, halt, padding
+		textLen   = 10 + 7 + 1 + 10 // movi64, load or store, halt, padding (a call case is 22 bytes)
 	)
 	const (
 		opLoad = iota
 		opStore
 		opPush
 		opPop
+		opCall
 	)
 	type access struct {
 		op    int
@@ -387,6 +471,11 @@ func TestAddressWrapFaults(t *testing.T) {
 		access{opPush, sim.StackTop - 8, ""}, access{opPush, sim.StackTop - 7, unmappedStore},
 		access{opPush, sim.StackTop - stackSize, ""}, access{opPush, sim.StackTop - stackSize - 1, "stack overflow"},
 		access{opPush, rawData, "stack overflow"})
+	for _, c := range cases {
+		if c.op == opPush {
+			cases = append(cases, access{opCall, c.addr, c.fault})
+		}
+	}
 
 	for _, c := range cases {
 		var text []byte
@@ -399,19 +488,26 @@ func TestAddressWrapFaults(t *testing.T) {
 			text = asm(movi(isa.RegSP, int64(c.addr+8)), isa.Inst{Op: isa.OpPush, A: 0}, halt)
 		case opPop:
 			text = asm(movi(isa.RegSP, int64(c.addr)), isa.Inst{Op: isa.OpPop, A: 0}, halt)
+		case opCall:
+			// A call and return first, so that the shadow call stack has
+			// room and the functional loop takes its inline call; then one
+			// that pushes its return address at sp-8 and falls into the halt.
+			text = asm(isa.Inst{Op: isa.OpCall, Imm: 16}, movi(isa.RegSP, int64(c.addr+8)), isa.Inst{Op: isa.OpCall}, halt, isa.Inst{Op: isa.OpRet})
 		}
 		p, err := sim.Load(raw(append(text, make([]byte, textLen-len(text))...)))
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, err = p.Run(sim.Config{StackSize: stackSize})
-		name := [...]string{"load", "store", "push", "pop"}[c.op]
-		var re *sim.RunError
-		switch isFault := errors.As(err, &re); {
-		case c.fault == "" && err != nil:
-			t.Errorf("%s at %#x: %v, want success", name, c.addr, err)
-		case c.fault != "" && (!isFault || !strings.HasPrefix(re.Msg, c.fault)):
-			t.Errorf("%s at %#x: err = %v, want fault %q", name, c.addr, err, c.fault)
+		for _, functional := range []bool{false, true} {
+			_, err = p.Run(sim.Config{StackSize: stackSize, DisableUarch: functional})
+			name := fmt.Sprintf("%s (functional %v)", [...]string{"load", "store", "push", "pop", "call"}[c.op], functional)
+			var re *sim.RunError
+			switch isFault := errors.As(err, &re); {
+			case c.fault == "" && err != nil:
+				t.Errorf("%s at %#x: %v, want success", name, c.addr, err)
+			case c.fault != "" && (!isFault || !strings.HasPrefix(re.Msg, c.fault)):
+				t.Errorf("%s at %#x: err = %v, want fault %q", name, c.addr, err, c.fault)
+			}
 		}
 	}
 }

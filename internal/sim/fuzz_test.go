@@ -1,0 +1,53 @@
+package sim_test
+
+import (
+	"reflect"
+	"testing"
+
+	"propeller/internal/sim"
+)
+
+// FuzzRunMatchesReference runs arbitrary bytes as text from its first byte,
+// on a 16 KB stack, for at most 10 000 instructions: plain (modeled),
+// functional, and functional with a dense sample grid. Run must never
+// panic; wherever the reference interpreter finishes without panicking
+// (it panics on an access within 8 bytes of 2^64, see reference_test.go),
+// the two outcomes must be equal. The seeds are the texts of the
+// differential suite's programs and fault binaries.
+//
+//	go test -run='^$' -fuzz='^FuzzRunMatchesReference$' -fuzztime=60s ./internal/sim/
+func FuzzRunMatchesReference(f *testing.F) {
+	for _, s := range append(programs(f), faults(f)...) {
+		f.Add(s.bin.Text, uint16(10_000))
+	}
+	vs := []variant{
+		{name: "plain"},
+		{name: "functional", cfg: sim.Config{DisableUarch: true}},
+		{name: "functional-lbr-7+3", cfg: sim.Config{DisableUarch: true, LBRPeriod: 7, LBRPhase: 3}},
+	}
+	f.Fuzz(func(t *testing.T, text []byte, budget uint16) {
+		if len(text) == 0 {
+			return // Load refuses an entry outside text
+		}
+		s := load(t, "fuzz", raw(text))
+		maxInsts := 1 + uint64(budget)%10_000
+		for _, v := range vs {
+			got := observe(t, s.run, s.bin, v, maxInsts)
+			want, ok := observeReference(t, s, v, maxInsts)
+			if ok && !reflect.DeepEqual(got, want) {
+				t.Errorf("%s/max=%d:\n got  %v\n want %v", v.name, maxInsts, got, want)
+			}
+		}
+	})
+}
+
+// observeReference is observe of the reference interpreter, and false if
+// it panicked.
+func observeReference(t *testing.T, s subject, v variant, maxInsts uint64) (o outcome, ok bool) {
+	defer func() {
+		if recover() != nil {
+			ok = false
+		}
+	}()
+	return observe(t, s.ref, s.bin, v, maxInsts), true
+}

@@ -5,9 +5,11 @@ package sim
 // iteration per instruction, the fetch model entered for every instruction,
 // a 64-bit modulo per instruction for the sample grid, slice-of-slice
 // caches indexed by %. Only identifiers are renamed (ref*). It exists so
-// the differential tests in differential_test.go can hold the production
-// simulator to "bit-identical": it is the oracle, never an alternative
-// mode, which is why it lives in a _test.go file.
+// the differential tests in differential_test.go and the fuzz target in
+// fuzz_test.go can hold both of the production simulator's loops (by fetch
+// window for modeled runs, by page for functional ones) to
+// "bit-identical": it is the oracle, never an alternative mode, which is
+// why it lives in a _test.go file.
 //
 // It keeps the old interpreter's one known defect on purpose: an access
 // within 8 bytes of 2^64 panics (addr+8 wraps) instead of faulting, so the

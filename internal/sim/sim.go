@@ -292,6 +292,8 @@ func (p *Program) decodePage(i uint64) *page {
 		}
 		*ci = cachedInst{imm: int32(inst.Imm), op: handlers[inst.Op], a: inst.A, b: inst.B, size: uint8(size)}
 		switch {
+		case ci.op == hNone:
+			ci.size = noInst // an opcode the simulator does not implement; fetchFault names it
 		case inst.Op.IsCondBranch():
 			ci.a = condMasks[inst.Op.BranchCond()]
 		case int64(ci.imm) != inst.Imm:
@@ -335,36 +337,6 @@ func word(seg []byte, off uint64) []byte {
 		}
 	}
 	return nil
-}
-
-func (m *memory) load64(addr uint64) (int64, bool) {
-	b := word(m.stack, addr-m.stackBase)
-	if b == nil {
-		b = word(m.data, addr-m.dataBase)
-	}
-	if b == nil {
-		b = word(m.rodata, addr-m.rodataBase)
-	}
-	if b == nil {
-		// Jump tables may live inside text (data-in-code).
-		b = word(m.text, addr-m.textBase)
-	}
-	if b == nil {
-		return 0, false
-	}
-	return int64(binary.LittleEndian.Uint64(b)), true
-}
-
-func (m *memory) store64(addr uint64, v int64) bool {
-	b := word(m.stack, addr-m.stackBase)
-	if b == nil {
-		b = word(m.data, addr-m.dataBase)
-	}
-	if b == nil {
-		return false
-	}
-	binary.LittleEndian.PutUint64(b, uint64(v))
-	return true
 }
 
 // arenaSink is where a run's samples go when the caller gave no OnSample:
@@ -417,28 +389,38 @@ type machine struct {
 	lsda       map[uint64]uint64
 
 	exit int64  // r0 at halt
-	msg  string // why exec returned stopFault
+	msg  string // why exec or step returned stopFault
 }
 
-// stop says why exec returned.
+// stop says why exec or step returned.
 type stop uint8
 
 const (
 	stopLeave stop = iota // the next instruction is in another page, or none is left
 	stopHalt              // the program ended
 	stopFault             // the instruction at the returned pc faulted (machine.msg)
+	stopNone              // (rare only) the next instruction is in the same page and due
 )
 
 // Run executes the program with the given configuration. Runs are
 // independent: concurrent Run calls on one Program do not share state.
 //
-// Execution steps by fetch window. A slow step is taken for the first
-// instruction of every 32-byte window the run enters, for an instruction
-// that extends past its window, and after every taken transfer (for every
-// instruction, under a heat map or a block trace): it runs the fetch model,
-// the heat map and the block trace (in machine.exec) and, when the
-// transfer left the decoded page or the countdown to the next sample or
-// the end of the budget ran out, looks those up here. Every other
+// Run hands each decoded page to one of two loops, chosen once from what
+// the run needs. Both return here when control leaves the page, when the
+// countdown to the next sample or the end of the budget runs out, and when
+// the run halts or faults; Run takes the sample, ends the run or looks up
+// the next page.
+//
+// A run that models nothing per fetch (no timing model, heat map or block
+// trace) takes step, which executes the page instruction by instruction
+// with its state in locals: there is nothing to see at a fetch window, so
+// nothing distinguishes one from the next.
+//
+// Every other run takes exec, which steps by fetch window. A slow step is
+// taken for the first instruction of every 32-byte window the run enters,
+// for an instruction that extends past its window, and after every taken
+// transfer (for every instruction, under a heat map or a block trace): it
+// runs the fetch model, the heat map and the block trace. Every other
 // instruction is a fast step: load the decoded entry, dispatch, execute.
 // That is exact because the fetch model can only change state at those
 // points (see uarch.fetch), the instruction-side model and everything an
@@ -483,6 +465,7 @@ func (p *Program) Run(cfg Config) (*Result, error) {
 		m.trace = newBlockTrace(cfg.TraceBlocks)
 	}
 	m.watch = m.heat != nil || m.trace != nil
+	functional := m.u == nil && !m.watch
 	res := &Result{LoadMisses: m.loadMisses}
 
 	// Sampling has one site in the loop. A sample goes to the caller's
@@ -534,14 +517,19 @@ func (p *Program) Run(cfg Config) (*Result, error) {
 		}
 		i := pc>>pageBits - p.firstPage
 		if i >= uint64(len(p.pages)) {
-			why, m.msg = stopFault, "instruction fetch outside text segment"
+			why, m.msg = stopFault, m.fetchFault(pc)
 			break
 		}
 		pg := p.pages[i].Load()
 		if pg == nil {
 			pg = p.decodePage(i)
 		}
-		if pc, left, why = m.exec(pg, pc, left, limit); why != stopLeave {
+		if functional {
+			pc, left, why = m.step(pg, pc, left)
+		} else {
+			pc, left, why = m.exec(pg, pc, left, limit)
+		}
+		if why != stopLeave {
 			break
 		}
 	}
@@ -573,13 +561,230 @@ func (p *Program) Run(cfg Config) (*Result, error) {
 	return res, nil
 }
 
+// step runs a functional run from pc, an address in decoded page pg, until
+// control leaves the page, the left instructions due before Run has to look
+// again are retired, or the run ends. It returns the next pc and what
+// remains of left; on stopFault, the pc that faulted.
+//
+// It is exec without the per-fetch hooks, and exact for that reason: with
+// no timing model, heat map or block trace, entering a fetch window changes
+// nothing, so every instruction is one dispatch. Its state stays in locals
+// and its common cases make no call: ALU ops, compares, jumps and
+// conditional branches, and push, pop, call and ret while their stack slot
+// (and, for a call, the shadow call stack's capacity) is there. Everything
+// else goes through rare, the one call site, which runs the same machine
+// methods exec does. A transfer whose target is in the same page records
+// its LBR entry and carries on; leaving the page returns to Run.
+func (m *machine) step(pg *page, pc, left uint64) (uint64, uint64, stop) {
+	regs := &m.regs
+	flags := m.flags
+	var why stop // rare's verdict
+	for {
+		ci := &pg[pc&pageMask]
+		left--
+		next := pc + uint64(ci.size)
+		a, b, imm := ci.a&(isa.NumRegs-1), ci.b&(isa.NumRegs-1), int64(ci.imm)
+		var target uint64
+
+		switch ci.op {
+		case hNop, hPrefetch: // a prefetch only informs the timing model
+		case hMovRR:
+			regs[a] = regs[b]
+		case hMovI:
+			regs[a] = imm
+		case hAdd:
+			regs[a] += regs[b]
+		case hSub:
+			regs[a] -= regs[b]
+		case hMul:
+			regs[a] *= regs[b]
+		case hAnd:
+			regs[a] &= regs[b]
+		case hOr:
+			regs[a] |= regs[b]
+		case hXor:
+			regs[a] ^= regs[b]
+		case hShl:
+			regs[a] <<= uint64(regs[b]) & 63
+		case hShr:
+			regs[a] = int64(uint64(regs[a]) >> (uint64(regs[b]) & 63))
+		case hAddI:
+			regs[a] += imm
+		case hCmp:
+			flags = sign(regs[a] - regs[b])
+		case hCmpI:
+			flags = sign(regs[a] - imm)
+		case hPush:
+			w := word(m.mem.stack, uint64(regs[isa.RegSP])-8-m.mem.stackBase)
+			if w == nil {
+				goto rare
+			}
+			binary.LittleEndian.PutUint64(w, uint64(regs[a]))
+			regs[isa.RegSP] -= 8
+		case hPop:
+			w := word(m.mem.stack, uint64(regs[isa.RegSP])-m.mem.stackBase)
+			if w == nil {
+				goto rare
+			}
+			regs[a] = int64(binary.LittleEndian.Uint64(w))
+			regs[isa.RegSP] += 8
+		case hJmp:
+			target = next + uint64(imm)
+			goto taken
+		case hJcc:
+			if ci.a>>uint(flags+1)&1 != 0 { // decodePage left the condition mask in a
+				target = next + uint64(imm)
+				goto taken
+			}
+		case hJmpR:
+			target = uint64(regs[a])
+			goto taken
+		case hCall:
+			sp := uint64(regs[isa.RegSP]) - 8
+			w, n := word(m.mem.stack, sp-m.mem.stackBase), len(m.callStack)
+			if w == nil || n == cap(m.callStack) {
+				goto rare
+			}
+			binary.LittleEndian.PutUint64(w, next)
+			regs[isa.RegSP] = int64(sp)
+			// Within capacity: append would bring a call into the loop.
+			m.callStack = m.callStack[:n+1]
+			m.callStack[n] = frame{retAddr: next, spBefore: sp + 8, fpAtCall: regs[isa.RegFP]}
+			target = next + uint64(imm)
+			goto taken
+		case hRet:
+			w, n := word(m.mem.stack, uint64(regs[isa.RegSP])-m.mem.stackBase), len(m.callStack)
+			if w == nil || n == 0 {
+				goto rare
+			}
+			target = binary.LittleEndian.Uint64(w)
+			regs[isa.RegSP] += 8
+			m.callStack = m.callStack[:n-1]
+			goto taken
+		default:
+			goto rare
+		}
+
+		// Fall through: next is in this page or the one after it.
+		if left == 0 || (next^pc) >= pageSize {
+			pc = next
+			break
+		}
+		pc = next
+		continue
+
+	rare:
+		// Nothing the loop holds is live across the call: pc and left
+		// come back from it, and flags goes through m. So no register
+		// is spilled for it on the common path.
+		m.flags = flags
+		if pc, left, why = m.rare(pg, pc, left); why != stopNone {
+			return pc, left, why
+		}
+		flags = m.flags
+		continue
+
+	taken:
+		m.lbr.push(pc, target)
+		if left == 0 || (target^pc) >= pageSize {
+			pc = target
+			break
+		}
+		pc = target
+	}
+	m.flags = flags
+	return pc, left, stopLeave
+}
+
+// rare executes, for step, the instruction at pc in decoded page pg, with
+// left the countdown after it: every kind step does not spell out, and a
+// push, pop, call or ret whose fast path does not apply. It returns the
+// next pc and the countdown, records the LBR entry of a taken transfer, and
+// says stopNone when step carries on in the same page.
+func (m *machine) rare(pg *page, pc, left uint64) (uint64, uint64, stop) {
+	regs, ci := &m.regs, &pg[pc&pageMask]
+	next := pc + uint64(ci.size)
+	a, b, imm := ci.a&(isa.NumRegs-1), ci.b&(isa.NumRegs-1), int64(ci.imm)
+	ok := true
+	var target uint64
+	switch ci.op {
+	case hNone:
+		m.msg = m.fetchFault(pc)
+		return pc, left + 1, stopFault // nothing was fetched
+	case hHalt:
+		return pc, left, m.halt()
+	case hMovI64:
+		regs[a] = m.movi64(pc)
+	case hDiv, hMod:
+		var v int64
+		if v, ok = m.divide(ci.op, regs[a], regs[b]); ok {
+			regs[a] = v
+		}
+	case hLoad:
+		var v int64
+		if v, ok = m.load(uint64(regs[a] + imm)); ok {
+			regs[b] = v
+		}
+	case hStore:
+		ok = m.store(uint64(regs[a]+imm), regs[b])
+	case hPush:
+		ok = m.push(regs[a])
+	case hPop:
+		var v int64
+		if v, ok = m.load(uint64(regs[isa.RegSP])); ok {
+			regs[a] = v
+			regs[isa.RegSP] += 8
+		}
+	case hCall, hCallR:
+		target = next + uint64(imm)
+		if ci.op == hCallR {
+			target = uint64(regs[a])
+		}
+		if ok = m.push(int64(next)); ok {
+			m.callStack = append(m.callStack, frame{retAddr: next, spBefore: uint64(regs[isa.RegSP]) + 8, fpAtCall: regs[isa.RegFP]})
+		}
+		goto transfer
+	case hRet:
+		if len(m.callStack) == 0 {
+			return pc, left, m.halt()
+		}
+		var v int64
+		if v, ok = m.load(uint64(regs[isa.RegSP])); ok {
+			regs[isa.RegSP] += 8
+			m.callStack = m.callStack[:len(m.callStack)-1]
+			target = uint64(v)
+		}
+		goto transfer
+	case hThrow:
+		target, ok = m.throw()
+		goto transfer
+	}
+	if !ok {
+		return pc, left, stopFault
+	}
+	if left == 0 || (next^pc) >= pageSize {
+		return next, left, stopLeave
+	}
+	return next, left, stopNone
+
+transfer:
+	if !ok {
+		return pc, left, stopFault
+	}
+	m.lbr.push(pc, target)
+	if left == 0 || (target^pc) >= pageSize {
+		return target, left, stopLeave
+	}
+	return target, left, stopNone
+}
+
 // exec runs the program from pc, an address in decoded page pg, until
 // control leaves the page, the left instructions due before Run has to
 // look again (the run will have retired limit of them then) are retired,
 // or the run ends. It returns the next pc and what remains of left; on
 // stopFault, the pc that faulted.
 func (m *machine) exec(pg *page, pc, left, limit uint64) (uint64, uint64, stop) {
-	regs, mem, u := &m.regs, &m.mem, m.u
+	regs, u := &m.regs, m.u
 	flags := m.flags
 	pn := pc >> pageBits
 	var target uint64
@@ -612,32 +817,25 @@ func (m *machine) exec(pg *page, pc, left, limit uint64) (uint64, uint64, stop) 
 			switch ci.op {
 			case hNop:
 			case hHalt:
-				m.exit = regs[isa.RegRet]
-				return pc, left, stopHalt
+				return pc, left, m.halt()
 			case hMovRR:
 				regs[a] = regs[b]
 			case hMovI:
 				regs[a] = imm
 			case hMovI64:
-				regs[a] = int64(binary.LittleEndian.Uint64(mem.text[pc-mem.textBase+2:]))
+				regs[a] = m.movi64(pc)
 			case hAdd:
 				regs[a] += regs[b]
 			case hSub:
 				regs[a] -= regs[b]
 			case hMul:
 				regs[a] *= regs[b]
-			case hDiv:
-				if regs[b] == 0 {
-					m.msg = "division by zero"
+			case hDiv, hMod:
+				v, ok := m.divide(ci.op, regs[a], regs[b])
+				if !ok {
 					return pc, left, stopFault
 				}
-				regs[a] /= regs[b]
-			case hMod:
-				if regs[b] == 0 {
-					m.msg = "modulo by zero"
-					return pc, left, stopFault
-				}
-				regs[a] %= regs[b]
+				regs[a] = v
 			case hAnd:
 				regs[a] &= regs[b]
 			case hOr:
@@ -658,9 +856,8 @@ func (m *machine) exec(pg *page, pc, left, limit uint64) (uint64, uint64, stop) 
 				m.flags = flags
 			case hLoad:
 				addr := uint64(regs[a] + imm)
-				v, ok := mem.load64(addr)
+				v, ok := m.load(addr)
 				if !ok {
-					m.msg = fmt.Sprintf("load from unmapped address %#x", addr)
 					return pc, left, stopFault
 				}
 				regs[b] = v
@@ -669,8 +866,7 @@ func (m *machine) exec(pg *page, pc, left, limit uint64) (uint64, uint64, stop) 
 				}
 			case hStore:
 				addr := uint64(regs[a] + imm)
-				if !mem.store64(addr, regs[b]) {
-					m.msg = fmt.Sprintf("store to unmapped or read-only address %#x", addr)
+				if !m.store(addr, regs[b]) {
 					return pc, left, stopFault
 				}
 				if u != nil {
@@ -681,14 +877,12 @@ func (m *machine) exec(pg *page, pc, left, limit uint64) (uint64, uint64, stop) 
 					u.prefetch(uint64(regs[a] + imm))
 				}
 			case hPush:
-				if msg := m.push(regs[a]); msg != "" {
-					m.msg = msg
+				if !m.push(regs[a]) {
 					return pc, left, stopFault
 				}
 			case hPop:
-				v, ok := mem.load64(uint64(regs[isa.RegSP]))
+				v, ok := m.load(uint64(regs[isa.RegSP]))
 				if !ok {
-					m.msg = fmt.Sprintf("load from unmapped address %#x", uint64(regs[isa.RegSP]))
 					return pc, left, stopFault
 				}
 				regs[a] = v
@@ -710,8 +904,7 @@ func (m *machine) exec(pg *page, pc, left, limit uint64) (uint64, uint64, stop) 
 				if ci.op == hCallR {
 					target = uint64(regs[a])
 				}
-				if msg := m.push(int64(next)); msg != "" {
-					m.msg = msg
+				if !m.push(int64(next)) {
 					return pc, left, stopFault
 				}
 				m.callStack = append(m.callStack, frame{retAddr: next, spBefore: uint64(regs[isa.RegSP]) + 8, fpAtCall: regs[isa.RegFP]})
@@ -722,12 +915,10 @@ func (m *machine) exec(pg *page, pc, left, limit uint64) (uint64, uint64, stop) 
 			case hRet:
 				if len(m.callStack) == 0 {
 					// Returning from the entry function ends the program.
-					m.exit = regs[isa.RegRet]
-					return pc, left, stopHalt
+					return pc, left, m.halt()
 				}
-				v, ok := mem.load64(uint64(regs[isa.RegSP]))
+				v, ok := m.load(uint64(regs[isa.RegSP]))
 				if !ok {
-					m.msg = fmt.Sprintf("load from unmapped address %#x", uint64(regs[isa.RegSP]))
 					return pc, left, stopFault
 				}
 				regs[isa.RegSP] += 8
@@ -738,18 +929,10 @@ func (m *machine) exec(pg *page, pc, left, limit uint64) (uint64, uint64, stop) 
 				}
 				goto taken
 			case hThrow:
-				pad, fr, fp, depth, ok := m.unwind()
-				if !ok {
-					m.msg = "uncaught exception"
+				var ok bool
+				if target, ok = m.throw(); !ok {
 					return pc, left, stopFault
 				}
-				m.callStack = m.callStack[:depth]
-				regs[isa.RegSP] = int64(fr)
-				// The CFI of §4.4 exists so the unwinder can restore the
-				// callee-saved frame pointer of the landing frame; the
-				// simulator applies that restoration directly.
-				regs[isa.RegFP] = fp
-				target = pad
 				if u != nil {
 					u.takenBranch(pc, target, true, false)
 				}
@@ -765,9 +948,6 @@ func (m *machine) exec(pg *page, pc, left, limit uint64) (uint64, uint64, stop) 
 				if u != nil {
 					u.condNotTaken(pc)
 				}
-			default:
-				m.msg = fmt.Sprintf("unimplemented opcode %v", isa.Op(mem.text[pc-mem.textBase]))
-				return pc, left, stopFault
 			}
 
 			// Fast step: the next instruction, if all of it is in the window.
@@ -787,43 +967,116 @@ func (m *machine) exec(pg *page, pc, left, limit uint64) (uint64, uint64, stop) 
 	}
 }
 
+// The rare instructions' architectural effects and every fault message,
+// written once: exec and rare both call these, and each one that can fault
+// records the message in m.msg and reports false.
+
 // fetchFault says why nothing can be fetched at pc: the decode table only
-// records that nothing decodes there.
+// records that nothing decodes there, and Run that pc has no page.
 func (m *machine) fetchFault(pc uint64) string {
 	off := pc - m.mem.textBase
 	if off >= uint64(len(m.mem.text)) {
-		return "instruction fetch outside text segment" // the part of a first or last page that is not text
+		return "instruction fetch outside text segment"
 	}
-	_, _, err := isa.Decode(m.mem.text, int(off))
+	inst, _, err := isa.Decode(m.mem.text, int(off))
+	if err == nil {
+		return fmt.Sprintf("unimplemented opcode %v", inst.Op)
+	}
 	return fmt.Sprintf("instruction decode failed: %v", err)
 }
 
-// push decrements the stack pointer and stores v there; it returns the
-// fault message if it cannot.
-func (m *machine) push(v int64) string {
+// halt ends the program with r0 as its exit value.
+func (m *machine) halt() stop {
+	m.exit = m.regs[isa.RegRet]
+	return stopHalt
+}
+
+// movi64 is the immediate of the movi64 at pc that does not fit the decode
+// table.
+func (m *machine) movi64(pc uint64) int64 {
+	return int64(binary.LittleEndian.Uint64(m.mem.text[pc-m.mem.textBase+2:]))
+}
+
+// divide is div (h == hDiv) and mod.
+func (m *machine) divide(h handler, x, y int64) (int64, bool) {
+	switch {
+	case y == 0 && h == hDiv:
+		m.msg = "division by zero"
+	case y == 0:
+		m.msg = "modulo by zero"
+	case h == hDiv:
+		return x / y, true
+	default:
+		return x % y, true
+	}
+	return 0, false
+}
+
+// load reads the word at addr: a load's, a pop's or a ret's.
+func (m *machine) load(addr uint64) (int64, bool) {
+	mem := &m.mem
+	b := word(mem.stack, addr-mem.stackBase)
+	if b == nil {
+		b = word(mem.data, addr-mem.dataBase)
+	}
+	if b == nil {
+		b = word(mem.rodata, addr-mem.rodataBase)
+	}
+	if b == nil {
+		// Jump tables may live inside text (data-in-code).
+		b = word(mem.text, addr-mem.textBase)
+	}
+	if b == nil {
+		m.msg = fmt.Sprintf("load from unmapped address %#x", addr)
+		return 0, false
+	}
+	return int64(binary.LittleEndian.Uint64(b)), true
+}
+
+// store writes the word at addr: a store's, or a push's or a call's.
+func (m *machine) store(addr uint64, v int64) bool {
+	mem := &m.mem
+	b := word(mem.stack, addr-mem.stackBase)
+	if b == nil {
+		b = word(mem.data, addr-mem.dataBase)
+	}
+	if b == nil {
+		m.msg = fmt.Sprintf("store to unmapped or read-only address %#x", addr)
+		return false
+	}
+	binary.LittleEndian.PutUint64(b, uint64(v))
+	return true
+}
+
+// push decrements the stack pointer and stores v there.
+func (m *machine) push(v int64) bool {
 	m.regs[isa.RegSP] -= 8
 	sp := uint64(m.regs[isa.RegSP])
 	if sp < m.mem.stackBase {
-		return "stack overflow"
+		m.msg = "stack overflow"
+		return false
 	}
-	if !m.mem.store64(sp, v) {
-		return fmt.Sprintf("store to unmapped or read-only address %#x", sp)
-	}
-	return ""
+	return m.store(sp, v)
 }
 
-// unwind walks the shadow call stack outward looking for a call site with a
-// landing pad. It returns the pad address, the SP and FP to restore (the
-// register state of the frame that owns the landing pad), and the new
-// stack depth.
-func (m *machine) unwind() (pad, sp uint64, fp int64, depth int, ok bool) {
+// throw walks the shadow call stack outward to the innermost call site
+// with a landing pad, restores the register state of the frame that owns
+// it, and returns the pad.
+func (m *machine) throw() (uint64, bool) {
 	for i := len(m.callStack) - 1; i >= 0; i-- {
 		fr := m.callStack[i]
-		if lp, found := m.lsda[fr.retAddr]; found {
-			return lp, fr.spBefore, fr.fpAtCall, i, true
+		if pad, found := m.lsda[fr.retAddr]; found {
+			m.callStack = m.callStack[:i]
+			m.regs[isa.RegSP] = int64(fr.spBefore)
+			// The CFI of §4.4 exists so the unwinder can restore the
+			// callee-saved frame pointer of the landing frame; the
+			// simulator applies that restoration directly.
+			m.regs[isa.RegFP] = fr.fpAtCall
+			return pad, true
 		}
 	}
-	return 0, 0, 0, 0, false
+	m.msg = "uncaught exception"
+	return 0, false
 }
 
 func sign(v int64) int64 {
