@@ -9,11 +9,12 @@
 //	wsc-sim -record prof.lbr -hosts 4 app.wb             # fleet: prof.lbr.0 .. prof.lbr.3
 //	wsc-sim -heatmap heat.csv app.wb                     # Fig 7 data
 //
-// -hosts N emulates fleet collection: the workload runs once per host
-// with a distinct LBR sampling phase (independently-timed production
-// machines observe different slices of the same execution), writing one
-// profile shard per host as <record>.<host>. Feed the shards to wsc-wpa
-// with repeated -profile flags, or to the fleet ingestion service.
+// -hosts N emulates fleet collection: each host samples the workload with
+// a distinct LBR phase (independently-timed production machines observe
+// different slices of the same execution), writing one profile shard per
+// host as <record>.<host>; one run samples every host's phase. Feed the
+// shards to wsc-wpa with repeated -profile flags, or to the fleet
+// ingestion service.
 package main
 
 import (
@@ -31,7 +32,7 @@ func main() {
 	var (
 		record    = flag.String("record", "", "write an LBR profile to this file")
 		lbrPeriod = flag.Uint64("lbr-period", 211, "instructions between LBR samples")
-		hosts     = flag.Int("hosts", 1, "fleet collection: run once per host (distinct LBR phases), writing <record>.<host> shards")
+		hosts     = flag.Int("hosts", 1, "fleet collection: sample as this many hosts (distinct LBR phases), writing <record>.<host> shards")
 		maxInsts  = flag.Uint64("max-insts", 2_000_000_000, "instruction budget")
 		heatOut   = flag.String("heatmap", "", "write a Fig-7 heat map CSV to this file")
 		heatASCII = flag.Bool("heatmap-ascii", false, "render the heat map as text")
@@ -70,7 +71,15 @@ func main() {
 		heat = heatmap.NewRecorder(bin.TextBase, int64(len(bin.Text)), 64, 100, *maxInsts/50)
 		cfg.Heatmap = heat
 	}
-	res, err := mach.Run(cfg)
+	var (
+		res    *sim.Result
+		shards []*profile.Profile
+	)
+	if *hosts > 1 {
+		res, shards, err = mach.RunGrids(cfg, *hosts)
+	} else {
+		res, err = mach.Run(cfg)
+	}
 	if err != nil {
 		fatalf("run failed: %v", err)
 	}
@@ -81,22 +90,8 @@ func main() {
 		c.ITLBMiss, c.STLBMiss, c.Baclears, c.TakenBranch, c.Mispredicts, c.DSBMiss)
 	if *record != "" {
 		if *hosts > 1 {
-			// Host 0's profile comes from the run above (phase 0); the
-			// remaining hosts re-run with shifted sampling phases.
-			writeShard(*record, 0, flag.Arg(0), res.Profile)
-			for h := 1; h < *hosts; h++ {
-				hostMach, err := sim.Load(bin)
-				if err != nil {
-					fatalf("%v", err)
-				}
-				hostCfg := cfg
-				hostCfg.Heatmap = nil
-				hostCfg.LBRPhase = uint64(h)
-				hres, err := hostMach.Run(hostCfg)
-				if err != nil {
-					fatalf("host %d run failed: %v", h, err)
-				}
-				writeShard(*record, h, flag.Arg(0), hres.Profile)
+			for h, prof := range shards {
+				writeShard(*record, h, flag.Arg(0), prof)
 			}
 		} else {
 			f, err := os.Create(*record)

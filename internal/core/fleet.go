@@ -12,10 +12,10 @@ import (
 )
 
 // FleetOptions switch Phase 3's profiling half from one training run to
-// fleet-scale collection (§2, §3.1): Hosts simulated machines each run the
-// workload with a distinct LBR sampling phase and stream their sample
-// batches through the fleetprof transport into a sharded ingestion
-// service; the merged fleet profile then feeds the whole-program analysis.
+// fleet-scale collection (§2, §3.1): Hosts simulated machines each sample
+// the workload with a distinct LBR phase and stream their sample batches
+// through the fleetprof transport into a sharded ingestion service; the
+// merged fleet profile then feeds the whole-program analysis.
 type FleetOptions struct {
 	// Hosts is the number of simulated collector machines (default 4).
 	Hosts int
@@ -44,27 +44,31 @@ func (f FleetOptions) hosts() int {
 	return f.Hosts
 }
 
-// CollectFleetProfile is the fleet-mode Phase 3 front half: run the
+// CollectFleetProfile is the fleet-mode Phase 3 front half: profile the
 // metadata binary on every simulated host (distinct LBR phases), ship the
 // per-host samples through the fleetprof pipeline, and return the merged
-// profile. Host 0's run doubles as the training run whose cache-miss
-// profile feeds §3.5. The returned stats carry the full ingestion
-// accounting, including any rejected or duplicated batches.
+// profile. The returned stats carry the full ingestion accounting,
+// including any rejected or duplicated batches.
 //
-// The returned run is host 0's, without a profile: its samples went to the
-// collector. With trackMisses, host 0 alone drives the timing model and
-// holds cycles, counters and LoadMisses; every other run, and host 0's
-// without trackMisses, is functional (CollectProfile).
+// The hosts run one program on one input and differ only in their
+// sampling phase, so a single run serves them all: one Program.Run on the
+// calling goroutine samples every host's grid (sim.Config.OnGridSample)
+// and pushes each sample into that host's collector Feed, which batches
+// and ships it while the run goes on. Nothing is materialized per host.
+// The merged profile and every modeled stat are what one run per host
+// gives; but a host whose shard queue is full now stalls the run, and so
+// every host, for its backoff.
+//
+// The returned run is that one run, without a profile: its samples went
+// to the collectors. It is functional (CollectProfile) unless trackMisses
+// asks for the §3.5 cache-miss profile, when it drives the timing model
+// and holds cycles, counters and LoadMisses.
 func CollectFleetProfile(bin *objfile.Binary, spec RunSpec, fo FleetOptions, trackMisses bool) (*profile.Profile, *sim.Result, fleetprof.IngestStats, error) {
 	hosts := fo.hosts()
-	// One shared Program: the decode table is safe for concurrent runs,
-	// so every host runs off the same decoded text instead of decoding it
-	// per host.
 	prog, err := sim.Load(bin)
 	if err != nil {
 		return nil, nil, fleetprof.IngestStats{}, err
 	}
-	results := make([]*sim.Result, hosts)
 	svc := fleetprof.NewService(fleetprof.ServiceConfig{
 		Shards:          fo.Shards,
 		WorkersPerShard: fo.WorkersPerShard,
@@ -74,30 +78,26 @@ func CollectFleetProfile(bin *objfile.Binary, spec RunSpec, fo FleetOptions, tra
 	if fo.OnService != nil {
 		fo.OnService(svc)
 	}
-	collectors := make([]*fleetprof.Collector, hosts)
-	for h := 0; h < hosts; h++ {
-		cfg := spec.samplingConfig(trackMisses && h == 0)
-		cfg.LBRPhase = uint64(h)
-		collectors[h] = &fleetprof.Collector{
-			Host:         h,
-			BatchSamples: fo.BatchSamples,
-			// The collector consumes samples on the simulation goroutine
-			// as they are taken, so batches reach the service's shards
-			// while the host is still executing.
-			Source: &hostSource{
-				prog: prog,
-				cfg:  cfg,
-				hdr:  profile.Header{Binary: "pm", BuildID: bin.BuildID, Period: spec.lbrPeriod()},
-				host: h,
-				res:  &results[h],
-			},
-		}
+	t := fleetprof.Transport{LossRate: fo.LossRate, DupRate: fo.DupRate, Seed: fo.Seed}
+	hdr := profile.Header{Binary: "pm", BuildID: bin.BuildID, Period: spec.lbrPeriod()}
+	feeds := make([]*fleetprof.Feed, hosts)
+	for h := range feeds {
+		c := &fleetprof.Collector{Host: h, BatchSamples: fo.BatchSamples}
+		feeds[h] = c.Open(t, svc, hdr)
 	}
-	st, err := fleetprof.RunFleet(collectors, fleetprof.Transport{
-		LossRate: fo.LossRate,
-		DupRate:  fo.DupRate,
-		Seed:     fo.Seed,
-	}, svc)
+	cfg := spec.samplingConfig(trackMisses)
+	cfg.LBRGrids = hosts
+	cfg.OnGridSample = func(h int, s profile.Sample) error { return feeds[h].Add(s) }
+	run, err := prog.Run(cfg)
+	stats := make([]fleetprof.CollectorStats, hosts)
+	for h, f := range feeds {
+		if err != nil {
+			stats[h] = f.Stats() // a failed stream ships no final window
+			continue
+		}
+		stats[h], err = f.Close()
+	}
+	st := svc.Finish(stats)
 	if err != nil {
 		return nil, nil, st, fmt.Errorf("core: fleet collection failed: %w", err)
 	}
@@ -122,32 +122,7 @@ func CollectFleetProfile(bin *objfile.Binary, spec RunSpec, fo FleetOptions, tra
 	if err != nil {
 		return nil, nil, st, err
 	}
-	return merged, results[0], st, nil
-}
-
-// hostSource streams one simulated host's LBR samples out of the running
-// simulation into its collector: sim.Config.OnSample is the collector's
-// emit callback, so sampling, batching and delivery all happen on the
-// host's goroutine with zero intermediate materialization.
-type hostSource struct {
-	prog *sim.Program
-	cfg  sim.Config
-	hdr  profile.Header
-	host int
-	res  **sim.Result
-}
-
-func (s *hostSource) Header() profile.Header { return s.hdr }
-
-func (s *hostSource) Samples(emit func(profile.Sample) error) error {
-	cfg := s.cfg
-	cfg.OnSample = emit
-	res, err := s.prog.Run(cfg)
-	if err != nil {
-		return fmt.Errorf("core: fleet host %d run failed: %w", s.host, err)
-	}
-	*s.res = res
-	return nil
+	return merged, run, st, nil
 }
 
 // AnalyzeStreamed is Analyze: the fleet's merged profile is in memory too.

@@ -6,12 +6,15 @@ package core_test
 
 import (
 	"bytes"
+	"fmt"
+	"reflect"
 	"testing"
 
 	"propeller/internal/core"
 	"propeller/internal/fleetprof"
 	"propeller/internal/layoutfile"
 	"propeller/internal/objfile"
+	"propeller/internal/profile"
 	"propeller/internal/sim"
 	"propeller/internal/workload"
 )
@@ -91,42 +94,94 @@ func TestCollectProfileMatchesModeledRun(t *testing.T) {
 	}
 }
 
-// TestCollectFleetProfileMatchesModeledHosts: the merged profile of two
-// functional hosts is the one the ingestion service merges from two
-// modeled runs at the same LBR phases.
+// perHostCollection is fleet collection as it was before one run served
+// every host: a modeled run per host at LBR phase h (with the miss profile
+// on host 0's when trackMisses), each host's stored samples replayed
+// through its own collector into a service sized by fo. It returns the
+// merged profile's bytes, the ingestion stats and host 0's run.
+func perHostCollection(t *testing.T, bin *objfile.Binary, spec core.RunSpec, fo core.FleetOptions, trackMisses bool) ([]byte, fleetprof.IngestStats, *sim.Result) {
+	t.Helper()
+	svc := fleetprof.NewService(fleetprof.ServiceConfig{Shards: fo.Shards, WorkersPerShard: fo.WorkersPerShard, QueueDepth: fo.QueueDepth, BuildID: bin.BuildID})
+	collectors := make([]*fleetprof.Collector, fo.Hosts)
+	var host0 *sim.Result
+	for h := range collectors {
+		res := modeledRun(t, bin, sim.Config{MaxInsts: spec.MaxInsts, LBRPeriod: spec.LBRPeriod, LBRPhase: uint64(h), TrackLoadMisses: trackMisses && h == 0})
+		res.Profile.Binary = "pm"
+		collectors[h] = &fleetprof.Collector{Host: h, BatchSamples: fo.BatchSamples, Source: fleetprof.ProfileSource{P: res.Profile}}
+		if h == 0 {
+			host0 = res
+		}
+	}
+	st, err := fleetprof.RunFleet(collectors, fleetprof.Transport{LossRate: fo.LossRate, DupRate: fo.DupRate, Seed: fo.Seed}, svc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	merged, err := svc.MergedProfile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(merged.Samples) == 0 {
+		t.Fatal("empty merged profile")
+	}
+	return merged.AppendWire(nil), st, host0
+}
+
+// modeledStats is st without the fields real scheduling moves: queue-full
+// rejects and retries, the queue high-water mark, backoff time, and
+// duplicates that vanish at a full queue.
+func modeledStats(st fleetprof.IngestStats) fleetprof.IngestStats {
+	st.QueueFullRejects, st.QueueHighWater, st.StallSeconds, st.RetriedSends, st.DuplicateBatches = 0, 0, 0, 0, 0
+	return st
+}
+
+// fleetCells are the host counts and transport faults shared and per-host
+// collection are held equal at. The queues are deep enough that no batch
+// is dropped, which would depend on scheduling.
+func fleetCells() []core.FleetOptions {
+	var out []core.FleetOptions
+	for _, hosts := range []int{1, 2, 3, 8} {
+		for _, loss := range []float64{0, 0.2} {
+			out = append(out, core.FleetOptions{Hosts: hosts, Shards: 2, WorkersPerShard: 2, QueueDepth: 4096,
+				LossRate: loss, DupRate: loss / 2, Seed: 5, BatchSamples: 32})
+		}
+	}
+	return out
+}
+
+// TestCollectFleetProfileMatchesModeledHosts: one shared functional run
+// feeding every host's collector gives the merged profile bytes, and every
+// modeled ingestion stat, that one modeled run per host gives, at hosts
+// {1, 2, 3, 8}, with and without loss and duplication.
 func TestCollectFleetProfileMatchesModeledHosts(t *testing.T) {
 	spec := core.RunSpec{MaxInsts: 400_000_000, LBRPeriod: 211}
-	const hosts = 2
 	for name, bin := range profilingShapes(t) {
-		svc := fleetprof.NewService(fleetprof.ServiceConfig{BuildID: bin.BuildID})
-		collectors := make([]*fleetprof.Collector, hosts)
-		for h := range collectors {
-			res := modeledRun(t, bin, sim.Config{MaxInsts: spec.MaxInsts, LBRPeriod: spec.LBRPeriod, LBRPhase: uint64(h)})
-			res.Profile.Binary = "pm"
-			collectors[h] = &fleetprof.Collector{Host: h, Source: fleetprof.ProfileSource{P: res.Profile}}
-		}
-		if _, err := fleetprof.RunFleet(collectors, fleetprof.Transport{}, svc); err != nil {
-			t.Fatal(err)
-		}
-		want, err := svc.MergedProfile()
-		if err != nil {
-			t.Fatal(err)
-		}
-
-		got, _, _, err := core.CollectFleetProfile(bin, spec, core.FleetOptions{Hosts: hosts}, false)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(want.Samples) == 0 || !bytes.Equal(got.AppendWire(nil), want.AppendWire(nil)) {
-			t.Errorf("%s: merged profile of functional hosts differs from the modeled hosts' (%d and %d samples)", name, len(got.Samples), len(want.Samples))
+		for _, fo := range fleetCells() {
+			want, wantSt, _ := perHostCollection(t, bin, spec, fo, false)
+			got, run, st, err := core.CollectFleetProfile(bin, spec, fo, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got.AppendWire(nil), want) {
+				t.Errorf("%s hosts=%d loss=%g: merged profile of the shared run differs from the per-host runs'", name, fo.Hosts, fo.LossRate)
+			}
+			if !reflect.DeepEqual(modeledStats(st), modeledStats(wantSt)) {
+				t.Errorf("%s hosts=%d loss=%g: stats %+v, per-host %+v", name, fo.Hosts, fo.LossRate, modeledStats(st), modeledStats(wantSt))
+			}
+			if fo.LossRate > 0 && st.LostDeliveries == 0 {
+				t.Errorf("%s hosts=%d: no delivery lost at loss %g", name, fo.Hosts, fo.LossRate)
+			}
+			if run.Cycles != run.Insts || run.Profile != nil {
+				t.Errorf("%s: the shared run is not functional or kept a profile", name)
+			}
 		}
 	}
 }
 
-// TestFleetMixedModeHosts: with trackMisses, host 0 runs modeled and the
-// other hosts functional, all on one shared Program. The merged profile and
-// the layout it yields are those of an all-functional collection, and host
-// 0's run holds the miss profile.
+// TestFleetMixedModeHosts: with trackMisses, the shared run drives the
+// timing model. It is host 0's modeled run with the miss profile (cycles,
+// counters, LoadMisses), and the merged profile, the modeled stats and the
+// layout they yield are those of per-host collection with host 0 modeled,
+// and of an all-functional shared collection.
 func TestFleetMixedModeHosts(t *testing.T) {
 	prog, err := workload.Generate(workload.Tiny())
 	if err != nil {
@@ -137,12 +192,7 @@ func TestFleetMixedModeHosts(t *testing.T) {
 		t.Fatal(err)
 	}
 	spec := core.RunSpec{MaxInsts: 400_000_000, LBRPeriod: 211}
-	fo := core.FleetOptions{Hosts: 3, Shards: 2, WorkersPerShard: 2}
-	collect := func(trackMisses bool) (wire, layout []byte, train *sim.Result) {
-		merged, train, _, err := core.CollectFleetProfile(meta.Binary, spec, fo, trackMisses)
-		if err != nil {
-			t.Fatal(err)
-		}
+	layout := func(merged *profile.Profile) []byte {
 		wres, err := core.Analyze(meta.Binary, merged, core.Options{})
 		if err != nil {
 			t.Fatal(err)
@@ -154,20 +204,32 @@ func TestFleetMixedModeHosts(t *testing.T) {
 		if err := layoutfile.WriteOrder(&buf, wres.Order); err != nil {
 			t.Fatal(err)
 		}
-		return merged.AppendWire(nil), buf.Bytes(), train
+		return buf.Bytes()
 	}
-	mixedWire, mixedLayout, host0 := collect(true)
-	wire, layout, functional := collect(false)
-	if !bytes.Equal(mixedWire, wire) {
-		t.Error("the merged profile depends on which hosts ran the timing model")
-	}
-	if len(layout) == 0 || !bytes.Equal(mixedLayout, layout) {
-		t.Error("the layout depends on which hosts ran the timing model")
-	}
-	if len(host0.LoadMisses) == 0 || host0.Cycles <= host0.Insts {
-		t.Errorf("host 0 tracked misses but reports %d missing loads, %d cycles for %d instructions", len(host0.LoadMisses), host0.Cycles, host0.Insts)
-	}
-	if functional.Cycles != functional.Insts || functional.Exit != host0.Exit {
-		t.Errorf("functional host 0: %d cycles for %d instructions, exit %d; modeled exit %d", functional.Cycles, functional.Insts, functional.Exit, host0.Exit)
+	for _, fo := range fleetCells() {
+		name := fmt.Sprintf("hosts=%d loss=%g", fo.Hosts, fo.LossRate)
+		want, wantSt, host0 := perHostCollection(t, meta.Binary, spec, fo, true)
+		mixed, train, st, err := core.CollectFleetProfile(meta.Binary, spec, fo, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		functional, _, _, err := core.CollectFleetProfile(meta.Binary, spec, fo, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(mixed.AppendWire(nil), want) || !bytes.Equal(functional.AppendWire(nil), want) {
+			t.Errorf("%s: the merged profile depends on which runs drove the timing model", name)
+		}
+		if !reflect.DeepEqual(modeledStats(st), modeledStats(wantSt)) {
+			t.Errorf("%s: stats %+v, per-host %+v", name, modeledStats(st), modeledStats(wantSt))
+		}
+		if l := layout(mixed); len(l) == 0 || !bytes.Equal(l, layout(functional)) {
+			t.Errorf("%s: the layout depends on which runs drove the timing model", name)
+		}
+		if len(train.LoadMisses) == 0 || train.Cycles != host0.Cycles || train.Counters != host0.Counters ||
+			!reflect.DeepEqual(train.LoadMisses, host0.LoadMisses) || train.Exit != host0.Exit || train.Insts != host0.Insts {
+			t.Errorf("%s: the miss-tracking run (%d cycles, %d missing loads) is not host 0's modeled run (%d cycles, %d)",
+				name, train.Cycles, len(train.LoadMisses), host0.Cycles, len(host0.LoadMisses))
+		}
 	}
 }

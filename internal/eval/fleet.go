@@ -10,8 +10,6 @@ import (
 
 	"propeller/internal/core"
 	"propeller/internal/fleetprof"
-	"propeller/internal/par"
-	"propeller/internal/profile"
 	"propeller/internal/sim"
 	"propeller/internal/workload"
 )
@@ -84,11 +82,11 @@ func (r *FleetSweepResult) WriteBenchJSON(w io.Writer) error {
 }
 
 // FleetSweep runs the fleet ingestion scaling study: a small workload is
-// built with metadata once, each of maxHosts simulated machines profiles
-// it once (distinct LBR phases), and then every (hosts, shards, loss)
-// cell replays collection through a fresh ingestion service. Per-host
-// profiles are generated once and prefix-sliced per host count, so the
-// sweep isolates ingestion behavior from simulation cost.
+// built with metadata once, one run samples it for all of maxHosts
+// simulated machines (a grid per host, distinct LBR phases), and then every
+// (hosts, shards, loss) cell replays collection through a fresh ingestion
+// service. Per-host profiles are generated once and prefix-sliced per host
+// count, so the sweep isolates ingestion behavior from simulation cost.
 func FleetSweep() (*FleetSweepResult, error) {
 	prog, err := workload.Generate(workload.Tiny())
 	if err != nil {
@@ -101,30 +99,21 @@ func FleetSweep() (*FleetSweepResult, error) {
 	bin := meta.Binary
 	maxHosts := slices.Max(fleetSweepHosts)
 
-	// One shared Program: its decode table is safe for concurrent runs,
-	// so all hosts simulate off a single Load.
 	sprog, err := sim.Load(bin)
 	if err != nil {
 		return nil, err
 	}
-	profiles := make([]*profile.Profile, maxHosts)
-	err = par.Do(maxHosts, maxHosts, func(h int) error {
-		// Functional: only the samples are read (core.CollectProfile).
-		res, err := sprog.Run(sim.Config{
-			MaxInsts:     fleetSweepTrainInsts,
-			LBRPeriod:    fleetSweepLBRPeriod,
-			LBRPhase:     uint64(h),
-			DisableUarch: true,
-		})
-		if err != nil {
-			return fmt.Errorf("eval: fleet host %d run failed: %w", h, err)
-		}
-		res.Profile.Binary = "pm"
-		profiles[h] = res.Profile
-		return nil
-	})
+	// Functional: only the samples are read (core.CollectProfile).
+	_, profiles, err := sprog.RunGrids(sim.Config{
+		MaxInsts:     fleetSweepTrainInsts,
+		LBRPeriod:    fleetSweepLBRPeriod,
+		DisableUarch: true,
+	}, maxHosts)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("eval: fleet hosts' run failed: %w", err)
+	}
+	for _, p := range profiles {
+		p.Binary = "pm"
 	}
 
 	res := &FleetSweepResult{Hosts: fleetSweepHosts, Shards: fleetSweepShards, LossRates: fleetSweepLossRates, BuildID: bin.BuildID}

@@ -85,11 +85,11 @@ func hashFrac(h uint64) float64 {
 	return float64(h>>11) / float64(1<<53)
 }
 
-// SampleSource supplies one host's sample stream to its collector. The
-// two implementations are stored samples (ProfileSource) and a live
-// simulation pushing samples from its run callback, which overlaps host
-// CPU with the ingestion pipeline. Record slices passed to emit are only
-// read during the call; the collector copies what it batches.
+// SampleSource supplies one host's sample stream to its collector's Run:
+// stored samples (ProfileSource), or anything else that drives emit. (A
+// live simulation instead pushes into the host's Feed from its sample
+// callback.) Record slices passed to emit are only read during the call;
+// the collector copies what it batches.
 type SampleSource interface {
 	// Header returns the stream's profile metadata, known before any
 	// sample; its Samples count is ignored.
@@ -125,12 +125,12 @@ type Collector struct {
 	// Host is this collector's fleet-unique identity; with Seq it forms
 	// the idempotency key on every batch.
 	Host int
-	// Source supplies the host's sample stream: a live simulation that
-	// ships batches while it is still executing, or ProfileSource over
-	// stored samples. Batch identity ((host, seq) over consecutive
-	// BatchSamples-sized windows of the stream), the transport fault
-	// plan, and every modeled stat depend only on the stream, so the
-	// service's merged profile is byte-identical for either.
+	// Source supplies the host's sample stream to Run (Open does not read
+	// it). Batch identity ((host, seq) over consecutive BatchSamples-sized
+	// windows of the stream), the transport fault plan, and every modeled
+	// stat depend only on the stream, so the service's merged profile is
+	// byte-identical whether a stream comes from a Source or is pushed
+	// into a Feed while a simulation runs.
 	Source SampleSource
 	// BatchSamples is the number of samples per batch (default 64).
 	BatchSamples int
@@ -209,44 +209,49 @@ func (c *Collector) adaptAfterDrops() int {
 // budget: a batch the queue keeps rejecting is dropped (counted, never
 // silently) instead of hanging the host, and sustained drops double the
 // collector's downsampling so the stream thins to what the service can
-// absorb.
+// absorb. Run is Open, Source's samples fed to Add, and Close.
 func (c *Collector) Run(t Transport, svc *Service) (CollectorStats, error) {
-	st := CollectorStats{Downsample: 1}
 	src := c.Source
 	if src == nil {
-		return st, fmt.Errorf("fleetprof: collector host %d has no sample source", c.Host)
+		return CollectorStats{Downsample: 1}, fmt.Errorf("fleetprof: collector host %d has no sample source", c.Host)
 	}
+	f := c.Open(t, svc, src.Header())
+	if err := src.Samples(f.Add); err != nil {
+		return f.st, err
+	}
+	return f.Close()
+}
+
+// Open starts the collector's feed of a stream with header hdr (its
+// Samples count is ignored). Source is not read.
+func (c *Collector) Open(t Transport, svc *Service, hdr profile.Header) *Feed {
 	bs := c.batchSamples()
-	r := &collectorRun{
-		c: c, t: t, svc: svc, st: &st,
-		hdr:        src.Header(),
+	return &Feed{
+		c: c, t: t, svc: svc, st: CollectorStats{Downsample: 1},
+		hdr:        hdr,
 		bs:         bs,
 		window:     make([]profile.Sample, 0, bs),
 		windowRecs: make([]profile.Branch, 0, bs*profile.LBRDepth),
 	}
-	if err := src.Samples(r.add); err != nil {
-		return st, err
-	}
-	// Ship the final partial window; an empty stream still ships one
-	// empty batch so the host's presence registers with the service.
-	if len(r.window) > 0 || r.seq == 0 {
-		if err := r.ship(); err != nil {
-			return st, err
-		}
-	}
-	return st, nil
 }
 
-// collectorRun is the per-Run batching state: the current window of
-// samples (records copied into a reused flat buffer — emit slices are
-// only valid during the callback) and the reused encode buffers that make
-// the batch wire path allocation-free apart from the payload itself,
-// which must be owned by the in-flight batch.
-type collectorRun struct {
+// Feed is a collector's push-style intake: the producer of the host's
+// samples calls Add for each, in order, and Close at the end. One
+// producer can drive several hosts' feeds this way — fleet collection
+// feeds every host from one simulation — and each host's batches, fault
+// plan and stats are what Run of the same stream gives. A Feed is not
+// safe for concurrent use.
+//
+// It holds the current window of samples (records copied into a reused
+// flat buffer — a sample's records are only read during Add) and the
+// reused encode buffers that make the batch wire path allocation-free
+// apart from the payload itself, which must be owned by the in-flight
+// batch.
+type Feed struct {
 	c   *Collector
 	t   Transport
 	svc *Service
-	st  *CollectorStats
+	st  CollectorStats
 	hdr profile.Header
 	bs  int
 
@@ -259,70 +264,88 @@ type collectorRun struct {
 	consecDrops int
 }
 
-func (r *collectorRun) add(s profile.Sample) error {
-	l := len(r.windowRecs)
-	r.windowRecs = append(r.windowRecs, s.Records...)
+// Stats is the host's accounting so far: final after Close, and what a
+// failed stream leaves when it is abandoned without one.
+func (f *Feed) Stats() CollectorStats { return f.st }
+
+// Close ships the final partial window — an empty stream still ships one
+// empty batch, so the host's presence registers with the service — and
+// returns the host's stats.
+func (f *Feed) Close() (CollectorStats, error) {
+	if len(f.window) > 0 || f.seq == 0 {
+		if err := f.ship(); err != nil {
+			return f.st, err
+		}
+	}
+	return f.st, nil
+}
+
+// Add takes the stream's next sample, copying its records, and ships the
+// window when it is full.
+func (f *Feed) Add(s profile.Sample) error {
+	l := len(f.windowRecs)
+	f.windowRecs = append(f.windowRecs, s.Records...)
 	// If append moved the backing array, earlier window samples keep
 	// pointing into the old block — still intact, still correct.
-	r.window = append(r.window, profile.Sample{Records: r.windowRecs[l:len(r.windowRecs):len(r.windowRecs)]})
-	if len(r.window) == r.bs {
-		return r.ship()
+	f.window = append(f.window, profile.Sample{Records: f.windowRecs[l:len(f.windowRecs):len(f.windowRecs)]})
+	if len(f.window) == f.bs {
+		return f.ship()
 	}
 	return nil
 }
 
 // ship encodes and delivers the current window as batch (host, seq),
 // then resets the window; seq advances even for dropped batches.
-func (r *collectorRun) ship() error {
-	c, st := r.c, r.st
-	shipped := r.window
+func (f *Feed) ship() error {
+	c, st := f.c, &f.st
+	shipped := f.window
 	if st.Downsample > 1 {
-		r.thinBuf = thinAppend(r.thinBuf[:0], r.window, st.Downsample)
-		shipped = r.thinBuf
+		f.thinBuf = thinAppend(f.thinBuf[:0], f.window, st.Downsample)
+		shipped = f.thinBuf
 	}
 	chunk := profile.Profile{
-		Binary:  r.hdr.Binary,
-		BuildID: r.hdr.BuildID,
-		Period:  r.hdr.Period,
+		Binary:  f.hdr.Binary,
+		BuildID: f.hdr.BuildID,
+		Period:  f.hdr.Period,
 		Samples: shipped,
 	}
-	r.encBuf = chunk.AppendWire(r.encBuf[:0])
+	f.encBuf = chunk.AppendWire(f.encBuf[:0])
 	// The payload crosses into the service's queues and is decoded
 	// asynchronously, so it must own its bytes: one exact-size copy, the
 	// only per-batch allocation on the wire path.
-	payload := append([]byte(nil), r.encBuf...)
-	seq := r.seq
-	r.seq++
-	r.window = r.window[:0]
-	r.windowRecs = r.windowRecs[:0]
+	payload := append([]byte(nil), f.encBuf...)
+	seq := f.seq
+	f.seq++
+	f.window = f.window[:0]
+	f.windowRecs = f.windowRecs[:0]
 
-	lost, dup := r.t.plan(c.Host, seq)
+	lost, dup := f.t.plan(c.Host, seq)
 	st.Lost += int64(lost)
 	st.Retried += int64(lost)
 	attemptCost := SendLatencySeconds + float64(len(payload))*SendPerByteSeconds
 	st.ModeledSendSeconds += float64(lost+1)*attemptCost + float64(lost)*RetryTimeoutSeconds
 
-	dropped, err := c.deliver(r.svc, Batch{Host: c.Host, Seq: seq, Payload: payload}, st)
+	dropped, err := c.deliver(f.svc, Batch{Host: c.Host, Seq: seq, Payload: payload}, st)
 	if err != nil {
 		return err
 	}
 	if dropped {
 		st.Dropped++
-		r.consecDrops++
-		if r.consecDrops >= c.adaptAfterDrops() {
+		f.consecDrops++
+		if f.consecDrops >= c.adaptAfterDrops() {
 			st.Downsample *= 2
-			r.consecDrops = 0
+			f.consecDrops = 0
 		}
 		return nil
 	}
-	r.consecDrops = 0
+	f.consecDrops = 0
 	st.Sent++
 	if dup {
 		st.Dup++
 		// A network-duplicated copy: best-effort, never retried. If
 		// the queue is full the duplicate simply vanishes — the
 		// original already made it in.
-		_ = r.svc.Submit(Batch{Host: c.Host, Seq: seq, Payload: payload})
+		_ = f.svc.Submit(Batch{Host: c.Host, Seq: seq, Payload: payload})
 	}
 	return nil
 }
@@ -376,15 +399,22 @@ func RunFleet(collectors []*Collector, t Transport, svc *Service) (IngestStats, 
 		stats[i], err = collectors[i].Run(t, svc)
 		return err
 	})
-	// Fold in collector order, not completion order: the aggregate sums
-	// floats (ModeledSendSeconds), and float addition is order-dependent
-	// in the last ulp — folding as goroutines finish would make the
-	// modeled time irreproducible across runs.
-	for _, cs := range stats {
-		svc.foldClient(cs)
+	return svc.Finish(stats), err
+}
+
+// Finish folds each host's client-side stats into the service's, drains
+// the queues and returns the final stats: the end of RunFleet, and of any
+// caller that drives its hosts' Feeds itself. Stats fold in the order
+// given (host order), not completion order: the aggregate sums floats
+// (ModeledSendSeconds), and float addition is order-dependent in the last
+// ulp — folding as hosts finish would make the modeled time irreproducible
+// across runs.
+func (s *Service) Finish(hosts []CollectorStats) IngestStats {
+	for _, cs := range hosts {
+		s.foldClient(cs)
 	}
-	svc.Drain()
-	return svc.Stats(), err
+	s.Drain()
+	return s.Stats()
 }
 
 // ModeledMakespan is the modeled wall time of the fleet run at the given

@@ -2,6 +2,7 @@ package profsvc
 
 import (
 	"fmt"
+	"math/bits"
 
 	"propeller/internal/bbaddrmap"
 	"propeller/internal/fleetprof"
@@ -49,20 +50,74 @@ type AdmitReport struct {
 }
 
 // hotFuncs resolves the distinct function set touched by a profile's
-// records, sorted for determinism: one memoized lookup and one flag by
-// function index per address. Nil lookup resolves to nil.
+// records, sorted for determinism. The records name few distinct
+// addresses (loops revisit the same branch sites), so it collects them in
+// an addrSet first and resolves each address once. Nil lookup resolves to
+// nil.
 func hotFuncs(p *profile.Profile, lk *bbaddrmap.Lookup) []string {
 	if lk == nil || p == nil {
 		return nil
 	}
-	set := bbaddrmap.NewFuncSet(lk)
+	var addrs addrSet
 	for _, smp := range p.Samples {
 		for _, r := range smp.Records {
-			set.Add(r.From)
-			set.Add(r.To)
+			addrs.add(r.From)
+			addrs.add(r.To)
 		}
 	}
+	set := bbaddrmap.NewFuncSet(lk)
+	for _, a := range addrs.slots {
+		if a != 0 {
+			set.Add(a)
+		}
+	}
+	if addrs.zero {
+		set.Add(0)
+	}
 	return set.Names()
+}
+
+// addrSet is an open-addressing set of addresses: linear probing in a
+// power-of-two table kept at most half full, with 0 marking an empty slot
+// (address 0 itself is the zero flag).
+type addrSet struct {
+	slots []uint64
+	n     int
+	shift uint // 64 - log2(len(slots))
+	zero  bool
+}
+
+func (s *addrSet) add(a uint64) {
+	if a == 0 {
+		s.zero = true
+		return
+	}
+	if 2*(s.n+1) > len(s.slots) {
+		s.grow()
+	}
+	mask := uint64(len(s.slots) - 1)
+	for i := a * 0x9E3779B97F4A7C15 >> s.shift; ; i = (i + 1) & mask {
+		switch s.slots[i] {
+		case a:
+			return
+		case 0:
+			s.slots[i] = a
+			s.n++
+			return
+		}
+	}
+}
+
+// grow doubles the table (to 1 024 slots at first) and reinserts.
+func (s *addrSet) grow() {
+	old := s.slots
+	size := max(2*len(old), 1<<10)
+	s.slots, s.n, s.shift = make([]uint64, size), 0, uint(64-bits.TrailingZeros(uint(size)))
+	for _, a := range old {
+		if a != 0 {
+			s.add(a)
+		}
+	}
 }
 
 // Score evaluates the admission policy for one generation. epoch is the

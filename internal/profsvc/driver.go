@@ -33,7 +33,8 @@ type DriverConfig struct {
 	Seed            uint64
 	BatchSamples    int
 
-	// TrainInsts bounds each host's profiling run (default 20M);
+	// TrainInsts bounds the fleet's profiling run, which samples every
+	// host (default 20M);
 	// EvalInsts the candidate measurement runs (default 40M).
 	TrainInsts uint64
 	EvalInsts  uint64

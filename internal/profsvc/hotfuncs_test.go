@@ -79,6 +79,19 @@ func TestHotFuncsMatchesReference(t *testing.T) {
 	if got, want := hotFuncs(edges, testLookup()), referenceHotFuncs(edges, testLookup()); !slices.Equal(got, want) {
 		t.Errorf("map edges: hotFuncs = %v, reference %v", got, want)
 	}
+	// Address 0, which the address set holds apart from its empty slots,
+	// and enough distinct addresses to grow the set several times.
+	zero := bbaddrmap.NewLookup(&bbaddrmap.Map{Funcs: []bbaddrmap.FuncEntry{
+		{Name: "at0", Addr: 0, Blocks: []bbaddrmap.BlockEntry{{ID: 0, Offset: 0, Size: 4}}}, // only address 0 lands here
+		{Name: "f", Addr: 0x1000, Blocks: []bbaddrmap.BlockEntry{{ID: 0, Offset: 0, Size: 0x100}}},
+	}})
+	many := []uint64{0}
+	for a := uint64(0xF00); a < 0x4000; a += 3 {
+		many = append(many, a)
+	}
+	if got, want := hotFuncs(addrProf(2, many...), zero), referenceHotFuncs(addrProf(2, many...), zero); len(want) != 2 || !slices.Equal(got, want) {
+		t.Errorf("address 0 and %d distinct addresses: hotFuncs = %v, reference %v", len(many), got, want)
+	}
 	if got := hotFuncs(addrProf(1, 0x9000), testLookup()); got == nil || len(got) != 0 {
 		t.Errorf("no covered address: hotFuncs = %#v, want empty and non-nil (nil means no map)", got)
 	}

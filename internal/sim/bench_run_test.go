@@ -15,13 +15,16 @@ import (
 	"propeller/internal/workload"
 )
 
-// BenchmarkRun times the interpreter alone on three binaries — a call-heavy
-// one (Fib), a load/store/branch mix (Integrity) and the 505.mcf shape the
-// benchmark's profile-deep workload profiles, cut to about 5M instructions
-// — plain, sampled (modeled, streamed, and functional as Phase 3's
-// profiling runs go), functional, and in the block-trace checking mode;
-// Minst/s is the figure to compare. mcf's functional and lbr-functional
-// arms are the ones Phase 3's profiling run moves with.
+// BenchmarkRun times the interpreter alone on four binaries — a call-heavy
+// one (Fib), a load/store/branch mix (Integrity), the 505.mcf shape the
+// benchmark's profile-deep workload profiles, cut to about 5M instructions,
+// and the MySQL shape at the fleet-generation workload's 2 500 requests —
+// plain, sampled (modeled, streamed, and functional as Phase 3's profiling
+// runs go), functional, and in the block-trace checking mode; Minst/s is
+// the figure to compare. mcf's functional and lbr-functional arms are the
+// ones Phase 3's profiling run moves with; mysql/plain is the modeled
+// evaluation run the service loop makes of its baseline and of every
+// candidate.
 func BenchmarkRun(b *testing.B) {
 	progs := []struct {
 		name  string
@@ -29,7 +32,8 @@ func BenchmarkRun(b *testing.B) {
 	}{
 		{"fib", testprogBuild(testprog.Fib(24))},
 		{"integrity", testprogBuild(testprog.Integrity(200_000))},
-		{"mcf", mcfBuild},
+		{"mcf", shapeBuild(workload.SPECInt()[2], 9200)},
+		{"mysql", shapeBuild(workload.MySQL(), 2500)},
 	}
 	cfgs := []struct {
 		name string
@@ -87,18 +91,21 @@ func testprogBuild(mods ...*ir.Module) func(*testing.B) (*objfile.Binary, *objfi
 	}
 }
 
-// mcfBuild is profile-deep's program at 9 200 requests instead of 92 000:
-// its PM binary (the one Phase 3 profiles) serves every arm.
-func mcfBuild(b *testing.B) (*objfile.Binary, *objfile.Binary) {
-	spec := workload.SPECInt()[2]
-	spec.Requests = 9200
-	prog, err := workload.Generate(spec)
-	if err != nil {
-		b.Fatal(err)
+// shapeBuild builds a catalog shape at the given request count: its PM
+// binary (the one Phase 3 profiles and the service loop first deploys)
+// serves every arm. 505.mcf at 9 200 requests is profile-deep's program at
+// a tenth of its size.
+func shapeBuild(spec workload.Spec, requests int64) func(*testing.B) (*objfile.Binary, *objfile.Binary) {
+	return func(b *testing.B) (*objfile.Binary, *objfile.Binary) {
+		spec.Requests = requests
+		prog, err := workload.Generate(spec)
+		if err != nil {
+			b.Fatal(err)
+		}
+		pm, err := core.BuildWithMetadata(prog.Core, core.Options{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		return pm.Binary, pm.Binary
 	}
-	pm, err := core.BuildWithMetadata(prog.Core, core.Options{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	return pm.Binary, pm.Binary
 }

@@ -1,9 +1,9 @@
 package sim_test
 
-// Differential tests: the simulator — its window-stepped loop for modeled,
-// heat-map and trace runs and its page-stepped loop for functional ones —
-// against the reference interpreter in reference_test.go, compared on
-// everything a run returns.
+// Differential tests: the simulator — both of its page-stepped loops,
+// model for modeled, heat-map and trace runs and step for functional
+// ones — against the reference interpreter in reference_test.go, compared
+// on everything a run returns.
 
 import (
 	"errors"

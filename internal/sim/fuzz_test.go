@@ -8,8 +8,9 @@ import (
 )
 
 // FuzzRunMatchesReference runs arbitrary bytes as text from its first byte,
-// on a 16 KB stack, for at most 10 000 instructions: plain (modeled),
-// functional, and functional with a dense sample grid. Run must never
+// on a 16 KB stack, for at most 10 000 instructions through both loops:
+// modeled plain, with a dense sample grid and with the miss profile, and
+// functional plain and with the same grid. Run must never
 // panic; wherever the reference interpreter finishes without panicking
 // (it panics on an access within 8 bytes of 2^64, see reference_test.go),
 // the two outcomes must be equal. The seeds are the texts of the
@@ -22,6 +23,8 @@ func FuzzRunMatchesReference(f *testing.F) {
 	}
 	vs := []variant{
 		{name: "plain"},
+		{name: "lbr-7+3", cfg: sim.Config{LBRPeriod: 7, LBRPhase: 3}},
+		{name: "loadmisses", cfg: sim.Config{TrackLoadMisses: true}},
 		{name: "functional", cfg: sim.Config{DisableUarch: true}},
 		{name: "functional-lbr-7+3", cfg: sim.Config{DisableUarch: true, LBRPeriod: 7, LBRPhase: 3}},
 	}

@@ -6,10 +6,10 @@ package sim
 // a 64-bit modulo per instruction for the sample grid, slice-of-slice
 // caches indexed by %. Only identifiers are renamed (ref*). It exists so
 // the differential tests in differential_test.go and the fuzz target in
-// fuzz_test.go can hold both of the production simulator's loops (by fetch
-// window for modeled runs, by page for functional ones) to
-// "bit-identical": it is the oracle, never an alternative mode, which is
-// why it lives in a _test.go file.
+// fuzz_test.go can hold both of the production simulator's loops (model for modeled runs, step for
+// functional ones, each stepping by decoded page) to "bit-identical": it
+// is the oracle, never an alternative mode, which is why it lives in a
+// _test.go file.
 //
 // It keeps the old interpreter's one known defect on purpose: an access
 // within 8 bytes of 2^64 panics (addr+8 wraps) instead of faulting, so the

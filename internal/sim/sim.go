@@ -49,6 +49,21 @@ type Config struct {
 	// non-nil error aborts the run and is returned from Run unchanged.
 	OnSample func(profile.Sample) error
 
+	// LBRGrids and OnGridSample, when OnGridSample is non-nil (and
+	// LBRPeriod > 0), sample LBRGrids grids (at least one) in one run, in
+	// place of OnSample and Result.Profile: grid h samples wherever
+	// (retired + LBRPhase + h) is a multiple of LBRPeriod, so each grid
+	// sees what a run with LBRPhase+h alone would. Fleet collection feeds
+	// every simulated host from one execution this way, since only the
+	// sampling phase tells the hosts apart. Where grids share a sampling
+	// point they get the same snapshot, in ascending grid order. The
+	// records are reused between calls, are only valid during the
+	// callback and must not be written; a non-nil error aborts the run
+	// and is returned from Run unchanged. LBRGrids above 1 without
+	// OnGridSample is an error.
+	LBRGrids     int
+	OnGridSample func(grid int, s profile.Sample) error
+
 	// OnBatch, when non-nil (with LBRPeriod > 0 and no OnSample), is handed
 	// Result.Profile's samples while the run is still taking them: each
 	// call passes the next run of Profile.Samples, in order and without a
@@ -90,6 +105,8 @@ type Config struct {
 	// Result.BlockTrace. Layout moves blocks but must never change which
 	// run or in what order, so every layout of one program on one input
 	// gives one hash. The mode takes the slow step on every instruction.
+	// With DisableUarch, a heat-map or trace run still drives the timing
+	// model (it takes the modeled loop) and only reports no timing.
 	TraceBlocks *bbaddrmap.Lookup
 }
 
@@ -384,15 +401,22 @@ type machine struct {
 	heat      *heatmap.Recorder // nil unless Config.Heatmap
 	trace     *blockTrace       // nil unless Config.TraceBlocks
 	watch     bool              // heat or trace: every instruction takes the slow step
+	timeless  bool              // watch with DisableUarch: u is driven only to take model, and dropped
 
-	loadMisses map[uint64]uint64 // nil unless Config.TrackLoadMisses
+	// winEnd is model's fetch window between its calls: the end of the
+	// window of the last instruction the fetch model saw, or 0 when the
+	// next instruction must be fetched (after a taken transfer, at the
+	// start of the run, and always under a heat map or a block trace).
+	winEnd uint64
+
+	loadMisses map[uint64]uint64 // nil unless Config.TrackLoadMisses drives a real model
 	lsda       map[uint64]uint64
 
 	exit int64  // r0 at halt
-	msg  string // why exec or step returned stopFault
+	msg  string // why model or step returned stopFault
 }
 
-// stop says why exec or step returned.
+// stop says why model or step returned.
 type stop uint8
 
 const (
@@ -409,24 +433,29 @@ const (
 // the run needs. Both return here when control leaves the page, when the
 // countdown to the next sample or the end of the budget runs out, and when
 // the run halts or faults; Run takes the sample, ends the run or looks up
-// the next page.
+// the next page. Both keep pc, the countdown and the flags in locals,
+// follow direct and returning transfers within the page, and run out of
+// line (in rare) every instruction they do not spell out.
 //
 // A run that models nothing per fetch (no timing model, heat map or block
-// trace) takes step, which executes the page instruction by instruction
-// with its state in locals: there is nothing to see at a fetch window, so
-// nothing distinguishes one from the next.
+// trace) takes step: there is nothing to see at a fetch window, so every
+// instruction is one dispatch.
 //
-// Every other run takes exec, which steps by fetch window. A slow step is
-// taken for the first instruction of every 32-byte window the run enters,
-// for an instruction that extends past its window, and after every taken
-// transfer (for every instruction, under a heat map or a block trace): it
-// runs the fetch model, the heat map and the block trace. Every other
-// instruction is a fast step: load the decoded entry, dispatch, execute.
-// That is exact because the fetch model can only change state at those
-// points (see uarch.fetch), the instruction-side model and everything an
-// instruction itself touches are disjoint, and cycles are additive, so the
-// per-instruction base cycle is added from the instruction count at the
-// end.
+// Every other run takes model, which also keeps the end of the last
+// fetched 32-byte window in a local. Only an instruction that is not
+// wholly inside that window — the first of a window, one that extends
+// past it, and any after a taken transfer (every one, under a heat map or
+// a block trace) — takes the slow step, the out-of-line call that runs the
+// fetch model, the heat map and the block trace. That is exact because the
+// fetch model can only change state at those points (see uarch.fetch),
+// the instruction-side model and everything an instruction itself touches
+// are disjoint, and cycles are additive, so the per-instruction base cycle
+// is added from the instruction count at the end. The branch, return and
+// data-cache models' common cases (a BTB hit, the gshare update, an L1d
+// hit on the most recent way) are inline; their misses are calls.
+//
+// With OnGridSample, one run serves every grid: a sampling point is due
+// when any grid's is, and the snapshot goes to each grid due there.
 func (p *Program) Run(cfg Config) (*Result, error) {
 	maxInsts := cfg.MaxInsts
 	if maxInsts == 0 {
@@ -435,6 +464,9 @@ func (p *Program) Run(cfg Config) (*Result, error) {
 	stackSize := cfg.StackSize
 	if stackSize == 0 {
 		stackSize = DefaultStackSize
+	}
+	if cfg.LBRGrids > 1 && cfg.OnGridSample == nil {
+		return nil, fmt.Errorf("sim: %d sampling grids need OnGridSample", cfg.LBRGrids)
 	}
 	bin := p.bin
 
@@ -455,30 +487,59 @@ func (p *Program) Run(cfg Config) (*Result, error) {
 	m.regs[isa.RegArg2] = cfg.Args[2]
 	m.regs[isa.RegArg3] = cfg.Args[3]
 	m.regs[isa.RegSP] = int64(StackTop)
-	if !cfg.DisableUarch {
-		m.u = newUarch(bin.HugePages)
-	}
-	if cfg.TrackLoadMisses {
-		m.loadMisses = map[uint64]uint64{}
-	}
 	if cfg.TraceBlocks != nil {
 		m.trace = newBlockTrace(cfg.TraceBlocks)
 	}
 	m.watch = m.heat != nil || m.trace != nil
-	functional := m.u == nil && !m.watch
-	res := &Result{LoadMisses: m.loadMisses}
+	res := &Result{}
+	if cfg.TrackLoadMisses {
+		res.LoadMisses = map[uint64]uint64{}
+	}
+	if !cfg.DisableUarch || m.watch {
+		// A heat-map or trace run takes model, which needs a model to
+		// drive; with DisableUarch its output is dropped below.
+		m.u = newUarch(bin.HugePages)
+		if m.timeless = cfg.DisableUarch; !m.timeless {
+			m.loadMisses = res.LoadMisses
+		}
+	}
+	functional := m.u == nil
 
 	// Sampling has one site in the loop. A sample goes to the caller's
-	// OnSample through sampleBuf, or straight from the ring into the arena
+	// callback through sampleBuf, or straight from the ring into the arena
 	// that fills Result.Profile.
+	//
+	// With g = min(grids, period) distinct grids modulo the period, the
+	// retired counts at which some grid samples are those whose
+	// q = (retired + LBRPhase + g - 1) mod period is below g, and grid
+	// g-1-q is the first due there (the others are it plus multiples of
+	// the period). The due count advances by one while q stays below g,
+	// and otherwise to the next count whose q is 0.
 	var sampleBuf [profile.LBRDepth]profile.Branch
 	var sink *arenaSink
+	onSample := cfg.OnGridSample
+	period := cfg.LBRPeriod
+	grids, g, q := uint64(1), uint64(1), uint64(0)
 	nextSample := ^uint64(0) // retired count at which the next sample is due
-	if cfg.LBRPeriod > 0 {
-		nextSample = cfg.LBRPeriod - cfg.LBRPhase%cfg.LBRPeriod
-		if cfg.OnSample == nil {
-			res.Profile = &profile.Profile{Period: cfg.LBRPeriod, BuildID: bin.BuildID}
+	if period > 0 {
+		switch {
+		case onSample != nil:
+			grids = uint64(max(cfg.LBRGrids, 1))
+		case cfg.OnSample != nil:
+			onSample = func(_ int, s profile.Sample) error { return cfg.OnSample(s) }
+		default:
+			res.Profile = &profile.Profile{Period: period, BuildID: bin.BuildID}
 			sink = &arenaSink{prof: res.Profile, onBatch: cfg.OnBatch}
+		}
+		g = min(grids, period)
+		// q of the first instruction, written so that nothing wraps.
+		if ph := cfg.LBRPhase % period; g >= period-ph {
+			q = g - (period - ph)
+		} else {
+			q = ph + g
+		}
+		if nextSample = 1; q >= g {
+			nextSample, q = 1+period-q, 0
 		}
 	}
 
@@ -497,14 +558,16 @@ func (p *Program) Run(cfg Config) (*Result, error) {
 			if limit == nextSample {
 				if sink != nil {
 					sink.take(&m.lbr)
-				} else {
-					recs := sampleBuf[:m.lbr.count()]
-					m.lbr.snapshotInto(recs)
-					if err = cfg.OnSample(profile.Sample{Records: recs}); err != nil {
-						break
-					}
+				} else if err = m.emit(onSample, sampleBuf[:m.lbr.count()], g-1-q, grids, period); err != nil {
+					break
 				}
-				if nextSample += cfg.LBRPeriod; nextSample < cfg.LBRPeriod {
+				prev := nextSample
+				if q+1 < g {
+					nextSample, q = nextSample+1, q+1
+				} else {
+					nextSample, q = nextSample+period-q, 0
+				}
+				if nextSample < prev {
 					nextSample = ^uint64(0)
 				}
 			}
@@ -527,7 +590,7 @@ func (p *Program) Run(cfg Config) (*Result, error) {
 		if functional {
 			pc, left, why = m.step(pg, pc, left)
 		} else {
-			pc, left, why = m.exec(pg, pc, left, limit)
+			pc, left, why = m.model(pg, pc, left, limit)
 		}
 		if why != stopLeave {
 			break
@@ -542,7 +605,7 @@ func (p *Program) Run(cfg Config) (*Result, error) {
 	res.Exit = m.exit
 	res.Insts = limit - left
 	res.Cycles = res.Insts
-	if u := m.u; u != nil {
+	if u := m.u; u != nil && !m.timeless {
 		res.Counters = u.c
 		res.Cycles += u.cycles
 	}
@@ -561,20 +624,56 @@ func (p *Program) Run(cfg Config) (*Result, error) {
 	return res, nil
 }
 
+// RunGrids is Run with grids sampling grids (Config.LBRGrids) whose
+// samples are materialized, each grid's into its own profile: profile h is
+// the Result.Profile a run at phase LBRPhase+h alone would return. cfg's
+// OnSample, OnGridSample and OnBatch are not used.
+func (p *Program) RunGrids(cfg Config, grids int) (*Result, []*profile.Profile, error) {
+	profs := make([]*profile.Profile, grids)
+	arenas := make([]sampleArena, grids)
+	for h := range profs {
+		profs[h] = &profile.Profile{Period: cfg.LBRPeriod, BuildID: p.bin.BuildID}
+	}
+	cfg.OnSample, cfg.OnBatch, cfg.LBRGrids = nil, nil, grids
+	cfg.OnGridSample = func(h int, s profile.Sample) error {
+		recs := arenas[h].alloc(len(s.Records))
+		copy(recs, s.Records)
+		profs[h].Samples = append(profs[h].Samples, profile.Sample{Records: recs})
+		return nil
+	}
+	res, err := p.Run(cfg)
+	return res, profs, err
+}
+
+// emit snapshots the ring into recs and hands it to onSample once for each
+// grid due: first, first+period, ... below grids.
+func (m *machine) emit(onSample func(int, profile.Sample) error, recs []profile.Branch, first, grids, period uint64) error {
+	m.lbr.snapshotInto(recs)
+	s := profile.Sample{Records: recs}
+	for h := first; ; h += period {
+		if err := onSample(int(h), s); err != nil {
+			return err
+		}
+		if grids-h <= period {
+			return nil
+		}
+	}
+}
+
 // step runs a functional run from pc, an address in decoded page pg, until
 // control leaves the page, the left instructions due before Run has to look
 // again are retired, or the run ends. It returns the next pc and what
 // remains of left; on stopFault, the pc that faulted.
 //
-// It is exec without the per-fetch hooks, and exact for that reason: with
-// no timing model, heat map or block trace, entering a fetch window changes
+// It is model without the timing model, and exact for that reason: with no
+// timing model, heat map or block trace, entering a fetch window changes
 // nothing, so every instruction is one dispatch. Its state stays in locals
 // and its common cases make no call: ALU ops, compares, jumps and
 // conditional branches, and push, pop, call and ret while their stack slot
 // (and, for a call, the shadow call stack's capacity) is there. Everything
-// else goes through rare, the one call site, which runs the same machine
-// methods exec does. A transfer whose target is in the same page records
-// its LBR entry and carries on; leaving the page returns to Run.
+// else goes through rare, the one call site. A transfer whose target is in
+// the same page records its LBR entry and carries on; leaving the page
+// returns to Run.
 func (m *machine) step(pg *page, pc, left uint64) (uint64, uint64, stop) {
 	regs := &m.regs
 	flags := m.flags
@@ -696,13 +795,15 @@ func (m *machine) step(pg *page, pc, left uint64) (uint64, uint64, stop) {
 	return pc, left, stopLeave
 }
 
-// rare executes, for step, the instruction at pc in decoded page pg, with
-// left the countdown after it: every kind step does not spell out, and a
-// push, pop, call or ret whose fast path does not apply. It returns the
-// next pc and the countdown, records the LBR entry of a taken transfer, and
-// says stopNone when step carries on in the same page.
+// rare executes, for step and model, the instruction at pc in decoded page
+// pg, with left the countdown after it: every kind the loop does not spell
+// out, and a push, pop, call or ret (and in model a load or store) whose
+// inline path does not apply. It returns the next pc and the countdown, records the LBR
+// entry of a taken transfer, and says stopNone when the loop carries on in
+// the same page. In a modeled run it also drives the timing model, and
+// after a taken transfer clears winEnd so that model fetches next.
 func (m *machine) rare(pg *page, pc, left uint64) (uint64, uint64, stop) {
-	regs, ci := &m.regs, &pg[pc&pageMask]
+	regs, ci, u := &m.regs, &pg[pc&pageMask], m.u
 	next := pc + uint64(ci.size)
 	a, b, imm := ci.a&(isa.NumRegs-1), ci.b&(isa.NumRegs-1), int64(ci.imm)
 	ok := true
@@ -721,12 +822,20 @@ func (m *machine) rare(pg *page, pc, left uint64) (uint64, uint64, stop) {
 			regs[a] = v
 		}
 	case hLoad:
+		addr := uint64(regs[a] + imm)
 		var v int64
-		if v, ok = m.load(uint64(regs[a] + imm)); ok {
+		if v, ok = m.load(addr); ok {
 			regs[b] = v
+			if u != nil {
+				u.c.Loads++
+				m.dataMiss(pc, addr, true)
+			}
 		}
 	case hStore:
-		ok = m.store(uint64(regs[a]+imm), regs[b])
+		addr := uint64(regs[a] + imm)
+		if ok = m.store(addr, regs[b]); ok && u != nil {
+			m.dataMiss(pc, addr, false)
+		}
 	case hPush:
 		ok = m.push(regs[a])
 	case hPop:
@@ -742,6 +851,9 @@ func (m *machine) rare(pg *page, pc, left uint64) (uint64, uint64, stop) {
 		}
 		if ok = m.push(int64(next)); ok {
 			m.callStack = append(m.callStack, frame{retAddr: next, spBefore: uint64(regs[isa.RegSP]) + 8, fpAtCall: regs[isa.RegFP]})
+			if u != nil {
+				u.call(pc, target, next, ci.op == hCallR)
+			}
 		}
 		goto transfer
 	case hRet:
@@ -753,10 +865,15 @@ func (m *machine) rare(pg *page, pc, left uint64) (uint64, uint64, stop) {
 			regs[isa.RegSP] += 8
 			m.callStack = m.callStack[:len(m.callStack)-1]
 			target = uint64(v)
+			if u != nil {
+				u.ret(target)
+			}
 		}
 		goto transfer
 	case hThrow:
-		target, ok = m.throw()
+		if target, ok = m.throw(); ok && u != nil {
+			u.takenBranch(pc, target, true, false)
+		}
 		goto transfer
 	}
 	if !ok {
@@ -772,203 +889,296 @@ transfer:
 		return pc, left, stopFault
 	}
 	m.lbr.push(pc, target)
+	m.winEnd = 0
 	if left == 0 || (target^pc) >= pageSize {
 		return target, left, stopLeave
 	}
 	return target, left, stopNone
 }
 
-// exec runs the program from pc, an address in decoded page pg, until
+// model runs a modeled run from pc, an address in decoded page pg, until
 // control leaves the page, the left instructions due before Run has to
 // look again (the run will have retired limit of them then) are retired,
 // or the run ends. It returns the next pc and what remains of left; on
 // stopFault, the pc that faulted.
-func (m *machine) exec(pg *page, pc, left, limit uint64) (uint64, uint64, stop) {
+//
+// It is step with the timing model: pc, left, the flags and winEnd stay in
+// locals. An instruction not wholly inside winEnd's window takes the slow
+// step, a call to uarch.fetch (or see, under a heat map or a block trace).
+// The model's common cases are inline; a miss of the BTB, the indirect
+// target or the most recent L1d way goes to missed, and everything step
+// does not spell out to rare, both of which finish the instruction out of
+// line and take and return pc and left, with the flags and winEnd passed
+// through m, so that nothing the loop holds is live across them.
+func (m *machine) model(pg *page, pc, left, limit uint64) (uint64, uint64, stop) {
 	regs, u := &m.regs, m.u
-	flags := m.flags
-	pn := pc >> pageBits
-	var target uint64
+	flags, winEnd := m.flags, m.winEnd
+	var why stop // rare's verdict
 	for {
-		// Slow step: pc enters a fetch window.
 		ci := &pg[pc&pageMask]
-		if ci.size == noInst {
-			m.msg = m.fetchFault(pc)
-			return pc, left, stopFault
-		}
-		if u != nil {
-			u.fetch(pc, uint64(ci.size))
-		}
-		winEnd := pc | (fetchWindow - 1) + 1
-		if m.watch {
-			if m.heat != nil {
-				m.heat.Touch(pc, limit-left)
+		if pc+uint64(ci.size) > winEnd {
+			// Slow step. An address where nothing decodes always lands
+			// here, since noInst is wider than a window.
+			if ci.size == noInst {
+				m.flags, m.winEnd = flags, winEnd
+				m.msg = m.fetchFault(pc)
+				return pc, left, stopFault
 			}
-			if m.trace != nil {
-				m.trace.enter(pc)
+			m.flags = flags // not held across the call, as around rare below
+			if m.watch {
+				m.see(pc, uint64(ci.size), limit-left)
+				winEnd = 0 // they see every fetch
+			} else {
+				winEnd = u.fetch(pc, uint64(ci.size))
 			}
-			winEnd = 0 // the recorder and the trace see every fetch
+			flags = m.flags
 		}
+		left--
+		next := pc + uint64(ci.size)
+		a, b, imm := ci.a&(isa.NumRegs-1), ci.b&(isa.NumRegs-1), int64(ci.imm)
+		var target uint64 // or, for missed, a data address
 
-		for {
-			left--
-			next := pc + uint64(ci.size)
-			a, b, imm := ci.a&(isa.NumRegs-1), ci.b&(isa.NumRegs-1), int64(ci.imm)
-
-			switch ci.op {
-			case hNop:
-			case hHalt:
-				return pc, left, m.halt()
-			case hMovRR:
-				regs[a] = regs[b]
-			case hMovI:
-				regs[a] = imm
-			case hMovI64:
-				regs[a] = m.movi64(pc)
-			case hAdd:
-				regs[a] += regs[b]
-			case hSub:
-				regs[a] -= regs[b]
-			case hMul:
-				regs[a] *= regs[b]
-			case hDiv, hMod:
-				v, ok := m.divide(ci.op, regs[a], regs[b])
-				if !ok {
-					return pc, left, stopFault
+		switch ci.op {
+		case hNop:
+		case hMovRR:
+			regs[a] = regs[b]
+		case hMovI:
+			regs[a] = imm
+		case hAdd:
+			regs[a] += regs[b]
+		case hSub:
+			regs[a] -= regs[b]
+		case hMul:
+			regs[a] *= regs[b]
+		case hAnd:
+			regs[a] &= regs[b]
+		case hOr:
+			regs[a] |= regs[b]
+		case hXor:
+			regs[a] ^= regs[b]
+		case hShl:
+			regs[a] <<= uint64(regs[b]) & 63
+		case hShr:
+			regs[a] = int64(uint64(regs[a]) >> (uint64(regs[b]) & 63))
+		case hAddI:
+			regs[a] += imm
+		case hCmp:
+			flags = sign(regs[a] - regs[b])
+		case hCmpI:
+			flags = sign(regs[a] - imm)
+		case hLoad:
+			// The stack, then data: load's own order.
+			addr := uint64(regs[a] + imm)
+			w := word(m.mem.stack, addr-m.mem.stackBase)
+			if w == nil {
+				if w = word(m.mem.data, addr-m.mem.dataBase); w == nil {
+					goto rare
 				}
-				regs[a] = v
-			case hAnd:
-				regs[a] &= regs[b]
-			case hOr:
-				regs[a] |= regs[b]
-			case hXor:
-				regs[a] ^= regs[b]
-			case hShl:
-				regs[a] <<= uint64(regs[b]) & 63
-			case hShr:
-				regs[a] = int64(uint64(regs[a]) >> (uint64(regs[b]) & 63))
-			case hAddI:
-				regs[a] += imm
-			case hCmp:
-				flags = sign(regs[a] - regs[b])
-				m.flags = flags
-			case hCmpI:
-				flags = sign(regs[a] - imm)
-				m.flags = flags
-			case hLoad:
-				addr := uint64(regs[a] + imm)
-				v, ok := m.load(addr)
-				if !ok {
-					return pc, left, stopFault
+			}
+			regs[b] = int64(binary.LittleEndian.Uint64(w))
+			u.c.Loads++
+			if line := addr >> lineBits; u.l1d[line%l1dSets][0] != line {
+				target = addr
+				goto missed
+			}
+		case hStore:
+			addr := uint64(regs[a] + imm)
+			w := word(m.mem.stack, addr-m.mem.stackBase)
+			if w == nil {
+				if w = word(m.mem.data, addr-m.mem.dataBase); w == nil {
+					goto rare
 				}
-				regs[b] = v
-				if u != nil && u.dataAccess(addr, true) && m.loadMisses != nil {
-					m.loadMisses[pc]++
-				}
-			case hStore:
-				addr := uint64(regs[a] + imm)
-				if !m.store(addr, regs[b]) {
-					return pc, left, stopFault
-				}
-				if u != nil {
-					u.dataAccess(addr, false)
-				}
-			case hPrefetch:
-				if u != nil {
-					u.prefetch(uint64(regs[a] + imm))
-				}
-			case hPush:
-				if !m.push(regs[a]) {
-					return pc, left, stopFault
-				}
-			case hPop:
-				v, ok := m.load(uint64(regs[isa.RegSP]))
-				if !ok {
-					return pc, left, stopFault
-				}
-				regs[a] = v
-				regs[isa.RegSP] += 8
-			case hJmp:
+			}
+			binary.LittleEndian.PutUint64(w, uint64(regs[b]))
+			if line := addr >> lineBits; u.l1d[line%l1dSets][0] != line {
+				target = addr
+				goto missed
+			}
+		case hPrefetch:
+			u.c.Prefetches++
+			if target = uint64(regs[a] + imm); u.l1d[target>>lineBits%l1dSets][0] != target>>lineBits {
+				goto missed
+			}
+		case hPush:
+			w := word(m.mem.stack, uint64(regs[isa.RegSP])-8-m.mem.stackBase)
+			if w == nil {
+				goto rare
+			}
+			binary.LittleEndian.PutUint64(w, uint64(regs[a]))
+			regs[isa.RegSP] -= 8
+		case hPop:
+			w := word(m.mem.stack, uint64(regs[isa.RegSP])-m.mem.stackBase)
+			if w == nil {
+				goto rare
+			}
+			regs[a] = int64(binary.LittleEndian.Uint64(w))
+			regs[isa.RegSP] += 8
+		case hJmp:
+			target = next + uint64(imm)
+			goto direct
+		case hJcc:
+			u.c.CondBranches++
+			if ci.a>>uint(flags+1)&1 != 0 { // decodePage left the condition mask in a
 				target = next + uint64(imm)
-				if u != nil {
-					u.takenBranch(pc, target, false, false)
-				}
-				goto taken
-			case hJmpR:
-				target = uint64(regs[a])
-				if u != nil {
-					u.takenBranch(pc, target, true, false)
-				}
-				goto taken
-			case hCall, hCallR:
-				target = next + uint64(imm)
-				if ci.op == hCallR {
-					target = uint64(regs[a])
-				}
-				if !m.push(int64(next)) {
-					return pc, left, stopFault
-				}
-				m.callStack = append(m.callStack, frame{retAddr: next, spBefore: uint64(regs[isa.RegSP]) + 8, fpAtCall: regs[isa.RegFP]})
-				if u != nil {
-					u.call(pc, target, next, ci.op == hCallR)
-				}
-				goto taken
-			case hRet:
-				if len(m.callStack) == 0 {
-					// Returning from the entry function ends the program.
-					return pc, left, m.halt()
-				}
-				v, ok := m.load(uint64(regs[isa.RegSP]))
-				if !ok {
-					return pc, left, stopFault
-				}
-				regs[isa.RegSP] += 8
-				m.callStack = m.callStack[:len(m.callStack)-1]
-				target = uint64(v)
-				if u != nil {
-					u.ret(target)
-				}
-				goto taken
-			case hThrow:
-				var ok bool
-				if target, ok = m.throw(); !ok {
-					return pc, left, stopFault
-				}
-				if u != nil {
-					u.takenBranch(pc, target, true, false)
-				}
-				goto taken
-			case hJcc:
-				if ci.a>>uint(flags+1)&1 != 0 { // decodePage left the condition mask in a
-					target = next + uint64(imm)
-					if u != nil {
-						u.takenBranch(pc, target, false, true)
-					}
-					goto taken
-				}
-				if u != nil {
-					u.condNotTaken(pc)
-				}
+				u.predict(pc, true)
+				goto direct
 			}
+			u.c.NotTakenBr++
+			u.predict(pc, false)
+		case hJmpR:
+			target = uint64(regs[a])
+			if slot := pc % btbEntries; u.btbTag[slot] != pc || u.btbTarget[slot] != target {
+				goto missed
+			}
+			u.c.TakenBranch++
+			u.redirect()
+			goto taken
+		case hCall:
+			sp := uint64(regs[isa.RegSP]) - 8
+			w, n := word(m.mem.stack, sp-m.mem.stackBase), len(m.callStack)
+			if w == nil || n == cap(m.callStack) {
+				goto rare
+			}
+			binary.LittleEndian.PutUint64(w, next)
+			regs[isa.RegSP] = int64(sp)
+			m.callStack = m.callStack[:n+1]
+			m.callStack[n] = frame{retAddr: next, spBefore: sp + 8, fpAtCall: regs[isa.RegFP]}
+			target = next + uint64(imm)
+			u.rsb[u.rsbTop&15] = next
+			u.rsbTop++
+			goto direct
+		case hRet:
+			w, n := word(m.mem.stack, uint64(regs[isa.RegSP])-m.mem.stackBase), len(m.callStack)
+			if w == nil || n == 0 {
+				goto rare
+			}
+			target = binary.LittleEndian.Uint64(w)
+			regs[isa.RegSP] += 8
+			m.callStack = m.callStack[:n-1]
+			u.ret(target)
+			goto taken
+		default:
+			goto rare
+		}
 
-			// Fast step: the next instruction, if all of it is in the window.
+		// Fall through: next is in this page or the one after it.
+		if left == 0 || (next^pc) >= pageSize {
 			pc = next
-			ci = &pg[pc&pageMask]
-			if left == 0 || pc+uint64(ci.size) > winEnd {
-				goto leave
-			}
+			break
 		}
+		pc = next
+		continue
+
+	direct:
+		// A direct transfer's BTB lookup (takenBranch's, inline on a hit).
+		u.c.TakenBranch++
+		if u.btbTag[pc%btbEntries] != pc {
+			goto missed
+		}
+		u.redirect()
+		goto taken
+
+	rare:
+		// As in step: nothing the loop holds is live across the call.
+		m.flags, m.winEnd = flags, winEnd
+		if pc, left, why = m.rare(pg, pc, left); why != stopNone {
+			return pc, left, why
+		}
+		flags, winEnd = m.flags, m.winEnd
+		continue
+
+	missed:
+		// Likewise for the rest of an instruction whose model lookup
+		// missed.
+		m.flags, m.winEnd = flags, winEnd
+		if pc, left, why = m.missed(pg, pc, left, target); why != stopNone {
+			return pc, left, why
+		}
+		flags, winEnd = m.flags, m.winEnd
+		continue
+
 	taken:
 		m.lbr.push(pc, target)
-		pc = target
-	leave:
-		if left == 0 || pc>>pageBits != pn {
-			return pc, left, stopLeave
+		winEnd = 0
+		if left == 0 || (target^pc) >= pageSize {
+			pc = target
+			break
 		}
+		pc = target
+	}
+	m.flags, m.winEnd = flags, winEnd
+	return pc, left, stopLeave
+}
+
+// see is model's slow step under a heat map or a block trace, for the
+// instruction of the given size at pc with retired instructions before it:
+// the fetch model (unless the run reports no timing), the heat map and the
+// block trace.
+func (m *machine) see(pc, size, retired uint64) {
+	if !m.timeless {
+		m.u.fetch(pc, size)
+	}
+	if m.heat != nil {
+		m.heat.Touch(pc, retired)
+	}
+	if m.trace != nil {
+		m.trace.enter(pc)
+	}
+}
+
+// missed finishes, for model, the instruction at pc in decoded page pg
+// whose model lookup missed, with left the countdown after it and x the
+// data address of a load, store or prefetch, or the target of a transfer:
+// the rest of its model work, then what model does after an instruction.
+// It returns as rare does.
+func (m *machine) missed(pg *page, pc, left, x uint64) (uint64, uint64, stop) {
+	ci, u := &pg[pc&pageMask], m.u
+	next := pc + uint64(ci.size)
+	switch ci.op {
+	case hLoad, hStore:
+		m.dataMiss(pc, x, ci.op == hLoad)
+	case hPrefetch:
+		line := x >> lineBits
+		access(u.l1d[line%l1dSets][:], line)
+	case hJmpR:
+		u.takenBranch(pc, x, true, false)
+		goto transfer
+	default: // a direct transfer, already counted taken
+		u.baclear(pc, x)
+		u.redirect()
+		goto transfer
+	}
+	if left == 0 || (next^pc) >= pageSize {
+		return next, left, stopLeave
+	}
+	return next, left, stopNone
+
+transfer:
+	m.lbr.push(pc, x)
+	m.winEnd = 0
+	if left == 0 || (x^pc) >= pageSize {
+		return x, left, stopLeave
+	}
+	return x, left, stopNone
+}
+
+// dataMiss is the data-cache model of a load (after its Loads count) or a
+// store at addr by the instruction at pc, out of line: an access that
+// missed the most recent way of its set, or any access from rare.
+func (m *machine) dataMiss(pc, addr uint64, isLoad bool) {
+	line := addr >> lineBits
+	if access(m.u.l1d[line%l1dSets][:], line) {
+		return
+	}
+	m.u.c.L1DMiss++
+	m.u.cycles += penL1dMiss
+	if isLoad && m.loadMisses != nil {
+		m.loadMisses[pc]++
 	}
 }
 
 // The rare instructions' architectural effects and every fault message,
-// written once: exec and rare both call these, and each one that can fault
+// written once: rare calls these, and each one that can fault
 // records the message in m.msg and reports false.
 
 // fetchFault says why nothing can be fetched at pc: the decode table only

@@ -157,12 +157,13 @@ func newUarch(hugePages bool) *uarch {
 	return u
 }
 
-// fetch models the frontend cost of fetching one instruction. It changes
-// state only for an instruction that starts in a new 32-byte window, runs
-// past the end of its 64-byte line, or follows a taken transfer (which
-// resets lastLine and lastWindow); for any other instruction it is a no-op,
-// which is what lets Run skip the call inside a window.
-func (u *uarch) fetch(pc, size uint64) {
+// fetch models the frontend cost of fetching one instruction, and returns
+// the end of its 32-byte window. It changes state only for an instruction
+// that starts in a new window, runs past the end of its 64-byte line, or
+// follows a taken transfer (which resets lastLine and lastWindow); for any
+// other instruction it is a no-op, which is what lets model skip the call
+// inside a window.
+func (u *uarch) fetch(pc, size uint64) uint64 {
 	line := pc >> lineBits
 	if line != u.lastLine {
 		u.fetchLine(line)
@@ -181,6 +182,7 @@ func (u *uarch) fetch(pc, size uint64) {
 			u.cycles += penDSBMiss
 		}
 	}
+	return pc | (fetchWindow - 1) + 1
 }
 
 // fetchLine models the fetch of a line other than the last one fetched.
@@ -267,12 +269,7 @@ func (u *uarch) takenBranch(pc, target uint64, indirect, conditional bool) {
 	c.TakenBranch++
 	slot := pc % btbEntries
 	if u.btbTag[slot] != pc {
-		// Unknown to the BTB: the front end resteers.
-		c.Baclears++
-		u.cycles += penBaclear
-		c.FetchStalls += penBaclear
-		u.btbTag[slot] = pc
-		u.btbTarget[slot] = target
+		u.baclear(pc, target)
 	} else if indirect && u.btbTarget[slot] != target {
 		c.Mispredicts++
 		u.cycles += penMispredict
@@ -280,46 +277,56 @@ func (u *uarch) takenBranch(pc, target uint64, indirect, conditional bool) {
 	}
 	if conditional {
 		c.CondBranches++
-		if !u.predictCorrect(pc, true) {
-			c.Mispredicts++
-			u.cycles += penMispredict
-		}
+		u.predict(pc, true)
 	}
-	// Taken branches break the fetch window.
+	u.redirect()
+}
+
+// baclear is a taken branch the BTB does not know: the front end resteers,
+// and the BTB learns it.
+func (u *uarch) baclear(pc, target uint64) {
+	c := &u.c
+	c.Baclears++
+	u.cycles += penBaclear
+	c.FetchStalls += penBaclear
+	slot := pc % btbEntries
+	u.btbTag[slot] = pc
+	u.btbTarget[slot] = target
+}
+
+// redirect ends the fetch window: the next instruction fetches anew.
+func (u *uarch) redirect() {
 	u.lastWindow = ^uint64(0)
 	u.lastLine = ^uint64(0)
 }
 
-// condNotTaken models a conditional branch that fell through.
-func (u *uarch) condNotTaken(pc uint64) {
-	c := &u.c
-	c.CondBranches++
-	c.NotTakenBr++
-	if !u.predictCorrect(pc, false) {
-		c.Mispredicts++
+// predict consults and updates the gshare direction predictor for a
+// conditional branch at pc that went the way taken says, and charges a
+// misprediction.
+func (u *uarch) predict(pc uint64, taken bool) {
+	idx := (pc ^ u.ghist) % gshareEntries
+	ctr := u.gshare[idx] & 3
+	var right bool
+	if taken {
+		u.gshare[idx] = satInc[ctr]
+		u.ghist = u.ghist<<1 | 1
+		right = ctr >= 2
+	} else {
+		u.gshare[idx] = satDec[ctr]
+		u.ghist <<= 1
+		right = ctr < 2
+	}
+	if !right {
+		u.c.Mispredicts++
 		u.cycles += penMispredict
 	}
 }
 
-// predictCorrect consults and updates the gshare direction predictor; it
-// reports whether the pre-update prediction matched the actual outcome.
-func (u *uarch) predictCorrect(pc uint64, actual bool) bool {
-	idx := (pc ^ u.ghist) % gshareEntries
-	ctr := u.gshare[idx]
-	predicted := ctr >= 2
-	if actual {
-		if ctr < 3 {
-			u.gshare[idx] = ctr + 1
-		}
-		u.ghist = u.ghist<<1 | 1
-	} else {
-		if ctr > 0 {
-			u.gshare[idx] = ctr - 1
-		}
-		u.ghist = u.ghist << 1
-	}
-	return predicted == actual
-}
+// satInc and satDec step a two-bit saturating counter.
+var (
+	satInc = [4]uint8{1, 2, 3, 3}
+	satDec = [4]uint8{0, 0, 1, 2}
+)
 
 // Map returns the Table-4 counter values keyed by the paper's labels.
 func (c *Counters) Map() map[string]uint64 {
