@@ -17,6 +17,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -142,20 +143,7 @@ func runFleetSweep() {
 			pt.Hosts, pt.Shards, pt.LossRate, 1e3*pt.MakespanSeconds,
 			pt.AcceptedBatches, pt.LostDeliveries, pt.DuplicateBatches)
 	}
-	f, err := os.Create("BENCH_fleetprof.json")
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "wsc-bench: %v\n", err)
-		os.Exit(1)
-	}
-	err = res.WriteBenchJSON(f)
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "wsc-bench: %v\n", err)
-		os.Exit(1)
-	}
-	fmt.Fprintln(os.Stderr, "wsc-bench: wrote BENCH_fleetprof.json")
+	writeArtifact("BENCH_fleetprof.json", res.WriteBenchJSON)
 }
 
 // runIncrSweep regenerates the incremental-build study (the
@@ -183,20 +171,7 @@ func runIncrSweep() {
 		fmt.Fprintf(os.Stderr, "wsc-bench: incremental smoke contract violated: %+v\n", smoke)
 		os.Exit(1)
 	}
-	f, err := os.Create("BENCH_incr.json")
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "wsc-bench: %v\n", err)
-		os.Exit(1)
-	}
-	err = res.WriteBenchJSON(f)
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "wsc-bench: %v\n", err)
-		os.Exit(1)
-	}
-	fmt.Fprintln(os.Stderr, "wsc-bench: wrote BENCH_incr.json")
+	writeArtifact("BENCH_incr.json", res.WriteBenchJSON)
 }
 
 func defaultPolicyNames() string {
@@ -250,20 +225,7 @@ func runLayoutTournament(set, policyList string) {
 		fmt.Fprintf(os.Stderr, "wsc-bench: layout smoke contract violated: %+v\n", smoke)
 		os.Exit(1)
 	}
-	f, err := os.Create("BENCH_layout.json")
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "wsc-bench: %v\n", err)
-		os.Exit(1)
-	}
-	err = res.WriteBenchJSON(f)
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "wsc-bench: %v\n", err)
-		os.Exit(1)
-	}
-	fmt.Fprintln(os.Stderr, "wsc-bench: wrote BENCH_layout.json")
+	writeArtifact("BENCH_layout.json", res.WriteBenchJSON)
 }
 
 // runPolicySearch regenerates the learned-policy study (the
@@ -300,20 +262,24 @@ func runPolicySearch(set string, seed int64) {
 		fmt.Fprintf(os.Stderr, "wsc-bench: search smoke contract violated: %+v\n", smoke)
 		os.Exit(1)
 	}
-	f, err := os.Create("BENCH_search.json")
+	writeArtifact("BENCH_search.json", func(w io.Writer) error { return res.WriteBenchJSON(w, minWins) })
+}
+
+// writeArtifact writes one BENCH_*.json file through write and reports it,
+// exiting on any error, the file's Close included.
+func writeArtifact(name string, write func(io.Writer) error) {
+	f, err := os.Create(name)
+	if err == nil {
+		err = write(f)
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+	}
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "wsc-bench: %v\n", err)
 		os.Exit(1)
 	}
-	err = res.WriteBenchJSON(f, minWins)
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "wsc-bench: %v\n", err)
-		os.Exit(1)
-	}
-	fmt.Fprintln(os.Stderr, "wsc-bench: wrote BENCH_search.json")
+	fmt.Fprintf(os.Stderr, "wsc-bench: wrote %s\n", name)
 }
 
 func pickSet(set string) []workload.Spec {

@@ -139,16 +139,19 @@ func main() {
 	if err != nil {
 		fatalf("baseline: %v", err)
 	}
-	baseRes := run(base.Binary, *evalMax)
+	evalCfg := sim.Config{MaxInsts: *evalMax}
+	baseRes, err := core.Measure(base.Binary, evalCfg, nil)
+	if err != nil {
+		fatalf("baseline run: %v", err)
+	}
 
 	res, err := core.Optimize(p, train, opts)
 	if err != nil {
 		fatalf("optimize: %v", err)
 	}
-	optRes := run(res.Optimized.Binary, *evalMax)
-
-	if optRes.Exit != baseRes.Exit {
-		fatalf("CHECKSUM MISMATCH: baseline %d vs optimized %d", baseRes.Exit, optRes.Exit)
+	optRes, err := core.Measure(res.Optimized.Binary, evalCfg, baseRes)
+	if err != nil {
+		fatalf("optimized run: %v", err)
 	}
 	fmt.Printf("\nphases: 2 (build+metadata): %.1fs, peak %.1fMB | 3 (profile+WPA): %.2fs, peak %.1fMB | 4 (relink): %.1fs, peak %.1fMB\n",
 		res.Phase2.Makespan, memmodel.MB(res.Phase2.PeakMem),
@@ -302,18 +305,6 @@ func findSpec(wl string) (workload.Spec, error) {
 	return workload.Spec{}, fmt.Errorf("unknown workload %q (have: %s)", wl, strings.Join(names, ", "))
 }
 
-func run(bin *objfile.Binary, maxInsts uint64) *sim.Result {
-	mach, err := sim.Load(bin)
-	if err != nil {
-		fatalf("%v", err)
-	}
-	res, err := mach.Run(sim.Config{MaxInsts: maxInsts})
-	if err != nil {
-		fatalf("run: %v", err)
-	}
-	return res
-}
-
 func writeArtifacts(dir string, res *core.Result) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
@@ -324,28 +315,17 @@ func writeArtifacts(dir string, res *core.Result) error {
 	if err := os.WriteFile(filepath.Join(dir, "propeller.wb"), objfile.EncodeBinary(res.Optimized.Binary), 0o644); err != nil {
 		return err
 	}
-	cc, err := os.Create(filepath.Join(dir, "cc_prof.txt"))
+	cc, ld, err := layoutfile.Render(res.Directives, res.Order)
 	if err != nil {
 		return err
 	}
-	defer cc.Close()
-	if err := layoutfile.WriteDirectives(cc, res.Directives); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, "cc_prof.txt"), cc, 0o644); err != nil {
 		return err
 	}
-	ld, err := os.Create(filepath.Join(dir, "ld_prof.txt"))
-	if err != nil {
+	if err := os.WriteFile(filepath.Join(dir, "ld_prof.txt"), ld, 0o644); err != nil {
 		return err
 	}
-	defer ld.Close()
-	if err := layoutfile.WriteOrder(ld, res.Order); err != nil {
-		return err
-	}
-	pf, err := os.Create(filepath.Join(dir, "prof.lbr"))
-	if err != nil {
-		return err
-	}
-	defer pf.Close()
-	return res.Profile.Write(pf)
+	return os.WriteFile(filepath.Join(dir, "prof.lbr"), res.Profile.AppendWire(nil), 0o644)
 }
 
 // serveStatusz starts an HTTP listener serving the fleet ingestion

@@ -116,22 +116,16 @@ func main() {
 	if err != nil {
 		fatalf("%v", err)
 	}
-	cc, err := os.Create(*ccOut)
+	cc, ld, err := layoutfile.Render(res.Directives, res.Order)
 	if err != nil {
 		fatalf("%v", err)
 	}
-	if err := layoutfile.WriteDirectives(cc, res.Directives); err != nil {
+	if err := os.WriteFile(*ccOut, cc, 0o644); err != nil {
 		fatalf("%v", err)
 	}
-	cc.Close()
-	ld, err := os.Create(*ldOut)
-	if err != nil {
+	if err := os.WriteFile(*ldOut, ld, 0o644); err != nil {
 		fatalf("%v", err)
 	}
-	if err := layoutfile.WriteOrder(ld, res.Order); err != nil {
-		fatalf("%v", err)
-	}
-	ld.Close()
 	st := res.Stats
 	fmt.Printf("wsc-wpa: %d samples (%d records) -> DCFG: %d funcs, %d nodes, %d edges; %d hot funcs; peak mem %.1fMB\n",
 		st.Samples, st.Records, st.DCFGFuncs, st.DCFGNodes, st.DCFGEdges, st.HotFuncs,

@@ -92,24 +92,17 @@ func main() {
 		log.Fatal(err)
 	}
 
-	run := func(label string, b *core.BuildResult) *sim.Result {
-		mach, err := sim.Load(b.Binary)
+	run := func(label string, b *core.BuildResult, ref *sim.Result) *sim.Result {
+		res, err := core.Measure(b.Binary, sim.Config{MaxInsts: 300_000_000}, ref)
 		if err != nil {
-			log.Fatal(err)
-		}
-		res, err := mach.Run(sim.Config{MaxInsts: 300_000_000})
-		if err != nil {
-			log.Fatal(err)
+			log.Fatalf("%s: %v", label, err)
 		}
 		fmt.Printf("%-10s exit=%d cycles=%d taken=%d l1i=%d\n",
 			label, res.Exit, res.Cycles, res.Counters.TakenBranch, res.Counters.L1IMiss)
 		return res
 	}
-	b := run("baseline", base)
-	o := run("propeller", prop.Optimized)
-	if b.Exit != o.Exit {
-		log.Fatal("checksum mismatch")
-	}
+	b := run("baseline", base, nil)
+	o := run("propeller", prop.Optimized, b)
 	fmt.Printf("\nhot functions: %v\n", prop.SortedHotFunctions())
 	fmt.Printf("improvement: %+.2f%% cycles, %+.2f%% taken branches\n",
 		100*(1-float64(o.Cycles)/float64(b.Cycles)),

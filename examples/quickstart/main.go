@@ -54,14 +54,12 @@ func buildProgram() *core.Program {
 	return &core.Program{Name: "quickstart", Modules: []*ir.Module{m}}
 }
 
-func run(bin *core.BuildResult, label string) *sim.Result {
-	mach, err := sim.Load(bin.Binary)
+// run measures bin; with a reference run it must also reproduce that
+// run's exit checksum, or the optimization changed program semantics.
+func run(bin *core.BuildResult, label string, ref *sim.Result) *sim.Result {
+	res, err := core.Measure(bin.Binary, sim.Config{MaxInsts: 100_000_000}, ref)
 	if err != nil {
-		log.Fatal(err)
-	}
-	res, err := mach.Run(sim.Config{MaxInsts: 100_000_000})
-	if err != nil {
-		log.Fatal(err)
+		log.Fatalf("%s: %v", label, err)
 	}
 	fmt.Printf("%-10s exit=%d cycles=%-10d taken-branches=%-8d ipc=%.3f\n",
 		label, res.Exit, res.Cycles, res.Counters.TakenBranch, res.IPC())
@@ -76,7 +74,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	baseRes := run(base, "baseline")
+	baseRes := run(base, "baseline", nil)
 
 	// The full Propeller pipeline: build with metadata, profile under the
 	// LBR sampler, whole-program analysis, rebuild hot objects with
@@ -85,11 +83,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	optRes := run(res.Optimized, "propeller")
-
-	if optRes.Exit != baseRes.Exit {
-		log.Fatalf("optimization changed program semantics: %d vs %d", optRes.Exit, baseRes.Exit)
-	}
+	optRes := run(res.Optimized, "propeller", baseRes)
 	fmt.Printf("\nhot functions: %v\n", res.SortedHotFunctions())
 	fmt.Printf("layout directives (cc_prof): %v\n", res.Directives["main"].Clusters)
 	fmt.Printf("improvement: %.2f%% fewer cycles, %.2f%% fewer taken branches\n",

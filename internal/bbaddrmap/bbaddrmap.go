@@ -237,8 +237,7 @@ const NoBlock int32 = -1
 
 // NewLookup builds an address index over the map. Functions and blocks with
 // zero size are still indexed (as empty ranges that never match). The map
-// must outlive the lookup (FuncAt returns its entries) and hold fewer than
-// 2^31 blocks.
+// must hold fewer than 2^31 blocks.
 func NewLookup(m *Map) *Lookup {
 	total := 0
 	for i := range m.Funcs {
@@ -426,62 +425,6 @@ func (l *Lookup) AppendBlocksIn(dst []int32, start, end uint64) []int32 {
 		}
 	}
 	return dst
-}
-
-// BlockRef identifies a block across binaries: owning function name and
-// stable block ID.
-type BlockRef struct {
-	Fn string
-	ID int
-}
-
-// ref spells row bi as a BlockRef.
-func (l *Lookup) ref(bi int32) BlockRef {
-	b := &l.blocks[bi]
-	return BlockRef{Fn: l.names[b.Fn], ID: b.ID}
-}
-
-// Resolve maps an address to the containing function name and block ID.
-// ok is false when the address is not covered by any recorded block.
-func (l *Lookup) Resolve(addr uint64) (fn string, blockID int, ok bool) {
-	ref, _, _, ok := l.ResolveFull(addr)
-	return ref.Fn, ref.ID, ok
-}
-
-// ResolveFull is Resolve plus the block's address bounds.
-func (l *Lookup) ResolveFull(addr uint64) (ref BlockRef, start, end uint64, ok bool) {
-	bi := l.BlockAt(addr)
-	if bi < 0 {
-		return BlockRef{}, 0, 0, false
-	}
-	return l.ref(bi), l.blocks[bi].Start, l.blocks[bi].End, true
-}
-
-// IsBlockStart is BlockStarting spelled as a BlockRef.
-func (l *Lookup) IsBlockStart(addr uint64) (BlockRef, bool) {
-	bi := l.BlockStarting(addr)
-	if bi < 0 {
-		return BlockRef{}, false
-	}
-	return l.ref(bi), true
-}
-
-// BlocksInRange is AppendBlocksIn spelled as BlockRefs.
-func (l *Lookup) BlocksInRange(start, end uint64) []BlockRef {
-	var refs []BlockRef
-	for _, bi := range l.AppendBlocksIn(nil, start, end) {
-		refs = append(refs, l.ref(bi))
-	}
-	return refs
-}
-
-// FuncAt returns the function entry covering addr, if any.
-func (l *Lookup) FuncAt(addr uint64) (*FuncEntry, bool) {
-	top := l.fragAfter(addr)
-	if i := l.prevFrag(addr, top, top); i >= 0 {
-		return l.frags[i].entry, true
-	}
-	return nil, false
 }
 
 // Resolver memoizes a Lookup's three hot queries behind small

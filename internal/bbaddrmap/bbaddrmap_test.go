@@ -118,26 +118,16 @@ func TestResolve(t *testing.T) {
 		{0x2005, "", 0, false},
 		{0x4000, "foo", 2, true}, // cold fragment resolves back to foo
 		{0x4013, "foo", 2, true},
+		{0x3000, "", 0, false}, // a hole between functions
 		{0x0FFF, "", 0, false},
 		{0x9999, "", 0, false},
 	}
 	for _, c := range cases {
-		fn, id, ok := l.Resolve(c.addr)
-		if ok != c.wantOK || fn != c.fn || (ok && id != c.id) {
-			t.Errorf("Resolve(%#x) = (%q, %d, %v), want (%q, %d, %v)",
-				c.addr, fn, id, ok, c.fn, c.id, c.wantOK)
+		got, ok := refOf(l, l.BlockAt(c.addr))
+		if ok != c.wantOK || got.Fn != c.fn || (ok && got.ID != c.id) {
+			t.Errorf("BlockAt(%#x) = (%v, %v), want (%q, %d, %v)",
+				c.addr, got, ok, c.fn, c.id, c.wantOK)
 		}
-	}
-}
-
-func TestFuncAt(t *testing.T) {
-	l := NewLookup(sample())
-	f, ok := l.FuncAt(0x2003)
-	if !ok || f.Name != "bar" {
-		t.Errorf("FuncAt(0x2003) = %v, %v", f, ok)
-	}
-	if _, ok := l.FuncAt(0x3000); ok {
-		t.Error("FuncAt in a hole should fail")
 	}
 }
 
@@ -216,8 +206,8 @@ func TestResolveProperty(t *testing.T) {
 		l := NewLookup(m)
 		for _, p := range all {
 			for _, probe := range []uint64{p.start, p.start + p.size - 1, p.start + p.size/2} {
-				fn, id, ok := l.Resolve(probe)
-				if !ok || fn != p.fn || id != p.id {
+				got, ok := refOf(l, l.BlockAt(probe))
+				if !ok || got.Fn != p.fn || got.ID != p.id {
 					return false
 				}
 			}

@@ -10,13 +10,29 @@ import (
 
 // refLookup is the Lookup this package had before the dense block table:
 // per-fragment block slices, names read through the FuncEntry, and the
-// fragment search written out in each of the five queries. It is kept
-// verbatim as the oracle the index form is held to. One deliberate
+// fragment search written out in each query. It is kept verbatim, less
+// its FuncAt, as the oracle the index form is held to. One deliberate
 // difference: the old Resolve let its back-scan run past eight fragments
-// while the address stayed inside their ranges, the other four stopped at
-// eight; the single search routine has the one bound, so Resolve is held
-// to ResolveFull here and to the old Resolve only on maps whose fragments
-// do not overlap (TestResolveMatchesOldResolveOnDisjointMaps).
+// while the address stayed inside their ranges, the other queries stopped
+// at eight; the single search routine has the one bound, so BlockAt is
+// held to ResolveFull here and to the old Resolve only on maps whose
+// fragments do not overlap (TestResolveMatchesOldResolveOnDisjointMaps).
+// BlockRef identifies a block by owning function name and stable block ID,
+// the form the oracle answers in.
+type BlockRef struct {
+	Fn string
+	ID int
+}
+
+// refOf spells row bi of l as a BlockRef; ok is false for NoBlock.
+func refOf(l *Lookup, bi int32) (ref BlockRef, ok bool) {
+	if bi == NoBlock {
+		return BlockRef{}, false
+	}
+	b := &l.Blocks()[bi]
+	return BlockRef{Fn: l.FuncNames()[b.Fn], ID: b.ID}, true
+}
+
 type refLookup struct {
 	funcs []refFunc // sorted by Start
 }
@@ -209,25 +225,6 @@ func (l *refLookup) BlocksInRange(start, end uint64) []BlockRef {
 	return dst
 }
 
-func (l *refLookup) FuncAt(addr uint64) (*FuncEntry, bool) {
-	lo, hi := 0, len(l.funcs)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if l.funcs[mid].Start <= addr {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	for i := lo - 1; i >= 0 && i >= lo-8; i-- {
-		f := &l.funcs[i]
-		if addr < f.End {
-			return f.Entry, true
-		}
-	}
-	return nil, false
-}
-
 // hostileMap draws a map no linker would emit, to pin the corner
 // semantics: zero-size blocks, several fragments under one name, repeated
 // block IDs, fragments that overlap or start at one address (up to a dozen
@@ -285,9 +282,9 @@ func hostileMap(rng *rand.Rand, disjoint bool) (*Map, []uint64) {
 	return m, probes
 }
 
-// TestLookupMatchesReference holds the string-form queries — thin wrappers
-// over the dense table — to the old per-fragment implementation on hostile
-// maps, at every boundary address and on ranges between them.
+// TestLookupMatchesReference holds the index-form queries, spelled as
+// BlockRefs, to the old per-fragment implementation on hostile maps, at
+// every boundary address and on ranges between them.
 func TestLookupMatchesReference(t *testing.T) {
 	for seed := int64(0); seed < 300; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -295,25 +292,28 @@ func TestLookupMatchesReference(t *testing.T) {
 		l, ref := NewLookup(m), newRefLookup(m)
 		for _, a := range probes {
 			wantRef, wantStart, wantEnd, wantOK := ref.ResolveFull(a)
-			gotRef, gotStart, gotEnd, gotOK := l.ResolveFull(a)
-			if wantRef != gotRef || wantStart != gotStart || wantEnd != gotEnd || wantOK != gotOK {
-				t.Fatalf("seed %d: ResolveFull(%#x) = %v %#x %#x %v, want %v %#x %#x %v", seed, a, gotRef, gotStart, gotEnd, gotOK, wantRef, wantStart, wantEnd, wantOK)
+			bi := l.BlockAt(a)
+			gotRef, gotOK := refOf(l, bi)
+			var gotStart, gotEnd uint64
+			if gotOK {
+				gotStart, gotEnd = l.Blocks()[bi].Start, l.Blocks()[bi].End
 			}
-			if fn, id, ok := l.Resolve(a); fn != wantRef.Fn || id != wantRef.ID || ok != wantOK {
-				t.Fatalf("seed %d: Resolve(%#x) = %q %d %v, want %v %v", seed, a, fn, id, ok, wantRef, wantOK)
+			if wantRef != gotRef || wantStart != gotStart || wantEnd != gotEnd || wantOK != gotOK {
+				t.Fatalf("seed %d: BlockAt(%#x) = %v %#x %#x %v, want %v %#x %#x %v", seed, a, gotRef, gotStart, gotEnd, gotOK, wantRef, wantStart, wantEnd, wantOK)
 			}
 			wantBS, wantBSOK := ref.IsBlockStart(a)
-			if gotBS, gotBSOK := l.IsBlockStart(a); gotBS != wantBS || gotBSOK != wantBSOK {
-				t.Fatalf("seed %d: IsBlockStart(%#x) = %v %v, want %v %v", seed, a, gotBS, gotBSOK, wantBS, wantBSOK)
-			}
-			wantFE, wantFEOK := ref.FuncAt(a)
-			if gotFE, gotFEOK := l.FuncAt(a); gotFE != wantFE || gotFEOK != wantFEOK {
-				t.Fatalf("seed %d: FuncAt(%#x) = %p %v, want %p %v", seed, a, gotFE, gotFEOK, wantFE, wantFEOK)
+			if gotBS, gotBSOK := refOf(l, l.BlockStarting(a)); gotBS != wantBS || gotBSOK != wantBSOK {
+				t.Fatalf("seed %d: BlockStarting(%#x) = %v %v, want %v %v", seed, a, gotBS, gotBSOK, wantBS, wantBSOK)
 			}
 			for k := 0; k < 8; k++ {
 				b := probes[rng.Intn(len(probes))]
-				if want, got := ref.BlocksInRange(a, b), l.BlocksInRange(a, b); !slices.Equal(want, got) {
-					t.Fatalf("seed %d: BlocksInRange(%#x, %#x) = %v, want %v", seed, a, b, got, want)
+				var got []BlockRef
+				for _, bi := range l.AppendBlocksIn(nil, a, b) {
+					r, _ := refOf(l, bi)
+					got = append(got, r)
+				}
+				if want := ref.BlocksInRange(a, b); !slices.Equal(want, got) {
+					t.Fatalf("seed %d: AppendBlocksIn(%#x, %#x) = %v, want %v", seed, a, b, got, want)
 				}
 			}
 		}
@@ -329,8 +329,8 @@ func TestResolveMatchesOldResolveOnDisjointMaps(t *testing.T) {
 		l, ref := NewLookup(m), newRefLookup(m)
 		for _, a := range probes {
 			wantFn, wantID, wantOK := ref.Resolve(a)
-			if fn, id, ok := l.Resolve(a); fn != wantFn || id != wantID || ok != wantOK {
-				t.Fatalf("seed %d: Resolve(%#x) = %q %d %v, want %q %d %v", seed, a, fn, id, ok, wantFn, wantID, wantOK)
+			if got, ok := refOf(l, l.BlockAt(a)); got.Fn != wantFn || got.ID != wantID || ok != wantOK {
+				t.Fatalf("seed %d: BlockAt(%#x) = %v %v, want %q %d %v", seed, a, got, ok, wantFn, wantID, wantOK)
 			}
 		}
 	}
@@ -367,9 +367,6 @@ func TestBlockTable(t *testing.T) {
 		for i, b := range l.Blocks() {
 			if want := b.ID == entryID[names[b.Fn]]; b.Entry != want {
 				t.Fatalf("seed %d: row %d (%s#%d): Entry = %v, want %v", seed, i, names[b.Fn], b.ID, b.Entry, want)
-			}
-			if got := l.ref(int32(i)); got != (BlockRef{Fn: names[b.Fn], ID: b.ID}) {
-				t.Fatalf("seed %d: ref(%d) = %v", seed, i, got)
 			}
 		}
 	}

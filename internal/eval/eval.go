@@ -6,6 +6,7 @@
 package eval
 
 import (
+	"errors"
 	"fmt"
 
 	"propeller/internal/bolt"
@@ -61,34 +62,15 @@ type Config struct {
 	ObjCache *buildsys.Cache
 }
 
-func (c Config) trainInsts() uint64 {
-	if c.TrainInsts == 0 {
-		return 200_000_000
-	}
-	return c.TrainInsts
-}
-
-func (c Config) evalInsts() uint64 {
-	if c.EvalInsts == 0 {
-		return 400_000_000
-	}
-	return c.EvalInsts
-}
-
-func (c Config) lbrPeriod() uint64 {
-	if c.LBRPeriod == 0 {
-		return 211
-	}
-	return c.LBRPeriod
+func (c Config) budget() core.Budget {
+	return core.Budget{TrainInsts: c.TrainInsts, EvalInsts: c.EvalInsts, LBRPeriod: c.LBRPeriod}.
+		Or(core.Budget{TrainInsts: 200_000_000, EvalInsts: 400_000_000, LBRPeriod: 211})
 }
 
 // Run is one measured execution.
 type Run struct {
-	Exit     int64
-	Insts    uint64
-	Cycles   uint64
-	Counters sim.Counters
-	Heat     *heatmap.Recorder
+	*sim.Result
+	Heat *heatmap.Recorder
 }
 
 // Result carries everything the tables and figures need for one workload.
@@ -157,7 +139,8 @@ func RunWorkload(cfg Config) (*Result, error) {
 	res := &Result{Spec: cfg.Spec, Slots: slotsOf(opts)}
 
 	// PGO + ThinLTO baseline preparation.
-	train := core.RunSpec{MaxInsts: cfg.trainInsts(), LBRPeriod: cfg.lbrPeriod()}
+	b := cfg.budget()
+	train := core.RunSpec{MaxInsts: b.TrainInsts, LBRPeriod: b.LBRPeriod}
 	optimized, pgoStats, err := core.PreparePGO(prog.Core, train, opts, core.PGOOptions{})
 	if err != nil {
 		return nil, fmt.Errorf("eval %s: pgo: %w", cfg.Spec.Name, err)
@@ -212,31 +195,30 @@ func RunWorkload(cfg Config) (*Result, error) {
 		res.BoltStats = bStats
 	}
 
-	// Measurement runs.
-	res.BaseRun, err = measure(res.Base, cfg, res)
-	if err != nil {
+	// Measurement runs: every binary must reproduce the baseline's checksum.
+	run := func(bin *objfile.Binary, ref *sim.Result) (*Run, error) {
+		sc := sim.Config{MaxInsts: b.EvalInsts, Heatmap: cfg.heatmap(bin, res.BaseRun)}
+		r, err := core.Measure(bin, sc, ref)
+		return &Run{Result: r, Heat: sc.Heatmap}, err
+	}
+	if res.BaseRun, err = run(res.Base, nil); err != nil {
 		return nil, fmt.Errorf("eval %s: baseline run: %w", cfg.Spec.Name, err)
 	}
-	res.PORun, err = measure(res.PO, cfg, res)
-	if err != nil {
+	if res.PORun, err = run(res.PO, res.BaseRun.Result); err != nil {
 		return nil, fmt.Errorf("eval %s: propeller run: %w", cfg.Spec.Name, err)
 	}
-	if res.PORun.Exit != res.BaseRun.Exit {
-		return nil, fmt.Errorf("eval %s: propeller changed the checksum: %d vs %d",
-			cfg.Spec.Name, res.PORun.Exit, res.BaseRun.Exit)
-	}
 	if res.BO != nil {
-		run, err := measure(res.BO, cfg, res)
+		bo, err := run(res.BO, res.BaseRun.Result)
+		var bad *core.ChecksumError
+		ran := err == nil || errors.As(err, &bad)
 		switch {
-		case err != nil:
+		case ran && bo.Exit == -99:
+			res.BOCrash = errors.New("startup integrity self-check failed (exit -99)")
+		case !ran:
 			res.BOCrash = err
-		case run.Exit == -99:
-			res.BOCrash = fmt.Errorf("startup integrity self-check failed (exit -99)")
-		case run.Exit != res.BaseRun.Exit:
-			res.BOCrash = fmt.Errorf("wrong checksum %d (want %d)", run.Exit, res.BaseRun.Exit)
-			res.BORun = run
 		default:
-			res.BORun = run
+			// A wrong checksum is a crash cell that still reports its run.
+			res.BORun, res.BOCrash = bo, err
 		}
 	}
 	if cfg.ObjCache != nil {
@@ -266,37 +248,25 @@ func buildBM(p *core.Program, opts core.Options) (*objfile.Binary, error) {
 	return bin, err
 }
 
-func measure(bin *objfile.Binary, cfg Config, res *Result) (*Run, error) {
-	mach, err := sim.Load(bin)
-	if err != nil {
-		return nil, err
+// heatmap returns the Fig-7 recorder of one measured run of bin, nil unless
+// Heatmaps is set. Its time buckets are sized off the baseline run when
+// that has run.
+func (c Config) heatmap(bin *objfile.Binary, base *Run) *heatmap.Recorder {
+	if !c.Heatmaps {
+		return nil
 	}
-	simCfg := sim.Config{MaxInsts: cfg.evalInsts()}
-	var heat *heatmap.Recorder
-	if cfg.Heatmaps {
-		rows, cols := cfg.HeatRows, cfg.HeatCols
-		if rows == 0 {
-			rows = 64
-		}
-		if cols == 0 {
-			cols = 80
-		}
-		heat = heatmap.NewRecorder(bin.TextBase, int64(len(bin.Text)), rows, cols, res.BaseRun.expectInsts(cfg))
-		simCfg.Heatmap = heat
+	rows, cols := c.HeatRows, c.HeatCols
+	if rows == 0 {
+		rows = 64
 	}
-	r, err := mach.Run(simCfg)
-	if err != nil {
-		return nil, err
+	if cols == 0 {
+		cols = 80
 	}
-	return &Run{Exit: r.Exit, Insts: r.Insts, Cycles: r.Cycles, Counters: r.Counters, Heat: heat}, nil
-}
-
-// expectInsts sizes heatmap time buckets off the baseline run when known.
-func (r *Run) expectInsts(cfg Config) uint64 {
-	if r != nil && r.Insts > 0 {
-		return r.Insts
+	expect := c.budget().EvalInsts / 20
+	if base != nil && base.Insts > 0 {
+		expect = base.Insts
 	}
-	return cfg.evalInsts() / 20
+	return heatmap.NewRecorder(bin.TextBase, int64(len(bin.Text)), rows, cols, expect)
 }
 
 func countFuncs(p *core.Program) int {

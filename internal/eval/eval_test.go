@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"propeller/internal/sim"
 	"propeller/internal/workload"
 )
 
@@ -89,8 +90,8 @@ func TestReportRenders(t *testing.T) {
 }
 
 func TestSpeedupHelpers(t *testing.T) {
-	a := &Run{Cycles: 1000}
-	b := &Run{Cycles: 900}
+	a := &Run{Result: &sim.Result{Cycles: 1000}}
+	b := &Run{Result: &sim.Result{Cycles: 900}}
 	if s := Speedup(a, b); s < 9.9 || s > 10.1 {
 		t.Errorf("Speedup = %f, want 10", s)
 	}

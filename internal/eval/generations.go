@@ -8,6 +8,7 @@ import (
 	"io"
 	"strings"
 
+	"propeller/internal/core"
 	"propeller/internal/profsvc"
 	"propeller/internal/workload"
 )
@@ -67,18 +68,9 @@ func (c GenerationSweepConfig) cells() []GenerationCell {
 	return c.Cells
 }
 
-func (c GenerationSweepConfig) trainInsts() uint64 {
-	if c.TrainInsts == 0 {
-		return 3_000_000
-	}
-	return c.TrainInsts
-}
-
-func (c GenerationSweepConfig) evalInsts() uint64 {
-	if c.EvalInsts == 0 {
-		return 6_000_000
-	}
-	return c.EvalInsts
+func (c GenerationSweepConfig) budget() core.Budget {
+	return core.Budget{TrainInsts: c.TrainInsts, EvalInsts: c.EvalInsts}.
+		Or(core.Budget{TrainInsts: 3_000_000, EvalInsts: 6_000_000})
 }
 
 // GenerationCurve is one (workload, ingestion-config) loop outcome — a row
@@ -137,6 +129,7 @@ func GenerationSweep(cfg GenerationSweepConfig) (*GenerationSweepResult, error) 
 			return nil, err
 		}
 		refSHA := ""
+		b := cfg.budget()
 		for _, cell := range cfg.cells() {
 			res, err := profsvc.RunGenerations(prog.Core, profsvc.DriverConfig{
 				Generations:     out.Generations,
@@ -147,8 +140,8 @@ func GenerationSweep(cfg GenerationSweepConfig) (*GenerationSweepResult, error) 
 				LossRate:        cell.Loss,
 				DupRate:         cell.Dup,
 				Seed:            11,
-				TrainInsts:      cfg.trainInsts(),
-				EvalInsts:       cfg.evalInsts(),
+				TrainInsts:      b.TrainInsts,
+				EvalInsts:       b.EvalInsts,
 				StoreConfig:     cfg.Store,
 			})
 			if err != nil {

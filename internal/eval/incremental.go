@@ -71,18 +71,9 @@ func (c IncrementalSweepConfig) slots() int {
 	return c.Slots
 }
 
-func (c IncrementalSweepConfig) trainInsts() uint64 {
-	if c.TrainInsts == 0 {
-		return 80_000_000
-	}
-	return c.TrainInsts
-}
-
-func (c IncrementalSweepConfig) lbrPeriod() uint64 {
-	if c.LBRPeriod == 0 {
-		return 211
-	}
-	return c.LBRPeriod
+func (c IncrementalSweepConfig) budget() core.Budget {
+	return core.Budget{TrainInsts: c.TrainInsts, LBRPeriod: c.LBRPeriod}.
+		Or(core.Budget{TrainInsts: 80_000_000, LBRPeriod: 211})
 }
 
 // IncrementalCell is one (edit fraction, worker count) point of the
@@ -223,18 +214,6 @@ func (r *IncrementalResult) WriteBenchJSON(w io.Writer) error {
 	})
 }
 
-// artifactPair renders an analysis result's two Phase-4 artifacts.
-func artifactPair(res *wpa.Result) (cc, ld []byte, err error) {
-	var ccBuf, ldBuf bytes.Buffer
-	if err := layoutfile.WriteDirectives(&ccBuf, res.Directives); err != nil {
-		return nil, nil, err
-	}
-	if err := layoutfile.WriteOrder(&ldBuf, res.Order); err != nil {
-		return nil, nil, err
-	}
-	return ccBuf.Bytes(), ldBuf.Bytes(), nil
-}
-
 // IncrementalSweep replays edits of each configured size against warm
 // content-keyed caches. The protocol per cell:
 //
@@ -253,7 +232,6 @@ func artifactPair(res *wpa.Result) (cc, ld []byte, err error) {
 func IncrementalSweep(cfg IncrementalSweepConfig) (*IncrementalResult, error) {
 	spec := cfg.spec()
 	exec := &buildsys.Executor{Slots: cfg.slots()}
-	train := core.RunSpec{MaxInsts: cfg.trainInsts(), LBRPeriod: cfg.lbrPeriod()}
 
 	// Shared pre-edit state: program, metadata binary, profile, symbolic
 	// aggregate against the profiled binary's map.
@@ -261,27 +239,15 @@ func IncrementalSweep(cfg IncrementalSweepConfig) (*IncrementalResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	setupOpts := core.Options{
+	pb, err := profileBuild(p0.Core, cfg.budget(), core.Options{
 		Executor: exec,
 		IRCache:  buildsys.NewCache(),
 		ObjCache: buildsys.NewCache(),
-	}
-	meta0, err := core.BuildWithMetadata(p0.Core, setupOpts)
+	})
 	if err != nil {
 		return nil, err
 	}
-	prof0, _, err := core.CollectProfile(meta0.Binary, train, false)
-	if err != nil {
-		return nil, err
-	}
-	map0, err := bbaddrmap.Decode(meta0.Binary.BBAddrMap)
-	if err != nil {
-		return nil, err
-	}
-	agg, err := wpa.BuildAggregate(map0, prof0, wpa.Config{})
-	if err != nil {
-		return nil, err
-	}
+	map0, prof0, agg := pb.m, pb.prof, pb.agg
 	load0 := func() (*bbaddrmap.Map, error) { return map0, nil }
 
 	out := &IncrementalResult{Workload: spec.Name, Slots: cfg.slots()}
@@ -402,11 +368,11 @@ func IncrementalSweep(cfg IncrementalSweepConfig) (*IncrementalResult, error) {
 				cell.WarmColdRelinkRatio = cell.WarmRelinkMakespan / cell.ColdRelinkMakespan
 			}
 
-			coldCC, coldLD, err := artifactPair(coldRes)
+			coldCC, coldLD, err := layoutfile.Render(coldRes.Directives, coldRes.Order)
 			if err != nil {
 				return nil, err
 			}
-			warmCC, warmLD, err := artifactPair(warmRes)
+			warmCC, warmLD, err := layoutfile.Render(warmRes.Directives, warmRes.Order)
 			if err != nil {
 				return nil, err
 			}

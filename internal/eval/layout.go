@@ -19,7 +19,8 @@ import (
 	"propeller/internal/buildsys"
 	"propeller/internal/core"
 	"propeller/internal/exttsp"
-	"propeller/internal/objfile"
+	"propeller/internal/layoutfile"
+	"propeller/internal/profile"
 	"propeller/internal/sim"
 	"propeller/internal/workload"
 	"propeller/internal/wpa"
@@ -153,25 +154,9 @@ func (c LayoutTournamentConfig) slots() int {
 	return c.Slots
 }
 
-func (c LayoutTournamentConfig) trainInsts() uint64 {
-	if c.TrainInsts == 0 {
-		return 60_000_000
-	}
-	return c.TrainInsts
-}
-
-func (c LayoutTournamentConfig) evalInsts() uint64 {
-	if c.EvalInsts == 0 {
-		return 40_000_000
-	}
-	return c.EvalInsts
-}
-
-func (c LayoutTournamentConfig) lbrPeriod() uint64 {
-	if c.LBRPeriod == 0 {
-		return 211
-	}
-	return c.LBRPeriod
+func (c LayoutTournamentConfig) budget() core.Budget {
+	return core.Budget{TrainInsts: c.TrainInsts, EvalInsts: c.EvalInsts, LBRPeriod: c.LBRPeriod}.
+		Or(core.Budget{TrainInsts: 60_000_000, EvalInsts: 40_000_000, LBRPeriod: 211})
 }
 
 // LayoutCell is one (workload, policy) leaderboard entry. Everything
@@ -301,15 +286,6 @@ func (r *LayoutTournamentResult) WriteBenchJSON(w io.Writer) error {
 	})
 }
 
-// runLayoutBinary measures one binary on the uarch model.
-func runLayoutBinary(bin *objfile.Binary, maxInsts uint64) (*sim.Result, error) {
-	mach, err := sim.Load(bin)
-	if err != nil {
-		return nil, err
-	}
-	return mach.Run(sim.Config{MaxInsts: maxInsts})
-}
-
 // LayoutEval is one workload's prepared evaluation state: the metadata
 // build, training profile, position-independent aggregate, reconstructed
 // hot paths, cached IR, and the measured unoptimized baseline — everything
@@ -353,14 +329,49 @@ func newLayoutEval(spec workload.Spec, cfg LayoutTournamentConfig, exec *buildsy
 		IRCache:   buildsys.NewCache(),
 		ObjCache:  buildsys.NewCache(),
 	}
-	meta, err := core.BuildWithMetadata(prog.Core, opts)
+	b := cfg.budget()
+	pb, err := profileBuild(prog.Core, b, opts)
 	if err != nil {
-		return nil, fmt.Errorf("eval %s: metadata build: %w", spec.Name, err)
+		return nil, fmt.Errorf("eval %s: %w", spec.Name, err)
 	}
-	train := core.RunSpec{MaxInsts: cfg.trainInsts(), LBRPeriod: cfg.lbrPeriod()}
-	prof, _, err := core.CollectProfile(meta.Binary, train, false)
+	paths, err := wpa.ReconstructPaths(pb.m, pb.prof, wpa.PathOptions{})
 	if err != nil {
-		return nil, fmt.Errorf("eval %s: profile: %w", spec.Name, err)
+		return nil, err
+	}
+	base, err := core.BuildBaseline(prog.Core, opts)
+	if err != nil {
+		return nil, err
+	}
+	baseRun, err := core.Measure(base.Binary, sim.Config{MaxInsts: b.EvalInsts}, nil)
+	if err != nil {
+		return nil, fmt.Errorf("eval %s: baseline run: %w", spec.Name, err)
+	}
+	return &LayoutEval{
+		spec: spec, cfg: cfg, prog: prog, opts: opts,
+		m: pb.m, agg: pb.agg, paths: paths, irKeys: pb.meta.IRKeys, baseRun: baseRun,
+	}, nil
+}
+
+// profiled is one program's shared training state: its metadata build, the
+// profile of one training run, the decoded address map and the
+// position-independent aggregate over it.
+type profiled struct {
+	meta *core.BuildResult
+	prof *profile.Profile
+	m    *bbaddrmap.Map
+	agg  *wpa.Aggregate
+}
+
+// profileBuild builds p with metadata under opts and profiles it for b's
+// training budget.
+func profileBuild(p *core.Program, b core.Budget, opts core.Options) (*profiled, error) {
+	meta, err := core.BuildWithMetadata(p, opts)
+	if err != nil {
+		return nil, fmt.Errorf("metadata build: %w", err)
+	}
+	prof, _, err := core.CollectProfile(meta.Binary, core.RunSpec{MaxInsts: b.TrainInsts, LBRPeriod: b.LBRPeriod}, false)
+	if err != nil {
+		return nil, fmt.Errorf("profile: %w", err)
 	}
 	m, err := bbaddrmap.Decode(meta.Binary.BBAddrMap)
 	if err != nil {
@@ -370,22 +381,7 @@ func newLayoutEval(spec workload.Spec, cfg LayoutTournamentConfig, exec *buildsy
 	if err != nil {
 		return nil, err
 	}
-	paths, err := wpa.ReconstructPaths(m, prof, wpa.PathOptions{})
-	if err != nil {
-		return nil, err
-	}
-	base, err := core.BuildBaseline(prog.Core, opts)
-	if err != nil {
-		return nil, err
-	}
-	baseRun, err := runLayoutBinary(base.Binary, cfg.evalInsts())
-	if err != nil {
-		return nil, fmt.Errorf("eval %s: baseline run: %w", spec.Name, err)
-	}
-	return &LayoutEval{
-		spec: spec, cfg: cfg, prog: prog, opts: opts,
-		m: m, agg: agg, paths: paths, irKeys: meta.IRKeys, baseRun: baseRun,
-	}, nil
+	return &profiled{meta: meta, prof: prof, m: m, agg: agg}, nil
 }
 
 // UseCache wires an incremental cache (shared across evaluations) into
@@ -400,7 +396,7 @@ func (e *LayoutEval) BaselineCycles() uint64 { return e.baseRun.Cycles }
 
 // FullInsts is the full-fidelity measurement budget; cheap-fidelity
 // probes pass a fraction of it to EvaluateInsts.
-func (e *LayoutEval) FullInsts() uint64 { return e.cfg.evalInsts() }
+func (e *LayoutEval) FullInsts() uint64 { return e.cfg.budget().EvalInsts }
 
 // HotFuncs returns the n hottest profiled functions — the candidates
 // worth a per-function policy override.
@@ -408,7 +404,7 @@ func (e *LayoutEval) HotFuncs(n int) []string { return e.agg.HotFuncs(n) }
 
 // Evaluate runs one policy at full fidelity.
 func (e *LayoutEval) Evaluate(pol LayoutPolicy) (LayoutCell, error) {
-	return e.EvaluateInsts(pol, e.cfg.evalInsts())
+	return e.EvaluateInsts(pol, e.FullInsts())
 }
 
 // EvaluateInsts analyzes, relinks, and measures one policy with the given
@@ -437,7 +433,7 @@ func (e *LayoutEval) EvaluateInsts(pol LayoutPolicy, insts uint64) (LayoutCell, 
 		if err != nil {
 			return cell, fmt.Errorf("eval %s/%s: analyze (workers=%d): %w", e.spec.Name, pol.Name, w, err)
 		}
-		cc, ld, err := artifactPair(r)
+		cc, ld, err := layoutfile.Render(r.Directives, r.Order)
 		if err != nil {
 			return cell, err
 		}
@@ -455,7 +451,14 @@ func (e *LayoutEval) EvaluateInsts(pol LayoutPolicy, insts uint64) (LayoutCell, 
 	if err != nil {
 		return cell, fmt.Errorf("eval %s/%s: relink: %w", e.spec.Name, pol.Name, err)
 	}
-	run, err := runLayoutBinary(build.Binary, insts)
+	// The layout must never change program semantics, but the checksum
+	// only holds at full fidelity: a truncated run exits mid-program.
+	full := e.FullInsts()
+	var ref *sim.Result
+	if insts == full {
+		ref = e.baseRun
+	}
+	run, err := core.Measure(build.Binary, sim.Config{MaxInsts: insts}, ref)
 	if err != nil {
 		// A cheap-fidelity probe (insts below the full budget) is meant to
 		// truncate: exhausting the instruction budget is the measurement,
@@ -463,22 +466,16 @@ func (e *LayoutEval) EvaluateInsts(pol LayoutPolicy, insts uint64) (LayoutCell, 
 		// fitness. Every other fault — and any fault at full fidelity —
 		// is a real failure.
 		var re *sim.RunError
-		if !(insts < e.cfg.evalInsts() && errors.As(err, &re) && re.Inst >= insts) {
+		if !(insts < full && errors.As(err, &re) && re.Inst >= insts) {
 			return cell, fmt.Errorf("eval %s/%s: run: %w", e.spec.Name, pol.Name, err)
 		}
-	}
-	// The layout must never change program semantics; the checksum check
-	// only holds at full fidelity (a truncated run exits mid-program).
-	if insts == e.cfg.evalInsts() && run.Exit != e.baseRun.Exit {
-		return cell, fmt.Errorf("eval %s/%s: layout changed the checksum: %d vs %d",
-			e.spec.Name, pol.Name, run.Exit, e.baseRun.Exit)
 	}
 	cell.Cycles = run.Cycles
 	cell.Insts = run.Insts
 	cell.L1IMiss = run.Counters.L1IMiss
 	cell.ITLBMiss = run.Counters.ITLBMiss
 	cell.TakenBranches = run.Counters.TakenBranch
-	if e.baseRun.Cycles > 0 && insts == e.cfg.evalInsts() {
+	if e.baseRun.Cycles > 0 && insts == full {
 		cell.SpeedupPct = 100 * (1 - float64(run.Cycles)/float64(e.baseRun.Cycles))
 	}
 	return cell, nil

@@ -179,9 +179,12 @@ func TestClusterSections(t *testing.T) {
 		t.Fatal(err)
 	}
 	lk := bbaddrmap.NewLookup(m)
-	fn, id, ok := lk.Resolve(cold.Addr)
-	if !ok || fn != "main" || id != 2 {
-		t.Errorf("cold fragment resolves to (%q, %d, %v), want (main, 2, true)", fn, id, ok)
+	bi := lk.BlockAt(cold.Addr)
+	if bi == bbaddrmap.NoBlock {
+		t.Fatal("cold fragment resolves to no block")
+	}
+	if b := lk.Blocks()[bi]; lk.FuncNames()[b.Fn] != "main" || b.ID != 2 {
+		t.Errorf("cold fragment resolves to (%q, %d), want (main, 2)", lk.FuncNames()[b.Fn], b.ID)
 	}
 }
 

@@ -8,6 +8,7 @@ package layoutfile
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"io"
 	"sort"
@@ -140,6 +141,19 @@ func WriteOrder(w io.Writer, o SymbolOrder) error {
 		}
 	}
 	return bw.Flush()
+}
+
+// Render returns the cc_prof.txt and ld_prof.txt bytes of one layout
+// decision, as WriteDirectives and WriteOrder write them.
+func Render(d Directives, o SymbolOrder) (cc, ld []byte, err error) {
+	var ccBuf, ldBuf bytes.Buffer
+	if err := WriteDirectives(&ccBuf, d); err != nil {
+		return nil, nil, err
+	}
+	if err := WriteOrder(&ldBuf, o); err != nil {
+		return nil, nil, err
+	}
+	return ccBuf.Bytes(), ldBuf.Bytes(), nil
 }
 
 // ParseOrder parses a symbol ordering file. Duplicate symbols are an error:

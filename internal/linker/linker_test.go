@@ -103,8 +103,8 @@ func TestAddrMapSizesShrinkWithRelaxation(t *testing.T) {
 				t.Fatalf("block %s/%d range [%#x,%#x) outside text", fe.Name, b.ID, start, end)
 			}
 			if b.Size > 0 {
-				fn, id, ok := lk.Resolve(start)
-				if !ok || fn != fe.Name || id != b.ID {
+				bi := lk.BlockAt(start)
+				if bi == bbaddrmap.NoBlock || lk.FuncNames()[lk.Blocks()[bi].Fn] != fe.Name || lk.Blocks()[bi].ID != b.ID {
 					t.Fatalf("self-resolution failed for %s/%d", fe.Name, b.ID)
 				}
 			}

@@ -67,6 +67,7 @@ func (c Config) delta() int64 {
 // Analyze maps the top miss sites to directive entries.
 func Analyze(m *bbaddrmap.Map, misses map[uint64]uint64, cfg Config) Directives {
 	lookup := bbaddrmap.NewLookup(m)
+	blocks, names := lookup.Blocks(), lookup.FuncNames()
 	type cand struct {
 		site   Site
 		misses uint64
@@ -76,12 +77,13 @@ func Analyze(m *bbaddrmap.Map, misses map[uint64]uint64, cfg Config) Directives 
 		if n < cfg.minMisses() {
 			continue
 		}
-		ref, start, _, ok := lookup.ResolveFull(pc)
-		if !ok {
+		bi := lookup.BlockAt(pc)
+		if bi == bbaddrmap.NoBlock {
 			continue
 		}
+		b := &blocks[bi]
 		cands = append(cands, cand{
-			site:   Site{Fn: ref.Fn, Block: ref.ID, Off: pc - start, Delta: cfg.delta()},
+			site:   Site{Fn: names[b.Fn], Block: b.ID, Off: pc - b.Start, Delta: cfg.delta()},
 			misses: n,
 		})
 	}

@@ -1,7 +1,6 @@
 package profsvc
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
@@ -72,25 +71,9 @@ func (c DriverConfig) generations() int {
 	return c.Generations
 }
 
-func (c DriverConfig) trainInsts() uint64 {
-	if c.TrainInsts == 0 {
-		return 20_000_000
-	}
-	return c.TrainInsts
-}
-
-func (c DriverConfig) evalInsts() uint64 {
-	if c.EvalInsts == 0 {
-		return 40_000_000
-	}
-	return c.EvalInsts
-}
-
-func (c DriverConfig) lbrPeriod() uint64 {
-	if c.LBRPeriod == 0 {
-		return 211
-	}
-	return c.LBRPeriod
+func (c DriverConfig) budget() core.Budget {
+	return core.Budget{TrainInsts: c.TrainInsts, EvalInsts: c.EvalInsts, LBRPeriod: c.LBRPeriod}.
+		Or(core.Budget{TrainInsts: 20_000_000, EvalInsts: 40_000_000, LBRPeriod: 211})
 }
 
 func (c DriverConfig) hosts() int {
@@ -169,26 +152,6 @@ func (r *LoopResult) FinalSpeedupPct() float64 {
 	return r.Generations[len(r.Generations)-1].SpeedupPct
 }
 
-// measureBin runs a binary on the simulator for the evaluation budget.
-func measureBin(bin *objfile.Binary, cfg DriverConfig) (uint64, int64, error) {
-	mach, err := sim.Load(bin)
-	if err != nil {
-		return 0, 0, err
-	}
-	res, err := mach.Run(sim.Config{MaxInsts: cfg.evalInsts(), Args: cfg.Args})
-	if err != nil {
-		return 0, 0, err
-	}
-	return res.Cycles, res.Exit, nil
-}
-
-// evalRun is one measureBin's outcome.
-type evalRun struct {
-	cycles uint64
-	exit   int64
-	err    error
-}
-
 // gateLookup is the address-map view the scorer's hot-function criteria
 // resolve against: nil for a binary without a map (those criteria are
 // skipped), an error for a map that does not decode — a corrupt map must
@@ -240,11 +203,14 @@ func RunGenerations(p *core.Program, cfg DriverConfig) (*LoopResult, error) {
 	}
 
 	// The baseline run is read only once a generation decides what to
-	// serve, so it runs beside generation 1's collection. Every return
-	// below joins what the loop started: the baseline run and, in the
-	// generation under way, the hot set.
-	baseline := par.Start(func() (r evalRun) {
-		r.cycles, r.exit, r.err = measureBin(meta.Binary, cfg)
+	// serve or judges a candidate against it, so it runs beside generation
+	// 1's collection. Every return below joins what the loop started: the
+	// baseline run and, in the generation under way, the hot set.
+	b := cfg.budget()
+	evalCfg := sim.Config{MaxInsts: b.EvalInsts, Args: cfg.Args}
+	var baseErr error // written by the job, read after its Join
+	baseline := par.Start(func() (r *sim.Result) {
+		r, baseErr = core.Measure(meta.Binary, evalCfg, nil)
 		return r
 	})
 	var hotSet *par.Job[[]string]
@@ -255,24 +221,24 @@ func RunGenerations(p *core.Program, cfg DriverConfig) (*LoopResult, error) {
 		}
 	}()
 	out := &LoopResult{Workload: p.Name, BaselineBuildID: meta.Binary.BuildID}
+	var base *sim.Result
 	var deployedCycles uint64
-	haveBaseline := false
 	// readBaseline joins the baseline run where the loop first reads it.
 	readBaseline := func() error {
-		if haveBaseline {
+		if base != nil {
 			return nil
 		}
 		r := baseline.Join()
-		if r.err != nil {
-			return fmt.Errorf("profsvc: baseline run: %w", r.err)
+		if baseErr != nil {
+			return fmt.Errorf("profsvc: baseline run: %w", baseErr)
 		}
-		out.BaselineCycles, out.BaselineExit, deployedCycles = r.cycles, r.exit, r.cycles
-		haveBaseline = true
+		base = r
+		out.BaselineCycles, out.BaselineExit, deployedCycles = r.Cycles, r.Exit, r.Cycles
 		return nil
 	}
 
 	deployed := meta.Binary
-	spec := core.RunSpec{Args: cfg.Args, MaxInsts: cfg.trainInsts(), LBRPeriod: cfg.lbrPeriod()}
+	spec := core.RunSpec{Args: cfg.Args, MaxInsts: b.TrainInsts, LBRPeriod: b.LBRPeriod}
 	fo := core.FleetOptions{
 		Hosts:           cfg.Hosts,
 		Shards:          cfg.Shards,
@@ -380,7 +346,9 @@ func RunGenerations(p *core.Program, cfg DriverConfig) (*LoopResult, error) {
 			return nil, fmt.Errorf("profsvc: gen %d analysis: %w", g, err)
 		}
 		gen.LayoutCacheHit = wres.Stats.GlobalCacheHit
-		gen.LayoutSHA = layoutSHA(wres.Directives, wres.Order)
+		if gen.LayoutSHA, err = layoutSHA(wres.Directives, wres.Order); err != nil {
+			return nil, fmt.Errorf("profsvc: gen %d layout: %w", g, err)
+		}
 
 		// Phase-4 relink: a new binary with a new content-hash build ID.
 		cand, nHot, nCold, err := core.Relink(p, meta.IRKeys, wres, opts)
@@ -391,18 +359,14 @@ func RunGenerations(p *core.Program, cfg DriverConfig) (*LoopResult, error) {
 		gen.HotReused = cand.HotReused
 		gen.CandidateBuildID = cand.Binary.BuildID
 
-		candCycles, candExit, err := measureBin(cand.Binary, cfg)
-		if err != nil {
-			return nil, fmt.Errorf("profsvc: gen %d candidate run: %w", g, err)
-		}
 		if err := readBaseline(); err != nil {
 			return nil, err
 		}
-		if candExit != out.BaselineExit {
-			return nil, fmt.Errorf("profsvc: gen %d candidate changed the checksum: %d vs %d",
-				g, candExit, out.BaselineExit)
+		candRun, err := core.Measure(cand.Binary, evalCfg, base)
+		if err != nil {
+			return nil, fmt.Errorf("profsvc: gen %d candidate run: %w", g, err)
 		}
-		gen.CandidateCycles = candCycles
+		gen.CandidateCycles = candRun.Cycles
 		hot := hotSet.Join()
 		gen.Admit = score(hot)
 
@@ -410,9 +374,9 @@ func RunGenerations(p *core.Program, cfg DriverConfig) (*LoopResult, error) {
 		// binary only when it is measurably better. Equal-performance
 		// alternates are never adopted, so the loop cannot oscillate and
 		// the deployed cycle count is monotone non-increasing.
-		if candCycles < deployedCycles {
+		if candRun.Cycles < deployedCycles {
 			deployed = cand.Binary
-			deployedCycles = candCycles
+			deployedCycles = candRun.Cycles
 			gen.Adopted = true
 		}
 		gen.DeployedBuildID = deployed.BuildID
@@ -451,10 +415,13 @@ func speedupPct(base, cur uint64) float64 {
 
 // layoutSHA fingerprints a layout decision by hashing the exact bytes of
 // its cc_prof.txt and ld_prof.txt renderings.
-func layoutSHA(d layoutfile.Directives, o layoutfile.SymbolOrder) string {
-	var buf bytes.Buffer
-	layoutfile.WriteDirectives(&buf, d)
-	layoutfile.WriteOrder(&buf, o)
-	sum := sha256.Sum256(buf.Bytes())
-	return hex.EncodeToString(sum[:])
+func layoutSHA(d layoutfile.Directives, o layoutfile.SymbolOrder) (string, error) {
+	cc, ld, err := layoutfile.Render(d, o)
+	if err != nil {
+		return "", err
+	}
+	h := sha256.New()
+	h.Write(cc)
+	h.Write(ld)
+	return hex.EncodeToString(h.Sum(nil)), nil
 }

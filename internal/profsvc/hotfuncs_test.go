@@ -12,7 +12,7 @@ import (
 )
 
 // referenceHotFuncs is hotFuncs as it was before the memoized function
-// set: an uncached Resolve of both addresses of every record, and a map
+// set: an uncached lookup of both addresses of every record, and a map
 // keyed by the resolved name.
 func referenceHotFuncs(p *profile.Profile, lk *bbaddrmap.Lookup) []string {
 	if lk == nil || p == nil {
@@ -21,11 +21,10 @@ func referenceHotFuncs(p *profile.Profile, lk *bbaddrmap.Lookup) []string {
 	set := map[string]bool{}
 	for _, smp := range p.Samples {
 		for _, r := range smp.Records {
-			if fn, _, ok := lk.Resolve(r.From); ok {
-				set[fn] = true
-			}
-			if fn, _, ok := lk.Resolve(r.To); ok {
-				set[fn] = true
+			for _, addr := range []uint64{r.From, r.To} {
+				if bi := lk.BlockAt(addr); bi != bbaddrmap.NoBlock {
+					set[lk.FuncNames()[lk.Blocks()[bi].Fn]] = true
+				}
 			}
 		}
 	}

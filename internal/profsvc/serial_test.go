@@ -9,6 +9,7 @@ import (
 	"propeller/internal/core"
 	"propeller/internal/objfile"
 	"propeller/internal/profile"
+	"propeller/internal/sim"
 	"propeller/internal/wpa"
 )
 
@@ -33,8 +34,9 @@ func wireAnalyzeStreamed(bin *objfile.Binary, prof *profile.Profile, opts core.O
 }
 
 // serialRunGenerations is RunGenerations as it was before the baseline run
-// and the hot set left the loop's critical path, kept verbatim (its
-// analysis through wireAnalyzeStreamed) as the oracle
+// and the hot set left the loop's critical path (its analysis through
+// wireAnalyzeStreamed; its runs, like the driver's, through core.Measure)
+// as the oracle
 // TestRunGenerationsMatchesSerialReplay holds the driver to: every job in
 // order on the caller's goroutine.
 func serialRunGenerations(p *core.Program, cfg DriverConfig) (*LoopResult, error) {
@@ -61,20 +63,23 @@ func serialRunGenerations(p *core.Program, cfg DriverConfig) (*LoopResult, error
 		return nil, fmt.Errorf("profsvc: metadata build: %w", err)
 	}
 
-	baseCycles, baseExit, err := measureBin(meta.Binary, cfg)
+	b := cfg.budget()
+	evalCfg := sim.Config{MaxInsts: b.EvalInsts, Args: cfg.Args}
+	base, err := core.Measure(meta.Binary, evalCfg, nil)
 	if err != nil {
 		return nil, fmt.Errorf("profsvc: baseline run: %w", err)
 	}
+	baseCycles := base.Cycles
 	out := &LoopResult{
 		Workload:        p.Name,
 		BaselineBuildID: meta.Binary.BuildID,
 		BaselineCycles:  baseCycles,
-		BaselineExit:    baseExit,
+		BaselineExit:    base.Exit,
 	}
 
 	deployed := meta.Binary
 	deployedCycles := baseCycles
-	spec := core.RunSpec{Args: cfg.Args, MaxInsts: cfg.trainInsts(), LBRPeriod: cfg.lbrPeriod()}
+	spec := core.RunSpec{Args: cfg.Args, MaxInsts: b.TrainInsts, LBRPeriod: b.LBRPeriod}
 	fo := core.FleetOptions{
 		Hosts:           cfg.Hosts,
 		Shards:          cfg.Shards,
@@ -164,7 +169,9 @@ func serialRunGenerations(p *core.Program, cfg DriverConfig) (*LoopResult, error
 			return nil, fmt.Errorf("profsvc: gen %d analysis: %w", g, err)
 		}
 		gen.LayoutCacheHit = wres.Stats.GlobalCacheHit
-		gen.LayoutSHA = layoutSHA(wres.Directives, wres.Order)
+		if gen.LayoutSHA, err = layoutSHA(wres.Directives, wres.Order); err != nil {
+			return nil, fmt.Errorf("profsvc: gen %d layout: %w", g, err)
+		}
 
 		// Phase-4 relink: a new binary with a new content-hash build ID.
 		cand, nHot, nCold, err := core.Relink(p, meta.IRKeys, wres, opts)
@@ -175,14 +182,11 @@ func serialRunGenerations(p *core.Program, cfg DriverConfig) (*LoopResult, error
 		gen.HotReused = cand.HotReused
 		gen.CandidateBuildID = cand.Binary.BuildID
 
-		candCycles, candExit, err := measureBin(cand.Binary, cfg)
+		candRun, err := core.Measure(cand.Binary, evalCfg, base)
 		if err != nil {
 			return nil, fmt.Errorf("profsvc: gen %d candidate run: %w", g, err)
 		}
-		if candExit != baseExit {
-			return nil, fmt.Errorf("profsvc: gen %d candidate changed the checksum: %d vs %d",
-				g, candExit, baseExit)
-		}
+		candCycles := candRun.Cycles
 		gen.CandidateCycles = candCycles
 
 		// Strict-improvement adoption: the candidate replaces the serving

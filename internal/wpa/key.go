@@ -151,16 +151,13 @@ func decodeLayoutEntry(data []byte) (intraOut, error) {
 const artifactsMagic = "WGA1"
 
 func encodeArtifacts(res *Result) ([]byte, error) {
-	var cc, ld bytes.Buffer
-	if err := layoutfile.WriteDirectives(&cc, res.Directives); err != nil {
-		return nil, err
-	}
-	if err := layoutfile.WriteOrder(&ld, res.Order); err != nil {
+	cc, ld, err := layoutfile.Render(res.Directives, res.Order)
+	if err != nil {
 		return nil, err
 	}
 	w := &wire.Writer{Buf: []byte(artifactsMagic)}
-	w.Bytes(cc.Bytes())
-	w.Bytes(ld.Bytes())
+	w.Bytes(cc)
+	w.Bytes(ld)
 	return w.Buf, nil
 }
 

@@ -14,16 +14,54 @@ import (
 // The sample kernel this package had before the dense block table, kept
 // verbatim as the oracle of the differential suite: every address becomes
 // a BlockRef{Fn string, ID int} and every count a Go map keyed on it. It
-// resolves through the Lookup's string-form queries, uncached — those are
-// themselves held to the old per-fragment Lookup in
-// internal/bbaddrmap/reference_test.go. The record classification is
-// written out twice below, as it was: once in refShard.addSample and once
-// in referencePaths.
+// resolves through the string-form queries the Lookup once had, spelled
+// below over its index-form ones, uncached — those are themselves held to
+// the old per-fragment Lookup in internal/bbaddrmap/reference_test.go.
+// The record classification is written out twice below, as it was: once
+// in refShard.addSample and once in referencePaths.
 
 type refShard struct {
 	infos  map[string]*funcInfo
 	agg    *Aggregate
-	lookup *bbaddrmap.Lookup
+	lookup refLookup
+}
+
+// BlockRef identifies a block by owning function name and stable block ID.
+type BlockRef struct {
+	Fn string
+	ID int
+}
+
+// refLookup answers the old string-form queries from a Lookup's rows.
+type refLookup struct{ *bbaddrmap.Lookup }
+
+func (l refLookup) ref(bi int32) BlockRef {
+	b := &l.Blocks()[bi]
+	return BlockRef{Fn: l.FuncNames()[b.Fn], ID: b.ID}
+}
+
+func (l refLookup) ResolveFull(addr uint64) (ref BlockRef, start, end uint64, ok bool) {
+	bi := l.BlockAt(addr)
+	if bi == bbaddrmap.NoBlock {
+		return BlockRef{}, 0, 0, false
+	}
+	return l.ref(bi), l.Blocks()[bi].Start, l.Blocks()[bi].End, true
+}
+
+func (l refLookup) IsBlockStart(addr uint64) (BlockRef, bool) {
+	bi := l.BlockStarting(addr)
+	if bi == bbaddrmap.NoBlock {
+		return BlockRef{}, false
+	}
+	return l.ref(bi), true
+}
+
+func (l refLookup) BlocksInRange(start, end uint64) []BlockRef {
+	var refs []BlockRef
+	for _, bi := range l.AppendBlocksIn(nil, start, end) {
+		refs = append(refs, l.ref(bi))
+	}
+	return refs
 }
 
 func refEntryOf(infos map[string]*funcInfo, fn string) int {
@@ -82,7 +120,7 @@ func referenceAggregate(m *bbaddrmap.Map, samples []profile.Sample, profileBytes
 	if err != nil {
 		return nil, err
 	}
-	sh := &refShard{infos: infos, agg: newAggregate(), lookup: bbaddrmap.NewLookup(m)}
+	sh := &refShard{infos: infos, agg: newAggregate(), lookup: refLookup{bbaddrmap.NewLookup(m)}}
 	for _, s := range samples {
 		sh.addSample(s)
 	}
@@ -143,7 +181,7 @@ func (w *refPathWalker) step(fn string, id int) {
 // it returns every path seen at least once with its count, keyed by
 // pathKey — what the selection after the fold (unchanged) starts from.
 func referencePaths(m *bbaddrmap.Map, prof *profile.Profile, opts PathOptions) map[string]uint64 {
-	res := bbaddrmap.NewLookup(m)
+	res := refLookup{bbaddrmap.NewLookup(m)}
 	w := &refPathWalker{opts: opts, counts: map[string]*pathStat{}}
 	for _, s := range prof.Samples {
 		for i, r := range s.Records {
