@@ -89,7 +89,7 @@ func hashFrac(h uint64) float64 {
 // stored samples (ProfileSource), or anything else that drives emit. (A
 // live simulation instead pushes into the host's Feed from its sample
 // callback.) Record slices passed to emit are only read during the call;
-// the collector copies what it batches.
+// the collector encodes what it batches.
 type SampleSource interface {
 	// Header returns the stream's profile metadata, known before any
 	// sample; its Samples count is ignored.
@@ -228,10 +228,11 @@ func (c *Collector) Open(t Transport, svc *Service, hdr profile.Header) *Feed {
 	bs := c.batchSamples()
 	return &Feed{
 		c: c, t: t, svc: svc, st: CollectorStats{Downsample: 1},
-		hdr:        hdr,
-		bs:         bs,
-		window:     make([]profile.Sample, 0, bs),
-		windowRecs: make([]profile.Branch, 0, bs*profile.LBRDepth),
+		hdr: hdr,
+		bs:  bs,
+		// Chained records take two to three bytes; a window of larger ones
+		// grows the body once for the whole stream.
+		body: make([]byte, 0, bs*(1+3*profile.LBRDepth)),
 	}
 }
 
@@ -242,11 +243,10 @@ func (c *Collector) Open(t Transport, svc *Service, hdr profile.Header) *Feed {
 // plan and stats are what Run of the same stream gives. A Feed is not
 // safe for concurrent use.
 //
-// It holds the current window of samples (records copied into a reused
-// flat buffer — a sample's records are only read during Add) and the
-// reused encode buffers that make the batch wire path allocation-free
-// apart from the payload itself, which must be owned by the in-flight
-// batch.
+// It holds the current window's kept samples already encoded, in a reused
+// body buffer, and a reused header buffer, so the batch wire path
+// allocates nothing apart from the payload itself, which must be owned by
+// the in-flight batch.
 type Feed struct {
 	c   *Collector
 	t   Transport
@@ -255,10 +255,10 @@ type Feed struct {
 	hdr profile.Header
 	bs  int
 
-	window     []profile.Sample
-	windowRecs []profile.Branch
-	thinBuf    []profile.Sample
-	encBuf     []byte
+	n    int    // samples of the current window taken so far
+	kept int    // of those, the ones the window's downsampling keeps
+	body []byte // the kept samples' wire encoding
+	head []byte // the batch header's wire encoding
 
 	seq         int
 	consecDrops int
@@ -272,7 +272,7 @@ func (f *Feed) Stats() CollectorStats { return f.st }
 // empty batch, so the host's presence registers with the service — and
 // returns the host's stats.
 func (f *Feed) Close() (CollectorStats, error) {
-	if len(f.window) > 0 || f.seq == 0 {
+	if f.n > 0 || f.seq == 0 {
 		if err := f.ship(); err != nil {
 			return f.st, err
 		}
@@ -280,44 +280,36 @@ func (f *Feed) Close() (CollectorStats, error) {
 	return f.st, nil
 }
 
-// Add takes the stream's next sample, copying its records, and ships the
-// window when it is full.
+// Add takes the stream's next sample and ships the window when it is
+// full. Under downsampling by d the window keeps its samples 0, d, 2d, …
+// — the unbiased sampling-rate adaptation a collector applies under
+// sustained backpressure — and a kept sample is encoded into the batch
+// body at once, so its records are only read during Add.
 func (f *Feed) Add(s profile.Sample) error {
-	l := len(f.windowRecs)
-	f.windowRecs = append(f.windowRecs, s.Records...)
-	// If append moved the backing array, earlier window samples keep
-	// pointing into the old block — still intact, still correct.
-	f.window = append(f.window, profile.Sample{Records: f.windowRecs[l:len(f.windowRecs):len(f.windowRecs)]})
-	if len(f.window) == f.bs {
+	if int64(f.n)%f.st.Downsample == 0 {
+		f.body = profile.AppendSample(f.body, s)
+		f.kept++
+	}
+	if f.n++; f.n == f.bs {
 		return f.ship()
 	}
 	return nil
 }
 
-// ship encodes and delivers the current window as batch (host, seq),
-// then resets the window; seq advances even for dropped batches.
+// ship puts the header in front of the current window's encoded samples,
+// delivers them as batch (host, seq) and resets the window; seq advances
+// even for dropped batches.
 func (f *Feed) ship() error {
 	c, st := f.c, &f.st
-	shipped := f.window
-	if st.Downsample > 1 {
-		f.thinBuf = thinAppend(f.thinBuf[:0], f.window, st.Downsample)
-		shipped = f.thinBuf
-	}
-	chunk := profile.Profile{
-		Binary:  f.hdr.Binary,
-		BuildID: f.hdr.BuildID,
-		Period:  f.hdr.Period,
-		Samples: shipped,
-	}
-	f.encBuf = chunk.AppendWire(f.encBuf[:0])
+	f.hdr.Samples = uint64(f.kept)
+	f.head = profile.AppendHeader(f.head[:0], f.hdr)
 	// The payload crosses into the service's queues and is decoded
-	// asynchronously, so it must own its bytes: one exact-size copy, the
+	// asynchronously, so it must own its bytes: one exact-size buffer, the
 	// only per-batch allocation on the wire path.
-	payload := append([]byte(nil), f.encBuf...)
+	payload := append(append(make([]byte, 0, len(f.head)+len(f.body)), f.head...), f.body...)
 	seq := f.seq
 	f.seq++
-	f.window = f.window[:0]
-	f.windowRecs = f.windowRecs[:0]
+	f.n, f.kept, f.body = 0, 0, f.body[:0]
 
 	lost, dup := f.t.plan(c.Host, seq)
 	st.Lost += int64(lost)
@@ -348,17 +340,6 @@ func (f *Feed) ship() error {
 		_ = f.svc.Submit(Batch{Host: c.Host, Seq: seq, Payload: payload})
 	}
 	return nil
-}
-
-// thinAppend keeps every d-th sample of a batch window, appending into
-// dst — the unbiased sampling-rate adaptation a collector applies under
-// sustained backpressure (d doubles after AdaptAfterDrops consecutive
-// drops).
-func thinAppend(dst, samples []profile.Sample, d int64) []profile.Sample {
-	for i := 0; i < len(samples); i += int(d) {
-		dst = append(dst, samples[i])
-	}
-	return dst
 }
 
 // deliver submits one batch with exponential backoff on queue-full, under

@@ -326,21 +326,90 @@ func TestRetryBudgetCap(t *testing.T) {
 	}
 }
 
+// feedPayloads streams p's samples through one host's Feed at batch size
+// bs and downsampling d, and returns the payloads it shipped in order.
+func feedPayloads(t *testing.T, p *profile.Profile, bs int, d int64) [][]byte {
+	t.Helper()
+	// A service without shard workers: batches stay queued for the test.
+	svc := &Service{shards: []*shard{{ch: make(chan Batch, len(p.Samples)+1)}}}
+	c := &Collector{Host: 0, BatchSamples: bs}
+	f := c.Open(Transport{}, svc, ProfileSource{p}.Header())
+	f.st.Downsample = d
+	for _, s := range p.Samples {
+		if err := f.Add(s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	close(svc.shards[0].ch)
+	var out [][]byte
+	for b := range svc.shards[0].ch {
+		if b.Seq != len(out) {
+			t.Fatalf("batch seq %d, want %d", b.Seq, len(out))
+		}
+		out = append(out, b.Payload)
+	}
+	return out
+}
+
+// TestFeedPayloadMatchesAppendWire: a Feed encodes kept samples as they
+// arrive, and each batch's payload is byte for byte AppendWire of its
+// window thinned to samples 0, d, 2d, … — for full, partial and empty
+// windows at downsampling {1, 2, 4}, with no spare capacity.
+func TestFeedPayloadMatchesAppendWire(t *testing.T) {
+	const bs = 4
+	for _, n := range []int{0, 3, 4, 10} {
+		p := hostProfile(0, n, "bid")
+		for _, d := range []int64{1, 2, 4} {
+			got := feedPayloads(t, p, bs, d)
+			var want [][]byte
+			for lo := 0; lo < n || lo == 0; lo += bs {
+				chunk := profile.Profile{Binary: p.Binary, BuildID: p.BuildID, Period: p.Period}
+				for i := lo; i < min(lo+bs, n); i += int(d) {
+					chunk.Samples = append(chunk.Samples, p.Samples[i])
+				}
+				want = append(want, chunk.AppendWire(nil))
+			}
+			if len(got) != len(want) {
+				t.Fatalf("n=%d d=%d: %d batches, want %d", n, d, len(got), len(want))
+			}
+			for i := range want {
+				if !bytes.Equal(got[i], want[i]) {
+					t.Errorf("n=%d d=%d: batch %d payload differs from AppendWire of its thinned window", n, d, i)
+				}
+				if len(got[i]) != cap(got[i]) {
+					t.Errorf("n=%d d=%d: batch %d payload is %d bytes in a %d-byte buffer", n, d, i, len(got[i]), cap(got[i]))
+				}
+			}
+		}
+	}
+}
+
 // TestThin pins the adaptation's sample selection: every d-th sample, ages
 // preserved, no bias toward either end of the window.
 func TestThin(t *testing.T) {
 	p := hostProfile(0, 10, "bid")
-	if got := thinAppend(nil, p.Samples, 1); len(got) != 10 {
-		t.Fatalf("thin(1) = %d samples, want 10", len(got))
-	}
-	got := thinAppend(nil, p.Samples, 4)
-	if len(got) != 3 {
-		t.Fatalf("thin(4) = %d samples, want 3", len(got))
-	}
-	for i, s := range got {
-		wantIdx := uint64(i * 4)
-		if idx := (s.Records[0].From >> 8) & 0xffffff; idx != wantIdx {
-			t.Fatalf("thin(4)[%d] is source sample %d, want %d", i, idx, wantIdx)
+	for _, tc := range []struct {
+		d    int64
+		want []uint64
+	}{{1, []uint64{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}}, {4, []uint64{0, 4, 8}}} {
+		payloads := feedPayloads(t, p, 10, tc.d)
+		if len(payloads) != 1 {
+			t.Fatalf("thin(%d): %d batches, want 1", tc.d, len(payloads))
+		}
+		got, err := profile.ReadBytes(payloads[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got.Samples) != len(tc.want) {
+			t.Fatalf("thin(%d) = %d samples, want %d", tc.d, len(got.Samples), len(tc.want))
+		}
+		for i, s := range got.Samples {
+			if idx := (s.Records[0].From >> 8) & 0xffffff; idx != tc.want[i] {
+				t.Fatalf("thin(%d)[%d] is source sample %d, want %d", tc.d, i, idx, tc.want[i])
+			}
 		}
 	}
 }

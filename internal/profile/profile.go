@@ -207,8 +207,10 @@ func (p *Profile) Write(w io.Writer) error {
 // returns the extended slice. A record is the zig-zag varints of From - prevTo
 // and To - From, prevTo being 0 at the start of a sample: LBR records chain,
 // so both are small, and the differences wrap in uint64, so any pair of
-// addresses round-trips. This is the collector batch path: a small chunk
-// encoded into a reused, warmed-up buffer costs zero allocations.
+// addresses round-trips. It is AppendHeader followed by AppendSample of
+// each sample, which a collector calls itself to encode samples as they
+// arrive; encoded into a reused, warmed-up buffer, a profile costs zero
+// allocations.
 func (p *Profile) AppendWire(dst []byte) []byte {
 	records := 0
 	for i := range p.Samples {
@@ -216,19 +218,35 @@ func (p *Profile) AppendWire(dst []byte) []byte {
 	}
 	// Chained records take two to three bytes; others grow dst as they go.
 	dst = slices.Grow(dst, len(profMagic)+len(p.Binary)+len(p.BuildID)+4*wire.MaxVarintLen64+len(p.Samples)+3*records)
-	w := wire.Writer{Buf: append(dst, profMagic...)}
-	w.Str(p.Binary)
-	w.Str(p.BuildID)
-	w.U64(p.Period)
-	w.Int(len(p.Samples))
+	dst = AppendHeader(dst, Header{Binary: p.Binary, BuildID: p.BuildID, Period: p.Period, Samples: uint64(len(p.Samples))})
 	for _, s := range p.Samples {
-		w.Int(len(s.Records))
-		var prevTo uint64
-		for _, r := range s.Records {
-			w.I64(int64(r.From - prevTo))
-			w.I64(int64(r.To - r.From))
-			prevTo = r.To
-		}
+		dst = AppendSample(dst, s)
+	}
+	return dst
+}
+
+// AppendHeader appends the wire header of a profile with h's metadata and
+// declared sample count; the h.Samples encoded samples must follow it.
+func AppendHeader(dst []byte, h Header) []byte {
+	dst = slices.Grow(dst, len(profMagic)+len(h.Binary)+len(h.BuildID)+4*wire.MaxVarintLen64)
+	w := wire.Writer{Buf: append(dst, profMagic...)}
+	w.Str(h.Binary)
+	w.Str(h.BuildID)
+	w.U64(h.Period)
+	w.U64(h.Samples)
+	return w.Buf
+}
+
+// AppendSample appends one sample's wire encoding: its record count, then
+// each record delta-coded against the previous record's target.
+func AppendSample(dst []byte, s Sample) []byte {
+	w := wire.Writer{Buf: dst}
+	w.Int(len(s.Records))
+	var prevTo uint64
+	for _, r := range s.Records {
+		w.I64(int64(r.From - prevTo))
+		w.I64(int64(r.To - r.From))
+		prevTo = r.To
 	}
 	return w.Buf
 }

@@ -8,6 +8,7 @@ import (
 	"propeller/internal/bbaddrmap"
 	"propeller/internal/buildsys"
 	"propeller/internal/core"
+	"propeller/internal/fleetprof"
 	"propeller/internal/layoutfile"
 	"propeller/internal/objfile"
 	"propeller/internal/par"
@@ -167,6 +168,29 @@ func gateLookup(bin *objfile.Binary) (*bbaddrmap.Lookup, error) {
 	return bbaddrmap.NewLookup(m), nil
 }
 
+// collectFleet is the fleet collection the loop runs: a variable so tests
+// can count the collections a loop makes and of which binaries.
+var collectFleet = core.CollectFleetProfile
+
+// adopts is the rollout rule: a candidate replaces the serving binary only
+// when its measured cycles are strictly lower. A variable so tests can make
+// a distinct candidate lose.
+var adopts = func(gen int, cand, deployed uint64) bool { return cand < deployed }
+
+// collection is one fleet collection: the merged profile and the ingest
+// stats the loop reads, or why it failed.
+type collection struct {
+	merged *profile.Profile
+	ingest fleetprof.IngestStats
+	err    error
+}
+
+func collect(bin *objfile.Binary, spec core.RunSpec, fo core.FleetOptions) collection {
+	// The fleetprof-level gate stays zero: admission is the scorer's job.
+	merged, _, ingest, err := collectFleet(bin, spec, fo, false)
+	return collection{merged: merged, ingest: ingest, err: err}
+}
+
 // RunGenerations closes the loop K times over one program: profile the
 // deployed binary across the fleet, publish the merged profile to the
 // store (over HTTP when a Client is configured), gate on the admission
@@ -178,6 +202,13 @@ func gateLookup(bin *objfile.Binary) (*bbaddrmap.Lookup, error) {
 // store's bounded retention the candidate layout becomes a pure function
 // of the deployed binary, so the loop reaches a byte-identical fixed
 // point instead of oscillating.
+//
+// The fleet's collection of a candidate starts as soon as it is relinked,
+// beside its evaluation run, on the bet that it is adopted; the next
+// generation uses that collection only when the candidate did become the
+// serving binary, and collects the serving binary itself otherwise. A
+// collection is a pure function of the binary and the fleet's shape, so
+// the LoopResult is the one the serial loop returns.
 func RunGenerations(p *core.Program, cfg DriverConfig) (*LoopResult, error) {
 	opts := cfg.Opts
 	if opts.IRCache == nil {
@@ -205,7 +236,8 @@ func RunGenerations(p *core.Program, cfg DriverConfig) (*LoopResult, error) {
 	// The baseline run is read only once a generation decides what to
 	// serve or judges a candidate against it, so it runs beside generation
 	// 1's collection. Every return below joins what the loop started: the
-	// baseline run and, in the generation under way, the hot set.
+	// baseline run, the last candidate's collection and, in the generation
+	// under way, the hot set.
 	b := cfg.budget()
 	evalCfg := sim.Config{MaxInsts: b.EvalInsts, Args: cfg.Args}
 	var baseErr error // written by the job, read after its Join
@@ -214,10 +246,15 @@ func RunGenerations(p *core.Program, cfg DriverConfig) (*LoopResult, error) {
 		return r
 	})
 	var hotSet *par.Job[[]string]
+	var ahead *par.Job[collection] // the last candidate's collection
+	var aheadOf *objfile.Binary    // and the candidate it profiles
 	defer func() {
 		baseline.Join()
 		if hotSet != nil {
 			hotSet.Join()
+		}
+		if ahead != nil {
+			ahead.Join()
 		}
 	}()
 	out := &LoopResult{Workload: p.Name, BaselineBuildID: meta.Binary.BuildID}
@@ -250,6 +287,11 @@ func RunGenerations(p *core.Program, cfg DriverConfig) (*LoopResult, error) {
 		BatchSamples:    cfg.BatchSamples,
 	}
 	var prevHot []string
+	// lost holds the build IDs that cannot beat the serving binary: its own
+	// and those of candidates measured against it. A loop at its fixed
+	// point re-derives the same losing candidate every generation, and a
+	// collection of it would be thrown away every time.
+	lost := map[string]bool{deployed.BuildID: true}
 	// The scorer's view of the serving binary's address map, rebuilt only
 	// when an adoption changes which binary is serving.
 	var lk *bbaddrmap.Lookup
@@ -262,9 +304,17 @@ func RunGenerations(p *core.Program, cfg DriverConfig) (*LoopResult, error) {
 		}
 		store.AdvanceEpoch()
 
-		// Collect this epoch's fleet profile of the deployed binary. The
-		// fleetprof-level gate stays zero: admission is the scorer's job.
-		merged, _, ingest, err := core.CollectFleetProfile(deployed, spec, fo, false)
+		// This epoch's fleet profile of the deployed binary: the one
+		// collected beside the last candidate's run if that candidate was
+		// adopted, a collection made now otherwise. A collection serves
+		// one generation only.
+		var c collection
+		if ahead != nil && aheadOf == deployed {
+			c, ahead = ahead.Join(), nil
+		} else {
+			c = collect(deployed, spec, fo)
+		}
+		merged, ingest, err := c.merged, c.ingest, c.err
 		if err != nil {
 			return nil, fmt.Errorf("profsvc: gen %d collection: %w", g, err)
 		}
@@ -359,6 +409,17 @@ func RunGenerations(p *core.Program, cfg DriverConfig) (*LoopResult, error) {
 		gen.HotReused = cand.HotReused
 		gen.CandidateBuildID = cand.Binary.BuildID
 
+		// The fleet profiles the candidate while it is measured, unless
+		// no generation follows or the candidate has lost already. A
+		// collection thrown away is joined before the next one starts.
+		if g < cfg.generations() && !lost[cand.Binary.BuildID] {
+			if ahead != nil {
+				ahead.Join()
+			}
+			bin := cand.Binary
+			ahead, aheadOf = par.Start(func() collection { return collect(bin, spec, fo) }), bin
+		}
+
 		if err := readBaseline(); err != nil {
 			return nil, err
 		}
@@ -374,10 +435,13 @@ func RunGenerations(p *core.Program, cfg DriverConfig) (*LoopResult, error) {
 		// binary only when it is measurably better. Equal-performance
 		// alternates are never adopted, so the loop cannot oscillate and
 		// the deployed cycle count is monotone non-increasing.
-		if candRun.Cycles < deployedCycles {
+		if adopts(g, candRun.Cycles, deployedCycles) {
 			deployed = cand.Binary
 			deployedCycles = candRun.Cycles
 			gen.Adopted = true
+			lost = map[string]bool{deployed.BuildID: true}
+		} else {
+			lost[cand.Binary.BuildID] = true
 		}
 		gen.DeployedBuildID = deployed.BuildID
 		gen.DeployedCycles = deployedCycles

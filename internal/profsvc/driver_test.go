@@ -6,12 +6,18 @@ import (
 	"net/http/httptest"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"propeller/internal/core"
 	"propeller/internal/fleetprof"
+	"propeller/internal/objfile"
+	"propeller/internal/profile"
+	"propeller/internal/sim"
 	"propeller/internal/workload"
 )
 
@@ -228,14 +234,83 @@ func withHTTP(cfg DriverConfig) (DriverConfig, func()) {
 	return cfg, ts.Close
 }
 
-// TestRunGenerationsMatchesSerialReplay: the loop with the baseline run and
-// the hot sets off its critical path, and its analysis fed the store's
-// profile in memory, returns the LoopResult the serial driver with the wire
-// round trip returns — every generation with its admit report, cycle
-// counts and retained count, and the store's accounting — for each scorer,
-// in process and over HTTP.
+// onCollect wraps the loop's fleet collection until the test ends: each
+// call reports the collected binary to fn first, from whichever goroutine
+// collects it.
+func onCollect(t testing.TB, fn func(*objfile.Binary)) {
+	orig := collectFleet
+	collectFleet = func(bin *objfile.Binary, spec core.RunSpec, fo core.FleetOptions, misses bool) (*profile.Profile, *sim.Result, fleetprof.IngestStats, error) {
+		fn(bin)
+		return orig(bin, spec, fo, misses)
+	}
+	t.Cleanup(func() { collectFleet = orig })
+}
+
+// countCollections records the build ID of every binary the loop collects
+// until the test ends; the returned func reads the record so far.
+func countCollections(t testing.TB) func() []string {
+	var mu sync.Mutex
+	var ids []string
+	onCollect(t, func(bin *objfile.Binary) {
+		mu.Lock()
+		ids = append(ids, bin.BuildID)
+		mu.Unlock()
+	})
+	return func() []string {
+		mu.Lock()
+		defer mu.Unlock()
+		return slices.Clone(ids)
+	}
+}
+
+// loseGen1 makes generation 1's candidate lose until the test ends, however
+// it measures: a candidate distinct from the serving binary that is not
+// adopted.
+func loseGen1(t testing.TB) {
+	orig := adopts
+	adopts = func(g int, cand, deployed uint64) bool { return g != 1 && orig(g, cand, deployed) }
+	t.Cleanup(func() { adopts = orig })
+}
+
+// TestRunGenerationsMatchesSerialReplay: the loop with the baseline run, the
+// hot sets and each candidate's fleet collection off its critical path, and
+// its analysis fed the store's profile in memory, returns the LoopResult
+// the serial driver with the wire round trip returns — every generation
+// with its admit report, cycle counts and retained count, and the store's
+// accounting — for each scorer, in process and over HTTP. In one more arm
+// generation 1's distinct candidate loses, so its collection is thrown
+// away: generation 2 must collect the serving baseline again.
 func TestRunGenerationsMatchesSerialReplay(t *testing.T) {
 	prog := tinyProgram(t)
+	t.Run("candidate loses", func(t *testing.T) {
+		loseGen1(t)
+		ids := countCollections(t)
+		cfg := tinyDriverConfig()
+		cfg.Generations = 3
+		got, err := RunGenerations(prog, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := serialRunGenerations(prog, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g1, g2 := got.Generations[0], got.Generations[1]
+		if g1.Adopted || g1.CandidateBuildID == got.BaselineBuildID || g2.ProfiledBuildID != got.BaselineBuildID {
+			t.Fatalf("generation 1 should lose a distinct candidate and generation 2 profile the baseline: %+v, %+v", g1, g2)
+		}
+		// The baseline twice (generations 1 and 2) and the candidate once.
+		c := ids()
+		slices.Sort(c)
+		if want := wantCollections(got); !slices.Equal(c, want) {
+			t.Fatalf("collected %v, want %v: generation 2 did not re-collect the baseline after candidate %s lost", c, want, g1.CandidateBuildID)
+		}
+		if !reflect.DeepEqual(got, want) {
+			g, _ := json.MarshalIndent(got, "", " ")
+			w, _ := json.MarshalIndent(want, "", " ")
+			t.Errorf("the loop diverges from the serial replay\ngot  %s\nwant %s", g, w)
+		}
+	})
 	for _, sc := range loopScorers {
 		if sc.scorer.readsHotSet() != sc.reads {
 			t.Fatalf("%s: readsHotSet = %v", sc.name, !sc.reads)
@@ -269,15 +344,134 @@ func TestRunGenerationsMatchesSerialReplay(t *testing.T) {
 	}
 }
 
+// wantCollections is what a loop must collect, read off its result: each
+// generation's profiled binary, plus each candidate collected beside its
+// run and thrown away — one that a later generation follows, that has not
+// lost to the serving binary already, and that is not adopted.
+func wantCollections(r *LoopResult) []string {
+	var want []string
+	lost := map[string]bool{r.BaselineBuildID: true}
+	for i, g := range r.Generations {
+		want = append(want, g.ProfiledBuildID)
+		if g.CandidateBuildID == "" {
+			continue
+		}
+		if i < len(r.Generations)-1 && !lost[g.CandidateBuildID] && !g.Adopted {
+			want = append(want, g.CandidateBuildID)
+		}
+		if g.Adopted {
+			lost = map[string]bool{g.CandidateBuildID: true}
+		} else {
+			lost[g.CandidateBuildID] = true
+		}
+	}
+	slices.Sort(want)
+	return want
+}
+
+// TestRunGenerationsCollections: speculating on the candidate skips no
+// work — the fleet collects each generation's serving binary once, plus
+// once per candidate collection thrown away — and a loop at its fixed point
+// re-derives the same losing candidate without collecting it again, so
+// running it longer adds no thrown-away collection.
+func TestRunGenerationsCollections(t *testing.T) {
+	prog := tinyProgram(t)
+	run := func(t *testing.T, gens int, edit func(*DriverConfig)) (*LoopResult, []string) {
+		ids := countCollections(t)
+		cfg := tinyDriverConfig()
+		cfg.Generations = gens
+		edit(&cfg)
+		res, err := RunGenerations(prog, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := ids()
+		slices.Sort(got)
+		if want := wantCollections(res); !slices.Equal(got, want) {
+			t.Fatalf("%d generations collected %v, want %v", gens, got, want)
+		}
+		return res, got
+	}
+	for _, sc := range loopScorers {
+		t.Run(sc.name, func(t *testing.T) { run(t, 3, func(c *DriverConfig) { c.Scorer = sc.scorer }) })
+	}
+	t.Run("candidate loses", func(t *testing.T) {
+		loseGen1(t)
+		run(t, 3, func(*DriverConfig) {})
+	})
+	t.Run("adopted, then gate closed", func(t *testing.T) {
+		// Generation 1's candidate is adopted; a store that already holds
+		// eight publishes of that candidate's profile keeps the freshness
+		// gate closed after it. Generation 2 takes the collection made
+		// beside generation 1's run, and generation 3, profiling the same
+		// binary, must collect it again.
+		profs := map[string]*profile.Profile{}
+		orig := collectFleet
+		collectFleet = func(bin *objfile.Binary, spec core.RunSpec, fo core.FleetOptions, misses bool) (*profile.Profile, *sim.Result, fleetprof.IngestStats, error) {
+			merged, run, st, err := orig(bin, spec, fo, misses)
+			profs[bin.BuildID] = merged // the loop's collections run one at a time here
+			return merged, run, st, err
+		}
+		cfg := tinyDriverConfig()
+		cfg.Generations = 2
+		first, err := RunGenerations(prog, cfg)
+		collectFleet = orig
+		if err != nil {
+			t.Fatal(err)
+		}
+		c1 := profs[first.Generations[0].CandidateBuildID]
+		store := NewStore(StoreConfig{})
+		for range 8 {
+			if _, err := store.Publish(&profile.Profile{Binary: c1.Binary, BuildID: c1.BuildID, Period: c1.Period, Samples: slices.Clone(c1.Samples)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		res, _ := run(t, 3, func(c *DriverConfig) { c.Store, c.Scorer = store, Scorer{MinFreshness: 0.9} })
+		g := res.Generations
+		if !g[0].Adopted || g[1].GateOpen || g[2].ProfiledBuildID != c1.BuildID {
+			t.Fatalf("want generation 1 adopted, then generations 2 and 3 profiling it behind a closed gate: %+v", g)
+		}
+	})
+	t.Run("fixed point", func(t *testing.T) {
+		res5, ids5 := run(t, 5, func(*DriverConfig) {})
+		res8, ids8 := run(t, 8, func(*DriverConfig) {})
+		if !res5.FixedPoint || !res8.FixedPoint {
+			t.Fatal("the tiny loop no longer reaches its fixed point")
+		}
+		if thrown5, thrown8 := len(ids5)-5, len(ids8)-8; thrown8 != thrown5 {
+			t.Fatalf("%d collections thrown away in 8 generations, %d in 5: the fixed point throws collections away", thrown8, thrown5)
+		}
+		fixed := res8.Generations[7].CandidateBuildID
+		if n := slices.Index(ids8, fixed); n >= 0 && slices.Contains(ids8[n+1:], fixed) {
+			t.Fatalf("the fixed point's candidate %s was collected more than once: %v", fixed, ids8)
+		}
+	})
+}
+
 // TestRunGenerationsLeavesNoGoroutines: every return joins what the loop
 // started. A loop that fails in generation 1 — its collection over budget
 // while the baseline run is going, or its publish refused by a closed
 // server while the hot set is being resolved — a closed-gate loop and a
-// converging one all leave runtime.NumGoroutine where it was.
+// converging one all leave runtime.NumGoroutine where it was. So does a
+// loop whose baseline run fails while its candidate's collection, held up
+// on purpose, is still running: the return waits for that collection.
 func TestRunGenerationsLeavesNoGoroutines(t *testing.T) {
 	prog := tinyProgram(t)
 	dead := httptest.NewServer(http.NotFoundHandler())
 	dead.Close()
+	// Every collection after a loop's first is its candidate's, and takes
+	// 200 ms longer than it would.
+	var calls atomic.Int64
+	var finished atomic.Bool
+	slowCandidate := func(c *DriverConfig) {
+		onCollect(t, func(*objfile.Binary) {
+			if calls.Add(1) > 1 {
+				time.Sleep(200 * time.Millisecond)
+				finished.Store(true)
+			}
+		})
+		c.EvalInsts = 10_000
+	}
 	for _, tc := range []struct {
 		name    string
 		edit    func(*DriverConfig)
@@ -287,6 +481,7 @@ func TestRunGenerationsLeavesNoGoroutines(t *testing.T) {
 		{"publish fails", func(c *DriverConfig) { c.Client = &Client{BaseURL: dead.URL} }, "profsvc: gen 1 publish: "},
 		{"closed gate", func(c *DriverConfig) { c.Scorer = Scorer{Gate: fleetprof.Gate{MinSamples: 1 << 40}} }, ""},
 		{"converging", func(*DriverConfig) {}, ""},
+		{"baseline run fails beside a candidate's collection", slowCandidate, "profsvc: baseline run: "},
 	} {
 		cfg := tinyDriverConfig()
 		cfg.Generations = 2
@@ -295,6 +490,9 @@ func TestRunGenerationsLeavesNoGoroutines(t *testing.T) {
 		_, err := RunGenerations(prog, cfg)
 		if tc.wantErr == "" && err != nil || tc.wantErr != "" && (err == nil || !strings.HasPrefix(err.Error(), tc.wantErr)) {
 			t.Fatalf("%s: err = %v, want prefix %q", tc.name, err, tc.wantErr)
+		}
+		if calls.Load() > 0 && (calls.Load() != 2 || !finished.Load()) {
+			t.Fatalf("%s: the loop returned after %d collections, its candidate's finished: %v; want its own and its candidate's, finished", tc.name, calls.Load(), finished.Load())
 		}
 		// A job that has handed back its result is still counted until its
 		// goroutine has finished exiting.
@@ -308,7 +506,9 @@ func TestRunGenerationsLeavesNoGoroutines(t *testing.T) {
 
 // BenchmarkRunGenerations times the service loop alone at the benchmark's
 // fleet-generation sizes: the MySQL shape at 2 500 requests, two hosts,
-// four generations of 20 M training instructions per host.
+// four generations of 20 M training instructions per host. collections/op
+// counts the fleet collections a loop makes: each generation's, plus each
+// candidate's that is thrown away.
 //
 //	go test ./internal/profsvc -run '^$' -bench RunGenerations -benchtime 10x -cpu 2
 func BenchmarkRunGenerations(b *testing.B) {
@@ -324,6 +524,8 @@ func BenchmarkRunGenerations(b *testing.B) {
 		TrainInsts: 20_000_000, LBRPeriod: 211,
 	}
 	cfg.Opts.WPA.Workers = 2
+	var collections atomic.Int64
+	onCollect(b, func(*objfile.Binary) { collections.Add(1) })
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -331,4 +533,5 @@ func BenchmarkRunGenerations(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+	b.ReportMetric(float64(collections.Load())/float64(b.N), "collections/op")
 }

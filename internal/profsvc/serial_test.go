@@ -33,12 +33,13 @@ func wireAnalyzeStreamed(bin *objfile.Binary, prof *profile.Profile, opts core.O
 	return wpa.AnalyzeStream(m, bytes.NewBuffer(prof.AppendWire(nil)), cfg)
 }
 
-// serialRunGenerations is RunGenerations as it was before the baseline run
-// and the hot set left the loop's critical path (its analysis through
-// wireAnalyzeStreamed; its runs, like the driver's, through core.Measure)
-// as the oracle
-// TestRunGenerationsMatchesSerialReplay holds the driver to: every job in
-// order on the caller's goroutine.
+// serialRunGenerations is RunGenerations as it was before the baseline run,
+// the hot set and the candidate's fleet collection left the loop's
+// critical path (its analysis through wireAnalyzeStreamed; its runs, like
+// the driver's, through core.Measure; its adoption through the driver's
+// adopts rule) as the oracle TestRunGenerationsMatchesSerialReplay holds
+// the driver to: every job in order on the caller's goroutine, and each
+// generation's collection of the serving binary made in that generation.
 func serialRunGenerations(p *core.Program, cfg DriverConfig) (*LoopResult, error) {
 	opts := cfg.Opts
 	if opts.IRCache == nil {
@@ -193,7 +194,7 @@ func serialRunGenerations(p *core.Program, cfg DriverConfig) (*LoopResult, error
 		// binary only when it is measurably better. Equal-performance
 		// alternates are never adopted, so the loop cannot oscillate and
 		// the deployed cycle count is monotone non-increasing.
-		if candCycles < deployedCycles {
+		if adopts(g, candCycles, deployedCycles) {
 			deployed = cand.Binary
 			deployedCycles = candCycles
 			gen.Adopted = true
