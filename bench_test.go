@@ -785,7 +785,7 @@ func BenchmarkFuncSplit(b *testing.B) {
 			b.Fatal(err)
 		}
 		train := core.RunSpec{MaxInsts: 400_000_000, LBRPeriod: 211}
-		optimized, _, err := core.PreparePGO(prog.Core, train, core.Options{}, core.PGOOptions{})
+		optimized, _, err := core.PreparePGO(prog.Core, train, core.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -1291,7 +1291,7 @@ func BenchmarkFleetProf(b *testing.B) {
 // bench-smoke artifact, grepped for `"fixed_point": true`).
 func BenchmarkProfSvc(b *testing.B) {
 	for iter := 0; iter < b.N; iter++ {
-		res, err := eval.GenerationSweep(eval.GenerationSweepConfig{})
+		res, err := eval.GenerationSweep()
 		if err != nil {
 			b.Fatal(err)
 		}

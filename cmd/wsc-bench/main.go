@@ -22,7 +22,6 @@ import (
 	"strings"
 
 	"propeller/internal/eval"
-	"propeller/internal/policysearch"
 	"propeller/internal/pprofutil"
 	"propeller/internal/workload"
 )
@@ -33,15 +32,13 @@ func main() {
 		table        = flag.Int("table", 0, "regenerate Table N (2, 3, 5)")
 		fig          = flag.Int("fig", 0, "regenerate Fig N (4, 5, 6, 7, 8, 9)")
 		spec         = flag.Bool("spec", false, "SPEC2017 results (§5.4)")
-		set          = flag.String("set", "all", "workload set: all | wsc | oss | spec | tiny")
+		set          = flag.String("set", "all", "workload set: all | wsc | oss | spec | smoke | tiny")
 		noBolt       = flag.Bool("no-bolt", false, "skip the BOLT comparator arm")
 		workers      = flag.Int("workers", 0, "WPA parallelism: 0 = all cores, 1 = serial (§4.7; output is identical either way)")
 		fleet        = flag.Bool("fleet", false, "fleet-collection scaling sweep (hosts x ingest shards x loss), writes BENCH_fleetprof.json")
 		incr         = flag.Bool("incr", false, "incremental edit-replay sweep (edit fraction x WPA workers, cold vs warm caches), writes BENCH_incr.json")
 		layout       = flag.Bool("layout", false, "layout-policy tournament across the workload catalog, writes BENCH_layout.json")
 		layoutPolicy = flag.String("layout-policy", "", "comma-separated subset of policies for -layout (default: all of "+defaultPolicyNames()+")")
-		search       = flag.Bool("search", false, "automated layout-policy search across the workload catalog, writes BENCH_search.json (see wsc-search for the full CLI)")
-		searchSeed   = flag.Int64("search-seed", 1, "policy-search seed (with -search)")
 	)
 	prof := pprofutil.Register()
 	flag.Parse()
@@ -51,6 +48,11 @@ func main() {
 		os.Exit(1)
 	}
 	defer stopProf()
+	specs, err := workload.Set(*set)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "wsc-bench: %v\n", err)
+		os.Exit(2)
+	}
 	if *fleet {
 		runFleetSweep()
 		return
@@ -60,11 +62,7 @@ func main() {
 		return
 	}
 	if *layout {
-		runLayoutTournament(*set, *layoutPolicy)
-		return
-	}
-	if *search {
-		runPolicySearch(*set, *searchSeed)
+		runLayoutTournament(specs, *set == "all", *layoutPolicy)
 		return
 	}
 	if !*all && *table == 0 && *fig == 0 && !*spec {
@@ -72,7 +70,6 @@ func main() {
 		os.Exit(2)
 	}
 
-	specs := pickSet(*set)
 	if *fig == 7 {
 		specs = []workload.Spec{workload.Clang()}
 	}
@@ -185,11 +182,8 @@ func defaultPolicyNames() string {
 // runLayoutTournament regenerates the layout-policy leaderboard (the
 // BenchmarkLayoutTournament artifact): every named policy relinked and
 // measured on the uarch model across the chosen workload set.
-func runLayoutTournament(set, policyList string) {
-	cfg := eval.LayoutTournamentConfig{}
-	if set != "all" {
-		cfg.Specs = pickSet(set)
-	}
+func runLayoutTournament(specs []workload.Spec, catalog bool, policyList string) {
+	cfg := eval.LayoutTournamentConfig{Specs: specs}
 	if policyList != "" {
 		for _, name := range strings.Split(policyList, ",") {
 			name = strings.TrimSpace(name)
@@ -221,48 +215,11 @@ func runLayoutTournament(set, policyList string) {
 	// The smoke contract is only meaningful over the full default field;
 	// report it but fail only when the run was the default one.
 	smoke := res.Smoke()
-	if policyList == "" && set == "all" && !smoke.OK {
+	if policyList == "" && catalog && !smoke.OK {
 		fmt.Fprintf(os.Stderr, "wsc-bench: layout smoke contract violated: %+v\n", smoke)
 		os.Exit(1)
 	}
 	writeArtifact("BENCH_layout.json", res.WriteBenchJSON)
-}
-
-// runPolicySearch regenerates the learned-policy study (the
-// BenchmarkPolicySearch artifact): the automated search racing against
-// the fixed tournament field, per workload. wsc-search is the
-// full-featured CLI; this arm exists so the whole bench-smoke artifact
-// set regenerates from one binary.
-func runPolicySearch(set string, seed int64) {
-	specs := pickSet(set)
-	fmt.Fprintf(os.Stderr, "wsc-bench: layout-policy search over %d workload(s), seed %d...\n", len(specs), seed)
-	evs, err := policysearch.NewEvaluators(specs, eval.LayoutTournamentConfig{Workers: []int{1}})
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "wsc-bench: policy search: %v\n", err)
-		os.Exit(1)
-	}
-	res, err := policysearch.Search(policysearch.Config{Seed: seed}, evs)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "wsc-bench: policy search: %v\n", err)
-		os.Exit(1)
-	}
-	fmt.Printf("%-14s %-12s %12s %-22s %12s %8s\n",
-		"workload", "bestFixed", "cycles", "learned", "cycles", "gain")
-	for _, w := range res.Workloads {
-		fmt.Printf("%-14s %-12s %12d %-22s %12d %7.2f%%\n",
-			w.Workload, w.BestFixed.Policy, w.BestFixed.Cycles,
-			w.Learned.Policy.Name, w.LearnedCycles, w.GainVsFixedPct)
-	}
-	minWins := 0
-	if set == "all" {
-		minWins = 3
-	}
-	smoke := res.SmokeCheck(minWins)
-	if !smoke.OK {
-		fmt.Fprintf(os.Stderr, "wsc-bench: search smoke contract violated: %+v\n", smoke)
-		os.Exit(1)
-	}
-	writeArtifact("BENCH_search.json", func(w io.Writer) error { return res.WriteBenchJSON(w, minWins) })
 }
 
 // writeArtifact writes one BENCH_*.json file through write and reports it,
@@ -280,22 +237,4 @@ func writeArtifact(name string, write func(io.Writer) error) {
 		os.Exit(1)
 	}
 	fmt.Fprintf(os.Stderr, "wsc-bench: wrote %s\n", name)
-}
-
-func pickSet(set string) []workload.Spec {
-	switch set {
-	case "all":
-		return workload.Catalog()
-	case "wsc":
-		return workload.WSC()
-	case "oss":
-		return workload.OpenSource()
-	case "spec":
-		return workload.SPECInt()
-	case "tiny":
-		return []workload.Spec{workload.Tiny()}
-	}
-	fmt.Fprintf(os.Stderr, "wsc-bench: unknown set %q\n", set)
-	os.Exit(2)
-	return nil
 }

@@ -88,10 +88,7 @@ func main() {
 		if !ok {
 			fatalf("unknown layout policy %q (have: %s)", *layoutPol, policyNames())
 		}
-		opts.InterProc = opts.InterProc || pol.InterProc
-		opts.WPA.KeepBlockOrder = pol.KeepBlockOrder
-		opts.WPA.PathClone = pol.PathClone
-		opts.WPA.ExtTSP = pol.Params
+		usePolicy(&opts, pol)
 		fmt.Printf("propeller: layout policy %s\n", pol.Name)
 	}
 	if *layoutTab != "" {
@@ -102,11 +99,7 @@ func main() {
 		if err != nil {
 			fatalf("%v", err)
 		}
-		opts.InterProc = opts.InterProc || pol.InterProc
-		opts.WPA.KeepBlockOrder = pol.KeepBlockOrder
-		opts.WPA.PathClone = pol.PathClone
-		opts.WPA.ExtTSP = pol.Params
-		opts.WPA.FuncPolicies = pol.FuncPolicies
+		usePolicy(&opts, pol)
 		fmt.Printf("propeller: learned layout policy %s for %s (%d per-function overrides)\n",
 			pol.Name, prog.Name, len(pol.FuncPolicies))
 	}
@@ -127,7 +120,7 @@ func main() {
 	train := core.RunSpec{MaxInsts: *trainMax, LBRPeriod: 211}
 
 	fmt.Printf("propeller: PGO+ThinLTO baseline over %d modules...\n", len(prog.Modules))
-	optimized, pgoStats, err := core.PreparePGO(prog, train, opts, core.PGOOptions{})
+	optimized, pgoStats, err := core.PreparePGO(prog, train, opts)
 	if err != nil {
 		fatalf("pgo: %v", err)
 	}
@@ -253,6 +246,16 @@ func runWarmReplay(wl string, editFrac float64, workers int) {
 	if !c.IdenticalArtifacts || !c.IdenticalBinary {
 		fatalf("warm outputs diverged from cold")
 	}
+}
+
+// usePolicy sets opts' layout fields from pol; a policy asking for
+// inter-procedural layout turns it on, and none turns it off.
+func usePolicy(opts *core.Options, pol eval.LayoutPolicy) {
+	opts.InterProc = opts.InterProc || pol.InterProc
+	opts.WPA.KeepBlockOrder = pol.KeepBlockOrder
+	opts.WPA.PathClone = pol.PathClone
+	opts.WPA.ExtTSP = pol.Params
+	opts.WPA.FuncPolicies = pol.FuncPolicies
 }
 
 // lookupTablePolicy resolves the program's learned policy from a

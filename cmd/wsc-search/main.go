@@ -79,7 +79,10 @@ func main() {
 		}
 	}
 
-	specs := pickSet(*set)
+	specs, err := workload.Set(*set)
+	if err != nil {
+		fatalf("%v", err)
+	}
 	fmt.Fprintf(os.Stderr, "wsc-search: preparing %d workload evaluator(s)...\n", len(specs))
 	res := runSearch(cfg, specs)
 	if *repro {
@@ -168,25 +171,6 @@ func knownStrategy(name string) bool {
 		}
 	}
 	return false
-}
-
-func pickSet(set string) []workload.Spec {
-	switch set {
-	case "all":
-		return workload.Catalog()
-	case "wsc":
-		return workload.WSC()
-	case "oss":
-		return workload.OpenSource()
-	case "smoke":
-		return []workload.Spec{workload.Clang(), workload.MySQL(), workload.Spanner()}
-	case "spec":
-		return workload.SPECInt()
-	case "tiny":
-		return []workload.Spec{workload.Tiny()}
-	}
-	fatalf("unknown set %q", set)
-	return nil
 }
 
 func fatalf(format string, args ...any) {

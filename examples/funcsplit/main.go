@@ -44,7 +44,7 @@ func main() {
 		log.Fatal(err)
 	}
 	train := core.RunSpec{MaxInsts: 300_000_000, LBRPeriod: 211}
-	optimized, _, err := core.PreparePGO(prog.Core, train, core.Options{}, core.PGOOptions{})
+	optimized, _, err := core.PreparePGO(prog.Core, train, core.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -518,6 +518,11 @@ func (r *Resolver) BlocksIn(start, end uint64) []int32 {
 	if e.n1 > 0 && e.start == start && e.end == end {
 		return r.arena[e.off : e.off+e.n1-1 : e.off+e.n1-1]
 	}
+	if r.arena == nil {
+		// A row per range-cache entry to start with: growing from empty
+		// would reallocate a dozen times before the first drain is done.
+		r.arena = make([]int32, 0, 1<<resolverBits)
+	}
 	if len(r.arena) > arenaMax {
 		// Entries evicted by collisions leak their arena rows; when the
 		// leaks fill the arena, start over (the caches refill in a few

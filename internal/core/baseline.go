@@ -10,28 +10,13 @@ import (
 	"propeller/internal/thinlto"
 )
 
-// PGOOptions tune the baseline PGO + ThinLTO pipeline.
-type PGOOptions struct {
-	// MinInlineCount is the block-count threshold for hot-call inlining
-	// (default 16).
-	MinInlineCount uint64
-	// MaxInlineInsts bounds inlinable callee size (default 48).
-	MaxInlineInsts int
-}
-
-func (o PGOOptions) minCount() uint64 {
-	if o.MinInlineCount == 0 {
-		return 16
-	}
-	return o.MinInlineCount
-}
-
-func (o PGOOptions) maxInsts() int {
-	if o.MaxInlineInsts == 0 {
-		return 48
-	}
-	return o.MaxInlineInsts
-}
+// The baseline's ThinLTO hot-call inlining: a call site inlines when its
+// block ran at least pgoMinInlineCount times in the training run and its
+// callee has at most pgoMaxInlineInsts instructions.
+const (
+	pgoMinInlineCount = 16
+	pgoMaxInlineInsts = 48
+)
 
 // PGOStats report the baseline preparation costs (the Table-5 "PGO"
 // phases: instrumented build, profiling run, optimized build).
@@ -47,7 +32,7 @@ type PGOStats struct {
 // PreparePGO runs the two-stage PGO build plus ThinLTO over a raw program
 // and returns the optimized modules — the "optimized IR" that Phase 1 of
 // the Propeller pipeline caches. The input program is not modified.
-func PreparePGO(p *Program, train RunSpec, opts Options, pgoOpts PGOOptions) ([]*ir.Module, *PGOStats, error) {
+func PreparePGO(p *Program, train RunSpec, opts Options) ([]*ir.Module, *PGOStats, error) {
 	if err := validate(p); err != nil {
 		return nil, nil, err
 	}
@@ -110,7 +95,7 @@ func PreparePGO(p *Program, train RunSpec, opts Options, pgoOpts PGOOptions) ([]
 		out[i] = ir.CloneModule(m)
 		pgo.Apply(out[i], counts)
 	}
-	imports, err := thinlto.OptimizeProgram(out, pgoOpts.minCount(), pgoOpts.maxInsts())
+	imports, err := thinlto.OptimizeProgram(out, pgoMinInlineCount, pgoMaxInlineInsts)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -32,9 +32,6 @@ type Config struct {
 	// RunBolt enables the comparator arm.
 	RunBolt bool
 
-	// BoltOptions override the default heavy preset.
-	BoltOptions *bolt.Options
-
 	// InterProc switches Propeller to §4.7 inter-procedural layout.
 	InterProc bool
 
@@ -141,7 +138,7 @@ func RunWorkload(cfg Config) (*Result, error) {
 	// PGO + ThinLTO baseline preparation.
 	b := cfg.budget()
 	train := core.RunSpec{MaxInsts: b.TrainInsts, LBRPeriod: b.LBRPeriod}
-	optimized, pgoStats, err := core.PreparePGO(prog.Core, train, opts, core.PGOOptions{})
+	optimized, pgoStats, err := core.PreparePGO(prog.Core, train, opts)
 	if err != nil {
 		return nil, fmt.Errorf("eval %s: pgo: %w", cfg.Spec.Name, err)
 	}
@@ -183,11 +180,7 @@ func RunWorkload(cfg Config) (*Result, error) {
 			return nil, err
 		}
 		res.BoltConvertMem = convMem
-		bOpts := bolt.Heavy()
-		if cfg.BoltOptions != nil {
-			bOpts = *cfg.BoltOptions
-		}
-		bo, bStats, err := bolt.Optimize(bm, prop.Profile, bOpts)
+		bo, bStats, err := bolt.Optimize(bm, prop.Profile, bolt.Heavy())
 		if err != nil {
 			return nil, fmt.Errorf("eval %s: bolt: %w", cfg.Spec.Name, err)
 		}

@@ -8,7 +8,6 @@ import (
 	"io"
 	"strings"
 
-	"propeller/internal/core"
 	"propeller/internal/profsvc"
 	"propeller/internal/workload"
 )
@@ -23,54 +22,19 @@ type GenerationCell struct {
 	Dup     float64
 }
 
-// GenerationSweepConfig sizes the iterative-stability study. The zero
-// value is the sweep the committed BENCH_profsvc.json baseline records.
-type GenerationSweepConfig struct {
-	Specs       []workload.Spec // default {Tiny()}
-	Generations int             // default 5
-	Hosts       int             // default 3
-	TrainInsts  uint64          // default 3M per host per generation
-	EvalInsts   uint64          // default 6M per measurement run
-	Cells       []GenerationCell
-	// Store overrides the default retention policy.
-	Store profsvc.StoreConfig
-}
+// The iterative-stability study's shape, the sweep the committed
+// BENCH_profsvc.json baseline records: the tiny workload, five generations
+// of three hosts, 3M training instructions per host per generation and 6M
+// per measurement run, replayed under three ingestion cells.
+const (
+	sweepGenerations = 5
+	sweepHosts       = 3
+)
 
-func (c GenerationSweepConfig) specs() []workload.Spec {
-	if len(c.Specs) == 0 {
-		return []workload.Spec{workload.Tiny()}
-	}
-	return c.Specs
-}
-
-func (c GenerationSweepConfig) generations() int {
-	if c.Generations <= 0 {
-		return 5
-	}
-	return c.Generations
-}
-
-func (c GenerationSweepConfig) hosts() int {
-	if c.Hosts <= 0 {
-		return 3
-	}
-	return c.Hosts
-}
-
-func (c GenerationSweepConfig) cells() []GenerationCell {
-	if len(c.Cells) == 0 {
-		return []GenerationCell{
-			{Shards: 1, Workers: 1},
-			{Shards: 4, Workers: 2},
-			{Shards: 2, Workers: 2, Loss: 0.25, Dup: 0.25},
-		}
-	}
-	return c.Cells
-}
-
-func (c GenerationSweepConfig) budget() core.Budget {
-	return core.Budget{TrainInsts: c.TrainInsts, EvalInsts: c.EvalInsts}.
-		Or(core.Budget{TrainInsts: 3_000_000, EvalInsts: 6_000_000})
+var generationCells = []GenerationCell{
+	{Shards: 1, Workers: 1},
+	{Shards: 4, Workers: 2},
+	{Shards: 2, Workers: 2, Loss: 0.25, Dup: 0.25},
 }
 
 // GenerationCurve is one (workload, ingestion-config) loop outcome — a row
@@ -116,71 +80,68 @@ func (r *GenerationSweepResult) WriteBenchJSON(w io.Writer) error {
 }
 
 // GenerationSweep runs the continuous profile-build loop to convergence on
-// each workload, replayed under every ingestion-configuration cell, and
+// the tiny workload, replayed under every ingestion-configuration cell, and
 // verifies the stability contract on each curve: monotone non-decreasing
 // speedup, a byte-identical fixed point within the generation budget, and
-// one decision sequence per workload regardless of sharding, ingest
-// parallelism or injected transport faults.
-func GenerationSweep(cfg GenerationSweepConfig) (*GenerationSweepResult, error) {
-	out := &GenerationSweepResult{Generations: cfg.generations(), Hosts: cfg.hosts()}
-	for _, spec := range cfg.specs() {
-		prog, err := workload.Generate(spec)
+// one decision sequence regardless of sharding, ingest parallelism or
+// injected transport faults.
+func GenerationSweep() (*GenerationSweepResult, error) {
+	out := &GenerationSweepResult{Generations: sweepGenerations, Hosts: sweepHosts}
+	spec := workload.Tiny()
+	prog, err := workload.Generate(spec)
+	if err != nil {
+		return nil, err
+	}
+	refSHA := ""
+	for _, cell := range generationCells {
+		res, err := profsvc.RunGenerations(prog.Core, profsvc.DriverConfig{
+			Generations:     out.Generations,
+			Hosts:           out.Hosts,
+			Shards:          cell.Shards,
+			WorkersPerShard: cell.Workers,
+			QueueDepth:      256, // generous: stability runs must see no drops
+			LossRate:        cell.Loss,
+			DupRate:         cell.Dup,
+			Seed:            11,
+			TrainInsts:      3_000_000,
+			EvalInsts:       6_000_000,
+		})
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("eval: %s shards=%d loss=%g: %w",
+				spec.Name, cell.Shards, cell.Loss, err)
 		}
-		refSHA := ""
-		b := cfg.budget()
-		for _, cell := range cfg.cells() {
-			res, err := profsvc.RunGenerations(prog.Core, profsvc.DriverConfig{
-				Generations:     out.Generations,
-				Hosts:           out.Hosts,
-				Shards:          cell.Shards,
-				WorkersPerShard: cell.Workers,
-				QueueDepth:      256, // generous: stability runs must see no drops
-				LossRate:        cell.Loss,
-				DupRate:         cell.Dup,
-				Seed:            11,
-				TrainInsts:      b.TrainInsts,
-				EvalInsts:       b.EvalInsts,
-				StoreConfig:     cfg.Store,
-			})
-			if err != nil {
-				return nil, fmt.Errorf("eval: %s shards=%d loss=%g: %w",
-					spec.Name, cell.Shards, cell.Loss, err)
-			}
-			curve := GenerationCurve{
-				Workload:        spec.Name,
-				Shards:          cell.Shards,
-				Workers:         cell.Workers,
-				LossRate:        cell.Loss,
-				DupRate:         cell.Dup,
-				BaselineCycles:  res.BaselineCycles,
-				FixedPoint:      res.FixedPoint,
-				FixedPointGen:   res.FixedPointGen,
-				FinalSpeedupPct: res.FinalSpeedupPct(),
-				Generations:     res.Generations,
-				SequenceSHA:     sequenceSHA(res),
-			}
-			prevSpeedup := 0.0
-			for _, g := range res.Generations {
-				if g.SpeedupPct < prevSpeedup {
-					return nil, fmt.Errorf("eval: %s shards=%d loss=%g: speedup regressed at gen %d (%.3f%% -> %.3f%%)",
-						spec.Name, cell.Shards, cell.Loss, g.Index, prevSpeedup, g.SpeedupPct)
-				}
-				prevSpeedup = g.SpeedupPct
-			}
-			if !res.FixedPoint {
-				return nil, fmt.Errorf("eval: %s shards=%d loss=%g: no fixed point within %d generations",
-					spec.Name, cell.Shards, cell.Loss, len(res.Generations))
-			}
-			if refSHA == "" {
-				refSHA = curve.SequenceSHA
-			} else if curve.SequenceSHA != refSHA {
-				return nil, fmt.Errorf("eval: %s shards=%d workers=%d loss=%g: decision sequence diverges across ingestion configs",
-					spec.Name, cell.Shards, cell.Workers, cell.Loss)
-			}
-			out.Curves = append(out.Curves, curve)
+		curve := GenerationCurve{
+			Workload:        spec.Name,
+			Shards:          cell.Shards,
+			Workers:         cell.Workers,
+			LossRate:        cell.Loss,
+			DupRate:         cell.Dup,
+			BaselineCycles:  res.BaselineCycles,
+			FixedPoint:      res.FixedPoint,
+			FixedPointGen:   res.FixedPointGen,
+			FinalSpeedupPct: res.FinalSpeedupPct(),
+			Generations:     res.Generations,
+			SequenceSHA:     sequenceSHA(res),
 		}
+		prevSpeedup := 0.0
+		for _, g := range res.Generations {
+			if g.SpeedupPct < prevSpeedup {
+				return nil, fmt.Errorf("eval: %s shards=%d loss=%g: speedup regressed at gen %d (%.3f%% -> %.3f%%)",
+					spec.Name, cell.Shards, cell.Loss, g.Index, prevSpeedup, g.SpeedupPct)
+			}
+			prevSpeedup = g.SpeedupPct
+		}
+		if !res.FixedPoint {
+			return nil, fmt.Errorf("eval: %s shards=%d loss=%g: no fixed point within %d generations",
+				spec.Name, cell.Shards, cell.Loss, len(res.Generations))
+		}
+		if refSHA == "" {
+			refSHA = curve.SequenceSHA
+		} else if curve.SequenceSHA != refSHA {
+			return nil, fmt.Errorf("eval: %s shards=%d workers=%d loss=%g: decision sequence diverges across ingestion configs",
+				spec.Name, cell.Shards, cell.Workers, cell.Loss)
+		}
+		out.Curves = append(out.Curves, curve)
 	}
 	return out, nil
 }

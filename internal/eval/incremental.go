@@ -32,15 +32,8 @@ type IncrementalSweepConfig struct {
 	// (default 1, 4). Warm results must be byte-identical at every count.
 	Workers []int
 
-	// Slots is the modeled build executor width (default 8 — a narrow
-	// pool, so a cold relink's hot-module wave dominates the makespan and
-	// the warm win shows up as wall time, not just saved cores).
-	Slots int
-
 	// TrainInsts bounds the profiling run (default 80M).
 	TrainInsts uint64
-	// LBRPeriod is the profiling sample period (default 211).
-	LBRPeriod uint64
 }
 
 func (c IncrementalSweepConfig) spec() workload.Spec {
@@ -64,15 +57,8 @@ func (c IncrementalSweepConfig) workers() []int {
 	return c.Workers
 }
 
-func (c IncrementalSweepConfig) slots() int {
-	if c.Slots <= 0 {
-		return 8
-	}
-	return c.Slots
-}
-
 func (c IncrementalSweepConfig) budget() core.Budget {
-	return core.Budget{TrainInsts: c.TrainInsts, LBRPeriod: c.LBRPeriod}.
+	return core.Budget{TrainInsts: c.TrainInsts}.
 		Or(core.Budget{TrainInsts: 80_000_000, LBRPeriod: 211})
 }
 
@@ -231,7 +217,7 @@ func (r *IncrementalResult) WriteBenchJSON(w io.Writer) error {
 // Phase-4 makespans that quantify the warm win.
 func IncrementalSweep(cfg IncrementalSweepConfig) (*IncrementalResult, error) {
 	spec := cfg.spec()
-	exec := &buildsys.Executor{Slots: cfg.slots()}
+	exec := &buildsys.Executor{Slots: evalSlots}
 
 	// Shared pre-edit state: program, metadata binary, profile, symbolic
 	// aggregate against the profiled binary's map.
@@ -250,7 +236,7 @@ func IncrementalSweep(cfg IncrementalSweepConfig) (*IncrementalResult, error) {
 	map0, prof0, agg := pb.m, pb.prof, pb.agg
 	load0 := func() (*bbaddrmap.Map, error) { return map0, nil }
 
-	out := &IncrementalResult{Workload: spec.Name, Slots: cfg.slots()}
+	out := &IncrementalResult{Workload: spec.Name, Slots: evalSlots}
 
 	// Stationary replay: same binary, same epoch, twice through one cache.
 	{

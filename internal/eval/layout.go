@@ -102,6 +102,12 @@ func (p LayoutPolicy) wpaConfig(workers int, paths wpa.PathSet) wpa.Config {
 	return cfg
 }
 
+// evalSlots is the modeled build executor width of every layout
+// evaluation and of the incremental replay: a narrow pool, so a cold
+// relink's hot-module wave dominates the makespan and the warm win shows up
+// as wall time, not just saved cores.
+const evalSlots = 8
+
 // LayoutTournamentConfig parameterizes the tournament.
 type LayoutTournamentConfig struct {
 	// Specs are the workloads to race on (default: the full catalog).
@@ -115,15 +121,10 @@ type LayoutTournamentConfig struct {
 	// across them.
 	Workers []int
 
-	// Slots is the modeled build executor width (default 8).
-	Slots int
-
 	// TrainInsts bounds the profiling run (default 60M); EvalInsts the
 	// per-binary measurement runs (default 40M).
 	TrainInsts uint64
 	EvalInsts  uint64
-	// LBRPeriod is the profiling sample period (default 211).
-	LBRPeriod uint64
 }
 
 func (c LayoutTournamentConfig) specs() []workload.Spec {
@@ -147,15 +148,8 @@ func (c LayoutTournamentConfig) workers() []int {
 	return c.Workers
 }
 
-func (c LayoutTournamentConfig) slots() int {
-	if c.Slots <= 0 {
-		return 8
-	}
-	return c.Slots
-}
-
 func (c LayoutTournamentConfig) budget() core.Budget {
-	return core.Budget{TrainInsts: c.TrainInsts, EvalInsts: c.EvalInsts, LBRPeriod: c.LBRPeriod}.
+	return core.Budget{TrainInsts: c.TrainInsts, EvalInsts: c.EvalInsts}.
 		Or(core.Budget{TrainInsts: 60_000_000, EvalInsts: 40_000_000, LBRPeriod: 211})
 }
 
@@ -315,7 +309,7 @@ type LayoutEval struct {
 // (only the fidelity/worker knobs of cfg apply; Specs/Policies are the
 // tournament's business).
 func NewLayoutEval(spec workload.Spec, cfg LayoutTournamentConfig) (*LayoutEval, error) {
-	return newLayoutEval(spec, cfg, &buildsys.Executor{Slots: cfg.slots()})
+	return newLayoutEval(spec, cfg, &buildsys.Executor{Slots: evalSlots})
 }
 
 func newLayoutEval(spec workload.Spec, cfg LayoutTournamentConfig, exec *buildsys.Executor) (*LayoutEval, error) {
@@ -487,7 +481,7 @@ func (e *LayoutEval) EvaluateInsts(pol LayoutPolicy, insts uint64) (LayoutCell, 
 // it. The emitted leaderboard is deterministic at every worker count —
 // only the measured* wall-clock fields vary run to run.
 func LayoutTournament(cfg LayoutTournamentConfig) (*LayoutTournamentResult, error) {
-	exec := &buildsys.Executor{Slots: cfg.slots()}
+	exec := &buildsys.Executor{Slots: evalSlots}
 	out := &LayoutTournamentResult{
 		Policies:       cfg.policies(),
 		Workers:        cfg.workers(),

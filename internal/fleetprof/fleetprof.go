@@ -27,6 +27,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"propeller/internal/par"
 	"propeller/internal/profile"
 )
 
@@ -78,12 +79,11 @@ type ServiceConfig struct {
 	// a batch recording a different (or no) build ID is rejected and
 	// counted — the build-ID matching of Google's propeller tooling.
 	BuildID string
-
-	// IngestDelay adds a real per-batch processing delay in the workers.
-	// Zero in production use; tests use it to force queue backpressure
-	// deterministically.
-	IngestDelay time.Duration
 }
+
+// ingestDelay is a real per-batch processing delay in the workers: zero
+// but in the tests that force queue backpressure deterministically.
+var ingestDelay time.Duration
 
 func (c ServiceConfig) shards() int {
 	if c.Shards < 1 {
@@ -108,7 +108,6 @@ func (c ServiceConfig) queueDepth() int {
 
 type shard struct {
 	ch        chan Batch
-	wg        sync.WaitGroup
 	highWater atomic.Int64
 
 	mu      sync.Mutex
@@ -117,8 +116,9 @@ type shard struct {
 
 // Service is the sharded ingestion endpoint.
 type Service struct {
-	cfg    ServiceConfig
-	shards []*shard
+	cfg     ServiceConfig
+	shards  []*shard
+	workers *par.Job[error] // every shard's workers, one par.Do
 
 	accepted        atomic.Int64
 	acceptedSamples atomic.Int64
@@ -154,25 +154,26 @@ type clientAggregate struct {
 	totalSendCost float64
 }
 
-// NewService starts the shard workers and returns the ready service.
+// NewService starts the shard workers and returns the ready service: one
+// job whose par.Do runs WorkersPerShard workers on each shard's queue.
 func NewService(cfg ServiceConfig) *Service {
 	s := &Service{cfg: cfg}
 	for i := 0; i < cfg.shards(); i++ {
-		sh := &shard{
+		s.shards = append(s.shards, &shard{
 			ch:      make(chan Batch, cfg.queueDepth()),
 			batches: make(map[batchKey]*storedBatch),
-		}
-		s.shards = append(s.shards, sh)
-		for w := 0; w < cfg.workers(); w++ {
-			sh.wg.Add(1)
-			go func(sh *shard) {
-				defer sh.wg.Done()
-				for b := range sh.ch {
-					s.ingest(sh, b)
-				}
-			}(sh)
-		}
+		})
 	}
+	n, per := len(s.shards)*cfg.workers(), cfg.workers()
+	s.workers = par.Start(func() error {
+		return par.Do(n, n, func(i int) error {
+			sh := s.shards[i/per]
+			for b := range sh.ch {
+				s.ingest(sh, b)
+			}
+			return nil
+		})
+	})
 	return s
 }
 
@@ -202,8 +203,8 @@ func (s *Service) Submit(b Batch) error {
 
 // ingest validates, deduplicates and stores one batch.
 func (s *Service) ingest(sh *shard, b Batch) {
-	if s.cfg.IngestDelay > 0 {
-		time.Sleep(s.cfg.IngestDelay)
+	if ingestDelay > 0 {
+		time.Sleep(ingestDelay)
 	}
 	key := batchKey{b.Host, b.Seq}
 	sh.mu.Lock()
@@ -250,9 +251,9 @@ func (s *Service) ingest(sh *shard, b Batch) {
 	}
 }
 
-// Drain closes the shard queues and waits for every in-flight batch to be
-// processed. After Drain the merged profile is final; Submit must not be
-// called again.
+// Drain closes the shard queues and joins the workers once every in-flight
+// batch is processed. After Drain the merged profile is final; Submit must
+// not be called again.
 func (s *Service) Drain() {
 	if s.drained {
 		return
@@ -261,9 +262,7 @@ func (s *Service) Drain() {
 	for _, sh := range s.shards {
 		close(sh.ch)
 	}
-	for _, sh := range s.shards {
-		sh.wg.Wait()
-	}
+	s.workers.Join()
 }
 
 // MergedProfile merges every accepted batch into one profile. The merge

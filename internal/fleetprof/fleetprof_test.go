@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -147,11 +148,47 @@ func TestBuildIDRejection(t *testing.T) {
 	}
 }
 
+// TestServiceDrainLeavesNoGoroutines: Drain returns once every queued batch
+// is ingested and joins every worker the service started, and a second
+// Drain starts and leaves none.
+func TestServiceDrainLeavesNoGoroutines(t *testing.T) {
+	payload := encodeProfile(t, hostProfile(0, 4, "bid"))
+	for _, tc := range []struct{ shards, workers int }{{1, 1}, {2, 2}, {4, 2}} {
+		base := runtime.NumGoroutine()
+		svc := NewService(ServiceConfig{Shards: tc.shards, WorkersPerShard: tc.workers, BuildID: "bid"})
+		for seq := 0; seq < 8; seq++ {
+			if err := svc.Submit(Batch{Host: 0, Seq: seq, Payload: payload}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for drain := 1; drain <= 2; drain++ {
+			svc.Drain()
+			if got := svc.Stats().AcceptedBatches; got != 8 {
+				t.Fatalf("%d×%d, drain %d: %d batches accepted, want 8: Drain returned before the workers were done",
+					tc.shards, tc.workers, drain, got)
+			}
+			for deadline := time.Now().Add(2 * time.Second); runtime.NumGoroutine() > base; time.Sleep(time.Millisecond) {
+				if time.Now().After(deadline) {
+					t.Fatalf("%d×%d, drain %d: %d goroutines, %d before NewService: a worker outlived Drain",
+						tc.shards, tc.workers, drain, runtime.NumGoroutine(), base)
+				}
+			}
+		}
+	}
+}
+
+// slowIngest makes every worker sleep d per batch until the test ends.
+func slowIngest(t *testing.T, d time.Duration) {
+	ingestDelay = d
+	t.Cleanup(func() { ingestDelay = 0 })
+}
+
 // TestBackpressure: a depth-1 queue with a slow worker forces queue-full
 // rejects and client retries, yet the run converges with every sample
 // counted exactly once.
 func TestBackpressure(t *testing.T) {
-	svc := NewService(ServiceConfig{QueueDepth: 1, IngestDelay: 200 * time.Microsecond})
+	slowIngest(t, 200*time.Microsecond)
+	svc := NewService(ServiceConfig{QueueDepth: 1})
 	st, err := RunFleet(fleet(4, 30, "bid", 2), Transport{}, svc)
 	if err != nil {
 		t.Fatalf("RunFleet: %v", err)
@@ -276,7 +313,8 @@ func TestMakespanMonotone(t *testing.T) {
 func TestRetryBudgetCap(t *testing.T) {
 	// Depth-1 queue whose single worker sleeps long enough that the queue
 	// stays full for every collector attempt below.
-	svc := NewService(ServiceConfig{QueueDepth: 1, IngestDelay: 300 * time.Millisecond})
+	slowIngest(t, 300*time.Millisecond)
+	svc := NewService(ServiceConfig{QueueDepth: 1})
 	// Wedge the shard: one batch busies the worker, one fills the queue.
 	for i := 0; i < 2; i++ {
 		for {

@@ -6,12 +6,12 @@
 // order after Do returns, and the error reported is the lowest failing
 // index's. Completion order then never reaches a result.
 //
-// exttsp's batch pool runs on Do too: task 0 owns the merge state and
-// the others are helpers scoring whatever re-scoring batches it offers,
-// so exttsp keeps only the batch hand-off's WaitGroup. The two goroutine
-// sets that remain are not indexed fan-outs and do not use Do:
-// wpa.Aggregator's stream shards and fleetprof.Service's shard workers,
-// long-lived consumers of a channel fed for as long as the stream runs.
+// Long-lived channel consumers run on Do too, each task draining a queue
+// until it is closed. exttsp's batch pool and wpa's aggregation are an
+// owner and its helpers: task 0 owns the merge state (exttsp) or the feed
+// (wpa) and the other tasks take what it hands them, so exttsp keeps only
+// the batch hand-off's WaitGroup. fleetprof.Service starts one job whose
+// Do runs every shard's ingest workers until Drain closes their queues.
 package par
 
 import (
@@ -24,35 +24,46 @@ import (
 // them on the caller's goroutine. Every task runs even after one fails.
 // Do returns once all have finished, with the lowest failing index's error.
 func Do(n, workers int, fn func(i int) error) error {
-	var next atomic.Int64
-	var mu sync.Mutex
-	low, first := n, error(nil)
-	run := func() {
-		for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
-			if err := fn(i); err != nil {
-				mu.Lock()
-				if i < low {
-					low, first = i, err
-				}
-				mu.Unlock()
-			}
-		}
-	}
+	d := &do{n: n, fn: fn, low: n}
 	workers = min(workers, n)
 	if workers <= 1 {
-		run()
-		return first
+		d.run()
+		return d.first
 	}
-	var wg sync.WaitGroup
-	wg.Add(workers)
+	d.wg.Add(workers)
 	for w := 0; w < workers; w++ {
 		go func() {
-			defer wg.Done()
-			run()
+			defer d.wg.Done()
+			d.run()
 		}()
 	}
-	wg.Wait()
-	return first
+	d.wg.Wait()
+	return d.first
+}
+
+// do is one Do call's shared state, allocated once whatever the worker
+// count.
+type do struct {
+	next  atomic.Int64
+	n     int
+	fn    func(i int) error
+	mu    sync.Mutex
+	low   int // lowest failing index so far; n while none has failed
+	first error
+	wg    sync.WaitGroup
+}
+
+// run takes indices until none is left.
+func (d *do) run() {
+	for i := int(d.next.Add(1)) - 1; i < d.n; i = int(d.next.Add(1)) - 1 {
+		if err := d.fn(i); err != nil {
+			d.mu.Lock()
+			if i < d.low {
+				d.low, d.first = i, err
+			}
+			d.mu.Unlock()
+		}
+	}
 }
 
 // Job is work started now and read later.

@@ -154,9 +154,9 @@ func ReadTable(r io.Reader) (*PolicyTable, error) {
 }
 
 // WriteBenchJSON writes the BENCH_search.json artifact (one shape shared
-// by BenchmarkPolicySearch and `wsc-search`/`wsc-bench -search`, so the
-// committed baseline applies to any producer). Fully deterministic, so
-// the bench-regression gate compares every leaf exactly.
+// by BenchmarkPolicySearch and `wsc-search`, so the committed baseline
+// applies to either producer). Fully deterministic, so the
+// bench-regression gate compares every leaf exactly.
 func (r *Result) WriteBenchJSON(w io.Writer, minStrictWins int) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")

@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"io"
 	"slices"
-	"sort"
 
 	"propeller/internal/wire"
 )
@@ -93,26 +92,6 @@ func (p *Profile) FallRanges() map[FallRange]uint64 {
 		}
 	}
 	return out
-}
-
-// SortedEdges returns the aggregated edges ordered by descending weight,
-// then by address for determinism.
-func SortedEdges(agg map[Edge]uint64) []Edge {
-	edges := make([]Edge, 0, len(agg))
-	for e := range agg {
-		edges = append(edges, e)
-	}
-	sort.Slice(edges, func(i, j int) bool {
-		wi, wj := agg[edges[i]], agg[edges[j]]
-		if wi != wj {
-			return wi > wj
-		}
-		if edges[i].From != edges[j].From {
-			return edges[i].From < edges[j].From
-		}
-		return edges[i].To < edges[j].To
-	})
-	return edges
 }
 
 // Merge combines profile shards (e.g. the per-host outputs of a fleet

@@ -93,17 +93,6 @@ func TestFallRanges(t *testing.T) {
 	}
 }
 
-func TestSortedEdgesDeterministic(t *testing.T) {
-	agg := map[Edge]uint64{
-		{1, 2}: 5, {3, 4}: 5, {5, 6}: 9,
-	}
-	edges := SortedEdges(agg)
-	want := []Edge{{5, 6}, {1, 2}, {3, 4}}
-	if !reflect.DeepEqual(edges, want) {
-		t.Errorf("got %v, want %v", edges, want)
-	}
-}
-
 func TestSizeBytesGrowsWithSamples(t *testing.T) {
 	small := &Profile{Samples: make([]Sample, 1)}
 	big := &Profile{Samples: make([]Sample, 100)}

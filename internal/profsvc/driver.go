@@ -49,10 +49,8 @@ type DriverConfig struct {
 	// when nil).
 	Opts core.Options
 
-	// StoreConfig tunes retention when the driver creates its own Store.
-	StoreConfig StoreConfig
-
-	// Store is the profile store; created from StoreConfig when nil.
+	// Store is the profile store; one with the default retention policy
+	// when nil.
 	Store *Store
 
 	// Service, when non-nil, is told each generation's serving build ID —
@@ -225,7 +223,7 @@ func RunGenerations(p *core.Program, cfg DriverConfig) (*LoopResult, error) {
 	}
 	store := cfg.Store
 	if store == nil {
-		store = NewStore(cfg.StoreConfig)
+		store = NewStore(StoreConfig{})
 	}
 
 	meta, err := core.BuildWithMetadata(p, opts)

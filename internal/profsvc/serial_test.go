@@ -56,7 +56,7 @@ func serialRunGenerations(p *core.Program, cfg DriverConfig) (*LoopResult, error
 	}
 	store := cfg.Store
 	if store == nil {
-		store = NewStore(cfg.StoreConfig)
+		store = NewStore(StoreConfig{})
 	}
 
 	meta, err := core.BuildWithMetadata(p, opts)

@@ -1,5 +1,7 @@
 package workload
 
+import "fmt"
+
 // The benchmark catalog: every workload of the paper's Table 2, scaled
 // ~1:100 in function count (1:200 for the two largest) while preserving
 // blocks-per-function, the cold-object fraction, and the workload class
@@ -115,6 +117,27 @@ func OpenSource() []Spec { return []Spec{Clang(), MySQL()} }
 func Catalog() []Spec {
 	out := []Spec{Clang(), MySQL(), Spanner(), Search(), Bigtable(), Superroot()}
 	return append(out, SPECInt()...)
+}
+
+// Set returns the workload set the CLIs' -set flag names: all (the
+// catalog), wsc, oss, spec, smoke (clang, MySQL and Spanner, a CI-sized
+// cross-section) or tiny.
+func Set(name string) ([]Spec, error) {
+	switch name {
+	case "all":
+		return Catalog(), nil
+	case "wsc":
+		return WSC(), nil
+	case "oss":
+		return OpenSource(), nil
+	case "spec":
+		return SPECInt(), nil
+	case "smoke":
+		return []Spec{Clang(), MySQL(), Spanner()}, nil
+	case "tiny":
+		return []Spec{Tiny()}, nil
+	}
+	return nil, fmt.Errorf("unknown workload set %q (have all, wsc, oss, spec, smoke, tiny)", name)
 }
 
 // Tiny returns a fast miniature workload for unit tests.

@@ -87,7 +87,7 @@ func TestTinyFullPipeline(t *testing.T) {
 		t.Fatal(err)
 	}
 	train := core.RunSpec{MaxInsts: 60_000_000, LBRPeriod: 211}
-	optimized, pgoStats, err := core.PreparePGO(p.Core, train, core.Options{}, core.PGOOptions{})
+	optimized, pgoStats, err := core.PreparePGO(p.Core, train, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,4 +136,17 @@ func TestTinyFullPipeline(t *testing.T) {
 		baseRes.Cycles, optRes.Cycles,
 		100*(1-float64(optRes.Cycles)/float64(baseRes.Cycles)),
 		res.HotModules, res.HotModules+res.ColdModules)
+}
+
+// TestSet holds every -set name to its list and refuses an unknown one.
+func TestSet(t *testing.T) {
+	for name, want := range map[string]int{"all": len(Catalog()), "wsc": 4, "oss": 2, "spec": 8, "smoke": 3, "tiny": 1} {
+		specs, err := Set(name)
+		if err != nil || len(specs) != want {
+			t.Errorf("Set(%q) = %d specs, %v; want %d", name, len(specs), err, want)
+		}
+	}
+	if _, err := Set("bogus"); err == nil {
+		t.Error(`Set("bogus") succeeded`)
+	}
 }

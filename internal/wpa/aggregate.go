@@ -28,10 +28,10 @@ package wpa
 
 import (
 	"sort"
-	"sync"
 	"time"
 
 	"propeller/internal/bbaddrmap"
+	"propeller/internal/par"
 	"propeller/internal/profile"
 	"propeller/internal/wire"
 )
@@ -211,92 +211,73 @@ type sampleBatch struct {
 	recs    []profile.Branch
 }
 
-// Aggregator folds batches of samples into one Aggregate as they arrive,
-// over private shards: Add any number of batches, then Finish, from one
-// goroutine. Every contribution is a commutative uint64 sum, so the result
-// does not depend on how the samples were cut into batches or on which
-// shard took which batch. With more than one shard the batches are folded
-// on worker goroutines, which Finish stops: every Aggregator must be
-// finished, its result wanted or not. Beyond the result it allocates per
-// shard, not per sample.
-type Aggregator struct {
-	lookup func() *bbaddrmap.Lookup
-	shards []*shard
-	ch     chan sampleBatch // nil on the serial path
-	free   chan sampleBatch // folded batches whose record block can be refilled
-	wg     sync.WaitGroup
-}
-
-// newAggregator starts an aggregation over w shards. lookup returns the
-// block table the shards count into, the same one on every call: each shard
-// and Finish call it, and the first call, on the first worker (w == 1:
-// here), may build it, so a feed that is already running does not wait.
-func newAggregator(w int, lookup func() *bbaddrmap.Lookup) *Aggregator {
-	a := &Aggregator{lookup: lookup, shards: make([]*shard, w)}
+// foldShards folds what feed hands its add over w private shards. add hands
+// a batch to a shard and returns one the feed may refill (the zero batch
+// when none has been folded yet); the feed must not write a batch again
+// unless add hands it back. lookup returns the block table the shards count
+// into, the same one on every call; the first shard to call it may build
+// it, so a feed that is already running does not wait.
+//
+// With w == 1 the feed folds on the caller and add returns the batch itself.
+// Otherwise the feed is task 0 of one par.Do and tasks 1…w are the shards:
+// each folds batches from one queue, which add blocks on only while w are
+// queued, and finishes on its own goroutine. Every contribution is a
+// commutative uint64 sum, so what mergeShards makes of the shards does not
+// depend on how the samples were cut into batches or on which shard took
+// which. Beyond the result it allocates per shard, not per sample.
+func foldShards(w int, lookup func() *bbaddrmap.Lookup, feed func(add func(sampleBatch) sampleBatch) error) ([]*shard, error) {
+	shards := make([]*shard, w)
 	if w == 1 {
-		a.shards[0] = newShard(a.lookup())
-		return a
+		sh := newShard(lookup())
+		shards[0] = sh
+		err := feed(func(b sampleBatch) sampleBatch {
+			sh.fold(b.samples)
+			return b
+		})
+		sh.finish()
+		return shards, err
 	}
-	a.ch = make(chan sampleBatch, w) // one batch in hand per worker
+	queue := make(chan sampleBatch, w) // one batch in hand per shard
 	// add takes a refillable batch back whenever it can, so w queued, w being
 	// folded and one with the feed are all that exist: free never blocks.
-	a.free = make(chan sampleBatch, 2*w+1)
-	for i := range a.shards {
-		a.wg.Add(1)
-		go func() {
-			defer a.wg.Done()
-			sh := newShard(a.lookup())
-			a.shards[i] = sh
-			for b := range a.ch {
-				sh.fold(b.samples)
-				if b.recs != nil {
-					a.free <- b
+	free := make(chan sampleBatch, 2*w+1)
+	err := par.Do(w+1, w+1, func(i int) error {
+		if i == 0 {
+			defer close(queue)
+			return feed(func(b sampleBatch) (spare sampleBatch) {
+				queue <- b
+				select {
+				case spare = <-free:
+				default:
 				}
+				return spare
+			})
+		}
+		sh := newShard(lookup())
+		shards[i-1] = sh
+		for b := range queue {
+			sh.fold(b.samples)
+			if b.recs != nil {
+				free <- b
 			}
-			sh.finish()
-		}()
-	}
-	return a
+		}
+		sh.finish()
+		return nil
+	})
+	return shards, err
 }
 
-// add hands b to a shard and returns a batch the feed may refill (the zero
-// batch when none has been folded yet): on the serial path b itself;
-// otherwise b crosses to a worker goroutine — add blocks only while w
-// batches are already queued — and the feed must not write it again unless
-// a later add hands it back.
-func (a *Aggregator) add(b sampleBatch) (spare sampleBatch) {
-	if a.ch == nil {
-		a.shards[0].fold(b.samples)
-		return b
-	}
-	a.ch <- b
-	select {
-	case spare = <-a.free:
-	default:
-	}
-	return spare
-}
-
-// Add folds batch, which must stay unwritten until Finish returns.
-func (a *Aggregator) Add(batch []profile.Sample) { a.add(sampleBatch{samples: batch}) }
-
-// Finish waits for the batches still queued, merges the shards and returns
-// the Aggregate of everything added.
-func (a *Aggregator) Finish() *Aggregate {
-	if a.ch == nil {
-		a.shards[0].finish()
-	} else {
-		close(a.ch)
-		a.wg.Wait()
-	}
+// mergeShards sums the shards in index order into the Aggregate of
+// everything they folded.
+func mergeShards(shards []*shard, lk *bbaddrmap.Lookup) *Aggregate {
 	mergeStart := time.Now()
-	sum, busy := a.shards[0], a.shards[0].busy
-	for _, sh := range a.shards[1:] {
+	sum, busy := shards[0], shards[0].busy
+	for _, sh := range shards[1:] {
 		busy = max(busy, sh.busy)
 		sum.merge(sh)
 	}
-	agg := sum.aggregate(a.lookup())
-	agg.aggregateWall, agg.mergeWall, agg.workers = busy, time.Since(mergeStart), len(a.shards)
+	agg := sum.aggregate(lk)
+	agg.aggregateWall, agg.mergeWall, agg.workers = busy, time.Since(mergeStart), len(shards)
 	agg.keys = sum.keys
 	return agg
 }

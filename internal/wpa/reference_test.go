@@ -244,9 +244,11 @@ func checkAgainstReference(m *bbaddrmap.Map, prof *profile.Profile, workers []in
 			return fmt.Errorf("workers %d: streamed aggregate differs from the reference\ngot  %s\nwant %s", w, describe(got), describe(want))
 		}
 		for _, batch := range []int{1, 7, 2048, max(1, len(prof.Samples))} {
-			ag := newAggregator(w, func() *bbaddrmap.Lookup { return lk })
-			inBatches(prof.Samples, batch, ag.Add)
-			got = ag.Finish()
+			shards, _ := foldShards(w, func() *bbaddrmap.Lookup { return lk }, func(add func(sampleBatch) sampleBatch) error {
+				inBatches(prof.Samples, batch, func(b []profile.Sample) { add(sampleBatch{samples: b}) })
+				return nil
+			})
+			got = mergeShards(shards, lk)
 			got.profileBytes = prof.SizeBytes()
 			if !bytes.Equal(EncodeAggregate(got), wantMem) {
 				return fmt.Errorf("workers %d: aggregate added in batches of %d differs from the reference\ngot  %s\nwant %s", w, batch, describe(got), describe(want))
@@ -468,16 +470,18 @@ func TestShardTablesStayBounded(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ag := newAggregator(w, func() *bbaddrmap.Lookup { return lk })
-		if err := decodeInto(ag, dec); err != nil {
+		shards, err := foldShards(w, func() *bbaddrmap.Lookup { return lk }, func(add func(sampleBatch) sampleBatch) error {
+			return decodeInto(add, dec)
+		})
+		if err != nil {
 			t.Fatal(err)
 		}
-		got := ag.Finish()
+		got := mergeShards(shards, lk)
 		got.profileBytes = streamSampleBytes
 		if !bytes.Equal(EncodeAggregate(got), EncodeAggregate(want)) {
 			t.Fatalf("workers %d: aggregate differs from the reference\ngot  %s\nwant %s", w, describe(got), describe(want))
 		}
-		for i, sh := range ag.shards {
+		for i, sh := range shards {
 			if sh.peak > keyBound {
 				t.Errorf("workers %d, shard %d: an address table held %d keys; the bound is %d", w, i, sh.peak, keyBound)
 			}

@@ -116,25 +116,27 @@ const streamSampleBytes = 2 + profile.LBRDepth*16
 const streamBatch = 512
 
 // feed answers the second and third questions: it hands the source's
-// samples to one Aggregator over lookup and stamps the result with the
-// source's residency. In-memory samples go in the decoder's batches. The
-// result does not depend on the cut: every contribution is a commutative
-// sum.
+// samples to foldShards over lookup, merges the shards and stamps the
+// result with the source's residency. In-memory samples go in the
+// decoder's batches. The result does not depend on the cut: every
+// contribution is a commutative sum.
 func (c Config) feed(src *Source, lookup func() *bbaddrmap.Lookup) (*Aggregate, error) {
-	ag := newAggregator(c.workers(), lookup)
-	var err error
-	switch src.kind {
-	case kindSamples:
-		inBatches(src.prof.Samples, streamBatch, ag.Add)
-	case kindWire:
-		err = decodeInto(ag, src.dec)
-	case kindDuring:
-		src.prof, err = src.run(ag.Add)
-	}
-	agg := ag.Finish() // also after a failed feed: it stops the shards
+	shards, err := foldShards(c.workers(), lookup, func(add func(sampleBatch) sampleBatch) (err error) {
+		addSamples := func(batch []profile.Sample) { add(sampleBatch{samples: batch}) }
+		switch src.kind {
+		case kindSamples:
+			inBatches(src.prof.Samples, streamBatch, addSamples)
+		case kindWire:
+			err = decodeInto(add, src.dec)
+		case kindDuring:
+			src.prof, err = src.run(addSamples)
+		}
+		return err
+	})
 	if err != nil {
 		return nil, err
 	}
+	agg := mergeShards(shards, lookup())
 	agg.profileBytes = src.residency()
 	return agg, nil
 }
@@ -146,9 +148,9 @@ func inBatches(samples []profile.Sample, n int, add func([]profile.Sample)) {
 	}
 }
 
-// decodeInto feeds ag the samples d decodes. The records of each batch
+// decodeInto hands add the samples d decodes. The records of each batch
 // share one flat block (each sample a capacity-clamped subslice).
-func decodeInto(ag *Aggregator, d *profile.Decoder) error {
+func decodeInto(add func(sampleBatch) sampleBatch, d *profile.Decoder) error {
 	var b sampleBatch
 	var err error
 	for err == nil {
@@ -161,14 +163,14 @@ func decodeInto(ag *Aggregator, d *profile.Decoder) error {
 		}
 		b.samples = append(b.samples, profile.Sample{Records: b.recs[l:len(b.recs):len(b.recs)]})
 		if len(b.samples) == streamBatch {
-			b = ag.add(b)
+			b = add(b)
 			b.samples, b.recs = b.samples[:0], b.recs[:0]
 		}
 	}
 	if err != io.EOF {
 		return fmt.Errorf("wpa: streaming profile: %w", err)
 	}
-	ag.add(b)
+	add(b)
 	return nil
 }
 
