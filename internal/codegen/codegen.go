@@ -85,9 +85,6 @@ type Options struct {
 	// rodata, the x86 idiom that defeats linear disassembly (§2.4, §5.8).
 	DataInCode bool
 
-	// CodeAlign is the alignment of text sections (default 16).
-	CodeAlign int64
-
 	// Prefetch carries §3.5 software-prefetch insertion directives: the
 	// backend emits a prefetch instruction ahead of each listed load.
 	Prefetch prefetch.Directives
@@ -97,13 +94,6 @@ type Options struct {
 	// overhead is proportional to the number of fragments, which is the
 	// paper's argument for clustering.
 	DebugInfo bool
-}
-
-func (o *Options) codeAlign() int64 {
-	if o.CodeAlign > 0 {
-		return o.CodeAlign
-	}
-	return 16
 }
 
 func (o *Options) splitMinBytes() int {
@@ -213,6 +203,10 @@ func (cg *compiler) lowerGlobal(g *ir.Global) {
 	idx := b.addSection(b.spell(prefix, g.Name), kind, 8, lo, rlo)
 	b.addSymbol(name{str: g.Name}, objfile.SymObject, idx, 0, g.Size)
 }
+
+// codeAlign is the alignment of every primary text section; cluster
+// sections pack at 1.
+const codeAlign int64 = 16
 
 // Section plan suffixes besides ".n" for n >= 0 (a cluster's index, or in
 // ModeAll a block's ID).

@@ -303,7 +303,7 @@ func (cg *compiler) emitSections(lo *layout, emitMap bool) error {
 		// Primary sections keep function alignment; cluster sections pack
 		// tightly (align 1) so ordered layouts can fall through between
 		// sections, as LLD does for basic block sections.
-		align := cg.opts.codeAlign()
+		align := codeAlign
 		if plan.suffix != primarySection {
 			align = 1
 		}

@@ -396,7 +396,7 @@ func (cg *refCompiler) emitSections(lo *refLayout, emitMap bool) error {
 		// Primary sections keep function alignment; cluster sections pack
 		// tightly (align 1) so ordered refLayouts can fall through between
 		// sections, as LLD does for basic block sections.
-		align := cg.opts.codeAlign()
+		align := codeAlign
 		if plan.suffix != "" {
 			align = 1
 		}

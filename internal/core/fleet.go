@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 
-	"propeller/internal/bbaddrmap"
 	"propeller/internal/fleetprof"
 	"propeller/internal/objfile"
 	"propeller/internal/profile"
@@ -102,25 +101,23 @@ func CollectFleetProfile(bin *objfile.Binary, spec RunSpec, fo FleetOptions, tra
 		return nil, nil, st, fmt.Errorf("core: fleet collection failed: %w", err)
 	}
 
-	// Admission gate: refuse to relink on a profile that is too thin.
-	// The map is decoded and indexed only for a gate that reads it. A
-	// binary without a map skips the hot-function criterion; one whose map
-	// does not decode must not open the gate unchecked.
-	var lk *bbaddrmap.Lookup
-	if bin.BBAddrMap != nil && fo.Gate.ReadsAddrMap() {
-		m, err := bbaddrmap.Decode(bin.BBAddrMap)
-		if err != nil {
-			return nil, nil, st, fmt.Errorf("core: fleet admission gate: %w", err)
-		}
-		lk = bbaddrmap.NewLookup(m)
-	}
-	if rep := svc.Ready(fo.Gate, lk, hosts); !rep.Ready {
-		return nil, nil, st, fmt.Errorf("core: fleet profile below admission gate: %s", rep.Reason)
-	}
-
 	merged, err := svc.MergedProfile()
 	if err != nil {
 		return nil, nil, st, err
+	}
+
+	// Admission gate: refuse to relink on a profile that is too thin.
+	// The map is decoded and indexed only for a gate that reads it.
+	var hot []string
+	if fo.Gate.ReadsAddrMap() {
+		lk, err := fleetprof.AddrMapLookup(bin.BBAddrMap)
+		if err != nil {
+			return nil, nil, st, fmt.Errorf("core: fleet admission gate: %w", err)
+		}
+		hot = fleetprof.HotFuncs(merged, lk)
+	}
+	if reason := fo.Gate.Check(st, hot, hosts); reason != "" {
+		return nil, nil, st, fmt.Errorf("core: fleet profile below admission gate: %s", reason)
 	}
 	return merged, run, st, nil
 }

@@ -103,16 +103,18 @@ func perHostCollection(t *testing.T, bin *objfile.Binary, spec core.RunSpec, fo 
 	t.Helper()
 	svc := fleetprof.NewService(fleetprof.ServiceConfig{Shards: fo.Shards, WorkersPerShard: fo.WorkersPerShard, QueueDepth: fo.QueueDepth, BuildID: bin.BuildID})
 	collectors := make([]*fleetprof.Collector, fo.Hosts)
+	profiles := make([]*profile.Profile, fo.Hosts)
 	var host0 *sim.Result
 	for h := range collectors {
 		res := modeledRun(t, bin, sim.Config{MaxInsts: spec.MaxInsts, LBRPeriod: spec.LBRPeriod, LBRPhase: uint64(h), TrackLoadMisses: trackMisses && h == 0})
 		res.Profile.Binary = "pm"
-		collectors[h] = &fleetprof.Collector{Host: h, BatchSamples: fo.BatchSamples, Source: fleetprof.ProfileSource{P: res.Profile}}
+		collectors[h] = &fleetprof.Collector{Host: h, BatchSamples: fo.BatchSamples}
+		profiles[h] = res.Profile
 		if h == 0 {
 			host0 = res
 		}
 	}
-	st, err := fleetprof.RunFleet(collectors, fleetprof.Transport{LossRate: fo.LossRate, DupRate: fo.DupRate, Seed: fo.Seed}, svc)
+	st, err := fleetprof.RunFleet(collectors, profiles, fleetprof.Transport{LossRate: fo.LossRate, DupRate: fo.DupRate, Seed: fo.Seed}, svc)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -84,9 +84,10 @@ func (r *FleetSweepResult) WriteBenchJSON(w io.Writer) error {
 // FleetSweep runs the fleet ingestion scaling study: a small workload is
 // built with metadata once, one run samples it for all of maxHosts
 // simulated machines (a grid per host, distinct LBR phases), and then every
-// (hosts, shards, loss) cell replays collection through a fresh ingestion
-// service. Per-host profiles are generated once and prefix-sliced per host
-// count, so the sweep isolates ingestion behavior from simulation cost.
+// (hosts, shards, loss) cell replays the stored per-host profiles through
+// the collectors' feeds into a fresh ingestion service. Per-host profiles
+// are generated once and prefix-sliced per host count, so the sweep
+// isolates ingestion behavior from simulation cost.
 func FleetSweep() (*FleetSweepResult, error) {
 	prog, err := workload.Generate(workload.Tiny())
 	if err != nil {
@@ -128,8 +129,7 @@ func FleetSweep() (*FleetSweepResult, error) {
 				collectors := make([]*fleetprof.Collector, hosts)
 				for h := 0; h < hosts; h++ {
 					collectors[h] = &fleetprof.Collector{
-						Host:   h,
-						Source: fleetprof.ProfileSource{P: profiles[h]},
+						Host: h,
 						// The sweep's contract is a bit-identical merged
 						// profile at every shard count; the bounded-retry
 						// drop/adapt path depends on real scheduling (64
@@ -140,7 +140,7 @@ func FleetSweep() (*FleetSweepResult, error) {
 						MaxAttempts: 1 << 30,
 					}
 				}
-				st, err := fleetprof.RunFleet(collectors, fleetprof.Transport{
+				st, err := fleetprof.RunFleet(collectors, profiles[:hosts], fleetprof.Transport{
 					LossRate: loss,
 					DupRate:  loss / 2,
 					Seed:     7,

@@ -85,53 +85,12 @@ func hashFrac(h uint64) float64 {
 	return float64(h>>11) / float64(1<<53)
 }
 
-// SampleSource supplies one host's sample stream to its collector's Run:
-// stored samples (ProfileSource), or anything else that drives emit. (A
-// live simulation instead pushes into the host's Feed from its sample
-// callback.) Record slices passed to emit are only read during the call;
-// the collector encodes what it batches.
-type SampleSource interface {
-	// Header returns the stream's profile metadata, known before any
-	// sample; its Samples count is ignored.
-	Header() profile.Header
-	// Samples drives the stream, calling emit once per sample in order.
-	// An error from emit must abort the stream and be returned.
-	Samples(emit func(profile.Sample) error) error
-}
-
-// ProfileSource adapts an in-memory profile to SampleSource.
-type ProfileSource struct {
-	P *profile.Profile
-}
-
-// Header implements SampleSource.
-func (ps ProfileSource) Header() profile.Header {
-	return profile.Header{Binary: ps.P.Binary, BuildID: ps.P.BuildID, Period: ps.P.Period}
-}
-
-// Samples implements SampleSource.
-func (ps ProfileSource) Samples(emit func(profile.Sample) error) error {
-	for _, s := range ps.P.Samples {
-		if err := emit(s); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // Collector is one simulated production host shipping its LBR samples to
 // the ingestion service in sequenced batches.
 type Collector struct {
 	// Host is this collector's fleet-unique identity; with Seq it forms
 	// the idempotency key on every batch.
 	Host int
-	// Source supplies the host's sample stream to Run (Open does not read
-	// it). Batch identity ((host, seq) over consecutive BatchSamples-sized
-	// windows of the stream), the transport fault plan, and every modeled
-	// stat depend only on the stream, so the service's merged profile is
-	// byte-identical whether a stream comes from a Source or is pushed
-	// into a Feed while a simulation runs.
-	Source SampleSource
 	// BatchSamples is the number of samples per batch (default 64).
 	BatchSamples int
 	// Backoff is the initial real sleep after a queue-full reject
@@ -202,28 +161,13 @@ func (c *Collector) adaptAfterDrops() int {
 	return c.AdaptAfterDrops
 }
 
-// Run ships the host's sample stream through the transport to the
-// service in sequenced batches, honoring backpressure: samples are
-// consumed as Source produces them, so batches leave while a live host's
-// simulation is still running. Each batch gets a bounded delivery-attempt
-// budget: a batch the queue keeps rejecting is dropped (counted, never
-// silently) instead of hanging the host, and sustained drops double the
-// collector's downsampling so the stream thins to what the service can
-// absorb. Run is Open, Source's samples fed to Add, and Close.
-func (c *Collector) Run(t Transport, svc *Service) (CollectorStats, error) {
-	src := c.Source
-	if src == nil {
-		return CollectorStats{Downsample: 1}, fmt.Errorf("fleetprof: collector host %d has no sample source", c.Host)
-	}
-	f := c.Open(t, svc, src.Header())
-	if err := src.Samples(f.Add); err != nil {
-		return f.st, err
-	}
-	return f.Close()
-}
-
 // Open starts the collector's feed of a stream with header hdr (its
-// Samples count is ignored). Source is not read.
+// Samples count is ignored): the one way a host's samples reach the
+// service. Batch identity ((host, seq) over consecutive BatchSamples-sized
+// windows of the stream), the transport fault plan, and every modeled stat
+// depend only on the stream, so the service's merged profile is
+// byte-identical whether the samples are pushed while a simulation runs or
+// replayed from a stored profile (RunFleet).
 func (c *Collector) Open(t Transport, svc *Service, hdr profile.Header) *Feed {
 	bs := c.batchSamples()
 	return &Feed{
@@ -236,12 +180,15 @@ func (c *Collector) Open(t Transport, svc *Service, hdr profile.Header) *Feed {
 	}
 }
 
-// Feed is a collector's push-style intake: the producer of the host's
-// samples calls Add for each, in order, and Close at the end. One
-// producer can drive several hosts' feeds this way — fleet collection
-// feeds every host from one simulation — and each host's batches, fault
-// plan and stats are what Run of the same stream gives. A Feed is not
-// safe for concurrent use.
+// Feed is a collector's intake: the producer of the host's samples calls
+// Add for each, in order, and Close at the end. One producer can drive
+// several hosts' feeds this way — fleet collection feeds every host from
+// one simulation — and each host's batches, fault plan and stats are what
+// a feed of that host's stream alone gives. Each batch gets a bounded
+// delivery-attempt budget: a batch the queue keeps rejecting is dropped
+// (counted, never silently) instead of hanging the host, and sustained
+// drops double the collector's downsampling so the stream thins to what
+// the service can absorb. A Feed is not safe for concurrent use.
 //
 // It holds the current window's kept samples already encoded, in a reused
 // body buffer, and a reused header buffer, so the batch wire path
@@ -368,25 +315,36 @@ func (c *Collector) deliver(svc *Service, b Batch, st *CollectorStats) (dropped 
 	}
 }
 
-// RunFleet runs every collector at once against the service (par.Do with
-// one goroutine per collector), folds the client-side stats into the
-// service's, and drains the queues — also when collectors failed. The
-// returned stats are final. The error is the lowest-index collector's,
-// so failures are deterministic too.
-func RunFleet(collectors []*Collector, t Transport, svc *Service) (IngestStats, error) {
+// RunFleet replays stored per-host profiles through the fleet, one par.Do
+// goroutine per host: collectors[i] opens a Feed with profiles[i]'s header,
+// adds its samples and closes it, as a live host's producer does. Then
+// Finish folds the client-side stats into the service's and drains the
+// queues — also when hosts failed. The returned stats are final. The
+// error is the lowest-index host's, so failures are deterministic too.
+func RunFleet(collectors []*Collector, profiles []*profile.Profile, t Transport, svc *Service) (IngestStats, error) {
 	stats := make([]CollectorStats, len(collectors))
 	err := par.Do(len(collectors), len(collectors), func(i int) error {
-		var err error
-		stats[i], err = collectors[i].Run(t, svc)
+		p := profiles[i]
+		if p == nil {
+			return fmt.Errorf("fleetprof: collector host %d has no profile", collectors[i].Host)
+		}
+		f := collectors[i].Open(t, svc, profile.Header{Binary: p.Binary, BuildID: p.BuildID, Period: p.Period})
+		defer func() { stats[i] = f.Stats() }()
+		for _, s := range p.Samples {
+			if err := f.Add(s); err != nil {
+				return err
+			}
+		}
+		_, err := f.Close()
 		return err
 	})
 	return svc.Finish(stats), err
 }
 
 // Finish folds each host's client-side stats into the service's, drains
-// the queues and returns the final stats: the end of RunFleet, and of any
-// caller that drives its hosts' Feeds itself. Stats fold in the order
-// given (host order), not completion order: the aggregate sums floats
+// the queues and returns the final stats: the end of every collection,
+// live or replayed (RunFleet). Stats fold in the order given (host order),
+// not completion order: the aggregate sums floats
 // (ModeledSendSeconds), and float addition is order-dependent in the last
 // ulp — folding as hosts finish would make the modeled time irreproducible
 // across runs.

@@ -52,7 +52,6 @@ type batchKey struct{ host, seq int }
 type storedBatch struct {
 	header  profile.Header
 	samples []profile.Sample
-	records int
 	// rejected marks a tombstone: the key arrived but failed validation.
 	// Redeliveries of a tombstoned key count as duplicates, not as fresh
 	// rejections.
@@ -136,22 +135,11 @@ type Service struct {
 	// float costs in worker-completion order would make the modeled
 	// time irreproducible in the last ulp.
 	maxBatchRecords atomic.Int64
-	clientStatsMu   sync.Mutex
-	clientStats     clientAggregate
+
+	clientMu sync.Mutex
+	client   IngestStats // the client-side fields alone, folded in by Finish
 
 	drained bool
-}
-
-type clientAggregate struct {
-	sent          int64
-	retried       int64
-	lost          int64
-	dup           int64
-	dropped       int64
-	maxDownsample int64
-	stallSeconds  float64
-	maxHostSend   float64
-	totalSendCost float64
 }
 
 // NewService starts the shard workers and returns the ready service: one
@@ -236,7 +224,6 @@ func (s *Service) ingest(sh *shard, b Batch) {
 	sh.batches[key] = &storedBatch{
 		header:  profile.Header{Binary: p.Binary, BuildID: p.BuildID, Period: p.Period},
 		samples: p.Samples,
-		records: records,
 	}
 	sh.mu.Unlock()
 	s.accepted.Add(1)
@@ -314,7 +301,7 @@ func (s *Service) MergedProfile() (*profile.Profile, error) {
 
 // IngestStats is the service's observability surface: server-side
 // accept/reject/duplicate accounting plus the client-side aggregates
-// RunFleet folds in, and the deterministic modeled-time quantities the
+// Finish folds in, and the deterministic modeled-time quantities the
 // scaling sweep derives its makespan from.
 type IngestStats struct {
 	AcceptedBatches  int64 `json:"acceptedBatches"`
@@ -326,7 +313,7 @@ type IngestStats struct {
 	QueueFullRejects int64 `json:"queueFullRejects"`
 	QueueHighWater   int   `json:"queueHighWater"`
 
-	// Client-side aggregates (folded in by RunFleet).
+	// Client-side aggregates (folded in by Finish).
 	SentBatches    int64 `json:"sentBatches"`
 	RetriedSends   int64 `json:"retriedSends"`
 	LostDeliveries int64 `json:"lostDeliveries"`
@@ -353,17 +340,17 @@ type IngestStats struct {
 // Stats snapshots the service counters. Call after Drain for final
 // numbers; mid-run snapshots are consistent but momentary.
 func (s *Service) Stats() IngestStats {
-	st := IngestStats{
-		AcceptedBatches:  s.accepted.Load(),
-		AcceptedSamples:  s.acceptedSamples.Load(),
-		AcceptedRecords:  s.acceptedRecords.Load(),
-		RejectedBuildID:  s.rejectedBuildID.Load(),
-		CorruptBatches:   s.corrupt.Load(),
-		DuplicateBatches: s.duplicates.Load(),
-		QueueFullRejects: s.queueFull.Load(),
-		HostBatches:      map[int]int64{},
-		HostSamples:      map[int]int64{},
-	}
+	s.clientMu.Lock()
+	st := s.client
+	s.clientMu.Unlock()
+	st.AcceptedBatches = s.accepted.Load()
+	st.AcceptedSamples = s.acceptedSamples.Load()
+	st.AcceptedRecords = s.acceptedRecords.Load()
+	st.RejectedBuildID = s.rejectedBuildID.Load()
+	st.CorruptBatches = s.corrupt.Load()
+	st.DuplicateBatches = s.duplicates.Load()
+	st.QueueFullRejects = s.queueFull.Load()
+	st.HostBatches, st.HostSamples = map[int]int64{}, map[int]int64{}
 	for _, sh := range s.shards {
 		if hw := int(sh.highWater.Load()); hw > st.QueueHighWater {
 			st.QueueHighWater = hw
@@ -381,41 +368,26 @@ func (s *Service) Stats() IngestStats {
 	// batches of (base + records*per) == accepted*base + totalRecords*per.
 	st.ModeledIngestSeconds = float64(st.AcceptedBatches)*IngestBatchBaseSeconds +
 		float64(st.AcceptedRecords)*IngestPerRecordSeconds
-	if max := s.maxBatchRecords.Load(); st.AcceptedBatches > 0 {
-		st.MaxBatchIngestSeconds = IngestBatchBaseSeconds + float64(max)*IngestPerRecordSeconds
+	if recs := s.maxBatchRecords.Load(); st.AcceptedBatches > 0 {
+		st.MaxBatchIngestSeconds = IngestBatchBaseSeconds + float64(recs)*IngestPerRecordSeconds
 	}
-	s.clientStatsMu.Lock()
-	ca := s.clientStats
-	s.clientStatsMu.Unlock()
-	st.SentBatches = ca.sent
-	st.RetriedSends = ca.retried
-	st.LostDeliveries = ca.lost
-	st.DupDeliveries = ca.dup
-	st.DroppedBatches = ca.dropped
-	st.MaxDownsample = ca.maxDownsample
-	st.StallSeconds = ca.stallSeconds
-	st.MaxHostSendSeconds = ca.maxHostSend
-	st.ModeledSendSeconds = ca.totalSendCost
 	return st
 }
 
 // foldClient merges one collector's stats into the service aggregate.
 func (s *Service) foldClient(cs CollectorStats) {
-	s.clientStatsMu.Lock()
-	defer s.clientStatsMu.Unlock()
-	s.clientStats.sent += cs.Sent
-	s.clientStats.retried += cs.Retried
-	s.clientStats.lost += cs.Lost
-	s.clientStats.dup += cs.Dup
-	s.clientStats.dropped += cs.Dropped
-	if cs.Downsample > s.clientStats.maxDownsample {
-		s.clientStats.maxDownsample = cs.Downsample
-	}
-	s.clientStats.stallSeconds += cs.StallSeconds
-	s.clientStats.totalSendCost += cs.ModeledSendSeconds
-	if cs.ModeledSendSeconds > s.clientStats.maxHostSend {
-		s.clientStats.maxHostSend = cs.ModeledSendSeconds
-	}
+	s.clientMu.Lock()
+	defer s.clientMu.Unlock()
+	c := &s.client
+	c.SentBatches += cs.Sent
+	c.RetriedSends += cs.Retried
+	c.LostDeliveries += cs.Lost
+	c.DupDeliveries += cs.Dup
+	c.DroppedBatches += cs.Dropped
+	c.MaxDownsample = max(c.MaxDownsample, cs.Downsample)
+	c.StallSeconds += cs.StallSeconds
+	c.ModeledSendSeconds += cs.ModeledSendSeconds
+	c.MaxHostSendSeconds = max(c.MaxHostSendSeconds, cs.ModeledSendSeconds)
 }
 
 // Statusz writes the /statusz-style plain-text snapshot.

@@ -30,12 +30,38 @@ func hostProfile(host, nSamples int, buildID string) *profile.Profile {
 	return p
 }
 
-func fleet(hosts, nSamples int, buildID string, batch int) []*Collector {
-	var cs []*Collector
-	for h := 0; h < hosts; h++ {
-		cs = append(cs, &Collector{Host: h, Source: ProfileSource{hostProfile(h, nSamples, buildID)}, BatchSamples: batch})
+// storedFleet is a fleet of collectors and the stored profile each replays.
+type storedFleet struct {
+	cs []*Collector
+	ps []*profile.Profile
+}
+
+func fleet(n, nSamples int, buildID string, batch int) storedFleet {
+	var h storedFleet
+	for i := 0; i < n; i++ {
+		h.cs = append(h.cs, &Collector{Host: i, BatchSamples: batch})
+		h.ps = append(h.ps, hostProfile(i, nSamples, buildID))
 	}
-	return cs
+	return h
+}
+
+// run replays every host's profile into svc (RunFleet).
+func (h storedFleet) run(t Transport, svc *Service) (IngestStats, error) {
+	return RunFleet(h.cs, h.ps, t, svc)
+}
+
+func header(p *profile.Profile) profile.Header {
+	return profile.Header{Binary: p.Binary, BuildID: p.BuildID, Period: p.Period}
+}
+
+// feed adds p's samples to f and closes it: one host's replay in RunFleet.
+func feed(f *Feed, p *profile.Profile) (CollectorStats, error) {
+	for _, s := range p.Samples {
+		if err := f.Add(s); err != nil {
+			return f.Stats(), err
+		}
+	}
+	return f.Close()
 }
 
 func encodeProfile(t *testing.T, p *profile.Profile) []byte {
@@ -61,7 +87,7 @@ func TestMergedProfileBitIdentical(t *testing.T) {
 			} {
 				name := fmt.Sprintf("shards=%d workers=%d loss=%.1f", shards, workers, faults.LossRate)
 				svc := NewService(ServiceConfig{Shards: shards, WorkersPerShard: workers})
-				st, err := RunFleet(fleet(hosts, samples, "bid", 8), faults, svc)
+				st, err := fleet(hosts, samples, "bid", 8).run(faults, svc)
 				if err != nil {
 					t.Fatalf("%s: RunFleet: %v", name, err)
 				}
@@ -94,7 +120,7 @@ func TestMergedProfileBitIdentical(t *testing.T) {
 func TestFaultInjectionNoDoubleCounting(t *testing.T) {
 	const hosts, samples = 4, 40
 	svc := NewService(ServiceConfig{Shards: 2, WorkersPerShard: 2})
-	st, err := RunFleet(fleet(hosts, samples, "bid", 4), Transport{LossRate: 0.4, DupRate: 0.5, Seed: 7}, svc)
+	st, err := fleet(hosts, samples, "bid", 4).run(Transport{LossRate: 0.4, DupRate: 0.5, Seed: 7}, svc)
 	if err != nil {
 		t.Fatalf("RunFleet: %v", err)
 	}
@@ -122,9 +148,9 @@ func TestFaultInjectionNoDoubleCounting(t *testing.T) {
 // counted, and its samples never reach the merged profile.
 func TestBuildIDRejection(t *testing.T) {
 	svc := NewService(ServiceConfig{BuildID: "current"})
-	cs := fleet(3, 10, "current", 4)
-	cs[1].Source = ProfileSource{hostProfile(1, 10, "stale")} // host 1 runs an old build
-	st, err := RunFleet(cs, Transport{}, svc)
+	h := fleet(3, 10, "current", 4)
+	h.ps[1] = hostProfile(1, 10, "stale") // host 1 runs an old build
+	st, err := h.run(Transport{}, svc)
 	if err != nil {
 		t.Fatalf("RunFleet: %v", err)
 	}
@@ -189,7 +215,7 @@ func slowIngest(t *testing.T, d time.Duration) {
 func TestBackpressure(t *testing.T) {
 	slowIngest(t, 200*time.Microsecond)
 	svc := NewService(ServiceConfig{QueueDepth: 1})
-	st, err := RunFleet(fleet(4, 30, "bid", 2), Transport{}, svc)
+	st, err := fleet(4, 30, "bid", 2).run(Transport{}, svc)
 	if err != nil {
 		t.Fatalf("RunFleet: %v", err)
 	}
@@ -225,8 +251,7 @@ func TestCorruptBatchCounted(t *testing.T) {
 // so coverage accounting sees it.
 func TestEmptyHostStillCovered(t *testing.T) {
 	svc := NewService(ServiceConfig{})
-	cs := []*Collector{{Host: 5, Source: ProfileSource{&profile.Profile{Binary: "b", BuildID: "bid", Period: 10}}}}
-	st, err := RunFleet(cs, Transport{}, svc)
+	st, err := RunFleet([]*Collector{{Host: 5}}, []*profile.Profile{{Binary: "b", BuildID: "bid", Period: 10}}, Transport{}, svc)
 	if err != nil {
 		t.Fatalf("RunFleet: %v", err)
 	}
@@ -235,33 +260,46 @@ func TestEmptyHostStillCovered(t *testing.T) {
 	}
 }
 
+// TestGate holds each criterion of Gate.Check closed and open on one
+// collection's stats: 4 hosts of 25 samples each.
 func TestGate(t *testing.T) {
 	svc := NewService(ServiceConfig{})
-	_, err := RunFleet(fleet(4, 25, "bid", 8), Transport{}, svc)
+	st, err := fleet(4, 25, "bid", 8).run(Transport{}, svc)
 	if err != nil {
 		t.Fatalf("RunFleet: %v", err)
 	}
-	if rep := svc.Ready(Gate{MinSamples: 100}, nil, 4); !rep.Ready {
-		t.Fatalf("gate should open at 100 samples (have %d): %s", rep.Samples, rep.Reason)
+	two := []string{"f", "g"}
+	for _, tc := range []struct {
+		name     string
+		g        Gate
+		hot      []string
+		expected int
+		reason   string
+	}{
+		{"zero gate", Gate{}, nil, 4, ""},
+		{"samples open", Gate{MinSamples: 100}, nil, 4, ""},
+		{"samples closed", Gate{MinSamples: 101}, nil, 4, "samples 100 < min 101"},
+		{"hot functions open", Gate{MinHotFuncs: 2}, two, 4, ""},
+		{"hot functions closed", Gate{MinHotFuncs: 3}, two, 4, "hot functions 2 < min 3"},
+		{"hot functions, empty set", Gate{MinHotFuncs: 1}, []string{}, 4, "hot functions 0 < min 1"},
+		{"hot functions, no map", Gate{MinHotFuncs: 3}, nil, 4, ""},
+		{"coverage open at exactly 0.5", Gate{MinHostCoverage: 0.5}, nil, 8, ""},
+		{"coverage closed", Gate{MinHostCoverage: 0.9}, nil, 8, "host coverage 0.50 < min 0.90"},
+		{"coverage, no expected hosts", Gate{MinHostCoverage: 0.9}, nil, 0, ""},
+		{"first criterion reported", Gate{MinSamples: 101, MinHotFuncs: 3, MinHostCoverage: 0.9}, two, 8, "samples 100 < min 101"},
+	} {
+		if got := tc.g.Check(st, tc.hot, tc.expected); got != tc.reason {
+			t.Errorf("%s: Check = %q, want %q", tc.name, got, tc.reason)
+		}
 	}
-	if rep := svc.Ready(Gate{MinSamples: 101}, nil, 4); rep.Ready {
-		t.Fatal("gate should stay closed below MinSamples")
-	} else if !strings.Contains(rep.Reason, "samples") {
-		t.Fatalf("unexpected reason: %q", rep.Reason)
-	}
-	if rep := svc.Ready(Gate{MinHostCoverage: 0.9}, nil, 8); rep.Ready {
-		t.Fatal("gate should stay closed at 4/8 host coverage")
-	} else if rep.HostCoverage != 0.5 {
-		t.Fatalf("HostCoverage = %v, want 0.5", rep.HostCoverage)
-	}
-	if rep := svc.Ready(Gate{MinHostCoverage: 0.5}, nil, 8); !rep.Ready {
-		t.Fatalf("gate should open at exactly 0.5 coverage: %s", rep.Reason)
+	if cov := st.HostCoverage(8); cov != 0.5 {
+		t.Fatalf("HostCoverage = %v, want 0.5", cov)
 	}
 }
 
 func TestStatusz(t *testing.T) {
 	svc := NewService(ServiceConfig{Shards: 2, BuildID: "abcdef0123456789abcdef"})
-	_, err := RunFleet(fleet(2, 10, "abcdef0123456789abcdef", 4), Transport{}, svc)
+	_, err := fleet(2, 10, "abcdef0123456789abcdef", 4).run(Transport{}, svc)
 	if err != nil {
 		t.Fatalf("RunFleet: %v", err)
 	}
@@ -281,7 +319,7 @@ func TestMakespanMonotone(t *testing.T) {
 	var base IngestStats
 	for trial := 0; trial < 2; trial++ {
 		svc := NewService(ServiceConfig{Shards: 3, WorkersPerShard: 2})
-		st, err := RunFleet(fleet(8, 64, "bid", 8), Transport{LossRate: 0.2, Seed: 3}, svc)
+		st, err := fleet(8, 64, "bid", 8).run(Transport{LossRate: 0.2, Seed: 3}, svc)
 		if err != nil {
 			t.Fatalf("RunFleet: %v", err)
 		}
@@ -330,15 +368,15 @@ func TestRetryBudgetCap(t *testing.T) {
 	const maxAttempts = 5
 	c := &Collector{
 		Host:            0,
-		Source:          ProfileSource{hostProfile(0, 8, "bid")},
 		BatchSamples:    4, // 2 batches
 		Backoff:         100 * time.Microsecond,
 		MaxAttempts:     maxAttempts,
 		AdaptAfterDrops: 1,
 	}
-	cs, err := c.Run(Transport{}, svc)
+	p := hostProfile(0, 8, "bid")
+	cs, err := feed(c.Open(Transport{}, svc, header(p)), p)
 	if err != nil {
-		t.Fatalf("Run: %v", err)
+		t.Fatalf("feed: %v", err)
 	}
 	svc.foldClient(cs)
 	svc.Drain()
@@ -371,14 +409,9 @@ func feedPayloads(t *testing.T, p *profile.Profile, bs int, d int64) [][]byte {
 	// A service without shard workers: batches stay queued for the test.
 	svc := &Service{shards: []*shard{{ch: make(chan Batch, len(p.Samples)+1)}}}
 	c := &Collector{Host: 0, BatchSamples: bs}
-	f := c.Open(Transport{}, svc, ProfileSource{p}.Header())
+	f := c.Open(Transport{}, svc, header(p))
 	f.st.Downsample = d
-	for _, s := range p.Samples {
-		if err := f.Add(s); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := f.Close(); err != nil {
+	if _, err := feed(f, p); err != nil {
 		t.Fatal(err)
 	}
 	close(svc.shards[0].ch)
@@ -452,11 +485,11 @@ func TestThin(t *testing.T) {
 	}
 }
 
-// TestStatuszHandler is the httptest smoke test for the shared HTTP
-// snapshot both profsvc and wsc-propeller -statusz-addr serve.
+// TestStatuszHandler is the httptest smoke test for the HTTP snapshot
+// wsc-propeller -statusz-addr serves.
 func TestStatuszHandler(t *testing.T) {
 	svc := NewService(ServiceConfig{Shards: 2, BuildID: "deadbeefcafe0123"})
-	if _, err := RunFleet(fleet(2, 10, "deadbeefcafe0123", 4), Transport{}, svc); err != nil {
+	if _, err := fleet(2, 10, "deadbeefcafe0123", 4).run(Transport{}, svc); err != nil {
 		t.Fatalf("RunFleet: %v", err)
 	}
 	ts := httptest.NewServer(svc.StatuszHandler())
@@ -530,8 +563,8 @@ func TestCollectorEncodeAllocAmortized(t *testing.T) {
 		p := hostProfile(0, batches*64, "")
 		return testing.AllocsPerRun(3, func() {
 			svc := NewService(ServiceConfig{QueueDepth: batches + 8})
-			c := &Collector{Host: 0, Source: ProfileSource{p}, BatchSamples: 64}
-			if _, err := c.Run(Transport{}, svc); err != nil {
+			c := &Collector{Host: 0, BatchSamples: 64}
+			if _, err := feed(c.Open(Transport{}, svc, header(p)), p); err != nil {
 				t.Fatal(err)
 			}
 			svc.Drain()
@@ -548,38 +581,24 @@ func TestCollectorEncodeAllocAmortized(t *testing.T) {
 	}
 }
 
-// brokenSource streams its profile and then fails, so its collector has
-// shipped batches before it errs.
-type brokenSource struct{ ProfileSource }
-
-func (b brokenSource) Samples(emit func(profile.Sample) error) error {
-	if err := b.ProfileSource.Samples(emit); err != nil {
-		return err
-	}
-	return fmt.Errorf("source broke")
-}
-
-// TestRunFleetLowestFailure: among working collectors, two without a
-// source (hosts 1 and 3) and one whose source fails mid-stream (host 5),
-// RunFleet reports host 1's error, still folds every collector's stats,
-// including the failed host's sent batches, and drains the service.
+// TestRunFleetLowestFailure: among working hosts, two without a profile
+// (hosts 1 and 3): RunFleet reports host 1's error, still folds every
+// working host's stats and drains the service.
 func TestRunFleetLowestFailure(t *testing.T) {
 	for round := 0; round < 50; round++ {
-		cs := fleet(7, 10, "bid", 4)
-		cs[1].Source, cs[3].Source = nil, nil
-		cs[5].Source = brokenSource{cs[5].Source.(ProfileSource)}
+		h := fleet(7, 10, "bid", 4)
+		h.ps[1], h.ps[3] = nil, nil
 		svc := NewService(ServiceConfig{Shards: 4, BuildID: "bid"})
-		st, err := RunFleet(cs, Transport{}, svc)
-		if want := "fleetprof: collector host 1 has no sample source"; err == nil || err.Error() != want {
+		st, err := h.run(Transport{}, svc)
+		if want := "fleetprof: collector host 1 has no profile"; err == nil || err.Error() != want {
 			t.Fatalf("err = %v, want %q", err, want)
 		}
 		if !svc.drained {
 			t.Fatal("service not drained after a failed fleet")
 		}
-		// Four working hosts ship 3 batches of 10 samples at 4 per batch;
-		// host 5 shipped its two full windows before its source failed.
-		if st.SentBatches != 14 || st.AcceptedBatches != 14 || st.HostBatches[5] != 2 {
-			t.Fatalf("sent %d, accepted %d, host 5 %d; want 14, 14, 2", st.SentBatches, st.AcceptedBatches, st.HostBatches[5])
+		// Five working hosts ship 3 batches of 10 samples at 4 per batch.
+		if st.SentBatches != 15 || st.AcceptedBatches != 15 || st.HostBatches[3] != 0 {
+			t.Fatalf("sent %d, accepted %d, host 3 %d; want 15, 15, 0", st.SentBatches, st.AcceptedBatches, st.HostBatches[3])
 		}
 	}
 }

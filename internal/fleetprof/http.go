@@ -3,10 +3,9 @@ package fleetprof
 import "net/http"
 
 // StatuszHandler serves the /statusz snapshot over HTTP — the same
-// plain-text rendering Statusz writes, promoted to a shared http.Handler
-// so both the continuous profile-build service (internal/profsvc) and the
-// wsc-propeller -statusz-addr debug endpoint expose one format. Safe to
-// serve while ingestion is running; mid-run snapshots are momentary.
+// plain-text rendering Statusz writes — for the wsc-propeller
+// -statusz-addr debug endpoint. Safe to serve while ingestion is running;
+// mid-run snapshots are momentary.
 func (s *Service) StatuszHandler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodGet && r.Method != http.MethodHead {

@@ -12,7 +12,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
 
 	"propeller/internal/eval"
 )
@@ -182,15 +181,4 @@ func (r *Result) Fingerprint() string {
 		panic(err)
 	}
 	return hex.EncodeToString(h.Sum(nil))
-}
-
-// sortedWorkloadNames lists the journal's workloads in stable order
-// (rendering helper for the CLIs).
-func (r *Result) sortedWorkloadNames() []string {
-	names := make([]string, 0, len(r.Workloads))
-	for _, w := range r.Workloads {
-		names = append(names, w.Workload)
-	}
-	sort.Strings(names)
-	return names
 }

@@ -39,9 +39,11 @@ type Config struct {
 	MinMisses uint64
 	// MaxSites bounds the number of insertion points (default 32).
 	MaxSites int
-	// Delta is the lookahead distance (default 256 bytes = 4 lines).
-	Delta int64
 }
+
+// Delta is the lookahead distance every analyzed site gets: 256 bytes,
+// 4 cache lines.
+const Delta = 256
 
 func (c Config) minMisses() uint64 {
 	if c.MinMisses == 0 {
@@ -55,13 +57,6 @@ func (c Config) maxSites() int {
 		return 32
 	}
 	return c.MaxSites
-}
-
-func (c Config) delta() int64 {
-	if c.Delta == 0 {
-		return 256
-	}
-	return c.Delta
 }
 
 // Analyze maps the top miss sites to directive entries.
@@ -83,7 +78,7 @@ func Analyze(m *bbaddrmap.Map, misses map[uint64]uint64, cfg Config) Directives 
 		}
 		b := &blocks[bi]
 		cands = append(cands, cand{
-			site:   Site{Fn: names[b.Fn], Block: b.ID, Off: pc - b.Start, Delta: cfg.delta()},
+			site:   Site{Fn: names[b.Fn], Block: b.ID, Off: pc - b.Start, Delta: Delta},
 			misses: n,
 		})
 	}

@@ -88,7 +88,7 @@ func TestParseErrors(t *testing.T) {
 
 func TestDefaults(t *testing.T) {
 	var c Config
-	if c.minMisses() == 0 || c.maxSites() == 0 || c.delta() == 0 {
+	if c.minMisses() == 0 || c.maxSites() == 0 {
 		t.Error("zero defaults")
 	}
 }

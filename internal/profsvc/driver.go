@@ -151,21 +151,6 @@ func (r *LoopResult) FinalSpeedupPct() float64 {
 	return r.Generations[len(r.Generations)-1].SpeedupPct
 }
 
-// gateLookup is the address-map view the scorer's hot-function criteria
-// resolve against: nil for a binary without a map (those criteria are
-// skipped), an error for a map that does not decode — a corrupt map must
-// not silently switch off criteria the operator configured.
-func gateLookup(bin *objfile.Binary) (*bbaddrmap.Lookup, error) {
-	if bin.BBAddrMap == nil {
-		return nil, nil
-	}
-	m, err := bbaddrmap.Decode(bin.BBAddrMap)
-	if err != nil {
-		return nil, err
-	}
-	return bbaddrmap.NewLookup(m), nil
-}
-
 // collectFleet is the fleet collection the loop runs: a variable so tests
 // can count the collections a loop makes and of which binaries.
 var collectFleet = core.CollectFleetProfile
@@ -321,13 +306,13 @@ func RunGenerations(p *core.Program, cfg DriverConfig) (*LoopResult, error) {
 		// The epoch's hot set against the serving binary's map runs beside
 		// everything up to the candidate's evaluation run.
 		if lkOf != deployed {
-			if lk, err = gateLookup(deployed); err != nil {
+			if lk, err = fleetprof.AddrMapLookup(deployed.BBAddrMap); err != nil {
 				return nil, fmt.Errorf("profsvc: gen %d admission: %w", g, err)
 			}
 			lkOf = deployed
 		}
 		hotLk := lk
-		hotSet = par.Start(func() []string { return hotFuncs(merged, hotLk) })
+		hotSet = par.Start(func() []string { return fleetprof.HotFuncs(merged, hotLk) })
 
 		// Publish to the store and read back the decayed aggregate — over
 		// the wire when a client is configured.

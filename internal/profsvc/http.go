@@ -9,7 +9,6 @@ import (
 	"net/http"
 	"sync"
 
-	"propeller/internal/fleetprof"
 	"propeller/internal/profile"
 )
 
@@ -24,7 +23,6 @@ type Service struct {
 	mu         sync.Mutex
 	serving    string // build ID publishes must match ("" accepts any)
 	generation int
-	fleet      *fleetprof.Service // optional, folded into statusz
 
 	accepted  int64
 	rejected  int64
@@ -46,14 +44,6 @@ func (s *Service) SetServing(buildID string, generation int) {
 	defer s.mu.Unlock()
 	s.serving = buildID
 	s.generation = generation
-}
-
-// AttachFleet folds a fleet ingestion service's statusz into this
-// service's /statusz page.
-func (s *Service) AttachFleet(f *fleetprof.Service) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.fleet = f
 }
 
 // PublishReply is the JSON body of a successful POST /publish.
@@ -171,7 +161,7 @@ func (s *Service) handleProfile(w http.ResponseWriter, r *http.Request) {
 
 func (s *Service) handleStatusz(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
-	serving, gen, fleet := s.serving, s.generation, s.fleet
+	serving, gen := s.serving, s.generation
 	accepted, rejected, served := s.accepted, s.rejected, s.servedGet
 	s.mu.Unlock()
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
@@ -190,10 +180,6 @@ func (s *Service) handleStatusz(w http.ResponseWriter, r *http.Request) {
 	for _, bi := range s.store.Builds() {
 		fmt.Fprintf(w, "  build %s: epochs=%d samples=%d last-publish=%d\n",
 			bi.BuildID, bi.Epochs, bi.Samples, bi.LastPublish)
-	}
-	if fleet != nil {
-		fmt.Fprintf(w, "\n")
-		fleet.Statusz(w)
 	}
 }
 

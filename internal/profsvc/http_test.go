@@ -10,7 +10,6 @@ import (
 	"strings"
 	"testing"
 
-	"propeller/internal/fleetprof"
 	"propeller/internal/profile"
 )
 
@@ -182,8 +181,7 @@ func TestMethodNotAllowed(t *testing.T) {
 	}
 }
 
-// TestStatusz: plain text, reflects serving build, store state, and an
-// attached fleet ingestion service.
+// TestStatusz: plain text, reflects serving build and store state.
 func TestStatusz(t *testing.T) {
 	store, svc, ts := newTestServer(t)
 	svc.SetServing("bid9", 3)
@@ -191,9 +189,6 @@ func TestStatusz(t *testing.T) {
 	if _, err := (&Client{BaseURL: ts.URL}).Publish(mkProf("bid9", 1, 5)); err != nil {
 		t.Fatal(err)
 	}
-	fs := fleetprof.NewService(fleetprof.ServiceConfig{Shards: 2})
-	fs.Drain()
-	svc.AttachFleet(fs)
 
 	resp, err := http.Get(ts.URL + "/statusz")
 	if err != nil {
@@ -208,7 +203,6 @@ func TestStatusz(t *testing.T) {
 		"profsvc generation 3",
 		"serving build ID: bid9",
 		"build bid9: epochs=1 samples=5",
-		"2 shards",
 	} {
 		if !strings.Contains(string(body), want) {
 			t.Fatalf("statusz missing %q:\n%s", want, body)

@@ -7,6 +7,7 @@ import (
 	"propeller/internal/bbaddrmap"
 	"propeller/internal/buildsys"
 	"propeller/internal/core"
+	"propeller/internal/fleetprof"
 	"propeller/internal/objfile"
 	"propeller/internal/profile"
 	"propeller/internal/sim"
@@ -135,12 +136,12 @@ func serialRunGenerations(p *core.Program, cfg DriverConfig) (*LoopResult, error
 		}
 
 		if lkOf != deployed {
-			if lk, err = gateLookup(deployed); err != nil {
+			if lk, err = fleetprof.AddrMapLookup(deployed.BBAddrMap); err != nil {
 				return nil, fmt.Errorf("profsvc: gen %d admission: %w", g, err)
 			}
 			lkOf = deployed
 		}
-		hot := hotFuncs(merged, lk)
+		hot := fleetprof.HotFuncs(merged, lk)
 		gen.Admit = cfg.Scorer.Score(merged, agg, hot, ingest, cfg.hosts(), prevHot)
 		gen.GateOpen = gen.Admit.Ready
 		if !gen.Admit.Ready {

@@ -415,7 +415,11 @@ func TestAggregateMatchesReferenceOnHostileInputs(t *testing.T) {
 // TestBuildAggregateAllocs holds aggregation over an already-built lookup
 // to allocations per shard, not per sample: four times the samples cost
 // the same allocations (to within a table doubling or two), and a second
-// shard costs a bounded number more.
+// shard costs a bounded number more. The second shard is measured on the
+// shards folded directly, batch i on shard i mod 2: which shard takes a
+// batch from foldShards' queue is the scheduler's choice, and under
+// AllocsPerRun (GOMAXPROCS=1) one shard often took them all, so the bound
+// missed the second shard's table growth it is meant to hold.
 func TestBuildAggregateAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	m := randMap(rng, 40)
@@ -423,20 +427,42 @@ func TestBuildAggregateAllocs(t *testing.T) {
 	small := randProfile(rng, m, 2000)
 	large := &profile.Profile{Samples: append(append(append(append([]profile.Sample(nil),
 		small.Samples...), small.Samples...), small.Samples...), small.Samples...)}
-	allocs := func(prof *profile.Profile, w int) float64 {
+	allocs := func(prof *profile.Profile) float64 {
 		return testing.AllocsPerRun(5, func() {
 			src := Samples(prof)
-			(Config{Workers: w}).feed(&src, func() *bbaddrmap.Lookup { return lk })
+			(Config{Workers: 1}).feed(&src, func() *bbaddrmap.Lookup { return lk })
 		})
 	}
-	s1, l1, l2 := allocs(small, 1), allocs(large, 1), allocs(large, 2)
+	var shards []*shard
+	folded := func(prof *profile.Profile, w int) float64 {
+		return testing.AllocsPerRun(5, func() {
+			shards = make([]*shard, w)
+			for i := range shards {
+				shards[i] = newShard(lk)
+			}
+			i := 0
+			inBatches(prof.Samples, streamBatch, func(b []profile.Sample) {
+				shards[i%w].fold(b)
+				i++
+			})
+			for _, sh := range shards {
+				sh.finish()
+			}
+			mergeShards(shards, lk)
+		})
+	}
+	s1, l1 := allocs(small), allocs(large)
 	if l1 > s1+16 {
 		t.Errorf("1 shard: %.0f allocations for %d samples, %.0f for %d; want them equal to within a few slice doublings", s1, len(small.Samples), l1, len(large.Samples))
 	}
-	if perShard := l2 - l1; perShard > 64 {
+	f1, f2 := folded(large, 1), folded(large, 2)
+	if shards[1].samples == 0 {
+		t.Fatal("the second shard folded no batch")
+	}
+	if perShard := f2 - f1; perShard > 64 {
 		t.Errorf("a second shard costs %.0f allocations; want at most 64", perShard)
 	}
-	t.Logf("allocations: %d samples/1 shard %.0f, %d samples/1 shard %.0f, /2 shards %.0f", len(small.Samples), s1, len(large.Samples), l1, l2)
+	t.Logf("allocations: %d samples/1 shard %.0f, %d samples/1 shard %.0f; folded directly 1 shard %.0f, 2 shards %.0f", len(small.Samples), s1, len(large.Samples), l1, f1, f2)
 }
 
 // TestShardTablesStayBounded streams a Wire profile in which no record
