@@ -17,6 +17,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"sort"
@@ -1267,17 +1268,7 @@ func BenchmarkFleetProf(b *testing.B) {
 				1e3*find(hosts, 1, 0.2), 1e3*find(hosts, 8, 0.2))
 		}
 
-		f, err := os.Create("BENCH_fleetprof.json")
-		if err != nil {
-			b.Fatal(err)
-		}
-		err = res.WriteBenchJSON(f)
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			b.Fatal(err)
-		}
+		writeArtifact(b, "BENCH_fleetprof.json", res.WriteBenchJSON)
 	}
 }
 
@@ -1324,69 +1315,7 @@ func BenchmarkProfSvc(b *testing.B) {
 				g.SpeedupPct, g.FixedPoint)
 		}
 
-		f, err := os.Create("BENCH_profsvc.json")
-		if err != nil {
-			b.Fatal(err)
-		}
-		err = res.WriteBenchJSON(f)
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkLayoutTournament races the default layout-policy field —
-// Ext-TSP, call-chain-first, path-cloned Ext-TSP, and the weight/window
-// sweeps — across the whole workload catalog on the uarch model, and
-// writes the BENCH_layout.json leaderboard (the CI bench-smoke artifact,
-// grepped for every default policy name and `"ok": true`). The smoke
-// contract requires all default policies raced everywhere, artifacts
-// byte-identical at every worker count, and at least one non-default
-// policy beating default Ext-TSP in modeled cycles on some workload.
-func BenchmarkLayoutTournament(b *testing.B) {
-	for iter := 0; iter < b.N; iter++ {
-		res, err := eval.LayoutTournament(eval.LayoutTournamentConfig{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		smoke := res.Smoke()
-		if !smoke.OK {
-			b.Fatalf("layout tournament smoke contract violated: %+v", smoke)
-		}
-
-		fmt.Printf("LayoutTournament: %d policies x %d workloads (workers %v)\n",
-			len(res.Policies), len(res.Leaders), res.Workers)
-		fmt.Printf("%-10s %-10s %12s %10s %9s %8s %9s %8s\n",
-			"workload", "policy", "cycles", "l1iMiss", "itlbMiss", "taken", "speedup", "vsDflt")
-		for _, c := range res.Cells {
-			fmt.Printf("%-10s %-10s %12d %10d %9d %8d %8.2f%% %7.2f%%\n",
-				c.Workload, c.Policy, c.Cycles, c.L1IMiss, c.ITLBMiss, c.TakenBranches,
-				c.SpeedupPct, c.DeltaVsDefaultPct)
-		}
-		wins := 0
-		for _, l := range res.Leaders {
-			if l.Policy != "exttsp" {
-				wins++
-			}
-			fmt.Printf("leader %-10s: %-10s %12d cycles (margin %.2f%% over default)\n",
-				l.Workload, l.Policy, l.Cycles, l.MarginPct)
-		}
-		b.ReportMetric(float64(wins), "nonDefaultWins")
-
-		f, err := os.Create("BENCH_layout.json")
-		if err != nil {
-			b.Fatal(err)
-		}
-		err = res.WriteBenchJSON(f)
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			b.Fatal(err)
-		}
+		writeArtifact(b, "BENCH_profsvc.json", res.WriteBenchJSON)
 	}
 }
 
@@ -1429,31 +1358,26 @@ func BenchmarkIncremental(b *testing.B) {
 		b.ReportMetric(100*smoke.HitRate, "hitRate%")
 		b.ReportMetric(100*smoke.RelaidFrac, "relaid%")
 
-		f, err := os.Create("BENCH_incr.json")
-		if err != nil {
-			b.Fatal(err)
-		}
-		err = res.WriteBenchJSON(f)
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			b.Fatal(err)
-		}
+		writeArtifact(b, "BENCH_incr.json", res.WriteBenchJSON)
 	}
 }
 
 // BenchmarkPolicySearch runs the automated layout-policy search across
-// the whole workload catalog — the five fixed tournament policies as
-// full-fidelity anchors, then the (1+λ) evolutionary and
+// the whole workload catalog — the five default policies as full-fidelity
+// anchors (the fixed pass), then the (1+λ) evolutionary and
 // successive-halving strategies over Ext-TSP params, discrete knobs, and
-// per-function policy mixes — and writes the BENCH_search.json journal
-// (the CI bench-smoke artifact, grepped for `"ok": true`). The smoke
-// contract requires the learned table to match or beat the best fixed
-// policy on every workload and beat it outright on at least three.
+// per-function policy mixes. It writes two CI bench-smoke artifacts, both
+// grepped for `"ok": true`: the fixed pass's leaderboard,
+// BENCH_layout.json (also grepped for every default policy name), and the
+// BENCH_search.json journal. The leaderboard's contract requires every
+// default policy raced everywhere, artifacts byte-identical at every
+// replay worker count, and at least one non-default policy beating default
+// Ext-TSP in modeled cycles on some workload; the journal's, the learned
+// table matching or beating the best fixed policy on every workload and
+// beating it outright on at least three.
 func BenchmarkPolicySearch(b *testing.B) {
 	for iter := 0; iter < b.N; iter++ {
-		evs, err := policysearch.NewEvaluators(workload.Catalog(), eval.LayoutTournamentConfig{Workers: []int{1}})
+		evs, err := policysearch.NewEvaluators(workload.Catalog(), core.Budget{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -1461,10 +1385,33 @@ func BenchmarkPolicySearch(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
+		lb := res.Leaderboard()
+		if smoke := lb.Smoke(); !smoke.OK {
+			b.Fatalf("layout leaderboard smoke contract violated: %+v", smoke)
+		}
 		smoke := res.SmokeCheck(3)
 		if !smoke.OK {
 			b.Fatalf("policy search smoke contract violated: %+v", smoke)
 		}
+
+		fmt.Printf("Layout leaderboard: %d policies x %d workloads (workers %v)\n",
+			len(lb.Policies), len(lb.Leaders), lb.Workers)
+		fmt.Printf("%-14s %-10s %12s %10s %9s %8s %9s %8s\n",
+			"workload", "policy", "cycles", "l1iMiss", "itlbMiss", "taken", "speedup", "vsDflt")
+		for _, c := range lb.Cells {
+			fmt.Printf("%-14s %-10s %12d %10d %9d %8d %8.2f%% %7.2f%%\n",
+				c.Workload, c.Policy, c.Cycles, c.L1IMiss, c.ITLBMiss, c.TakenBranches,
+				c.SpeedupPct, c.DeltaVsDefaultPct)
+		}
+		wins := 0
+		for _, l := range lb.Leaders {
+			if l.Policy != "exttsp" {
+				wins++
+			}
+			fmt.Printf("leader %-14s: %-10s %12d cycles (margin %.2f%% over default)\n",
+				l.Workload, l.Policy, l.Cycles, l.MarginPct)
+		}
+		b.ReportMetric(float64(wins), "nonDefaultWins")
 
 		fmt.Printf("PolicySearch: seed %d, strategies %v\n", res.Seed, res.Strategies)
 		fmt.Printf("%-14s %-12s %12s %-22s %12s %8s %6s %6s %5s %5s\n",
@@ -1482,17 +1429,24 @@ func BenchmarkPolicySearch(b *testing.B) {
 		b.ReportMetric(float64(smoke.StrictWins), "strictWins")
 		b.ReportMetric(bestGain, "bestGain%")
 
-		f, err := os.Create("BENCH_search.json")
-		if err != nil {
-			b.Fatal(err)
-		}
-		err = res.WriteBenchJSON(f, 3)
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			b.Fatal(err)
-		}
+		writeArtifact(b, "BENCH_layout.json", lb.WriteBenchJSON)
+		writeArtifact(b, "BENCH_search.json", func(w io.Writer) error { return res.WriteBenchJSON(w, 3) })
+	}
+}
+
+// writeArtifact writes one BENCH_*.json file through write, failing b on
+// any error, the file's Close included.
+func writeArtifact(b *testing.B, name string, write func(io.Writer) error) {
+	f, err := os.Create(name)
+	if err != nil {
+		b.Fatal(err)
+	}
+	err = write(f)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		b.Fatal(err)
 	}
 }
 
@@ -1508,7 +1462,7 @@ func BenchmarkPolicySearchSmoke(b *testing.B) {
 	for iter := 0; iter < b.N; iter++ {
 		var journals [][]byte
 		for _, workers := range []int{0, 1} {
-			evs, err := policysearch.NewEvaluators(specs, eval.LayoutTournamentConfig{Workers: []int{1}})
+			evs, err := policysearch.NewEvaluators(specs, core.Budget{})
 			if err != nil {
 				b.Fatal(err)
 			}

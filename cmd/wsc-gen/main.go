@@ -26,25 +26,18 @@ func main() {
 	)
 	flag.Parse()
 
-	specs := append(workload.Catalog(), workload.Tiny())
 	if *list {
 		fmt.Printf("%-16s %8s %8s %7s %10s\n", "NAME", "FUNCS", "BLOCKS", "%COLD", "REQUESTS")
-		for _, s := range specs {
+		for _, s := range append(workload.Catalog(), workload.Tiny()) {
 			fmt.Printf("%-16s %8d %8s %6.0f%% %10d\n", s.Name, s.NumFuncs, "~", 100*s.ColdObjFrac, s.Requests)
 		}
 		return
 	}
-	var spec *workload.Spec
-	for i := range specs {
-		if specs[i].Name == *name {
-			spec = &specs[i]
-			break
-		}
+	spec, err := workload.ByName(*name)
+	if err != nil {
+		fatalf("%v", err)
 	}
-	if spec == nil {
-		fatalf("unknown workload %q (use -list)", *name)
-	}
-	prog, err := workload.Generate(*spec)
+	prog, err := workload.Generate(spec)
 	if err != nil {
 		fatalf("generate: %v", err)
 	}

@@ -160,17 +160,15 @@ func main() {
 }
 
 func loadWorkload(name string) (*core.Program, error) {
-	specs := append(workload.Catalog(), workload.Tiny())
-	for i := range specs {
-		if specs[i].Name == name {
-			prog, err := workload.Generate(specs[i])
-			if err != nil {
-				return nil, err
-			}
-			return prog.Core, nil
-		}
+	spec, err := workload.ByName(name)
+	if err != nil {
+		return nil, err
 	}
-	return nil, fmt.Errorf("unknown workload %q", name)
+	prog, err := workload.Generate(spec)
+	if err != nil {
+		return nil, err
+	}
+	return prog.Core, nil
 }
 
 func printStatusz(baseURL string) {

@@ -61,7 +61,7 @@ func main() {
 		statuszAt  = flag.String("statusz-addr", "", "serve the fleet ingestion /statusz snapshot over HTTP on this address, e.g. 127.0.0.1:8345 (with -fleet-hosts)")
 		warm       = flag.Bool("warm", false, "edit-replay mode: re-run analysis+relink of a replayed -edit-frac edit against warm content-keyed caches (requires -workload)")
 		editFrac   = flag.Float64("edit-frac", 0.01, "fraction of functions the replayed edit touches (with -warm)")
-		layoutPol  = flag.String("layout-policy", "", "named layout policy from the tournament field: "+policyNames()+" (default: exttsp)")
+		layoutPol  = flag.String("layout-policy", "", "named layout policy from the default field: "+policyNames()+" (default: exttsp)")
 		layoutTab  = flag.String("layout-table", "", "learned per-workload/per-function policy table (the wsc-search output format)")
 	)
 	prof := pprofutil.Register()
@@ -173,17 +173,15 @@ func main() {
 
 func loadProgram(wl, irDir, entry string) (*core.Program, error) {
 	if wl != "" {
-		specs := append(workload.Catalog(), workload.Tiny())
-		for i := range specs {
-			if specs[i].Name == wl {
-				prog, err := workload.Generate(specs[i])
-				if err != nil {
-					return nil, err
-				}
-				return prog.Core, nil
-			}
+		spec, err := workload.ByName(wl)
+		if err != nil {
+			return nil, err
 		}
-		return nil, fmt.Errorf("unknown workload %q", wl)
+		prog, err := workload.Generate(spec)
+		if err != nil {
+			return nil, err
+		}
+		return prog.Core, nil
 	}
 	if irDir == "" {
 		return nil, fmt.Errorf("need -workload or -ir-dir")
@@ -222,7 +220,7 @@ func runWarmReplay(wl string, editFrac float64, workers int) {
 	if wl == "" {
 		fatalf("-warm requires -workload (the edit is replayed onto a regenerated program)")
 	}
-	spec, err := findSpec(wl)
+	spec, err := workload.ByName(wl)
 	if err != nil {
 		fatalf("%v", err)
 	}
@@ -283,7 +281,7 @@ func lookupTablePolicy(path, name string) (eval.LayoutPolicy, error) {
 	return pol, nil
 }
 
-// policyNames lists the tournament's default policy field for flag help
+// policyNames lists the default layout policy field for flag help
 // and error messages.
 func policyNames() string {
 	var names []string
@@ -291,21 +289,6 @@ func policyNames() string {
 		names = append(names, p.Name)
 	}
 	return strings.Join(names, "|")
-}
-
-// findSpec resolves a workload name against the catalog (plus tiny).
-func findSpec(wl string) (workload.Spec, error) {
-	specs := append(workload.Catalog(), workload.Tiny())
-	for i := range specs {
-		if specs[i].Name == wl {
-			return specs[i], nil
-		}
-	}
-	var names []string
-	for _, s := range specs {
-		names = append(names, s.Name)
-	}
-	return workload.Spec{}, fmt.Errorf("unknown workload %q (have: %s)", wl, strings.Join(names, ", "))
 }
 
 func writeArtifacts(dir string, res *core.Result) error {

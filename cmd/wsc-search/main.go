@@ -1,5 +1,5 @@
 // wsc-search runs the automated layout-policy search: it treats the
-// layout tournament's analyze → relink → simulate pipeline as a
+// analyze → relink → simulate pipeline of eval.LayoutEval as a
 // deterministic fitness function and searches the policy space — Ext-TSP
 // scoring parameters, the discrete knobs, and per-function policy mixes
 // — emitting a learned per-workload policy table.
@@ -20,7 +20,7 @@ import (
 	"os"
 	"strings"
 
-	"propeller/internal/eval"
+	"propeller/internal/core"
 	"propeller/internal/policysearch"
 	"propeller/internal/pprofutil"
 	"propeller/internal/workload"
@@ -133,7 +133,7 @@ func main() {
 }
 
 func runSearch(cfg policysearch.Config, specs []workload.Spec) *policysearch.Result {
-	evs, err := policysearch.NewEvaluators(specs, eval.LayoutTournamentConfig{Workers: []int{1}})
+	evs, err := policysearch.NewEvaluators(specs, core.Budget{})
 	if err != nil {
 		fatalf("%v", err)
 	}

@@ -86,7 +86,10 @@ func CollectFleetProfile(bin *objfile.Binary, spec RunSpec, fo FleetOptions, tra
 	}
 	cfg := spec.samplingConfig(trackMisses)
 	cfg.LBRGrids = hosts
-	cfg.OnGridSample = func(h int, s profile.Sample) error { return feeds[h].Add(s) }
+	cfg.OnGridSample = func(h int, s profile.Sample) error {
+		feeds[h].Add(s)
+		return nil
+	}
 	run, err := prog.Run(cfg)
 	stats := make([]fleetprof.CollectorStats, hosts)
 	for h, f := range feeds {
@@ -94,7 +97,7 @@ func CollectFleetProfile(bin *objfile.Binary, spec RunSpec, fo FleetOptions, tra
 			stats[h] = f.Stats() // a failed stream ships no final window
 			continue
 		}
-		stats[h], err = f.Close()
+		stats[h] = f.Close()
 	}
 	st := svc.Finish(stats)
 	if err != nil {

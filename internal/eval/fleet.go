@@ -66,9 +66,8 @@ type FleetSweepResult struct {
 	BuildID   string
 }
 
-// WriteBenchJSON writes the BENCH_fleetprof.json artifact (one shape,
-// shared by BenchmarkFleetProf and `wsc-bench -fleet`, so the
-// bench-regression baseline applies to either producer).
+// WriteBenchJSON writes the BENCH_fleetprof.json artifact, which
+// BenchmarkFleetProf alone produces.
 func (r *FleetSweepResult) WriteBenchJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")

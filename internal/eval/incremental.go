@@ -182,9 +182,8 @@ func (r *IncrementalResult) Smoke() IncrementalSmoke {
 	return s
 }
 
-// WriteBenchJSON writes the BENCH_incr.json artifact (one shape, shared
-// by BenchmarkIncremental and `wsc-bench -incr`, so the bench-regression
-// baselines apply to either producer).
+// WriteBenchJSON writes the BENCH_incr.json artifact, which
+// BenchmarkIncremental alone produces.
 func (r *IncrementalResult) WriteBenchJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")

@@ -1,10 +1,12 @@
-// Layout-policy tournament: N named layout policies — default Ext-TSP,
-// the hfsort+-style call-chain-first policy, path-cloned Ext-TSP, and a
-// small sweep of the Ext-TSP proximity weights — each run through the
-// full relink pipeline and measured on internal/sim's uarch model across
-// the workload catalog. The simulator is a deterministic, cheap fitness
-// function, so the policy search AI-PROPELLER needed a datacenter for is
-// a reproducible benchmark here (BENCH_layout.json).
+// Layout-policy evaluation: any named layout policy — default Ext-TSP, the
+// hfsort+-style call-chain-first policy, path-cloned Ext-TSP, a sweep of
+// the Ext-TSP proximity weights, or a per-function mix of them — run
+// through the full relink pipeline and measured on internal/sim's uarch
+// model. The simulator is a deterministic, cheap fitness function, so the
+// policy search AI-PROPELLER needed a datacenter for is a reproducible
+// benchmark here: internal/policysearch drives LayoutEval, and the
+// leaderboard of its fixed pass over the default policies is
+// BENCH_layout.json.
 package eval
 
 import (
@@ -13,6 +15,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"time"
 
 	"propeller/internal/bbaddrmap"
@@ -26,8 +29,8 @@ import (
 	"propeller/internal/wpa"
 )
 
-// LayoutPolicy names one contender: a complete layout configuration the
-// tournament maps onto wpa.Config.
+// LayoutPolicy names one contender: a complete layout configuration
+// LayoutEval maps onto wpa.Config.
 type LayoutPolicy struct {
 	Name           string        `json:"name"`
 	InterProc      bool          `json:"interProc,omitempty"`
@@ -42,8 +45,9 @@ type LayoutPolicy struct {
 	FuncPolicies map[string]wpa.FuncPolicy `json:"funcPolicies,omitempty"`
 }
 
-// DefaultLayoutPolicies is the tournament's standing field: the paper
-// baseline plus one contender per axis the design space offers.
+// DefaultLayoutPolicies is the standing field the policy search races
+// first: the paper baseline plus one contender per axis the design space
+// offers.
 func DefaultLayoutPolicies() []LayoutPolicy {
 	return []LayoutPolicy{
 		// The paper's configuration: per-function Ext-TSP with the
@@ -108,50 +112,14 @@ func (p LayoutPolicy) wpaConfig(workers int, paths wpa.PathSet) wpa.Config {
 // as wall time, not just saved cores.
 const evalSlots = 8
 
-// LayoutTournamentConfig parameterizes the tournament.
-type LayoutTournamentConfig struct {
-	// Specs are the workloads to race on (default: the full catalog).
-	Specs []workload.Spec
+// replayWorkers are the WPA worker counts every evaluation replays its
+// analysis under; the artifacts must be byte-identical across them.
+var replayWorkers = []int{1, 4}
 
-	// Policies are the contenders (default: DefaultLayoutPolicies).
-	Policies []LayoutPolicy
-
-	// Workers are the WPA worker counts every policy's analysis is
-	// replayed under (default 1, 4); the artifacts must be byte-identical
-	// across them.
-	Workers []int
-
-	// TrainInsts bounds the profiling run (default 60M); EvalInsts the
-	// per-binary measurement runs (default 40M).
-	TrainInsts uint64
-	EvalInsts  uint64
-}
-
-func (c LayoutTournamentConfig) specs() []workload.Spec {
-	if len(c.Specs) == 0 {
-		return workload.Catalog()
-	}
-	return c.Specs
-}
-
-func (c LayoutTournamentConfig) policies() []LayoutPolicy {
-	if len(c.Policies) == 0 {
-		return DefaultLayoutPolicies()
-	}
-	return c.Policies
-}
-
-func (c LayoutTournamentConfig) workers() []int {
-	if len(c.Workers) == 0 {
-		return []int{1, 4}
-	}
-	return c.Workers
-}
-
-func (c LayoutTournamentConfig) budget() core.Budget {
-	return core.Budget{TrainInsts: c.TrainInsts, EvalInsts: c.EvalInsts}.
-		Or(core.Budget{TrainInsts: 60_000_000, EvalInsts: 40_000_000, LBRPeriod: 211})
-}
+// defaultLayoutBudget is the fidelity of every layout evaluation unless
+// its caller sets a field: a 60M-instruction profile and 40M-instruction
+// measurement runs.
+var defaultLayoutBudget = core.Budget{TrainInsts: 60_000_000, EvalInsts: 40_000_000, LBRPeriod: 211}
 
 // LayoutCell is one (workload, policy) leaderboard entry. Everything
 // except the measured wall time is a deterministic function of the
@@ -179,13 +147,13 @@ type LayoutCell struct {
 	HotPathFuncs int `json:"hotPathFuncs,omitempty"`
 
 	// IdenticalAcrossWorkers: the policy's artifacts byte-compared equal
-	// at every configured worker count.
+	// at every replay worker count.
 	IdenticalAcrossWorkers bool `json:"identicalAcrossWorkers"`
 
 	// AnalysisSeconds is measured wall time; the "measured" prefix in the
 	// JSON key exempts it from the bench-regression gate, as does the
 	// cache-hit count below (it depends on evaluation order when a search
-	// evaluates candidates in parallel against one shared cache).
+	// evaluates candidates in parallel against the evaluator's one cache).
 	AnalysisSeconds     float64 `json:"measuredAnalysisSeconds"`
 	FuncLayoutCacheHits int     `json:"measuredFuncLayoutCacheHits,omitempty"`
 }
@@ -200,7 +168,7 @@ type LayoutLeader struct {
 	MarginPct float64 `json:"marginPct"`
 }
 
-// LayoutSmoke is the tournament's CI contract.
+// LayoutSmoke is the leaderboard's CI contract.
 type LayoutSmoke struct {
 	Policies []string `json:"policies"`
 	// PoliciesOK: every default policy raced on every workload.
@@ -214,8 +182,10 @@ type LayoutSmoke struct {
 	OK            bool `json:"ok"`
 }
 
-// LayoutTournamentResult is the full leaderboard.
-type LayoutTournamentResult struct {
+// Leaderboard is the default policies' full-fidelity race: one cell per
+// (workload, policy), workloads in the order added, policies in
+// DefaultLayoutPolicies order.
+type Leaderboard struct {
 	Policies []LayoutPolicy `json:"policies"`
 	Workers  []int          `json:"workers"`
 	Cells    []LayoutCell   `json:"cells"`
@@ -226,8 +196,43 @@ type LayoutTournamentResult struct {
 	BaselineCycles map[string]uint64 `json:"baselineCycles"`
 }
 
+// NewLeaderboard returns an empty leaderboard of the default policies.
+func NewLeaderboard() *Leaderboard {
+	return &Leaderboard{
+		Policies:       DefaultLayoutPolicies(),
+		Workers:        slices.Clone(replayWorkers),
+		BaselineCycles: map[string]uint64{},
+	}
+}
+
+// Add appends one workload's cells with their default-relative columns
+// filled in, its leader (the first lowest-cycle cell) and its baseline.
+func (r *Leaderboard) Add(workload string, baselineCycles uint64, cells []LayoutCell) {
+	var def uint64
+	for _, c := range cells {
+		if c.Policy == "exttsp" {
+			def = c.Cycles
+		}
+	}
+	var winner LayoutLeader
+	for _, c := range cells {
+		if def > 0 {
+			c.DeltaVsDefaultPct = 100 * (1 - float64(c.Cycles)/float64(def))
+		}
+		if winner.Policy == "" || c.Cycles < winner.Cycles {
+			winner = LayoutLeader{Workload: workload, Policy: c.Policy, Cycles: c.Cycles}
+		}
+		r.Cells = append(r.Cells, c)
+	}
+	if def > 0 && winner.Cycles < def {
+		winner.MarginPct = 100 * (1 - float64(winner.Cycles)/float64(def))
+	}
+	r.Leaders = append(r.Leaders, winner)
+	r.BaselineCycles[workload] = baselineCycles
+}
+
 // Smoke evaluates the CI contract.
-func (r *LayoutTournamentResult) Smoke() LayoutSmoke {
+func (r *Leaderboard) Smoke() LayoutSmoke {
 	s := LayoutSmoke{Identical: true}
 	for _, p := range DefaultLayoutPolicies() {
 		s.Policies = append(s.Policies, p.Name)
@@ -263,10 +268,9 @@ func (r *LayoutTournamentResult) Smoke() LayoutSmoke {
 	return s
 }
 
-// WriteBenchJSON writes the BENCH_layout.json artifact (one shape shared
-// by BenchmarkLayoutTournament and `wsc-bench -layout`, so the committed
-// baselines apply to either producer).
-func (r *LayoutTournamentResult) WriteBenchJSON(w io.Writer) error {
+// WriteBenchJSON writes the BENCH_layout.json artifact, which
+// BenchmarkPolicySearch builds from the search's fixed pass.
+func (r *Leaderboard) WriteBenchJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(map[string]any{
@@ -283,13 +287,13 @@ func (r *LayoutTournamentResult) WriteBenchJSON(w io.Writer) error {
 // LayoutEval is one workload's prepared evaluation state: the metadata
 // build, training profile, position-independent aggregate, reconstructed
 // hot paths, cached IR, and the measured unoptimized baseline — everything
-// a policy evaluation shares, amortized once. It is the reusable fitness
-// function behind both the tournament and the automated policy search:
-// Evaluate maps any LayoutPolicy (including per-function mixes) to a
-// LayoutCell deterministically.
+// a policy evaluation shares, amortized once. It is the fitness function
+// behind the automated policy search: EvaluateInsts maps any LayoutPolicy
+// (including per-function mixes) to a LayoutCell deterministically, and is
+// the one place a layout candidate is relinked and measured.
 type LayoutEval struct {
 	spec    workload.Spec
-	cfg     LayoutTournamentConfig
+	budget  core.Budget
 	prog    *workload.Program
 	opts    core.Options
 	m       *bbaddrmap.Map
@@ -298,32 +302,28 @@ type LayoutEval struct {
 	irKeys  []string
 	baseRun *sim.Result
 
-	// Optional incremental-cache wiring (UseCache): per-func layouts are
-	// then keyed by wpa's funcPolicyKey machinery, so a re-search against
-	// the same profile reuses every unchanged function's layout.
+	// cache is the evaluator's incremental analysis cache: whole layouts
+	// keyed by policy, and per-function layouts keyed by wpa's
+	// funcPolicyKey machinery, so candidates that share a function's
+	// policy (most mutations move one knob or one function) reuse its
+	// layout.
 	cache *buildsys.Cache
-	epoch string
 }
 
-// NewLayoutEval prepares the shared state for one workload under cfg
-// (only the fidelity/worker knobs of cfg apply; Specs/Policies are the
-// tournament's business).
-func NewLayoutEval(spec workload.Spec, cfg LayoutTournamentConfig) (*LayoutEval, error) {
-	return newLayoutEval(spec, cfg, &buildsys.Executor{Slots: evalSlots})
-}
-
-func newLayoutEval(spec workload.Spec, cfg LayoutTournamentConfig, exec *buildsys.Executor) (*LayoutEval, error) {
+// NewLayoutEval prepares the shared state for one workload at budget b;
+// its zero fields take defaultLayoutBudget's.
+func NewLayoutEval(spec workload.Spec, b core.Budget) (*LayoutEval, error) {
+	b = b.Or(defaultLayoutBudget)
 	prog, err := workload.Generate(spec)
 	if err != nil {
 		return nil, err
 	}
 	opts := core.Options{
-		Executor:  exec,
+		Executor:  &buildsys.Executor{Slots: evalSlots},
 		HugePages: spec.HugePages,
 		IRCache:   buildsys.NewCache(),
 		ObjCache:  buildsys.NewCache(),
 	}
-	b := cfg.budget()
 	pb, err := profileBuild(prog.Core, b, opts)
 	if err != nil {
 		return nil, fmt.Errorf("eval %s: %w", spec.Name, err)
@@ -341,8 +341,9 @@ func newLayoutEval(spec workload.Spec, cfg LayoutTournamentConfig, exec *buildsy
 		return nil, fmt.Errorf("eval %s: baseline run: %w", spec.Name, err)
 	}
 	return &LayoutEval{
-		spec: spec, cfg: cfg, prog: prog, opts: opts,
+		spec: spec, budget: b, prog: prog, opts: opts,
 		m: pb.m, agg: pb.agg, paths: paths, irKeys: pb.meta.IRKeys, baseRun: baseRun,
+		cache: buildsys.NewCache(),
 	}, nil
 }
 
@@ -378,35 +379,27 @@ func profileBuild(p *core.Program, b core.Budget, opts core.Options) (*profiled,
 	return &profiled{meta: meta, prof: prof, m: m, agg: agg}, nil
 }
 
-// UseCache wires an incremental cache (shared across evaluations) into
-// every subsequent analysis under the given profile epoch.
-func (e *LayoutEval) UseCache(cache *buildsys.Cache, epoch string) {
-	e.cache, e.epoch = cache, epoch
-}
-
 // BaselineCycles is the unoptimized binary's modeled cycle count, the
 // denominator of every SpeedupPct.
 func (e *LayoutEval) BaselineCycles() uint64 { return e.baseRun.Cycles }
 
 // FullInsts is the full-fidelity measurement budget; cheap-fidelity
 // probes pass a fraction of it to EvaluateInsts.
-func (e *LayoutEval) FullInsts() uint64 { return e.cfg.budget().EvalInsts }
+func (e *LayoutEval) FullInsts() uint64 { return e.budget.EvalInsts }
 
 // HotFuncs returns the n hottest profiled functions — the candidates
 // worth a per-function policy override.
 func (e *LayoutEval) HotFuncs(n int) []string { return e.agg.HotFuncs(n) }
 
-// Evaluate runs one policy at full fidelity.
-func (e *LayoutEval) Evaluate(pol LayoutPolicy) (LayoutCell, error) {
-	return e.EvaluateInsts(pol, e.FullInsts())
-}
-
 // EvaluateInsts analyzes, relinks, and measures one policy with the given
-// instruction budget. The analysis replays at every configured worker
-// count and the artifacts are byte-compared; the relinked binary then
-// runs on the uarch model for at most insts instructions. Everything in
-// the returned cell except the measured* fields is a deterministic
-// function of (workload, policy, insts).
+// instruction budget. The analysis replays at every replayWorkers count
+// and the artifacts are byte-compared; only the first analysis reads and
+// fills the evaluator's layout cache, so the replays lay out every
+// function afresh and the comparison never holds the cache against
+// itself. The relinked binary then runs on the uarch model for at most
+// insts instructions. Everything in the returned cell except the
+// measured* fields is a deterministic function of (workload, policy,
+// insts).
 func (e *LayoutEval) EvaluateInsts(pol LayoutPolicy, insts uint64) (LayoutCell, error) {
 	cell := LayoutCell{Workload: e.spec.Name, Policy: pol.Name, IdenticalAcrossWorkers: true}
 	if pol.needsPaths() {
@@ -418,10 +411,10 @@ func (e *LayoutEval) EvaluateInsts(pol LayoutPolicy, insts uint64) (LayoutCell, 
 	var res *wpa.Result
 	var firstCC, firstLD []byte
 	start := time.Now()
-	for wi, w := range e.cfg.workers() {
+	for wi, w := range replayWorkers {
 		wcfg := pol.wpaConfig(w, e.paths)
-		if e.cache != nil {
-			wcfg.Cache, wcfg.ProfileEpoch = e.cache, e.epoch
+		if wi == 0 {
+			wcfg.Cache, wcfg.ProfileEpoch = e.cache, e.spec.Name
 		}
 		r, err := wpa.Analyze(func() (*bbaddrmap.Map, error) { return e.m, nil }, wpa.Prebuilt(e.agg), wcfg)
 		if err != nil {
@@ -473,55 +466,4 @@ func (e *LayoutEval) EvaluateInsts(pol LayoutPolicy, insts uint64) (LayoutCell, 
 		cell.SpeedupPct = 100 * (1 - float64(run.Cycles)/float64(e.baseRun.Cycles))
 	}
 	return cell, nil
-}
-
-// LayoutTournament races every policy on every workload. Per workload it
-// prepares a LayoutEval once (metadata build, one profile, aggregate,
-// hot paths, measured baseline) and then evaluates every policy against
-// it. The emitted leaderboard is deterministic at every worker count —
-// only the measured* wall-clock fields vary run to run.
-func LayoutTournament(cfg LayoutTournamentConfig) (*LayoutTournamentResult, error) {
-	exec := &buildsys.Executor{Slots: evalSlots}
-	out := &LayoutTournamentResult{
-		Policies:       cfg.policies(),
-		Workers:        cfg.workers(),
-		BaselineCycles: map[string]uint64{},
-	}
-
-	for _, spec := range cfg.specs() {
-		ev, err := newLayoutEval(spec, cfg, exec)
-		if err != nil {
-			return nil, err
-		}
-		out.BaselineCycles[spec.Name] = ev.BaselineCycles()
-
-		var defaultCycles uint64
-		var winner LayoutLeader
-		for _, pol := range cfg.policies() {
-			cell, err := ev.Evaluate(pol)
-			if err != nil {
-				return nil, err
-			}
-			if pol.Name == "exttsp" {
-				defaultCycles = cell.Cycles
-			}
-			if winner.Policy == "" || cell.Cycles < winner.Cycles {
-				winner = LayoutLeader{Workload: spec.Name, Policy: pol.Name, Cycles: cell.Cycles}
-			}
-			out.Cells = append(out.Cells, cell)
-		}
-		// Second pass for the default-relative columns (the default policy
-		// may race in any position).
-		for i := range out.Cells {
-			c := &out.Cells[i]
-			if c.Workload == spec.Name && defaultCycles > 0 {
-				c.DeltaVsDefaultPct = 100 * (1 - float64(c.Cycles)/float64(defaultCycles))
-			}
-		}
-		if defaultCycles > 0 && winner.Cycles < defaultCycles {
-			winner.MarginPct = 100 * (1 - float64(winner.Cycles)/float64(defaultCycles))
-		}
-		out.Leaders = append(out.Leaders, winner)
-	}
-	return out, nil
 }

@@ -2,70 +2,54 @@ package eval
 
 import (
 	"bytes"
+	"math"
 	"testing"
 
+	"propeller/internal/bbaddrmap"
+	"propeller/internal/buildsys"
+	"propeller/internal/core"
 	"propeller/internal/workload"
+	"propeller/internal/wpa"
 )
 
-// TestLayoutTournamentTiny races the default policy field on the tiny
-// workload: every policy must produce a valid (checksum-preserving)
-// binary, the analysis artifacts must be byte-identical at every worker
-// count, and the deterministic cell metrics must not depend on the
-// worker list at all.
-func TestLayoutTournamentTiny(t *testing.T) {
-	cfg := LayoutTournamentConfig{
-		Specs:      []workload.Spec{workload.Tiny()},
-		TrainInsts: 20_000_000,
-		EvalInsts:  20_000_000,
-	}
-	res, err := LayoutTournament(cfg)
+// TestLayoutEvalReplaysUncached evaluates one policy through one
+// evaluator at two fidelities. Only each evaluation's first analysis may
+// read the layout cache: the first evaluation meets an empty cache, and
+// the second hits exactly one analysis's worth of entries. A replay served
+// from the cache would add hits to both, and its byte comparison would
+// hold the cache against itself. The count is the cache's own: a warm
+// analysis is served whole by its global artifact entry, which counts no
+// per-function hit in the cell.
+func TestLayoutEvalReplaysUncached(t *testing.T) {
+	e, err := NewLayoutEval(workload.Tiny(), core.Budget{TrainInsts: 20_000_000, EvalInsts: 10_000_000})
 	if err != nil {
 		t.Fatal(err)
 	}
-	nPol := len(DefaultLayoutPolicies())
-	if len(res.Cells) != nPol {
-		t.Fatalf("got %d cells, want %d", len(res.Cells), nPol)
-	}
-	if len(res.Leaders) != 1 || res.Leaders[0].Workload != "tiny" {
-		t.Fatalf("leaders = %+v", res.Leaders)
-	}
-	if res.BaselineCycles["tiny"] == 0 {
-		t.Error("no baseline cycles recorded")
-	}
-	seen := map[string]bool{}
-	for _, c := range res.Cells {
-		seen[c.Policy] = true
-		if !c.IdenticalAcrossWorkers {
-			t.Errorf("%s: artifacts differ across worker counts", c.Policy)
-		}
-		if c.Cycles == 0 || c.Insts == 0 || c.HotFuncs == 0 {
-			t.Errorf("%s: degenerate cell %+v", c.Policy, c)
-		}
-		if c.Policy == "pathclone" && c.HotPathFuncs == 0 {
-			t.Errorf("pathclone raced with no reconstructed paths")
+	pol, _ := PolicyByName("fw-heavy")
+
+	// One analysis's worth: a second analysis against a warm cache.
+	cfg := pol.wpaConfig(1, e.paths)
+	cfg.Cache, cfg.ProfileEpoch = buildsys.NewCache(), "probe"
+	for i := 0; i < 2; i++ {
+		if _, err := wpa.Analyze(func() (*bbaddrmap.Map, error) { return e.m, nil }, wpa.Prebuilt(e.agg), cfg); err != nil {
+			t.Fatal(err)
 		}
 	}
-	for _, p := range DefaultLayoutPolicies() {
-		if !seen[p.Name] {
-			t.Errorf("policy %s missing from cells", p.Name)
-		}
-	}
-	s := res.Smoke()
-	if !s.PoliciesOK || !s.Identical {
-		t.Errorf("smoke: %+v", s)
+	want := cfg.Cache.Stats().Hits
+	if want == 0 {
+		t.Fatal("a warm analysis hit nothing in the cache")
 	}
 
-	// A different worker list must reproduce every deterministic metric.
-	cfg.Workers = []int{3}
-	again, err := LayoutTournament(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range res.Cells {
-		a, b := res.Cells[i], again.Cells[i]
-		a.AnalysisSeconds, b.AnalysisSeconds = 0, 0
-		if a != b {
-			t.Errorf("cell %d differs across worker lists:\n%+v\n%+v", i, a, b)
+	for i, insts := range []uint64{e.FullInsts(), e.FullInsts() / 2} {
+		cell, err := e.EvaluateInsts(pol, insts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !cell.IdenticalAcrossWorkers {
+			t.Errorf("evaluation %d: artifacts differ across replay worker counts", i)
+		}
+		if got := e.cache.Stats().Hits; got != int64(i)*want {
+			t.Errorf("after evaluation %d: %d cache hits, want %d", i, got, int64(i)*want)
 		}
 	}
 }
@@ -73,24 +57,28 @@ func TestLayoutTournamentTiny(t *testing.T) {
 // TestLayoutSmokeAndJSON checks the CI contract evaluation and artifact
 // shape on synthetic results.
 func TestLayoutSmokeAndJSON(t *testing.T) {
-	res := &LayoutTournamentResult{
-		Policies:       DefaultLayoutPolicies(),
-		Workers:        []int{1, 4},
-		BaselineCycles: map[string]uint64{"w": 200},
-	}
+	res := NewLeaderboard()
+	var cells []LayoutCell
 	for _, p := range DefaultLayoutPolicies() {
 		cy := uint64(100)
 		if p.Name == "fw-heavy" {
 			cy = 90 // a non-default winner
 		}
-		res.Cells = append(res.Cells, LayoutCell{
+		cells = append(cells, LayoutCell{
 			Workload: "w", Policy: p.Name, Cycles: cy, Insts: 1,
 			IdenticalAcrossWorkers: true,
 		})
 	}
+	res.Add("w", 200, cells)
+	if l := res.Leaders; len(l) != 1 || l[0].Policy != "fw-heavy" || math.Abs(l[0].MarginPct-10) > 1e-9 {
+		t.Errorf("leaders = %+v, want fw-heavy by 10%%", l)
+	}
+	if c := res.Cells[3]; c.Policy != "fw-heavy" || math.Abs(c.DeltaVsDefaultPct-10) > 1e-9 {
+		t.Errorf("cell %+v, want fw-heavy 10%% ahead of the default", c)
+	}
 	s := res.Smoke()
 	if !s.OK || !s.PoliciesOK || !s.Identical || !s.NonDefaultWin {
-		t.Errorf("smoke on passing tournament: %+v", s)
+		t.Errorf("smoke on a passing leaderboard: %+v", s)
 	}
 	// Remove the win: smoke must fail NonDefaultWin.
 	for i := range res.Cells {

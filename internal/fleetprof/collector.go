@@ -1,7 +1,6 @@
 package fleetprof
 
 import (
-	"errors"
 	"fmt"
 	"time"
 
@@ -218,13 +217,11 @@ func (f *Feed) Stats() CollectorStats { return f.st }
 // Close ships the final partial window — an empty stream still ships one
 // empty batch, so the host's presence registers with the service — and
 // returns the host's stats.
-func (f *Feed) Close() (CollectorStats, error) {
+func (f *Feed) Close() CollectorStats {
 	if f.n > 0 || f.seq == 0 {
-		if err := f.ship(); err != nil {
-			return f.st, err
-		}
+		f.ship()
 	}
-	return f.st, nil
+	return f.st
 }
 
 // Add takes the stream's next sample and ships the window when it is
@@ -232,21 +229,20 @@ func (f *Feed) Close() (CollectorStats, error) {
 // — the unbiased sampling-rate adaptation a collector applies under
 // sustained backpressure — and a kept sample is encoded into the batch
 // body at once, so its records are only read during Add.
-func (f *Feed) Add(s profile.Sample) error {
+func (f *Feed) Add(s profile.Sample) {
 	if int64(f.n)%f.st.Downsample == 0 {
 		f.body = profile.AppendSample(f.body, s)
 		f.kept++
 	}
 	if f.n++; f.n == f.bs {
-		return f.ship()
+		f.ship()
 	}
-	return nil
 }
 
 // ship puts the header in front of the current window's encoded samples,
 // delivers them as batch (host, seq) and resets the window; seq advances
 // even for dropped batches.
-func (f *Feed) ship() error {
+func (f *Feed) ship() {
 	c, st := f.c, &f.st
 	f.hdr.Samples = uint64(f.kept)
 	f.head = profile.AppendHeader(f.head[:0], f.hdr)
@@ -264,18 +260,14 @@ func (f *Feed) ship() error {
 	attemptCost := SendLatencySeconds + float64(len(payload))*SendPerByteSeconds
 	st.ModeledSendSeconds += float64(lost+1)*attemptCost + float64(lost)*RetryTimeoutSeconds
 
-	dropped, err := c.deliver(f.svc, Batch{Host: c.Host, Seq: seq, Payload: payload}, st)
-	if err != nil {
-		return err
-	}
-	if dropped {
+	if c.deliver(f.svc, Batch{Host: c.Host, Seq: seq, Payload: payload}, st) {
 		st.Dropped++
 		f.consecDrops++
 		if f.consecDrops >= c.adaptAfterDrops() {
 			st.Downsample *= 2
 			f.consecDrops = 0
 		}
-		return nil
+		return
 	}
 	f.consecDrops = 0
 	st.Sent++
@@ -286,25 +278,20 @@ func (f *Feed) ship() error {
 		// original already made it in.
 		_ = f.svc.Submit(Batch{Host: c.Host, Seq: seq, Payload: payload})
 	}
-	return nil
 }
 
-// deliver submits one batch with exponential backoff on queue-full, under
-// a hard attempt budget. It reports dropped=true when the budget ran out
-// with the queue still full.
-func (c *Collector) deliver(svc *Service, b Batch, st *CollectorStats) (dropped bool, err error) {
+// deliver submits one batch with exponential backoff on queue-full (the
+// only way Submit fails), under a hard attempt budget. It reports whether
+// the batch was dropped: the budget ran out with the queue still full.
+func (c *Collector) deliver(svc *Service, b Batch, st *CollectorStats) (dropped bool) {
 	backoff := c.backoff()
 	maxBackoff := 100 * c.backoff()
 	for attempt := 1; ; attempt++ {
-		err := svc.Submit(b)
-		if err == nil {
-			return false, nil
-		}
-		if !errors.Is(err, ErrQueueFull) {
-			return false, err
+		if svc.Submit(b) == nil {
+			return false
 		}
 		if attempt >= c.maxAttempts() {
-			return true, nil
+			return true
 		}
 		st.Retried++
 		st.StallSeconds += backoff.Seconds()
@@ -319,8 +306,9 @@ func (c *Collector) deliver(svc *Service, b Batch, st *CollectorStats) (dropped 
 // goroutine per host: collectors[i] opens a Feed with profiles[i]'s header,
 // adds its samples and closes it, as a live host's producer does. Then
 // Finish folds the client-side stats into the service's and drains the
-// queues — also when hosts failed. The returned stats are final. The
-// error is the lowest-index host's, so failures are deterministic too.
+// queues — also when a host had no profile. The returned stats are final.
+// The error names the lowest-index host without a profile, so failures are
+// deterministic too.
 func RunFleet(collectors []*Collector, profiles []*profile.Profile, t Transport, svc *Service) (IngestStats, error) {
 	stats := make([]CollectorStats, len(collectors))
 	err := par.Do(len(collectors), len(collectors), func(i int) error {
@@ -329,14 +317,11 @@ func RunFleet(collectors []*Collector, profiles []*profile.Profile, t Transport,
 			return fmt.Errorf("fleetprof: collector host %d has no profile", collectors[i].Host)
 		}
 		f := collectors[i].Open(t, svc, profile.Header{Binary: p.Binary, BuildID: p.BuildID, Period: p.Period})
-		defer func() { stats[i] = f.Stats() }()
 		for _, s := range p.Samples {
-			if err := f.Add(s); err != nil {
-				return err
-			}
+			f.Add(s)
 		}
-		_, err := f.Close()
-		return err
+		stats[i] = f.Close()
+		return nil
 	})
 	return svc.Finish(stats), err
 }

@@ -55,11 +55,9 @@ func header(p *profile.Profile) profile.Header {
 }
 
 // feed adds p's samples to f and closes it: one host's replay in RunFleet.
-func feed(f *Feed, p *profile.Profile) (CollectorStats, error) {
+func feed(f *Feed, p *profile.Profile) CollectorStats {
 	for _, s := range p.Samples {
-		if err := f.Add(s); err != nil {
-			return f.Stats(), err
-		}
+		f.Add(s)
 	}
 	return f.Close()
 }
@@ -374,10 +372,7 @@ func TestRetryBudgetCap(t *testing.T) {
 		AdaptAfterDrops: 1,
 	}
 	p := hostProfile(0, 8, "bid")
-	cs, err := feed(c.Open(Transport{}, svc, header(p)), p)
-	if err != nil {
-		t.Fatalf("feed: %v", err)
-	}
+	cs := feed(c.Open(Transport{}, svc, header(p)), p)
 	svc.foldClient(cs)
 	svc.Drain()
 	st := svc.Stats()
@@ -411,9 +406,7 @@ func feedPayloads(t *testing.T, p *profile.Profile, bs int, d int64) [][]byte {
 	c := &Collector{Host: 0, BatchSamples: bs}
 	f := c.Open(Transport{}, svc, header(p))
 	f.st.Downsample = d
-	if _, err := feed(f, p); err != nil {
-		t.Fatal(err)
-	}
+	feed(f, p)
 	close(svc.shards[0].ch)
 	var out [][]byte
 	for b := range svc.shards[0].ch {
@@ -564,9 +557,7 @@ func TestCollectorEncodeAllocAmortized(t *testing.T) {
 		return testing.AllocsPerRun(3, func() {
 			svc := NewService(ServiceConfig{QueueDepth: batches + 8})
 			c := &Collector{Host: 0, BatchSamples: 64}
-			if _, err := feed(c.Open(Transport{}, svc, header(p)), p); err != nil {
-				t.Fatal(err)
-			}
+			feed(c.Open(Transport{}, svc, header(p)), p)
 			svc.Drain()
 			if got := svc.Stats().AcceptedBatches; got != int64(batches) {
 				t.Fatalf("accepted %d batches, want %d", got, batches)

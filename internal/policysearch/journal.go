@@ -37,8 +37,8 @@ type SearchStats struct {
 	Trajectory  []TrajectoryPoint `json:"trajectory"`
 }
 
-// FixedBest names the tournament-style winner the learned policy is
-// judged against.
+// FixedBest names the fixed pass's winner the learned policy is judged
+// against.
 type FixedBest struct {
 	Policy string `json:"policy"`
 	Cycles uint64 `json:"cycles"`
@@ -58,6 +58,10 @@ type WorkloadResult struct {
 	// unoptimized baseline binary.
 	SpeedupPct float64     `json:"speedupPct"`
 	Stats      SearchStats `json:"stats"`
+
+	// Fixed is the fixed pass's full cells, in DefaultLayoutPolicies
+	// order: the workload's row of the leaderboard, not of the journal.
+	Fixed []eval.LayoutCell `json:"-"`
 }
 
 // Result is the whole search journal.
@@ -65,6 +69,16 @@ type Result struct {
 	Seed       int64            `json:"seed"`
 	Strategies []string         `json:"strategies"`
 	Workloads  []WorkloadResult `json:"workloads"`
+}
+
+// Leaderboard is the default policies' race read off every workload's
+// fixed pass, workloads in search order: the BENCH_layout.json artifact.
+func (r *Result) Leaderboard() *eval.Leaderboard {
+	lb := eval.NewLeaderboard()
+	for _, w := range r.Workloads {
+		lb.Add(w.Workload, w.BaselineCycles, w.Fixed)
+	}
+	return lb
 }
 
 // Smoke is the search's CI contract.

@@ -1,7 +1,6 @@
-// Package policysearch closes the loop PR 9's layout-policy tournament
-// left open: instead of a human naming five fixed policies and racing
-// them, a search driver treats eval.LayoutEval as a deterministic
-// fitness function and explores the policy space automatically — the
+// Package policysearch searches the layout-policy space: beyond the five
+// fixed policies a human named, a search driver treats eval.LayoutEval as
+// a deterministic fitness function and explores the space automatically — the
 // Ext-TSP scoring parameters, the discrete knobs (PathClone,
 // KeepBlockOrder), and per-function policy mixing, where the hottest
 // functions are assigned their own policies within one binary.
@@ -15,11 +14,12 @@
 // index and all randomness is consumed in serial driver code, so a
 // fixed seed is bit-reproducible at every worker count.
 //
-// The contract with the tournament is structural: the five fixed
-// policies are always evaluated first at full fidelity, and the learned
-// policy is the argmin over every full-fidelity outcome — so the
-// learned table can never be worse than the best fixed policy, and any
-// strict win is a layout the tournament could not express.
+// The fixed pass is structural: the five default policies are always
+// evaluated first at full fidelity — their cells are the only race of the
+// default field, the BENCH_layout.json leaderboard (Result.Leaderboard) —
+// and the learned policy is the argmin over every full-fidelity outcome,
+// so the learned table can never be worse than the best fixed policy, and
+// any strict win is a layout no default policy expresses.
 package policysearch
 
 import (
@@ -134,6 +134,8 @@ type Outcome struct {
 	// Insts is the fidelity the measurement ran at.
 	Insts  uint64 `json:"insts"`
 	Cycles uint64 `json:"cycles"`
+	// Cell is the whole measurement Cycles was read from.
+	Cell eval.LayoutCell `json:"-"`
 }
 
 // pool evaluates candidate batches through par.Do and owns every piece
@@ -197,7 +199,7 @@ func (p *pool) evalBatch(cands []Candidate, insts uint64) ([]Outcome, error) {
 		if err != nil {
 			return err
 		}
-		outs[i] = Outcome{Candidate: cands[i], Insts: insts, Cycles: cell.Cycles}
+		outs[i] = Outcome{Candidate: cands[i], Insts: insts, Cycles: cell.Cycles, Cell: cell}
 		return nil
 	})
 	if err != nil {
@@ -228,7 +230,7 @@ func (p *pool) evalBatch(cands []Candidate, insts uint64) ([]Outcome, error) {
 	return outs, nil
 }
 
-// fixedCandidates wraps the tournament's standing field as the search's
+// fixedCandidates wraps the default policy field as the search's
 // full-fidelity anchors.
 func fixedCandidates() []Candidate {
 	pols := eval.DefaultLayoutPolicies()
@@ -279,10 +281,12 @@ func searchOne(cfg Config, we WorkloadEvaluator) (*WorkloadResult, error) {
 		return nil, err
 	}
 	bestFixed := fixedOut[0]
-	for _, o := range fixedOut[1:] {
+	fixed := make([]eval.LayoutCell, len(fixedOut))
+	for i, o := range fixedOut {
 		if o.Cycles < bestFixed.Cycles {
 			bestFixed = o
 		}
+		fixed[i] = o.Cell
 	}
 
 	rng := rand.New(rand.NewSource(workloadSeed(cfg.Seed, we.Name)))
@@ -303,6 +307,7 @@ func searchOne(cfg Config, we WorkloadEvaluator) (*WorkloadResult, error) {
 		Workload:       we.Name,
 		BaselineCycles: we.Ev.BaselineCycles(),
 		BestFixed:      FixedBest{Policy: bestFixed.Candidate.Policy.Name, Cycles: bestFixed.Cycles},
+		Fixed:          fixed,
 		Learned:        learned.Candidate,
 		LearnedCycles:  learned.Cycles,
 		Stats:          *st,

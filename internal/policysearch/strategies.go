@@ -184,8 +184,8 @@ func (halving) Run(c *runCtx) error {
 
 // seedPopulation builds the bottom rung: deterministic per-function
 // mixes of the fixed policies first (base policy i with hot functions
-// overridden by policy j's knobs — exactly the tables the single-policy
-// tournament cannot express), then random samples until width is met.
+// overridden by policy j's knobs — exactly the tables no single default
+// policy expresses), then random samples until width is met.
 func seedPopulation(c *runCtx, width int) []Candidate {
 	fixed := eval.DefaultLayoutPolicies()
 	var out []Candidate

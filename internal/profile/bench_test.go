@@ -2,7 +2,6 @@ package profile_test
 
 import (
 	"bytes"
-	"io"
 	"sync"
 	"testing"
 
@@ -71,34 +70,6 @@ func BenchmarkRead(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if _, err := bc.read(); err != nil {
-					b.Fatal(err)
-				}
-			}
-			report(b, p, bc.wire)
-		})
-	}
-}
-
-func BenchmarkStream(b *testing.B) {
-	p := benchProfile(b)
-	type streamFn func(io.Reader, func(profile.Header) error, func(profile.Sample) error) (profile.Header, int, error)
-	for _, bc := range []struct {
-		name   string
-		wire   []byte
-		stream streamFn
-	}{
-		{"wpr3", p.AppendWire(nil), profile.Stream},
-		{"ref", profile.RefAppendWire(p, nil), profile.RefStream},
-	} {
-		b.Run(bc.name, func(b *testing.B) {
-			b.ReportAllocs()
-			records := 0
-			for i := 0; i < b.N; i++ {
-				_, _, err := bc.stream(bytes.NewReader(bc.wire), nil, func(s profile.Sample) error {
-					records += len(s.Records)
-					return nil
-				})
-				if err != nil {
 					b.Fatal(err)
 				}
 			}

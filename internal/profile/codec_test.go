@@ -84,6 +84,28 @@ func TestRoundTripHostile(t *testing.T) {
 }
 
 // decodeWindow is Read with the stream window forced to size bytes.
+// nextAll decodes r sample by sample through NewDecoder and Next, one
+// reused record buffer as a Wire source reads, copying each sample out.
+func nextAll(r io.Reader) (*Profile, error) {
+	d, err := NewDecoder(r)
+	if err != nil {
+		return nil, err
+	}
+	h := d.Header
+	p := &Profile{Binary: h.Binary, BuildID: h.BuildID, Period: h.Period}
+	var buf [LBRDepth]Branch
+	for {
+		recs, err := d.Next(buf[:0])
+		if err == io.EOF {
+			return p, nil
+		}
+		if err != nil {
+			return nil, err
+		}
+		p.Samples = append(p.Samples, Sample{Records: append([]Branch(nil), recs...)})
+	}
+}
+
 func decodeWindow(r io.Reader, size int) (*Profile, error) {
 	if size == 0 {
 		return Read(r)
@@ -225,14 +247,7 @@ func TestConcurrentDecoders(t *testing.T) {
 				case 2:
 					got, err = decodeWindow(iotest.HalfReader(bytes.NewReader(wires[i])), 1024)
 				case 3:
-					got = &Profile{}
-					_, _, err = Stream(bytes.NewReader(wires[i]), func(h Header) error {
-						got.Binary, got.BuildID, got.Period = h.Binary, h.BuildID, h.Period
-						return nil
-					}, func(s Sample) error {
-						got.Samples = append(got.Samples, Sample{Records: append([]Branch(nil), s.Records...)})
-						return nil
-					})
+					got, err = nextAll(bytes.NewReader(wires[i]))
 				}
 				if err == nil {
 					err = sameSamples(got, wants[i])

@@ -7,6 +7,9 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"testing/iotest"
+
+	"propeller/internal/wire"
 )
 
 // rawProf builds a raw profile image by hand so each field can be corrupted
@@ -87,12 +90,13 @@ func TestReadCorruptInputs(t *testing.T) {
 			} else if !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("error %q does not mention %q", err, tc.want)
 			}
-			// The in-place form and Stream must fail the same way, not panic.
+			// The in-place form and a sample-by-sample Next loop must fail
+			// the same way, not panic.
 			if _, err := ReadBytes(tc.data); err == nil || !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("ReadBytes: error %v does not mention %q", err, tc.want)
 			}
-			if _, _, err := Stream(bytes.NewReader(tc.data), nil, func(Sample) error { return nil }); err == nil {
-				t.Fatalf("Stream accepted corrupt input")
+			if _, err := nextAll(bytes.NewReader(tc.data)); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("Next: error %v does not mention %q", err, tc.want)
 			}
 		})
 	}
@@ -116,9 +120,8 @@ func TestReadLegacyMagics(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), magic) || !strings.Contains(err.Error(), profMagic) {
 			t.Errorf("%s: error %v should name the legacy magic and %s", magic, err, profMagic)
 		}
-		called := false
-		if _, _, err := Stream(bytes.NewReader(data), func(Header) error { called = true; return nil }, nil); err == nil || called {
-			t.Errorf("%s: Stream err=%v, header callback ran=%t", magic, err, called)
+		if _, err := NewDecoder(bytes.NewReader(data)); err == nil {
+			t.Errorf("%s: NewDecoder handed over a header", magic)
 		}
 	}
 }
@@ -170,28 +173,31 @@ func TestBuildIDRoundTrip(t *testing.T) {
 	}
 }
 
-func TestStreamHeaderCallbackAborts(t *testing.T) {
-	var buf bytes.Buffer
+// TestDecoderHeaderFirst: NewDecoder hands over the header before any
+// sample is decoded, so a caller rejects a profile (a wrong build ID)
+// without paying for its body. Fed a byte at a time, the decoder has read
+// the header and at most one varint's lookahead, and no sample.
+func TestDecoderHeaderFirst(t *testing.T) {
 	p := sample()
 	p.BuildID = "aaaa"
-	if err := p.Write(&buf); err != nil {
+	for i := 0; i < 8; i++ {
+		p.Samples = append(p.Samples, p.Samples[0])
+	}
+	data := p.AppendWire(nil)
+	head := len(AppendHeader(nil, Header{Binary: p.Binary, BuildID: p.BuildID, Period: p.Period, Samples: uint64(len(p.Samples))}))
+	r := bytes.NewReader(data)
+	d, err := NewDecoder(iotest.OneByteReader(r))
+	if err != nil {
 		t.Fatal(err)
 	}
-	samples := 0
-	h, n, err := Stream(&buf, func(h Header) error {
-		if h.BuildID != "expected" {
-			return errRejected
-		}
-		return nil
-	}, func(Sample) error { samples++; return nil })
-	if err != errRejected {
-		t.Fatalf("err = %v, want rejection", err)
-	}
-	if n != 0 || samples != 0 {
-		t.Fatalf("samples consumed despite header rejection: n=%d cb=%d", n, samples)
-	}
-	if h.BuildID != "aaaa" || h.Samples != 3 {
+	if h := d.Header; h.BuildID != "aaaa" || h.Samples != 11 {
 		t.Fatalf("header not populated: %+v", h)
+	}
+	if read := len(data) - r.Len(); read > head+wire.MaxVarintLen64+1 || read >= len(data) {
+		t.Fatalf("NewDecoder read %d of %d bytes, header %d", read, len(data), head)
+	}
+	if d.next != 0 {
+		t.Fatalf("NewDecoder decoded %d samples", d.next)
 	}
 }
 

@@ -449,36 +449,6 @@ func readAll(d *Decoder, err error) (*Profile, error) {
 	return d.Profile()
 }
 
-// Stream reads a serialized profile incrementally — the "chunked reading"
-// §5.1 names as the easy fix for profile-read memory. onHeader, when
-// non-nil, runs before any sample is consumed, so callers can reject a
-// profile without paying for its body. onSample is invoked for every sample;
-// its record slice is only valid for the duration of the callback. Either
-// callback returning an error aborts the read. The returned count is the
-// number of samples consumed.
-func Stream(r io.Reader, onHeader func(Header) error, onSample func(Sample) error) (Header, int, error) {
-	d, err := NewDecoder(r)
-	if err == nil && onHeader != nil {
-		err = onHeader(d.Header)
-	}
-	if err != nil {
-		return d.Header, 0, err
-	}
-	var buf [LBRDepth]Branch
-	for n := 0; ; n++ {
-		recs, err := d.Next(buf[:0])
-		if err == io.EOF {
-			return d.Header, n, nil
-		}
-		if err == nil {
-			err = onSample(Sample{Records: recs})
-		}
-		if err != nil {
-			return d.Header, n, err
-		}
-	}
-}
-
 // SizeBytes estimates the serialized size, used by the memory model when
 // accounting for profile reading (§5.1).
 func (p *Profile) SizeBytes() int64 {

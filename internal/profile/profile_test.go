@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"reflect"
 	"testing"
 	"testing/quick"
@@ -248,10 +249,10 @@ func TestAggregateInto(t *testing.T) {
 	}
 }
 
-// TestStreamZeroAllocPerSample pins the in-memory decode path: once the
-// reader is a *bytes.Reader (the ingestion-shard hot path), streaming a
-// batch allocates nothing per sample — the decoder reuses one record
-// buffer and the callback borrows it. Per-call costs (header strings,
+// TestStreamZeroAllocPerSample pins the streamed decode path: once the
+// reader is a *bytes.Reader, decoding a batch through NewDecoder and Next
+// allocates nothing per sample — the caller hands Next one reused record
+// buffer. Per-call costs (header strings,
 // the buffer's escape) are constant, so the pin is the marginal rate: a
 // 16x larger batch must cost exactly the same allocations.
 func TestStreamZeroAllocPerSample(t *testing.T) {
@@ -269,13 +270,21 @@ func TestStreamZeroAllocPerSample(t *testing.T) {
 		r := bytes.NewReader(wire)
 		return testing.AllocsPerRun(10, func() {
 			r.Reset(wire)
-			n := 0
-			_, _, err := Stream(r, nil, func(s Sample) error {
-				n += len(s.Records)
-				return nil
-			})
+			d, err := NewDecoder(r)
 			if err != nil {
 				t.Fatal(err)
+			}
+			var buf [LBRDepth]Branch
+			n := 0
+			for {
+				recs, err := d.Next(buf[:0])
+				if err == io.EOF {
+					break
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				n += len(recs)
 			}
 			if n != wantRecs {
 				t.Fatalf("decoded %d records, want %d", n, wantRecs)

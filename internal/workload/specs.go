@@ -1,6 +1,9 @@
 package workload
 
-import "fmt"
+import (
+	"fmt"
+	"strings"
+)
 
 // The benchmark catalog: every workload of the paper's Table 2, scaled
 // ~1:100 in function count (1:200 for the two largest) while preserving
@@ -138,6 +141,20 @@ func Set(name string) ([]Spec, error) {
 		return []Spec{Tiny()}, nil
 	}
 	return nil, fmt.Errorf("unknown workload set %q (have all, wsc, oss, spec, smoke, tiny)", name)
+}
+
+// ByName resolves the workload the CLIs' -workload flag names: one of the
+// catalog or tiny.
+func ByName(name string) (Spec, error) {
+	specs := append(Catalog(), Tiny())
+	names := make([]string, len(specs))
+	for i, s := range specs {
+		if s.Name == name {
+			return s, nil
+		}
+		names[i] = s.Name
+	}
+	return Spec{}, fmt.Errorf("unknown workload %q (have: %s)", name, strings.Join(names, ", "))
 }
 
 // Tiny returns a fast miniature workload for unit tests.

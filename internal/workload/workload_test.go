@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"strings"
 	"testing"
 
 	"propeller/internal/core"
@@ -148,5 +149,25 @@ func TestSet(t *testing.T) {
 	}
 	if _, err := Set("bogus"); err == nil {
 		t.Error(`Set("bogus") succeeded`)
+	}
+}
+
+// TestByName resolves every catalog workload and tiny by its name, and
+// refuses an unknown one with the known names in its error.
+func TestByName(t *testing.T) {
+	for _, want := range append(Catalog(), Tiny()) {
+		got, err := ByName(want.Name)
+		if err != nil || got.Name != want.Name || got.Seed != want.Seed {
+			t.Errorf("ByName(%q) = %s (seed %d), %v", want.Name, got.Name, got.Seed, err)
+		}
+	}
+	_, err := ByName("bogus")
+	if err == nil {
+		t.Fatal(`ByName("bogus") succeeded`)
+	}
+	for _, name := range []string{`"bogus"`, "clang", "505.mcf", "tiny"} {
+		if !strings.Contains(err.Error(), name) {
+			t.Errorf("ByName error %q does not name %s", err, name)
+		}
 	}
 }

@@ -60,7 +60,7 @@ func TestLayoutPolicyKeyNormalizesDefaults(t *testing.T) {
 }
 
 // TestLayoutPolicyKeyCoversPolicyKnobs: the non-Params policy knobs added
-// for the tournament must be keyed too.
+// for the default layout policies must be keyed too.
 func TestLayoutPolicyKeyCoversPolicyKnobs(t *testing.T) {
 	base := Config{}.layoutPolicyKey()
 	if got := (Config{KeepBlockOrder: true}).layoutPolicyKey(); got == base {

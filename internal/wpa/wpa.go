@@ -35,7 +35,7 @@ type Config struct {
 	NaiveExtTSP bool
 
 	// ExtTSP sets the Ext-TSP proximity-scoring parameters for every
-	// layout run (the weight-sweep axis of the layout-policy tournament);
+	// layout run (the weight-sweep axis of the default layout policies);
 	// the zero value selects the paper defaults.
 	ExtTSP exttsp.Params
 
