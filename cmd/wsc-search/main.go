@@ -6,7 +6,8 @@
 //
 // Usage:
 //
-//	wsc-search                                  # full catalog, writes BENCH_search.json
+//	wsc-search                                  # full catalog, prints the results
+//	wsc-search -o search.json                   # also write the search journal
 //	wsc-search -set wsc -seed 3                 # subset, different seed
 //	wsc-search -table learned.json              # also write the -layout-table file
 //	wsc-search -strategy halving -rung-width 24 # one strategy, wider rung
@@ -40,7 +41,7 @@ func main() {
 		mixFuncs   = flag.Int("mix-funcs", 0, "hot functions eligible for per-function overrides (0 = default)")
 		minWins    = flag.Int("min-wins", -1, "required strict wins over the best fixed policy (-1 = 3 on the full set, 0 otherwise)")
 		tablePath  = flag.String("table", "", "also write the learned policy table (the wsc-propeller -layout-table format) to FILE")
-		outPath    = flag.String("o", "BENCH_search.json", "journal output path")
+		outPath    = flag.String("o", "", "also write the search journal (BENCH_search.json's format) to FILE")
 		repro      = flag.Bool("repro", false, "re-run the search at workers=1 and require identical fingerprints")
 		trajectory = flag.Bool("trajectory", false, "print each workload's best-so-far trajectory")
 	)
@@ -115,18 +116,20 @@ func main() {
 		}
 		fmt.Fprintf(os.Stderr, "wsc-search: wrote %s\n", *tablePath)
 	}
-	f, err := os.Create(*outPath)
-	if err != nil {
-		fatalf("%v", err)
+	if *outPath != "" {
+		f, err := os.Create(*outPath)
+		if err != nil {
+			fatalf("%v", err)
+		}
+		err = res.WriteBenchJSON(f, *minWins)
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+		if err != nil {
+			fatalf("%v", err)
+		}
+		fmt.Fprintf(os.Stderr, "wsc-search: wrote %s\n", *outPath)
 	}
-	err = res.WriteBenchJSON(f, *minWins)
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		fatalf("%v", err)
-	}
-	fmt.Fprintf(os.Stderr, "wsc-search: wrote %s\n", *outPath)
 	if !smoke.OK {
 		fatalf("search smoke contract violated: %+v", smoke)
 	}

@@ -27,31 +27,54 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"hash"
 	"sync"
 )
 
 // Key hashes the given parts into a content-address. Parts are
 // length-prefixed before hashing so the boundary between parts is part of
 // the identity: Key([]byte("ab"), []byte("c")) differs from
-// Key([]byte("a"), []byte("bc")).
+// Key([]byte("a"), []byte("bc")). It allocates only the key it returns.
 func Key(parts ...[]byte) string {
-	h := sha256.New()
-	var n [8]byte
+	d := digests.Get().(*digest)
 	for _, p := range parts {
-		binary.LittleEndian.PutUint64(n[:], uint64(len(p)))
-		h.Write(n[:])
-		h.Write(p)
+		d.buf = binary.LittleEndian.AppendUint64(d.buf[:0], uint64(len(p)))
+		d.h.Write(d.buf)
+		d.h.Write(p)
 	}
-	return hex.EncodeToString(h.Sum(nil))
+	return d.key()
 }
 
 // KeyStrings is Key over string parts.
 func KeyStrings(parts ...string) string {
-	bs := make([][]byte, len(parts))
-	for i, s := range parts {
-		bs[i] = []byte(s)
+	d := digests.Get().(*digest)
+	for _, s := range parts {
+		d.buf = append(binary.LittleEndian.AppendUint64(d.buf[:0], uint64(len(s))), s...)
+		d.h.Write(d.buf)
 	}
-	return Key(bs...)
+	return d.key()
+}
+
+// digest is a SHA-256 state with scratch room for a length prefix, a
+// string part and the sum, recycled through digests so a key costs no
+// allocation but its own string.
+type digest struct {
+	h   hash.Hash
+	buf []byte
+}
+
+var digests = sync.Pool{New: func() any {
+	return &digest{h: sha256.New(), buf: make([]byte, 0, 2*sha256.Size)}
+}}
+
+// key returns the hex digest of what was written, resets d and recycles it.
+func (d *digest) key() string {
+	d.buf = d.h.Sum(d.buf[:0])
+	var out [2 * sha256.Size]byte
+	hex.Encode(out[:], d.buf)
+	d.h.Reset()
+	digests.Put(d)
+	return string(out[:])
 }
 
 // CacheStats is a point-in-time snapshot of a Cache's counters. Entries
@@ -75,6 +98,12 @@ type CacheStats struct {
 // charging the modeled fetch latency to the requesting action (GetCost).
 // It is safe for concurrent use: codegen actions running in parallel on
 // the executor read and write it directly.
+//
+// Stored artifacts are immutable and every byte is stored once: Put takes
+// ownership of the buffer it is handed, which both tiers and a remote
+// hit's local re-admission then share. Get and GetCost return copies the
+// caller may do anything with; ViewCost returns the stored buffer itself,
+// for a caller that only reads it.
 type Cache struct {
 	mu      sync.Mutex
 	budget  int64 // local-tier byte cap; 0 = unbounded
@@ -133,7 +162,7 @@ func (c *Cache) Get(key string) ([]byte, bool) {
 // artifact into the local tier (evicting under the budget as needed), so
 // repeated Gets pay the network once.
 func (c *Cache) GetCost(key string) ([]byte, float64, bool) {
-	data, cost, ok := c.lookup(key)
+	data, cost, ok := c.ViewCost(key)
 	if !ok {
 		return nil, 0, false
 	}
@@ -145,13 +174,15 @@ func (c *Cache) GetCost(key string) ([]byte, float64, bool) {
 // Counters, recency order, remote re-admission and eviction move exactly as
 // under GetCost.
 func (c *Cache) SizeCost(key string) (int64, float64, bool) {
-	data, cost, ok := c.lookup(key)
+	data, cost, ok := c.ViewCost(key)
 	return int64(len(data)), cost, ok
 }
 
-// lookup is GetCost without the copy: it returns the cache-owned buffer,
-// which the caller must neither mutate nor hand out.
-func (c *Cache) lookup(key string) ([]byte, float64, bool) {
+// ViewCost is GetCost without the copy, for a caller that decodes the
+// artifact and keeps nothing that aliases it: the cache-owned buffer, which
+// the caller must not write. Counters, recency order, remote re-admission
+// and eviction move exactly as under GetCost.
+func (c *Cache) ViewCost(key string) ([]byte, float64, bool) {
 	c.mu.Lock()
 	if e, ok := c.entries[key]; ok {
 		c.hits++
@@ -181,31 +212,29 @@ func (c *Cache) lookup(key string) ([]byte, float64, bool) {
 	c.remoteBytes += int64(len(data))
 	// Re-admit locally unless a concurrent Get or Put beat us to it.
 	if _, exists := c.entries[key]; !exists {
-		c.insertLocked(key, cloneBytes(data))
+		c.insertLocked(key, data)
 		c.evictLocked()
 	}
 	return data, cost, true
 }
 
-// Put stores a copy of data under key, writing through to the remote
-// tier when one is attached. Content addressing makes overwrites
-// idempotent by construction, so Put does not distinguish insert from
-// replace.
+// Put stores data under key, writing through to the remote tier when one
+// is attached. The cache takes ownership of data: the caller hands over a
+// buffer it never writes again, and both tiers keep that one buffer.
+// Content addressing makes overwrites idempotent by construction, so Put
+// does not distinguish insert from replace.
 func (c *Cache) Put(key string, data []byte) {
-	stored := cloneBytes(data)
 	if c.remote != nil {
-		// Write-through: the remote tier shares the private copy, which
-		// is never mutated after this point.
-		c.remote.putShared(key, stored)
+		c.remote.Put(key, data)
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if e, ok := c.entries[key]; ok {
-		c.liveBytes += int64(len(stored)) - int64(len(e.data))
-		e.data = stored
+		c.liveBytes += int64(len(data)) - int64(len(e.data))
+		e.data = data
 		c.lru.moveToFront(e)
 	} else {
-		c.insertLocked(key, stored)
+		c.insertLocked(key, data)
 	}
 	c.evictLocked()
 }

@@ -2,7 +2,11 @@ package buildsys
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"fmt"
+	"math/rand"
 	"sync"
 	"testing"
 )
@@ -58,14 +62,19 @@ func TestCachePutGetStats(t *testing.T) {
 	}
 }
 
+// TestCacheIsolatesCallerBuffers: Put keeps the very buffer it is handed
+// (the caller gives it up), ViewCost hands that buffer out, and Get hands
+// out copies that a caller may write without reaching the cache.
 func TestCacheIsolatesCallerBuffers(t *testing.T) {
 	c := NewCache()
 	src := []byte("original")
 	c.Put("k", src)
-	src[0] = 'X' // caller mutates its buffer after Put
+	if view, _, ok := c.ViewCost("k"); !ok || &view[0] != &src[0] {
+		t.Errorf("Put stored a copy of the buffer it took over: %q ok=%v", view, ok)
+	}
 	got, _ := c.Get("k")
 	if string(got) != "original" {
-		t.Errorf("Put aliased caller memory: %q", got)
+		t.Errorf("Get = %q, want the stored artifact", got)
 	}
 	got[0] = 'Y' // caller mutates a fetched artifact
 	again, _ := c.Get("k")
@@ -243,6 +252,71 @@ func TestSizeCostMatchesGetCost(t *testing.T) {
 			if gr != nil && gr.Fetches() != sr.Fetches() {
 				t.Errorf("remote fetches: SizeCost %d, GetCost %d", sr.Fetches(), gr.Fetches())
 			}
+
+			// ViewCost books the lookup the same way and reads GetCost's bytes.
+			vc, vr := tc.setup()
+			view, vCost, vOK := vc.ViewCost(tc.key)
+			if !bytes.Equal(view, data) || vCost != gCost || vOK != gOK {
+				t.Errorf("ViewCost = (%q, %v, %v), GetCost = (%q, %v, %v)", view, vCost, vOK, data, gCost, gOK)
+			}
+			if g, v := gc.Stats(), vc.Stats(); g != v {
+				t.Errorf("stats: ViewCost %+v, GetCost %+v", v, g)
+			}
+			if g, v := lruKeys(gc), lruKeys(vc); fmt.Sprint(g) != fmt.Sprint(v) {
+				t.Errorf("recency order: ViewCost %v, GetCost %v", v, g)
+			}
+			if gr != nil && gr.Fetches() != vr.Fetches() {
+				t.Errorf("remote fetches: ViewCost %d, GetCost %d", vr.Fetches(), gr.Fetches())
+			}
 		})
+	}
+}
+
+// keyReference is Key as it was first written: each part's length and
+// bytes through a fresh sha256, the sum hex-encoded. Key and KeyStrings
+// must keep returning exactly its keys (cache entries and build IDs are
+// named by them).
+func keyReference(parts ...[]byte) string {
+	h := sha256.New()
+	var n [8]byte
+	for _, p := range parts {
+		binary.LittleEndian.PutUint64(n[:], uint64(len(p)))
+		h.Write(n[:])
+		h.Write(p)
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// TestKeysMatchReference: Key and KeyStrings equal the reference on random
+// parts (empty, short, and past a SHA-256 block and the pooled scratch),
+// and each allocates only the key it returns.
+func TestKeysMatchReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 300; i++ {
+		parts := make([][]byte, rng.Intn(6))
+		strs := make([]string, len(parts))
+		for j := range parts {
+			parts[j] = make([]byte, []int{0, 1, 7, 64, 200, 5000}[rng.Intn(6)])
+			rng.Read(parts[j])
+			strs[j] = string(parts[j])
+		}
+		want := keyReference(parts...)
+		if got := Key(parts...); got != want {
+			t.Fatalf("Key(%d parts) = %s, reference %s", len(parts), got, want)
+		}
+		if got := KeyStrings(strs...); got != want {
+			t.Fatalf("KeyStrings(%d parts) = %s, reference %s", len(parts), got, want)
+		}
+	}
+	if raceEnabled {
+		return // the race detector makes sync.Pool drop a share of its Puts
+	}
+	strs := []string{"obj-list", KeyStrings("ir"), "dic=true", string(make([]byte, 300))}
+	parts := [][]byte{[]byte("ir"), []byte("module"), make([]byte, 10000)}
+	if a := testing.AllocsPerRun(100, func() { KeyStrings(strs...) }); a != 1 {
+		t.Errorf("KeyStrings: %.1f allocations per key, want 1", a)
+	}
+	if a := testing.AllocsPerRun(100, func() { Key(parts...) }); a != 1 {
+		t.Errorf("Key: %.1f allocations per key, want 1", a)
 	}
 }

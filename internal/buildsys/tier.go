@@ -51,29 +51,21 @@ func (r *Remote) FetchCost(n int64) float64 {
 	return r.FetchBase + float64(n)*r.FetchPerByte
 }
 
-// Put stores a copy of data under key (seeding the tier directly, as a
-// concurrently running build elsewhere on the fleet would).
+// Put stores data under key (seeding the tier directly, as a concurrently
+// running build elsewhere on the fleet would). Like Cache.Put it takes
+// ownership of data, which must never be written afterwards.
 func (r *Remote) Put(key string, data []byte) {
-	stored := make([]byte, len(data))
-	copy(stored, data)
-	r.putShared(key, stored)
-}
-
-// putShared stores buf without copying. Callers hand over ownership: buf
-// must never be mutated afterwards (the Cache write-through path shares
-// its private copy with the local tier).
-func (r *Remote) putShared(key string, buf []byte) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if old, ok := r.entries[key]; ok {
 		r.bytes -= int64(len(old))
 	}
-	r.entries[key] = buf
-	r.bytes += int64(len(buf))
+	r.entries[key] = data
+	r.bytes += int64(len(data))
 }
 
-// get returns the stored buffer (not a copy — callers must copy before
-// handing it out) and counts the fetch.
+// get returns the stored buffer (not a copy: Cache.ViewCost hands it out
+// read-only, GetCost copies it) and counts the fetch.
 func (r *Remote) get(key string) ([]byte, bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()

@@ -91,16 +91,21 @@ func TestRemoteLatencyOverride(t *testing.T) {
 	}
 }
 
+// TestTieredCallerBufferIsolation: the buffer Put takes over is the one
+// the remote tier keeps and a remote hit re-admits locally; what GetCost
+// and Get hand out are copies.
 func TestTieredCallerBufferIsolation(t *testing.T) {
 	remote := NewRemote()
 	c := NewTieredCache(4, remote)
 	src := []byte("orig")
 	c.Put("k", src)
-	src[0] = 'X'
 	c.Put("evictor", []byte("evic")) // push k out of the local tier
 	got, _, ok := c.GetCost("k")     // served by the remote tier
 	if !ok || string(got) != "orig" {
-		t.Fatalf("remote tier aliased caller memory: %q", got)
+		t.Fatalf("remote tier lost the artifact: %q", got)
+	}
+	if view, _, ok := c.ViewCost("k"); !ok || &view[0] != &src[0] {
+		t.Errorf("remote tier or re-admission copied the buffer Put took over: %q ok=%v", view, ok)
 	}
 	got[0] = 'Y' // mutate the fetched copy
 	again, _ := c.Get("k")

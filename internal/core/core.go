@@ -17,6 +17,7 @@ package core
 import (
 	"fmt"
 	"sort"
+	"strconv"
 
 	"propeller/internal/bbaddrmap"
 	"propeller/internal/buildsys"
@@ -209,9 +210,9 @@ const (
 )
 
 // Phase1CacheIR serializes every module into the IR cache, returning the
-// per-module content keys. This is the caching side of Phase 1; the
-// "compile to optimized IR" work itself is the PGO/ThinLTO front half that
-// produced p.Modules.
+// per-module content keys; the cache keeps each encoding, uncopied. This is
+// the caching side of Phase 1; the "compile to optimized IR" work itself is
+// the PGO/ThinLTO front half that produced p.Modules.
 func Phase1CacheIR(p *Program, cache *buildsys.Cache) []string {
 	keys := make([]string, len(p.Modules))
 	for i, m := range p.Modules {
@@ -269,7 +270,8 @@ type objectPlan struct {
 // codegen actions, each in module order; run is the executor's Execute or
 // ExecuteCriticalPath. Newly encoded objects are Put under their keys after
 // the batch, in module order, so a budgeted cache's LRU order never depends
-// on goroutine scheduling. The objects are then linked under cfg.
+// on goroutine scheduling; the cache keeps those encodings, uncopied. The
+// objects are then linked under cfg.
 //
 // A cached object that does not decode fails the build and names the
 // module, whatever the key: content-addressed bytes that rot are a cache
@@ -288,7 +290,9 @@ func build(p *Program, irKeys []string, opts Options, run func([]*buildsys.Actio
 		pl := plan(i, m)
 		keys[i] = pl.key
 		if pl.key != "" {
-			if data, fetchCost, ok := opts.ObjCache.GetCost(pl.key); ok {
+			// The decoder copies out everything it keeps, so it reads the
+			// cached bytes in place.
+			if data, fetchCost, ok := opts.ObjCache.ViewCost(pl.key); ok {
 				obj, err := objfile.DecodeObject(data)
 				if err != nil {
 					return nil, nil, fmt.Errorf("core: corrupt cached object for %s: %w", m.Name, err)
@@ -417,14 +421,46 @@ func objCacheKey(irKey string) string {
 // after a small edit: layouts of untouched functions are byte-identical)
 // reuses the previous relink's object from the cache instead of running
 // codegen again.
+//
+// The parts read as fmt's %v would print them ("d:f:[[0 2] [5]]",
+// "p:f:[{f 3 12 64}]"), written with strconv into one reused buffer.
 func listObjCacheKey(irKey string, m *ir.Module, dirs layoutfile.Directives, opts Options) string {
-	parts := []string{"obj-list", irKey, fmt.Sprintf("dic=%t", !opts.NoDataInCode)}
+	dic := "dic=false"
+	if !opts.NoDataInCode {
+		dic = "dic=true"
+	}
+	parts := []string{"obj-list", irKey, dic}
+	var b []byte
 	for _, f := range m.Funcs {
 		if spec, ok := dirs[f.Name]; ok {
-			parts = append(parts, fmt.Sprintf("d:%s:%v", f.Name, spec.Clusters))
+			b = append(append(append(b[:0], "d:"...), f.Name...), ":["...)
+			for i, cl := range spec.Clusters {
+				if i > 0 {
+					b = append(b, ' ')
+				}
+				b = append(b, '[')
+				for j, id := range cl {
+					if j > 0 {
+						b = append(b, ' ')
+					}
+					b = strconv.AppendInt(b, int64(id), 10)
+				}
+				b = append(b, ']')
+			}
+			parts = append(parts, string(append(b, ']')))
 		}
 		if sites, ok := opts.prefetchDirectives[f.Name]; ok {
-			parts = append(parts, fmt.Sprintf("p:%s:%v", f.Name, sites))
+			b = append(append(append(b[:0], "p:"...), f.Name...), ":["...)
+			for i, st := range sites {
+				if i > 0 {
+					b = append(b, ' ')
+				}
+				b = append(append(append(b, '{'), st.Fn...), ' ')
+				b = append(strconv.AppendInt(b, int64(st.Block), 10), ' ')
+				b = append(strconv.AppendUint(b, st.Off, 10), ' ')
+				b = append(strconv.AppendInt(b, st.Delta, 10), '}')
+			}
+			parts = append(parts, string(append(b, ']')))
 		}
 	}
 	return buildsys.KeyStrings(parts...)

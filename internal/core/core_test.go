@@ -1,13 +1,17 @@
 package core
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
 	"strings"
 	"testing"
 	"time"
 
 	"propeller/internal/buildsys"
 	"propeller/internal/ir"
+	"propeller/internal/layoutfile"
+	"propeller/internal/prefetch"
 	"propeller/internal/sim"
 	"propeller/internal/testprog"
 	"propeller/internal/wpa"
@@ -249,5 +253,60 @@ func TestHugePagesPipeline(t *testing.T) {
 	mRes := runBinary(t, res.Metadata)
 	if oRes.Exit != mRes.Exit {
 		t.Error("hugepages changed semantics")
+	}
+}
+
+// listObjCacheKeyReference is listObjCacheKey as first written, every part
+// through fmt: the key the strconv version must keep returning (a moved
+// key would turn every warm relink's hot-object hits into misses).
+func listObjCacheKeyReference(irKey string, m *ir.Module, dirs layoutfile.Directives, opts Options) string {
+	parts := []string{"obj-list", irKey, fmt.Sprintf("dic=%t", !opts.NoDataInCode)}
+	for _, f := range m.Funcs {
+		if spec, ok := dirs[f.Name]; ok {
+			parts = append(parts, fmt.Sprintf("d:%s:%v", f.Name, spec.Clusters))
+		}
+		if sites, ok := opts.prefetchDirectives[f.Name]; ok {
+			parts = append(parts, fmt.Sprintf("p:%s:%v", f.Name, sites))
+		}
+	}
+	return buildsys.KeyStrings(parts...)
+}
+
+// TestListObjCacheKeyMatchesReference: random directives and prefetch
+// sites, empty and nil clusters and site lists included, and both
+// data-in-code settings key the same as the fmt formula.
+func TestListObjCacheKeyMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	m := ir.NewModule("m")
+	for i := 0; i < 6; i++ {
+		m.NewFunc(fmt.Sprintf("f%d", i), 0)
+	}
+	for iter := 0; iter < 200; iter++ {
+		dirs := layoutfile.Directives{}
+		sites := prefetch.Directives{}
+		for _, f := range m.Funcs {
+			if rng.Intn(3) > 0 {
+				var spec layoutfile.ClusterSpec
+				for c := rng.Intn(4) - 1; c >= 0; c-- {
+					cl := []int{}
+					for k := rng.Intn(4); k > 0; k-- {
+						cl = append(cl, rng.Intn(300))
+					}
+					spec.Clusters = append(spec.Clusters, cl)
+				}
+				dirs[f.Name] = spec
+			}
+			if rng.Intn(3) == 0 {
+				var ss []prefetch.Site
+				for k := rng.Intn(3); k > 0; k-- {
+					ss = append(ss, prefetch.Site{Fn: f.Name, Block: rng.Intn(40), Off: uint64(rng.Intn(90)), Delta: int64(rng.Intn(200) - 100)})
+				}
+				sites[f.Name] = ss
+			}
+		}
+		opts := Options{NoDataInCode: rng.Intn(2) == 0, prefetchDirectives: sites}
+		if got, want := listObjCacheKey("irkey", m, dirs, opts), listObjCacheKeyReference("irkey", m, dirs, opts); got != want {
+			t.Fatalf("iteration %d: key %s, reference %s (directives %v, sites %v)", iter, got, want, dirs, sites)
+		}
 	}
 }

@@ -207,6 +207,16 @@ func FitsRel32(disp int64) bool { return disp >= -(1<<31) && disp < 1<<31 }
 
 // PatchRel32 overwrites the rel32 field of the instruction encoded at off.
 func PatchRel32(buf []byte, off int, disp int64) error {
+	if err := CheckRel32(buf, off, disp); err != nil {
+		return err
+	}
+	binary.LittleEndian.PutUint32(buf[off+1:], uint32(int32(disp)))
+	return nil
+}
+
+// CheckRel32 returns the error PatchRel32(buf, off, disp) would return,
+// writing nothing.
+func CheckRel32(buf []byte, off int, disp int64) error {
 	if off >= len(buf) {
 		return &DecodeError{Offset: off, Short: true}
 	}
@@ -214,22 +224,27 @@ func PatchRel32(buf []byte, off int, disp int64) error {
 	if !FitsRel32(disp) {
 		return fmt.Errorf("isa: displacement %d does not fit rel32 at %#x", disp, off)
 	}
-	var at int
-	switch opFormat(op) {
-	case fmtRel32:
-		at = off + 1
-	default:
+	if opFormat(op) != fmtRel32 {
 		return fmt.Errorf("isa: opcode %v at %#x has no rel32 field", op, off)
 	}
-	if at+4 > len(buf) {
+	if off+5 > len(buf) {
 		return &DecodeError{Offset: off, Short: true}
 	}
-	binary.LittleEndian.PutUint32(buf[at:], uint32(int32(disp)))
 	return nil
 }
 
 // PatchRel8 overwrites the rel8 field of the instruction encoded at off.
 func PatchRel8(buf []byte, off int, disp int64) error {
+	if err := CheckRel8(buf, off, disp); err != nil {
+		return err
+	}
+	buf[off+1] = byte(int8(disp))
+	return nil
+}
+
+// CheckRel8 returns the error PatchRel8(buf, off, disp) would return,
+// writing nothing.
+func CheckRel8(buf []byte, off int, disp int64) error {
 	if off >= len(buf) {
 		return &DecodeError{Offset: off, Short: true}
 	}
@@ -243,7 +258,6 @@ func PatchRel8(buf []byte, off int, disp int64) error {
 	if off+2 > len(buf) {
 		return &DecodeError{Offset: off, Short: true}
 	}
-	buf[off+1] = byte(int8(disp))
 	return nil
 }
 

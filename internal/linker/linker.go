@@ -60,17 +60,31 @@ type Stats struct {
 	BytesSaved     int64 // text bytes removed by relaxation
 }
 
-// placedSec is a section undergoing layout.
+// placedSec is a section undergoing layout. Its data and relocs are the
+// object's until relaxation first edits them (own), and its data is its
+// place in the output image once the image is written (assemble).
 type placedSec struct {
 	obj    *objfile.Object
 	sec    *objfile.Section
-	data   []byte // private copy when written: relaxation and relocation mutate it
+	data   []byte
 	relocs []objfile.Reloc
 	addr   uint64
 	shrink int64 // bytes removed from the tail by relaxation
 	sym    string
 	// ordered marks a text section the ordering file has placed.
 	ordered bool
+	// owned marks data and relocs as private copies relaxation may edit.
+	owned bool
+}
+
+// own gives ps private copies of its bytes and relocations before
+// relaxation first edits them, so a link never writes its input objects.
+func (ps *placedSec) own() {
+	if !ps.owned {
+		ps.data = append([]byte(nil), ps.data...)
+		ps.relocs = append([]objfile.Reloc(nil), ps.relocs...)
+		ps.owned = true
+	}
 }
 
 // Link links objects into an executable.
@@ -82,7 +96,9 @@ func Link(objs []*objfile.Object, cfg Config) (*objfile.Binary, *Stats, error) {
 	return bin, ld.stats(bin), nil
 }
 
-// link is Link, returning the link state beside the binary.
+// link is Link, returning the link state beside the binary. Relocations
+// are checked before the image exists (an absurd alignment gap fails as a
+// range error instead of allocating the gap) and patched in the image.
 func link(objs []*objfile.Object, cfg Config) (*linkState, *objfile.Binary, error) {
 	if cfg.Entry == "" {
 		cfg.Entry = "main"
@@ -93,7 +109,7 @@ func link(objs []*objfile.Object, cfg Config) (*linkState, *objfile.Binary, erro
 	}
 	ld.orderText()
 	ld.relaxAndPlace()
-	if err := ld.applyRelocs(); err != nil {
+	if err := ld.applyRelocs(false); err != nil {
 		return ld, nil, err
 	}
 	bin, err := ld.assemble()
@@ -131,14 +147,11 @@ type linkState struct {
 	}
 }
 
-// collect indexes every object's sections and symbols. Link state is four
-// exactly sized slabs for the whole link: placedSecs, symDefs and the
-// private copies of the bytes and relocations of every section the link
-// writes (the address maps and CFI it only reads stay the objects'). A
-// section's run of a slab is capacity-clamped and relaxation only ever
-// shortens it in place, so no section can write into its neighbour.
+// collect indexes every object's sections and symbols. Link state is two
+// exactly sized slabs for the whole link, placedSecs and symDefs; every
+// section starts out reading its object's bytes and relocations.
 func (ld *linkState) collect(objs []*objfile.Object) error {
-	var nSecs, nSyms, nData, nRelocs int
+	var nSecs, nSyms int
 	var perKind [objfile.SecDebug + 1]int
 	for _, obj := range objs {
 		nSecs += len(obj.Sections)
@@ -146,10 +159,6 @@ func (ld *linkState) collect(objs []*objfile.Object) error {
 		for _, sec := range obj.Sections {
 			if int(sec.Kind) < len(perKind) {
 				perKind[sec.Kind]++
-			}
-			if written(sec.Kind) {
-				nData += len(sec.Data)
-				nRelocs += len(sec.Relocs)
 			}
 		}
 	}
@@ -159,8 +168,6 @@ func (ld *linkState) collect(objs []*objfile.Object) error {
 	ld.syms = make(map[string]*symDef, nSyms)
 	secs := make([]placedSec, nSecs)
 	defs := make([]symDef, nSyms)
-	data := make([]byte, nData)
-	relocs := make([]objfile.Reloc, nRelocs)
 	for _, obj := range objs {
 		if err := obj.Validate(); err != nil {
 			return fmt.Errorf("linker: %w", err)
@@ -170,11 +177,6 @@ func (ld *linkState) collect(objs []*objfile.Object) error {
 		for i, sec := range obj.Sections {
 			ps := &objSecs[i]
 			*ps = placedSec{obj: obj, sec: sec, data: sec.Data, relocs: sec.Relocs}
-			if written(sec.Kind) {
-				nd, nr := copy(data, sec.Data), copy(relocs, sec.Relocs)
-				ps.data, ps.relocs = data[:nd:nd], relocs[:nr:nr]
-				data, relocs = data[nd:], relocs[nr:]
-			}
 			ld.inputBytes += sec.Size + int64(len(sec.Relocs))*objfile.RelPC32.Size()
 			list := ld.list(sec.Kind)
 			if list == nil {
@@ -202,13 +204,6 @@ func (ld *linkState) collect(objs []*objfile.Object) error {
 		}
 	}
 	return nil
-}
-
-// written reports whether the link writes sections of kind k: relaxation
-// edits text, relocations patch text, data and the LSDA and debug tables.
-// The others' bytes are only read.
-func written(k objfile.SectionKind) bool {
-	return k != objfile.SecBBAddrMap && k != objfile.SecEHFrame
 }
 
 // list returns the link's list of sections of kind k, or nil for an
@@ -368,6 +363,8 @@ func (ld *linkState) relaxTail(ps, next *placedSec) bool {
 		if op == isa.OpJmp && next != nil && def.ps == next &&
 			def.off+r.Addend == 0 && next.sec.Align <= 1 {
 			// Fall-through onto the very next section: delete the jump.
+			ps.own()
+			r = &ps.relocs[ri]
 			ps.data = ps.data[:r.Off]
 			ps.shrink += 5
 			ps.relocs = append(ps.relocs[:ri], ps.relocs[ri+1:]...)
@@ -385,6 +382,8 @@ func (ld *linkState) relaxTail(ps, next *placedSec) bool {
 		target := def.ps.addr + uint64(def.off) + uint64(r.Addend)
 		shortDisp := int64(target) - (int64(ps.addr) + r.Off + 2)
 		if shortDisp >= -128+relaxMargin && shortDisp <= 127-relaxMargin {
+			ps.own()
+			r = &ps.relocs[ri]
 			short := isa.Encode(nil, isa.Inst{Op: op.ShortForm()})
 			ps.data = append(ps.data[:r.Off], short...)
 			ps.shrink += 3
@@ -425,8 +424,16 @@ func (ld *linkState) symAddr(name string) (uint64, bool) {
 	return def.ps.addr + uint64(def.off), true
 }
 
-// applyRelocs patches every section's bytes with final addresses.
-func (ld *linkState) applyRelocs() error {
+// applyRelocs resolves the relocations of every section the link patches,
+// in text, rodata, data, LSDA, debug order. With write false it only checks
+// them, reading each section's own bytes: every error a relocation can
+// raise comes from that pass, which link runs before the output image
+// exists. With write true it patches the sections' places in the image.
+func (ld *linkState) applyRelocs(write bool) error {
+	rel32, rel8 := isa.CheckRel32, isa.CheckRel8
+	if write {
+		rel32, rel8 = isa.PatchRel32, isa.PatchRel8
+	}
 	groups := [][]*placedSec{ld.text, ld.rodata, ld.data, ld.lsdas, ld.debugs}
 	for _, group := range groups {
 		for _, ps := range group {
@@ -439,24 +446,28 @@ func (ld *linkState) applyRelocs() error {
 				switch r.Type {
 				case objfile.RelPC32:
 					p := int64(ps.addr) + r.Off + 5
-					if err := isa.PatchRel32(ps.data, int(r.Off), s-p); err != nil {
+					if err := rel32(ps.data, int(r.Off), s-p); err != nil {
 						return fmt.Errorf("linker: %s(%s)+%#x: %w", ps.obj.Name, ps.sec.Name, r.Off, err)
 					}
 				case objfile.RelPC8:
 					p := int64(ps.addr) + r.Off + 2
-					if err := isa.PatchRel8(ps.data, int(r.Off), s-p); err != nil {
+					if err := rel8(ps.data, int(r.Off), s-p); err != nil {
 						return fmt.Errorf("linker: %s(%s)+%#x: %w", ps.obj.Name, ps.sec.Name, r.Off, err)
 					}
 				case objfile.RelAbs64:
 					if r.Off+10 > int64(len(ps.data)) {
 						return fmt.Errorf("linker: %s(%s): ABS64 reloc at %#x out of range", ps.obj.Name, ps.sec.Name, r.Off)
 					}
-					putU64(ps.data[r.Off+2:], uint64(s))
+					if write {
+						putU64(ps.data[r.Off+2:], uint64(s))
+					}
 				case objfile.RelAbs64Data:
 					if r.Off+8 > int64(len(ps.data)) {
 						return fmt.Errorf("linker: %s(%s): ABS64DATA reloc at %#x out of range", ps.obj.Name, ps.sec.Name, r.Off)
 					}
-					putU64(ps.data[r.Off:], uint64(s))
+					if write {
+						putU64(ps.data[r.Off:], uint64(s))
+					}
 				case objfile.RelCode64:
 					// FIPS-style integrity digest: bake (hash, size) of
 					// the target symbol's final code. Text sections are
@@ -473,9 +484,11 @@ func (ld *linkState) applyRelocs() error {
 					if def.off > end {
 						return fmt.Errorf("linker: CODE64 target %q offset out of range", r.Sym)
 					}
-					code := def.ps.data[def.off:end]
-					putU64(ps.data[r.Off:], objfile.CodeHash(code))
-					putU64(ps.data[r.Off+8:], uint64(len(code)))
+					if write {
+						code := def.ps.data[def.off:end]
+						putU64(ps.data[r.Off:], objfile.CodeHash(code))
+						putU64(ps.data[r.Off+8:], uint64(len(code)))
+					}
 				default:
 					return fmt.Errorf("linker: unknown relocation type %v", r.Type)
 				}
@@ -492,19 +505,25 @@ func putU64(b []byte, v uint64) {
 	}
 }
 
-// assemble builds the output binary image.
+// assemble builds the output binary. Every loaded, LSDA and debug section
+// is copied once, to its final place in the output, which is where
+// applyRelocs then patches it; halt padding fills only the gaps between
+// text sections.
 func (ld *linkState) assemble() (*objfile.Binary, error) {
 	bin := &objfile.Binary{HugePages: ld.cfg.HugePages}
 	bin.TextBase = ld.textBase()
 	bin.Text = make([]byte, ld.textEnd()-bin.TextBase)
-	// Pad gaps with halt bytes (like trap padding in real linkers), so
-	// falling into padding stops execution loudly.
-	for i := range bin.Text {
-		bin.Text[i] = byte(isa.OpHalt)
-	}
 	bin.Sections = make([]objfile.PlacedSection, 0, len(ld.text)+len(ld.rodata)+len(ld.data)+len(ld.bss))
+	gap := 0 // start of the text not yet written
 	for _, ps := range ld.text {
-		copy(bin.Text[ps.addr-bin.TextBase:], ps.data)
+		off := int(ps.addr - bin.TextBase)
+		// Pad gaps with halt bytes (like trap padding in real linkers),
+		// so falling into padding stops execution loudly.
+		for i := gap; i < off; i++ {
+			bin.Text[i] = byte(isa.OpHalt)
+		}
+		ps.data = moveTo(bin.Text, off, ps.data)
+		gap = off + len(ps.data)
 		bin.Sections = append(bin.Sections, objfile.PlacedSection{
 			Name: ps.sec.Name, Kind: objfile.SecText, Addr: ps.addr, Size: int64(len(ps.data)),
 		})
@@ -517,7 +536,7 @@ func (ld *linkState) assemble() (*objfile.Binary, error) {
 		last := group[len(group)-1]
 		*out = make([]byte, last.addr+uint64(len(last.data))-*base)
 		for _, ps := range group {
-			copy((*out)[ps.addr-*base:], ps.data)
+			ps.data = moveTo(*out, int(ps.addr-*base), ps.data)
 			bin.Sections = append(bin.Sections, objfile.PlacedSection{
 				Name: ps.sec.Name, Kind: ps.sec.Kind, Addr: ps.addr, Size: int64(len(ps.data)),
 			})
@@ -530,6 +549,11 @@ func (ld *linkState) assemble() (*objfile.Binary, error) {
 		bin.Sections = append(bin.Sections, objfile.PlacedSection{
 			Name: ps.sec.Name, Kind: objfile.SecBSS, Addr: ps.addr, Size: ps.sec.Size,
 		})
+	}
+	bin.LSDA = concat(ld.lsdas)
+	bin.Debug = concat(ld.debugs)
+	if err := ld.applyRelocs(true); err != nil {
+		return nil, err
 	}
 	if len(ld.rodata) == 0 {
 		bin.RodataBase = align(ld.textEnd(), objfile.PageSize)
@@ -576,8 +600,6 @@ func (ld *linkState) assemble() (*objfile.Binary, error) {
 		bin.BBAddrMap = m
 	}
 	bin.EHFrame = concat(ld.ehframes)
-	bin.LSDA = concat(ld.lsdas)
-	bin.Debug = concat(ld.debugs)
 	if ld.cfg.RetainRelocs {
 		bin.HasRelocInfo = true
 		var n int64
@@ -602,7 +624,8 @@ func (ld *linkState) assemble() (*objfile.Binary, error) {
 	return bin, nil
 }
 
-// concat returns the sections' bytes back to back, or nil when there are none.
+// concat returns the sections' bytes back to back, or nil when there are
+// none; each section's bytes are its place in the result from then on.
 func concat(group []*placedSec) []byte {
 	n := 0
 	for _, ps := range group {
@@ -611,11 +634,20 @@ func concat(group []*placedSec) []byte {
 	if n == 0 {
 		return nil
 	}
-	out := make([]byte, 0, n)
+	out := make([]byte, n)
+	off := 0
 	for _, ps := range group {
-		out = append(out, ps.data...)
+		ps.data = moveTo(out, off, ps.data)
+		off += len(ps.data)
 	}
 	return out
+}
+
+// moveTo copies data to out at off and returns its new place there,
+// capacity-clamped so a patch of one section cannot reach the next.
+func moveTo(out []byte, off int, data []byte) []byte {
+	end := off + copy(out[off:], data)
+	return out[off:end:end]
 }
 
 // addrMaps hands every retained BB address map fragment to yield, with the

@@ -217,10 +217,10 @@ func chainObjects(t *testing.T, objs, funcs int) []*objfile.Object {
 	return out
 }
 
-// TestLinkCollectAllocs: collect allocates four slabs per object (placed
-// sections, symbol definitions, the private copies of the section bytes
-// and of the relocations) plus the symbol table and the per-kind section
-// lists, which grow by doubling — nothing per section or per symbol.
+// TestLinkCollectAllocs: collect allocates two slabs per link (placed
+// sections and symbol definitions) plus the symbol table and the per-kind
+// section lists — nothing per section or per symbol, and no copy of any
+// section's bytes or relocations.
 func TestLinkCollectAllocs(t *testing.T) {
 	allocs := func(objs []*objfile.Object) float64 {
 		return testing.AllocsPerRun(10, func() {
@@ -239,10 +239,10 @@ func TestLinkCollectAllocs(t *testing.T) {
 }
 
 // TestLinkAllocs: a whole link that keeps every address map allocates per
-// object and per output table, never per fragment — the maps are spliced,
-// not decoded. Sixteen times the fragments per object may add only the
-// hash tables that grow with the symbols (Validate's name set per object,
-// the link's symbol table): at most 4 allocations per object.
+// output table, never per fragment — the maps are spliced, not decoded.
+// Sixteen times the fragments per object may add only the hash tables that
+// grow with the symbols (the link's symbol table, Validate's recycled name
+// sets): at most 4 allocations per object.
 func TestLinkAllocs(t *testing.T) {
 	allocs := func(objs []*objfile.Object) float64 {
 		return testing.AllocsPerRun(10, func() {

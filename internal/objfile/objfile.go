@@ -18,6 +18,7 @@ package objfile
 import (
 	"fmt"
 	"sort"
+	"sync"
 )
 
 // SectionKind classifies sections.
@@ -288,7 +289,10 @@ func (o *Object) Stats() SizeStats {
 }
 
 // Validate checks internal consistency: section indices in range, symbol
-// offsets within their sections, relocation offsets within section data.
+// offsets within their sections, relocation offsets within section data,
+// symbol names unique. It runs on every object a compile emits, a decode
+// returns and a link reads, so its duplicate-name set is recycled, not
+// allocated per call.
 func (o *Object) Validate() error {
 	for i, sec := range o.Sections {
 		if sec.Align < 1 || sec.Align&(sec.Align-1) != 0 {
@@ -306,7 +310,17 @@ func (o *Object) Validate() error {
 			}
 		}
 	}
-	names := make(map[string]bool, len(o.Symbols))
+	names, _ := nameSets.Get().(map[string]struct{})
+	if names == nil {
+		names = make(map[string]struct{}, len(o.Symbols))
+	}
+	defer func() {
+		// Emptying a map costs its capacity, so a huge one is dropped.
+		if len(names) <= 1024 {
+			clear(names)
+			nameSets.Put(names)
+		}
+	}()
 	for _, sym := range o.Symbols {
 		if sym.Section < 0 || sym.Section >= len(o.Sections) {
 			return fmt.Errorf("objfile: %s symbol %s: section index %d out of range", o.Name, sym.Name, sym.Section)
@@ -315,13 +329,16 @@ func (o *Object) Validate() error {
 		if sym.Off < 0 || sym.Off > sec.Size {
 			return fmt.Errorf("objfile: %s symbol %s: offset %d outside section %s", o.Name, sym.Name, sym.Off, sec.Name)
 		}
-		if names[sym.Name] {
+		if _, dup := names[sym.Name]; dup {
 			return fmt.Errorf("objfile: %s: duplicate symbol %s", o.Name, sym.Name)
 		}
-		names[sym.Name] = true
+		names[sym.Name] = struct{}{}
 	}
 	return nil
 }
+
+// nameSets recycles Validate's symbol-name sets, emptied before reuse.
+var nameSets sync.Pool
 
 // SortedSymbolNames returns all symbol names in sorted order (testing aid).
 func (o *Object) SortedSymbolNames() []string {

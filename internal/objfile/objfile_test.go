@@ -445,3 +445,27 @@ func TestDecodedObjectOutlivesInput(t *testing.T) {
 		t.Fatal("overwriting the input changed the decoded object")
 	}
 }
+
+// TestValidateAllocs: Validate recycles its duplicate-name set, so after
+// warm-up it averages under one allocation per call, and a set handed back
+// after a duplicate-symbol error is empty again (the next object, which
+// reuses those names once each, still validates).
+func TestValidateAllocs(t *testing.T) {
+	wide := wideObject(64, 16, 2)
+	dup := wideObject(64, 16, 2)
+	dup.Symbols[40].Name = dup.Symbols[3].Name
+	for i := 0; i < 50; i++ {
+		if err := dup.Validate(); err == nil || !strings.Contains(err.Error(), "duplicate") {
+			t.Fatalf("duplicate symbol: err = %v", err)
+		}
+		if err := wide.Validate(); err != nil {
+			t.Fatalf("after a duplicate-symbol error: %v", err)
+		}
+	}
+	if raceEnabled {
+		return // the race detector makes sync.Pool drop a share of its Puts
+	}
+	if a := testing.AllocsPerRun(100, func() { _ = wide.Validate() }); a >= 1 {
+		t.Errorf("Validate of a 64-symbol object: %.2f allocations per call, want < 1", a)
+	}
+}

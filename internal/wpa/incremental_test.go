@@ -71,6 +71,11 @@ func TestIncrementalAnalyzeMatchesCold(t *testing.T) {
 		if warm2.Stats.RelaidFuncs != 0 {
 			t.Fatalf("interproc=%t: full hit still relaid %d functions", interproc, warm2.Stats.RelaidFuncs)
 		}
+		// A global hit in intra mode reuses every function's layout: it
+		// counts as many hits as the first run looked functions up.
+		if st := warm2.Stats; !interproc && (st.FuncLayoutHits != warm1.Stats.FuncLayoutHits+warm1.Stats.FuncLayoutMisses || st.FuncLayoutMisses != 0) {
+			t.Fatalf("global hit: %d per-function hits and %d misses, want %d and 0", st.FuncLayoutHits, st.FuncLayoutMisses, warm1.Stats.FuncLayoutHits+warm1.Stats.FuncLayoutMisses)
+		}
 	}
 }
 

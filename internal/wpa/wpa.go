@@ -255,7 +255,11 @@ type Stats struct {
 	// were cache hits, the per-function layout hit/miss split, and how
 	// many functions actually re-ran Ext-TSP. On the cached intra path
 	// RelaidFuncs counts the non-trivial misses; with the cache off it
-	// equals the full hot set, and on a global-layout hit it is zero.
+	// equals the full hot set, and on a global-layout hit it is zero. A
+	// global-layout hit in intra mode counts every function the
+	// per-function path would have looked up as a hit (FuncLayoutHits is
+	// the number of sampled functions, FuncLayoutMisses zero): the reuse
+	// is total, not absent.
 	AggregateCacheHit bool
 	GlobalCacheHit    bool
 	FuncLayoutHits    int
@@ -408,6 +412,9 @@ func layout(res *Result, graphs map[string]*dcfg, infos map[string]*funcInfo, ca
 		if data, ok := cfg.Cache.Get(gkey); ok {
 			if err := decodeArtifacts(data, res); err == nil {
 				res.Stats.GlobalCacheHit = true
+				if !cfg.InterProc {
+					res.Stats.FuncLayoutHits = len(graphs)
+				}
 				return nil
 			}
 			// A corrupt entry falls through to a recompute that
