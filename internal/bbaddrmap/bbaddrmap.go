@@ -14,6 +14,8 @@ import (
 	"fmt"
 	"slices"
 	"sort"
+	"strings"
+	"sync"
 
 	"propeller/internal/wire"
 )
@@ -94,26 +96,51 @@ const (
 
 // Decode parses a section previously produced by Encode. The section has
 // no magic: it is embedded in objects and executables that carry their own.
-// The functions are one slice and their block lists runs of shared chunks
+// The functions are one slice, their block lists runs of shared chunks
 // (capacity-clamped, so appending to one reallocates it), each bounded by
-// what the remaining input could hold.
+// what the remaining input could hold, and their names substrings of one
+// string, copied once from the input after it has been read.
 func Decode(data []byte) (*Map, error) {
 	r := wire.NewReader("bbaddrmap", "", data)
 	m := &Map{Funcs: wire.Take[FuncEntry](r, r.Count(), minFuncBytes)}
 	blocks := wire.Pool[BlockEntry]{Chunk: 4096, MinBytes: minBlockBytes}
+	views := nameViews.Get().(*[][]byte)
+	size := 0
 	for i := range m.Funcs {
 		f := &m.Funcs[i]
-		f.Name, f.Addr = r.Str(), r.U64()
+		name := r.View()
+		*views = append(*views, name)
+		size += len(name)
+		f.Addr = r.U64()
 		f.Blocks = blocks.Take(r, r.Count())
 		for j := range f.Blocks {
 			f.Blocks[j] = BlockEntry{ID: r.Int(), Offset: r.U64(), Size: r.U64(), Flags: BlockFlags(r.Byte())}
 		}
 	}
-	if err := r.Done(); err != nil {
+	err := r.Done()
+	if err == nil {
+		// Grown to the names' exact size, the builder's buffer never moves,
+		// so each name stays a substring of its one allocation.
+		var names strings.Builder
+		names.Grow(size)
+		for i, v := range *views {
+			start := names.Len()
+			names.Write(v)
+			m.Funcs[i].Name = names.String()[start:]
+		}
+	}
+	clear(*views) // the pooled scratch must not pin the input
+	*views = (*views)[:0]
+	nameViews.Put(views)
+	if err != nil {
 		return nil, err
 	}
 	return m, nil
 }
+
+// nameViews recycles Decode's scratch: each function's name as a view of
+// the input, held until the sum of their lengths is known.
+var nameViews = sync.Pool{New: func() any { return new([][]byte) }}
 
 // Fragment is one encoded map, an object's address map section, and where
 // its functions land in a spliced map.

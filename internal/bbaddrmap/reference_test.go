@@ -3,6 +3,7 @@ package bbaddrmap
 import (
 	"math/rand"
 	"slices"
+	"strconv"
 	"testing"
 
 	"propeller/internal/wire"
@@ -490,5 +491,35 @@ func TestDecodedSlicesDoNotAlias(t *testing.T) {
 	}
 	if !slices.Equal(Encode(m), data) {
 		t.Fatal("an append to one function's decoded blocks changed another's")
+	}
+}
+
+// TestDecodeAllocs: Decode allocates the map, its function slice, a block
+// chunk and one string that all the names share, so a map of 3000 functions
+// costs no more allocations than one of 50. It is skipped under -race, where
+// sync.Pool drops a share of the recycled name scratch.
+func TestDecodeAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops entries under the race detector")
+	}
+	build := func(nf int) []byte {
+		m := &Map{}
+		for f := 0; f < nf; f++ {
+			m.Funcs = append(m.Funcs, FuncEntry{Name: "fn" + strconv.Itoa(f), Addr: uint64(0x100 * f), Blocks: []BlockEntry{{ID: 0, Size: 16}}})
+		}
+		return Encode(m)
+	}
+	small, large := build(50), build(3000)
+	decode := func(data []byte) func() {
+		return func() {
+			if _, err := Decode(data); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	a := testing.AllocsPerRun(20, decode(small))
+	b := testing.AllocsPerRun(20, decode(large))
+	if a != b || b > 4 {
+		t.Errorf("Decode allocates %.0f times for 50 functions, %.0f for 3000; want one count, at most 4", a, b)
 	}
 }

@@ -34,13 +34,13 @@ import (
 // Key hashes the given parts into a content-address. Parts are
 // length-prefixed before hashing so the boundary between parts is part of
 // the identity: Key([]byte("ab"), []byte("c")) differs from
-// Key([]byte("a"), []byte("bc")). It allocates only the key it returns.
+// Key([]byte("a"), []byte("bc")). It allocates only the key it returns: the
+// parts reach the hash through the pooled digest's scratch, so they do not
+// escape and a caller's []byte(s) conversions stay on its stack.
 func Key(parts ...[]byte) string {
 	d := digests.Get().(*digest)
 	for _, p := range parts {
-		d.buf = binary.LittleEndian.AppendUint64(d.buf[:0], uint64(len(p)))
-		d.h.Write(d.buf)
-		d.h.Write(p)
+		writePart(d, p)
 	}
 	return d.key()
 }
@@ -49,29 +49,40 @@ func Key(parts ...[]byte) string {
 func KeyStrings(parts ...string) string {
 	d := digests.Get().(*digest)
 	for _, s := range parts {
-		d.buf = append(binary.LittleEndian.AppendUint64(d.buf[:0], uint64(len(s))), s...)
-		d.h.Write(d.buf)
+		writePart(d, s)
 	}
 	return d.key()
 }
 
-// digest is a SHA-256 state with scratch room for a length prefix, a
-// string part and the sum, recycled through digests so a key costs no
+// digest is a SHA-256 state with scratch room for a length prefix, a run of
+// part bytes and the sum, recycled through digests so a key costs no
 // allocation but its own string.
 type digest struct {
 	h   hash.Hash
-	buf []byte
+	buf [512]byte
 }
 
-var digests = sync.Pool{New: func() any {
-	return &digest{h: sha256.New(), buf: make([]byte, 0, 2*sha256.Size)}
-}}
+var digests = sync.Pool{New: func() any { return &digest{h: sha256.New()} }}
+
+// writePart writes p's length and bytes to d's hash, copying them through
+// d.buf a scratchful at a time.
+func writePart[P string | []byte](d *digest, p P) {
+	b := binary.LittleEndian.AppendUint64(d.buf[:0], uint64(len(p)))
+	for {
+		n := copy(d.buf[len(b):], p)
+		d.h.Write(d.buf[:len(b)+n])
+		if p = p[n:]; len(p) == 0 {
+			return
+		}
+		b = d.buf[:0]
+	}
+}
 
 // key returns the hex digest of what was written, resets d and recycles it.
 func (d *digest) key() string {
-	d.buf = d.h.Sum(d.buf[:0])
+	sum := d.h.Sum(d.buf[:0])
 	var out [2 * sha256.Size]byte
-	hex.Encode(out[:], d.buf)
+	hex.Encode(out[:], sum)
 	d.h.Reset()
 	digests.Put(d)
 	return string(out[:])
@@ -104,6 +115,12 @@ type CacheStats struct {
 // hit's local re-admission then share. Get and GetCost return copies the
 // caller may do anything with; ViewCost returns the stored buffer itself,
 // for a caller that only reads it.
+//
+// A local entry may also carry the decoded value of its bytes (Attach,
+// ViewValueCost), so a process decodes each artifact once. The value
+// belongs to the one buffer the entry stores: a Put that replaces the
+// buffer, an eviction and a re-admission from the remote tier all leave the
+// entry without one, and the remote tier never stores values.
 type Cache struct {
 	mu      sync.Mutex
 	budget  int64 // local-tier byte cap; 0 = unbounded
@@ -183,29 +200,38 @@ func (c *Cache) SizeCost(key string) (int64, float64, bool) {
 // the caller must not write. Counters, recency order, remote re-admission
 // and eviction move exactly as under GetCost.
 func (c *Cache) ViewCost(key string) ([]byte, float64, bool) {
+	data, _, cost, ok := c.ViewValueCost(key)
+	return data, cost, ok
+}
+
+// ViewValueCost is ViewCost plus the value attached to the stored buffer,
+// nil when none is: always so after a remote hit, whose re-admitted entry
+// starts without one. Counters, recency order, remote re-admission and
+// eviction move exactly as under GetCost.
+func (c *Cache) ViewValueCost(key string) (data []byte, val any, cost float64, ok bool) {
 	c.mu.Lock()
-	if e, ok := c.entries[key]; ok {
+	if e, local := c.entries[key]; local {
 		c.hits++
 		c.lru.moveToFront(e)
 		c.mu.Unlock()
-		return e.data, 0, true
+		return e.data, e.val, 0, true
 	}
 	remote := c.remote
 	if remote == nil {
 		c.misses++
 		c.mu.Unlock()
-		return nil, 0, false
+		return nil, nil, 0, false
 	}
 	c.mu.Unlock()
 
-	data, ok := remote.get(key) // remote holds its own lock
-	cost := remote.FetchCost(int64(len(data)))
+	data, ok = remote.get(key) // remote holds its own lock
+	cost = remote.FetchCost(int64(len(data)))
 
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if !ok {
 		c.misses++
-		return nil, 0, false
+		return nil, nil, 0, false
 	}
 	c.hits++
 	c.remoteFetches++
@@ -215,14 +241,29 @@ func (c *Cache) ViewCost(key string) ([]byte, float64, bool) {
 		c.insertLocked(key, data)
 		c.evictLocked()
 	}
-	return data, cost, true
+	return data, nil, cost, true
+}
+
+// Attach records v as the decoded value of the artifact under key, which
+// later ViewValueCost hits return beside its bytes. data must be the buffer
+// the caller stored or was handed by a lookup: v is attached only while the
+// local entry still stores that very buffer, and Attach does nothing when
+// the entry is gone, holds another buffer, or data is empty. The value is
+// shared by every later reader, so it must never be written.
+func (c *Cache) Attach(key string, data []byte, v any) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if e, ok := c.entries[key]; ok && len(data) > 0 && len(e.data) == len(data) && &e.data[0] == &data[0] {
+		e.val = v
+	}
 }
 
 // Put stores data under key, writing through to the remote tier when one
 // is attached. The cache takes ownership of data: the caller hands over a
 // buffer it never writes again, and both tiers keep that one buffer.
 // Content addressing makes overwrites idempotent by construction, so Put
-// does not distinguish insert from replace.
+// does not distinguish insert from replace; either way the entry starts
+// without a decoded value.
 func (c *Cache) Put(key string, data []byte) {
 	if c.remote != nil {
 		c.remote.Put(key, data)
@@ -231,7 +272,7 @@ func (c *Cache) Put(key string, data []byte) {
 	defer c.mu.Unlock()
 	if e, ok := c.entries[key]; ok {
 		c.liveBytes += int64(len(data)) - int64(len(e.data))
-		e.data = data
+		e.data, e.val = data, nil
 		c.lru.moveToFront(e)
 	} else {
 		c.insertLocked(key, data)

@@ -268,8 +268,118 @@ func TestSizeCostMatchesGetCost(t *testing.T) {
 			if gr != nil && gr.Fetches() != vr.Fetches() {
 				t.Errorf("remote fetches: ViewCost %d, GetCost %d", vr.Fetches(), gr.Fetches())
 			}
+
+			// So does ViewValueCost, which finds no value where none was
+			// attached.
+			xc, xr := tc.setup()
+			xView, val, xCost, xOK := xc.ViewValueCost(tc.key)
+			if !bytes.Equal(xView, data) || val != nil || xCost != gCost || xOK != gOK {
+				t.Errorf("ViewValueCost = (%q, %v, %v, %v), GetCost = (%q, %v, %v)", xView, val, xCost, xOK, data, gCost, gOK)
+			}
+			if g, x := gc.Stats(), xc.Stats(); g != x {
+				t.Errorf("stats: ViewValueCost %+v, GetCost %+v", x, g)
+			}
+			if g, x := lruKeys(gc), lruKeys(xc); fmt.Sprint(g) != fmt.Sprint(x) {
+				t.Errorf("recency order: ViewValueCost %v, GetCost %v", x, g)
+			}
+			if gr != nil && gr.Fetches() != xr.Fetches() {
+				t.Errorf("remote fetches: ViewValueCost %d, GetCost %d", xr.Fetches(), gr.Fetches())
+			}
 		})
 	}
+}
+
+// TestDecodedValueContract: a value attached to an entry's stored buffer
+// comes back with every later hit on it, and nothing else carries it: a
+// replacing Put, an attach to a buffer the entry no longer stores, an
+// eviction and a re-admission from the remote tier all leave the entry
+// without one.
+func TestDecodedValueContract(t *testing.T) {
+	value := func(c *Cache, key string) any {
+		_, v, _, _ := c.ViewValueCost(key)
+		return v
+	}
+	t.Run("attach and hit", func(t *testing.T) {
+		c := NewCache()
+		data := []byte("bytes")
+		c.Put("k", data)
+		c.Attach("k", data, "decoded")
+		for range 2 {
+			if v := value(c, "k"); v != "decoded" {
+				t.Fatalf("value = %v, want the attached one on every hit", v)
+			}
+		}
+		if st := c.Stats(); st.Hits != 2 || st.Misses != 0 {
+			t.Errorf("Attach booked a lookup: %+v", st)
+		}
+		c.Attach("absent", data, "decoded")
+		if c.Contains("absent") {
+			t.Error("Attach created an entry")
+		}
+	})
+	t.Run("replacing put clears", func(t *testing.T) {
+		c := NewCache()
+		old := []byte("bytes")
+		c.Put("k", old)
+		c.Attach("k", old, "decoded")
+		c.Put("k", []byte("bytes")) // same content, another buffer
+		if v := value(c, "k"); v != nil {
+			t.Errorf("value after a replacing Put = %v, want none", v)
+		}
+	})
+	t.Run("stale buffer", func(t *testing.T) {
+		c := NewCache()
+		old, cur := []byte("bytes"), []byte("bytes")
+		c.Put("k", old)
+		c.Put("k", cur)
+		c.Attach("k", old, "stale")
+		c.Attach("k", cur[:4], "short")
+		c.Attach("k", append([]byte(nil), cur...), "copy")
+		if v := value(c, "k"); v != nil {
+			t.Errorf("value attached through a buffer the entry does not store: %v", v)
+		}
+		view, _, _ := c.ViewCost("k")
+		c.Attach("k", view, "decoded")
+		if v := value(c, "k"); v != "decoded" {
+			t.Errorf("value attached through the viewed buffer = %v, want it", v)
+		}
+	})
+	t.Run("remote hit re-admits bare", func(t *testing.T) {
+		r := NewRemote()
+		a := NewTieredCache(0, r)
+		data := []byte("bytes")
+		a.Put("k", data)
+		a.Attach("k", data, "decoded")
+		b := NewTieredCache(0, r)
+		view, v, _, ok := b.ViewValueCost("k")
+		if !ok || v != nil || &view[0] != &data[0] {
+			t.Fatalf("remote hit = (%q, %v, %v), want the shared buffer and no value", view, v, ok)
+		}
+		if v := value(b, "k"); v != nil {
+			t.Errorf("re-admitted entry carries %v", v)
+		}
+		if v := value(a, "k"); v != "decoded" {
+			t.Errorf("the writer's own entry lost its value: %v", v)
+		}
+	})
+	t.Run("eviction drops", func(t *testing.T) {
+		r := NewRemote()
+		c := NewTieredCache(8, r)
+		data := []byte("aaaa")
+		c.Put("a", data)
+		c.Attach("a", data, "decoded")
+		c.Put("b", []byte("bbbb"))
+		c.Put("c", []byte("cccc")) // "a" leaves the local tier
+		if st := c.Stats(); st.Evictions != 1 {
+			t.Fatalf("setup: %d evictions, want 1", st.Evictions)
+		}
+		if v := value(c, "a"); v != nil {
+			t.Errorf("value survived the eviction: %v", v)
+		}
+		if st := c.Stats(); st.RemoteFetches != 1 {
+			t.Errorf("evicted entry not fetched from the remote tier: %+v", st)
+		}
+	})
 }
 
 // keyReference is Key as it was first written: each part's length and
@@ -318,5 +428,25 @@ func TestKeysMatchReference(t *testing.T) {
 	}
 	if a := testing.AllocsPerRun(100, func() { Key(parts...) }); a != 1 {
 		t.Errorf("Key: %.1f allocations per key, want 1", a)
+	}
+}
+
+// TestKeyAllocs: a caller's part conversions do not escape through Key, so
+// an IR key over a string module name, as Phase 1 spells it, allocates only
+// the key, and a build ID over a fixed header array only its own.
+func TestKeyAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops entries under the race detector")
+	}
+	name, data := "module_with_a_long_name.cc", make([]byte, 10000)
+	if a := testing.AllocsPerRun(100, func() { Key([]byte("ir"), []byte(name), data) }); a != 1 {
+		t.Errorf("Key over converted strings: %.1f allocations, want 1", a)
+	}
+	if a := testing.AllocsPerRun(100, func() {
+		var hdr [32]byte
+		binary.LittleEndian.PutUint64(hdr[:], uint64(len(data)))
+		Key(hdr[:], data)
+	}); a != 1 {
+		t.Errorf("Key over a header array: %.1f allocations, want 1", a)
 	}
 }

@@ -10,6 +10,7 @@ package buildsys
 type lruEntry struct {
 	key        string
 	data       []byte
+	val        any // data's decoded value (Cache.Attach); nil when none
 	prev, next *lruEntry
 }
 

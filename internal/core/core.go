@@ -139,7 +139,10 @@ type PhaseStats struct {
 
 // BuildResult is a produced binary plus its build costs.
 type BuildResult struct {
-	Binary  *objfile.Binary
+	Binary *objfile.Binary
+	// Objects are the linked objects in module order. They may be shared
+	// with the object cache and with other builds (a relink's cold objects
+	// are the metadata build's), so nothing ever writes them.
 	Objects []*objfile.Object
 	Exec    *buildsys.ExecStats
 	Link    *linker.Stats
@@ -261,7 +264,11 @@ type objectPlan struct {
 // under its plan's key — scheduling the modeled transfer as a cost-only
 // fetch action when the remote tier served it, so warm-but-remote builds
 // are cheap, not free (§2.1) — or, on a miss, from one codegen action
-// that compiles the in-memory module and encodes the object once. The
+// that compiles the in-memory module and encodes the object once. A hit
+// takes the *objfile.Object attached to the entry (Cache.Attach) and
+// decodes the cached bytes only when none is, attaching the result, so a
+// process decodes each object at most once and a relink in the process
+// that built the metadata binary links the Phase-2 objects themselves. The
 // action is charged for the module's cached IR as a remote backend would
 // ship it: its size and any remote fetch latency, looked up under irKeys[i]
 // (a missing entry is an error). Those bytes are never decoded; a module
@@ -270,8 +277,9 @@ type objectPlan struct {
 // codegen actions, each in module order; run is the executor's Execute or
 // ExecuteCriticalPath. Newly encoded objects are Put under their keys after
 // the batch, in module order, so a budgeted cache's LRU order never depends
-// on goroutine scheduling; the cache keeps those encodings, uncopied. The
-// objects are then linked under cfg.
+// on goroutine scheduling; the cache keeps those encodings, uncopied, each
+// with the object it encodes attached. The objects are then linked under
+// cfg.
 //
 // A cached object that does not decode fails the build and names the
 // module, whatever the key: content-addressed bytes that rot are a cache
@@ -290,12 +298,16 @@ func build(p *Program, irKeys []string, opts Options, run func([]*buildsys.Actio
 		pl := plan(i, m)
 		keys[i] = pl.key
 		if pl.key != "" {
-			// The decoder copies out everything it keeps, so it reads the
-			// cached bytes in place.
-			if data, fetchCost, ok := opts.ObjCache.ViewCost(pl.key); ok {
-				obj, err := objfile.DecodeObject(data)
-				if err != nil {
-					return nil, nil, fmt.Errorf("core: corrupt cached object for %s: %w", m.Name, err)
+			if data, val, fetchCost, ok := opts.ObjCache.ViewValueCost(pl.key); ok {
+				obj, _ := val.(*objfile.Object)
+				if obj == nil {
+					// The decoder copies out everything it keeps, so it
+					// reads the cached bytes in place.
+					var err error
+					if obj, err = objfile.DecodeObject(data); err != nil {
+						return nil, nil, fmt.Errorf("core: corrupt cached object for %s: %w", m.Name, err)
+					}
+					opts.ObjCache.Attach(pl.key, data, obj)
 				}
 				res.Objects[i], hit[i] = obj, true
 				if fetchCost > 0 {
@@ -341,6 +353,7 @@ func build(p *Program, irKeys []string, opts Options, run func([]*buildsys.Actio
 	for i, data := range encoded {
 		if data != nil {
 			opts.ObjCache.Put(keys[i], data)
+			opts.ObjCache.Attach(keys[i], data, res.Objects[i])
 		}
 	}
 

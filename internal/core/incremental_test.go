@@ -1,12 +1,15 @@
 package core
 
 import (
+	"bytes"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"propeller/internal/buildsys"
 	"propeller/internal/layoutfile"
+	"propeller/internal/objfile"
 	"propeller/internal/wpa"
 )
 
@@ -210,6 +213,102 @@ func TestCorruptCachedObjectFailsBuild(t *testing.T) {
 				t.Errorf("err = %v, want it to contain %q", err, want)
 			}
 		})
+	}
+	// A tiered cache whose shared remote entry rots: a fresh local tier
+	// falls through to it and re-admits the bytes with no object attached,
+	// so the relink decodes them and fails, naming the module.
+	t.Run("remote cold obj-labels", func(t *testing.T) {
+		remote := buildsys.NewRemote()
+		opts := Options{IRCache: buildsys.NewCache(), ObjCache: buildsys.NewTieredCache(0, remote)}
+		res, err := Optimize(p, train, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		i := slices.Index(hotModules(p, res.Directives), false)
+		remote.Put(objCacheKey(res.Metadata.IRKeys[i]), []byte("rot"))
+		opts.ObjCache = buildsys.NewTieredCache(0, remote)
+		err = relinkOf(p, res, opts)()
+		if want := "corrupt cached object for " + p.Modules[i].Name; err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("err = %v, want it to contain %q", err, want)
+		}
+	})
+}
+
+// TestRelinkLinksPhase2Objects: within one process the relink links the
+// metadata build's cold objects themselves, attached to their cache
+// entries, and decodes nothing; concurrent relinks share them; a relink
+// from a cache rebuilt entry by entry through Get and Put, so that nothing
+// is attached, decodes every object and links the same binary.
+func TestRelinkLinksPhase2Objects(t *testing.T) {
+	p := multiModuleProgram()
+	opts := Options{IRCache: buildsys.NewCache(), ObjCache: buildsys.NewCache()}
+	res, err := Optimize(p, RunSpec{MaxInsts: 20_000_000, LBRPeriod: 211}, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hot := hotModules(p, res.Directives)
+	if !slices.Contains(hot, false) || !slices.Contains(hot, true) {
+		t.Fatalf("want hot and cold modules, got %v", hot)
+	}
+	for i, m := range p.Modules {
+		if !hot[i] && res.Optimized.Objects[i] != res.Metadata.Objects[i] {
+			t.Errorf("cold module %s: the relink linked a copy of its Phase-2 object", m.Name)
+		}
+	}
+
+	// Relinks running at once share those objects, and the linker only
+	// reads them (the race detector's part of the check).
+	var wg sync.WaitGroup
+	ids := make([]string, 3)
+	for k := range ids {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if again, _, _, err := Relink(p, res.Metadata.IRKeys, &wpa.Result{Directives: res.Directives, Order: res.Order}, opts); err != nil {
+				t.Error(err)
+			} else {
+				ids[k] = again.Binary.BuildID
+			}
+		}()
+	}
+	wg.Wait()
+	for _, id := range ids {
+		if id != res.Optimized.Binary.BuildID {
+			t.Errorf("concurrent relink: build ID %s, want %s", id, res.Optimized.Binary.BuildID)
+		}
+	}
+
+	rebuilt := buildsys.NewCache()
+	for i, m := range p.Modules {
+		keys := []string{objCacheKey(res.Metadata.IRKeys[i])}
+		if hot[i] {
+			keys = append(keys, listObjCacheKey(res.Metadata.IRKeys[i], m, res.Directives, opts))
+		}
+		for _, k := range keys {
+			data, ok := opts.ObjCache.Get(k)
+			if !ok {
+				t.Fatalf("module %s: no cache entry %s", m.Name, k)
+			}
+			rebuilt.Put(k, data)
+		}
+	}
+	relinked, _, _, err := Relink(p, res.Metadata.IRKeys, &wpa.Result{Directives: res.Directives, Order: res.Order}, Options{IRCache: opts.IRCache, ObjCache: rebuilt})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if relinked.HotReused == 0 {
+		t.Error("the rebuilt cache served no hot object")
+	}
+	for i, m := range p.Modules {
+		if relinked.Objects[i] == res.Optimized.Objects[i] {
+			t.Errorf("module %s: an object reached a cache rebuilt from bytes alone", m.Name)
+		}
+	}
+	if got, want := relinked.Binary.BuildID, res.Optimized.Binary.BuildID; got != want {
+		t.Errorf("relink of decoded objects: build ID %s, want %s", got, want)
+	}
+	if !bytes.Equal(objfile.EncodeBinary(relinked.Binary), objfile.EncodeBinary(res.Optimized.Binary)) {
+		t.Error("relink of decoded objects: encoded binary differs")
 	}
 }
 

@@ -542,6 +542,25 @@ func TestEncodeModuleAllocs(t *testing.T) {
 	}
 }
 
+// TestVerifyAllocs: Verify recycles its name set, so verifying a module
+// allocates nothing once the set is warm (it was a fresh map per module,
+// about 8 k allocations per Superroot optimize op). Skipped under -race,
+// where sync.Pool drops a share of what is put back.
+func TestVerifyAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops entries under the race detector")
+	}
+	for _, shape := range [][3]int{{20, 8, 30}, {200, 40, 30}} {
+		m := wideModule(shape[0], shape[1], shape[2])
+		if err := Verify(m); err != nil {
+			t.Fatal(err)
+		}
+		if got := testing.AllocsPerRun(10, func() { Verify(m) }); got != 0 {
+			t.Errorf("Verify of %d funcs x %d blocks: %.0f allocations, want 0", shape[0], shape[1], got)
+		}
+	}
+}
+
 func TestRoundTripEncodePreservesPads(t *testing.T) {
 	m := NewModule("m")
 	f := m.NewFunc("f", 0)

@@ -3,6 +3,7 @@ package ir
 import (
 	"fmt"
 	"slices"
+	"sync"
 
 	"propeller/internal/isa"
 )
@@ -22,9 +23,20 @@ func (e *VerifyError) Error() string {
 }
 
 // Verify checks module-level invariants: unique function and global names,
-// and per-function CFG well-formedness.
+// and per-function CFG well-formedness. The backend verifies every module it
+// compiles, so the name set is recycled, not allocated per call.
 func Verify(m *Module) error {
-	names := make(map[string]bool, len(m.Funcs)+len(m.Globals))
+	names, _ := nameSets.Get().(map[string]bool)
+	if names == nil {
+		names = make(map[string]bool, len(m.Funcs)+len(m.Globals))
+	}
+	defer func() {
+		// Emptying a map costs its capacity, so a huge one is dropped.
+		if len(names) <= 1024 {
+			clear(names)
+			nameSets.Put(names)
+		}
+	}()
 	for _, g := range m.Globals {
 		if g.Name == "" {
 			return &VerifyError{Func: "(global)", Block: -1, Msg: "unnamed global"}
@@ -54,6 +66,9 @@ func Verify(m *Module) error {
 	}
 	return nil
 }
+
+// nameSets recycles Verify's symbol-name sets, emptied before reuse.
+var nameSets sync.Pool
 
 // VerifyFunc checks a single function's CFG invariants:
 //

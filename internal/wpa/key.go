@@ -161,9 +161,12 @@ func encodeArtifacts(res *Result) ([]byte, error) {
 	return w.Buf, nil
 }
 
+// decodeArtifacts sets res's directives and order from an encodeArtifacts
+// encoding. The parsers copy out every line they keep, so the two texts are
+// read as views of data, never copied, and nothing of res aliases data.
 func decodeArtifacts(data []byte, res *Result) error {
 	r := wire.NewReader("wpa: artifact codec", artifactsMagic, data)
-	cc, ld := r.Bytes(), r.Bytes()
+	cc, ld := r.View(), r.View()
 	if err := r.Done(); err != nil {
 		return err
 	}

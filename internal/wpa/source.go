@@ -252,7 +252,9 @@ func (c Config) aggregateOf(src *Source, lookup func() *bbaddrmap.Lookup) (agg *
 		return src.agg, false, nil
 	}
 	if c.cacheEnabled() {
-		if data, ok := c.Cache.Get(aggCacheKey(c.ProfileEpoch)); ok {
+		// DecodeAggregate copies out every name and count it keeps, so it
+		// reads the cached bytes in place.
+		if data, _, ok := c.Cache.ViewCost(aggCacheKey(c.ProfileEpoch)); ok {
 			// A corrupt entry falls through to a rebuild that overwrites it.
 			if agg, err = DecodeAggregate(data); err == nil {
 				if src.kind == kindDuring {

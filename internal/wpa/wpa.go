@@ -409,7 +409,9 @@ func layout(res *Result, graphs map[string]*dcfg, infos map[string]*funcInfo, ca
 			}
 		}
 		gkey = globalLayoutCacheKey(cfg.ProfileEpoch, cfg.layoutPolicyKey(), hashes)
-		if data, ok := cfg.Cache.Get(gkey); ok {
+		// decodeArtifacts parses the cached cc/ld text into directives and
+		// an order of their own, so it reads the bytes in place.
+		if data, _, ok := cfg.Cache.ViewCost(gkey); ok {
 			if err := decodeArtifacts(data, res); err == nil {
 				res.Stats.GlobalCacheHit = true
 				if !cfg.InterProc {
@@ -680,7 +682,9 @@ func layoutIntra(res *Result, graphs map[string]*dcfg, infos map[string]*funcInf
 				todo = append(todo, i)
 				continue
 			}
-			if data, ok := cfg.Cache.Get(funcLayoutCacheKey(cfg.ProfileEpoch, cfg.funcPolicyKey(fn), g.info.contentHash())); ok {
+			// decodeLayoutEntry copies the cluster into a slice of its
+			// own, so it reads the cached bytes in place.
+			if data, _, ok := cfg.Cache.ViewCost(funcLayoutCacheKey(cfg.ProfileEpoch, cfg.funcPolicyKey(fn), g.info.contentHash())); ok {
 				if o, err := decodeLayoutEntry(data); err == nil {
 					outs[i] = o
 					res.Stats.FuncLayoutHits++
