@@ -278,7 +278,16 @@ func (s *Service) MergedProfile() (*profile.Profile, error) {
 		}
 		return entries[i].key.seq < entries[j].key.seq
 	})
+	// The list is made once at its final length: appending batch by batch
+	// would copy the headers over again at every growth.
+	n := 0
+	for _, e := range entries {
+		n += len(e.b.samples)
+	}
 	out := &profile.Profile{}
+	if n > 0 {
+		out.Samples = make([]profile.Sample, 0, n)
+	}
 	for _, e := range entries {
 		h := e.b.header
 		if out.Binary == "" {

@@ -114,7 +114,9 @@ func TestMergedProfileBitIdentical(t *testing.T) {
 }
 
 // TestFaultInjectionNoDoubleCounting: duplicated deliveries must not
-// inflate sample counts; lost deliveries must not lose data.
+// inflate sample counts; lost deliveries must not lose data; and the merged
+// profile holds exactly the accepted samples, in a list with no spare
+// capacity.
 func TestFaultInjectionNoDoubleCounting(t *testing.T) {
 	const hosts, samples = 4, 40
 	svc := NewService(ServiceConfig{Shards: 2, WorkersPerShard: 2})
@@ -139,6 +141,14 @@ func TestFaultInjectionNoDoubleCounting(t *testing.T) {
 	wantBatches := int64(hosts * ((samples + 3) / 4))
 	if st.AcceptedBatches != wantBatches {
 		t.Fatalf("accepted %d batches, want %d", st.AcceptedBatches, wantBatches)
+	}
+	// The merged list is made once, at its final length.
+	merged, err := svc.MergedProfile()
+	if err != nil {
+		t.Fatalf("MergedProfile: %v", err)
+	}
+	if n, c := len(merged.Samples), cap(merged.Samples); int64(n) != st.AcceptedSamples || c != n {
+		t.Fatalf("merged profile has %d samples, capacity %d; want %d and no spare capacity", n, c, st.AcceptedSamples)
 	}
 }
 

@@ -243,15 +243,23 @@ func (s *Store) Profile(buildID string) (*profile.Profile, bool) {
 				Binary:  e.prof.Binary,
 				BuildID: e.prof.BuildID,
 				Period:  e.prof.Period,
-				Samples: e.prof.Samples[:keep],
+				Samples: e.prof.Samples[:keep:keep],
 			})
 		}
-		agg, err := profile.Merge(parts...)
-		if err != nil {
-			// Unreachable: Publish enforced compatibility on the way in.
-			return nil, false
+		if len(parts) == 1 {
+			// One epoch is its own aggregate: it shares the epoch's
+			// samples rather than copy them. The clamp makes a later
+			// MergeInto of the aggregate reallocate, and keeps the
+			// epoch's own appends out of it.
+			be.agg = parts[0]
+		} else {
+			agg, err := profile.Merge(parts...)
+			if err != nil {
+				// Unreachable: Publish enforced compatibility on the way in.
+				return nil, false
+			}
+			be.agg = agg
 		}
-		be.agg = agg
 		be.aggValid = true
 	}
 	return be.agg, true

@@ -3,6 +3,7 @@ package profsvc
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"testing"
 
 	"propeller/internal/profile"
@@ -283,5 +284,44 @@ func TestDeltaPublishUsesInPlaceMerge(t *testing.T) {
 	// the same *Profile is served.
 	if agg1 != agg2 {
 		t.Error("delta publish rebuilt the aggregate instead of extending it")
+	}
+}
+
+// TestOneEpochAggregateSharesSamples: the aggregate of a build with one
+// epoch is that epoch's sample list itself, not a copy, and a same-epoch
+// publish after it leaves the list the caller already holds as it was,
+// its spare capacity included, though the epoch's list grows in place.
+func TestOneEpochAggregateSharesSamples(t *testing.T) {
+	s := NewStore(StoreConfig{})
+	// A delta into the epoch leaves its list with spare capacity.
+	for _, p := range []*profile.Profile{mkProf("bid", 1, 4), mkProf("bid", 2, 1)} {
+		if _, err := s.Publish(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	epoch := s.builds["bid"].epochs[0].prof
+	if cap(epoch.Samples) == len(epoch.Samples) {
+		t.Fatalf("probe broken: the epoch's list has no spare capacity (%d)", cap(epoch.Samples))
+	}
+	agg, _ := s.Profile("bid")
+	if len(agg.Samples) != 5 || &agg.Samples[0] != &epoch.Samples[0] {
+		t.Fatalf("the one-epoch aggregate (%d samples) does not share the epoch's list", len(agg.Samples))
+	}
+	held := agg.Samples
+	before := append([]profile.Sample(nil), held[:cap(held)]...)
+
+	if _, err := s.Publish(mkProf("bid", 3, 2)); err != nil {
+		t.Fatal(err)
+	}
+	for i, smp := range held[:cap(held)] {
+		if !slices.Equal(smp.Records, before[i].Records) {
+			t.Fatalf("the publish wrote sample %d of the list the earlier aggregate handed out", i)
+		}
+	}
+	agg2, _ := s.Profile("bid")
+	want := profBytes(t, &profile.Profile{Binary: "pm", BuildID: "bid", Period: 211,
+		Samples: append(append(mkProf("bid", 1, 4).Samples, mkProf("bid", 2, 1).Samples...), mkProf("bid", 3, 2).Samples...)})
+	if !bytes.Equal(profBytes(t, agg2), want) || !bytes.Equal(profBytes(t, s.builds["bid"].epochs[0].prof), want) {
+		t.Error("after the publish, the aggregate or the epoch is not the three publishes in order")
 	}
 }

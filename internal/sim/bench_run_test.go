@@ -24,7 +24,10 @@ import (
 // the figure to compare. mcf's functional and lbr-functional arms are the
 // ones Phase 3's profiling run moves with; mysql/plain is the modeled
 // evaluation run the service loop makes of its baseline and of every
-// candidate.
+// candidate. B/op is what a run allocates: 66 KB for a functional run,
+// nearly all of it the first 64 KB of the stack it grows on demand (it was
+// the whole 1 MB bound before), the timing model's tables besides in a
+// modeled one (about 320 KB), and a sampled run's profile.
 func BenchmarkRun(b *testing.B) {
 	progs := []struct {
 		name  string
@@ -63,6 +66,7 @@ func BenchmarkRun(b *testing.B) {
 		}
 		for _, c := range cfgs {
 			b.Run(pr.name+"/"+c.name, func(b *testing.B) {
+				b.ReportAllocs()
 				p, cfg := p, c.cfg
 				if c.name == "trace" {
 					p, cfg.TraceBlocks = traced, bbaddrmap.NewLookup(m)

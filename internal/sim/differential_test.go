@@ -82,7 +82,9 @@ func observe(t testing.TB, run runFunc, bin *objfile.Binary, v variant, maxInsts
 	t.Helper()
 	cfg := v.cfg
 	cfg.MaxInsts = maxInsts
-	cfg.StackSize = 1 << 14 // keeps the thousands of short runs cheap
+	if cfg.StackSize == 0 {
+		cfg.StackSize = 1 << 14 // keeps the thousands of short runs cheap
+	}
 	var o outcome
 	if v.stream {
 		streamed := &profile.Profile{Period: cfg.LBRPeriod}
@@ -408,6 +410,96 @@ func TestMatchesReferenceEveryBudget(t *testing.T) {
 			if t.Failed() {
 				return
 			}
+		}
+	}
+}
+
+// deepRecursion is a hand-assembled program that sums depth..1 by
+// recursion: the entry's call takes 8 bytes of stack and each level 16
+// more (its argument and its call's return address), so it needs 8+16*depth
+// bytes.
+func deepRecursion(depth int64) []byte {
+	call := func(imm int) isa.Inst { return isa.Inst{Op: isa.OpCall, Imm: int64(imm)} }
+	cmp, push := isa.Inst{Op: isa.OpCmpI, A: 0, Imm: 0}, isa.Inst{Op: isa.OpPush, A: 0}
+	dec, ret := isa.Inst{Op: isa.OpAddI, A: 0, Imm: -1}, isa.Inst{Op: isa.OpRet}
+	jeq := func(imm int) isa.Inst { return isa.Inst{Op: isa.OpJeqS, Imm: int64(imm)} }
+	// f: if r0 == 0 return; push r0; r0--; call f; pop r1; r0 += r1; return.
+	pre := len(asm(cmp, jeq(0), push, dec, call(0)))
+	post := asm(isa.Inst{Op: isa.OpPop, A: 1}, isa.Inst{Op: isa.OpAdd, A: 0, B: 1}, ret)
+	f := asm(cmp, jeq(pre+len(post)-len(asm(cmp, jeq(0)))), push, dec, call(-pre))
+	f = append(append(f, post...), asm(ret)...)
+	return append(asm(movi(0, depth), call(1), halt), f...)
+}
+
+// TestStackGrowsOnDemand holds the stack, which a run grows on demand in
+// chunks up to its bound, to the reference's, which is all there from the
+// start: at bounds above, at and below the first chunk, a recursion that
+// fills the bound exactly (at the default bound it crosses the growth
+// points at 64, 128, 256 and 512 KB), pushes and calls that need one word
+// more than the bound, loads at the bound's end and just past it, and a
+// load of stack nobody wrote, which reads 0 before and after a store grows
+// the stack to it and leaves what the top held in place. Every run
+// compares exit, instruction count, cycles, counters, profile and fault,
+// modeled and functional.
+func TestStackGrowsOnDemand(t *testing.T) {
+	sizes := []uint64{sim.DefaultStackSize, 3<<16 + 8, 1<<16 + 8, 1 << 16, 1<<16 - 8, 4096, 100, 8}
+	vs := []variant{
+		{name: "plain"},
+		{name: "functional", cfg: sim.Config{DisableUarch: true}},
+		{name: "functional-lbr-211", cfg: sim.Config{DisableUarch: true, LBRPeriod: 211}},
+	}
+	for _, size := range sizes {
+		limit := sim.StackTop - size
+		deep := int64(limit)
+		programs := []struct {
+			name  string
+			text  []byte
+			fault string // "" when the program halts
+			exit  int64
+		}{
+			{"recursion-fills-bound", deepRecursion(int64(size-8) / 16), "", int64((size-8)/16) * int64((size-8)/16+1) / 2},
+			{"push-overflow", asm(isa.Inst{Op: isa.OpPush, A: 0}, isa.Inst{Op: isa.OpJmpS, Imm: -4}), "stack overflow", 0},
+			{"call-overflow", asm(isa.Inst{Op: isa.OpCall, Imm: -5}), "stack overflow", 0},
+			{"load-at-bound", asm(movi(1, deep), load0(1), halt), "", 0},
+			{"load-past-bound", asm(movi(1, deep-1), load0(1), halt), "load from unmapped address", 0},
+			{"never-written", asm(
+				movi(1, int64(sim.StackTop)-8), movi(2, 7), isa.Inst{Op: isa.OpStore, A: 1, B: 2},
+				movi(3, deep), isa.Inst{Op: isa.OpLoad, A: 3, B: 0}, // 0: never written
+				isa.Inst{Op: isa.OpLoad, A: 1, B: 4}, isa.Inst{Op: isa.OpAdd, A: 0, B: 4}, // 7: kept through growth
+				movi(5, 5), isa.Inst{Op: isa.OpStore, A: 3, B: 5},
+				isa.Inst{Op: isa.OpLoad, A: 3, B: 6}, isa.Inst{Op: isa.OpAdd, A: 0, B: 6}, halt), "", 12},
+		}
+		for _, pr := range programs {
+			if size == 8 && pr.name == "never-written" {
+				continue // its two addresses are one word
+			}
+			sub := load(t, pr.name, raw(pr.text))
+			for _, v := range vs {
+				v.cfg.StackSize = size
+				got := observe(t, sub.run, sub.bin, v, 0)
+				want := observe(t, sub.ref, sub.bin, v, 0)
+				name := fmt.Sprintf("%s/%s/stack=%d", pr.name, v.name, size)
+				if !reflect.DeepEqual(got, want) {
+					t.Errorf("%s:\n got  %v\n want %v", name, got, want)
+				}
+				if !strings.HasPrefix(got.Msg, pr.fault) || got.Faulted != (pr.fault != "") || (pr.fault == "" && got.Exit != pr.exit) {
+					t.Errorf("%s: exit %d, fault %v %q; want exit %d, fault %q", name, got.Exit, got.Faulted, got.Msg, pr.exit, pr.fault)
+				}
+			}
+		}
+	}
+
+	// Stack before data: a data segment inside the bound, below the first
+	// chunk, stays shadowed by the stack there.
+	inside := sim.StackTop - 1<<19
+	bin := raw(asm(movi(1, int64(inside)), load0(1), halt))
+	bin.DataBase, bin.Data = inside, []byte{1, 2, 3, 4, 5, 6, 7, 8}
+	sub := load(t, "data-inside-bound", bin)
+	for _, v := range vs {
+		v.cfg.StackSize = sim.DefaultStackSize
+		got, want := observe(t, sub.run, sub.bin, v, 0), observe(t, sub.ref, sub.bin, v, 0)
+		if !reflect.DeepEqual(got, want) || got.Exit != 0 {
+			t.Errorf("data-inside-bound/%s:\n got  %v\n want %v", v.name, got, want)
 		}
 	}
 }

@@ -19,10 +19,15 @@ import (
 	"propeller/internal/profile"
 )
 
-// Stack geometry. The stack lives outside all binary segments.
+// Stack geometry. The stack lives outside all binary segments and grows
+// down from StackTop. Its size (DefaultStackSize unless Config.StackSize
+// says otherwise) is a bound: a run starts with the top stackChunk bytes
+// and doubles them toward the bound when an access first reaches below, so
+// a run pays for the stack it uses, not for the bound.
 const (
 	StackTop         = uint64(0x7F00_0000)
 	DefaultStackSize = 1 << 20
+	stackChunk       = 1 << 16
 )
 
 // Config controls one simulation run.
@@ -68,16 +73,20 @@ type Config struct {
 	// Result.Profile's samples while the run is still taking them: each
 	// call passes the next run of Profile.Samples, in order and without a
 	// gap, once neither those samples nor their records will be written
-	// again — every time a block of the sample arena fills, and once more
-	// for the tail before Run returns, faulted or not. The batch is a
-	// sub-slice of the retained profile, so the callee may keep it and read
-	// it from another goroutine, and must not write it.
+	// again — every time a chunk of sample headers or a block of the record
+	// arena fills, and once more for the tail before Run returns, faulted
+	// or not. The batch is part of a header chunk the run never writes
+	// again, holding the very record slices of the profile's samples, so
+	// the callee may keep it and read it from another goroutine, and must
+	// not write it.
 	OnBatch func([]profile.Sample)
 
 	// Heatmap, when non-nil, records instruction fetches.
 	Heatmap *heatmap.Recorder
 
-	// StackSize overrides the default 1MB stack.
+	// StackSize overrides the default 1MB bound on the stack. The run
+	// grows its stack on demand up to it; a push below it is a stack
+	// overflow and any other access there an unmapped one.
 	StackSize uint64
 
 	// Args seed the argument registers r0..r3 at entry.
@@ -341,9 +350,47 @@ type frame struct {
 // memory is the address space of one run. A segment check is written as
 // addr-base against the segment length, so an address near 2^64 cannot
 // wrap its way past it.
+//
+// stack holds the top of the stack grown so far, from stackBase up to
+// StackTop; the stack's bound reaches down to stackLimit, stackSize bytes
+// below StackTop. Only stackWord grows it.
 type memory struct {
 	stack, data, rodata, text                 []byte
 	stackBase, dataBase, rodataBase, textBase uint64
+	stackLimit, stackSize                     uint64
+}
+
+// newStack sets up a stack bounded to size bytes: its first stackChunk,
+// or all of it where the data segment reaches into the bound, since the
+// loops' inline data access looks in the stack grown so far and then in
+// data, which only an untouched bound keeps equal to looking in the whole
+// stack first.
+func (mem *memory) newStack(size uint64) {
+	mem.stackSize, mem.stackLimit = size, StackTop-size
+	n := min(size, stackChunk)
+	if d := uint64(len(mem.data)); d > 0 && (mem.dataBase-mem.stackLimit < size || mem.stackLimit-mem.dataBase < d) {
+		n = size
+	}
+	mem.stack, mem.stackBase = make([]byte, n), StackTop-n
+}
+
+// stackWord returns the stack's 8 bytes at addr, or nil if they are not
+// all within its bound. An address below what the stack holds so far grows
+// it, by doubling and at least to addr, toward the bound; memory the run
+// never wrote reads as zero.
+func (mem *memory) stackWord(addr uint64) []byte {
+	if w := word(mem.stack, addr-mem.stackBase); w != nil {
+		return w
+	}
+	if off := addr - mem.stackLimit; off >= mem.stackSize || mem.stackSize-off < 8 {
+		return nil
+	}
+	have := uint64(len(mem.stack))
+	n := min(max(2*have, StackTop-addr), mem.stackSize)
+	grown := make([]byte, n)
+	copy(grown[n-have:], mem.stack)
+	mem.stack, mem.stackBase = grown, StackTop-n
+	return word(mem.stack, addr-mem.stackBase)
 }
 
 // word returns the 8 bytes of seg at off, or nil if they are not all there.
@@ -357,36 +404,74 @@ func word(seg []byte, off uint64) []byte {
 }
 
 // arenaSink is where a run's samples go when the caller gave no OnSample:
-// it materializes them into Result.Profile, and hands the finished part of
-// the profile to Config.OnBatch whenever an arena block fills.
+// their records go into the arena, their headers into chunks that double
+// from sampleChunkMin up to sampleChunkMax samples, and samples lays the
+// chunks end to end once the run is over, at the list's final length. A
+// growing slice would copy every header about four times over. It hands
+// the finished part of the current chunk to Config.OnBatch whenever the
+// chunk or an arena block fills.
 type arenaSink struct {
-	prof    *profile.Profile
 	arena   sampleArena
 	onBatch func([]profile.Sample) // may be nil
-	sent    int                    // samples of prof already handed to onBatch
+	full    [][]profile.Sample     // the filled chunks, in order
+	held    int                    // samples in full
+	chunk   []profile.Sample       // the chunk being filled
+	sent    int                    // samples of chunk already handed to onBatch
 }
 
-// take snapshots the ring straight into the arena as prof's next sample.
-func (s *arenaSink) take(l *lbrRing) {
-	n := l.count()
-	if !s.arena.fits(n) {
-		// The carve below abandons the current block: everything sampled
-		// so far is final.
+// The header chunks' sizes, in samples: a 24-byte header each, so from
+// 24 KB to 384 KB.
+const (
+	sampleChunkMin = 1 << 10
+	sampleChunkMax = 1 << 14
+)
+
+// next appends a sample of n records and returns its records to fill.
+func (s *arenaSink) next(n int) []profile.Branch {
+	if full := len(s.chunk) == cap(s.chunk); full || !s.arena.fits(n) {
+		// The chunk is done, or the carve below abandons the current
+		// block: everything sampled so far is final.
 		s.flush()
+		if full {
+			if s.chunk != nil {
+				s.full, s.held = append(s.full, s.chunk), s.held+len(s.chunk)
+			}
+			s.chunk = make([]profile.Sample, 0, min(max(2*cap(s.chunk), sampleChunkMin), sampleChunkMax))
+			s.sent = 0
+		}
 	}
 	recs := s.arena.alloc(n)
-	l.snapshotInto(recs)
-	s.prof.Samples = append(s.prof.Samples, profile.Sample{Records: recs})
+	s.chunk = append(s.chunk, profile.Sample{Records: recs})
+	return recs
 }
 
-// flush hands onBatch the samples taken since the last flush. Later appends
-// to prof.Samples write past the batch or into a new backing array, never
-// into it.
+// take snapshots the ring straight into the arena as the next sample.
+func (s *arenaSink) take(l *lbrRing) {
+	l.snapshotInto(s.next(l.count()))
+}
+
+// flush hands onBatch the samples taken since the last flush. The chunk
+// takes the samples after them in its own capacity, which the batch's
+// clamp leaves out, and is never appended past it.
 func (s *arenaSink) flush() {
-	if n := len(s.prof.Samples); s.onBatch != nil && n > s.sent {
-		s.onBatch(s.prof.Samples[s.sent:n:n])
+	if n := len(s.chunk); s.onBatch != nil && n > s.sent {
+		s.onBatch(s.chunk[s.sent:n:n])
 		s.sent = n
 	}
+}
+
+// samples is every sample taken, in one slice of exactly their number (nil
+// for none).
+func (s *arenaSink) samples() []profile.Sample {
+	n := s.held + len(s.chunk)
+	if n == 0 {
+		return nil
+	}
+	out := make([]profile.Sample, 0, n)
+	for _, c := range s.full {
+		out = append(out, c...)
+	}
+	return append(out, s.chunk...)
 }
 
 // machine is the architectural and model state of one run: what an
@@ -474,7 +559,6 @@ func (p *Program) Run(cfg Config) (*Result, error) {
 	copy(data, bin.Data)
 	m := &machine{
 		mem: memory{
-			stack: make([]byte, stackSize), stackBase: StackTop - stackSize,
 			data: data, dataBase: bin.DataBase,
 			rodata: bin.Rodata, rodataBase: bin.RodataBase,
 			text: bin.Text, textBase: bin.TextBase,
@@ -482,6 +566,7 @@ func (p *Program) Run(cfg Config) (*Result, error) {
 		heat: cfg.Heatmap,
 		lsda: p.lsda,
 	}
+	m.mem.newStack(stackSize)
 	m.regs[isa.RegArg0] = cfg.Args[0]
 	m.regs[isa.RegArg1] = cfg.Args[1]
 	m.regs[isa.RegArg2] = cfg.Args[2]
@@ -529,7 +614,7 @@ func (p *Program) Run(cfg Config) (*Result, error) {
 			onSample = func(_ int, s profile.Sample) error { return cfg.OnSample(s) }
 		default:
 			res.Profile = &profile.Profile{Period: period, BuildID: bin.BuildID}
-			sink = &arenaSink{prof: res.Profile, onBatch: cfg.OnBatch}
+			sink = &arenaSink{onBatch: cfg.OnBatch}
 		}
 		g = min(grids, period)
 		// q of the first instruction, written so that nothing wraps.
@@ -601,6 +686,7 @@ func (p *Program) Run(cfg Config) (*Result, error) {
 	// recorded for a faulted run too, and its last samples are handed on.
 	if sink != nil {
 		sink.flush()
+		res.Profile.Samples = sink.samples()
 	}
 	res.Exit = m.exit
 	res.Insts = limit - left
@@ -629,19 +715,17 @@ func (p *Program) Run(cfg Config) (*Result, error) {
 // the Result.Profile a run at phase LBRPhase+h alone would return. cfg's
 // OnSample, OnGridSample and OnBatch are not used.
 func (p *Program) RunGrids(cfg Config, grids int) (*Result, []*profile.Profile, error) {
-	profs := make([]*profile.Profile, grids)
-	arenas := make([]sampleArena, grids)
-	for h := range profs {
-		profs[h] = &profile.Profile{Period: cfg.LBRPeriod, BuildID: p.bin.BuildID}
-	}
+	sinks := make([]arenaSink, grids)
 	cfg.OnSample, cfg.OnBatch, cfg.LBRGrids = nil, nil, grids
 	cfg.OnGridSample = func(h int, s profile.Sample) error {
-		recs := arenas[h].alloc(len(s.Records))
-		copy(recs, s.Records)
-		profs[h].Samples = append(profs[h].Samples, profile.Sample{Records: recs})
+		copy(sinks[h].next(len(s.Records)), s.Records)
 		return nil
 	}
 	res, err := p.Run(cfg)
+	profs := make([]*profile.Profile, grids)
+	for h := range profs {
+		profs[h] = &profile.Profile{Period: cfg.LBRPeriod, BuildID: p.bin.BuildID, Samples: sinks[h].samples()}
+	}
 	return res, profs, err
 }
 
@@ -1225,7 +1309,7 @@ func (m *machine) divide(h handler, x, y int64) (int64, bool) {
 // load reads the word at addr: a load's, a pop's or a ret's.
 func (m *machine) load(addr uint64) (int64, bool) {
 	mem := &m.mem
-	b := word(mem.stack, addr-mem.stackBase)
+	b := mem.stackWord(addr)
 	if b == nil {
 		b = word(mem.data, addr-mem.dataBase)
 	}
@@ -1246,7 +1330,7 @@ func (m *machine) load(addr uint64) (int64, bool) {
 // store writes the word at addr: a store's, or a push's or a call's.
 func (m *machine) store(addr uint64, v int64) bool {
 	mem := &m.mem
-	b := word(mem.stack, addr-mem.stackBase)
+	b := mem.stackWord(addr)
 	if b == nil {
 		b = word(mem.data, addr-mem.dataBase)
 	}
@@ -1262,7 +1346,7 @@ func (m *machine) store(addr uint64, v int64) bool {
 func (m *machine) push(v int64) bool {
 	m.regs[isa.RegSP] -= 8
 	sp := uint64(m.regs[isa.RegSP])
-	if sp < m.mem.stackBase {
+	if sp < m.mem.stackLimit {
 		m.msg = "stack overflow"
 		return false
 	}
@@ -1300,16 +1384,18 @@ func sign(v int64) int64 {
 }
 
 // The LBR sample arena's flat blocks double from 1k records up to 64k,
-// where one allocation backs ~2k full-depth samples: a run that takes a
-// handful of samples does not pay for (and zero) a megabyte.
+// where one allocation backs ~2k full-depth samples: the block size is a
+// bound the arena grows toward on demand, so a run that takes a handful of
+// samples does not pay for (and zero) a megabyte.
 const (
 	sampleArenaMinRecords = 1 << 10
 	sampleArenaMaxRecords = 1 << 16
 )
 
-// sampleArena backs a run's materialized LBR samples with chunked flat
-// blocks, so the per-sample snapshot is an arena carve instead of a heap
-// allocation. Slices are capacity-clamped so appends cannot alias.
+// sampleArena backs the records of a run's materialized LBR samples with
+// flat blocks (arenaSink keeps their headers), so the per-sample snapshot
+// is an arena carve instead of a heap allocation. Slices are
+// capacity-clamped so appends cannot alias.
 type sampleArena struct {
 	block []profile.Branch
 }

@@ -3,8 +3,11 @@ package sim
 import (
 	"bytes"
 	"fmt"
+	"math"
+	"runtime"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"propeller/internal/profile"
 	"propeller/internal/testprog"
@@ -186,6 +189,87 @@ func TestBatchesTileTheProfile(t *testing.T) {
 		}
 		if got := <-records; got != want {
 			t.Errorf("budget %d: the reader saw %d records, the profile has %d", maxInsts, got, want)
+		}
+	}
+}
+
+// TestSampleListWrittenOnce: a materialized run's Profile.Samples is one
+// slice of exactly its length, written once when the run ends; the header
+// chunks before it and the list itself cost at most about twice its bytes
+// (a slice grown by append costs about five times); and the OnBatch
+// batches, laid end to end, are the profile's samples holding the very
+// same record slices. Runs end with no sample, on a chunk's last sample
+// and in the middle of a chunk. A sample every instruction and a budget of
+// n instructions give n samples.
+func TestSampleListWrittenOnce(t *testing.T) {
+	bin := build(t, testprog.SumLoop(1_000_000), false)
+	p, err := Load(bin)
+	if err != nil {
+		t.Fatal(err)
+	}
+	headerSize := int64(unsafe.Sizeof(profile.Sample{}))
+	branchSize := int64(unsafe.Sizeof(profile.Branch{}))
+	allocated := func(cfg Config) int64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		p.Run(cfg)
+		runtime.ReadMemStats(&after)
+		return int64(after.TotalAlloc - before.TotalAlloc)
+	}
+	onChunkEnd := sampleChunkMin + 2*sampleChunkMin
+	for _, n := range []int{0, 1, sampleChunkMin, onChunkEnd, onChunkEnd + 1, 5_000, 70_000} {
+		cfg := Config{LBRPeriod: 1, MaxInsts: uint64(n)}
+		if n == 0 {
+			cfg = Config{LBRPeriod: 1 << 40, MaxInsts: 50_000}
+		}
+		var batches [][]profile.Sample
+		withBatches := cfg
+		withBatches.OnBatch = func(b []profile.Sample) { batches = append(batches, b) }
+		res, _ := p.Run(withBatches)
+		got := res.Profile.Samples
+		if len(got) != n || cap(got) != n {
+			t.Errorf("%d samples: Profile.Samples has length %d, capacity %d", n, len(got), cap(got))
+			continue
+		}
+		at := 0
+		for _, b := range batches {
+			for i := range b {
+				if at == n {
+					t.Fatalf("%d samples: batches hold more", n)
+				}
+				s := got[at]
+				if len(b[i].Records) != len(s.Records) || unsafe.SliceData(b[i].Records) != unsafe.SliceData(s.Records) {
+					t.Fatalf("%d samples: batched sample %d is not the profile's", n, at)
+				}
+				at++
+			}
+		}
+		if at != n {
+			t.Errorf("%d samples: batches cover %d", n, at)
+		}
+
+		// What the headers cost: a materialized run less the same run
+		// streamed, less the record arena's blocks.
+		var arena sampleArena
+		var arenaBytes int64
+		for _, s := range got {
+			fresh := !arena.fits(len(s.Records))
+			arena.alloc(len(s.Records))
+			if fresh {
+				arenaBytes += int64(cap(arena.block)) * branchSize
+			}
+		}
+		streamed := cfg
+		streamed.OnSample = func(profile.Sample) error { return nil }
+		headers := int64(math.MaxInt64)
+		for range 3 {
+			headers = min(headers, allocated(cfg)-allocated(streamed)-arenaBytes)
+		}
+		// The slack covers the run's other small allocations, which differ
+		// between the two ways of sampling.
+		final, slack := int64(n)*headerSize, int64(16<<10)
+		if bound := 2*final + sampleChunkMax*headerSize + slack; headers > bound || headers < final-slack {
+			t.Errorf("%d samples: headers cost %d bytes for a %d-byte list, want at most %d", n, headers, final, bound)
 		}
 	}
 }

@@ -3,6 +3,7 @@ package wpa
 import (
 	"bytes"
 	"encoding/binary"
+	"reflect"
 	"testing"
 
 	"propeller/internal/bbaddrmap"
@@ -129,11 +130,11 @@ func TestIncrementalEditReusesUnchangedLayouts(t *testing.T) {
 // offsets implied by an upstream edit) must not change its hash; editing
 // its shape must.
 func TestContentHashPositionIndependence(t *testing.T) {
-	a, err := funcInfos(synthMap())
+	a, err := funcInfos(synthMap(), everyFunc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := funcInfos(editedSynthMap())
+	b, err := funcInfos(editedSynthMap(), everyFunc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,6 +143,40 @@ func TestContentHashPositionIndependence(t *testing.T) {
 	}
 	if a["bar"].contentHash() == b["bar"].contentHash() {
 		t.Error("bar's shape changed; hash must change")
+	}
+}
+
+// TestFuncInfosShapesOnlyWhatIsAsked: every function keeps its name and
+// entry, which a call edge reads of its callee, and a shaped function the
+// block runs, size and content hash (so every layout cache key) it has
+// when every function is shaped; the rest carry no block runs.
+func TestFuncInfosShapesOnlyWhatIsAsked(t *testing.T) {
+	for _, m := range []*bbaddrmap.Map{synthMap(), editedSynthMap()} {
+		all, err := funcInfos(m, everyFunc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for shapedName := range all {
+			some, err := funcInfos(m, func(fn string) bool { return fn == shapedName })
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(some) != len(all) {
+				t.Fatalf("%d functions shaping %s, %d shaping all", len(some), shapedName, len(all))
+			}
+			for fn, want := range all {
+				got := some[fn]
+				if got == nil || got.name != fn || got.entryID != want.entryID {
+					t.Fatalf("shaping %s: %s lost its name or entry", shapedName, fn)
+				}
+				switch {
+				case fn != shapedName && (got.order != nil || got.sizes != nil):
+					t.Errorf("shaping %s: %s has block runs", shapedName, fn)
+				case fn == shapedName && (!reflect.DeepEqual(got, want) || got.contentHash() != want.contentHash()):
+					t.Errorf("shaping %s: its shape differs from the all-function one", fn)
+				}
+			}
+		}
 	}
 }
 

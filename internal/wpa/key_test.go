@@ -158,7 +158,7 @@ func TestCacheEntryFormatsGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	infos, err := funcInfos(m)
+	infos, err := funcInfos(m, everyFunc)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -116,7 +116,7 @@ func (sh *refShard) addSample(s profile.Sample) {
 
 // referenceAggregate is the old serial aggregation of samples against m.
 func referenceAggregate(m *bbaddrmap.Map, samples []profile.Sample, profileBytes int64) (*Aggregate, error) {
-	infos, err := funcInfos(m)
+	infos, err := funcInfos(m, everyFunc)
 	if err != nil {
 		return nil, err
 	}

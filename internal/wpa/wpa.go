@@ -349,22 +349,27 @@ func checkMap(m *bbaddrmap.Map) error {
 	return nil
 }
 
-// funcInfos derives every function's static shape from the BB address map.
-func funcInfos(m *bbaddrmap.Map) (map[string]*funcInfo, error) {
+// funcInfos derives the functions' static shape from the BB address map:
+// every function's name and entry, which a call edge reads of its callee,
+// and the block runs and size of those shaped reports true for, which only
+// a function with a profile reads.
+func funcInfos(m *bbaddrmap.Map, shaped func(fn string) bool) (map[string]*funcInfo, error) {
 	if err := checkMap(m); err != nil {
 		return nil, err
 	}
 	// One slab each for the infos, the ids and the sizes: a first pass
-	// counts every function's blocks across its fragments (size doubles as
-	// the counter), a second carves its runs and fills them.
+	// counts every shaped function's blocks across its fragments (size
+	// doubles as the counter), a second carves its runs and fills them.
 	infos := make(map[string]*funcInfo, len(m.Funcs))
 	slab := make([]funcInfo, 0, len(m.Funcs))
+	var want []bool // parallel to slab
 	total := 0
 	for i := range m.Funcs {
 		fe := &m.Funcs[i]
 		fi := infos[fe.Name]
 		if fi == nil {
 			slab = append(slab, funcInfo{name: fe.Name, entryID: -1})
+			want = append(want, shaped(fe.Name))
 			fi = &slab[len(slab)-1]
 			infos[fe.Name] = fi
 			if len(fe.Blocks) > 0 {
@@ -376,18 +381,27 @@ func funcInfos(m *bbaddrmap.Map) (map[string]*funcInfo, error) {
 		fi.size += int64(len(fe.Blocks))
 		total += len(fe.Blocks)
 	}
+	for i := range slab {
+		if !want[i] {
+			total -= int(slab[i].size)
+		}
+	}
 	ids, sizes := make([]int, total), make([]int64, total)
 	for i := range slab {
 		fi := &slab[i]
 		n := int(fi.size)
-		fi.order, fi.sizes, fi.size = ids[:0:n], sizes[:0:n], 0
-		ids, sizes = ids[n:], sizes[n:]
+		fi.size = 0
+		if want[i] {
+			fi.order, fi.sizes = ids[:0:n], sizes[:0:n]
+			ids, sizes = ids[n:], sizes[n:]
+		}
 	}
 	for i := range m.Funcs {
 		fe := &m.Funcs[i]
-		fi := infos[fe.Name]
-		for _, b := range fe.Blocks {
-			fi.add(b.ID, int64(b.Size))
+		if fi := infos[fe.Name]; fi.order != nil { // carved above: shaped
+			for _, b := range fe.Blocks {
+				fi.add(b.ID, int64(b.Size))
+			}
 		}
 	}
 	return infos, nil
@@ -444,7 +458,8 @@ func layout(res *Result, graphs map[string]*dcfg, infos map[string]*funcInfo, ca
 // aggregate's position-independent counts onto m's BB address map and lays
 // out what is hot.
 func layoutAggregate(m *bbaddrmap.Map, agg *Aggregate, cfg Config) (*Result, error) {
-	infos, err := funcInfos(m)
+	// Only the functions the aggregate holds are projected and laid out.
+	infos, err := funcInfos(m, func(fn string) bool { return agg.funcs[fn] != nil })
 	if err != nil {
 		return nil, err
 	}

@@ -8,6 +8,9 @@ import (
 	"propeller/internal/profile"
 )
 
+// everyFunc shapes every function of a map (funcInfos).
+func everyFunc(string) bool { return true }
+
 // synthMap lays out two functions:
 //
 //	foo at 0x1000: bb0 [0,16) bb1 [16,32) bb2 [32,48) bb3 [48,64)
