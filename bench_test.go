@@ -30,7 +30,6 @@ import (
 	"propeller/internal/codegen"
 	"propeller/internal/core"
 	"propeller/internal/eval"
-	"propeller/internal/exttsp"
 	"propeller/internal/ir"
 	"propeller/internal/isa"
 	"propeller/internal/layoutfile"
@@ -516,10 +515,53 @@ func interProcShardActions(st wpa.Stats) []*buildsys.Action {
 	return acts
 }
 
+// wpaRecord prices one analysis on a machine with w cores: aggregation
+// divides its per-record cost across w shards, and the layout actions are
+// bounded below by their total over w and by the largest one, and run
+// through the buildsys list scheduler with w slots. The measured fields are
+// left to the caller.
+func wpaRecord(b *testing.B, workload, mode, retrieval string, w int, res *wpa.Result, acts []*buildsys.Action) wpaScalingRecord {
+	const costWPAPerRecord = 2e-6 // mirrors internal/core's Phase-3 model
+	var totalCost, maxCost float64
+	for _, a := range acts {
+		totalCost += a.Cost
+		if a.Cost > maxCost {
+			maxCost = a.Cost
+		}
+	}
+	layout := totalCost / float64(w)
+	if maxCost > layout {
+		layout = maxCost
+	}
+	scheduled := 0.0
+	if len(acts) > 0 {
+		stats, err := (&buildsys.Executor{Slots: w}).Execute(acts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		scheduled = stats.Makespan
+	}
+	agg := float64(res.Stats.Records) * costWPAPerRecord / float64(w)
+	return wpaScalingRecord{
+		Workload:                workload,
+		Mode:                    mode,
+		Retrieval:               retrieval,
+		Workers:                 w,
+		LayoutShards:            res.Stats.LayoutShards,
+		ModeledSeconds:          agg + layout,
+		ModeledAggregateSeconds: agg,
+		ModeledLayoutSeconds:    layout,
+		ScheduledLayoutSeconds:  scheduled,
+		Records:                 res.Stats.Records,
+		HotFuncs:                res.Stats.HotFuncs,
+	}
+}
+
 // BenchmarkWPAScaling reproduces the paper's Table-4 analysis-time axis:
 // wpa.Analyze swept over worker counts 1–16 and the naive-vs-heap Ext-TSP
-// retrieval ablation, for every catalog workload, reusing the shared
-// sweep's metadata binaries and LBR profiles. A second arm sweeps the
+// retrieval ablation (the naive arm priced by the cost model from the heap
+// analyses, whose layouts it shares), for every catalog workload, reusing
+// the shared sweep's metadata binaries and LBR profiles. A second arm sweeps the
 // §4.7 inter-procedural mode, whose modeled layout parallelism is bounded
 // by the hot-graph component shards (an upper bound: the layout itself is
 // one merge state sharing its re-scoring). It writes the full curve to BENCH_wpa.json
@@ -529,7 +571,6 @@ func interProcShardActions(st wpa.Stats) []*buildsys.Action {
 // bit-identical to serial in either mode.
 func BenchmarkWPAScaling(b *testing.B) {
 	workerCounts := []int{1, 2, 4, 8, 16}
-	const costWPAPerRecord = 2e-6 // mirrors internal/core's Phase-3 model
 	for iter := 0; iter < b.N; iter++ {
 		results := sweep(b)
 		var records []wpaScalingRecord
@@ -543,72 +584,40 @@ func BenchmarkWPAScaling(b *testing.B) {
 				b.Fatal(err)
 			}
 			prof := r.Propeller.Profile
+			// Intra-procedural arm: the heap retrieval at every worker
+			// count, then the naive one priced from the same analyses. The
+			// two lay out identically by contract (internal/exttsp's tests
+			// hold the heap to the naive rescan kept there), so only
+			// wpaLayoutActions' cost model tells them apart, and a naive
+			// record measures nothing.
+			heapRes := make([]*wpa.Result, len(workerCounts))
 			var serialCC []byte
-			for _, naive := range []bool{false, true} {
-				retrieval := "heap"
-				if naive {
-					retrieval = "naive"
+			for i, w := range workerCounts {
+				start := time.Now()
+				res, err := wpa.Analyze(func() (*bbaddrmap.Map, error) { return m, nil }, wpa.Samples(prof), wpa.Config{Workers: w})
+				if err != nil {
+					b.Fatal(err)
 				}
-				for _, w := range workerCounts {
-					start := time.Now()
-					res, err := wpa.Analyze(func() (*bbaddrmap.Map, error) { return m, nil }, wpa.Samples(prof), wpa.Config{Workers: w, NaiveExtTSP: naive})
-					if err != nil {
-						b.Fatal(err)
-					}
-					measured := time.Since(start).Seconds()
+				measured := time.Since(start).Seconds()
+				heapRes[i] = res
+				rec := wpaRecord(b, spec.Name, "intra", "heap", w, res, wpaLayoutActions(res, false))
+				rec.MeasuredSeconds, rec.MeasuredRecordsPerSec = measured, float64(res.Stats.Records)/measured
+				records = append(records, rec)
 
-					acts := wpaLayoutActions(res, naive)
-					var totalCost, maxCost float64
-					for _, a := range acts {
-						totalCost += a.Cost
-						if a.Cost > maxCost {
-							maxCost = a.Cost
-						}
-					}
-					layout := totalCost / float64(w)
-					if maxCost > layout {
-						layout = maxCost
-					}
-					scheduled := 0.0
-					if len(acts) > 0 {
-						stats, err := (&buildsys.Executor{Slots: w}).Execute(acts)
-						if err != nil {
-							b.Fatal(err)
-						}
-						scheduled = stats.Makespan
-					}
-					agg := float64(res.Stats.Records) * costWPAPerRecord / float64(w)
-					records = append(records, wpaScalingRecord{
-						Workload:                spec.Name,
-						Mode:                    "intra",
-						Retrieval:               retrieval,
-						Workers:                 w,
-						LayoutShards:            res.Stats.LayoutShards,
-						ModeledSeconds:          agg + layout,
-						ModeledAggregateSeconds: agg,
-						ModeledLayoutSeconds:    layout,
-						ScheduledLayoutSeconds:  scheduled,
-						MeasuredSeconds:         measured,
-						MeasuredRecordsPerSec:   float64(res.Stats.Records) / measured,
-						Records:                 res.Stats.Records,
-						HotFuncs:                res.Stats.HotFuncs,
-					})
-
-					// Determinism cross-check: every worker count must emit
-					// byte-identical directives (heap arm; the naive arm is
-					// covered by the exttsp equivalence tests).
-					if !naive {
-						var cc bytes.Buffer
-						if err := layoutfile.WriteDirectives(&cc, res.Directives); err != nil {
-							b.Fatal(err)
-						}
-						if serialCC == nil {
-							serialCC = cc.Bytes()
-						} else if !bytes.Equal(cc.Bytes(), serialCC) {
-							b.Fatalf("%s: workers=%d directives differ from workers=1", spec.Name, w)
-						}
-					}
+				// Determinism cross-check: every worker count must emit
+				// byte-identical directives.
+				var cc bytes.Buffer
+				if err := layoutfile.WriteDirectives(&cc, res.Directives); err != nil {
+					b.Fatal(err)
 				}
+				if serialCC == nil {
+					serialCC = cc.Bytes()
+				} else if !bytes.Equal(cc.Bytes(), serialCC) {
+					b.Fatalf("%s: workers=%d directives differ from workers=1", spec.Name, w)
+				}
+			}
+			for i, w := range workerCounts {
+				records = append(records, wpaRecord(b, spec.Name, "intra", "naive", w, heapRes[i], wpaLayoutActions(heapRes[i], true)))
 			}
 
 			// Inter-procedural arm (§4.7's global layout, heap retrieval):
@@ -622,43 +631,9 @@ func BenchmarkWPAScaling(b *testing.B) {
 					b.Fatal(err)
 				}
 				measured := time.Since(start).Seconds()
-
-				acts := interProcShardActions(res.Stats)
-				var totalCost, maxCost float64
-				for _, a := range acts {
-					totalCost += a.Cost
-					if a.Cost > maxCost {
-						maxCost = a.Cost
-					}
-				}
-				layout := totalCost / float64(w)
-				if maxCost > layout {
-					layout = maxCost
-				}
-				scheduled := 0.0
-				if len(acts) > 0 {
-					stats, err := (&buildsys.Executor{Slots: w}).Execute(acts)
-					if err != nil {
-						b.Fatal(err)
-					}
-					scheduled = stats.Makespan
-				}
-				agg := float64(res.Stats.Records) * costWPAPerRecord / float64(w)
-				records = append(records, wpaScalingRecord{
-					Workload:                spec.Name,
-					Mode:                    "interproc",
-					Retrieval:               "heap",
-					Workers:                 w,
-					LayoutShards:            res.Stats.LayoutShards,
-					ModeledSeconds:          agg + layout,
-					ModeledAggregateSeconds: agg,
-					ModeledLayoutSeconds:    layout,
-					ScheduledLayoutSeconds:  scheduled,
-					MeasuredSeconds:         measured,
-					MeasuredRecordsPerSec:   float64(res.Stats.Records) / measured,
-					Records:                 res.Stats.Records,
-					HotFuncs:                res.Stats.HotFuncs,
-				})
+				rec := wpaRecord(b, spec.Name, "interproc", "heap", w, res, interProcShardActions(res.Stats))
+				rec.MeasuredSeconds, rec.MeasuredRecordsPerSec = measured, float64(res.Stats.Records)/measured
+				records = append(records, rec)
 
 				// Bit-identity across the sweep: both artifacts, since the
 				// interproc path also rewrites the global symbol order
@@ -925,37 +900,6 @@ func BenchmarkAblationRelax(b *testing.B) {
 			int64(len(binNo.Text))/1024, int64(len(binRelax.Text))/1024)
 		b.ReportMetric(float64(stRelax.BytesSaved), "bytesSaved")
 	}
-}
-
-// BenchmarkAblationExtTSP compares the naive quadratic merge retrieval
-// against the heap-based logarithmic retrieval (§4.7).
-func BenchmarkAblationExtTSP(b *testing.B) {
-	// A large flat CFG stresses merge retrieval.
-	g := &exttsp.Graph{}
-	const n = 1200
-	for i := 0; i < n; i++ {
-		g.Nodes = append(g.Nodes, exttsp.Node{Size: 16 + int64(i%48), Count: uint64(1 + i%97)})
-	}
-	for i := 0; i+1 < n; i++ {
-		g.Edges = append(g.Edges, exttsp.Edge{Src: i, Dst: i + 1, Weight: uint64(1 + (i*7)%100)})
-		if i%3 == 0 {
-			g.Edges = append(g.Edges, exttsp.Edge{Src: i, Dst: (i + 17) % n, Weight: uint64(1 + i%13)})
-		}
-	}
-	b.Run("naive", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := exttsp.Layout(g, exttsp.Options{ForcedFirst: 0}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("heap", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := exttsp.Layout(g, exttsp.Options{ForcedFirst: 0, UseHeap: true}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 }
 
 // BenchmarkAblationColdCache reproduces the §3.4 cold-object reuse claim:

@@ -250,9 +250,7 @@ func runWarmReplay(wl string, editFrac float64, workers int) {
 // inter-procedural layout turns it on, and none turns it off.
 func usePolicy(opts *core.Options, pol eval.LayoutPolicy) {
 	opts.InterProc = opts.InterProc || pol.InterProc
-	opts.WPA.KeepBlockOrder = pol.KeepBlockOrder
-	opts.WPA.PathClone = pol.PathClone
-	opts.WPA.ExtTSP = pol.Params
+	opts.WPA.Policy = pol.Policy
 	opts.WPA.FuncPolicies = pol.FuncPolicies
 }
 

@@ -20,6 +20,11 @@
 // worker pool for the per-function layouts) and bit-identical at every
 // worker count; -workers 1 forces the serial path. The per-phase wall
 // times (aggregate / merge / layout) are printed after the summary.
+//
+// Ext-TSP always retrieves its next merge from a heap (§4.7). The
+// quadratic rescan it replaced is no flag: it lives in internal/exttsp's
+// tests, the reference the heap's layouts are held to and the naive arm of
+// BenchmarkAblationExtTSP.
 package main
 
 import (
@@ -52,7 +57,6 @@ func main() {
 		ccOut     = flag.String("cc", "cc_prof.txt", "cluster directives output")
 		ldOut     = flag.String("ld", "ld_prof.txt", "symbol ordering output")
 		interProc = flag.Bool("interproc", false, "inter-procedural layout (§4.7)")
-		naive     = flag.Bool("naive-exttsp", false, "quadratic merge retrieval (ablation)")
 		hot       = flag.Uint64("hot-threshold", 1, "minimum block samples to be hot")
 		workers   = flag.Int("workers", 0, "analysis parallelism: 0 = all cores, 1 = serial (§4.7; output is identical either way)")
 		ignoreBID = flag.Bool("ignore-build-id", false, "accept profiles whose build ID does not match the binary")
@@ -75,7 +79,6 @@ func main() {
 	}
 	cfg := wpa.Config{
 		InterProc:     *interProc,
-		NaiveExtTSP:   *naive,
 		HotThreshold:  *hot,
 		Workers:       *workers,
 		BuildID:       bin.BuildID,

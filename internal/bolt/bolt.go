@@ -366,7 +366,7 @@ func (b *boltCtx) layoutBlocks(fn *dFunc) (hot []*dBlock, cold []*dBlock) {
 			g.Edges = append(g.Edges, exttsp.Edge{Src: idx[src], Dst: idx[dst], Weight: edges[k]})
 		}
 	}
-	order, err := exttsp.Layout(g, exttsp.Options{ForcedFirst: 0, UseHeap: true})
+	order, err := exttsp.Layout(g, exttsp.Options{ForcedFirst: 0})
 	if err != nil {
 		// Fall back to the original order; layout is best-effort.
 		order = make([]int, len(fn.blocks))

@@ -156,7 +156,7 @@ func TestFleetAnalysisClonesPaths(t *testing.T) {
 	}
 
 	loadMap := func() (*bbaddrmap.Map, error) { return bbaddrmap.Decode(bin.BBAddrMap) }
-	_, err = wpa.Analyze(loadMap, wpa.Wire(bytes.NewReader(merged.AppendWire(nil))), wpa.Config{PathClone: true, BuildID: bin.BuildID})
+	_, err = wpa.Analyze(loadMap, wpa.Wire(bytes.NewReader(merged.AppendWire(nil))), wpa.Config{Policy: wpa.Policy{PathClone: true}, BuildID: bin.BuildID})
 	if err == nil || !strings.Contains(err.Error(), "HotPaths") {
 		t.Errorf("wire source with PathClone and no HotPaths: got %v, want an error naming the missing paths", err)
 	}

@@ -30,19 +30,18 @@ import (
 )
 
 // LayoutPolicy names one contender: a complete layout configuration
-// LayoutEval maps onto wpa.Config.
+// LayoutEval maps onto wpa.Config. The base policy's fields are inlined
+// in its JSON, between interProc and funcPolicies.
 type LayoutPolicy struct {
-	Name           string        `json:"name"`
-	InterProc      bool          `json:"interProc,omitempty"`
-	KeepBlockOrder bool          `json:"keepBlockOrder,omitempty"`
-	PathClone      bool          `json:"pathClone,omitempty"`
-	Params         exttsp.Params `json:"params,omitempty"`
+	Name      string `json:"name"`
+	InterProc bool   `json:"interProc,omitempty"`
+	wpa.Policy
 
 	// FuncPolicies mixes per-function overrides into the base policy:
 	// each named hot function gets its own knobs while every other
-	// function keeps the fields above. This is the shape the automated
+	// function keeps the base Policy. This is the shape the automated
 	// policy search emits (internal/policysearch).
-	FuncPolicies map[string]wpa.FuncPolicy `json:"funcPolicies,omitempty"`
+	FuncPolicies map[string]wpa.Policy `json:"funcPolicies,omitempty"`
 }
 
 // DefaultLayoutPolicies is the standing field the policy search races
@@ -55,14 +54,14 @@ func DefaultLayoutPolicies() []LayoutPolicy {
 		{Name: "exttsp"},
 		// hfsort+-style call-chain-first: only the C3 function order and
 		// the hot/cold split move code; blocks keep their original order.
-		{Name: "callchain", KeepBlockOrder: true},
+		{Name: "callchain", Policy: wpa.Policy{KeepBlockOrder: true}},
 		// Path-cloned Ext-TSP: hot paths reconstructed from the LBR
 		// stream are cloned into fall-through chains before layout.
-		{Name: "pathclone", PathClone: true},
+		{Name: "pathclone", Policy: wpa.Policy{PathClone: true}},
 		// Weight sweep: stronger, flatter forward preference.
-		{Name: "fw-heavy", Params: exttsp.Params{ForwardWeight: 0.4, BackwardWeight: 0.05}},
+		{Name: "fw-heavy", Policy: wpa.Policy{ExtTSP: exttsp.Params{ForwardWeight: 0.4, BackwardWeight: 0.05}}},
 		// Window sweep: doubled proximity windows.
-		{Name: "window-2x", Params: exttsp.Params{ForwardWindow: 2048, BackwardWindow: 1280}},
+		{Name: "window-2x", Policy: wpa.Policy{ExtTSP: exttsp.Params{ForwardWindow: 2048, BackwardWindow: 1280}}},
 	}
 }
 
@@ -76,34 +75,10 @@ func PolicyByName(name string) (LayoutPolicy, bool) {
 	return LayoutPolicy{}, false
 }
 
-// needsPaths reports whether any part of the policy (base or per-func
-// override) consumes reconstructed hot paths.
-func (p LayoutPolicy) needsPaths() bool {
-	if p.PathClone {
-		return true
-	}
-	for _, fp := range p.FuncPolicies {
-		if fp.PathClone {
-			return true
-		}
-	}
-	return false
-}
-
-// wpaConfig maps the policy onto the analyzer configuration.
-func (p LayoutPolicy) wpaConfig(workers int, paths wpa.PathSet) wpa.Config {
-	cfg := wpa.Config{
-		InterProc:      p.InterProc,
-		KeepBlockOrder: p.KeepBlockOrder,
-		PathClone:      p.PathClone,
-		ExtTSP:         p.Params,
-		FuncPolicies:   p.FuncPolicies,
-		Workers:        workers,
-	}
-	if p.needsPaths() {
-		cfg.HotPaths = paths
-	}
-	return cfg
+// wpaConfig maps the policy onto the analyzer configuration. The hot
+// paths are read only by a policy that clones them.
+func (p LayoutPolicy) wpaConfig(paths wpa.PathSet) wpa.Config {
+	return wpa.Config{InterProc: p.InterProc, Policy: p.Policy, FuncPolicies: p.FuncPolicies, HotPaths: paths}
 }
 
 // evalSlots is the modeled build executor width of every layout
@@ -328,7 +303,7 @@ func NewLayoutEval(spec workload.Spec, b core.Budget) (*LayoutEval, error) {
 	if err != nil {
 		return nil, fmt.Errorf("eval %s: %w", spec.Name, err)
 	}
-	paths, err := wpa.ReconstructPaths(pb.m, pb.prof, wpa.PathOptions{})
+	paths, err := wpa.ReconstructPaths(pb.m, pb.prof)
 	if err != nil {
 		return nil, err
 	}
@@ -402,7 +377,8 @@ func (e *LayoutEval) HotFuncs(n int) []string { return e.agg.HotFuncs(n) }
 // insts).
 func (e *LayoutEval) EvaluateInsts(pol LayoutPolicy, insts uint64) (LayoutCell, error) {
 	cell := LayoutCell{Workload: e.spec.Name, Policy: pol.Name, IdenticalAcrossWorkers: true}
-	if pol.needsPaths() {
+	cfg := pol.wpaConfig(e.paths)
+	if cfg.NeedsPaths() {
 		cell.HotPathFuncs = len(e.paths)
 	}
 
@@ -412,7 +388,8 @@ func (e *LayoutEval) EvaluateInsts(pol LayoutPolicy, insts uint64) (LayoutCell, 
 	var firstCC, firstLD []byte
 	start := time.Now()
 	for wi, w := range replayWorkers {
-		wcfg := pol.wpaConfig(w, e.paths)
+		wcfg := cfg
+		wcfg.Workers = w
 		if wi == 0 {
 			wcfg.Cache, wcfg.ProfileEpoch = e.cache, e.spec.Name
 		}

@@ -28,8 +28,8 @@ func TestLayoutEvalReplaysUncached(t *testing.T) {
 	pol, _ := PolicyByName("fw-heavy")
 
 	// One analysis's worth: a second analysis against a warm cache.
-	cfg := pol.wpaConfig(1, e.paths)
-	cfg.Cache, cfg.ProfileEpoch = buildsys.NewCache(), "probe"
+	cfg := pol.wpaConfig(e.paths)
+	cfg.Workers, cfg.Cache, cfg.ProfileEpoch = 1, buildsys.NewCache(), "probe"
 	for i := 0; i < 2; i++ {
 		if _, err := wpa.Analyze(func() (*bbaddrmap.Map, error) { return e.m, nil }, wpa.Prebuilt(e.agg), cfg); err != nil {
 			t.Fatal(err)

@@ -42,11 +42,11 @@ func TestHeapNaiveScoreEquivalence(t *testing.T) {
 		if rng.Intn(2) == 0 {
 			forced = rng.Intn(n)
 		}
-		on, err := Layout(g, Options{ForcedFirst: forced})
+		on, err := layoutNaive(g, Options{ForcedFirst: forced})
 		if err != nil {
 			t.Fatal(err)
 		}
-		oh, err := Layout(g, Options{ForcedFirst: forced, UseHeap: true})
+		oh, err := Layout(g, Options{ForcedFirst: forced})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -107,19 +107,19 @@ func TestTunedMatchesUntunedReference(t *testing.T) {
 		}
 	}
 	for i, tc := range cases {
-		for _, useHeap := range []bool{false, true} {
-			opts := Options{ForcedFirst: 0, UseHeap: useHeap}
-			got, err := Layout(tc.g, opts)
+		for _, r := range retrievals {
+			opts := Options{ForcedFirst: 0}
+			got, err := r.layout(tc.g, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
 			want := untunedLayout(tc.g, opts)
 			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("case %d (%s) heap=%v: tuned layout diverged from untuned reference\ntuned   %v\nuntuned %v",
-					i, tc.name, useHeap, got, want)
+				t.Fatalf("case %d (%s) %s: tuned layout diverged from untuned reference\ntuned   %v\nuntuned %v",
+					i, tc.name, r.name, got, want)
 			}
 			if gs, ws := Score(tc.g, got), Score(tc.g, want); gs != ws {
-				t.Fatalf("case %d (%s) heap=%v: tuned score %v != untuned score %v", i, tc.name, useHeap, gs, ws)
+				t.Fatalf("case %d (%s) %s: tuned score %v != untuned score %v", i, tc.name, r.name, gs, ws)
 			}
 		}
 	}
@@ -307,35 +307,6 @@ func (st *refState) applyMerge(c refCandidate) {
 	}
 }
 
-func (st *refState) runNaive() {
-	for {
-		var best refCandidate
-		found := false
-		for _, x := range st.chains {
-			if x.dead {
-				continue
-			}
-			for _, yid := range st.neighbors(x) {
-				if yid <= x.id {
-					continue
-				}
-				y := st.chains[yid]
-				if y.dead {
-					continue
-				}
-				if c, ok := st.bestMerge(x, y); ok && (!found || c.gain > best.gain) {
-					best = c
-					found = true
-				}
-			}
-		}
-		if !found {
-			return
-		}
-		st.applyMerge(best)
-	}
-}
-
 func (st *refState) runHeap() {
 	h := &refHeap{}
 	push := func(x, y *refChain) {
@@ -410,10 +381,6 @@ func untunedLayout(g *Graph, opts Options) []int {
 		return nil
 	}
 	st := newRefState(g, opts)
-	if opts.UseHeap {
-		st.runHeap()
-	} else {
-		st.runNaive()
-	}
+	st.runHeap()
 	return st.finalOrder()
 }

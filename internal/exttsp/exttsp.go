@@ -7,16 +7,12 @@
 // an edge contributes its full weight when target directly follows source
 // (fall-through), and a decaying fraction for short forward or backward
 // jumps. The optimizer greedily merges chains of blocks by the most
-// profitable merge. Two retrieval strategies are provided:
-//
-//   - naive: rescan all chain pairs per merge, the textbook formulation;
-//   - heap: a priority queue with lazy invalidation, the "logarithmic time
-//     retrieval of the most profitable action" improvement §4.7 describes
-//     as necessary at warehouse scale.
-//
-// Both strategies evaluate the same candidate set with the same
-// tie-breaking and produce identical layouts; only the retrieval cost
-// differs, which is what the ablation benchmark measures.
+// profitable merge, retrieved from a priority queue with lazy
+// invalidation: the "logarithmic time retrieval of the most profitable
+// action" §4.7 describes as necessary at warehouse scale. The textbook
+// formulation, which rescans every chain pair per merge, is kept in the
+// package's tests (naive_test.go) as the reference the heap must replay
+// merge for merge, and as the quadratic arm of BenchmarkAblationExtTSP.
 //
 // A merge is priced without being built. A candidate is a split point —
 // the order x[:i]·y·x[i:] — and bestMerge is filter-and-refine: price
@@ -128,10 +124,6 @@ type Options struct {
 	// ForcedFirst, when >= 0, pins the given node to position 0 of the
 	// final order (the function entry for intra-function layout).
 	ForcedFirst int
-
-	// UseHeap selects the priority-queue merge retrieval; false selects
-	// the naive quadratic rescan (kept for the ablation benchmark).
-	UseHeap bool
 
 	// MaxSplitChain bounds the chain length for which split-point merges
 	// (X1-Y-X2) are explored; longer chains only try concatenations.
@@ -310,7 +302,7 @@ type state struct {
 	// batches bring their own scratch.
 	sc priceScratch
 	// pool, when non-nil, is LayoutParallel's helper pool and batch the
-	// hand-off runHeap offers it, reused from merge to merge
+	// hand-off run offers it, reused from merge to merge
 	// (parallel.go). Layout leaves both nil and allocates for neither.
 	pool  *pool
 	batch *batch
@@ -389,16 +381,6 @@ func adjacency(g *Graph) (out, in [][]int, tOff []int) {
 		lists[n+e.Dst] = append(lists[n+e.Dst], ei)
 	}
 	return lists[:n], lists[n:], deg[:n+1]
-}
-
-// run merges chains until no profitable merge is left, with the
-// configured retrieval.
-func (st *state) run() {
-	if st.opts.UseHeap {
-		st.runHeap()
-	} else {
-		st.runNaive()
-	}
 }
 
 // neighbors returns the live chain ids connected to chain c, ascending.
@@ -775,9 +757,9 @@ func (st *state) price(sc *priceScratch, x, y *chain, xFirst, yFirst bool) (appr
 
 // bestMerge finds the highest-gain combination of two chains, honoring the
 // forced-first constraint; ok is false when no combination is legal and
-// profitable. Both retrieval strategies call it with x.id < y.id, so the
-// explored candidate set — and therefore the final layout — is identical
-// for the naive and heap variants.
+// profitable. Callers pass x.id < y.id, so the explored candidate set —
+// and therefore the final layout — is the one the naive rescan in the
+// tests explores.
 //
 // It is filter-and-refine. price approximates every candidate's gain to
 // within eps of the canonical gain, so with top the best approximation the
@@ -838,45 +820,13 @@ func (st *state) applyMerge(c mergeCandidate) {
 	y.gen++
 }
 
-// runNaive repeatedly scans all connected chain pairs for the single best
-// merge. This is the quadratic baseline the ablation benchmark compares
-// against.
-func (st *state) runNaive() {
-	for {
-		var best mergeCandidate
-		found := false
-		for _, x := range st.chains {
-			if x.dead {
-				continue
-			}
-			for _, yid := range st.neighbors(x) {
-				if yid <= x.id {
-					continue // each unordered pair once
-				}
-				y := st.chains[yid]
-				if y.dead {
-					continue
-				}
-				if c, ok := st.bestMerge(&st.sc, x, y); ok && (!found || c.gain > best.gain) {
-					best = c
-					found = true
-				}
-			}
-		}
-		if !found {
-			return
-		}
-		st.applyMerge(best)
-	}
-}
-
 // candidateHeap is a binary max-heap of merge candidates with lazy
 // invalidation. Ties on gain break toward the lexicographically smallest
 // (x, y) pair — exactly the pair the naive scan (ascending x, then
 // ascending neighbor) would have committed to — so heap retrieval replays
-// the naive merge sequence and the two strategies produce identical
-// layouts. It sifts the slice itself: container/heap would box every
-// pushed candidate into an interface, one allocation per push.
+// the naive merge sequence and lays out exactly what the naive rescan
+// kept in the tests does. It sifts the slice itself: container/heap would
+// box every pushed candidate into an interface, one allocation per push.
 type candidateHeap []mergeCandidate
 
 func (h candidateHeap) before(i, j int) bool {
@@ -938,9 +888,10 @@ func (st *state) rescore(sc *priceScratch, x, nb *chain) (mergeCandidate, bool) 
 	return st.bestMerge(sc, x, nb)
 }
 
-// runHeap retrieves the most profitable merge from a priority queue,
-// re-seeding candidates only for the chains a merge touched.
-func (st *state) runHeap() {
+// run merges chains until no profitable merge is left, retrieving the
+// most profitable one from a priority queue and re-seeding candidates only
+// for the chains a merge touched.
+func (st *state) run() {
 	var h candidateHeap
 	for _, x := range st.chains {
 		if x.dead {

@@ -35,14 +35,14 @@ func checkPermutation(t *testing.T, order []int, n int) {
 
 func TestDiamondPrefersHotPath(t *testing.T) {
 	g := diamondGraph()
-	for _, useHeap := range []bool{false, true} {
-		order, err := Layout(g, Options{ForcedFirst: 0, UseHeap: useHeap})
+	for _, r := range retrievals {
+		order, err := r.layout(g, Options{ForcedFirst: 0})
 		if err != nil {
 			t.Fatal(err)
 		}
 		checkPermutation(t, order, 4)
 		if order[0] != 0 {
-			t.Errorf("heap=%v: entry not first: %v", useHeap, order)
+			t.Errorf("%s: entry not first: %v", r.name, order)
 		}
 		// The hot chain 0-1-3 must be contiguous.
 		pos := map[int]int{}
@@ -50,7 +50,7 @@ func TestDiamondPrefersHotPath(t *testing.T) {
 			pos[v] = i
 		}
 		if pos[1] != pos[0]+1 || pos[3] != pos[1]+1 {
-			t.Errorf("heap=%v: hot path not contiguous: %v", useHeap, order)
+			t.Errorf("%s: hot path not contiguous: %v", r.name, order)
 		}
 	}
 }
@@ -95,13 +95,13 @@ func TestForcedFirstRespected(t *testing.T) {
 		Nodes: []Node{{Size: 8, Count: 10}, {Size: 8, Count: 1000}},
 		Edges: []Edge{{Src: 1, Dst: 0, Weight: 1000}},
 	}
-	for _, useHeap := range []bool{false, true} {
-		order, err := Layout(g, Options{ForcedFirst: 0, UseHeap: useHeap})
+	for _, r := range retrievals {
+		order, err := r.layout(g, Options{ForcedFirst: 0})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if order[0] != 0 {
-			t.Errorf("heap=%v: forced-first violated: %v", useHeap, order)
+			t.Errorf("%s: forced-first violated: %v", r.name, order)
 		}
 	}
 }
@@ -159,18 +159,18 @@ func TestLayoutQualityProperty(t *testing.T) {
 			identity[i] = i
 		}
 		idScore := Score(g, identity)
-		for _, useHeap := range []bool{false, true} {
-			order, err := Layout(g, Options{ForcedFirst: 0, UseHeap: useHeap})
+		for _, r := range retrievals {
+			order, err := r.layout(g, Options{ForcedFirst: 0})
 			if err != nil {
 				t.Fatal(err)
 			}
 			checkPermutation(t, order, n)
 			if order[0] != 0 {
-				t.Fatalf("trial %d heap=%v: entry not first", trial, useHeap)
+				t.Fatalf("trial %d %s: entry not first", trial, r.name)
 			}
 			s := Score(g, order)
 			if s < 0.5*idScore {
-				t.Errorf("trial %d heap=%v: score %f far below identity %f", trial, useHeap, s, idScore)
+				t.Errorf("trial %d %s: score %f far below identity %f", trial, r.name, s, idScore)
 			}
 		}
 	}
@@ -183,11 +183,11 @@ func TestHeapMatchesNaiveQuality(t *testing.T) {
 	var naiveTotal, heapTotal float64
 	for trial := 0; trial < 20; trial++ {
 		g := randGraph(rng, 2+rng.Intn(30))
-		on, err := Layout(g, Options{ForcedFirst: 0})
+		on, err := layoutNaive(g, Options{ForcedFirst: 0})
 		if err != nil {
 			t.Fatal(err)
 		}
-		oh, err := Layout(g, Options{ForcedFirst: 0, UseHeap: true})
+		oh, err := Layout(g, Options{ForcedFirst: 0})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -202,11 +202,11 @@ func TestHeapMatchesNaiveQuality(t *testing.T) {
 func TestDeterministic(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	g := randGraph(rng, 25)
-	for _, useHeap := range []bool{false, true} {
-		a, _ := Layout(g, Options{ForcedFirst: 0, UseHeap: useHeap})
-		b, _ := Layout(g, Options{ForcedFirst: 0, UseHeap: useHeap})
+	for _, r := range retrievals {
+		a, _ := r.layout(g, Options{ForcedFirst: 0})
+		b, _ := r.layout(g, Options{ForcedFirst: 0})
 		if !reflect.DeepEqual(a, b) {
-			t.Errorf("heap=%v: nondeterministic layout", useHeap)
+			t.Errorf("%s: nondeterministic layout", r.name)
 		}
 	}
 }
@@ -234,12 +234,12 @@ func TestMaxSplitChainBoundsSearch(t *testing.T) {
 	g := randGraph(rng, 60)
 	// A tiny split bound must still produce a valid permutation; quality
 	// may differ from the default, but never validity.
-	order, err := Layout(g, Options{ForcedFirst: 0, MaxSplitChain: 1, UseHeap: true})
+	order, err := Layout(g, Options{ForcedFirst: 0, MaxSplitChain: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	checkPermutation(t, order, 60)
-	def, err := Layout(g, Options{ForcedFirst: 0, UseHeap: true})
+	def, err := Layout(g, Options{ForcedFirst: 0})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -334,18 +334,22 @@ func checkFold(t *testing.T, st *state, c *chain) {
 	}
 }
 
-// matchesReference holds Layout under each given retrieval (UseHeap
-// values) to the materialising reference, node for node.
-func matchesReference(t *testing.T, g *Graph, opts Options, retrievals ...bool) {
+// matchesReference holds Layout, and with naive the quadratic rescan as
+// well, to the materialising reference, node for node.
+func matchesReference(t *testing.T, g *Graph, opts Options, naive bool) {
 	t.Helper()
-	for _, useHeap := range retrievals {
-		opts.UseHeap = useHeap
-		got, err := Layout(g, opts)
+	layouts := []func(*Graph, Options) ([]int, error){Layout}
+	if naive {
+		layouts = append(layouts, layoutNaive)
+	}
+	want := untunedLayout(g, opts)
+	for i, layout := range layouts {
+		got, err := layout(g, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if want := untunedLayout(g, opts); !reflect.DeepEqual(got, want) {
-			t.Fatalf("heap=%v: layout diverged from the reference\n got %v\nwant %v", useHeap, got, want)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("naive=%v: layout diverged from the reference\n got %v\nwant %v", i == 1, got, want)
 		}
 	}
 }
@@ -444,7 +448,7 @@ func TestEdgeCasesMatchReference(t *testing.T) {
 		name string
 		g    func(rng *rand.Rand) *Graph
 		opts Options
-		// heapOnly skips the naive arms, cubic in a 160-node backbone.
+		// heapOnly skips the naive rescan, cubic in a 160-node backbone.
 		heapOnly bool
 	}
 	zeroHeavy := func(rng *rand.Rand) *Graph {
@@ -496,11 +500,10 @@ func TestEdgeCasesMatchReference(t *testing.T) {
 		t.Run(r.name, func(t *testing.T) {
 			for seed := int64(1); seed <= 3; seed++ {
 				g := r.g(rand.New(rand.NewSource(seed)))
+				matchesReference(t, g, r.opts, !r.heapOnly)
 				if r.heapOnly {
-					matchesReference(t, g, r.opts, true)
 					continue
 				}
-				matchesReference(t, g, r.opts, false, true)
 				lockstep(t, g, r.opts)
 			}
 		})
@@ -515,7 +518,7 @@ func TestEdgeCasesMatchReference(t *testing.T) {
 func TestLayoutAllocs(t *testing.T) {
 	const n = 2000
 	g := fuzzGraph(rand.New(rand.NewSource(2000)), n)
-	opts := Options{ForcedFirst: -1, UseHeap: true}
+	opts := Options{ForcedFirst: -1}
 	allocs := testing.AllocsPerRun(3, func() {
 		if _, err := Layout(g, opts); err != nil {
 			t.Fatal(err)
@@ -534,7 +537,7 @@ func TestLayoutAllocs(t *testing.T) {
 // channel, no goroutine.
 func TestLayoutSerialAllocs(t *testing.T) {
 	g := fuzzGraph(rand.New(rand.NewSource(64)), 64)
-	opts := Options{ForcedFirst: 0, UseHeap: true}
+	opts := Options{ForcedFirst: 0}
 	allocs := testing.AllocsPerRun(20, func() {
 		if _, err := Layout(g, opts); err != nil {
 			t.Fatal(err)

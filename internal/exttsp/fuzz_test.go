@@ -100,11 +100,10 @@ func FuzzHeapNaiveEquivalence(f *testing.F) {
 		if g == nil {
 			return
 		}
-		on, err := Layout(g, opts)
+		on, err := layoutNaive(g, opts)
 		if err != nil {
 			t.Fatalf("naive layout: %v", err)
 		}
-		opts.UseHeap = true
 		oh, err := Layout(g, opts)
 		if err != nil {
 			t.Fatalf("heap layout: %v", err)

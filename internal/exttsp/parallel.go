@@ -68,10 +68,9 @@ func Components(g *Graph) [][]int {
 // LayoutParallel is Layout on workers cores: the caller's merge state
 // shares each large enough re-scoring batch with workers-1 helpers that
 // are gone when it returns. The final order is identical to Layout's at
-// every worker count. workers <= 1 and the naive retrieval, which never
-// offers a batch, are the serial path.
+// every worker count. workers <= 1 is the serial path.
 func LayoutParallel(g *Graph, opts Options, workers int) ([]int, error) {
-	if workers <= 1 || len(g.Nodes) == 0 || !opts.UseHeap {
+	if workers <= 1 || len(g.Nodes) == 0 {
 		return Layout(g, opts)
 	}
 	if err := validate(g, opts); err != nil {
@@ -103,7 +102,7 @@ func layoutPooled(g *Graph, opts Options, workers, minWork int) []int {
 	return st.finalOrder()
 }
 
-// batchMinWork is the least work estimate (batchWork) at which runHeap
+// batchMinWork is the least work estimate (batchWork) at which run
 // offers a batch to the pool. Sized on the Bigtable hot graph (one
 // component of 2 171 blocks, BenchmarkLayoutInterProc, GOMAXPROCS=2, 20
 // layouts), time per batch with the owner alone against owner plus one
@@ -183,7 +182,7 @@ func (st *state) batchWork(x *chain, nbs []int) int {
 	return work
 }
 
-// scoreBatch is runHeap's re-scoring loop shared with the pool: it returns
+// scoreBatch is run's re-scoring loop shared with the pool: it returns
 // the candidate of every neighbour in nbs, by index, exactly as the serial
 // loop computes them, for the caller to push in that order. The slice is
 // reused by the next call.

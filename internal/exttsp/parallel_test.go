@@ -45,8 +45,7 @@ func TestComponentsPartition(t *testing.T) {
 
 // TestLayoutParallelMatchesSerial: on multi-component graphs, run through
 // the one pooled merge state, LayoutParallel must reproduce the serial
-// whole-graph layout exactly, for both retrieval strategies, with and
-// without a forced-first node.
+// whole-graph layout exactly, with and without a forced-first node.
 func TestLayoutParallelMatchesSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(4407))
 	for trial := 0; trial < 60; trial++ {
@@ -55,21 +54,19 @@ func TestLayoutParallelMatchesSerial(t *testing.T) {
 		if rng.Intn(2) == 0 {
 			forced = rng.Intn(len(g.Nodes))
 		}
-		for _, useHeap := range []bool{false, true} {
-			opts := Options{ForcedFirst: forced, UseHeap: useHeap}
-			want, err := Layout(g, opts)
+		opts := Options{ForcedFirst: forced}
+		want, err := Layout(g, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, w := range []int{2, 3, 8} {
+			got, err := LayoutParallel(g, opts, w)
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, w := range []int{2, 3, 8} {
-				got, err := LayoutParallel(g, opts, w)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("trial %d heap=%v workers=%d: parallel layout diverged\nserial   %v\nparallel %v",
-						trial, useHeap, w, want, got)
-				}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("trial %d workers=%d: parallel layout diverged\nserial   %v\nparallel %v",
+					trial, w, want, got)
 			}
 		}
 	}
@@ -82,7 +79,7 @@ func TestLayoutParallelMatchesSerial(t *testing.T) {
 func TestLayoutParallelAllocs(t *testing.T) {
 	const extra = 16
 	rng := rand.New(rand.NewSource(37))
-	opts := Options{ForcedFirst: -1, UseHeap: true}
+	opts := Options{ForcedFirst: -1}
 	for _, islands := range []int{1, 3, 6, 12} {
 		g := islandGraph(rng, islands)
 		serial := testing.AllocsPerRun(20, func() {
@@ -152,10 +149,10 @@ func TestLayoutParallelOneComponent(t *testing.T) {
 	if testing.Short() {
 		big = 600
 	}
-	check("big", connectedGraph(rng, big), Options{ForcedFirst: -1, UseHeap: true}, 0)
+	check("big", connectedGraph(rng, big), Options{ForcedFirst: -1}, 0)
 	for trial := 0; trial < 40; trial++ {
 		n := 2 + rng.Intn(70)
-		opts := Options{ForcedFirst: rng.Intn(n+1) - 1, UseHeap: true}
+		opts := Options{ForcedFirst: rng.Intn(n+1) - 1}
 		if trial%4 == 3 {
 			opts.MaxSplitChain = 1 + rng.Intn(6)
 		}
@@ -170,7 +167,7 @@ func TestLayoutParallelOneComponent(t *testing.T) {
 // a validate error.
 func TestLayoutParallelLeavesNoGoroutines(t *testing.T) {
 	g := islandGraph(rand.New(rand.NewSource(24)), 5)
-	opts := Options{ForcedFirst: -1, UseHeap: true}
+	opts := Options{ForcedFirst: -1}
 	calls := []struct {
 		name    string
 		call    func() ([]int, error)
@@ -178,7 +175,7 @@ func TestLayoutParallelLeavesNoGoroutines(t *testing.T) {
 	}{
 		{"success", func() ([]int, error) { return layoutParallelMinWork(g, opts, 4, 0) }, false},
 		{"validate error", func() ([]int, error) {
-			return LayoutParallel(g, Options{ForcedFirst: len(g.Nodes), UseHeap: true}, 4)
+			return LayoutParallel(g, Options{ForcedFirst: len(g.Nodes)}, 4)
 		}, true},
 	}
 	for _, c := range calls {

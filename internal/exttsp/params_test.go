@@ -28,22 +28,22 @@ func TestZeroParamsAreGoldenDefaults(t *testing.T) {
 		graphs = append(graphs, randGraph(rng, 2+rng.Intn(40)))
 	}
 	for gi, g := range graphs {
-		for _, useHeap := range []bool{false, true} {
-			zero, err := Layout(g, Options{ForcedFirst: 0, UseHeap: useHeap})
+		for _, r := range retrievals {
+			zero, err := r.layout(g, Options{ForcedFirst: 0})
 			if err != nil {
 				t.Fatal(err)
 			}
-			expl, err := Layout(g, Options{ForcedFirst: 0, UseHeap: useHeap, Params: explicit})
+			expl, err := r.layout(g, Options{ForcedFirst: 0, Params: explicit})
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !reflect.DeepEqual(zero, expl) {
-				t.Fatalf("graph %d heap=%v: zero-Params layout %v != explicit-defaults layout %v",
-					gi, useHeap, zero, expl)
+				t.Fatalf("graph %d %s: zero-Params layout %v != explicit-defaults layout %v",
+					gi, r.name, zero, expl)
 			}
 			if zs, es := ScoreWith(g, zero, Params{}, nil), ScoreWith(g, zero, explicit, nil); zs != es {
-				t.Fatalf("graph %d heap=%v: zero-Params score %v != explicit-defaults score %v",
-					gi, useHeap, zs, es)
+				t.Fatalf("graph %d %s: zero-Params score %v != explicit-defaults score %v",
+					gi, r.name, zs, es)
 			}
 		}
 	}
@@ -74,7 +74,7 @@ func TestConcurrentDistinctParams(t *testing.T) {
 	pB := Params{ForwardWeight: 0.4, BackwardWeight: 0.05, ForwardWindow: 2048, BackwardWindow: 1280}
 
 	run := func(p Params) ([]int, float64) {
-		order, err := Layout(g, Options{ForcedFirst: 0, UseHeap: true, Params: p})
+		order, err := Layout(g, Options{ForcedFirst: 0, Params: p})
 		if err != nil {
 			t.Error(err)
 			return nil, 0
@@ -96,7 +96,7 @@ func TestConcurrentDistinctParams(t *testing.T) {
 			defer wg.Done()
 			scratch := &Scratch{}
 			for i := 0; i < 20; i++ {
-				order, err := Layout(g, Options{ForcedFirst: 0, UseHeap: true, Params: side.p})
+				order, err := Layout(g, Options{ForcedFirst: 0, Params: side.p})
 				if err != nil {
 					t.Error(err)
 					return

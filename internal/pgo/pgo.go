@@ -153,7 +153,7 @@ func LayoutBlocks(m *ir.Module) error {
 			}
 		}
 		entryIdx := index[f.Entry()]
-		order, err := exttsp.Layout(g, exttsp.Options{ForcedFirst: entryIdx, UseHeap: true})
+		order, err := exttsp.Layout(g, exttsp.Options{ForcedFirst: entryIdx})
 		if err != nil {
 			return fmt.Errorf("pgo: %s: %w", f.Name, err)
 		}

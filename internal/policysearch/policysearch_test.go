@@ -2,8 +2,10 @@ package policysearch
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"math"
+	"os"
 	"reflect"
 	"runtime"
 	"strings"
@@ -12,6 +14,7 @@ import (
 
 	"propeller/internal/eval"
 	"propeller/internal/exttsp"
+	"propeller/internal/wpa"
 )
 
 // fakeEval is a synthetic fitness surface with a known structure: the
@@ -35,7 +38,7 @@ func min(a, b int) int {
 }
 
 func (f *fakeEval) EvaluateInsts(pol eval.LayoutPolicy, insts uint64) (eval.LayoutCell, error) {
-	p := pol.Params.Resolve()
+	p := pol.ExtTSP.Resolve()
 	score := 1_000_000.0
 	score += 50_000 * math.Abs(math.Log(p.ForwardWeight/0.3))
 	if pol.KeepBlockOrder {
@@ -183,7 +186,7 @@ func TestMemoDedupes(t *testing.T) {
 	}
 
 	// The memo key must ignore Name and nothing else: walk LayoutPolicy by
-	// reflection (into Params and one FuncPolicies override), perturb one
+	// reflection (into the base Policy and one FuncPolicies override), perturb one
 	// field at a time, and require every perturbation to yield a key of
 	// its own. A policy field added without reaching the key would make
 	// the memo serve one policy's measurement to another.
@@ -281,6 +284,57 @@ func TestPolicyTableRoundTrip(t *testing.T) {
 	}
 }
 
+// TestPolicyJSONGolden pins the policy JSON that layout tables and the
+// search's memo keys are made of: the default policies, a policy with
+// every field set and the table a seeded search learns, with per-function
+// overrides, are byte-identical to testdata/policy_json.golden, written
+// when the base policy's fields were LayoutPolicy's own. A renamed or
+// reordered field of the embedded wpa.Policy fails here.
+func TestPolicyJSONGolden(t *testing.T) {
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	enc.SetIndent("", "  ")
+	if err := enc.Encode(eval.DefaultLayoutPolicies()); err != nil {
+		t.Fatal(err)
+	}
+	every := eval.LayoutPolicy{
+		Name:      "every-field",
+		InterProc: true,
+		Policy: wpa.Policy{KeepBlockOrder: true, PathClone: true, ExtTSP: exttsp.Params{
+			FallthroughWeight: 1.5, ForwardWeight: 0.25, BackwardWeight: 0.125, ForwardWindow: 512, BackwardWindow: 256,
+		}},
+		FuncPolicies: map[string]wpa.Policy{
+			"f": {KeepBlockOrder: true, PathClone: true, ExtTSP: exttsp.Params{ForwardWeight: 0.5, BackwardWindow: 64}},
+			"g": {},
+		},
+	}
+	if err := enc.Encode(every); err != nil {
+		t.Fatal(err)
+	}
+	res, err := Search(Config{Seed: 1, Workers: 1}, fakeWorkloads())
+	if err != nil {
+		t.Fatal(err)
+	}
+	table := res.Table()
+	overrides := 0
+	for _, pol := range table.Workloads {
+		overrides += len(pol.FuncPolicies)
+	}
+	if overrides == 0 {
+		t.Fatal("the learned table has no per-function override to pin")
+	}
+	if err := table.WriteTable(&buf); err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile("testdata/policy_json.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := buf.Bytes(); !bytes.Equal(got, want) {
+		t.Errorf("policy JSON moved:\n got %s\nwant %s", got, want)
+	}
+}
+
 // failEval is fakeEval with a failure for chosen ForwardWeights; a lower
 // weight sleeps longer, so the lower-index failure finishes last.
 type failEval struct {
@@ -289,7 +343,7 @@ type failEval struct {
 }
 
 func (f *failEval) EvaluateInsts(pol eval.LayoutPolicy, insts uint64) (eval.LayoutCell, error) {
-	w := pol.Params.ForwardWeight
+	w := pol.ExtTSP.ForwardWeight
 	time.Sleep(time.Duration((1-w)*400) * time.Microsecond)
 	if f.fail[w] {
 		return eval.LayoutCell{}, fmt.Errorf("weight %g failed", w)
@@ -302,7 +356,7 @@ func (f *failEval) EvaluateInsts(pol eval.LayoutPolicy, insts uint64) (eval.Layo
 // worker count and commits nothing.
 func TestEvalBatchLowestFailureAmongMemoHits(t *testing.T) {
 	cand := func(i int) Candidate {
-		return Candidate{Policy: eval.LayoutPolicy{Name: fmt.Sprint(i), Params: exttsp.Params{ForwardWeight: 0.1 * float64(i+1)}}}
+		return Candidate{Policy: eval.LayoutPolicy{Name: fmt.Sprint(i), Policy: wpa.Policy{ExtTSP: exttsp.Params{ForwardWeight: 0.1 * float64(i+1)}}}}
 	}
 	for _, workers := range []int{1, 2, 8} {
 		ev := &failEval{fakeEval: fakeEval{full: 1 << 20}, fail: map[float64]bool{}}
@@ -314,9 +368,9 @@ func TestEvalBatchLowestFailureAmongMemoHits(t *testing.T) {
 		for i := 0; i < 8; i++ {
 			cands = append(cands, cand(i))
 		}
-		ev.fail[cands[3].Policy.Params.ForwardWeight] = true
-		ev.fail[cands[6].Policy.Params.ForwardWeight] = true
-		want := fmt.Sprintf("weight %g failed", cands[3].Policy.Params.ForwardWeight)
+		ev.fail[cands[3].Policy.ExtTSP.ForwardWeight] = true
+		ev.fail[cands[6].Policy.ExtTSP.ForwardWeight] = true
+		want := fmt.Sprintf("weight %g failed", cands[3].Policy.ExtTSP.ForwardWeight)
 		for round := 0; round < 5; round++ {
 			_, err := p.evalBatch(cands, p.full)
 			if err == nil || err.Error() != want {

@@ -85,7 +85,7 @@ func mutate(c *runCtx, parent Candidate, name string) Candidate {
 	pol.Name = name
 	switch pick := c.rng.Intn(10); {
 	case pick < 4:
-		pol.Params = exttsp.MutateParams(pol.Params, c.rng)
+		pol.ExtTSP = exttsp.MutateParams(pol.ExtTSP, c.rng)
 	case pick < 5:
 		pol.KeepBlockOrder = !pol.KeepBlockOrder
 	case pick < 6:
@@ -93,28 +93,28 @@ func mutate(c *runCtx, parent Candidate, name string) Candidate {
 	case pick < 9 && len(c.hot) > 0:
 		fn := c.hot[c.rng.Intn(len(c.hot))]
 		if pol.FuncPolicies == nil {
-			pol.FuncPolicies = map[string]wpa.FuncPolicy{}
+			pol.FuncPolicies = map[string]wpa.Policy{}
 		}
-		pol.FuncPolicies[fn] = randomFuncPolicy(c.rng)
+		pol.FuncPolicies[fn] = randomPolicy(c.rng)
 	case len(pol.FuncPolicies) > 0:
 		keys := sortedOverrideKeys(pol.FuncPolicies)
 		delete(pol.FuncPolicies, keys[c.rng.Intn(len(keys))])
 	default:
-		pol.Params = exttsp.MutateParams(pol.Params, c.rng)
+		pol.ExtTSP = exttsp.MutateParams(pol.ExtTSP, c.rng)
 	}
 	return Candidate{Policy: pol, Origin: "mutate"}
 }
 
-func randomFuncPolicy(r *rand.Rand) wpa.FuncPolicy {
+func randomPolicy(r *rand.Rand) wpa.Policy {
 	switch r.Intn(4) {
 	case 0:
-		return wpa.FuncPolicy{KeepBlockOrder: true}
+		return wpa.Policy{KeepBlockOrder: true}
 	case 1:
-		return wpa.FuncPolicy{PathClone: true}
+		return wpa.Policy{PathClone: true}
 	case 2:
-		return wpa.FuncPolicy{ExtTSP: exttsp.SampleParams(r)}
+		return wpa.Policy{ExtTSP: exttsp.SampleParams(r)}
 	default:
-		return wpa.FuncPolicy{ExtTSP: exttsp.MutateParams(exttsp.Params{}, r)}
+		return wpa.Policy{ExtTSP: exttsp.MutateParams(exttsp.Params{}, r)}
 	}
 }
 
@@ -122,7 +122,7 @@ func randomFuncPolicy(r *rand.Rand) wpa.FuncPolicy {
 // parent's override map.
 func clonePolicy(p eval.LayoutPolicy) eval.LayoutPolicy {
 	if p.FuncPolicies != nil {
-		m := make(map[string]wpa.FuncPolicy, len(p.FuncPolicies))
+		m := make(map[string]wpa.Policy, len(p.FuncPolicies))
 		for k, v := range p.FuncPolicies {
 			m[k] = v
 		}
@@ -131,7 +131,7 @@ func clonePolicy(p eval.LayoutPolicy) eval.LayoutPolicy {
 	return p
 }
 
-func sortedOverrideKeys(m map[string]wpa.FuncPolicy) []string {
+func sortedOverrideKeys(m map[string]wpa.Policy) []string {
 	keys := make([]string, 0, len(m))
 	for k := range m {
 		keys = append(keys, k)
@@ -196,27 +196,21 @@ func seedPopulation(c *runCtx, width int) []Candidate {
 			}
 			pol := clonePolicy(fixed[i])
 			pol.Name = fmt.Sprintf("mix-%s+%s", fixed[i].Name, fixed[j].Name)
-			pol.FuncPolicies = map[string]wpa.FuncPolicy{
-				c.hot[0]: {
-					KeepBlockOrder: fixed[j].KeepBlockOrder,
-					PathClone:      fixed[j].PathClone,
-					ExtTSP:         fixed[j].Params,
-				},
-			}
+			pol.FuncPolicies = map[string]wpa.Policy{c.hot[0]: fixed[j].Policy}
 			out = append(out, Candidate{Policy: pol, Origin: "mix"})
 		}
 	}
 	for len(out) < width {
 		pol := eval.LayoutPolicy{
 			Name:   fmt.Sprintf("sample-%d", len(out)),
-			Params: exttsp.SampleParams(c.rng),
+			Policy: wpa.Policy{ExtTSP: exttsp.SampleParams(c.rng)},
 		}
 		if c.rng.Intn(2) == 0 {
 			pol.PathClone = c.rng.Intn(2) == 0
 		}
 		if n := len(c.hot); n > 0 && c.rng.Intn(2) == 0 {
-			pol.FuncPolicies = map[string]wpa.FuncPolicy{
-				c.hot[c.rng.Intn(n)]: randomFuncPolicy(c.rng),
+			pol.FuncPolicies = map[string]wpa.Policy{
+				c.hot[c.rng.Intn(n)]: randomPolicy(c.rng),
 			}
 		}
 		out = append(out, Candidate{Policy: pol, Origin: "sample"})

@@ -96,9 +96,9 @@ func (p *Profile) FallRanges() map[FallRange]uint64 {
 
 // Merge combines profile shards (e.g. the per-host outputs of a fleet
 // collection run) into one profile, concatenating samples in argument
-// order so the result is deterministic. All shards must agree on the
-// sampling period and — where recorded — the build ID: merging profiles of
-// different binaries or incomparable sample weights is an error.
+// order so the result is deterministic. All shards must agree under
+// Compatible: merging profiles of different binaries or incomparable
+// sample weights is an error.
 func Merge(profs ...*Profile) (*Profile, error) {
 	if len(profs) == 0 {
 		return nil, fmt.Errorf("profile: nothing to merge")
@@ -108,55 +108,47 @@ func Merge(profs ...*Profile) (*Profile, error) {
 		if p == nil {
 			return nil, fmt.Errorf("profile: merge input %d is nil", i)
 		}
-		if out.Binary == "" {
-			out.Binary = p.Binary
+		if err := MergeInto(out, p); err != nil {
+			return nil, err
 		}
-		if p.BuildID != "" {
-			if out.BuildID == "" {
-				out.BuildID = p.BuildID
-			} else if out.BuildID != p.BuildID {
-				return nil, fmt.Errorf("profile: build ID mismatch across shards: %s vs %s", out.BuildID, p.BuildID)
-			}
-		}
-		if p.Period != 0 {
-			if out.Period == 0 {
-				out.Period = p.Period
-			} else if out.Period != p.Period {
-				return nil, fmt.Errorf("profile: period mismatch across shards: %d vs %d", out.Period, p.Period)
-			}
-		}
-		out.Samples = append(out.Samples, p.Samples...)
 	}
 	return out, nil
 }
 
+// Compatible is the merge rule: two profiles may merge when their sampling
+// periods agree and, where both record one, so do their build IDs. An
+// unset period or build ID agrees with any.
+func Compatible(a, b *Profile) error {
+	if a.BuildID != "" && b.BuildID != "" && a.BuildID != b.BuildID {
+		return fmt.Errorf("profile: build ID mismatch across shards: %s vs %s", a.BuildID, b.BuildID)
+	}
+	if a.Period != 0 && b.Period != 0 && a.Period != b.Period {
+		return fmt.Errorf("profile: period mismatch across shards: %d vs %d", a.Period, b.Period)
+	}
+	return nil
+}
+
 // MergeInto folds delta's samples into dst in place — the delta-ingestion
-// path: where Merge re-validates and reallocates a fresh profile per
-// call, MergeInto appends to dst's existing backing array, so publishing
-// a new epoch into a long-lived aggregate costs the delta, not the
-// aggregate. The compatibility rules are Merge's: the period and — where
-// recorded — the build ID must agree. A delta with an ID or period dst
-// lacks fills it in.
+// path: where Merge allocates a fresh profile per call, MergeInto appends
+// to dst's existing backing array, so publishing a new epoch into a
+// long-lived aggregate costs the delta, not the aggregate. The two must be
+// Compatible; a delta with a binary, build ID or period dst lacks fills it
+// in.
 func MergeInto(dst, delta *Profile) error {
 	if dst == nil || delta == nil {
 		return fmt.Errorf("profile: nil merge input")
 	}
-	if delta.BuildID != "" {
-		if dst.BuildID == "" {
-			dst.BuildID = delta.BuildID
-		} else if dst.BuildID != delta.BuildID {
-			return fmt.Errorf("profile: build ID mismatch across shards: %s vs %s", dst.BuildID, delta.BuildID)
-		}
-	}
-	if delta.Period != 0 {
-		if dst.Period == 0 {
-			dst.Period = delta.Period
-		} else if dst.Period != delta.Period {
-			return fmt.Errorf("profile: period mismatch across shards: %d vs %d", dst.Period, delta.Period)
-		}
+	if err := Compatible(dst, delta); err != nil {
+		return err
 	}
 	if dst.Binary == "" {
 		dst.Binary = delta.Binary
+	}
+	if dst.BuildID == "" {
+		dst.BuildID = delta.BuildID
+	}
+	if dst.Period == 0 {
+		dst.Period = delta.Period
 	}
 	dst.Samples = append(dst.Samples, delta.Samples...)
 	return nil

@@ -119,7 +119,9 @@ func NewStore(cfg StoreConfig) *Store {
 // the build's total retained (undecayed) sample count. A publish within
 // the current epoch delta-merges into that epoch's entry and the cached
 // aggregate; the first publish of a new epoch opens a fresh epoch bucket
-// and trims the build to MaxEpochs.
+// that shares p's sample list, and trims the build to MaxEpochs. The store
+// never writes p or its samples, and the caller must not write them once
+// published.
 func (s *Store) Publish(p *profile.Profile) (int64, error) {
 	if p == nil {
 		return 0, fmt.Errorf("profsvc: nil profile")
@@ -153,15 +155,18 @@ func (s *Store) Publish(p *profile.Profile) (int64, error) {
 			}
 		}
 	} else {
-		cp := &profile.Profile{Binary: p.Binary, BuildID: p.BuildID, Period: p.Period}
-		cp.Samples = append(cp.Samples, p.Samples...)
 		if n > 0 {
 			// Sanity-check compatibility with what's already retained.
-			if _, err := profile.Merge(be.epochs[n-1].prof, cp); err != nil {
+			if err := profile.Compatible(be.epochs[n-1].prof, p); err != nil {
 				return 0, err
 			}
 		}
-		be.epochs = append(be.epochs, &epochEntry{seq: s.epoch, prof: cp})
+		// The epoch keeps a view of the caller's list, not a copy. The
+		// clamp makes a same-epoch delta's MergeInto reallocate rather than
+		// write past the caller's samples.
+		ns := len(p.Samples)
+		ep := &profile.Profile{Binary: p.Binary, BuildID: p.BuildID, Period: p.Period, Samples: p.Samples[:ns:ns]}
+		be.epochs = append(be.epochs, &epochEntry{seq: s.epoch, prof: ep})
 		for len(be.epochs) > s.cfg.maxEpochs() {
 			be.epochs = be.epochs[1:]
 			s.evictedEpochs++

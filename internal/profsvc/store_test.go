@@ -201,6 +201,46 @@ func TestPublishRejectsIncompatiblePeriod(t *testing.T) {
 	}
 }
 
+// TestPublishLeavesCallerProfile: a new epoch keeps a view of the
+// published list rather than a copy, and neither a same-epoch delta, an
+// AdvanceEpoch nor the aggregates they lead to write the caller's Profile
+// or any element of its list, the spare capacity past its length
+// included.
+func TestPublishLeavesCallerProfile(t *testing.T) {
+	s := NewStore(StoreConfig{})
+	p := mkProf("bid", 1, 3)
+	if cap(p.Samples) == len(p.Samples) {
+		t.Fatalf("probe broken: the published list has no spare capacity (%d)", cap(p.Samples))
+	}
+	header := *p
+	before := slices.Clone(p.Samples[:cap(p.Samples)])
+	if _, err := s.Publish(p); err != nil {
+		t.Fatal(err)
+	}
+	if ep := s.builds["bid"].epochs[0].prof; &ep.Samples[0] != &p.Samples[0] {
+		t.Error("the new epoch copied the published list")
+	}
+	// One sample: it fits the spare capacity an unclamped view would lend.
+	if _, err := s.Publish(mkProf("bid", 2, 1)); err != nil {
+		t.Fatal(err)
+	}
+	s.Profile("bid")
+	s.AdvanceEpoch()
+	if _, err := s.Publish(mkProf("bid", 3, 2)); err != nil {
+		t.Fatal(err)
+	}
+	s.Profile("bid")
+	if p.Binary != header.Binary || p.BuildID != header.BuildID || p.Period != header.Period ||
+		len(p.Samples) != len(header.Samples) || cap(p.Samples) != cap(header.Samples) || &p.Samples[0] != &header.Samples[0] {
+		t.Errorf("the store wrote the caller's Profile: %+v, was %+v", *p, header)
+	}
+	for i, smp := range p.Samples[:cap(p.Samples)] {
+		if !slices.Equal(smp.Records, before[i].Records) {
+			t.Fatalf("the store wrote sample %d of the caller's list", i)
+		}
+	}
+}
+
 // TestBuildsOrdering: most recently published first, ties by build ID.
 func TestBuildsOrdering(t *testing.T) {
 	s := NewStore(StoreConfig{MaxBuilds: 4, MaxEpochs: 8, DecayShift: 1})

@@ -89,7 +89,7 @@ func BenchmarkReconstructPaths(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			paths, err := wpa.ReconstructPaths(amap, prof, wpa.PathOptions{})
+			paths, err := wpa.ReconstructPaths(amap, prof)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -14,6 +14,16 @@ func SetKeyBound(n int) (restore func()) {
 	return func() { keyBound = old }
 }
 
+// SetPathLimits sets ReconstructPaths' limits — the blocks per path, the
+// fewest observations a kept path needs and the paths kept per function —
+// for the tests that need every path or an uncapped one; the returned
+// func restores the defaults.
+func SetPathLimits(maxLen int, minCount uint64, maxPerFunc int) (restore func()) {
+	oldLen, oldCount, oldPer := pathMaxLen, pathMinCount, pathMaxPerFunc
+	pathMaxLen, pathMinCount, pathMaxPerFunc = maxLen, minCount, maxPerFunc
+	return func() { pathMaxLen, pathMinCount, pathMaxPerFunc = oldLen, oldCount, oldPer }
+}
+
 // KeysResolved reports how many distinct address keys the shards resolved
 // while building a, summed over their drains.
 func (a *Aggregate) KeysResolved() int { return a.keys }

@@ -50,10 +50,10 @@ func (fi *funcInfo) contentHash() string {
 // enforces that by reflection.
 func (c Config) layoutPolicyKey() string {
 	p := c.ExtTSP.Resolve()
-	key := fmt.Sprintf("hot=%d naive=%t interproc=%t maxcluster=%d keeporder=%t ftw=%g fww=%g bww=%g fwin=%d bwin=%d",
-		c.hotThreshold(), c.NaiveExtTSP, c.InterProc, c.MaxClusterSize, c.KeepBlockOrder,
+	key := fmt.Sprintf("hot=%d interproc=%t keeporder=%t ftw=%g fww=%g bww=%g fwin=%d bwin=%d",
+		c.hotThreshold(), c.InterProc, c.KeepBlockOrder,
 		p.FallthroughWeight, p.ForwardWeight, p.BackwardWeight, p.ForwardWindow, p.BackwardWindow)
-	if c.needsPaths() {
+	if c.NeedsPaths() {
 		key += " paths=" + c.HotPaths.fingerprint()
 	}
 	for _, fn := range sortedKeys(c.FuncPolicies) {
@@ -63,9 +63,9 @@ func (c Config) layoutPolicyKey() string {
 }
 
 // policyKey renders the per-function policy knobs that influence one
-// function's layout. Every FuncPolicy field must feed into this string —
+// function's layout. Every Policy field must feed into this string —
 // TestLayoutPolicyKeyCoversFuncPolicies enforces that by reflection.
-func (fp FuncPolicy) policyKey() string {
+func (fp Policy) policyKey() string {
 	p := fp.ExtTSP.Resolve()
 	return fmt.Sprintf("keeporder=%t pathclone=%t ftw=%g fww=%g bww=%g fwin=%d bwin=%d",
 		fp.KeepBlockOrder, fp.PathClone,
@@ -73,22 +73,22 @@ func (fp FuncPolicy) policyKey() string {
 }
 
 // funcPolicyKey is the per-function layout-cache policy component: the
-// effective policy for fn plus the Config knobs that layoutOneIntra reads
-// regardless of any override (hot threshold, naive fallback). Two configs
+// effective policy for fn plus the one Config knob that layoutOneIntra
+// reads regardless of any override (the hot threshold). Two configs
 // that resolve to the same effective per-function policy share cache
 // entries for fn even when they differ on other functions' overrides —
 // that is what lets a warm re-search reuse per-func layouts across
 // candidate tables that only move other functions.
 func (c Config) funcPolicyKey(fn string) string {
 	fp := c.funcPolicy(fn)
-	key := fmt.Sprintf("hot=%d naive=%t %s", c.hotThreshold(), c.NaiveExtTSP, fp.policyKey())
+	key := fmt.Sprintf("hot=%d %s", c.hotThreshold(), fp.policyKey())
 	if fp.PathClone {
 		key += " paths=" + PathSet{fn: c.HotPaths[fn]}.fingerprint()
 	}
 	return key
 }
 
-func sortedKeys(m map[string]FuncPolicy) []string {
+func sortedKeys(m map[string]Policy) []string {
 	keys := make([]string, 0, len(m))
 	for k := range m {
 		keys = append(keys, k)

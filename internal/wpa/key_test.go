@@ -37,7 +37,7 @@ func TestLayoutPolicyKeyCoversParams(t *testing.T) {
 		default:
 			t.Fatalf("Params.%s has kind %v: teach this test to perturb it and key it in layoutPolicyKey", f.Name, f.Type.Kind())
 		}
-		if got := (Config{ExtTSP: p}).layoutPolicyKey(); got == base {
+		if got := (Config{Policy: Policy{ExtTSP: p}}).layoutPolicyKey(); got == base {
 			t.Errorf("layoutPolicyKey ignores Params.%s (key %q)", f.Name, got)
 		}
 	}
@@ -47,13 +47,13 @@ func TestLayoutPolicyKeyCoversParams(t *testing.T) {
 // defaults spelled out produce identical layouts, so they must share one
 // cache key.
 func TestLayoutPolicyKeyNormalizesDefaults(t *testing.T) {
-	explicit := Config{ExtTSP: exttsp.Params{
+	explicit := Config{Policy: Policy{ExtTSP: exttsp.Params{
 		FallthroughWeight: exttsp.FallthroughWeight,
 		ForwardWeight:     exttsp.ForwardWeight,
 		BackwardWeight:    exttsp.BackwardWeight,
 		ForwardWindow:     exttsp.ForwardWindow,
 		BackwardWindow:    exttsp.BackwardWindow,
-	}}
+	}}}
 	if a, b := (Config{}).layoutPolicyKey(), explicit.layoutPolicyKey(); a != b {
 		t.Errorf("zero Params key %q != explicit-defaults key %q", a, b)
 	}
@@ -63,14 +63,14 @@ func TestLayoutPolicyKeyNormalizesDefaults(t *testing.T) {
 // for the default layout policies must be keyed too.
 func TestLayoutPolicyKeyCoversPolicyKnobs(t *testing.T) {
 	base := Config{}.layoutPolicyKey()
-	if got := (Config{KeepBlockOrder: true}).layoutPolicyKey(); got == base {
+	if got := (Config{Policy: Policy{KeepBlockOrder: true}}).layoutPolicyKey(); got == base {
 		t.Error("layoutPolicyKey ignores KeepBlockOrder")
 	}
-	pcEmpty := Config{PathClone: true}.layoutPolicyKey()
+	pcEmpty := Config{Policy: Policy{PathClone: true}}.layoutPolicyKey()
 	if pcEmpty == base {
 		t.Error("layoutPolicyKey ignores PathClone")
 	}
-	withPaths := Config{PathClone: true, HotPaths: PathSet{
+	withPaths := Config{Policy: Policy{PathClone: true}, HotPaths: PathSet{
 		"foo": {{Blocks: []int{0, 1, 3}, Count: 9}},
 	}}.layoutPolicyKey()
 	if withPaths == pcEmpty {
@@ -85,10 +85,10 @@ func TestCacheNeverAliasesAcrossParams(t *testing.T) {
 	m, prof := synthMap(), synthProfile(50)
 	cache := buildsys.NewCache()
 	mk := func(p exttsp.Params) Config {
-		return Config{Cache: cache, ProfileEpoch: "e1", ExtTSP: p}
+		return Config{Cache: cache, ProfileEpoch: "e1", Policy: Policy{ExtTSP: p}}
 	}
 	want := func(p exttsp.Params) *Result {
-		res, err := Analyze(held(m), Samples(prof), Config{ExtTSP: p})
+		res, err := Analyze(held(m), Samples(prof), Config{Policy: Policy{ExtTSP: p}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -127,7 +127,8 @@ func TestCacheNeverAliasesAcrossParams(t *testing.T) {
 // incremental analysis of testprog's multi-module program publishes, read
 // back out of its cache — and the per-function cache keys they sit under
 // (contentHash feeds them), pinned to hashes taken before the codecs moved
-// onto internal/wire.
+// onto internal/wire. The keys' hash was taken again when they lost their
+// naive= term, the retrieval switch that no longer exists.
 func TestCacheEntryFormatsGolden(t *testing.T) {
 	var objs []*objfile.Object
 	for _, mod := range testprog.MultiModule() {
@@ -193,7 +194,7 @@ func TestCacheEntryFormatsGolden(t *testing.T) {
 	if got, want := hex.EncodeToString(wfl.Sum(nil)), "722ba45b3d8bd6a5845fd9bc3fc954b1475fe1f6050eca5d256005f3076aaf4e"; got != want {
 		t.Errorf("WFL1 entries: sha256 %s, want %s", got, want)
 	}
-	if got, want := hex.EncodeToString(keys.Sum(nil)), "8dd00c5636e0787e172b4af163241d23b43c64345c1ab9676c1ab6421b4db366"; got != want {
+	if got, want := hex.EncodeToString(keys.Sum(nil)), "444fe461fee7904c64c94bd9849ae215c99d0dd469cf310b4b2fa087536cf9c9"; got != want {
 		t.Errorf("per-function layout cache keys: sha256 %s, want %s", got, want)
 	}
 	if got, want := hex.EncodeToString(wgaSum[:]), "166820743a2361f5e4646c2bb14079c372906665c71a7c4c6789864f733944b2"; got != want {

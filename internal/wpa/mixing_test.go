@@ -9,13 +9,13 @@ import (
 )
 
 // TestLayoutPolicyKeyCoversFuncPolicies extends the reflection guard to
-// the per-function policy map: every FuncPolicy field, perturbed on a
+// the per-function policy map: every Policy field, perturbed on a
 // single function's override, must change both the global layoutPolicyKey
 // and that function's funcPolicyKey. A future mixing knob that skips the
 // cache key would let the incremental cache serve one policy's layout to
 // another — this test fails the moment such a field appears.
 func TestLayoutPolicyKeyCoversFuncPolicies(t *testing.T) {
-	baseCfg := Config{FuncPolicies: map[string]FuncPolicy{"foo": {}}}
+	baseCfg := Config{FuncPolicies: map[string]Policy{"foo": {}}}
 	baseGlobal := baseCfg.layoutPolicyKey()
 	baseFunc := baseCfg.funcPolicyKey("foo")
 
@@ -30,10 +30,10 @@ func TestLayoutPolicyKeyCoversFuncPolicies(t *testing.T) {
 		t.Errorf("funcPolicyKey for a zero override %q != base policy %q", baseFunc, noMap)
 	}
 
-	ft := reflect.TypeOf(FuncPolicy{})
+	ft := reflect.TypeOf(Policy{})
 	for i := 0; i < ft.NumField(); i++ {
 		f := ft.Field(i)
-		var fp FuncPolicy
+		var fp Policy
 		fv := reflect.ValueOf(&fp).Elem().Field(i)
 		switch f.Type.Kind() {
 		case reflect.Bool:
@@ -44,22 +44,22 @@ func TestLayoutPolicyKeyCoversFuncPolicies(t *testing.T) {
 			fv.SetInt(31337 + int64(i))
 		case reflect.Struct:
 			if f.Type != reflect.TypeOf(exttsp.Params{}) {
-				t.Fatalf("FuncPolicy.%s has unknown struct type %v: teach this test to perturb it", f.Name, f.Type)
+				t.Fatalf("Policy.%s has unknown struct type %v: teach this test to perturb it", f.Name, f.Type)
 			}
 			fv.Set(reflect.ValueOf(exttsp.Params{FallthroughWeight: 0.777 + float64(i)}))
 		default:
-			t.Fatalf("FuncPolicy.%s has kind %v: teach this test to perturb it and key it in policyKey", f.Name, f.Type.Kind())
+			t.Fatalf("Policy.%s has kind %v: teach this test to perturb it and key it in policyKey", f.Name, f.Type.Kind())
 		}
-		cfg := Config{FuncPolicies: map[string]FuncPolicy{"foo": fp}}
+		cfg := Config{FuncPolicies: map[string]Policy{"foo": fp}}
 		if got := cfg.layoutPolicyKey(); got == baseGlobal {
-			t.Errorf("layoutPolicyKey ignores FuncPolicy.%s (key %q)", f.Name, got)
+			t.Errorf("layoutPolicyKey ignores Policy.%s (key %q)", f.Name, got)
 		}
 		if got := cfg.funcPolicyKey("foo"); got == baseFunc {
-			t.Errorf("funcPolicyKey ignores FuncPolicy.%s (key %q)", f.Name, got)
+			t.Errorf("funcPolicyKey ignores Policy.%s (key %q)", f.Name, got)
 		}
 		// An override on foo must not invalidate bar's per-func entries.
 		if got := cfg.funcPolicyKey("bar"); got != (Config{}).funcPolicyKey("bar") {
-			t.Errorf("funcPolicyKey(bar) changed when only foo's override moved (FuncPolicy.%s)", f.Name)
+			t.Errorf("funcPolicyKey(bar) changed when only foo's override moved (Policy.%s)", f.Name)
 		}
 	}
 }
@@ -78,11 +78,11 @@ func TestFuncPolicyMixingMatchesGlobal(t *testing.T) {
 		return res
 	}
 	base := analyze(Config{})
-	keep := analyze(Config{KeepBlockOrder: true})
+	keep := analyze(Config{Policy: Policy{KeepBlockOrder: true}})
 	if reflect.DeepEqual(base.Directives["foo"], keep.Directives["foo"]) {
 		t.Skip("synthetic profile no longer distinguishes KeepBlockOrder; rebuild the fixture")
 	}
-	mixed := analyze(Config{FuncPolicies: map[string]FuncPolicy{"foo": {KeepBlockOrder: true}}})
+	mixed := analyze(Config{FuncPolicies: map[string]Policy{"foo": {KeepBlockOrder: true}}})
 	if !reflect.DeepEqual(mixed.Directives["foo"], keep.Directives["foo"]) {
 		t.Errorf("foo under per-func KeepBlockOrder = %+v, want global-KeepBlockOrder layout %+v",
 			mixed.Directives["foo"], keep.Directives["foo"])
@@ -106,7 +106,7 @@ func TestFuncPolicyCacheNoAliasing(t *testing.T) {
 	cache := buildsys.NewCache()
 	configs := []Config{
 		{},
-		{FuncPolicies: map[string]FuncPolicy{"foo": {KeepBlockOrder: true}}},
+		{FuncPolicies: map[string]Policy{"foo": {KeepBlockOrder: true}}},
 	}
 	for _, cfg := range configs {
 		fresh, err := Analyze(held(m), Samples(prof), cfg)
@@ -136,7 +136,7 @@ func TestFuncPolicyCacheNoAliasing(t *testing.T) {
 	// must still reuse foo's per-func entry from the base run.
 	cfg := Config{
 		Cache: cache, ProfileEpoch: "e1",
-		FuncPolicies: map[string]FuncPolicy{"bar": {ExtTSP: exttsp.Params{ForwardWeight: 0.9}}},
+		FuncPolicies: map[string]Policy{"bar": {ExtTSP: exttsp.Params{ForwardWeight: 0.9}}},
 	}
 	res, err := Analyze(held(m), Samples(prof), cfg)
 	if err != nil {

@@ -32,41 +32,17 @@ type HotPath struct {
 // sequence, so the set is deterministic).
 type PathSet map[string][]HotPath
 
-// PathOptions tune the reconstruction.
-type PathOptions struct {
-	// MaxLen caps the blocks per path; longer executions are flushed and
-	// restarted (default 16).
-	MaxLen int
-
-	// MinCount drops paths observed fewer times (default 2: a path seen
-	// once is noise at any realistic sampling period).
-	MinCount uint64
-
-	// MaxPerFunc keeps only the hottest N paths per function
-	// (default 4).
-	MaxPerFunc int
-}
-
-func (o PathOptions) maxLen() int {
-	if o.MaxLen > 0 {
-		return o.MaxLen
-	}
-	return 16
-}
-
-func (o PathOptions) minCount() uint64 {
-	if o.MinCount > 0 {
-		return o.MinCount
-	}
-	return 2
-}
-
-func (o PathOptions) maxPerFunc() int {
-	if o.MaxPerFunc > 0 {
-		return o.MaxPerFunc
-	}
-	return 4
-}
+// The reconstruction's limits. Only tests change them (SetPathLimits).
+var (
+	// pathMaxLen caps the blocks per path; longer executions are flushed
+	// and restarted.
+	pathMaxLen = 16
+	// pathMinCount drops paths observed fewer times: a path seen once is
+	// noise at any realistic sampling period.
+	pathMinCount uint64 = 2
+	// pathMaxPerFunc keeps only the hottest paths of each function.
+	pathMaxPerFunc = 4
+)
 
 // pathWalker stitches one sample's records into per-function block paths.
 // A path extends while control flow stays inside one function — taken
@@ -76,7 +52,6 @@ func (o PathOptions) maxPerFunc() int {
 // crosses a function boundary). Functions are named by their index in the
 // lookup's FuncNames until a path is recorded.
 type pathWalker struct {
-	opts   PathOptions
 	names  []string
 	counts map[string]*pathStat
 	curFn  int32 // -1 between paths
@@ -107,7 +82,7 @@ func (w *pathWalker) flush() {
 // push appends a block to the current path, flushing first when the
 // length cap is reached (the successor then starts a fresh path).
 func (w *pathWalker) push(fn int32, id int) {
-	if len(w.cur) >= w.opts.maxLen() {
+	if len(w.cur) >= pathMaxLen {
 		w.flush()
 		w.curFn = fn
 	}
@@ -156,18 +131,18 @@ func pathKey(fn string, blocks []int) string {
 // re-delivery that slipped past dedup) simply double their paths'
 // counts — reconstruction is a fold over independent samples, so the
 // output is deterministic for any fixed sample multiset.
-func ReconstructPaths(m *bbaddrmap.Map, prof *profile.Profile, opts PathOptions) (PathSet, error) {
+func ReconstructPaths(m *bbaddrmap.Map, prof *profile.Profile) (PathSet, error) {
 	if err := checkMap(m); err != nil {
 		return nil, err
 	}
-	return reconstructPaths(bbaddrmap.NewLookup(m), prof, opts), nil
+	return reconstructPaths(bbaddrmap.NewLookup(m), prof), nil
 }
 
 // reconstructPaths is ReconstructPaths over an already-built lookup.
-func reconstructPaths(lk *bbaddrmap.Lookup, prof *profile.Profile, opts PathOptions) PathSet {
+func reconstructPaths(lk *bbaddrmap.Lookup, prof *profile.Profile) PathSet {
 	walker := newRecordWalker(lk)
 	blocks := walker.blocks
-	w := &pathWalker{opts: opts, names: lk.FuncNames(), counts: map[string]*pathStat{}, curFn: -1}
+	w := &pathWalker{names: lk.FuncNames(), counts: map[string]*pathStat{}, curFn: -1}
 	var st step
 	for _, s := range prof.Samples {
 		for i := range s.Records {
@@ -193,7 +168,7 @@ func reconstructPaths(lk *bbaddrmap.Lookup, prof *profile.Profile, opts PathOpti
 
 	perFn := map[string][]*pathStat{}
 	for _, st := range w.counts {
-		if st.count >= opts.minCount() {
+		if st.count >= pathMinCount {
 			perFn[st.fn] = append(perFn[st.fn], st)
 		}
 	}
@@ -205,8 +180,8 @@ func reconstructPaths(lk *bbaddrmap.Lookup, prof *profile.Profile, opts PathOpti
 			}
 			return lessBlocks(stats[a].blocks, stats[b].blocks)
 		})
-		if len(stats) > opts.maxPerFunc() {
-			stats = stats[:opts.maxPerFunc()]
+		if len(stats) > pathMaxPerFunc {
+			stats = stats[:pathMaxPerFunc]
 		}
 		paths := make([]HotPath, len(stats))
 		for i, st := range stats {

@@ -37,11 +37,12 @@ func onePath(t *testing.T, ps PathSet, fn string) HotPath {
 }
 
 func TestReconstructSimpleBranchPath(t *testing.T) {
+	t.Cleanup(SetPathLimits(pathMaxLen, 1, pathMaxPerFunc))
 	// One taken branch bb0 -> bb3 inside foo.
 	prof := &profile.Profile{Samples: []profile.Sample{
 		{Records: []profile.Branch{{From: 0x100B, To: 0x1030}}},
 	}}
-	ps, err := ReconstructPaths(pathMap(), prof, PathOptions{MinCount: 1})
+	ps, err := ReconstructPaths(pathMap(), prof)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,6 +57,7 @@ func TestReconstructSimpleBranchPath(t *testing.T) {
 // buffer is completely full — into one long path with no records
 // dropped at the wrap boundary.
 func TestReconstructFullDepthRing(t *testing.T) {
+	t.Cleanup(SetPathLimits(128, 1, pathMaxPerFunc))
 	// Every record is the loop back-edge bb3 -> bb1; between records the
 	// fall-through range [0x1010, 0x103B] credits bb1, bb2, bb3.
 	recs := make([]profile.Branch, profile.LBRDepth)
@@ -63,7 +65,7 @@ func TestReconstructFullDepthRing(t *testing.T) {
 		recs[i] = profile.Branch{From: 0x103B, To: 0x1010}
 	}
 	prof := &profile.Profile{Samples: []profile.Sample{{Records: recs}}}
-	ps, err := ReconstructPaths(pathMap(), prof, PathOptions{MinCount: 1, MaxLen: 128})
+	ps, err := ReconstructPaths(pathMap(), prof)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,13 +87,14 @@ func TestReconstructFullDepthRing(t *testing.T) {
 // coherent fall-through range; the path must flush rather than invent
 // one, and an unresolvable final record must not extend anything.
 func TestReconstructTruncatedTrailingRecord(t *testing.T) {
+	t.Cleanup(SetPathLimits(pathMaxLen, 1, pathMaxPerFunc))
 	prof := &profile.Profile{Samples: []profile.Sample{
 		{Records: []profile.Branch{
 			{From: 0x100B, To: 0x1030}, // bb0 -> bb3
 			{From: 0x1000, To: 0x9999}, // next.From < prev.To, target unmapped
 		}},
 	}}
-	ps, err := ReconstructPaths(pathMap(), prof, PathOptions{MinCount: 1})
+	ps, err := ReconstructPaths(pathMap(), prof)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,14 +107,15 @@ func TestReconstructTruncatedTrailingRecord(t *testing.T) {
 // TestReconstructDuplicatedSamples: a transport-duplicated sample doubles
 // its paths' counts and changes nothing else.
 func TestReconstructDuplicatedSamples(t *testing.T) {
+	t.Cleanup(SetPathLimits(pathMaxLen, 1, pathMaxPerFunc))
 	s := profile.Sample{Records: []profile.Branch{{From: 0x100B, To: 0x1030}}}
 	once := &profile.Profile{Samples: []profile.Sample{s}}
 	twice := &profile.Profile{Samples: []profile.Sample{s, s}}
-	ps1, err := ReconstructPaths(pathMap(), once, PathOptions{MinCount: 1})
+	ps1, err := ReconstructPaths(pathMap(), once)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ps2, err := ReconstructPaths(pathMap(), twice, PathOptions{MinCount: 1})
+	ps2, err := ReconstructPaths(pathMap(), twice)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,13 +132,14 @@ func TestReconstructDuplicatedSamples(t *testing.T) {
 // off the end of foo into bar, followed by a bar-internal branch, must
 // produce two single-function paths — never one path mixing functions.
 func TestReconstructSplitsAtFunctionBoundary(t *testing.T) {
+	t.Cleanup(SetPathLimits(pathMaxLen, 1, pathMaxPerFunc))
 	prof := &profile.Profile{Samples: []profile.Sample{
 		{Records: []profile.Branch{
 			{From: 0x100B, To: 0x1030}, // foo bb0 -> bb3
 			{From: 0x200B, To: 0x2010}, // bar bb0 -> bb1; range [0x1030,0x200B] crosses into bar
 		}},
 	}}
-	ps, err := ReconstructPaths(pathMap(), prof, PathOptions{MinCount: 1})
+	ps, err := ReconstructPaths(pathMap(), prof)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,13 +153,13 @@ func TestReconstructSplitsAtFunctionBoundary(t *testing.T) {
 	}
 }
 
-// TestReconstructFiltersAndCaps: MinCount drops cold paths, MaxPerFunc
-// keeps the hottest, and ordering is count-descending.
+// TestReconstructFiltersAndCaps: the minimum count drops cold paths, the
+// per-function cap keeps the hottest, and ordering is count-descending.
 func TestReconstructFiltersAndCaps(t *testing.T) {
 	hot := profile.Sample{Records: []profile.Branch{{From: 0x100B, To: 0x1030}}}  // [0 3]
 	cold := profile.Sample{Records: []profile.Branch{{From: 0x100B, To: 0x1020}}} // [0 2]
 	prof := &profile.Profile{Samples: []profile.Sample{hot, hot, hot, cold}}
-	ps, err := ReconstructPaths(pathMap(), prof, PathOptions{MinCount: 2})
+	ps, err := ReconstructPaths(pathMap(), prof)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,8 +167,10 @@ func TestReconstructFiltersAndCaps(t *testing.T) {
 	if !reflect.DeepEqual(p.Blocks, []int{0, 3}) || p.Count != 3 {
 		t.Errorf("filtered path = %+v, want [0 3] count 3", p)
 	}
-	// With MinCount 1 both paths survive; MaxPerFunc 1 keeps the hottest.
-	ps, err = ReconstructPaths(pathMap(), prof, PathOptions{MinCount: 1, MaxPerFunc: 1})
+	// With a minimum count of 1 both paths survive; a cap of 1 keeps the
+	// hottest.
+	t.Cleanup(SetPathLimits(pathMaxLen, 1, 1))
+	ps, err = ReconstructPaths(pathMap(), prof)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +185,7 @@ func TestReconstructFiltersAndCaps(t *testing.T) {
 // reconstructed paths look like.
 func TestPathClonePolicyProducesValidClusters(t *testing.T) {
 	m, prof := synthMap(), synthProfile(50)
-	res, err := Analyze(held(m), Samples(prof), Config{PathClone: true})
+	res, err := Analyze(held(m), Samples(prof), Config{Policy: Policy{PathClone: true}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +221,7 @@ func TestPathClonePolicyProducesValidClusters(t *testing.T) {
 // TestKeepBlockOrderPolicy: the call-chain-first policy emits hot blocks
 // in original map order, entry first.
 func TestKeepBlockOrderPolicy(t *testing.T) {
-	res, err := Analyze(held(synthMap()), Samples(synthProfile(50)), Config{KeepBlockOrder: true})
+	res, err := Analyze(held(synthMap()), Samples(synthProfile(50)), Config{Policy: Policy{KeepBlockOrder: true}})
 	if err != nil {
 		t.Fatal(err)
 	}

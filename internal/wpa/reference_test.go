@@ -129,7 +129,6 @@ func referenceAggregate(m *bbaddrmap.Map, samples []profile.Sample, profileBytes
 }
 
 type refPathWalker struct {
-	opts   PathOptions
 	counts map[string]*pathStat
 	curFn  string
 	cur    []int
@@ -150,7 +149,7 @@ func (w *refPathWalker) flush() {
 }
 
 func (w *refPathWalker) push(fn string, id int) {
-	if len(w.cur) >= w.opts.maxLen() {
+	if len(w.cur) >= pathMaxLen {
 		w.flush()
 		w.curFn = fn
 	}
@@ -180,9 +179,9 @@ func (w *refPathWalker) step(fn string, id int) {
 // referencePaths is the old ReconstructPaths up to the per-sample fold:
 // it returns every path seen at least once with its count, keyed by
 // pathKey — what the selection after the fold (unchanged) starts from.
-func referencePaths(m *bbaddrmap.Map, prof *profile.Profile, opts PathOptions) map[string]uint64 {
+func referencePaths(m *bbaddrmap.Map, prof *profile.Profile) map[string]uint64 {
 	res := refLookup{bbaddrmap.NewLookup(m)}
-	w := &refPathWalker{opts: opts, counts: map[string]*pathStat{}}
+	w := &refPathWalker{counts: map[string]*pathStat{}}
 	for _, s := range prof.Samples {
 		for i, r := range s.Records {
 			fromRef, _, fromEnd, fromOK := res.ResolveFull(r.From)
@@ -255,8 +254,8 @@ func checkAgainstReference(m *bbaddrmap.Map, prof *profile.Profile, workers []in
 			}
 		}
 	}
-	all := PathOptions{MinCount: 1, MaxPerFunc: 1 << 30}
-	paths, err := ReconstructPaths(m, prof, all)
+	defer SetPathLimits(pathMaxLen, 1, 1<<30)()
+	paths, err := ReconstructPaths(m, prof)
 	if err != nil {
 		return err
 	}
@@ -266,7 +265,7 @@ func checkAgainstReference(m *bbaddrmap.Map, prof *profile.Profile, workers []in
 			gotPaths[pathKey(fn, p.Blocks)] = p.Count
 		}
 	}
-	if wantPaths := referencePaths(m, prof, all); !reflect.DeepEqual(gotPaths, wantPaths) {
+	if wantPaths := referencePaths(m, prof); !reflect.DeepEqual(gotPaths, wantPaths) {
 		return fmt.Errorf("reconstructed paths differ from the reference\ngot  %v\nwant %v", gotPaths, wantPaths)
 	}
 	return nil

@@ -195,7 +195,7 @@ func Analyze(loadMap func() (*bbaddrmap.Map, error), src Source, cfg Config) (*R
 	if err := cfg.checkBuildID(src.buildID); err != nil {
 		return nil, err
 	}
-	rebuildPaths := cfg.needsPaths() && cfg.HotPaths == nil
+	rebuildPaths := cfg.NeedsPaths() && cfg.HotPaths == nil
 	if rebuildPaths && !src.rawSamples() {
 		return nil, errors.New("wpa: path cloning needs Config.HotPaths: a wire or prebuilt source has no raw samples to rebuild hot paths from")
 	}
@@ -234,7 +234,7 @@ func Analyze(loadMap func() (*bbaddrmap.Map, error), src Source, cfg Config) (*R
 	if rebuildPaths {
 		// From the complete profile, before the layout cache lookups: the
 		// paths' fingerprint is part of the layout policy key.
-		cfg.HotPaths = reconstructPaths(lookup(), src.prof, PathOptions{})
+		cfg.HotPaths = reconstructPaths(lookup(), src.prof)
 	}
 	res, err := layoutAggregate(m, agg, cfg)
 	if err != nil {

@@ -105,7 +105,7 @@ func requireSourcesAgree(t *testing.T, pick func(kind string) bool) {
 		prof := randProfile(rng, m, 50+rng.Intn(600))
 		prof.BuildID = "pm-build"
 		wire := prof.AppendWire(nil)
-		paths, err := ReconstructPaths(m, prof, PathOptions{})
+		paths, err := ReconstructPaths(m, prof)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -116,7 +116,7 @@ func requireSourcesAgree(t *testing.T, pick func(kind string) bool) {
 		for _, mode := range []struct {
 			name string
 			cfg  Config
-		}{{"intra", Config{}}, {"inter", Config{InterProc: true}}, {"pathclone", Config{PathClone: true}}} {
+		}{{"intra", Config{}}, {"inter", Config{InterProc: true}}, {"pathclone", Config{Policy: Policy{PathClone: true}}}} {
 			base := mode.cfg
 			base.BuildID = prof.BuildID
 			want, err := Analyze(held(m), Samples(prof), base)
@@ -158,7 +158,7 @@ func requireSourcesAgree(t *testing.T, pick func(kind string) bool) {
 							*k.calls = 0
 						}
 						src := k.src()
-						if !src.rawSamples() && cfg.needsPaths() {
+						if !src.rawSamples() && cfg.NeedsPaths() {
 							cfg.HotPaths = paths
 						}
 						got, err := Analyze(held(m), src, cfg)
@@ -255,11 +255,11 @@ func TestSourcesWithoutSamplesRefusePathCloning(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	paths, err := ReconstructPaths(m, prof, PathOptions{})
+	paths, err := ReconstructPaths(m, prof)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, cfg := range []Config{{PathClone: true}, {FuncPolicies: map[string]FuncPolicy{"foo": {PathClone: true}}}} {
+	for _, cfg := range []Config{{Policy: Policy{PathClone: true}}, {FuncPolicies: map[string]Policy{"foo": {PathClone: true}}}} {
 		for name, src := range map[string]func() Source{
 			"wire":     func() Source { return Wire(bytes.NewReader(prof.AppendWire(nil))) },
 			"prebuilt": func() Source { return Prebuilt(agg) },
@@ -339,15 +339,17 @@ func (r *slowReader) Read(p []byte) (int, error) {
 }
 
 // TestAggregateWallIsBusyTime pins Stats.AggregateWall to the shards' time
-// spent folding: a feed that takes most of a second to hand over a small
-// profile — a profiling run still sampling, a stream still arriving —
-// leaves it at the few milliseconds the folds took, so core.Phase3Makespan
-// never charges the producer's time to the aggregation arm.
+// spent folding: a feed that takes a second to hand over a small profile —
+// a profiling run still sampling, a stream still arriving — leaves it at
+// the few milliseconds the folds took, so core.Phase3Makespan never
+// charges the producer's time to the aggregation arm. The waits dominate
+// the feed so that the fed/8 bound holds on a loaded runner under -race,
+// where the folds alone have taken 73 ms.
 func TestAggregateWallIsBusyTime(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	m := randMap(rng, 12)
 	prof := randProfile(rng, m, 2000)
-	const pause, steps = 10 * time.Millisecond, 40
+	const pause, steps = 25 * time.Millisecond, 40
 	for _, w := range []int{1, 2} {
 		cfg := Config{Workers: w}
 		start := time.Now()

@@ -30,38 +30,20 @@ type Config struct {
 	// producing multiple clusters per function placed independently.
 	InterProc bool
 
-	// NaiveExtTSP selects the quadratic merge retrieval (ablation); the
-	// default is the heap-based "logarithmic retrieval" variant.
-	NaiveExtTSP bool
-
-	// ExtTSP sets the Ext-TSP proximity-scoring parameters for every
-	// layout run (the weight-sweep axis of the default layout policies);
-	// the zero value selects the paper defaults.
-	ExtTSP exttsp.Params
-
-	// KeepBlockOrder skips intra-function Ext-TSP entirely and keeps each
-	// hot function's blocks in their original map order (entry first) —
-	// the hfsort+-style call-chain-first policy, where only the global
-	// function order and the hot/cold split move code. Intra-function
-	// mode only.
-	KeepBlockOrder bool
-
-	// PathClone clones the blocks of reconstructed hot paths (HotPaths)
-	// into synthetic fall-through chains before Ext-TSP, biasing the
-	// layout toward keeping each hot path contiguous. Intra-function mode
-	// only.
-	PathClone bool
+	// Policy is the base layout policy: every function without an entry
+	// in FuncPolicies is laid out under it. Its ExtTSP params also score
+	// the inter-procedural layout, which ignores the other two knobs.
+	Policy
 
 	// FuncPolicies assigns individual functions their own layout policy
 	// (per-function policy mixing, the axis the automated policy search
 	// exploits): a named function's intra-function layout runs under its
-	// override — KeepBlockOrder, PathClone, and Ext-TSP params — while
-	// every other function keeps the Config-level knobs. The map is part
-	// of the layout-policy cache key (per overridden function, its
+	// override while every other function keeps the base Policy. The map
+	// is part of the layout-policy cache key (per overridden function, its
 	// effective policy keys that function's cached layout, so a re-search
 	// reuses every layout whose policy did not change). Intra-function
 	// mode only; the inter-procedural layout ignores it.
-	FuncPolicies map[string]FuncPolicy
+	FuncPolicies map[string]Policy
 
 	// HotPaths are the reconstructed hot paths PathClone consumes. When
 	// nil, Analyze rebuilds them from a source that holds raw samples
@@ -72,10 +54,6 @@ type Config struct {
 	// HotThreshold is the minimum sampled count for a block to join the
 	// hot layout (default 1).
 	HotThreshold uint64
-
-	// MaxClusterSize is the hfsort cluster budget for the global function
-	// order (default: one 2M page).
-	MaxClusterSize int64
 
 	// BuildID, when non-empty, is the content hash of the binary whose BB
 	// address map the analysis runs against. A profile that records a
@@ -117,38 +95,36 @@ type Config struct {
 	ProfileEpoch string
 }
 
-// FuncPolicy is one function's layout-policy override: the subset of
-// Config knobs that act on a single function's intra-function layout.
-// The zero value is the paper-default Ext-TSP policy.
-type FuncPolicy struct {
-	// KeepBlockOrder keeps the function's blocks in original map order
-	// (the call-chain-first arm, per function).
+// Policy is a layout policy: the knobs that act on one function's
+// intra-function layout. The zero value is the paper-default Ext-TSP
+// policy.
+type Policy struct {
+	// KeepBlockOrder skips Ext-TSP and keeps the function's blocks in
+	// their original map order (entry first) — the hfsort+-style
+	// call-chain-first policy, where only the global function order and
+	// the hot/cold split move code.
 	KeepBlockOrder bool `json:"keepBlockOrder,omitempty"`
-	// PathClone clones the function's reconstructed hot paths before
-	// Ext-TSP (requires Config.HotPaths).
+	// PathClone clones the blocks of the function's reconstructed hot
+	// paths (Config.HotPaths) into synthetic fall-through chains before
+	// Ext-TSP, biasing the layout toward keeping each hot path contiguous.
 	PathClone bool `json:"pathClone,omitempty"`
-	// ExtTSP sets the proximity-scoring parameters; the zero value is
-	// the paper defaults.
+	// ExtTSP sets the Ext-TSP proximity-scoring parameters (the
+	// weight-sweep axis of the default layout policies); the zero value
+	// selects the paper defaults.
 	ExtTSP exttsp.Params `json:"params,omitempty"`
 }
 
-// basePolicy is the Config-level policy every function without an
-// override runs under.
-func (c Config) basePolicy() FuncPolicy {
-	return FuncPolicy{KeepBlockOrder: c.KeepBlockOrder, PathClone: c.PathClone, ExtTSP: c.ExtTSP}
-}
-
 // funcPolicy resolves the effective layout policy for one function.
-func (c Config) funcPolicy(fn string) FuncPolicy {
+func (c Config) funcPolicy(fn string) Policy {
 	if fp, ok := c.FuncPolicies[fn]; ok {
 		return fp
 	}
-	return c.basePolicy()
+	return c.Policy
 }
 
-// needsPaths reports whether any layer of the configuration enables path
+// NeedsPaths reports whether any layer of the configuration enables path
 // cloning, and therefore needs Config.HotPaths populated.
-func (c Config) needsPaths() bool {
+func (c Config) NeedsPaths() bool {
 	if c.PathClone {
 		return true
 	}
@@ -593,7 +569,7 @@ func layoutOneIntra(g *dcfg, cfg Config) intraOut {
 	if fp.PathClone {
 		cloneOf = clonePaths(eg, index, cfg.HotPaths[g.info.name])
 	}
-	order, err := exttsp.Layout(eg, exttsp.Options{ForcedFirst: entryIdx, UseHeap: !cfg.NaiveExtTSP, Params: fp.ExtTSP})
+	order, err := exttsp.Layout(eg, exttsp.Options{ForcedFirst: entryIdx, Params: fp.ExtTSP})
 	if err != nil {
 		return intraOut{err: err}
 	}
@@ -785,7 +761,7 @@ func layoutIntra(res *Result, graphs map[string]*dcfg, infos map[string]*funcInf
 			calls = append(calls, hfsort.Call{Caller: ci, Callee: ce, Weight: agg[k]})
 		}
 	}
-	order := hfsort.Order(funcs, calls, cfg.MaxClusterSize)
+	order := hfsort.Order(funcs, calls, hfsort.DefaultMaxClusterSize)
 	ordered := make([]string, len(order))
 	for i, fi := range order {
 		ordered[i] = funcs[fi].Name
@@ -915,7 +891,7 @@ func layoutInterProc(res *Result, graphs map[string]*dcfg, infos map[string]*fun
 	sort.Sort(sort.Reverse(sort.IntSlice(res.Stats.LayoutShardNodes)))
 	res.Stats.LayoutWorkers = max(1, min(cfg.workers(), len(comps)))
 
-	eopts := exttsp.Options{ForcedFirst: -1, UseHeap: !cfg.NaiveExtTSP, Params: cfg.ExtTSP}
+	eopts := exttsp.Options{ForcedFirst: -1, Params: cfg.ExtTSP}
 	order, err := exttsp.LayoutParallel(eg, eopts, cfg.workers())
 	if err != nil {
 		return fmt.Errorf("wpa: global layout: %w", err)

@@ -119,14 +119,6 @@ func TestInterProcSplitsFunctions(t *testing.T) {
 			t.Error("empty symbol in order")
 		}
 	}
-	// The hot threshold and naive retrieval run too.
-	res2, err := Analyze(held(synthMap()), Samples(synthProfile(50)), Config{InterProc: true, NaiveExtTSP: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res2.Directives) == 0 {
-		t.Error("naive inter-proc produced nothing")
-	}
 }
 
 func TestHotThresholdFiltersBlocks(t *testing.T) {
