@@ -14,6 +14,12 @@
 // package's tests (naive_test.go) as the reference the heap must replay
 // merge for merge, and as the quadratic arm of BenchmarkAblationExtTSP.
 //
+// A pair is scored only as far as it could still win: its queue entry is
+// a bound from the cross edges the neighbour walk visits anyway, then
+// price's bound, then the exact gain, each tightened only at the top of
+// the queue. Every bound is at least the pair's canonical gain and looser
+// tiers pop first on equal keys, so the merges are eager retrieval's.
+//
 // A merge is priced without being built. A candidate is a split point —
 // the order x[:i]·y·x[i:] — and bestMerge is filter-and-refine: price
 // approximates every candidate's gain from the few edges a merge can
@@ -26,9 +32,9 @@
 // fold is kept, rather than replaced by the cheaper delta, because its
 // summation order is part of every layout emitted so far (a pair whose
 // real gain is 0 can read +1e-10 and merge) and those layouts are
-// byte-identical by contract: the price only ever decides what is not
-// worth folding, never which merge wins or what gain and score a
-// candidate carries. DESIGN.md item 10 derives eps.
+// byte-identical by contract: the bounds and the price only ever decide
+// what is not worth folding, never which merge wins or what gain and
+// score a candidate carries. DESIGN.md item 10 derives eps and the bounds.
 package exttsp
 
 import (
@@ -133,6 +139,14 @@ type Options struct {
 	// Params are the proximity-scoring parameters; the zero value selects
 	// the paper defaults.
 	Params Params
+
+	// Effort, when non-nil, receives what the run spent on retrieval.
+	Effort *Effort
+}
+
+// Effort counts one layout's pair pricings and refinements, and merges.
+type Effort struct {
+	Priced, Refined, Merges int
 }
 
 func (o Options) maxSplit() int {
@@ -230,8 +244,9 @@ type chain struct {
 	// deg is the summed out-degree of nodes: an upper bound on the number
 	// of terms in a fold over the chain, which sizes the filter's ε.
 	deg  int
-	gen  int  // incremented on every mutation (heap invalidation)
-	dead bool // merged away
+	cut  int   // least fall-through weight a split inside separates (refold)
+	gen  int32 // incremented on every mutation (heap invalidation)
+	dead bool  // merged away
 }
 
 // validate rejects a forced-first node or an edge endpoint outside a
@@ -259,6 +274,9 @@ func Layout(g *Graph, opts Options) ([]int, error) {
 	}
 	st := newState(g, opts)
 	st.run()
+	if opts.Effort != nil {
+		*opts.Effort = st.effort
+	}
 	return st.finalOrder(), nil
 }
 
@@ -293,19 +311,13 @@ type state struct {
 	// Reusable neighbor-dedup scratch indexed by chain id. An entry is
 	// valid only when its stamp matches the current epoch, so nothing is
 	// ever cleared.
-	nbGen []int64
-	epoch int64
-	nbBuf []int // reused neighbor id buffer (invalidated by next call)
-
-	// sc is the price scratch of the goroutine that owns st. Only that
-	// goroutine ever writes a state; pool helpers scoring one of its
-	// batches bring their own scratch.
-	sc priceScratch
-	// pool, when non-nil, is LayoutParallel's helper pool and batch the
-	// hand-off run offers it, reused from merge to merge
-	// (parallel.go). Layout leaves both nil and allocates for neither.
-	pool  *pool
-	batch *batch
+	nbGen           []int64
+	epoch           int64
+	nbBuf           []int     // reused neighbor id buffer (invalidated by next call)
+	nbXY, nbYX, nbB []float64 // the last neighbors walk's sums (addCross)
+	cut             []int     // refold's scratch
+	sc              priceScratch
+	effort          Effort
 
 	// pr is opts.Params resolved against the paper defaults, so scoring
 	// never consults package-level state.
@@ -315,6 +327,9 @@ type state struct {
 	// derivation needs non-negative terms, and an infinite ε makes
 	// bestMerge refine every candidate.
 	maxW float64
+	// monotone: no weight is negative and none exceeds the fall-through
+	// weight, so no merge raises an x-internal term (pairBound).
+	monotone bool
 }
 
 func newState(g *Graph, opts Options) *state {
@@ -324,13 +339,14 @@ func newState(g *Graph, opts Options) *state {
 	if !(min(st.pr.FallthroughWeight, st.pr.ForwardWeight, st.pr.BackwardWeight) >= 0) {
 		st.maxW = math.Inf(1)
 	}
+	st.monotone = st.maxW == st.pr.FallthroughWeight
 	st.nodeOut, st.nodeIn, st.tOff = adjacency(g)
 	st.chains = make([]*chain, n)
-	ints := make([]int, 3*n)
-	st.owner, st.idx, st.exit = ints[:n:n], ints[n:2*n:2*n], ints[2*n:]
+	ints := make([]int, 4*n+1)
+	st.owner, st.idx, st.exit, st.cut = ints[:n:n], ints[n:2*n:2*n], ints[2*n:3*n:3*n], ints[3*n:]
 	st.off = make([]int64, n)
-	floats := make([]float64, n+st.tOff[n])
-	st.fold, st.gain = floats[:n:n], floats[n:]
+	floats := make([]float64, 4*n+st.tOff[n])
+	st.fold, st.nbXY, st.nbYX, st.nbB, st.gain = floats[:n:n], floats[n:2*n:2*n], floats[2*n:3*n:3*n], floats[3*n:4*n:4*n], floats[4*n:]
 	st.nbGen = make([]int64, n)
 	chains := make([]chain, n)
 	ids := make([]int, n)
@@ -383,33 +399,88 @@ func adjacency(g *Graph) (out, in [][]int, tOff []int) {
 	return lists[:n], lists[n:], deg[:n+1]
 }
 
-// neighbors returns the live chain ids connected to chain c, ascending.
-// The returned slice is scratch owned by st and is overwritten by the
-// next neighbors call.
+// neighbors returns the live chain ids connected to chain c, ascending,
+// having summed the edges between c and each neighbour (addCross). The
+// returned slice is scratch owned by st and is overwritten, with the
+// sums, by the next neighbors call.
 func (st *state) neighbors(c *chain) []int {
 	st.epoch++
 	ep := st.epoch
 	st.nbGen[c.id] = ep
 	out := st.nbBuf[:0]
-	for _, node := range c.nodes {
-		for _, ei := range st.nodeOut[node] {
-			o := st.owner[st.g.Edges[ei].Dst]
-			if st.nbGen[o] != ep {
-				st.nbGen[o] = ep
-				out = append(out, o)
-			}
+	// visit adds edge e from src to dst to the sums of other's chain.
+	visit := func(e *Edge, other, src, dst int) {
+		o := st.owner[other]
+		if o == c.id {
+			return
 		}
-		for _, ei := range st.nodeIn[node] {
-			o := st.owner[st.g.Edges[ei].Src]
-			if st.nbGen[o] != ep {
-				st.nbGen[o] = ep
-				out = append(out, o)
-			}
+		if st.nbGen[o] != ep {
+			st.nbGen[o] = ep
+			st.nbXY[o], st.nbYX[o], st.nbB[o] = 0, 0, 0
+			out = append(out, o)
+		}
+		x, y := c, st.chains[o]
+		if o < c.id {
+			x, y = y, x
+		}
+		st.addCross(o, e.Weight, x, y, src, dst)
+	}
+	for _, nd := range c.nodes {
+		for _, ei := range st.nodeOut[nd] {
+			e := &st.g.Edges[ei]
+			visit(e, e.Dst, nd, e.Dst)
+		}
+		for _, ei := range st.nodeIn[nd] {
+			e := &st.g.Edges[ei]
+			visit(e, e.Src, e.Src, nd)
 		}
 	}
 	sort.Ints(out)
 	st.nbBuf = out
 	return out
+}
+
+// addCross adds an edge of weight w from src to dst, between chains x and
+// y, x.id < y.id, to neighbour o's sums: its term in X·Y to nbXY[o], in
+// Y·X to nbYX[o], and to nbB[o] a bound on its term in any candidate. y
+// lies whole at the split offset, so an edge entering y at offset a jumps
+// forward at least a or back at least y.size-a, and one leaving y at b
+// back at least b or forward at least y.size-b; the larger term at those
+// distances is the bound (DESIGN.md item 10).
+func (st *state) addCross(o int, w uint64, x, y *chain, src, dst int) {
+	end, start := st.off[src]+st.g.Nodes[src].Size, st.off[dst]
+	var fwd, back int64
+	if st.owner[src] == x.id {
+		st.nbXY[o] += st.pr.edgeGain(w, end, x.size+start)
+		st.nbYX[o] += st.pr.edgeGain(w, end+y.size, start)
+		fwd, back = start, y.size-start
+	} else {
+		st.nbXY[o] += st.pr.edgeGain(w, x.size+end, start)
+		st.nbYX[o] += st.pr.edgeGain(w, end, y.size+start)
+		fwd, back = y.size-end, end
+	}
+	st.nbB[o] += max(st.pr.edgeGain(w, 0, fwd), st.pr.edgeGain(w, back, 0))
+}
+
+// pairBound is the key of a bound entry for (x, y), x.id < y.id: at least
+// every candidate's canonical gain. X·Y and Y·X gain xy and yx; under
+// monotone weights a split gains at most b, less the jump weight short of
+// a fall-through on each unit of x.cut when y has a size. The slack covers
+// rounding (DESIGN.md item 10). Without monotone weights the key is +Inf.
+func (st *state) pairBound(x, y *chain, xy, yx, b float64) float64 {
+	if !st.monotone {
+		return math.Inf(1)
+	}
+	key := max(xy, yx)
+	if nx := len(x.nodes); nx > 1 && nx <= st.opts.maxSplit() {
+		split := b
+		if y.size > 0 {
+			split -= (st.pr.FallthroughWeight - max(st.pr.ForwardWeight, st.pr.BackwardWeight)) * float64(x.cut)
+		}
+		key = max(key, split)
+	}
+	n := x.deg + y.deg + 8
+	return key + 16*float64(n)*0x1p-53*(x.score+y.score+2*b)
 }
 
 // A merge of chains x and y is identified by its split point i: the
@@ -526,6 +597,11 @@ func (st *state) foldWhole(total float64, seg []int, c *chain, shift int64, o *c
 // own.
 func (st *state) refold(c *chain) float64 {
 	var total float64
+	// cut[i], once prefix-summed, is the fall-through weight split i
+	// separates. A weight above 2^32 could overflow it, and leaves c.cut 0.
+	cut := st.cut[:len(c.nodes)+1]
+	clear(cut)
+	heavy := false
 	for _, nd := range c.nodes {
 		srcEnd := st.off[nd] + st.g.Nodes[nd].Size
 		out := st.nodeOut[nd]
@@ -540,21 +616,49 @@ func (st *state) refold(c *chain) float64 {
 			t := st.pr.edgeGain(e.Weight, srcEnd, st.off[e.Dst])
 			gains[j] = t
 			total += t
+			if srcEnd == st.off[e.Dst] {
+				heavy = heavy || e.Weight > 1<<32
+				lo, hi := st.idx[nd], st.idx[e.Dst]
+				if lo > hi {
+					lo, hi = hi, lo
+				}
+				cut[lo+1] += int(e.Weight)
+				cut[hi+1] -= int(e.Weight)
+			}
 		}
 		st.fold[nd] = total
+	}
+	c.cut = 0
+	for i := 1; i < len(c.nodes) && !heavy; i++ {
+		cut[i] += cut[i-1]
+		if i == 1 || cut[i] < c.cut {
+			c.cut = cut[i]
+		}
 	}
 	return total
 }
 
-// mergeCandidate is one way of combining chains x and y.
+// mergeCandidate is one way of combining chains x and y; below the exact
+// tier, gain only bounds the gain of every way.
 type mergeCandidate struct {
 	gain  float64
 	score float64 // viewScore of the merge (becomes the merged chain's cache)
 	x, y  int     // chain ids
-	xGen  int
-	yGen  int
-	split int // the merged order is x[:split]·y·x[split:]
+	split int     // the merged order is x[:split]·y·x[split:]
+	xGen  int32
+	yGen  int32
+	tier  tier
 }
+
+// tier is how a heap entry's gain was found, loosest first: pairBound,
+// filter, or pick's canonical gain, split and score.
+type tier uint8
+
+const (
+	bound tier = iota
+	priced
+	exact
+)
 
 // crossEdge is an edge between x and y as price sees it: everything
 // edgeGain needs except the two shifts a split decides.
@@ -566,13 +670,15 @@ type crossEdge struct {
 	fromX  bool  // x -> y; false is y -> x
 }
 
-// priceScratch holds price's buffers, reused across bestMerge calls. It is
-// the only thing bestMerge writes, so goroutines that each hold their own
-// can score pairs of one state at once while nothing mutates the state.
+// priceScratch holds price's buffers, reused across bestMerge calls, and
+// the last pricing: what pick refines from.
 type priceScratch struct {
-	cross  []crossEdge
-	diff   []float64
-	approx []float64
+	cross          []crossEdge
+	diff           []float64
+	approx         []float64
+	eps, top       float64 // top is the best legal approximation
+	fx, fy         int
+	xFirst, yFirst bool
 }
 
 // The candidates of a pair are explored in the order X·Y, Y·X, then the
@@ -636,6 +742,7 @@ func legal(k int, xFirst, yFirst bool) bool {
 // collected from whichever chain is shorter: the same multiset in another
 // order, which ε's argument never relied on.
 func (st *state) price(sc *priceScratch, x, y *chain, xFirst, yFirst bool) (approx []float64, eps float64, fx, fy int) {
+	st.effort.Priced++
 	nx, ny := len(x.nodes), len(y.nodes)
 	fx, fy = nx, ny
 	cands := 2
@@ -726,6 +833,7 @@ func (st *state) price(sc *priceScratch, x, y *chain, xFirst, yFirst bool) (appr
 	}
 
 	approx = sc.approx[:0]
+	sc.top = math.Inf(-1)
 	for k := 0; k < cands; k++ {
 		var a float64
 		if legal(k, xFirst, yFirst) {
@@ -745,6 +853,7 @@ func (st *state) price(sc *priceScratch, x, y *chain, xFirst, yFirst bool) (appr
 					a += st.pr.edgeGain(c.w, c.srcEnd+s, c.dst+shift)
 				}
 			}
+			sc.top = max(sc.top, a)
 		}
 		approx = append(approx, a)
 	}
@@ -773,21 +882,30 @@ func (st *state) price(sc *priceScratch, x, y *chain, xFirst, yFirst bool) (appr
 // jumps, so top is never negative, and a real gain of 0 can fold to
 // either sign.)
 func (st *state) bestMerge(sc *priceScratch, x, y *chain) (mergeCandidate, bool) {
-	best := mergeCandidate{gain: -1, x: x.id, y: y.id, xGen: x.gen, yGen: y.gen}
-	xFirst, yFirst := st.legalFirsts(x, y)
-	approx, eps, fx, fy := st.price(sc, x, y, xFirst, yFirst)
-	top := math.Inf(-1)
-	for k, a := range approx {
-		if legal(k, xFirst, yFirst) && a > top {
-			top = a
-		}
-	}
-	for k, a := range approx {
-		if !legal(k, xFirst, yFirst) || a < top-2*eps {
+	st.filter(sc, x, y)
+	return st.pick(sc, x, y)
+}
+
+// filter prices (x, y) into sc under the forced-first constraint and
+// returns the key of the pair's priced entry, at least every candidate's
+// canonical gain. The forced node always leads its chain, so some
+// candidate is legal and the key is a number.
+func (st *state) filter(sc *priceScratch, x, y *chain) float64 {
+	sc.xFirst, sc.yFirst = st.legalFirsts(x, y)
+	_, sc.eps, sc.fx, sc.fy = st.price(sc, x, y, sc.xFirst, sc.yFirst)
+	return sc.top + sc.eps
+}
+
+// pick is the refine half of bestMerge, from the pricing of (x, y) in sc.
+func (st *state) pick(sc *priceScratch, x, y *chain) (mergeCandidate, bool) {
+	st.effort.Refined++
+	best := mergeCandidate{gain: -1, x: x.id, y: y.id, xGen: x.gen, yGen: y.gen, tier: exact}
+	for k, a := range sc.approx {
+		if !legal(k, sc.xFirst, sc.yFirst) || a < sc.top-2*sc.eps {
 			continue
 		}
 		split := splitOf(k, len(x.nodes))
-		score := st.refine(x, y, split, fx, fy)
+		score := st.refine(x, y, split, sc.fx, sc.fy)
 		if gain := score - x.score - y.score; gain > best.gain {
 			best.gain, best.score, best.split = gain, score, split
 		}
@@ -821,22 +939,26 @@ func (st *state) applyMerge(c mergeCandidate) {
 }
 
 // candidateHeap is a binary max-heap of merge candidates with lazy
-// invalidation. Ties on gain break toward the lexicographically smallest
-// (x, y) pair — exactly the pair the naive scan (ascending x, then
-// ascending neighbor) would have committed to — so heap retrieval replays
-// the naive merge sequence and lays out exactly what the naive rescan
-// kept in the tests does. It sifts the slice itself: container/heap would
-// box every pushed candidate into an interface, one allocation per push.
+// invalidation. Ties on gain break toward the looser tier, then toward the
+// lexicographically smallest (x, y) pair — exactly the pair the naive scan
+// (ascending x, then ascending neighbor) would have committed to — so heap
+// retrieval replays the naive merge sequence and lays out exactly what the
+// naive rescan kept in the tests does. It sifts the slice itself:
+// container/heap would box every pushed candidate into an interface.
 type candidateHeap []mergeCandidate
 
-func (h candidateHeap) before(i, j int) bool {
-	if h[i].gain != h[j].gain {
-		return h[i].gain > h[j].gain
+// ahead reports whether a pops before b.
+func ahead(a, b *mergeCandidate) bool {
+	if a.gain != b.gain {
+		return a.gain > b.gain
 	}
-	if h[i].x != h[j].x {
-		return h[i].x < h[j].x
+	if a.tier != b.tier {
+		return a.tier < b.tier
 	}
-	return h[i].y < h[j].y
+	if a.x != b.x {
+		return a.x < b.x
+	}
+	return a.y < b.y
 }
 
 func (h *candidateHeap) push(c mergeCandidate) {
@@ -844,7 +966,7 @@ func (h *candidateHeap) push(c mergeCandidate) {
 	s := *h
 	for i := len(s) - 1; i > 0; {
 		parent := (i - 1) / 2
-		if !s.before(i, parent) {
+		if !ahead(&s[i], &s[parent]) {
 			break
 		}
 		s[i], s[parent] = s[parent], s[i]
@@ -856,80 +978,108 @@ func (h *candidateHeap) pop() mergeCandidate {
 	s := *h
 	top, n := s[0], len(s)-1
 	s[0] = s[n]
-	s = s[:n]
-	*h = s
-	for i := 0; ; {
-		child := 2*i + 1
-		if child >= n {
-			break
-		}
-		if r := child + 1; r < n && s.before(r, child) {
-			child = r
-		}
-		if !s.before(child, i) {
-			break
-		}
-		s[i], s[child] = s[child], s[i]
-		i = child
-	}
+	*h = s[:n]
+	h.down(0)
 	return top
 }
 
-// rescore is bestMerge for chain x and its neighbour nb, with the pair in
-// (lower id, higher id) order so the cached candidate is the same one the
-// naive rescan evaluates.
-func (st *state) rescore(sc *priceScratch, x, nb *chain) (mergeCandidate, bool) {
-	if nb.dead {
-		return mergeCandidate{}, false
+// down sifts entry i down to its place.
+func (h candidateHeap) down(i int) {
+	for n := len(h); 2*i+1 < n; {
+		child := 2*i + 1
+		if r := child + 1; r < n && ahead(&h[r], &h[child]) {
+			child = r
+		}
+		if !ahead(&h[child], &h[i]) {
+			return
+		}
+		h[i], h[child] = h[child], h[i]
+		i = child
 	}
-	if nb.id < x.id {
-		return st.bestMerge(sc, nb, x)
-	}
-	return st.bestMerge(sc, x, nb)
 }
 
-// run merges chains until no profitable merge is left, retrieving the
-// most profitable one from a priority queue and re-seeding candidates only
-// for the chains a merge touched.
-func (st *state) run() {
-	var h candidateHeap
-	for _, x := range st.chains {
-		if x.dead {
-			continue
+// push pushes c onto h, first dropping the stale entries of a full h. The
+// live entries are distinct adjacent pairs, at most one per edge, so in the
+// capacity run gives h, two per edge, a dropping frees at least half: h is
+// allocated once, at O(1) per push. Which live entry pops next does not
+// depend on where entries sit, so no merge changes.
+func (st *state) push(h *candidateHeap, c mergeCandidate) {
+	if len(*h) == cap(*h) {
+		live := (*h)[:0]
+		for _, e := range *h {
+			if !st.stale(&e) {
+				live = append(live, e)
+			}
 		}
+		for i := len(live)/2 - 1; i >= 0; i-- {
+			live.down(i)
+		}
+		*h = live
+	}
+	h.push(c)
+}
+
+// stale reports whether c's pair has merged since c was pushed.
+func (st *state) stale(c *mergeCandidate) bool {
+	return st.chains[c.x].gen != c.xGen || st.chains[c.y].gen != c.yGen
+}
+
+// leads reports whether c would be the next live entry h pops, dropping the
+// stale entries above it.
+func (st *state) leads(h *candidateHeap, c *mergeCandidate) bool {
+	for len(*h) > 0 && st.stale(&(*h)[0]) {
+		h.pop()
+	}
+	return len(*h) == 0 || !ahead(&(*h)[0], c)
+}
+
+// run merges chains until no profitable merge is left. Every pair of
+// adjacent chains has one live entry, tightened only when it reaches the
+// top: a bound entry is priced, a priced one refined — at once, from the
+// pricing just made, if it still leads — and an exact one merged, after
+// which the merged chain's pairs start over as bound entries.
+func (st *state) run() {
+	h := make(candidateHeap, 0, 2*st.tOff[len(st.g.Nodes)])
+	for _, x := range st.chains {
 		// Each unordered pair once, from its lower id.
 		nbs := st.neighbors(x)
-		st.pushMerges(&h, x, nbs[sort.SearchInts(nbs, x.id):])
+		st.pushBounds(&h, x, nbs[sort.SearchInts(nbs, x.id):])
 	}
 	for len(h) > 0 {
 		c := h.pop()
-		x, y := st.chains[c.x], st.chains[c.y]
-		if x.dead || y.dead || x.gen != c.xGen || y.gen != c.yGen {
-			continue // stale entry
+		if st.stale(&c) {
+			continue
 		}
-		st.applyMerge(c)
-		st.pushMerges(&h, x, st.neighbors(x))
+		x, y := st.chains[c.x], st.chains[c.y]
+		switch c.tier {
+		case exact:
+			st.applyMerge(c)
+			st.effort.Merges++
+			st.pushBounds(&h, x, st.neighbors(x))
+			continue
+		case bound:
+			if c.gain, c.tier = st.filter(&st.sc, x, y), priced; !st.leads(&h, &c) {
+				st.push(&h, c)
+				continue
+			}
+		case priced:
+			st.filter(&st.sc, x, y)
+		}
+		if best, ok := st.pick(&st.sc, x, y); ok {
+			st.push(&h, best)
+		}
 	}
 }
 
-// pushMerges scores x against each of its neighbours nbs and pushes the
-// profitable candidates in nbs order. Nothing writes the state between
-// one applyMerge and the next, so under a pool a large enough batch is
-// shared with its idle helpers (scoreBatch); the heap receives the same
-// candidates in the same order either way.
-func (st *state) pushMerges(h *candidateHeap, x *chain, nbs []int) {
-	if st.pool != nil && st.batchWork(x, nbs) >= st.pool.minWork {
-		for _, c := range st.scoreBatch(x, nbs) {
-			if c.gain > 0 {
-				h.push(c)
-			}
+// pushBounds pushes a bound entry for chain x and each neighbour in nbs,
+// from the sums the neighbors call that returned nbs left.
+func (st *state) pushBounds(h *candidateHeap, x *chain, nbs []int) {
+	for _, id := range nbs {
+		a, b := x, st.chains[id]
+		if b.id < a.id {
+			a, b = b, a
 		}
-		return
-	}
-	for _, nid := range nbs {
-		if c, ok := st.rescore(&st.sc, x, st.chains[nid]); ok {
-			h.push(c)
-		}
+		st.push(h, mergeCandidate{gain: st.pairBound(a, b, st.nbXY[id], st.nbYX[id], st.nbB[id]), x: a.id, y: b.id, xGen: a.gen, yGen: b.gen})
 	}
 }
 
@@ -968,4 +1118,53 @@ func (st *state) finalOrder() []int {
 		order = append(order, c.nodes...)
 	}
 	return order
+}
+
+// Components returns the connected components of g's merge graph — nodes
+// linked by at least one positive-weight non-self edge, the exact
+// adjacency the merge retrieval explores. Each component's nodes are
+// ascending and components are ordered by their smallest node, so the
+// partition is deterministic. The layout does not split along it; it is
+// the shape wpa's shard statistics and the modeled Phase-3 scaling read.
+func Components(g *Graph) [][]int {
+	n := len(g.Nodes)
+	parent := make([]int, n)
+	for i := range parent {
+		parent[i] = i
+	}
+	var find func(int) int
+	find = func(x int) int {
+		for parent[x] != x {
+			parent[x] = parent[parent[x]]
+			x = parent[x]
+		}
+		return x
+	}
+	for _, e := range g.Edges {
+		if e.Src == e.Dst || e.Weight == 0 {
+			continue // invisible to the merge adjacency
+		}
+		a, b := find(e.Src), find(e.Dst)
+		if a != b {
+			if a > b {
+				a, b = b, a
+			}
+			parent[b] = a
+		}
+	}
+	members := map[int][]int{}
+	var roots []int
+	for i := 0; i < n; i++ {
+		r := find(i)
+		if members[r] == nil {
+			roots = append(roots, r)
+		}
+		members[r] = append(members[r], i)
+	}
+	sort.Ints(roots)
+	out := make([][]int, len(roots))
+	for i, r := range roots {
+		out[i] = members[r] // ascending: appended in index order
+	}
+	return out
 }

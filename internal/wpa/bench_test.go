@@ -1,11 +1,11 @@
 package wpa_test
 
 import (
-	"fmt"
 	"testing"
 
 	"propeller/internal/bbaddrmap"
 	"propeller/internal/core"
+	"propeller/internal/exttsp"
 	"propeller/internal/profile"
 	"propeller/internal/workload"
 	"propeller/internal/wpa"
@@ -104,10 +104,9 @@ func BenchmarkReconstructPaths(b *testing.B) {
 // inter-procedural layout on a Bigtable-shaped hot graph — the global
 // Ext-TSP run that dominates the benchmark's interproc-layout op, at that
 // workload's size (3000 requests, LBR period 211) — so the layer can be
-// read without a whole optimize run. The hot graph is one component of
-// about 2 200 blocks plus crumbs, so workers=2 (what the op runs with)
-// against workers=1 reads what sharing a component's re-scoring batches
-// buys; run it at -cpu 2 or more:
+// read without a whole optimize run. Beside ns/op it reports what the
+// global run's merge retrieval spent: priced/op, the pairs priced, and
+// refined/op, the pairs refined to their canonical gain:
 //
 //	go test ./internal/wpa -run '^$' -bench LayoutInterProc -benchtime 10x
 func BenchmarkLayoutInterProc(b *testing.B) {
@@ -120,20 +119,19 @@ func BenchmarkLayoutInterProc(b *testing.B) {
 		b.Fatal(err)
 	}
 	loadMap := func() (*bbaddrmap.Map, error) { return amap, nil }
-	for _, workers := range []int{1, 2} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			cfg := cfg
-			cfg.Workers = workers
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				res, err := wpa.Analyze(loadMap, wpa.Prebuilt(agg), cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if res.Stats.LayoutShards == 0 {
-					b.Fatal("no global layout ran")
-				}
-			}
-		})
+	b.ReportAllocs()
+	b.ResetTimer()
+	var eff exttsp.Effort
+	for i := 0; i < b.N; i++ {
+		res, err := wpa.Analyze(loadMap, wpa.Prebuilt(agg), cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if res.Stats.LayoutShards == 0 {
+			b.Fatal("no global layout ran")
+		}
+		eff = res.Stats.LayoutEffort
 	}
+	b.ReportMetric(float64(eff.Priced), "priced/op")
+	b.ReportMetric(float64(eff.Refined), "refined/op")
 }

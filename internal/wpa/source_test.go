@@ -185,7 +185,7 @@ func requireSourcesAgree(t *testing.T, pick func(kind string) bool) {
 						gs.ProfileBytes, gs.ModeledBytes = ws.ProfileBytes, ws.ModeledBytes
 						gs.AggregateCacheHit, gs.GlobalCacheHit, gs.FuncLayoutHits, gs.FuncLayoutMisses = false, false, 0, 0
 						if warm {
-							gs.RelaidFuncs, gs.LayoutShards, gs.LayoutShardNodes = ws.RelaidFuncs, ws.LayoutShards, ws.LayoutShardNodes
+							gs.RelaidFuncs, gs.LayoutShards, gs.LayoutShardNodes, gs.LayoutEffort = ws.RelaidFuncs, ws.LayoutShards, ws.LayoutShardNodes, ws.LayoutEffort
 						}
 						if !reflect.DeepEqual(gs, ws) {
 							t.Fatalf("%s: stats diverged\ngot  %+v\nwant %+v", label, gs, ws)

@@ -191,10 +191,9 @@ type Stats struct {
 	// the worker-pool size after clamping to the number of independent
 	// layout units (LayoutShards). In InterProc mode it is the bound the
 	// component partition puts on parallelism, not the cores the layout
-	// uses — exttsp.LayoutParallel runs one merge state and shares its
-	// re-scoring among every configured worker — because the modeled
-	// Phase-3 makespan and BENCH_wpa.json's scaling curves are functions
-	// of the component partition alone.
+	// uses — the global layout is one serial exttsp.Layout run — because
+	// the modeled Phase-3 makespan and BENCH_wpa.json's scaling curves are
+	// functions of the component partition alone.
 	LayoutWorkers int
 
 	// LayoutShards is the number of independent layout units: hot
@@ -209,6 +208,11 @@ type Stats struct {
 	// shape the modeled layout-scaling curve (BENCH_wpa.json) is derived
 	// from.
 	LayoutShardNodes []int
+
+	// LayoutEffort, in InterProc mode, is what the global Ext-TSP run
+	// spent retrieving its merges: pairs priced and refined, and merges.
+	// It is zero on a global-layout cache hit.
+	LayoutEffort exttsp.Effort
 
 	// Per-phase wall-time breakdown (the Table-4 analysis-time axis):
 	// AggregateWall covers sample aggregation (sharded when Workers > 1) as
@@ -797,13 +801,12 @@ func appendColdSymbols(res *Result, names []string, infos map[string]*funcInfo) 
 // edges included (§4.7), then slices the global chain into per-function
 // cluster sections and a symbol order matching the chain.
 //
-// The global run is the paper's 3-10x analysis-cost arm, and it runs on
-// cfg.Workers cores (exttsp.LayoutParallel): one merge state whose idle
-// workers score part of each large re-scoring batch — the hot graph of a
+// The global run is the paper's 3-10x analysis-cost arm: one serial
+// exttsp.Layout over the whole graph, whose merge retrieval prices a pair
+// only when a bound says it could still win. The hot graph of a
 // warehouse-scale binary is one giant component plus crumbs, so splitting
-// by component would leave all but one worker idle. The result is
-// bit-identical at every worker count, and the 1-worker path is exactly
-// the serial whole-graph exttsp.Layout call.
+// by component would leave all but one worker idle, and the result is
+// bit-identical at every worker count.
 func layoutInterProc(res *Result, graphs map[string]*dcfg, infos map[string]*funcInfo, callEdges map[callKey]uint64, cfg Config) error {
 	names := sortedFuncNames(graphs)
 	type globalNode struct {
@@ -880,8 +883,7 @@ func layoutInterProc(res *Result, graphs map[string]*dcfg, infos map[string]*fun
 	// The component partition is worker-independent, so the shard-shape
 	// stats (and therefore the modeled scaling curve) are identical at
 	// every worker count. LayoutWorkers is clamped to it; the layout
-	// itself is not, because its one merge state shares the re-scoring
-	// batches among all the workers.
+	// itself is one merge state over every component.
 	comps := exttsp.Components(eg)
 	res.Stats.LayoutShards = len(comps)
 	res.Stats.LayoutShardNodes = make([]int, len(comps))
@@ -891,8 +893,8 @@ func layoutInterProc(res *Result, graphs map[string]*dcfg, infos map[string]*fun
 	sort.Sort(sort.Reverse(sort.IntSlice(res.Stats.LayoutShardNodes)))
 	res.Stats.LayoutWorkers = max(1, min(cfg.workers(), len(comps)))
 
-	eopts := exttsp.Options{ForcedFirst: -1, Params: cfg.ExtTSP}
-	order, err := exttsp.LayoutParallel(eg, eopts, cfg.workers())
+	eopts := exttsp.Options{ForcedFirst: -1, Params: cfg.ExtTSP, Effort: &res.Stats.LayoutEffort}
+	order, err := exttsp.Layout(eg, eopts)
 	if err != nil {
 		return fmt.Errorf("wpa: global layout: %w", err)
 	}
