@@ -30,6 +30,7 @@ import (
 
 	"propeller/internal/core"
 	"propeller/internal/fleetprof"
+	"propeller/internal/par"
 	"propeller/internal/profsvc"
 	"propeller/internal/workload"
 )
@@ -93,7 +94,7 @@ func main() {
 		if err != nil {
 			fatalf("listen: %v", err)
 		}
-		go http.Serve(ln, svc.Handler())
+		par.Start(func() error { return http.Serve(ln, svc.Handler()) })
 		base := "http://" + ln.Addr().String()
 		fmt.Printf("profsvc: serving profile API on %s (POST /publish, GET /profile/{buildID}, GET /statusz)\n", base)
 		cfg.Store = store

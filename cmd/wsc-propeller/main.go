@@ -36,6 +36,7 @@ import (
 	"propeller/internal/layoutfile"
 	"propeller/internal/memmodel"
 	"propeller/internal/objfile"
+	"propeller/internal/par"
 	"propeller/internal/policysearch"
 	"propeller/internal/pprofutil"
 	"propeller/internal/sim"
@@ -335,7 +336,7 @@ func serveStatusz(addr string) func(*fleetprof.Service) {
 		fatalf("statusz listener: %v", err)
 	}
 	fmt.Printf("propeller: serving /statusz on http://%s/statusz\n", ln.Addr())
-	go http.Serve(ln, mux)
+	par.Start(func() error { return http.Serve(ln, mux) })
 	return func(s *fleetprof.Service) {
 		mu.Lock()
 		cur = s

@@ -36,7 +36,8 @@ type FleetOptions struct {
 	OnService func(*fleetprof.Service)
 }
 
-func (f FleetOptions) hosts() int {
+// HostCount is the number of simulated hosts: Hosts, or 4 when unset.
+func (f FleetOptions) HostCount() int {
 	if f.Hosts < 1 {
 		return 4
 	}
@@ -63,7 +64,7 @@ func (f FleetOptions) hosts() int {
 // asks for the §3.5 cache-miss profile, when it drives the timing model
 // and holds cycles, counters and LoadMisses.
 func CollectFleetProfile(bin *objfile.Binary, spec RunSpec, fo FleetOptions, trackMisses bool) (*profile.Profile, *sim.Result, fleetprof.IngestStats, error) {
-	hosts := fo.hosts()
+	hosts := fo.HostCount()
 	prog, err := sim.Load(bin)
 	if err != nil {
 		return nil, nil, fleetprof.IngestStats{}, err

@@ -7,11 +7,10 @@
 // index's. Completion order then never reaches a result.
 //
 // Long-lived channel consumers run on Do too, each task draining a queue
-// until it is closed. exttsp's batch pool and wpa's aggregation are an
-// owner and its helpers: task 0 owns the merge state (exttsp) or the feed
-// (wpa) and the other tasks take what it hands them, so exttsp keeps only
-// the batch hand-off's WaitGroup. fleetprof.Service starts one job whose
-// Do runs every shard's ingest workers until Drain closes their queues.
+// until it is closed. wpa's aggregation is an owner and its helpers: task
+// 0 owns the feed and the other tasks take what it hands them.
+// fleetprof.Service starts one job whose Do runs every shard's ingest
+// workers until Drain closes their queues.
 package par
 
 import (
@@ -72,7 +71,8 @@ type Job[T any] struct {
 	v    T
 }
 
-// Start runs fn on a goroutine of its own.
+// Start runs fn on a goroutine of its own. A job that lives until the
+// process exits, such as an HTTP server, may go unjoined.
 func Start[T any](fn func() T) *Job[T] {
 	j := &Job[T]{done: make(chan struct{})}
 	go func() {

@@ -75,13 +75,6 @@ func (c DriverConfig) budget() core.Budget {
 		Or(core.Budget{TrainInsts: 20_000_000, EvalInsts: 40_000_000, LBRPeriod: 211})
 }
 
-func (c DriverConfig) hosts() int {
-	if c.Hosts < 1 {
-		return 4
-	}
-	return c.Hosts
-}
-
 // Generation records one loop iteration.
 type Generation struct {
 	Index int `json:"gen"`
@@ -340,7 +333,7 @@ func RunGenerations(p *core.Program, cfg DriverConfig) (*LoopResult, error) {
 		// Any other decides without it — the same Ready and Reason — and
 		// the report's hot-set fields are filled in once it is joined.
 		score := func(hot []string) AdmitReport {
-			return cfg.Scorer.Score(merged, agg, hot, ingest, cfg.hosts(), prevHot)
+			return cfg.Scorer.Score(merged, agg, hot, ingest, fo.HostCount(), prevHot)
 		}
 		var early []string
 		if cfg.Scorer.readsHotSet() {

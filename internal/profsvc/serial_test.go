@@ -142,7 +142,7 @@ func serialRunGenerations(p *core.Program, cfg DriverConfig) (*LoopResult, error
 			lkOf = deployed
 		}
 		hot := fleetprof.HotFuncs(merged, lk)
-		gen.Admit = cfg.Scorer.Score(merged, agg, hot, ingest, cfg.hosts(), prevHot)
+		gen.Admit = cfg.Scorer.Score(merged, agg, hot, ingest, fo.HostCount(), prevHot)
 		gen.GateOpen = gen.Admit.Ready
 		if !gen.Admit.Ready {
 			// Keep serving the current binary; the store keeps
